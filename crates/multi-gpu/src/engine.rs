@@ -21,34 +21,23 @@
 //!    equal keys never straddle shards, so the merge simply concatenates
 //!    logically — but running the real merge keeps the engine honest for
 //!    any splitter policy.  Measured for real.
+//!
+//! Every entry point — in core, out of core ([`crate::ooc`]), with the
+//! peer exchange ([`crate::exchange`]) or under injected faults
+//! ([`crate::recovery`]) — runs the same round-based driver; a fault-free
+//! sort is its round 0.
 
 use crate::device_pool::DevicePool;
-use crate::exchange::RecombineStrategy;
-use crate::partition::{compute_splitters_with, scatter_into_shards, PartitionConfig, SplitterSet};
-use crate::recovery::RecoveryConfig;
-use crate::report::{RequestSpan, ShardReport, ShardedReport};
+use crate::exchange::{note_exchange, register_exchange_probes, RecombineStrategy};
+use crate::recovery::{register_fault_probes, SortError};
+use crate::report::{RequestSpan, ShardedReport};
 use crate::telemetry_paths as tp;
-use gpu_sim::{FaultPlan, SimTime, Timeline, TransferDirection};
-use hetero::chunking::split_into_chunks;
-use hetero::multiway_merge::parallel_merge_sorted_runs_by;
-use hrs_core::{Executor, HybridRadixSorter, SharedMut, SortReport};
+use gpu_sim::FaultPlan;
+use hrs_core::{Executor, HybridRadixSorter};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 use telemetry::Inspector;
 use workloads::keys::SortKey;
 use workloads::pairs::SortValue;
-
-/// Key extractor for zipped `(key, value)` merge records.
-pub(crate) fn pair_key<K: SortKey, V>(p: &(K, V)) -> u64 {
-    p.0.to_radix()
-}
-
-/// One shard's completed device phase: the functional sort report plus the
-/// measured wall-clock the sort took on the host.
-pub(crate) struct ShardRun {
-    pub(crate) report: SortReport,
-    pub(crate) measured: Duration,
-}
 
 /// A sorter that shards one input across several devices (simulated GPUs
 /// and/or real CPU sockets).
@@ -57,8 +46,6 @@ pub struct ShardedSorter {
     pub(crate) pool: DevicePool,
     pub(crate) template: HybridRadixSorter,
     pub(crate) merge_threads: usize,
-    pub(crate) partition: PartitionConfig,
-    pub(crate) chunks_per_shard: usize,
     pub(crate) ooc: crate::ooc::OocConfig,
     pub(crate) host_exec: Executor,
     /// One persistent [`HybridRadixSorter`] per pool device ("device
@@ -76,16 +63,10 @@ pub struct ShardedSorter {
     /// shared one so the sort service (and anything else holding a clone)
     /// sees engine, lane and out-of-core metrics in one snapshot tree.
     pub(crate) inspector: Inspector,
-    /// Injected fault script ([`gpu_sim::FaultPlan`]); `None` sorts clean.
-    /// While a plan still has unfired specs — or any pool device is dead —
-    /// sorts run through the fault-tolerant recovery path
-    /// ([`crate::recovery`]); otherwise the exact fast paths run unchanged.
+    /// Injected fault script ([`gpu_sim::FaultPlan`]), consulted once per
+    /// unit of work; `None` sorts clean.
     pub(crate) faults: Option<FaultPlan>,
-    /// Retry/backoff policy of the recovery path.
-    pub(crate) recovery: RecoveryConfig,
-    /// How sorted shards are recombined ([`RecombineStrategy`]); the
-    /// default host p-way merge keeps this engine byte-identical to the
-    /// pre-exchange versions.
+    /// How sorted shards are recombined ([`RecombineStrategy`]).
     pub(crate) recombine: RecombineStrategy,
 }
 
@@ -99,14 +80,11 @@ impl ShardedSorter {
             pool,
             template: HybridRadixSorter::with_defaults(),
             merge_threads: 6,
-            partition: PartitionConfig::default(),
-            chunks_per_shard: 4,
             ooc: crate::ooc::OocConfig::default(),
             host_exec: Executor::threaded(),
             lanes: Mutex::new(Vec::new()),
             inspector: Inspector::new(),
             faults: None,
-            recovery: RecoveryConfig::default(),
             recombine: RecombineStrategy::default(),
         }
     }
@@ -137,19 +115,6 @@ impl ShardedSorter {
         self
     }
 
-    /// Replaces the splitter-selection configuration.
-    pub fn with_partition_config(mut self, cfg: PartitionConfig) -> Self {
-        self.partition = cfg;
-        self
-    }
-
-    /// Sets how many chunks each shard's transfers are split into (more
-    /// chunks = finer upload/sort/download overlap per device).
-    pub fn with_chunks_per_shard(mut self, chunks: usize) -> Self {
-        self.chunks_per_shard = chunks.max(1);
-        self
-    }
-
     /// Replaces the out-of-core configuration used by
     /// [`Self::sort_out_of_core`] / [`Self::sort_out_of_core_pairs`].
     pub fn with_ooc_config(mut self, cfg: crate::ooc::OocConfig) -> Self {
@@ -165,21 +130,14 @@ impl ShardedSorter {
         self
     }
 
-    /// Installs an injected-fault script.  While the plan has unfired specs
-    /// (or a device has been marked dead), every sort runs through the
-    /// fault-tolerant recovery path: failed devices are marked dead in the
-    /// pool, their work is requeued onto the survivors with bounded retries
-    /// and exponential simulated backoff, and every fault is recorded in
-    /// [`ShardedReport::faults`] and telemetry.  Clones of the sorter share
-    /// the plan's fired/op state.
+    /// Installs an injected-fault script, consulted once per unit of work:
+    /// failed devices are marked dead in the pool, their work is requeued
+    /// onto the survivors with bounded retries and exponential simulated
+    /// backoff, and every fault is recorded in [`ShardedReport::faults`]
+    /// and telemetry.  Clones of the sorter share the plan's fired/op
+    /// state.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Replaces the retry/backoff policy of the recovery path.
-    pub fn with_recovery_config(mut self, cfg: RecoveryConfig) -> Self {
-        self.recovery = cfg;
         self
     }
 
@@ -203,13 +161,6 @@ impl ShardedSorter {
     /// The installed fault script, if any.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.faults.as_ref()
-    }
-
-    /// Whether sorts currently route through the fault-tolerant recovery
-    /// path: an unexhausted fault script is installed, or a pool device has
-    /// been marked dead (survivor-only partitioning is then required).
-    pub fn fault_path_active(&self) -> bool {
-        self.pool.any_dead() || self.faults.as_ref().is_some_and(|p| !p.is_exhausted())
     }
 
     /// Reports into `inspector` instead of the sorter's private one, so
@@ -302,7 +253,55 @@ impl ShardedSorter {
             )
     }
 
-    pub(crate) fn request_spans(total: usize, request_lens: &[usize]) -> Vec<RequestSpan> {
+    /// Fallible counterpart of [`Self::sort`]: completes on the survivors
+    /// under an armed fault plan (or an already-degraded pool), or returns
+    /// a typed [`SortError`] with `keys` restored.
+    pub fn try_sort<K: SortKey>(&self, keys: &mut Vec<K>) -> Result<ShardedReport, SortError> {
+        self.run(keys, &mut Vec::<()>::new(), false)
+    }
+
+    /// Fallible counterpart of [`Self::sort_pairs`].
+    pub fn try_sort_pairs<K: SortKey, V: SortValue>(
+        &self,
+        keys: &mut Vec<K>,
+        values: &mut Vec<V>,
+    ) -> Result<ShardedReport, SortError> {
+        assert_eq!(
+            keys.len(),
+            values.len(),
+            "keys and values must have the same length"
+        );
+        self.run(keys, values, false)
+    }
+
+    /// Fallible counterpart of [`Self::sort_batch`].  `request_lens` is
+    /// validated before anything is sorted.
+    pub fn try_sort_batch<K: SortKey>(
+        &self,
+        keys: &mut Vec<K>,
+        request_lens: &[usize],
+    ) -> Result<ShardedReport, SortError> {
+        let requests = Self::request_spans(keys.len(), request_lens);
+        let mut report = self.try_sort(keys)?;
+        report.requests = requests;
+        Ok(report)
+    }
+
+    /// Fallible counterpart of [`Self::sort_batch_pairs`].  `request_lens`
+    /// is validated before anything is sorted.
+    pub fn try_sort_batch_pairs<K: SortKey, V: SortValue>(
+        &self,
+        keys: &mut Vec<K>,
+        values: &mut Vec<V>,
+        request_lens: &[usize],
+    ) -> Result<ShardedReport, SortError> {
+        let requests = Self::request_spans(keys.len(), request_lens);
+        let mut report = self.try_sort_pairs(keys, values)?;
+        report.requests = requests;
+        Ok(report)
+    }
+
+    fn request_spans(total: usize, request_lens: &[usize]) -> Vec<RequestSpan> {
         assert_eq!(
             request_lens.iter().sum::<usize>(),
             total,
@@ -324,125 +323,6 @@ impl ShardedSorter {
             .collect()
     }
 
-    pub(crate) fn sort_impl<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> ShardedReport {
-        let n = keys.len();
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
-
-        // 1. Partition (host, measured): splitter selection plus the
-        // executor-parallel scatter into shard buffers.
-        let partition_span = self
-            .inspector
-            .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-        let splitters = compute_splitters_with(
-            keys,
-            &self.pool.capacity_weights(),
-            &self.partition,
-            &self.host_exec,
-        );
-        let (mut shard_keys, mut shard_vals) =
-            scatter_into_shards(keys, values, &splitters, &self.host_exec);
-        let measured_partition = partition_span.finish();
-
-        // 2. Device phase: real per-shard sorts fanned out over the host
-        // executor's workers, simulated schedule (measured for CPU-socket
-        // devices).
-        let shard_runs = self.sort_shards(&mut shard_keys, &mut shard_vals);
-        let (timeline, shards) =
-            self.build_schedule(&splitters, &shard_keys, &shard_runs, elem_bytes);
-        let critical_path = timeline.makespan();
-
-        // 3. Recombination (host, measured): generalised p-way merge over
-        // zipped (key, value) records.
-        let merge_span = self
-            .inspector
-            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        let runs: Vec<Vec<(K, V)>> = shard_keys
-            .iter()
-            .zip(shard_vals.iter())
-            .map(|(ks, vs)| ks.iter().copied().zip(vs.iter().copied()).collect())
-            .collect();
-        let refs: Vec<&[(K, V)]> = runs.iter().map(|r| r.as_slice()).collect();
-        let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-        *keys = merged.iter().map(|&(k, _)| k).collect();
-        *values = merged.into_iter().map(|(_, v)| v).collect();
-        let measured_merge = merge_span.finish();
-
-        // Aggregate the per-shard reports through the core hook.
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-        for r in &shard_runs {
-            combined.absorb(&r.report);
-        }
-
-        let end_to_end = SimTime::from_secs(measured_partition.as_secs_f64())
-            + critical_path
-            + SimTime::from_secs(measured_merge.as_secs_f64());
-
-        let report = ShardedReport {
-            n: n as u64,
-            key_bytes: K::BYTES,
-            value_bytes,
-            shards,
-            splitters,
-            critical_path,
-            measured_partition,
-            measured_merge,
-            end_to_end,
-            combined,
-            timeline,
-            requests: Vec::new(),
-            ooc_chunks: Vec::new(),
-            faults: Vec::new(),
-            recombine: RecombineStrategy::HostMerge,
-            exchange: Vec::new(),
-        };
-        self.note_sort(&report, elem_bytes);
-        report
-    }
-
-    /// Records the engine-level metrics of one completed sharded sort:
-    /// sort/key counters plus per-device transfer bytes, utilisation
-    /// (fraction of the device's span spent sorting) and overlap ratio
-    /// (stage-busy time over span — above 1.0 means transfers genuinely
-    /// overlapped the sort).
-    pub(crate) fn note_sort(&self, report: &ShardedReport, elem_bytes: u64) {
-        let t = &self.inspector;
-        t.counter(tp::SORTS).inc();
-        t.counter(tp::KEYS).add(report.n);
-        // Register the fault and exchange subtrees eagerly (registration
-        // is idempotent) so every snapshot exposes their health — zero or
-        // not.
-        crate::recovery::register_fault_probes(t);
-        crate::exchange::register_exchange_probes(t);
-        for (i, shard) in report.shards.iter().enumerate() {
-            let dev = |leaf: &str| format!("multi_gpu/dev{i}/{leaf}");
-            // Every element crosses the link twice: upload and download.
-            t.counter(&dev("transfer_bytes"))
-                .add(2 * shard.n * elem_bytes);
-            let span = shard.finish.secs();
-            if span > 0.0 {
-                t.float_gauge(&dev("utilisation"))
-                    .set(shard.gpu_sort.secs() / span);
-                let busy = (shard.upload + shard.gpu_sort + shard.download).secs();
-                t.float_gauge(&dev("overlap_ratio")).set(busy / span);
-            }
-        }
-    }
-
-    /// Runs the functional hybrid radix sort of every shard.
-    ///
-    /// Simulated-GPU shards sort with the sequential backend (their time
-    /// comes from the analytical model) and are fanned out over the host
-    /// executor's workers.  CPU-socket shards sort with the threaded
-    /// backend sized to the socket's workers — and because their measured
-    /// wall-clock *is* the schedule input, each one runs in isolation
-    /// after the simulated fan-out, so host contention from other shards
-    /// cannot inflate the one number the feature claims to measure for
-    /// real.
     /// The per-device lane sorter: the template specialised to pool device
     /// `i`'s hardware model, executor and telemetry prefix.
     pub(crate) fn lane_sorter(&self, i: usize) -> HybridRadixSorter {
@@ -454,150 +334,39 @@ impl ShardedSorter {
             .with_telemetry(&self.inspector, &format!("core/dev{i}"))
     }
 
-    pub(crate) fn sort_shards<K: SortKey, V: SortValue>(
-        &self,
-        shard_keys: &mut [Vec<K>],
-        shard_vals: &mut [Vec<V>],
-    ) -> Vec<ShardRun> {
-        let p = self.pool.len();
-        let sorter_for = |i: usize| self.lane_sorter(i);
-        // Reuse the persistent device lanes (and their warm scratch
-        // arenas) when they are free; a concurrent sort through the same
-        // sorter falls back to ephemeral lanes instead of blocking.
-        let mut fallback: Option<Vec<HybridRadixSorter>> = None;
-        let mut guard = self.lanes.try_lock().ok();
-        let lanes: &mut Vec<HybridRadixSorter> = match guard.as_deref_mut() {
-            Some(lanes) => lanes,
-            None => fallback.get_or_insert_with(Vec::new),
-        };
-        if lanes.len() != p {
-            *lanes = (0..p).map(sorter_for).collect();
+    /// Records the engine-level metrics of one completed sharded sort:
+    /// sort/key counters, per-device transfer bytes (every uploaded element
+    /// plus every element of the device's output), utilisation (fraction
+    /// of the device's span spent sorting) and overlap ratio (stage-busy
+    /// time over span — above 1.0 means transfers genuinely overlapped the
+    /// sort), plus the exchange subtree of peer-exchange sorts.
+    /// `shard_devices` names each shard's pool device and uploaded
+    /// elements.
+    pub(crate) fn note_sort(&self, report: &ShardedReport, shard_devices: &[(usize, u64)]) {
+        let t = &self.inspector;
+        t.counter(tp::SORTS).inc();
+        t.counter(tp::KEYS).add(report.n);
+        // Register the fault and exchange subtrees eagerly (registration
+        // is idempotent) so every snapshot exposes their health — zero or
+        // not.
+        register_fault_probes(t);
+        register_exchange_probes(t);
+        if report.recombine == RecombineStrategy::PeerExchange {
+            note_exchange(t, report);
         }
-        let lanes: &[HybridRadixSorter] = lanes;
-        let simulated: Vec<usize> = (0..p)
-            .filter(|&i| !self.pool.devices()[i].backend.is_measured())
-            .collect();
-
-        let mut runs: Vec<Option<ShardRun>> = (0..p).map(|_| None).collect();
-        {
-            let keys_view = SharedMut::new(shard_keys);
-            let vals_view = SharedMut::new(shard_vals);
-            let runs_view = SharedMut::new(&mut runs);
-            self.host_exec.for_each_task(simulated.len(), |t, _worker| {
-                let i = simulated[t];
-                // SAFETY: shard indices are distinct across tasks, so task
-                // `t` exclusively owns shard `i`'s buffers and result slot.
-                let (ks, vs, slot) = unsafe {
-                    (
-                        &mut keys_view.slice_mut(i, 1)[0],
-                        &mut vals_view.slice_mut(i, 1)[0],
-                        &mut runs_view.slice_mut(i, 1)[0],
-                    )
-                };
-                let start = Instant::now();
-                let report = lanes[i].sort_pairs(ks, vs);
-                *slot = Some(ShardRun {
-                    report,
-                    measured: start.elapsed(),
-                });
-            });
-        }
-        // Measured (CPU-socket) shards, one at a time on an otherwise idle
-        // host.
-        for i in 0..p {
-            if runs[i].is_some() {
-                continue;
+        let elem_bytes = report.key_bytes as u64 + report.value_bytes as u64;
+        for (shard, &(i, uploaded)) in report.shards.iter().zip(shard_devices) {
+            let dev = |leaf: &str| format!("multi_gpu/dev{i}/{leaf}");
+            t.counter(&dev("transfer_bytes"))
+                .add((uploaded + shard.n) * elem_bytes);
+            let span = shard.finish.secs();
+            if span > 0.0 {
+                t.float_gauge(&dev("utilisation"))
+                    .set(shard.gpu_sort.secs() / span);
+                let busy = (shard.upload + shard.gpu_sort + shard.download).secs();
+                t.float_gauge(&dev("overlap_ratio")).set(busy / span);
             }
-            let start = Instant::now();
-            let report = lanes[i].sort_pairs(&mut shard_keys[i], &mut shard_vals[i]);
-            runs[i] = Some(ShardRun {
-                report,
-                measured: start.elapsed(),
-            });
         }
-        runs.into_iter()
-            .map(|r| r.expect("shard sort did not run"))
-            .collect()
-    }
-
-    /// Schedules every shard's chunked upload → sort → download on its
-    /// device's resources and returns the shared timeline plus the
-    /// per-shard reports.
-    fn build_schedule<K: SortKey>(
-        &self,
-        splitters: &SplitterSet,
-        shard_keys: &[Vec<K>],
-        runs: &[ShardRun],
-        elem_bytes: u64,
-    ) -> (Timeline, Vec<ShardReport>) {
-        let mut tl = Timeline::new();
-        let ranges = splitters.ranges();
-        let mut shards = Vec::with_capacity(self.pool.len());
-        for (i, device) in self.pool.devices().iter().enumerate() {
-            let htod = tl.add_resource(format!("dev{i} HtD"));
-            let gpu = tl.add_resource(format!("dev{i} GPU"));
-            let dtoh = tl.add_resource(format!("dev{i} DtH"));
-
-            let shard_n = shard_keys[i].len();
-            // Simulated GPUs contribute their modelled kernel time; a CPU
-            // socket contributes the wall-clock its threaded sort really
-            // took.
-            let sort_total = if device.backend.is_measured() {
-                SimTime::from_secs(runs[i].measured.as_secs_f64())
-            } else {
-                runs[i].report.simulated.total
-            };
-            let mut upload = SimTime::ZERO;
-            let mut gpu_sort = SimTime::ZERO;
-            let mut download = SimTime::ZERO;
-            let mut finish = SimTime::ZERO;
-            if shard_n > 0 {
-                let plan = split_into_chunks(shard_n, self.chunks_per_shard.min(shard_n));
-                for (j, &(start, end)) in plan.ranges.iter().enumerate() {
-                    let chunk_len = end - start;
-                    let chunk_bytes = chunk_len as u64 * elem_bytes;
-                    let up = tl.schedule(
-                        format!("HtD s{i} c{j}"),
-                        htod,
-                        SimTime::ZERO,
-                        device
-                            .link
-                            .transfer_time(TransferDirection::HostToDevice, chunk_bytes),
-                    );
-                    let sort = tl.schedule_after(
-                        format!("sort s{i} c{j}"),
-                        gpu,
-                        &[up.end],
-                        sort_total * (chunk_len as f64 / shard_n as f64),
-                    );
-                    let down = tl.schedule_after(
-                        format!("DtH s{i} c{j}"),
-                        dtoh,
-                        &[sort.end],
-                        device
-                            .link
-                            .transfer_time(TransferDirection::DeviceToHost, chunk_bytes),
-                    );
-                    upload += up.duration();
-                    gpu_sort += sort.duration();
-                    download += down.duration();
-                    finish = finish.max(down.end);
-                }
-            }
-            shards.push(ShardReport {
-                device: device.spec.name.clone(),
-                link: device.link.kind.label().to_string(),
-                n: shard_n as u64,
-                range: ranges[i],
-                report: runs[i].report.clone(),
-                upload,
-                gpu_sort,
-                download,
-                finish,
-                measured_sort: device.backend.is_measured().then_some(runs[i].measured),
-            });
-        }
-        (tl, shards)
     }
 }
 
@@ -615,8 +384,6 @@ impl Clone for ShardedSorter {
             pool: self.pool.clone(),
             template: self.template.clone(),
             merge_threads: self.merge_threads,
-            partition: self.partition.clone(),
-            chunks_per_shard: self.chunks_per_shard,
             ooc: self.ooc.clone(),
             host_exec: self.host_exec,
             lanes: Mutex::new(Vec::new()),
@@ -624,7 +391,6 @@ impl Clone for ShardedSorter {
             // The fault plan's fired/op state is shared (Arc), so a clone
             // doing the service's sorting consumes the same script.
             faults: self.faults.clone(),
-            recovery: self.recovery.clone(),
             recombine: self.recombine,
         }
     }
@@ -633,8 +399,8 @@ impl Clone for ShardedSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_pool::{DevicePool, SimDevice};
-    use gpu_sim::DeviceSpec;
+    use crate::device_pool::SimDevice;
+    use gpu_sim::{DeviceSpec, SimTime};
     use hrs_core::SortConfig;
     use workloads::{uniform_keys, KeyCodec, ZipfGenerator};
 
@@ -792,10 +558,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cover the whole batch")]
     fn batch_entry_rejects_mismatched_lens() {
-        let mut keys = uniform_keys::<u64>(1_000, 23);
-        test_sorter(2).sort_batch(&mut keys, &[400, 400]);
+        let sorter = test_sorter(2);
+        let keys = uniform_keys::<u64>(1_000, 23);
+        let mut k = keys.clone();
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sorter.sort_batch(&mut k, &[400, 400])
+        }));
+        let message = caught.expect_err("mismatched lengths must panic");
+        assert!(message
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("cover the whole batch")));
+        // Validation runs before the sort: nothing moved, nothing counted.
+        assert_eq!(k, keys);
+        let snap = sorter.inspector().snapshot();
+        let sorts = snap.node("multi_gpu").and_then(|n| n.uint("sorts"));
+        assert_eq!(sorts.unwrap_or(0), 0);
     }
 
     #[test]

@@ -1,59 +1,55 @@
 //! Peer-to-peer recombination: the all-to-all bucket exchange.
 //!
-//! The host p-way merge of [`crate::engine`] funnels every sorted shard
-//! back through one host-memory stream — a recombination stage whose
-//! bandwidth does *not* scale with device count.  This module adds the
-//! scalable alternative argued by the paper's Section 5 topology model and
-//! Casanova et al.'s multiway GPU mergesort: after the per-device local
-//! sorts, devices swap *bucket ranges* directly over the pool's
-//! [`gpu_sim::PeerTopology`], each device p-way-merges only its own output
-//! range on-device, and the host is left with a cheap concatenation.
+//! The host p-way merge funnels every sorted shard back through one
+//! host-memory stream — a recombination stage whose bandwidth does *not*
+//! scale with device count.  This module adds the scalable alternative
+//! argued by the paper's Section 5 topology model and Casanova et al.'s
+//! multiway GPU mergesort: after the per-device local sorts, devices swap
+//! *bucket ranges* directly over the pool's [`gpu_sim::PeerTopology`],
+//! each device p-way-merges only its own output range on-device, and the
+//! host is left with a cheap concatenation.
 //!
-//! The phase structure (all on the shared [`gpu_sim::Timeline`]):
+//! Within a round of the sharded driver (all on the shared
+//! [`gpu_sim::Timeline`]):
 //!
 //! 1. **Contiguous slab carve.**  Splitters are computed exactly as for the
-//!    host-merge path, but the input is carved into contiguous
-//!    capacity-weighted slabs instead of scattered by key — buckets are
-//!    later extracted from each *sorted* slab by binary search, so no
-//!    scatter pass is needed.
+//!    host merge, but the input is carved into contiguous capacity-weighted
+//!    slabs instead of scattered by key — buckets are later cut out of each
+//!    *sorted* slab by binary search, so no scatter pass is needed.
 //! 2. **Local sorts**, chunk-pipelined per device like the host-merge
 //!    schedule (upload overlaps sorting), but with *no* slab download.
 //! 3. **All-to-all exchange.**  Bucket `j` of device `i`'s sorted slab
 //!    travels `i → j`.  A transfer is gated only on its *source's* local
-//!    sort, so early finishers ship buckets while stragglers still sort —
-//!    the exchange overlaps late local sorts.  Direct pairs ride their own
-//!    peer link; pairs without one stage through host memory as a DtH leg
-//!    on the source's host link chained to an HtD leg on the
-//!    destination's.
+//!    sort, so early finishers ship buckets while stragglers still sort.
+//!    Direct pairs ride their own peer link; pairs without one stage
+//!    through host memory as a DtH leg on the source's host link chained
+//!    to an HtD leg on the destination's.
 //! 4. **On-device merges + output downloads.**  Each device merges the
-//!    `p` buckets of its output range (a bandwidth-bound pass: the range
-//!    streams once in and once out of device memory) and downloads the
-//!    finished range.  Ranges tile the key space in device order, so the
-//!    host-side "merge" is a concatenation.
+//!    buckets of its output range (a bandwidth-bound pass: the range
+//!    streams once in and once out of device memory) and downloads it.
+//!    Ranges tile the key space in device order, so after a single round
+//!    the host step is a concatenation.
+//!
+//! Before the exchange every device holding a sorted slab consults the
+//! fault plan once more.  A device dying *mid-exchange* has its slab
+//! requeued onto the survivors, while buckets destined to it stay with
+//! their sources as orphan runs; the ranges of later rounds and orphans
+//! may overlap, so such sorts end with the host p-way merge instead.
 //!
 //! Strategy selection is cost-model-driven: [`RecombineStrategy::Auto`]
 //! compares [`estimate_exchange_time`] against the modeled host-merge tail
-//! and picks per sort; the host-merge path remains the default and the
-//! fallback.  Under an armed fault plan the exchange runs through its own
-//! recovery loop: a device dying *mid-exchange* (after its local sort)
-//! has its slab requeued onto the survivors, while buckets already
-//! destined to a dead device stay with their sources as orphan runs — the
-//! dead device's output range re-partitioned over the survivors holding
-//! its pieces — and the final host merge stitches overlapping ranges back
-//! together.
+//! and picks per sort; the host merge remains the default and the
+//! fallback.
 
 use crate::device_pool::DevicePool;
-use crate::engine::{pair_key, ShardRun, ShardedSorter};
-use crate::partition::{compute_splitters, SplitterSet};
-use crate::recovery::SortError;
-use crate::report::{ExchangeSpan, FaultEvent, FaultEventKind, ShardReport, ShardedReport};
+use crate::driver::{Run, Share};
+use crate::engine::ShardedSorter;
+use crate::partition::SplitterSet;
+use crate::report::{ExchangeSpan, ShardReport, ShardedReport};
 use crate::telemetry_paths as tp;
-use gpu_sim::{FaultKind, LinkSpec, ResourceId, SimTime, Timeline, TransferDirection};
-use hetero::chunking::split_into_chunks;
-use hetero::multiway_merge::parallel_merge_sorted_runs_by;
-use hrs_core::{HybridRadixSorter, SortReport};
+use gpu_sim::{LinkSpec, SimTime, TransferDirection};
+use hrs_core::SortReport;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use telemetry::Inspector;
 use workloads::keys::SortKey;
@@ -234,23 +230,6 @@ pub(crate) fn bucket_boundaries<K: SortKey>(sorted: &[K], cuts: &[u64]) -> Vec<u
     b
 }
 
-/// Per-device transfer resources on the shared timeline.
-struct DeviceLanes {
-    htod: ResourceId,
-    gpu: ResourceId,
-    dtoh: ResourceId,
-}
-
-fn add_device_lanes(tl: &mut Timeline, p: usize) -> Vec<DeviceLanes> {
-    (0..p)
-        .map(|i| DeviceLanes {
-            htod: tl.add_resource(format!("dev{i} HtD")),
-            gpu: tl.add_resource(format!("dev{i} GPU")),
-            dtoh: tl.add_resource(format!("dev{i} DtH")),
-        })
-        .collect()
-}
-
 impl ShardedSorter {
     /// Resolves the configured [`RecombineStrategy`] for an input of
     /// `input_bytes`: [`RecombineStrategy::Auto`] becomes the cost model's
@@ -274,226 +253,125 @@ impl ShardedSorter {
         }
     }
 
-    /// The clean peer-exchange sort (see the module docs for the phase
-    /// structure).  Functionally real: slabs are sorted and buckets merged
-    /// on the host, while the schedule — local sorts, exchange legs,
-    /// on-device merges, output downloads — is simulated on one timeline.
-    pub(crate) fn sort_exchange_impl<K: SortKey, V: SortValue>(
+    /// Recombines one round of a peer-exchange sort (see the module docs):
+    /// the mid-exchange fault point, the bucket transfers, and every live
+    /// destination's merge and download.  Merged output ranges and orphan
+    /// buckets become runs of the final host step.
+    pub(crate) fn exchange_round<K: SortKey, V: SortValue>(
         &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> ShardedReport {
-        let n = keys.len();
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
-        let p = self.pool.len();
-
-        // 1. Partition (host, measured): splitters fix every device's
-        // *output* range; the input is carved into contiguous
-        // capacity-weighted slabs (buckets are binary-searched out of the
-        // sorted slabs afterwards, so no scatter is needed).
-        let partition_span = self
-            .inspector
-            .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-        let weights = self.pool.capacity_weights();
-        let splitters = compute_splitters(keys, &weights, &self.partition);
-        if values.len() != n {
-            // Key-only sorts carry an empty (zero-sized-type) value vec;
-            // materialise it so the slabs carve symmetrically.
-            values.resize(n, V::default());
-        }
-        let slab_lens = slab_lengths(n, &weights);
-        let (mut slab_keys, mut slab_vals) = carve_slabs(keys, values, &slab_lens);
-        let measured_partition = partition_span.finish();
-
-        // 2. Local sorts (functionally real), same lane fan-out as the
-        // host-merge path.
-        let runs = self.sort_shards(&mut slab_keys, &mut slab_vals);
-
-        // 3. Bucket boundaries of every sorted slab.
-        let boundaries: Vec<Vec<usize>> = slab_keys
-            .iter()
-            .map(|ks| bucket_boundaries(ks, &splitters.cuts))
-            .collect();
-
-        // 4. Simulated schedule: uploads + sorts, the all-to-all exchange
-        // overlapping late sorts, per-destination merges and downloads.
-        let (timeline, shards, exchange) =
-            self.build_exchange_schedule(&splitters, &slab_keys, &boundaries, &runs, elem_bytes);
-        let critical_path = timeline.makespan();
-
-        // 5. Functional recombination: each destination's buckets merge
-        // (standing in for the on-device merges, measured into the
-        // exchange histogram) …
-        let mut device_out: Vec<Vec<(K, V)>> = Vec::with_capacity(p);
-        for j in 0..p {
-            let clock = Instant::now();
-            let zipped: Vec<Vec<(K, V)>> = (0..p)
-                .filter_map(|i| {
-                    let (lo, hi) = (boundaries[i][j], boundaries[i][j + 1]);
-                    if lo == hi {
-                        return None;
-                    }
-                    Some(
-                        slab_keys[i][lo..hi]
-                            .iter()
-                            .copied()
-                            .zip(slab_vals[i][lo..hi].iter().copied())
-                            .collect(),
-                    )
-                })
-                .collect();
-            let refs: Vec<&[(K, V)]> = zipped.iter().map(|r| r.as_slice()).collect();
-            let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-            self.inspector
-                .histogram(tp::EXCHANGE_DEVICE_MERGE_NS)
-                .record_duration(clock.elapsed());
-            device_out.push(merged);
-        }
-        // … and the host only concatenates: destination ranges tile the
-        // key space in device order, so the concatenation is globally
-        // sorted.  Only this step is the measured host merge.
-        let merge_span = self
-            .inspector
-            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        keys.reserve(n);
-        values.reserve(n);
-        for merged in device_out {
-            keys.extend(merged.iter().map(|&(k, _)| k));
-            values.extend(merged.into_iter().map(|(_, v)| v));
-        }
-        let measured_merge = merge_span.finish();
-
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-        for r in &runs {
-            combined.absorb(&r.report);
-        }
-        let end_to_end = SimTime::from_secs(measured_partition.as_secs_f64())
-            + critical_path
-            + SimTime::from_secs(measured_merge.as_secs_f64());
-
-        let report = ShardedReport {
-            n: n as u64,
-            key_bytes: K::BYTES,
-            value_bytes,
-            shards,
-            splitters,
-            critical_path,
-            measured_partition,
-            measured_merge,
-            end_to_end,
-            combined,
-            timeline,
-            requests: Vec::new(),
-            ooc_chunks: Vec::new(),
-            faults: Vec::new(),
-            recombine: RecombineStrategy::PeerExchange,
-            exchange,
-        };
-        self.note_exchange(&report, elem_bytes, &slab_lens);
-        report
-    }
-
-    /// Builds the exchange-path timeline and the per-destination shard
-    /// reports.  Every local-sort event label contains `sort`; no
-    /// exchange/merge/download label does — [`ShardedReport::last_sort_finish`]
-    /// relies on that discipline.
-    fn build_exchange_schedule<K: SortKey>(
-        &self,
+        run: &mut Run<K, V>,
         splitters: &SplitterSet,
-        slab_keys: &[Vec<K>],
-        boundaries: &[Vec<usize>],
-        runs: &[ShardRun],
-        elem_bytes: u64,
-    ) -> (Timeline, Vec<ShardReport>, Vec<ExchangeSpan>) {
-        let p = self.pool.len();
+        mut shares: Vec<Share<K, V>>,
+    ) {
         let topo = self.pool.peer_topology();
-        let mut tl = Timeline::new();
-        let lanes = add_device_lanes(&mut tl, p);
-        let mut peer_res: HashMap<(usize, usize), ResourceId> = HashMap::new();
-
-        // Phase 1: chunked upload + local sort per device (no slab
-        // download — the data leaves over the exchange instead).
-        let mut upload = vec![SimTime::ZERO; p];
-        let mut local_sort = vec![SimTime::ZERO; p];
-        let mut sort_finish = vec![SimTime::ZERO; p];
-        for (i, device) in self.pool.devices().iter().enumerate() {
-            let slab_n = slab_keys[i].len();
-            if slab_n == 0 {
+        let ranges = splitters.ranges();
+        let devices: Vec<usize> = shares.iter().map(|s| s.device).collect();
+        let value_bytes = std::mem::size_of::<V>() as u32;
+        // A failure here takes the sorted slab down with the device (it is
+        // requeued from the host copy); a stall slows the device's
+        // exchange and download legs.
+        let mut xstall = vec![1.0; shares.len()];
+        for (l, share) in shares.iter_mut().enumerate() {
+            let Some(slab) = share.units.first_mut().filter(|u| !u.keys.is_empty()) else {
                 continue;
-            }
-            let sort_total = if device.backend.is_measured() {
-                SimTime::from_secs(runs[i].measured.as_secs_f64())
-            } else {
-                runs[i].report.simulated.total
             };
-            let plan = split_into_chunks(slab_n, self.chunks_per_shard.min(slab_n));
-            for (c, &(start, end)) in plan.ranges.iter().enumerate() {
-                let chunk_len = end - start;
-                let chunk_bytes = chunk_len as u64 * elem_bytes;
-                let up = tl.schedule(
-                    format!("HtD s{i} c{c}"),
-                    lanes[i].htod,
-                    SimTime::ZERO,
-                    device
-                        .link
-                        .transfer_time(TransferDirection::HostToDevice, chunk_bytes),
-                );
-                let sort = tl.schedule_after(
-                    format!("sort s{i} c{c}"),
-                    lanes[i].gpu,
-                    &[up.end],
-                    sort_total * (chunk_len as f64 / slab_n as f64),
-                );
-                upload[i] += up.duration();
-                local_sort[i] += sort.duration();
-                sort_finish[i] = sort_finish[i].max(sort.end);
+            match self.consult(share.device, slab.keys.len(), run.round, &mut run.faults) {
+                Some(stall) => xstall[l] = stall,
+                None => run.requeue(
+                    std::mem::take(&mut slab.keys),
+                    std::mem::take(&mut slab.vals),
+                ),
             }
         }
 
-        // Phase 2: all-to-all exchange, each transfer gated only on its
-        // source's local sort so early finishers overlap the stragglers.
-        let mut exchange: Vec<ExchangeSpan> = Vec::new();
-        let mut arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); p];
-        for i in 0..p {
-            for j in 0..p {
-                if i == j {
+        // Bucket carve + transfers, each gated only on its source's sort.
+        let mut incoming: Vec<Vec<(Vec<K>, Vec<V>)>> = devices.iter().map(|_| Vec::new()).collect();
+        let mut arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); devices.len()];
+        for (i, share) in shares.iter_mut().enumerate() {
+            let Some(slab) = share.units.first_mut() else {
+                continue;
+            };
+            let (g, ready) = (share.device, share.sort_finish);
+            let src_link = &self.pool.devices()[g].link;
+            let bounds = bucket_boundaries(&slab.keys, &splitters.cuts);
+            let lens: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
+            let (bucket_keys, bucket_vals) = carve_slabs(&mut slab.keys, &mut slab.vals, &lens);
+            for (j, (bk, bv)) in bucket_keys.into_iter().zip(bucket_vals).enumerate() {
+                if bk.is_empty() {
                     continue;
                 }
-                let elems = (boundaries[i][j + 1] - boundaries[i][j]) as u64;
-                if elems == 0 {
+                if j == i {
+                    incoming[j].push((bk, bv));
                     continue;
                 }
-                let bytes = elems * elem_bytes;
-                let (start, end, direct) = if let Some(t) = topo.direct_transfer_time(i, j, bytes) {
-                    let res = *peer_res
-                        .entry((i, j))
-                        .or_insert_with(|| tl.add_resource(format!("peer {i}->{j}")));
-                    let ev =
-                        tl.schedule_after(format!("xfer s{i}->d{j}"), res, &[sort_finish[i]], t);
-                    (ev.start, ev.end, true)
-                } else {
-                    let src = &self.pool.devices()[i];
-                    let dst = &self.pool.devices()[j];
-                    let out = tl.schedule_after(
-                        format!("stage out s{i}->d{j}"),
-                        lanes[i].dtoh,
-                        &[sort_finish[i]],
-                        src.link
-                            .transfer_time(TransferDirection::DeviceToHost, bytes),
+                let dst = devices[j];
+                let elems = bk.len() as u64;
+                let bytes = elems * run.elem_bytes;
+                let out_time =
+                    src_link.transfer_time(TransferDirection::DeviceToHost, bytes) * xstall[i];
+                if !self.pool.alive(dst) {
+                    // Orphan run: the destination died mid-exchange, so
+                    // this piece of its range stays on (and downloads
+                    // from) the source.
+                    let down = run.tl.schedule(
+                        format!("DtH orphan s{g}->d{dst}"),
+                        run.res[g].dtoh,
+                        ready,
+                        out_time,
                     );
-                    let inn = tl.schedule_after(
-                        format!("stage in s{i}->d{j}"),
-                        lanes[j].htod,
-                        &[out.end],
-                        dst.link
-                            .transfer_time(TransferDirection::HostToDevice, bytes),
-                    );
-                    (out.start, inn.end, false)
+                    let device = &self.pool.devices()[g];
+                    run.shards.push(ShardReport {
+                        device: device.spec.name.clone(),
+                        link: device.link.kind.label().to_string(),
+                        n: elems,
+                        range: ranges[j],
+                        report: SortReport::new(elems, K::BYTES, value_bytes),
+                        upload: SimTime::ZERO,
+                        gpu_sort: SimTime::ZERO,
+                        download: down.duration(),
+                        finish: down.end,
+                        measured_sort: None,
+                    });
+                    run.shard_devices.push((g, 0));
+                    run.runs.push((bk, bv));
+                    continue;
+                }
+                let (start, end, direct) = match topo.direct_transfer_time(g, dst, bytes) {
+                    Some(t) => {
+                        let link = *run
+                            .peer_res
+                            .entry((g, dst))
+                            .or_insert_with(|| run.tl.add_resource(format!("peer {g}->{dst}")));
+                        let ev = run.tl.schedule(
+                            format!("xfer s{g}->d{dst}"),
+                            link,
+                            ready,
+                            t * xstall[i],
+                        );
+                        (ev.start, ev.end, true)
+                    }
+                    None => {
+                        let out = run.tl.schedule(
+                            format!("stage out s{g}->d{dst}"),
+                            run.res[g].dtoh,
+                            ready,
+                            out_time,
+                        );
+                        let inn = run.tl.schedule(
+                            format!("stage in s{g}->d{dst}"),
+                            run.res[dst].htod,
+                            out.end,
+                            self.pool.devices()[dst]
+                                .link
+                                .transfer_time(TransferDirection::HostToDevice, bytes)
+                                * xstall[i],
+                        );
+                        (out.start, inn.end, false)
+                    }
                 };
-                exchange.push(ExchangeSpan {
-                    src: i,
-                    dst: j,
+                run.exchange.push(ExchangeSpan {
+                    src: g,
+                    dst,
                     elems,
                     bytes,
                     direct,
@@ -501,629 +379,109 @@ impl ShardedSorter {
                     end,
                 });
                 arrivals[j].push(end);
+                incoming[j].push((bk, bv));
             }
         }
 
-        // Phase 3: per-destination output-range merge + download.
-        let ranges = splitters.ranges();
-        let mut shards = Vec::with_capacity(p);
-        for (j, device) in self.pool.devices().iter().enumerate() {
-            let out_elems: u64 = (0..p)
-                .map(|i| (boundaries[i][j + 1] - boundaries[i][j]) as u64)
-                .sum();
-            let out_bytes = out_elems * elem_bytes;
-            let mut deps = arrivals[j].clone();
-            deps.push(sort_finish[j]);
-            let mut merge_t = SimTime::ZERO;
-            let mut download = SimTime::ZERO;
-            let mut finish = sort_finish[j];
+        // Per-destination merge + download.  The functional merge stands
+        // in for the on-device one and feeds the exchange histogram.
+        for (j, (share, runs)) in shares.into_iter().zip(incoming).enumerate() {
+            let g = share.device;
+            if !self.pool.alive(g) {
+                continue;
+            }
+            let device = &self.pool.devices()[g];
+            let out_elems: u64 = runs.iter().map(|(ks, _)| ks.len() as u64).sum();
+            let (mut merge_time, mut download, mut finish) =
+                (SimTime::ZERO, SimTime::ZERO, share.sort_finish);
             if out_elems > 0 {
-                // The p-way device merge is bandwidth-bound: the output
-                // range streams once in and once out of device memory.
-                let merge = tl.schedule_after(
-                    format!("merge d{j}"),
-                    lanes[j].gpu,
+                // Bandwidth-bound: the output range streams once in and
+                // once out of device memory.
+                let out_bytes = out_elems * run.elem_bytes;
+                let mut deps = std::mem::take(&mut arrivals[j]);
+                deps.push(share.sort_finish);
+                let merge = run.tl.schedule_after(
+                    format!("merge d{g}"),
+                    run.res[g].gpu,
                     &deps,
                     device
                         .spec
                         .effective_bandwidth
                         .time_for_bytes(2.0 * out_bytes as f64),
                 );
-                let down = tl.schedule_after(
-                    format!("DtH d{j}"),
-                    lanes[j].dtoh,
-                    &[merge.end],
-                    device
-                        .link
-                        .transfer_time(TransferDirection::DeviceToHost, out_bytes),
-                );
-                merge_t = merge.duration();
-                download = down.duration();
-                finish = down.end;
-            }
-            shards.push(ShardReport {
-                device: device.spec.name.clone(),
-                link: device.link.kind.label().to_string(),
-                n: out_elems,
-                range: ranges[j],
-                report: runs[j].report.clone(),
-                upload: upload[j],
-                gpu_sort: local_sort[j] + merge_t,
-                download,
-                finish,
-                measured_sort: device.backend.is_measured().then_some(runs[j].measured),
-            });
-        }
-        (tl, shards, exchange)
-    }
-
-    /// Engine-level telemetry of one completed peer-exchange sort: the
-    /// shared sort/key counters plus the `multi_gpu/exchange/…` subtree
-    /// (total and per-link bytes, overlap ratio of exchange traffic with
-    /// still-running local sorts) and per-device gauges.  Unlike the
-    /// host-merge path, a device's `transfer_bytes` counts its slab upload
-    /// plus its output download — exchange traffic is counted under the
-    /// exchange subtree instead.
-    fn note_exchange(&self, report: &ShardedReport, elem_bytes: u64, slab_lens: &[usize]) {
-        let t = &self.inspector;
-        t.counter(tp::SORTS).inc();
-        t.counter(tp::KEYS).add(report.n);
-        crate::recovery::register_fault_probes(t);
-        register_exchange_probes(t);
-        let total: u64 = report.exchange.iter().map(|x| x.bytes).sum();
-        t.counter(tp::EXCHANGE_BYTES).add(total);
-        for x in &report.exchange {
-            t.counter(&format!("multi_gpu/exchange/link{}_{}/bytes", x.src, x.dst))
-                .add(x.bytes);
-        }
-        let last_sort = report.last_sort_finish();
-        let dur: f64 = report.exchange.iter().map(|x| x.duration().secs()).sum();
-        if dur > 0.0 {
-            let overlapped: f64 = report
-                .exchange
-                .iter()
-                .map(|x| (x.end.min(last_sort) - x.start).max(SimTime::ZERO).secs())
-                .sum();
-            t.float_gauge(tp::EXCHANGE_OVERLAP_RATIO)
-                .set(overlapped / dur);
-        }
-        for (i, shard) in report.shards.iter().enumerate() {
-            let dev = |leaf: &str| format!("multi_gpu/dev{i}/{leaf}");
-            let up = slab_lens.get(i).copied().unwrap_or(0) as u64;
-            t.counter(&dev("transfer_bytes"))
-                .add((up + shard.n) * elem_bytes);
-            let span = shard.finish.secs();
-            if span > 0.0 {
-                t.float_gauge(&dev("utilisation"))
-                    .set(shard.gpu_sort.secs() / span);
-                let busy = (shard.upload + shard.gpu_sort + shard.download).secs();
-                t.float_gauge(&dev("overlap_ratio")).set(busy / span);
-            }
-        }
-    }
-}
-
-/// One finished output run awaiting the final host merge of the exchange
-/// recovery path: either a destination's merged output range or an orphan
-/// bucket stranded on its source by a mid-exchange destination death.
-struct ExchangeRun<K, V> {
-    keys: Vec<K>,
-    vals: Vec<V>,
-}
-
-/// Book-keeping of one locally sorted slab inside a recovery round.
-struct SlabSorted<K, V> {
-    keys: Vec<K>,
-    vals: Vec<V>,
-    measured: Duration,
-    upload: SimTime,
-    sort_dur: SimTime,
-    sort_end: SimTime,
-}
-
-impl ShardedSorter {
-    /// The exchange-path recovery loop.  Each round partitions the pending
-    /// elements over the survivors, locally sorts the slabs (consulting
-    /// the fault plan once per device), then consults the plan *again*
-    /// before the exchange — so `op 0` of a device faults its local sort
-    /// and `op 1` faults it mid-exchange.  A device dying mid-exchange has
-    /// its sorted slab requeued; buckets destined to a dead device stay
-    /// with their sources as orphan runs, re-partitioning the dead
-    /// device's output range over the survivors.  Because ranges of
-    /// different rounds (and orphans) may overlap, the final host step is
-    /// a real p-way merge over all finished runs rather than the clean
-    /// path's concatenation.
-    pub(crate) fn sort_exchange_recoverable<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        let n = keys.len();
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
-        let recovery_clock = Instant::now();
-        let p = self.pool.len();
-        let topo = self.pool.peer_topology();
-
-        // Device lanes, same try_lock / ephemeral-fallback contract as the
-        // other paths.
-        let mut fallback: Option<Vec<HybridRadixSorter>> = None;
-        let mut guard = self.lanes.try_lock().ok();
-        let lane_sorters: &mut Vec<HybridRadixSorter> = match guard.as_deref_mut() {
-            Some(lanes) => lanes,
-            None => fallback.get_or_insert_with(Vec::new),
-        };
-        if lane_sorters.len() != p {
-            *lane_sorters = (0..p).map(|i| self.lane_sorter(i)).collect();
-        }
-        let lane_sorters: &[HybridRadixSorter] = lane_sorters;
-
-        if values.len() != n {
-            values.resize(n, V::default());
-        }
-        let mut pending_keys = std::mem::take(keys);
-        let mut pending_vals = std::mem::take(values);
-        let mut measured_partition = Duration::ZERO;
-        let mut events: Vec<FaultEvent> = Vec::new();
-        let mut report_splitters: Option<SplitterSet> = None;
-        let mut round: u32 = 0;
-        let mut round_start = SimTime::ZERO;
-
-        let mut tl = Timeline::new();
-        let lanes = add_device_lanes(&mut tl, p);
-        let mut peer_res: HashMap<(usize, usize), ResourceId> = HashMap::new();
-        let mut exchange: Vec<ExchangeSpan> = Vec::new();
-        let mut shards: Vec<ShardReport> = Vec::new();
-        let mut out_runs: Vec<ExchangeRun<K, V>> = Vec::new();
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-
-        let failure = loop {
-            if pending_keys.is_empty() {
-                break None;
-            }
-            let alive = self.pool.alive_indices();
-            if alive.is_empty() {
-                break Some(SortError::AllDevicesDead { failed: p });
-            }
-            if round > self.recovery.max_retries {
-                break Some(SortError::RetriesExhausted {
-                    retries: self.recovery.max_retries,
-                    unsorted: pending_keys.len() as u64,
-                });
-            }
-            let la = alive.len();
-
-            // Survivor-weighted splitters + contiguous slab carve.
-            let span = self
-                .inspector
-                .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-            let weights: Vec<f64> = alive
-                .iter()
-                .map(|&g| self.pool.devices()[g].capacity_weight())
-                .collect();
-            let splitters = compute_splitters(&pending_keys, &weights, &self.partition);
-            let lens = slab_lengths(pending_keys.len(), &weights);
-            let (slab_keys, slab_vals) = carve_slabs(&mut pending_keys, &mut pending_vals, &lens);
-            measured_partition += span.finish();
-            let ranges = splitters.ranges();
-            if report_splitters.is_none() {
-                report_splitters = Some(splitters.clone());
-            }
-
-            // Phase 1: local sorts, one fault-plan op per device.
-            let mut sorted: Vec<Option<SlabSorted<K, V>>> = (0..la).map(|_| None).collect();
-            for (l, (mut ks, mut vs)) in slab_keys.into_iter().zip(slab_vals).enumerate() {
-                let g = alive[l];
-                if ks.is_empty() {
-                    continue;
-                }
-                if !self.pool.alive(g) {
-                    pending_keys.append(&mut ks);
-                    pending_vals.append(&mut vs);
-                    continue;
-                }
-                let injected = self.faults.as_ref().and_then(|plan| plan.next_op(g));
-                let stall = match injected {
-                    Some(FaultKind::DeviceFail) => {
-                        self.pool.mark_dead(g);
-                        events.push(FaultEvent {
-                            device: g,
-                            kind: FaultEventKind::DeviceFailure,
-                            round,
-                            requeued: ks.len() as u64,
-                            backoff: SimTime::ZERO,
-                            recovered: false,
-                        });
-                        pending_keys.append(&mut ks);
-                        pending_vals.append(&mut vs);
-                        continue;
-                    }
-                    Some(FaultKind::CorruptShard) => {
-                        events.push(FaultEvent {
-                            device: g,
-                            kind: FaultEventKind::ShardCorruption,
-                            round,
-                            requeued: ks.len() as u64,
-                            backoff: SimTime::ZERO,
-                            recovered: false,
-                        });
-                        pending_keys.append(&mut ks);
-                        pending_vals.append(&mut vs);
-                        continue;
-                    }
-                    Some(FaultKind::EnginePanic) => {
-                        panic!("injected engine panic on device {g}");
-                    }
-                    Some(FaultKind::TransferStall { factor }) => {
-                        events.push(FaultEvent {
-                            device: g,
-                            kind: FaultEventKind::TransferStall,
-                            round,
-                            requeued: 0,
-                            backoff: SimTime::ZERO,
-                            recovered: false,
-                        });
-                        factor.max(1.0)
-                    }
-                    None => 1.0,
-                };
-                let clock = Instant::now();
-                let report = lane_sorters[g].sort_pairs(&mut ks, &mut vs);
-                let measured = clock.elapsed();
-                let device = &self.pool.devices()[g];
-                let bytes = ks.len() as u64 * elem_bytes;
-                let sort_total = if device.backend.is_measured() {
-                    SimTime::from_secs(measured.as_secs_f64())
-                } else {
-                    report.simulated.total
-                };
-                let up = tl.schedule(
-                    format!("HtD d{g} r{round}"),
-                    lanes[g].htod,
-                    round_start,
-                    device
-                        .link
-                        .transfer_time(TransferDirection::HostToDevice, bytes)
-                        * stall,
-                );
-                let sort = tl.schedule_after(
-                    format!("sort d{g} r{round}"),
-                    lanes[g].gpu,
-                    &[up.end],
-                    sort_total,
-                );
-                combined.absorb(&report);
-                sorted[l] = Some(SlabSorted {
-                    keys: ks,
-                    vals: vs,
-                    measured,
-                    upload: up.duration(),
-                    sort_dur: sort.duration(),
-                    sort_end: sort.end,
-                });
-            }
-
-            // Phase 2: second fault-plan op per (still holding) device —
-            // this is the mid-exchange fault point.  A death here takes
-            // the sorted slab down with the device (it is requeued from
-            // the host copy next round); a stall degrades the device's
-            // exchange and download legs.
-            let mut xstall = vec![1.0f64; la];
-            for l in 0..la {
-                if sorted[l].is_none() {
-                    continue;
-                }
-                let g = alive[l];
-                match self.faults.as_ref().and_then(|plan| plan.next_op(g)) {
-                    Some(FaultKind::DeviceFail) => {
-                        self.pool.mark_dead(g);
-                        let slab = sorted[l].take().expect("checked above");
-                        events.push(FaultEvent {
-                            device: g,
-                            kind: FaultEventKind::DeviceFailure,
-                            round,
-                            requeued: slab.keys.len() as u64,
-                            backoff: SimTime::ZERO,
-                            recovered: false,
-                        });
-                        pending_keys.extend(slab.keys);
-                        pending_vals.extend(slab.vals);
-                    }
-                    Some(FaultKind::CorruptShard) => {
-                        let slab = sorted[l].take().expect("checked above");
-                        events.push(FaultEvent {
-                            device: g,
-                            kind: FaultEventKind::ShardCorruption,
-                            round,
-                            requeued: slab.keys.len() as u64,
-                            backoff: SimTime::ZERO,
-                            recovered: false,
-                        });
-                        pending_keys.extend(slab.keys);
-                        pending_vals.extend(slab.vals);
-                    }
-                    Some(FaultKind::EnginePanic) => {
-                        panic!("injected engine panic on device {g}");
-                    }
-                    Some(FaultKind::TransferStall { factor }) => {
-                        events.push(FaultEvent {
-                            device: g,
-                            kind: FaultEventKind::TransferStall,
-                            round,
-                            requeued: 0,
-                            backoff: SimTime::ZERO,
-                            recovered: false,
-                        });
-                        xstall[l] = factor.max(1.0);
-                    }
-                    None => {}
-                }
-            }
-
-            // Bucket carve + transfers.  Destinations that died before the
-            // exchange get nothing; their buckets stay with the sources as
-            // orphan output runs.
-            let mut incoming: Vec<Vec<(Vec<K>, Vec<V>)>> = (0..la).map(|_| Vec::new()).collect();
-            let mut arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); la];
-            let mut own_dep = vec![SimTime::ZERO; la];
-            let mut slab_upload = vec![SimTime::ZERO; la];
-            let mut slab_sort = vec![SimTime::ZERO; la];
-            let mut slab_measured: Vec<Option<Duration>> = vec![None; la];
-            for l in 0..la {
-                let Some(slab) = sorted[l].take() else {
-                    continue;
-                };
-                let g = alive[l];
-                let src_dev = &self.pool.devices()[g];
-                slab_upload[l] = slab.upload;
-                slab_sort[l] = slab.sort_dur;
-                own_dep[l] = slab.sort_end;
-                slab_measured[l] = src_dev.backend.is_measured().then_some(slab.measured);
-                let bounds = bucket_boundaries(&slab.keys, &splitters.cuts);
-                let bucket_lens: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
-                let mut ks = slab.keys;
-                let mut vs = slab.vals;
-                let (bucket_keys, bucket_vals) = carve_slabs(&mut ks, &mut vs, &bucket_lens);
-                for (m, (bk, bv)) in bucket_keys.into_iter().zip(bucket_vals).enumerate() {
-                    if bk.is_empty() {
-                        continue;
-                    }
-                    if m == l {
-                        incoming[l].push((bk, bv));
-                        continue;
-                    }
-                    let dst_g = alive[m];
-                    let bytes = bk.len() as u64 * elem_bytes;
-                    if !self.pool.alive(dst_g) {
-                        // Orphan run: the destination died mid-exchange, so
-                        // its range piece stays on (and downloads from) the
-                        // source.
-                        let down = tl.schedule_after(
-                            format!("DtH orphan d{g} r{round}"),
-                            lanes[g].dtoh,
-                            &[slab.sort_end],
-                            src_dev
-                                .link
-                                .transfer_time(TransferDirection::DeviceToHost, bytes)
-                                * xstall[l],
-                        );
-                        shards.push(ShardReport {
-                            device: src_dev.spec.name.clone(),
-                            link: src_dev.link.kind.label().to_string(),
-                            n: bk.len() as u64,
-                            range: ranges[m],
-                            report: SortReport::new(bk.len() as u64, K::BYTES, value_bytes),
-                            upload: SimTime::ZERO,
-                            gpu_sort: SimTime::ZERO,
-                            download: down.duration(),
-                            finish: down.end,
-                            measured_sort: None,
-                        });
-                        out_runs.push(ExchangeRun { keys: bk, vals: bv });
-                        continue;
-                    }
-                    let (start, end, direct) =
-                        if let Some(t) = topo.direct_transfer_time(g, dst_g, bytes) {
-                            let res = *peer_res
-                                .entry((g, dst_g))
-                                .or_insert_with(|| tl.add_resource(format!("peer {g}->{dst_g}")));
-                            let ev = tl.schedule_after(
-                                format!("xfer s{g}->d{dst_g} r{round}"),
-                                res,
-                                &[slab.sort_end],
-                                t * xstall[l],
-                            );
-                            (ev.start, ev.end, true)
-                        } else {
-                            let dst_dev = &self.pool.devices()[dst_g];
-                            let out = tl.schedule_after(
-                                format!("stage out s{g}->d{dst_g} r{round}"),
-                                lanes[g].dtoh,
-                                &[slab.sort_end],
-                                src_dev
-                                    .link
-                                    .transfer_time(TransferDirection::DeviceToHost, bytes)
-                                    * xstall[l],
-                            );
-                            let inn = tl.schedule_after(
-                                format!("stage in s{g}->d{dst_g} r{round}"),
-                                lanes[dst_g].htod,
-                                &[out.end],
-                                dst_dev
-                                    .link
-                                    .transfer_time(TransferDirection::HostToDevice, bytes)
-                                    * xstall[l],
-                            );
-                            (out.start, inn.end, false)
-                        };
-                    exchange.push(ExchangeSpan {
-                        src: g,
-                        dst: dst_g,
-                        elems: bk.len() as u64,
-                        bytes,
-                        direct,
-                        start,
-                        end,
-                    });
-                    arrivals[m].push(end);
-                    incoming[m].push((bk, bv));
-                }
-            }
-
-            // Per-destination merges + downloads (functional merge feeds
-            // the exchange histogram, exactly like the clean path).
-            for m in 0..la {
-                if incoming[m].is_empty() {
-                    continue;
-                }
-                let g = alive[m];
-                let device = &self.pool.devices()[g];
-                let out_elems: u64 = incoming[m].iter().map(|(k, _)| k.len() as u64).sum();
-                let out_bytes = out_elems * elem_bytes;
-                let mut deps = arrivals[m].clone();
-                deps.push(own_dep[m]);
-                let merge = tl.schedule_after(
-                    format!("merge d{g} r{round}"),
-                    lanes[g].gpu,
-                    &deps,
-                    device
-                        .spec
-                        .effective_bandwidth
-                        .time_for_bytes(2.0 * out_bytes as f64),
-                );
-                let down = tl.schedule_after(
-                    format!("DtH d{g} r{round}"),
-                    lanes[g].dtoh,
-                    &[merge.end],
+                let down = run.tl.schedule(
+                    format!("DtH d{g}"),
+                    run.res[g].dtoh,
+                    merge.end,
                     device
                         .link
                         .transfer_time(TransferDirection::DeviceToHost, out_bytes)
-                        * xstall[m],
+                        * xstall[j],
                 );
-                let clock = Instant::now();
-                let zipped: Vec<Vec<(K, V)>> = incoming[m]
-                    .drain(..)
-                    .map(|(ks, vs)| ks.into_iter().zip(vs).collect())
-                    .collect();
-                let refs: Vec<&[(K, V)]> = zipped.iter().map(|r| r.as_slice()).collect();
-                let merged =
-                    parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-                self.inspector
-                    .histogram(tp::EXCHANGE_DEVICE_MERGE_NS)
-                    .record_duration(clock.elapsed());
-                let mut out_keys = Vec::with_capacity(merged.len());
-                let mut out_vals = Vec::with_capacity(merged.len());
-                for (k, v) in merged {
-                    out_keys.push(k);
-                    out_vals.push(v);
-                }
-                shards.push(ShardReport {
-                    device: device.spec.name.clone(),
-                    link: device.link.kind.label().to_string(),
-                    n: out_elems,
-                    range: ranges[m],
-                    report: SortReport::new(out_elems, K::BYTES, value_bytes),
-                    upload: slab_upload[m],
-                    gpu_sort: slab_sort[m] + merge.duration(),
-                    download: down.duration(),
-                    finish: down.end,
-                    measured_sort: slab_measured[m],
-                });
-                out_runs.push(ExchangeRun {
-                    keys: out_keys,
-                    vals: out_vals,
-                });
+                merge_time = merge.duration();
+                download = down.duration();
+                finish = down.end;
             }
-
-            if !pending_keys.is_empty() {
-                let delay = self.recovery.backoff * 2f64.powi(round as i32);
-                for ev in events.iter_mut().filter(|e| e.round == round) {
-                    ev.backoff = delay;
-                }
-                round_start = tl.makespan() + delay;
-                round += 1;
-            }
-        };
-
-        if let Some(err) = failure {
-            for run in out_runs {
-                keys.extend(run.keys);
-                values.extend(run.vals);
-            }
-            keys.append(&mut pending_keys);
-            values.append(&mut pending_vals);
-            self.note_fault_outcomes(&events, round, recovery_clock.elapsed(), false);
-            return Err(err);
+            let clock = Instant::now();
+            let merged = self.merge_runs(runs);
+            self.inspector
+                .histogram(tp::EXCHANGE_DEVICE_MERGE_NS)
+                .record_duration(clock.elapsed());
+            let slab = share.units.into_iter().next();
+            run.shards.push(ShardReport {
+                device: device.spec.name.clone(),
+                link: device.link.kind.label().to_string(),
+                n: out_elems,
+                range: share.range,
+                report: slab.as_ref().map_or_else(
+                    || SortReport::new(0, K::BYTES, value_bytes),
+                    |u| u.report.clone(),
+                ),
+                upload: share.upload,
+                gpu_sort: share.gpu_sort + merge_time,
+                download,
+                finish,
+                measured_sort: device
+                    .backend
+                    .is_measured()
+                    .then(|| slab.map_or(Duration::ZERO, |u| u.measured)),
+            });
+            run.shard_devices.push((g, share.n));
+            run.runs.push(merged);
         }
+    }
+}
 
-        let critical_path = tl.makespan();
-
-        // Final host step: ranges of different rounds (and orphan runs)
-        // may overlap, so this is a real p-way merge, not the clean path's
-        // concatenation.
-        let merge_span = self
-            .inspector
-            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        if !out_runs.is_empty() {
-            let zipped: Vec<Vec<(K, V)>> = out_runs
-                .iter()
-                .map(|r| r.keys.iter().copied().zip(r.vals.iter().copied()).collect())
-                .collect();
-            let refs: Vec<&[(K, V)]> = zipped.iter().map(|z| z.as_slice()).collect();
-            let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-            *keys = merged.iter().map(|&(k, _)| k).collect();
-            *values = merged.into_iter().map(|(_, v)| v).collect();
-        }
-        let measured_merge = merge_span.finish();
-
-        for ev in &mut events {
-            ev.recovered = true;
-        }
-        let end_to_end = SimTime::from_secs(measured_partition.as_secs_f64())
-            + critical_path
-            + SimTime::from_secs(measured_merge.as_secs_f64());
-        let splitters =
-            report_splitters.unwrap_or_else(|| compute_splitters::<K>(&[], &[], &self.partition));
-
-        let t = &self.inspector;
-        t.counter(tp::SORTS).inc();
-        t.counter(tp::KEYS).add(n as u64);
-        register_exchange_probes(t);
-        let total: u64 = exchange.iter().map(|x| x.bytes).sum();
-        t.counter(tp::EXCHANGE_BYTES).add(total);
-        for x in &exchange {
-            t.counter(&format!("multi_gpu/exchange/link{}_{}/bytes", x.src, x.dst))
-                .add(x.bytes);
-        }
-        self.note_fault_outcomes(&events, round, recovery_clock.elapsed(), false);
-
-        Ok(ShardedReport {
-            n: n as u64,
-            key_bytes: K::BYTES,
-            value_bytes,
-            shards,
-            splitters,
-            critical_path,
-            measured_partition,
-            measured_merge,
-            end_to_end,
-            combined,
-            timeline: tl,
-            requests: Vec::new(),
-            ooc_chunks: Vec::new(),
-            faults: events,
-            recombine: RecombineStrategy::PeerExchange,
-            exchange,
-        })
+/// Exchange telemetry of one completed peer-exchange sort: total and
+/// per-link bytes, and the share of exchange traffic that overlapped
+/// still-running local sorts.
+pub(crate) fn note_exchange(t: &Inspector, report: &ShardedReport) {
+    let total: u64 = report.exchange.iter().map(|x| x.bytes).sum();
+    t.counter(tp::EXCHANGE_BYTES).add(total);
+    for x in &report.exchange {
+        t.counter(&format!("multi_gpu/exchange/link{}_{}/bytes", x.src, x.dst))
+            .add(x.bytes);
+    }
+    let last_sort = report.last_sort_finish();
+    let dur: f64 = report.exchange.iter().map(|x| x.duration().secs()).sum();
+    if dur > 0.0 {
+        let overlapped: f64 = report
+            .exchange
+            .iter()
+            .map(|x| (x.end.min(last_sort) - x.start).max(SimTime::ZERO).secs())
+            .sum();
+        t.float_gauge(tp::EXCHANGE_OVERLAP_RATIO)
+            .set(overlapped / dur);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_pool::{DevicePool, SimDevice};
-    use gpu_sim::{DeviceSpec, FaultPlan};
-    use hrs_core::SortConfig;
+    use crate::device_pool::SimDevice;
+    use crate::{FaultEventKind, SortError};
+    use gpu_sim::{DeviceSpec, FaultKind, FaultPlan};
+    use hrs_core::{HybridRadixSorter, SortConfig};
     use workloads::{uniform_keys, KeyCodec};
 
     fn exchange_sorter(pool: DevicePool) -> ShardedSorter {
@@ -1364,8 +722,8 @@ mod tests {
     fn mid_exchange_stall_slows_but_loses_nothing() {
         let keys = uniform_keys::<u64>(80_000, 19);
         let expected = KeyCodec::std_sorted(&keys);
-        // Armed-but-never-firing plan keeps both runs on the recovery
-        // path for an apples-to-apples critical path.
+        // The same plan with the stall never firing, for an
+        // apples-to-apples critical path.
         let clean = exchange_sorter(DevicePool::nvlink_mesh_cluster(2))
             .with_fault_plan(FaultPlan::stall_transfer(0, 999, 6.0));
         let mut kc = keys.clone();

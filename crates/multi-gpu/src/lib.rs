@@ -25,6 +25,15 @@
 //! a shared [`gpu_sim::Timeline`] whose makespan is the critical-path
 //! simulated time reported in [`ShardedReport`].
 //!
+//! Every entry point runs one round-based driver: each round partitions
+//! the pending elements over the alive devices, cuts each device's share
+//! into units of work (the whole shard, or memory-budget chunks for the
+//! out-of-core pipeline of [`ooc`]), consults an injected
+//! [`gpu_sim::FaultPlan`] once per unit ([`recovery`]), sorts and
+//! schedules the surviving units, and recombines them.  A fault-free sort
+//! is round 0; device failures and corrupt shards requeue their elements
+//! into further rounds on the survivors.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -41,6 +50,7 @@
 #![warn(missing_docs)]
 
 pub mod device_pool;
+mod driver;
 pub mod engine;
 pub mod exchange;
 pub mod ooc;
@@ -56,7 +66,7 @@ pub use exchange::{
 };
 pub use ooc::{OocConfig, OocPlan};
 pub use partition::{compute_splitters, scatter_into_shards, PartitionConfig, SplitterSet};
-pub use recovery::{RecoveryConfig, SortError};
+pub use recovery::SortError;
 pub use report::{
     ExchangeSpan, FaultEvent, FaultEventKind, OocChunkSpan, RequestSpan, ShardReport, ShardedReport,
 };

@@ -1,63 +1,48 @@
 //! Out-of-core sharded sorting: every device streams its shard through the
 //! Section 5 chunked PCIe pipeline.
 //!
-//! The in-core engine ([`ShardedSorter::sort`]) requires every device's
-//! shard to fit its memory budget, so the largest sortable input is bounded
-//! by the sum of device memories.  This module removes that bound by
-//! composing the sharded engine with `hetero`'s heterogeneous pipeline:
+//! An in-core sort ([`ShardedSorter::sort`]) needs every device's shard to
+//! fit its memory budget, so the largest sortable input is bounded by the
+//! sum of device memories.  Out of core, the round-based driver lifts that
+//! bound by changing only the unit of work:
 //!
 //! 1. **Partition** exactly as in core: splitters from MSD digit
 //!    histograms, shards proportional to device capacity.
 //! 2. **Chunk** each shard against its *own* device's memory
 //!    ([`gpu_sim::DeviceMemoryPlanner::chunk_budget_bytes`]): with the
 //!    in-place replacement strategy three chunk slots fit, so a chunk may
-//!    take up to a third of the device memory (Figure 5).
-//! 3. **Stream**: each device gets its own three resources (HtD / GPU /
-//!    DtH) on a shared [`gpu_sim::Timeline`], and its chunks run the
-//!    full-duplex schedule of [`hetero::PipelineSchedule`] — uploads,
-//!    sorts and downloads overlap within a device, and devices overlap
-//!    with each other completely.  Chunk sorts are real (the device lane's
-//!    [`hrs_core::HybridRadixSorter`] via the host [`hrs_core::Executor`]);
-//!    CPU sockets contribute measured wall-clock, GPUs their modelled time.
+//!    take up to a third of the device memory (Figure 5).  Every chunk is
+//!    one unit of work.
+//! 3. **Stream**: each device's chunks run the full-duplex schedule of
+//!    [`hetero::PipelineSchedule`] (with the same in-place-replacement slot
+//!    dependency) on its own three resources of the shared
+//!    [`gpu_sim::Timeline`] — uploads, sorts and downloads overlap
+//!    within a device, and devices overlap with each other completely.
+//!    Chunk sorts are real; CPU sockets contribute measured wall-clock,
+//!    GPUs their modelled time.
 //! 4. **Recombine** all chunk runs with the generalised parallel p-way
-//!    merge — chunks of one shard interleave, shards do not, and the
-//!    loser-tree merge handles both without caring.
+//!    merge.  The loser tree consumes chunk runs as they land, so only the
+//!    merge's tail past the chunk stream adds to the end-to-end time.
 //!
 //! The paper's example becomes pool-wide: four 12 GB GPUs and 4 GB chunks
 //! sort 256 GB with a single merging pass per device.
 
-use crate::device_pool::DevicePool;
-use crate::engine::{pair_key, ShardedSorter};
-use crate::report::{OocChunkSpan, ShardReport, ShardedReport};
+use crate::device_pool::{DevicePool, SimDevice};
+use crate::engine::ShardedSorter;
+use crate::recovery::SortError;
+use crate::report::{OocChunkSpan, RequestSpan, ShardedReport};
 use crate::telemetry_paths as tp;
 use gpu_sim::{DeviceMemoryPlanner, SimTime, Timeline};
 use hetero::chunking::{split_into_chunks, ChunkPlan};
-use hetero::multiway_merge::parallel_merge_sorted_runs_by;
-use hetero::pipeline::{PipelineResources, PipelineSchedule};
-use hrs_core::{HybridRadixSorter, SharedMut, SortReport};
-use std::time::{Duration, Instant};
 use workloads::keys::SortKey;
 use workloads::pairs::SortValue;
 
 /// Configuration of the out-of-core execution path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OocConfig {
-    /// Whether the in-place replacement strategy (three chunk slots per
-    /// device) is used; otherwise four slots are assumed and chunks shrink
-    /// accordingly.
-    pub in_place_replacement: bool,
     /// Overrides the per-device chunk count (the Figure 8 sweep knob).
     /// `None` sizes chunks against each device's memory budget.
     pub chunks_per_device: Option<usize>,
-}
-
-impl Default for OocConfig {
-    fn default() -> Self {
-        OocConfig {
-            in_place_replacement: true,
-            chunks_per_device: None,
-        }
-    }
 }
 
 impl OocConfig {
@@ -66,21 +51,6 @@ impl OocConfig {
     pub fn with_chunks_per_device(mut self, chunks: usize) -> Self {
         self.chunks_per_device = Some(chunks.max(1));
         self
-    }
-
-    /// Selects the slot strategy (three chunk slots when `true`).
-    pub fn with_in_place_replacement(mut self, in_place: bool) -> Self {
-        self.in_place_replacement = in_place;
-        self
-    }
-
-    /// Chunk slots a device holds under this configuration.
-    pub fn slots(&self) -> u32 {
-        if self.in_place_replacement {
-            3
-        } else {
-            4
-        }
     }
 }
 
@@ -96,8 +66,8 @@ impl OocPlan {
     /// Plans the chunking of per-device shards of `shard_lens` elements
     /// (each element `elem_bytes` bytes) over `pool`.  Every device's chunk
     /// count comes from its own memory budget
-    /// ([`DeviceMemoryPlanner::chunk_budget_bytes`]) unless
-    /// `cfg.chunks_per_device` overrides it.
+    /// ([`DeviceMemoryPlanner::chunk_budget_bytes`], three in-place
+    /// replacement slots) unless `cfg.chunks_per_device` overrides it.
     pub fn for_shards(
         pool: &DevicePool,
         shard_lens: &[usize],
@@ -109,17 +79,7 @@ impl OocPlan {
             .devices()
             .iter()
             .zip(shard_lens)
-            .map(|(device, &len)| {
-                let chunks = cfg.chunks_per_device.unwrap_or_else(|| {
-                    // The same budget query `fits_budgets` validates
-                    // against — one source of truth for the slot math.
-                    let budget = DeviceMemoryPlanner::for_device(&device.spec)
-                        .chunk_budget_bytes(cfg.in_place_replacement)
-                        .max(1);
-                    (len as u64 * elem_bytes).div_ceil(budget).max(1) as usize
-                });
-                split_into_chunks(len, chunks.max(1))
-            })
+            .map(|(device, &len)| device_chunk_plan(device, len, elem_bytes, cfg))
             .collect();
         OocPlan { device_chunks }
     }
@@ -128,38 +88,55 @@ impl OocPlan {
     pub fn total_chunks(&self) -> usize {
         self.device_chunks.iter().map(ChunkPlan::num_chunks).sum()
     }
-
-    /// The largest chunk length across all devices.
-    pub fn max_chunk_len(&self) -> usize {
-        self.device_chunks
-            .iter()
-            .map(ChunkPlan::max_chunk_len)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Asserts every chunk of device `i` fits the device's chunk budget
-    /// (only meaningful when no chunk-count override is in force).
-    pub fn fits_budgets(&self, pool: &DevicePool, elem_bytes: u64, cfg: &OocConfig) -> bool {
-        self.device_chunks
-            .iter()
-            .zip(pool.devices())
-            .all(|(plan, device)| {
-                let budget = DeviceMemoryPlanner::for_device(&device.spec)
-                    .chunk_budget_bytes(cfg.in_place_replacement);
-                plan.max_chunk_len() as u64 * elem_bytes <= budget
-            })
-    }
 }
 
-/// One sorted chunk run awaiting the merge, plus its schedule inputs.
-struct ChunkRun {
-    device: usize,
-    chunk: usize,
-    offset: u64,
+/// The chunk plan of one device's shard of `len` elements.
+pub(crate) fn device_chunk_plan(
+    device: &SimDevice,
     len: usize,
-    report: SortReport,
-    measured: Duration,
+    elem_bytes: u64,
+    cfg: &OocConfig,
+) -> ChunkPlan {
+    let chunks = cfg.chunks_per_device.unwrap_or_else(|| {
+        let budget = DeviceMemoryPlanner::for_device(&device.spec)
+            .chunk_budget_bytes(true)
+            .max(1);
+        (len as u64 * elem_bytes).div_ceil(budget).max(1) as usize
+    });
+    split_into_chunks(len, chunks.max(1))
+}
+
+/// Overlaps the measured host tail merge (`merge_total` over `n`
+/// elements) with the chunk stream: the merge time is distributed over
+/// the chunks proportional to their length and scheduled on one
+/// `host merge` resource, each consume event gated on its chunk's
+/// pipeline finish.  Returns the fraction of the merge hidden under the
+/// stream — 1.0 when only the last chunk's consume sticks out, 0.0 when
+/// the whole merge ran after the pipelines drained — or `None` when there
+/// was nothing to overlap.
+pub(crate) fn overlap_tail_merge(
+    tl: &mut Timeline,
+    chunks: &[OocChunkSpan],
+    n: usize,
+    merge_total: SimTime,
+) -> Option<f64> {
+    if chunks.is_empty() || n == 0 || merge_total <= SimTime::ZERO {
+        return None;
+    }
+    let stream_end = tl.makespan();
+    let host = tl.add_resource("host merge");
+    let mut order: Vec<&OocChunkSpan> = chunks.iter().collect();
+    order.sort_by(|a, b| a.finish.secs().total_cmp(&b.finish.secs()));
+    for (c, chunk) in order.into_iter().enumerate() {
+        tl.schedule_after(
+            format!("host merge c{c}"),
+            host,
+            &[chunk.finish],
+            merge_total * (chunk.len as f64 / n as f64),
+        );
+    }
+    let hidden = (stream_end + merge_total - tl.makespan()).secs() / merge_total.secs();
+    Some(hidden.clamp(0.0, 1.0))
 }
 
 impl ShardedSorter {
@@ -185,158 +162,77 @@ impl ShardedSorter {
         )
     }
 
-    pub(crate) fn sort_ooc_impl<K: SortKey, V: SortValue>(
+    /// Batch-aware out-of-core entry point used by the service's
+    /// over-budget lane: records the single request's [`RequestSpan`] in
+    /// the report (the lane never coalesces, so the span covers the whole
+    /// input).
+    pub fn sort_out_of_core_batch<K: SortKey>(&self, keys: &mut Vec<K>) -> ShardedReport {
+        self.try_sort_out_of_core_batch(keys)
+            .expect("out-of-core batch sort failed; use try_sort_out_of_core_batch")
+    }
+
+    /// Pair counterpart of [`Self::sort_out_of_core_batch`].
+    pub fn sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
         &self,
         keys: &mut Vec<K>,
         values: &mut Vec<V>,
     ) -> ShardedReport {
-        let n = keys.len();
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
+        self.try_sort_out_of_core_batch_pairs(keys, values)
+            .expect("out-of-core batch pair sort failed; use try_sort_out_of_core_batch_pairs")
+    }
 
-        // 1. Partition (host, measured): identical to the in-core path.
-        let partition_span = self
-            .inspector
-            .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-        let splitters = crate::partition::compute_splitters(
-            keys,
-            &self.pool.capacity_weights(),
-            &self.partition,
+    /// Fallible counterpart of [`Self::sort_out_of_core`].
+    pub fn try_sort_out_of_core<K: SortKey>(
+        &self,
+        keys: &mut Vec<K>,
+    ) -> Result<ShardedReport, SortError> {
+        self.run(keys, &mut Vec::<()>::new(), true)
+    }
+
+    /// Fallible counterpart of [`Self::sort_out_of_core_pairs`].
+    pub fn try_sort_out_of_core_pairs<K: SortKey, V: SortValue>(
+        &self,
+        keys: &mut Vec<K>,
+        values: &mut Vec<V>,
+    ) -> Result<ShardedReport, SortError> {
+        assert_eq!(
+            keys.len(),
+            values.len(),
+            "keys and values must have the same length"
         );
-        let (shard_keys, shard_vals) =
-            crate::partition::scatter_into_shards(keys, values, &splitters, &self.host_exec);
+        self.run(keys, values, true)
+    }
 
-        // 2. Chunk each shard against its device's memory budget and carve
-        // the shard buffers into per-chunk buffers (move, not copy:
-        // `split_off` back to front).
-        let shard_lens: Vec<usize> = shard_keys.iter().map(Vec::len).collect();
-        let plan = OocPlan::for_shards(&self.pool, &shard_lens, elem_bytes, &self.ooc);
-        let mut chunk_keys: Vec<Vec<K>> = Vec::with_capacity(plan.total_chunks());
-        let mut chunk_vals: Vec<Vec<V>> = Vec::with_capacity(plan.total_chunks());
-        let mut chunk_meta: Vec<(usize, usize, u64)> = Vec::with_capacity(plan.total_chunks());
-        for (dev, (mut ks, mut vs)) in shard_keys.into_iter().zip(shard_vals).enumerate() {
-            let ranges = &plan.device_chunks[dev].ranges;
-            let mut rear_keys: Vec<Vec<K>> = Vec::with_capacity(ranges.len());
-            let mut rear_vals: Vec<Vec<V>> = Vec::with_capacity(ranges.len());
-            for &(start, _end) in ranges.iter().rev() {
-                rear_vals.push(vs.split_off(start));
-                rear_keys.push(ks.split_off(start));
-            }
-            for (j, (&(start, _), (ck, cv))) in ranges
-                .iter()
-                .zip(rear_keys.into_iter().zip(rear_vals).rev())
-                .enumerate()
-            {
-                chunk_meta.push((dev, j, start as u64));
-                chunk_keys.push(ck);
-                chunk_vals.push(cv);
-            }
-        }
-        let measured_partition = partition_span.finish();
+    /// Fallible counterpart of [`Self::sort_out_of_core_batch`].
+    pub fn try_sort_out_of_core_batch<K: SortKey>(
+        &self,
+        keys: &mut Vec<K>,
+    ) -> Result<ShardedReport, SortError> {
+        self.try_sort_out_of_core_batch_pairs(keys, &mut Vec::<()>::new())
+    }
 
-        // 3. Real chunk sorts.  Simulated devices fan out over the host
-        // executor — one task per device, chunks sorted in stream order
-        // through the device's persistent lane (a real device sorts one
-        // chunk at a time, and serial lane use keeps the warm arena
-        // uncontended).  CPU-socket chunks sort afterwards in isolation so
-        // their measured wall-clock is not inflated by host contention.
-        let runs = self.sort_chunks(&chunk_meta, &mut chunk_keys, &mut chunk_vals);
-
-        // 4. Per-device full-duplex pipelines on one shared timeline.
-        let (mut timeline, shards, ooc_chunks) =
-            self.schedule_ooc(&splitters, &shard_lens, &plan, &runs, elem_bytes);
-        let critical_path = timeline.makespan();
-
-        // 5. Recombination (host, measured): one generalised p-way merge
-        // over every chunk run.  Chunks of one shard interleave freely;
-        // shards own disjoint ranges — the loser tree handles both.
-        let merge_span = self
-            .inspector
-            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        let zipped: Vec<Vec<(K, V)>> = chunk_keys
-            .iter()
-            .zip(chunk_vals.iter())
-            .map(|(ks, vs)| ks.iter().copied().zip(vs.iter().copied()).collect())
-            .collect();
-        let refs: Vec<&[(K, V)]> = zipped.iter().map(|r| r.as_slice()).collect();
-        let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-        *keys = merged.iter().map(|&(k, _)| k).collect();
-        *values = merged.into_iter().map(|(_, v)| v).collect();
-        let measured_merge = merge_span.finish();
-
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-        for r in &runs {
-            combined.absorb(&r.report);
-        }
-
-        // 6. Overlap the residual host tail merge with the chunk stream:
-        // the loser-tree merge consumes chunk runs as they land, so only
-        // the tail past each chunk's arrival is exposed.  The measured
-        // merge time is distributed over the chunks proportional to their
-        // bytes and scheduled on one "host merge" resource, each consume
-        // event gated on its chunk's pipeline finish.  `critical_path`
-        // stays the device-phase makespan (the invariant every shard
-        // finish is checked against); `end_to_end` becomes the post-merge
-        // makespan instead of the old strictly-serial
-        // `critical_path + merge` sum.
-        let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
-        let mut merge_overlap = None;
-        if !ooc_chunks.is_empty() && n > 0 && merge_total > SimTime::ZERO {
-            let host = timeline.add_resource("host merge");
-            let mut order: Vec<&OocChunkSpan> = ooc_chunks.iter().collect();
-            order.sort_by(|a, b| a.finish.secs().total_cmp(&b.finish.secs()));
-            for (c, chunk) in order.into_iter().enumerate() {
-                timeline.schedule_after(
-                    format!("host merge c{c}"),
-                    host,
-                    &[chunk.finish],
-                    merge_total * (chunk.len as f64 / n as f64),
-                );
-            }
-            let tail = timeline.makespan();
-            // Fraction of the merge hidden under the chunk stream: 1.0
-            // when only the last chunk's consume sticks out, 0.0 when the
-            // whole merge ran after the pipelines drained.
-            let hidden = (critical_path + merge_total - tail).secs() / merge_total.secs();
-            merge_overlap = Some(hidden.clamp(0.0, 1.0));
-        }
-
-        let end_to_end = SimTime::from_secs(measured_partition.as_secs_f64())
-            + if merge_overlap.is_some() {
-                timeline.makespan()
-            } else {
-                critical_path + merge_total
-            };
-
-        let report = ShardedReport {
-            n: n as u64,
-            key_bytes: K::BYTES,
-            value_bytes,
-            shards,
-            splitters,
-            critical_path,
-            measured_partition,
-            measured_merge,
-            end_to_end,
-            combined,
-            timeline,
-            requests: Vec::new(),
-            ooc_chunks,
-            faults: Vec::new(),
-            recombine: crate::RecombineStrategy::HostMerge,
-            exchange: Vec::new(),
-        };
-        self.note_sort(&report, elem_bytes);
-        self.note_ooc(&report, merge_overlap);
-        report
+    /// Fallible counterpart of [`Self::sort_out_of_core_batch_pairs`].
+    pub fn try_sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
+        &self,
+        keys: &mut Vec<K>,
+        values: &mut Vec<V>,
+    ) -> Result<ShardedReport, SortError> {
+        let len = keys.len() as u64;
+        let mut report = self.run(keys, values, true)?;
+        report.requests = vec![RequestSpan {
+            index: 0,
+            offset: 0,
+            len,
+        }];
+        Ok(report)
     }
 
     /// Records the out-of-core metrics of one completed streamed sort:
     /// sort/chunk counters, the chunk-pipeline occupancy — the fraction
-    /// of the pool's three pipeline stages (HtD, GPU, DtH) kept busy over
+    /// of the devices' three pipeline stages (HtD, GPU, DtH) kept busy over
     /// the schedule's makespan — and how much of the host tail merge hid
     /// under the chunk stream.
-    fn note_ooc(&self, report: &ShardedReport, merge_overlap: Option<f64>) {
+    pub(crate) fn note_ooc(&self, report: &ShardedReport, merge_overlap: Option<f64>) {
         let t = &self.inspector;
         t.counter(tp::OOC_SORTS).inc();
         t.counter(tp::OOC_CHUNKS)
@@ -357,197 +253,13 @@ impl ShardedSorter {
                 .set(busy / capacity);
         }
     }
-
-    /// Sorts every chunk for real through its device's lane sorter.
-    fn sort_chunks<K: SortKey, V: SortValue>(
-        &self,
-        chunk_meta: &[(usize, usize, u64)],
-        chunk_keys: &mut [Vec<K>],
-        chunk_vals: &mut [Vec<V>],
-    ) -> Vec<ChunkRun> {
-        let p = self.pool.len();
-        let sorter_for = |i: usize| self.lane_sorter(i);
-        // Reuse the persistent device lanes exactly like the in-core path.
-        let mut fallback: Option<Vec<HybridRadixSorter>> = None;
-        let mut guard = self.lanes.try_lock().ok();
-        let lanes: &mut Vec<HybridRadixSorter> = match guard.as_deref_mut() {
-            Some(lanes) => lanes,
-            None => fallback.get_or_insert_with(Vec::new),
-        };
-        if lanes.len() != p {
-            *lanes = (0..p).map(sorter_for).collect();
-        }
-        let lanes: &[HybridRadixSorter] = lanes;
-
-        // Chunk indices grouped by device, simulated devices only.
-        let simulated_devices: Vec<usize> = (0..p)
-            .filter(|&i| !self.pool.devices()[i].backend.is_measured())
-            .collect();
-        let chunks_of = |dev: usize| -> Vec<usize> {
-            chunk_meta
-                .iter()
-                .enumerate()
-                .filter(|(_, &(d, _, _))| d == dev)
-                .map(|(c, _)| c)
-                .collect()
-        };
-
-        let mut runs: Vec<Option<ChunkRun>> = (0..chunk_meta.len()).map(|_| None).collect();
-        {
-            let keys_view = SharedMut::new(chunk_keys);
-            let vals_view = SharedMut::new(chunk_vals);
-            let runs_view = SharedMut::new(&mut runs);
-            self.host_exec
-                .for_each_task(simulated_devices.len(), |t, _worker| {
-                    let dev = simulated_devices[t];
-                    for c in chunks_of(dev) {
-                        // SAFETY: chunk indices are distinct across device
-                        // tasks (every chunk belongs to exactly one device),
-                        // so task `t` exclusively owns chunk `c`'s buffers
-                        // and result slot.
-                        let (ks, vs, slot) = unsafe {
-                            (
-                                &mut keys_view.slice_mut(c, 1)[0],
-                                &mut vals_view.slice_mut(c, 1)[0],
-                                &mut runs_view.slice_mut(c, 1)[0],
-                            )
-                        };
-                        let start = Instant::now();
-                        let report = lanes[dev].sort_pairs(ks, vs);
-                        let (device, chunk, offset) = chunk_meta[c];
-                        *slot = Some(ChunkRun {
-                            device,
-                            chunk,
-                            offset,
-                            len: ks.len(),
-                            report,
-                            measured: start.elapsed(),
-                        });
-                    }
-                });
-        }
-        // Measured (CPU-socket) chunks, one at a time on an idle host.
-        for (c, &(dev, chunk, offset)) in chunk_meta.iter().enumerate() {
-            if runs[c].is_some() {
-                continue;
-            }
-            let start = Instant::now();
-            let report = lanes[dev].sort_pairs(&mut chunk_keys[c], &mut chunk_vals[c]);
-            runs[c] = Some(ChunkRun {
-                device: dev,
-                chunk,
-                offset,
-                len: chunk_keys[c].len(),
-                report,
-                measured: start.elapsed(),
-            });
-        }
-        runs.into_iter()
-            .map(|r| r.expect("chunk sort did not run"))
-            .collect()
-    }
-
-    /// Builds the shared timeline: one `PipelineSchedule` per device over
-    /// its own link, all overlapping.
-    fn schedule_ooc(
-        &self,
-        splitters: &crate::partition::SplitterSet,
-        shard_lens: &[usize],
-        plan: &OocPlan,
-        runs: &[ChunkRun],
-        elem_bytes: u64,
-    ) -> (Timeline, Vec<ShardReport>, Vec<OocChunkSpan>) {
-        let mut tl = Timeline::new();
-        let ranges = splitters.ranges();
-        let mut shards = Vec::with_capacity(self.pool.len());
-        let mut spans = Vec::with_capacity(runs.len());
-        for (i, device) in self.pool.devices().iter().enumerate() {
-            let resources = PipelineResources::register(&mut tl, &format!("dev{i} "));
-            // This device's chunk runs in stream order.
-            let mut dev_runs: Vec<&ChunkRun> = runs.iter().filter(|r| r.device == i).collect();
-            dev_runs.sort_by_key(|r| r.chunk);
-            let chunk_bytes: Vec<u64> =
-                dev_runs.iter().map(|r| r.len as u64 * elem_bytes).collect();
-            let sort_times: Vec<SimTime> = dev_runs
-                .iter()
-                .map(|r| {
-                    if device.backend.is_measured() {
-                        SimTime::from_secs(r.measured.as_secs_f64())
-                    } else {
-                        r.report.simulated.total
-                    }
-                })
-                .collect();
-            let (breakdown, chunk_finishes) = PipelineSchedule::schedule_chunks_on(
-                &mut tl,
-                &resources,
-                &format!("dev{i} "),
-                &device.link,
-                self.ooc.in_place_replacement,
-                &chunk_bytes,
-                &sort_times,
-            );
-            for ((j, run), &finish) in dev_runs.iter().enumerate().zip(&chunk_finishes) {
-                spans.push(OocChunkSpan {
-                    device: i,
-                    chunk: run.chunk,
-                    offset: run.offset,
-                    len: run.len as u64,
-                    sort: sort_times[j],
-                    finish,
-                });
-            }
-            // Per-shard report: absorb the chunk reports, measured times
-            // summed for CPU sockets.
-            let mut shard_report = SortReport::new(0, 0, 0);
-            let mut measured_total = Duration::ZERO;
-            for run in &dev_runs {
-                shard_report.absorb(&run.report);
-                measured_total += run.measured;
-            }
-            shards.push(ShardReport {
-                device: device.spec.name.clone(),
-                link: device.link.kind.label().to_string(),
-                n: shard_lens[i] as u64,
-                range: ranges[i],
-                report: shard_report,
-                upload: breakdown.total_htod,
-                gpu_sort: breakdown.total_gpu_sort,
-                download: breakdown.total_dtoh,
-                finish: breakdown.chunked_sort,
-                measured_sort: device.backend.is_measured().then_some(measured_total),
-            });
-            debug_assert_eq!(plan.device_chunks[i].num_chunks(), dev_runs.len());
-        }
-        (tl, shards, spans)
-    }
-
-    /// Batch-aware out-of-core entry point used by the service's
-    /// over-budget lane: records the single request's [`crate::RequestSpan`] in
-    /// the report (the lane never coalesces, so the span covers the whole
-    /// input).
-    pub fn sort_out_of_core_batch<K: SortKey>(&self, keys: &mut Vec<K>) -> ShardedReport {
-        self.try_sort_out_of_core_batch(keys)
-            .expect("out-of-core batch sort failed; use try_sort_out_of_core_batch")
-    }
-
-    /// Pair counterpart of [`Self::sort_out_of_core_batch`].
-    pub fn sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> ShardedReport {
-        self.try_sort_out_of_core_batch_pairs(keys, values)
-            .expect("out-of-core batch pair sort failed; use try_sort_out_of_core_batch_pairs")
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_pool::{DevicePool, SimDevice};
     use gpu_sim::DeviceSpec;
-    use hrs_core::SortConfig;
+    use hrs_core::{HybridRadixSorter, SortConfig};
     use workloads::{uniform_keys, KeyCodec, ZipfGenerator};
 
     /// A pool of `p` Titan-X-like devices whose memory is shrunk to
@@ -708,11 +420,12 @@ mod tests {
         let cfg = OocConfig::default();
         let plan = OocPlan::for_shards(&pool, &[100_000, 100_000], 8, &cfg);
         assert!(plan.total_chunks() >= 4, "{} chunks", plan.total_chunks());
-        assert!(plan.fits_budgets(&pool, 8, &cfg));
-        // Four slots shrink chunks, so more of them are needed.
-        let four = OocConfig::default().with_in_place_replacement(false);
-        let plan4 = OocPlan::for_shards(&pool, &[100_000, 100_000], 8, &four);
-        assert!(plan4.total_chunks() > plan.total_chunks());
+        // Every chunk fits one of the device's three in-place replacement
+        // slots.
+        for (chunks, device) in plan.device_chunks.iter().zip(pool.devices()) {
+            let budget = DeviceMemoryPlanner::for_device(&device.spec).chunk_budget_bytes(true);
+            assert!(chunks.max_chunk_len() as u64 * 8 <= budget);
+        }
         // An in-budget shard needs exactly one chunk.
         let roomy = OocPlan::for_shards(&DevicePool::titan_cluster(2), &[1_000, 1_000], 8, &cfg);
         assert_eq!(roomy.total_chunks(), 2);

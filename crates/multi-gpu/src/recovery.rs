@@ -1,50 +1,42 @@
-//! Fault-tolerant execution of sharded sorts: detection, requeue, retry.
+//! Fault handling of the sharded engine: detection, requeue, retry.
 //!
-//! The clean engine paths ([`ShardedSorter::sort`], `sort_out_of_core`, …)
-//! assume every device completes its schedule — the same assumption the
-//! paper's Section 5 pipeline makes.  Production fleets break it: devices
-//! die mid-sort, links stall, a shard occasionally comes back corrupt.
-//! This module adds the recovery loop those paths fall back to whenever an
-//! injected [`gpu_sim::FaultPlan`] is armed or a pool device has already
-//! been marked dead:
+//! The paper's Section 5 pipeline assumes every device completes its
+//! schedule.  Production fleets break that assumption: devices die
+//! mid-sort, links stall, a shard occasionally comes back corrupt.  Faults
+//! are scripted with an injected [`gpu_sim::FaultPlan`], and the one
+//! round-based driver ([`ShardedSorter::try_sort`] and friends) absorbs
+//! them:
 //!
-//! 1. **Partition over the survivors.**  Splitters are recomputed from the
-//!    *alive* devices' capacity weights each round (elastic pool resize),
-//!    so local shard `l` maps to global device `alive[l]` and dead devices
-//!    take no work.
-//! 2. **Sort unit-by-unit, consulting the fault plan.**  A unit of work is
-//!    one shard (in-core) or one memory-budget chunk (out-of-core).  A
-//!    `DeviceFail` marks the device dead and requeues everything it still
-//!    owed; a `CorruptShard` requeues just that unit; a `TransferStall`
-//!    completes with degraded link time; an `EnginePanic` escapes (the
-//!    service isolates it with `catch_unwind`).
+//! 1. **Partition over the survivors.**  Every round partitions its
+//!    pending elements over the *alive* devices' capacity weights (elastic
+//!    pool resize), so dead devices take no work.
+//! 2. **Consult the plan once per unit of work**, in device/unit order — a
+//!    unit is a whole shard in core or one memory-budget chunk out of core
+//!    — plus once more per device holding a sorted slab before a peer
+//!    exchange.  A `DeviceFail` marks the device dead and requeues
+//!    everything it still owed; a `CorruptShard` requeues just that unit;
+//!    a `TransferStall` completes with degraded link time; an
+//!    `EnginePanic` escapes (the service isolates it with `catch_unwind`).
 //! 3. **Retry with exponential backoff in simulated time.**  Requeued
-//!    elements are re-partitioned over the (possibly smaller) surviving
-//!    set; round `r + 1` starts on the timeline only after round `r`'s
-//!    makespan plus `backoff · 2^r`.  Retries are bounded by
-//!    [`RecoveryConfig::max_retries`]; exhaustion or a fully dead pool
-//!    yields a typed [`SortError`] with the caller's data restored intact
+//!    elements form the next round, which starts on the shared timeline
+//!    only after the previous round's makespan plus `1 ms · 2^r`.  Three
+//!    retry rounds are allowed; exhaustion or a fully dead pool yields a
+//!    typed [`SortError`] with the caller's data restored intact
 //!    (unsorted, never lost, never corrupt).
 //!
-//! Every fault is recorded as a [`FaultEvent`] in
-//! [`ShardedReport::faults`] and counted under the `multi_gpu/faults/…`
-//! telemetry subtree, so dashboards see device failures, requeued volume,
-//! recovery latency and retries-per-sort live.
+//! A fault-free sort is simply round 0, so faulted and clean sorts report
+//! alike.  Every fault is recorded as a [`FaultEvent`] in
+//! [`crate::ShardedReport::faults`] and counted under the
+//! `multi_gpu/faults/…` telemetry subtree, so dashboards see device
+//! failures, requeued volume, recovery latency and retries-per-sort live.
 
-use crate::engine::{pair_key, ShardedSorter};
-use crate::partition::{compute_splitters, scatter_into_shards, SplitterSet};
-use crate::report::{
-    FaultEvent, FaultEventKind, OocChunkSpan, RequestSpan, ShardReport, ShardedReport,
-};
+use crate::driver::{Run, Unit};
+use crate::engine::ShardedSorter;
+use crate::report::{FaultEvent, FaultEventKind};
 use crate::telemetry_paths as tp;
-use gpu_sim::{DeviceMemoryPlanner, FaultKind, SimTime, Timeline, TransferDirection};
-use hetero::chunking::split_into_chunks;
-use hetero::multiway_merge::parallel_merge_sorted_runs_by;
-use hrs_core::{HybridRadixSorter, SortReport};
-use std::time::{Duration, Instant};
+use gpu_sim::{FaultKind, SimTime};
+use std::time::Duration;
 use telemetry::Inspector;
-use workloads::keys::SortKey;
-use workloads::pairs::SortValue;
 
 /// Why a fault-tolerant sort could not complete.  The input buffers are
 /// always restored before one of these is returned — every element the
@@ -59,8 +51,7 @@ pub enum SortError {
     },
     /// The retry budget ran out with elements still unsorted.
     RetriesExhausted {
-        /// The retry bound that was exhausted
-        /// ([`RecoveryConfig::max_retries`]).
+        /// The retry bound that was exhausted (rounds beyond the first).
         retries: u32,
         /// Elements still awaiting a successful sort when the engine gave
         /// up.
@@ -84,39 +75,12 @@ impl std::fmt::Display for SortError {
 
 impl std::error::Error for SortError {}
 
-/// Retry/backoff policy of the fault-tolerant engine path.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecoveryConfig {
-    /// Requeue rounds allowed beyond the initial attempt before the sort
-    /// resolves to [`SortError::RetriesExhausted`].
-    pub max_retries: u32,
-    /// Base backoff in simulated time; retry round `r + 1` starts
-    /// `backoff · 2^r` after round `r`'s schedule finishes.
-    pub backoff: SimTime,
-}
+/// Requeue rounds allowed beyond the initial attempt.
+pub(crate) const MAX_RETRIES: u32 = 3;
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            max_retries: 3,
-            backoff: SimTime::from_secs(1e-3),
-        }
-    }
-}
-
-impl RecoveryConfig {
-    /// Sets the retry bound.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Sets the base simulated backoff.
-    pub fn with_backoff(mut self, backoff: SimTime) -> Self {
-        self.backoff = backoff;
-        self
-    }
-}
+/// Base simulated backoff: retry round `r + 1` starts `BACKOFF · 2^r`
+/// after round `r`'s schedule finishes.
+pub(crate) const BACKOFF: SimTime = SimTime(1e-3);
 
 /// Idempotently registers the `multi_gpu/faults/…` subtree (plus the ooc
 /// retry counter) so snapshots always expose fault-handling health.
@@ -130,509 +94,79 @@ pub(crate) fn register_fault_probes(t: &Inspector) {
     t.counter(tp::OOC_RETRIES);
 }
 
-/// One successfully sorted unit of work awaiting the final merge.
-struct RecRun<K, V> {
-    device: usize,
-    round: u32,
-    range: (u64, u64),
-    keys: Vec<K>,
-    vals: Vec<V>,
-    report: SortReport,
-    measured: Duration,
-    /// Transfer-time multiplier from an injected stall (1.0 = clean).
-    stall: f64,
-}
-
 impl ShardedSorter {
-    /// Fallible counterpart of [`Self::sort`]: completes through the
-    /// recovery loop under an armed fault plan (or an already-degraded
-    /// pool), or returns a typed [`SortError`] with `keys` restored.
-    pub fn try_sort<K: SortKey>(&self, keys: &mut Vec<K>) -> Result<ShardedReport, SortError> {
-        let mut values: Vec<()> = Vec::new();
-        self.dispatch_sort(keys, &mut values, false)
+    /// Consults the fault plan for one operation of device `g` on `len`
+    /// elements, recording any fault in `events`.  Returns the unit's
+    /// transfer stall factor when it proceeds, `None` when its elements
+    /// must be requeued (the device died or corrupted its output).
+    pub(crate) fn consult(
+        &self,
+        g: usize,
+        len: usize,
+        round: u32,
+        events: &mut Vec<FaultEvent>,
+    ) -> Option<f64> {
+        let Some(fault) = self.faults.as_ref().and_then(|plan| plan.next_op(g)) else {
+            return Some(1.0);
+        };
+        let (kind, stall) = match fault {
+            FaultKind::DeviceFail => {
+                self.pool.mark_dead(g);
+                (FaultEventKind::DeviceFailure, None)
+            }
+            FaultKind::CorruptShard => (FaultEventKind::ShardCorruption, None),
+            FaultKind::TransferStall { factor } => {
+                (FaultEventKind::TransferStall, Some(factor.max(1.0)))
+            }
+            FaultKind::EnginePanic => panic!("injected engine panic on device {g}"),
+        };
+        events.push(FaultEvent {
+            device: g,
+            kind,
+            round,
+            requeued: if stall.is_some() { 0 } else { len as u64 },
+            backoff: SimTime::ZERO,
+            recovered: false,
+        });
+        stall
     }
 
-    /// Fallible counterpart of [`Self::sort_pairs`].
-    pub fn try_sort_pairs<K: SortKey, V: SortValue>(
+    /// Consults the fault plan once per non-empty unit, in device/unit
+    /// order, and returns the units that go on to sort.  Units of a device
+    /// that is already dead — earlier in this round, or in a concurrent
+    /// sort sharing the pool — are requeued untouched; the failure event of
+    /// this round absorbs their volume.
+    pub(crate) fn triage<K, V>(
         &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        assert_eq!(
-            keys.len(),
-            values.len(),
-            "keys and values must have the same length"
-        );
-        self.dispatch_sort(keys, values, false)
-    }
-
-    /// Fallible counterpart of [`Self::sort_batch`].
-    pub fn try_sort_batch<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-        request_lens: &[usize],
-    ) -> Result<ShardedReport, SortError> {
-        let mut values: Vec<()> = Vec::new();
-        let mut report = self.dispatch_sort(keys, &mut values, false)?;
-        report.requests = Self::request_spans(keys.len(), request_lens);
-        Ok(report)
-    }
-
-    /// Fallible counterpart of [`Self::sort_batch_pairs`].
-    pub fn try_sort_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        request_lens: &[usize],
-    ) -> Result<ShardedReport, SortError> {
-        assert_eq!(
-            keys.len(),
-            values.len(),
-            "keys and values must have the same length"
-        );
-        let mut report = self.dispatch_sort(keys, values, false)?;
-        report.requests = Self::request_spans(keys.len(), request_lens);
-        Ok(report)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core`].
-    pub fn try_sort_out_of_core<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-    ) -> Result<ShardedReport, SortError> {
-        let mut values: Vec<()> = Vec::new();
-        self.dispatch_sort(keys, &mut values, true)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_pairs`].
-    pub fn try_sort_out_of_core_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        assert_eq!(
-            keys.len(),
-            values.len(),
-            "keys and values must have the same length"
-        );
-        self.dispatch_sort(keys, values, true)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_batch`].
-    pub fn try_sort_out_of_core_batch<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-    ) -> Result<ShardedReport, SortError> {
-        let len = keys.len() as u64;
-        let mut report = self.try_sort_out_of_core(keys)?;
-        report.requests = vec![RequestSpan {
-            index: 0,
-            offset: 0,
-            len,
-        }];
-        Ok(report)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_batch_pairs`].
-    pub fn try_sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        let len = keys.len() as u64;
-        let mut report = self.try_sort_out_of_core_pairs(keys, values)?;
-        report.requests = vec![RequestSpan {
-            index: 0,
-            offset: 0,
-            len,
-        }];
-        Ok(report)
-    }
-
-    /// Routes a sort to the clean fast path or the recovery loop, and —
-    /// per the resolved [`crate::RecombineStrategy`] — to the host-merge
-    /// or peer-exchange recombination.  The fast paths run byte-identically
-    /// to the pre-fault-tolerance engine; the recovery loops take over only
-    /// while a fault plan has unfired specs or a device is dead (dead
-    /// devices would violate the positive-weight contract of the fast-path
-    /// partitioner).  Out-of-core sorts always recombine on the host:
-    /// their chunk-streamed tail merge overlaps the chunk stream instead.
-    fn dispatch_sort<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        out_of_core: bool,
-    ) -> Result<ShardedReport, SortError> {
-        let elem_bytes = K::BYTES as u64 + std::mem::size_of::<V>() as u64;
-        let peer = !out_of_core
-            && self.resolve_recombine(keys.len() as u64 * elem_bytes)
-                == crate::RecombineStrategy::PeerExchange;
-        if self.fault_path_active() {
-            if peer {
-                self.sort_exchange_recoverable(keys, values)
+        run: &mut Run<K, V>,
+        units: Vec<Unit<K, V>>,
+    ) -> Vec<Unit<K, V>> {
+        let mut survivors = Vec::with_capacity(units.len());
+        for mut unit in units {
+            let g = unit.device;
+            if !self.pool.alive(g) {
+                let round = run.round;
+                if let Some(ev) = run.faults.last_mut().filter(|e| {
+                    e.device == g && e.round == round && e.kind == FaultEventKind::DeviceFailure
+                }) {
+                    ev.requeued += unit.keys.len() as u64;
+                }
+                run.requeue(unit.keys, unit.vals);
+            } else if unit.keys.is_empty() {
+                survivors.push(unit);
+            } else if let Some(stall) = self.consult(g, unit.keys.len(), run.round, &mut run.faults)
+            {
+                unit.stall = stall;
+                survivors.push(unit);
             } else {
-                self.sort_recoverable(keys, values, out_of_core)
+                run.requeue(unit.keys, unit.vals);
             }
-        } else if out_of_core {
-            Ok(self.sort_ooc_impl(keys, values))
-        } else if peer {
-            Ok(self.sort_exchange_impl(keys, values))
-        } else {
-            Ok(self.sort_impl(keys, values))
         }
+        survivors
     }
 
-    /// The recovery loop (see the module docs for the algorithm).
-    fn sort_recoverable<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        out_of_core: bool,
-    ) -> Result<ShardedReport, SortError> {
-        let n = keys.len();
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
-        let recovery_clock = Instant::now();
-        let p = self.pool.len();
-
-        // Device lanes, with the same try_lock / ephemeral-fallback
-        // contract as the clean paths.
-        let mut fallback: Option<Vec<HybridRadixSorter>> = None;
-        let mut guard = self.lanes.try_lock().ok();
-        let lanes: &mut Vec<HybridRadixSorter> = match guard.as_deref_mut() {
-            Some(lanes) => lanes,
-            None => fallback.get_or_insert_with(Vec::new),
-        };
-        if lanes.len() != p {
-            *lanes = (0..p).map(|i| self.lane_sorter(i)).collect();
-        }
-        let lanes: &[HybridRadixSorter] = lanes;
-
-        let mut pending_keys = std::mem::take(keys);
-        let mut pending_vals = std::mem::take(values);
-        let mut measured_partition = Duration::ZERO;
-        let mut runs: Vec<RecRun<K, V>> = Vec::new();
-        let mut events: Vec<FaultEvent> = Vec::new();
-        let mut report_splitters: Option<SplitterSet> = None;
-        let mut round: u32 = 0;
-
-        let failure = loop {
-            if pending_keys.is_empty() {
-                break None;
-            }
-            let alive = self.pool.alive_indices();
-            if alive.is_empty() {
-                break Some(SortError::AllDevicesDead { failed: p });
-            }
-            if round > self.recovery.max_retries {
-                break Some(SortError::RetriesExhausted {
-                    retries: self.recovery.max_retries,
-                    unsorted: pending_keys.len() as u64,
-                });
-            }
-
-            // Elastic resize: partition over the survivors only, so the
-            // splitter weights stay positive and local shard `l` maps to
-            // global device `alive[l]`.
-            let span = self
-                .inspector
-                .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-            let weights: Vec<f64> = alive
-                .iter()
-                .map(|&g| self.pool.devices()[g].capacity_weight())
-                .collect();
-            let splitters = compute_splitters(&pending_keys, &weights, &self.partition);
-            let (shard_keys, shard_vals) = scatter_into_shards(
-                &mut pending_keys,
-                &mut pending_vals,
-                &splitters,
-                &self.host_exec,
-            );
-            measured_partition += span.finish();
-            let ranges = splitters.ranges();
-            if report_splitters.is_none() {
-                report_splitters = Some(splitters.clone());
-            }
-            // The scatter copied every element into shard buffers; pending
-            // now collects whatever this round's faults hand back.
-            pending_keys.clear();
-            pending_vals.clear();
-
-            for (l, (mut ks, mut vs)) in shard_keys.into_iter().zip(shard_vals).enumerate() {
-                let g = alive[l];
-                if ks.is_empty() {
-                    continue;
-                }
-                if !self.pool.alive(g) {
-                    // Died since alive_indices() (a concurrent sort sharing
-                    // this pool): requeue the whole shard untouched.
-                    pending_keys.append(&mut ks);
-                    pending_vals.append(&mut vs);
-                    continue;
-                }
-
-                // Carve the shard into its units of work: memory-budget
-                // chunks out of core, the whole shard in core.
-                let chunk_count = if out_of_core {
-                    let dev = &self.pool.devices()[g];
-                    self.ooc.chunks_per_device.unwrap_or_else(|| {
-                        let budget = DeviceMemoryPlanner::for_device(&dev.spec)
-                            .chunk_budget_bytes(self.ooc.in_place_replacement)
-                            .max(1);
-                        (ks.len() as u64 * elem_bytes).div_ceil(budget).max(1) as usize
-                    })
-                } else {
-                    1
-                };
-                let chunk_ranges = split_into_chunks(ks.len(), chunk_count.max(1)).ranges;
-                let mut chunks: Vec<(Vec<K>, Vec<V>)> = Vec::with_capacity(chunk_ranges.len());
-                for &(start, _end) in chunk_ranges.iter().rev() {
-                    let cv = vs.split_off(start);
-                    let ck = ks.split_off(start);
-                    chunks.push((ck, cv));
-                }
-                chunks.reverse();
-
-                let mut device_dead = false;
-                for (mut ck, mut cv) in chunks {
-                    if device_dead {
-                        // Lost with the device; the failure event already
-                        // on the list absorbs the requeued volume.
-                        if let Some(ev) = events.last_mut() {
-                            ev.requeued += ck.len() as u64;
-                        }
-                        pending_keys.append(&mut ck);
-                        pending_vals.append(&mut cv);
-                        continue;
-                    }
-                    let injected = self.faults.as_ref().and_then(|plan| plan.next_op(g));
-                    let stall = match injected {
-                        Some(FaultKind::DeviceFail) => {
-                            self.pool.mark_dead(g);
-                            device_dead = true;
-                            events.push(FaultEvent {
-                                device: g,
-                                kind: FaultEventKind::DeviceFailure,
-                                round,
-                                requeued: ck.len() as u64,
-                                backoff: SimTime::ZERO,
-                                recovered: false,
-                            });
-                            pending_keys.append(&mut ck);
-                            pending_vals.append(&mut cv);
-                            continue;
-                        }
-                        Some(FaultKind::CorruptShard) => {
-                            events.push(FaultEvent {
-                                device: g,
-                                kind: FaultEventKind::ShardCorruption,
-                                round,
-                                requeued: ck.len() as u64,
-                                backoff: SimTime::ZERO,
-                                recovered: false,
-                            });
-                            pending_keys.append(&mut ck);
-                            pending_vals.append(&mut cv);
-                            continue;
-                        }
-                        Some(FaultKind::EnginePanic) => {
-                            panic!("injected engine panic on device {g}");
-                        }
-                        Some(FaultKind::TransferStall { factor }) => {
-                            events.push(FaultEvent {
-                                device: g,
-                                kind: FaultEventKind::TransferStall,
-                                round,
-                                requeued: 0,
-                                backoff: SimTime::ZERO,
-                                recovered: false,
-                            });
-                            factor.max(1.0)
-                        }
-                        None => 1.0,
-                    };
-                    let start = Instant::now();
-                    let report = lanes[g].sort_pairs(&mut ck, &mut cv);
-                    runs.push(RecRun {
-                        device: g,
-                        round,
-                        range: ranges[l],
-                        keys: ck,
-                        vals: cv,
-                        report,
-                        measured: start.elapsed(),
-                        stall,
-                    });
-                }
-            }
-
-            if !pending_keys.is_empty() {
-                // This round's faults wait out an exponential simulated
-                // backoff before their requeue round starts.
-                let delay = self.recovery.backoff * 2f64.powi(round as i32);
-                for ev in events.iter_mut().filter(|e| e.round == round) {
-                    ev.backoff = delay;
-                }
-                round += 1;
-            }
-        };
-
-        if let Some(err) = failure {
-            // Restore every element — sorted runs and still-pending alike —
-            // so the caller's data survives the failure unsorted but whole.
-            for run in runs {
-                keys.extend(run.keys);
-                values.extend(run.vals);
-            }
-            keys.append(&mut pending_keys);
-            values.append(&mut pending_vals);
-            self.note_fault_outcomes(&events, round, recovery_clock.elapsed(), out_of_core);
-            return Err(err);
-        }
-
-        // Success: schedule the recovery on a timeline (rounds separated by
-        // their backoff), merge every run, assemble the report.
-        let mut tl = Timeline::new();
-        let resources: Vec<_> = (0..p)
-            .map(|i| {
-                (
-                    tl.add_resource(format!("dev{i} HtD")),
-                    tl.add_resource(format!("dev{i} GPU")),
-                    tl.add_resource(format!("dev{i} DtH")),
-                )
-            })
-            .collect();
-        let max_round = runs.iter().map(|r| r.round).max().unwrap_or(0);
-        let mut round_start = SimTime::ZERO;
-        let mut shards: Vec<ShardReport> = Vec::with_capacity(runs.len());
-        let mut ooc_chunks: Vec<OocChunkSpan> = Vec::new();
-        let mut chunk_index = vec![0usize; p];
-        let mut chunk_offset = vec![0u64; p];
-        for r in 0..=max_round {
-            for run in runs.iter().filter(|run| run.round == r) {
-                let g = run.device;
-                let device = &self.pool.devices()[g];
-                let bytes = run.keys.len() as u64 * elem_bytes;
-                let (htod, gpu, dtoh) = resources[g];
-                let sort_total = if device.backend.is_measured() {
-                    SimTime::from_secs(run.measured.as_secs_f64())
-                } else {
-                    run.report.simulated.total
-                };
-                let up = tl.schedule(
-                    format!("HtD d{g} r{r}"),
-                    htod,
-                    round_start,
-                    device
-                        .link
-                        .transfer_time(TransferDirection::HostToDevice, bytes)
-                        * run.stall,
-                );
-                let sort = tl.schedule_after(format!("sort d{g} r{r}"), gpu, &[up.end], sort_total);
-                let down = tl.schedule_after(
-                    format!("DtH d{g} r{r}"),
-                    dtoh,
-                    &[sort.end],
-                    device
-                        .link
-                        .transfer_time(TransferDirection::DeviceToHost, bytes)
-                        * run.stall,
-                );
-                shards.push(ShardReport {
-                    device: device.spec.name.clone(),
-                    link: device.link.kind.label().to_string(),
-                    n: run.keys.len() as u64,
-                    range: run.range,
-                    report: run.report.clone(),
-                    upload: up.duration(),
-                    gpu_sort: sort.duration(),
-                    download: down.duration(),
-                    finish: down.end,
-                    measured_sort: device.backend.is_measured().then_some(run.measured),
-                });
-                if out_of_core {
-                    ooc_chunks.push(OocChunkSpan {
-                        device: g,
-                        chunk: chunk_index[g],
-                        offset: chunk_offset[g],
-                        len: run.keys.len() as u64,
-                        sort: sort.duration(),
-                        finish: down.end,
-                    });
-                    chunk_index[g] += 1;
-                    chunk_offset[g] += run.keys.len() as u64;
-                }
-            }
-            if r < max_round {
-                round_start = tl.makespan() + self.recovery.backoff * 2f64.powi(r as i32);
-            }
-        }
-        let critical_path = tl.makespan();
-
-        let merge_span = self
-            .inspector
-            .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        if !runs.is_empty() {
-            let zipped: Vec<Vec<(K, V)>> = runs
-                .iter()
-                .map(|r| r.keys.iter().copied().zip(r.vals.iter().copied()).collect())
-                .collect();
-            let refs: Vec<&[(K, V)]> = zipped.iter().map(|z| z.as_slice()).collect();
-            let merged = parallel_merge_sorted_runs_by(&refs, self.merge_threads, pair_key::<K, V>);
-            *keys = merged.iter().map(|&(k, _)| k).collect();
-            *values = merged.into_iter().map(|(_, v)| v).collect();
-        }
-        let measured_merge = merge_span.finish();
-
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-        for run in &runs {
-            combined.absorb(&run.report);
-        }
-        for ev in &mut events {
-            ev.recovered = true;
-        }
-
-        let end_to_end = SimTime::from_secs(measured_partition.as_secs_f64())
-            + critical_path
-            + SimTime::from_secs(measured_merge.as_secs_f64());
-        let splitters =
-            report_splitters.unwrap_or_else(|| compute_splitters::<K>(&[], &[], &self.partition));
-
-        let t = &self.inspector;
-        t.counter(tp::SORTS).inc();
-        t.counter(tp::KEYS).add(n as u64);
-        for run in &runs {
-            t.counter(&format!("multi_gpu/dev{}/transfer_bytes", run.device))
-                .add(2 * run.keys.len() as u64 * elem_bytes);
-        }
-        if out_of_core {
-            t.counter(tp::OOC_SORTS).inc();
-            t.counter(tp::OOC_CHUNKS).add(ooc_chunks.len() as u64);
-        }
-        self.note_fault_outcomes(&events, round, recovery_clock.elapsed(), out_of_core);
-
-        Ok(ShardedReport {
-            n: n as u64,
-            key_bytes: K::BYTES,
-            value_bytes,
-            shards,
-            splitters,
-            critical_path,
-            measured_partition,
-            measured_merge,
-            end_to_end,
-            combined,
-            timeline: tl,
-            requests: Vec::new(),
-            ooc_chunks,
-            faults: events,
-            recombine: crate::RecombineStrategy::HostMerge,
-            exchange: Vec::new(),
-        })
-    }
-
-    /// Counts this recovery attempt's faults into the `multi_gpu/faults/…`
-    /// subtree (success and failure alike).
+    /// Counts one sort's faults into the `multi_gpu/faults/…` subtree
+    /// (success and failure alike).
     pub(crate) fn note_fault_outcomes(
         &self,
         events: &[FaultEvent],
@@ -644,9 +178,9 @@ impl ShardedSorter {
         register_fault_probes(t);
         for ev in events {
             let path = match ev.kind {
-                FaultEventKind::DeviceFailure => "multi_gpu/faults/device_failures",
-                FaultEventKind::ShardCorruption => "multi_gpu/faults/shard_corruptions",
-                FaultEventKind::TransferStall => "multi_gpu/faults/transfer_stalls",
+                FaultEventKind::DeviceFailure => tp::FAULT_DEVICE_FAILURES,
+                FaultEventKind::ShardCorruption => tp::FAULT_SHARD_CORRUPTIONS,
+                FaultEventKind::TransferStall => tp::FAULT_TRANSFER_STALLS,
             };
             t.counter(path).inc();
             t.counter(tp::FAULT_REQUEUED_ELEMENTS).add(ev.requeued);
@@ -666,8 +200,9 @@ impl ShardedSorter {
 mod tests {
     use super::*;
     use crate::device_pool::{DevicePool, SimDevice};
+    use crate::RecombineStrategy;
     use gpu_sim::{DeviceSpec, FaultPlan, FaultSpec};
-    use hrs_core::SortConfig;
+    use hrs_core::{HybridRadixSorter, SortConfig};
     use workloads::{uniform_keys, KeyCodec};
 
     fn test_sorter(pool: DevicePool) -> ShardedSorter {
@@ -675,6 +210,12 @@ mod tests {
         ShardedSorter::new(pool)
             .with_sorter(gpu)
             .with_merge_threads(4)
+    }
+
+    fn tiny_memory_pool(p: usize) -> DevicePool {
+        let mut spec = DeviceSpec::titan_x_pascal();
+        spec.device_memory_bytes = 1 << 20;
+        DevicePool::homogeneous(p, SimDevice::on_pcie3(spec))
     }
 
     fn sorted_multiset(mut v: Vec<u64>) -> Vec<u64> {
@@ -686,7 +227,6 @@ mod tests {
     fn device_failure_requeues_onto_survivors() {
         let sorter =
             test_sorter(DevicePool::titan_cluster(3)).with_fault_plan(FaultPlan::fail_device(1, 0));
-        assert!(sorter.fault_path_active());
         let keys = uniform_keys::<u64>(90_000, 3);
         let expected = KeyCodec::std_sorted(&keys);
         let mut k = keys;
@@ -719,14 +259,13 @@ mod tests {
                 .unwrap()
                 > 0
         );
-        // The next sort still works on the two survivors (fast path is
-        // gated off forever: the pool has a dead device).
-        assert!(sorter.fault_path_active());
+        // The next sort runs on the two survivors only.
         let mut again = uniform_keys::<u64>(30_000, 5);
         let expected2 = KeyCodec::std_sorted(&again);
         let r2 = sorter.try_sort(&mut again).unwrap();
         assert_eq!(again, expected2);
         assert!(r2.faults.is_empty());
+        assert_eq!(r2.shards.len(), 2);
     }
 
     #[test]
@@ -742,18 +281,20 @@ mod tests {
         assert_eq!(report.faults.len(), 1);
         assert_eq!(report.faults[0].kind, FaultEventKind::ShardCorruption);
         assert!(report.faults[0].requeued > 0);
-        // The plan is exhausted and nobody died: back to the fast path.
-        assert!(!sorter.fault_path_active());
+        // The plan is exhausted and nobody died: one shard per device, no
+        // faults.
         let mut again = uniform_keys::<u64>(20_000, 8);
-        assert!(sorter.try_sort(&mut again).unwrap().faults.is_empty());
+        let r2 = sorter.try_sort(&mut again).unwrap();
+        assert!(r2.faults.is_empty());
+        assert_eq!(r2.shards.len(), 2);
     }
 
     #[test]
     fn transfer_stall_slows_the_schedule_but_loses_nothing() {
         let keys = uniform_keys::<u64>(80_000, 11);
         let expected = KeyCodec::std_sorted(&keys);
-        // Clean run under the recovery path (armed plan that never fires
-        // on these ops) for an apples-to-apples critical path.
+        // The same plan with the stall never firing, for an
+        // apples-to-apples critical path.
         let clean = test_sorter(DevicePool::titan_cluster(2))
             .with_fault_plan(FaultPlan::stall_transfer(0, 999, 4.0));
         let mut kc = keys.clone();
@@ -808,7 +349,7 @@ mod tests {
     #[test]
     fn retry_budget_is_bounded() {
         // Every op on device 0 of a single-device pool corrupts, so the
-        // sort can never complete; it must stop after max_retries rounds.
+        // sort can never complete; it must stop after MAX_RETRIES rounds.
         let plan = FaultPlan::new(
             (0..16)
                 .map(|op| FaultSpec {
@@ -818,19 +359,18 @@ mod tests {
                 })
                 .collect(),
         );
-        let sorter = test_sorter(DevicePool::titan_cluster(1))
-            .with_fault_plan(plan)
-            .with_recovery_config(RecoveryConfig::default().with_max_retries(2));
+        let sorter = test_sorter(DevicePool::titan_cluster(1)).with_fault_plan(plan);
         let keys = uniform_keys::<u64>(10_000, 17);
         let mut k = keys.clone();
         let err = sorter.try_sort(&mut k).unwrap_err();
         assert_eq!(
             err,
             SortError::RetriesExhausted {
-                retries: 2,
+                retries: MAX_RETRIES,
                 unsorted: 10_000
             }
         );
+        assert_eq!(MAX_RETRIES, 3);
         assert_eq!(sorted_multiset(k), sorted_multiset(keys));
     }
 
@@ -853,12 +393,9 @@ mod tests {
 
     #[test]
     fn out_of_core_recovery_requeues_chunks() {
-        let mut spec = DeviceSpec::titan_x_pascal();
-        spec.device_memory_bytes = 1 << 20;
-        let pool = DevicePool::homogeneous(2, SimDevice::on_pcie3(spec));
         // Fail device 0 on its second chunk: the first chunk's run stands,
         // the rest of the shard requeues onto device 1.
-        let sorter = test_sorter(pool).with_fault_plan(FaultPlan::fail_device(0, 1));
+        let sorter = test_sorter(tiny_memory_pool(2)).with_fault_plan(FaultPlan::fail_device(0, 1));
         let keys = uniform_keys::<u64>(200_000, 23);
         let expected = KeyCodec::std_sorted(&keys);
         let mut k = keys;
@@ -880,17 +417,68 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_plan_returns_to_the_fast_path() {
+    fn exhausted_plan_sorts_like_a_clean_one() {
         let sorter = test_sorter(DevicePool::titan_cluster(2))
             .with_fault_plan(FaultPlan::stall_transfer(1, 0, 2.0));
-        assert!(sorter.fault_path_active());
         let mut k = uniform_keys::<u64>(30_000, 29);
-        sorter.try_sort(&mut k).unwrap();
-        assert!(!sorter.fault_path_active(), "plan fired, nobody died");
-        // Fast-path reports carry full per-device shard tables again.
-        let mut k2 = uniform_keys::<u64>(30_000, 31);
+        assert!(sorter.try_sort(&mut k).unwrap().had_faults());
+        // The plan fired and nobody died: the next sort reports one shard
+        // per device, no faults, and the schedule of a plan-less sorter.
+        let keys = uniform_keys::<u64>(30_000, 31);
+        let mut k2 = keys.clone();
         let report = sorter.try_sort(&mut k2).unwrap();
         assert_eq!(report.shards.len(), 2);
         assert!(report.faults.is_empty());
+        let mut k3 = keys;
+        let clean = test_sorter(DevicePool::titan_cluster(2)).sort(&mut k3);
+        assert_eq!(report.critical_path, clean.critical_path);
+        assert_eq!(k2, k3);
+    }
+
+    #[test]
+    fn recovered_sorts_report_like_clean_ones() {
+        // In core: the survivors' device gauges are set.
+        let sorter =
+            test_sorter(DevicePool::titan_cluster(3)).with_fault_plan(FaultPlan::fail_device(1, 0));
+        let mut k = uniform_keys::<u64>(60_000, 37);
+        assert!(sorter.try_sort(&mut k).unwrap().had_faults());
+        let snap = sorter.inspector().snapshot();
+        for i in [0, 2] {
+            let dev = snap.node(&format!("multi_gpu/dev{i}")).unwrap();
+            assert!(dev.double("utilisation").unwrap() > 0.0, "dev{i}");
+            assert!(dev.double("overlap_ratio").unwrap() > 0.0, "dev{i}");
+            assert!(dev.uint("transfer_bytes").unwrap() > 0, "dev{i}");
+        }
+
+        // Out of core: the pipeline gauges are set.
+        let sorter = test_sorter(tiny_memory_pool(2)).with_fault_plan(FaultPlan::fail_device(0, 1));
+        let mut k = uniform_keys::<u64>(200_000, 41);
+        assert!(sorter.try_sort_out_of_core(&mut k).unwrap().had_faults());
+        let snap = sorter.inspector().snapshot();
+        let ooc = snap.node("multi_gpu/ooc").unwrap();
+        assert_eq!(ooc.uint("sorts"), Some(1));
+        let occupancy = ooc.double("pipeline_occupancy").unwrap();
+        assert!(occupancy > 0.0 && occupancy <= 1.0, "{occupancy}");
+        assert!(ooc.double("merge_overlap_ratio").is_some());
+
+        // Peer exchange: the survivors count their transfer bytes.
+        let sorter = test_sorter(DevicePool::nvlink_mesh_cluster(3))
+            .with_recombine_strategy(RecombineStrategy::PeerExchange)
+            .with_fault_plan(FaultPlan::fail_device(1, 1));
+        let mut k = uniform_keys::<u64>(60_000, 43);
+        assert!(sorter.try_sort(&mut k).unwrap().had_faults());
+        let snap = sorter.inspector().snapshot();
+        for i in [0, 2] {
+            let dev = snap.node(&format!("multi_gpu/dev{i}")).unwrap();
+            assert!(dev.uint("transfer_bytes").unwrap() > 0, "dev{i}");
+            assert!(dev.double("utilisation").unwrap() > 0.0, "dev{i}");
+        }
+        assert!(
+            snap.node("multi_gpu/exchange")
+                .unwrap()
+                .uint("bytes")
+                .unwrap()
+                > 0
+        );
     }
 }

@@ -89,7 +89,7 @@ pub struct OocChunkSpan {
 
 /// One device→device bucket transfer of a peer-exchange recombination.
 ///
-/// Produced by the peer-exchange paths (see
+/// Produced by peer-exchange sorts (see
 /// [`crate::exchange::RecombineStrategy::PeerExchange`]): after its local
 /// sort, device `src` ships the bucket destined for device `dst`'s output
 /// range either over a direct peer link (`direct = true`) or staged
@@ -148,11 +148,10 @@ impl FaultEventKind {
 
 /// One fault the engine hit during a sort, and how recovery handled it.
 ///
-/// Recorded by the fault-tolerant engine path (see
-/// [`crate::ShardedSorter::try_sort`] and friends) in
-/// [`ShardedReport::faults`]: each event names the device, the retry round
-/// it happened in, how many elements had to be requeued onto the surviving
-/// devices, and the simulated backoff the requeue waited out.
+/// Recorded by the engine (see [`crate::ShardedSorter::try_sort`] and
+/// friends) in [`ShardedReport::faults`]: each event names the device, the
+/// retry round it happened in, how many elements had to be requeued onto
+/// the surviving devices, and the simulated backoff the requeue waited out.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Pool index of the faulting device.
@@ -182,7 +181,9 @@ pub struct ShardedReport {
     pub key_bytes: u32,
     /// Value width in bytes (0 for key-only sorts).
     pub value_bytes: u32,
-    /// Per-device shard reports, in shard (key-range) order.
+    /// Per-device shard reports, in shard (key-range) order within each
+    /// round.  A fault-free sort has one per device; requeue rounds and
+    /// the orphan buckets of a faulted peer exchange add more.
     pub shards: Vec<ShardReport>,
     /// The splitters that defined the shards.
     pub splitters: SplitterSet,
@@ -263,7 +264,7 @@ impl ShardedReport {
     }
 
     /// When the last *local sort* event finished on the shared timeline.
-    /// Every engine path labels its device sort events with the substring
+    /// Every engine mode labels its device sort events with the substring
     /// `"sort"` (and nothing else with it), so this is the moment all
     /// device compute on input data was done and only recombination work
     /// (transfers, peer merges, host merge) remained.
@@ -285,7 +286,7 @@ impl ShardedReport {
         (self.end_to_end - partition - self.last_sort_finish()).max(SimTime::ZERO)
     }
 
-    /// Checks the monotone span invariants every engine path must uphold,
+    /// Checks the monotone span invariants every engine mode must uphold,
     /// regardless of how its phases overlap:
     ///
     /// * every timeline event ends no earlier than it starts;

@@ -47,8 +47,8 @@ pub mod prelude {
     pub use hrs_core::{Executor, HybridRadixSorter, Optimizations, SortConfig, SortReport};
     pub use multi_gpu::{
         DeviceBackend, DevicePool, ExchangeSpan, FaultEvent, FaultEventKind, OocChunkSpan,
-        OocConfig, RecombineStrategy, RecoveryConfig, RequestSpan, ShardedReport, ShardedSorter,
-        SimDevice, SortError,
+        OocConfig, RecombineStrategy, RequestSpan, ShardedReport, ShardedSorter, SimDevice,
+        SortError,
     };
     pub use sort_service::{
         OverBudgetPolicy, ServiceConfig, SortOutcome, SortPayload, SortRequest, SortService,

@@ -108,7 +108,10 @@ fn host_merge_keys() {
 fn host_merge_pairs() {
     let mut keys = uniform_keys::<u32>(50_000, 2);
     let mut vals: Vec<u32> = (0..50_000).collect();
-    check("host_merge_pairs", &titan(3).sort_pairs(&mut keys, &mut vals));
+    check(
+        "host_merge_pairs",
+        &titan(3).sort_pairs(&mut keys, &mut vals),
+    );
 }
 
 #[test]
@@ -138,7 +141,10 @@ fn peer_exchange_pairs() {
 #[test]
 fn auto_on_mesh() {
     let mut keys = uniform_keys::<u64>(60_000, 6);
-    check("auto_on_mesh", &mesh(RecombineStrategy::Auto).sort(&mut keys));
+    check(
+        "auto_on_mesh",
+        &mesh(RecombineStrategy::Auto).sort(&mut keys),
+    );
 }
 
 #[test]
