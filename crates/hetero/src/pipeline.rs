@@ -94,73 +94,24 @@ impl PipelineSchedule {
         sort_times: &[SimTime],
         cpu_merge: SimTime,
     ) -> PipelineSchedule {
-        let mut timeline = Timeline::new();
-        let resources = PipelineResources {
-            htod: timeline.add_resource("PCIe HtD"),
-            gpu: timeline.add_resource("GPU"),
-            dtoh: timeline.add_resource("PCIe DtH"),
-        };
-        let link: LinkSpec = config.bus.into();
-        let (mut breakdown, _chunk_finishes) = PipelineSchedule::schedule_chunks_on(
-            &mut timeline,
-            &resources,
-            "",
-            &link,
-            config.in_place_replacement,
-            chunk_bytes,
-            sort_times,
-        );
-        breakdown.chunked_sort = timeline.makespan();
-        breakdown.cpu_merge = cpu_merge;
-        breakdown.end_to_end = breakdown.chunked_sort + cpu_merge;
-        PipelineSchedule {
-            timeline,
-            breakdown,
-        }
-    }
-
-    /// Schedules one device's chunked upload → sort → download pipeline
-    /// onto an *external* timeline, using the device's own [`LinkSpec`].
-    ///
-    /// This is the multi-device composition primitive: the out-of-core
-    /// sharded sort gives every device of a pool its own three resources on
-    /// a shared timeline (links are independent, so devices overlap fully)
-    /// and runs this per-device schedule with the same in-place-replacement
-    /// slot dependency as [`PipelineSchedule::build`].  Event labels are
-    /// prefixed with `label_prefix` (e.g. `"dev0 "`).
-    ///
-    /// The returned breakdown's `chunked_sort` is the finish time of this
-    /// device's last download on the shared timeline; `cpu_merge` is zero
-    /// (the caller merges all devices' runs once) and `end_to_end` equals
-    /// `chunked_sort`.  The second return value is each chunk's finish
-    /// time (the end of its DtH transfer), in chunk order — callers that
-    /// need per-chunk bookkeeping use it instead of reverse-engineering
-    /// the timeline's event layout.
-    pub fn schedule_chunks_on(
-        timeline: &mut Timeline,
-        resources: &PipelineResources,
-        label_prefix: &str,
-        link: &LinkSpec,
-        in_place_replacement: bool,
-        chunk_bytes: &[u64],
-        sort_times: &[SimTime],
-    ) -> (PipelineBreakdown, Vec<SimTime>) {
         assert_eq!(chunk_bytes.len(), sort_times.len());
-        let s = chunk_bytes.len();
-        let slot_dependency_distance = if in_place_replacement { 2 } else { 3 };
-        let mut dtoh_start: Vec<SimTime> = Vec::with_capacity(s);
-        let mut chunk_finishes: Vec<SimTime> = Vec::with_capacity(s);
+        let mut timeline = Timeline::new();
+        let htod = timeline.add_resource("PCIe HtD");
+        let gpu = timeline.add_resource("GPU");
+        let dtoh = timeline.add_resource("PCIe DtH");
+        let link: LinkSpec = config.bus.into();
+        let slot_dependency_distance = if config.in_place_replacement { 2 } else { 3 };
+        let mut dtoh_start: Vec<SimTime> = Vec::with_capacity(chunk_bytes.len());
         let mut total_htod = SimTime::ZERO;
         let mut total_dtoh = SimTime::ZERO;
         let mut total_sort = SimTime::ZERO;
-        let mut finish = SimTime::ZERO;
 
-        for i in 0..s {
-            let up_time = link.transfer_time(TransferDirection::HostToDevice, chunk_bytes[i]);
-            let down_time = link.transfer_time(TransferDirection::DeviceToHost, chunk_bytes[i]);
+        for (i, (&bytes, &sort_time)) in chunk_bytes.iter().zip(sort_times).enumerate() {
+            let up_time = link.transfer_time(TransferDirection::HostToDevice, bytes);
+            let down_time = link.transfer_time(TransferDirection::DeviceToHost, bytes);
             total_htod += up_time;
             total_dtoh += down_time;
-            total_sort += sort_times[i];
+            total_sort += sort_time;
 
             // The upload may have to wait for its chunk slot: the slot is
             // reusable as soon as the previous occupant's return transfer
@@ -170,40 +121,24 @@ impl PipelineSchedule {
             } else {
                 SimTime::ZERO
             };
-            let up = timeline.schedule(
-                format!("{label_prefix}HtD chunk {i}"),
-                resources.htod,
-                slot_free,
-                up_time,
-            );
-            let sort = timeline.schedule(
-                format!("{label_prefix}sort chunk {i}"),
-                resources.gpu,
-                up.end,
-                sort_times[i],
-            );
-            let down = timeline.schedule(
-                format!("{label_prefix}DtH chunk {i}"),
-                resources.dtoh,
-                sort.end,
-                down_time,
-            );
+            let up = timeline.schedule(format!("HtD chunk {i}"), htod, slot_free, up_time);
+            let sort = timeline.schedule(format!("sort chunk {i}"), gpu, up.end, sort_time);
+            let down = timeline.schedule(format!("DtH chunk {i}"), dtoh, sort.end, down_time);
             dtoh_start.push(down.start);
-            chunk_finishes.push(down.end);
-            finish = finish.max(down.end);
         }
 
-        (
-            PipelineBreakdown {
+        let chunked_sort = timeline.makespan();
+        PipelineSchedule {
+            timeline,
+            breakdown: PipelineBreakdown {
                 total_htod,
                 total_gpu_sort: total_sort,
                 total_dtoh,
-                chunked_sort: finish,
-                cpu_merge: SimTime::ZERO,
-                end_to_end: finish,
+                chunked_sort,
+                cpu_merge,
+                end_to_end: chunked_sort + cpu_merge,
             },
-            chunk_finishes,
-        )
+        }
     }
 
     /// The paper's closed-form approximation of the chunked-sort time:

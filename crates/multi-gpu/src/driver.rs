@@ -24,8 +24,8 @@
 //!    runs; the peer exchange swaps buckets and merges per destination.
 //!
 //! Requeued elements wait out an exponential simulated backoff before the
-//! next round.  A final host step — the p-way merge, or the concatenation
-//! of a single-round exchange — produces the output and one report.
+//! next round.  A final host step — the p-way merge, or concatenating a
+//! round-0 exchange without orphan runs — yields the output and one report.
 
 use crate::engine::ShardedSorter;
 use crate::exchange::{carve_slabs, slab_lengths, RecombineStrategy};
@@ -108,6 +108,10 @@ pub(crate) struct Run<K, V> {
     pub(crate) pending: (Vec<K>, Vec<V>),
     /// Sorted runs awaiting the final host step.
     pub(crate) runs: Vec<(Vec<K>, Vec<V>)>,
+    /// Whether an exchange left orphan runs (they overlap merged ranges).
+    pub(crate) orphans: bool,
+    pub(crate) combined: SortReport,
+    pub(crate) measured_partition: Duration,
     pub(crate) shards: Vec<ShardReport>,
     /// Per shard report: the pool device and the elements it uploaded.
     pub(crate) shard_devices: Vec<(usize, u64)>,
@@ -136,11 +140,10 @@ impl ShardedSorter {
         let clock = Instant::now();
         let n = keys.len();
         let value_bytes = std::mem::size_of::<V>() as u32;
-        let elem_bytes = K::BYTES as u64 + value_bytes as u64;
         let recombine = if out_of_core {
             RecombineStrategy::HostMerge
         } else {
-            self.resolve_recombine(n as u64 * elem_bytes)
+            self.resolve_recombine(n as u64 * (K::BYTES as u64 + value_bytes as u64))
         };
         let exchange = recombine == RecombineStrategy::PeerExchange;
         let p = self.pool.len();
@@ -162,28 +165,8 @@ impl ShardedSorter {
         // Key-only sorts carry an empty vec of zero-sized values;
         // materialise it so every carve splits keys and values alike.
         values.resize(n, V::default());
-        let mut tl = Timeline::new();
-        let res = (0..p)
-            .map(|i| PipelineResources::register(&mut tl, &format!("dev{i} ")))
-            .collect();
-        let mut run = Run {
-            elem_bytes,
-            round: 0,
-            round_start: SimTime::ZERO,
-            tl,
-            res,
-            peer_res: HashMap::new(),
-            pending: (std::mem::take(keys), std::mem::take(values)),
-            runs: Vec::new(),
-            shards: Vec::new(),
-            shard_devices: Vec::new(),
-            ooc_chunks: Vec::new(),
-            exchange: Vec::new(),
-            faults: Vec::new(),
-        };
+        let mut run = self.begin(std::mem::take(keys), std::mem::take(values));
         let mut splitters: Option<SplitterSet> = None;
-        let mut combined = SortReport::new(0, K::BYTES, value_bytes);
-        let mut measured_partition = Duration::ZERO;
 
         let failure = loop {
             let alive = self.pool.alive_indices();
@@ -196,27 +179,8 @@ impl ShardedSorter {
                     unsorted: run.pending.0.len() as u64,
                 });
             }
-            let span = self
-                .inspector
-                .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-            let (round_splitters, units) =
-                self.carve_units(&mut run, &alive, exchange, out_of_core);
-            measured_partition += span.finish();
-
-            let mut units = self.triage(&mut run, units);
-            self.sort_units(lanes, &mut units);
-            for unit in &units {
-                combined.absorb(&unit.report);
-            }
-            let mut units = units.into_iter().peekable();
-            let shares: Vec<Share<K, V>> = alive
-                .iter()
-                .zip(round_splitters.ranges())
-                .map(|(&g, range)| {
-                    let mine = std::iter::from_fn(|| units.next_if(|u| u.device == g)).collect();
-                    self.schedule_share(&mut run, g, range, mine, out_of_core, !exchange)
-                })
-                .collect();
+            let (round_splitters, shares) =
+                self.sort_round(&mut run, lanes, &alive, exchange, out_of_core);
             if exchange {
                 self.exchange_round(&mut run, &round_splitters, shares);
             } else {
@@ -254,20 +218,7 @@ impl ShardedSorter {
         let merge_span = self
             .inspector
             .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        // A single-round exchange leaves destination ranges that tile the
-        // key space in device order, so the host only concatenates; every
-        // other run set (host merge, or exchange rounds whose ranges
-        // overlap) takes the p-way merge.
-        (*keys, *values) = if exchange && run.round == 0 {
-            let mut out = (Vec::with_capacity(n), Vec::with_capacity(n));
-            for (ks, vs) in run.runs {
-                out.0.extend(ks);
-                out.1.extend(vs);
-            }
-            out
-        } else {
-            self.merge_runs(run.runs)
-        };
+        (*keys, *values) = self.host_step(&mut run, exchange);
         let measured_merge = merge_span.finish();
 
         let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
@@ -293,10 +244,10 @@ impl ShardedSorter {
             shards: run.shards,
             splitters: splitters.expect("round 0 always partitions"),
             critical_path,
-            measured_partition,
+            measured_partition: run.measured_partition,
             measured_merge,
-            end_to_end: SimTime::from_secs(measured_partition.as_secs_f64()) + device_and_merge,
-            combined,
+            end_to_end: SimTime::from_secs(run.measured_partition.as_secs_f64()) + device_and_merge,
+            combined: run.combined,
             timeline: run.tl,
             requests: Vec::new(),
             ooc_chunks: run.ooc_chunks,
@@ -310,6 +261,66 @@ impl ShardedSorter {
         }
         self.note_fault_outcomes(&report.faults, run.round, clock.elapsed(), out_of_core);
         Ok(report)
+    }
+
+    /// A fresh sort with every element pending and every pool device's
+    /// resources registered on an empty timeline.
+    fn begin<K: SortKey, V: SortValue>(&self, keys: Vec<K>, vals: Vec<V>) -> Run<K, V> {
+        let mut tl = Timeline::new();
+        let res = (0..self.pool.len())
+            .map(|i| PipelineResources::register(&mut tl, &format!("dev{i} ")))
+            .collect();
+        Run {
+            elem_bytes: K::BYTES as u64 + std::mem::size_of::<V>() as u64,
+            round: 0,
+            round_start: SimTime::ZERO,
+            tl,
+            res,
+            peer_res: HashMap::new(),
+            pending: (keys, vals),
+            runs: Vec::new(),
+            orphans: false,
+            combined: SortReport::new(0, K::BYTES, std::mem::size_of::<V>() as u32),
+            measured_partition: Duration::ZERO,
+            shards: Vec::new(),
+            shard_devices: Vec::new(),
+            ooc_chunks: Vec::new(),
+            exchange: Vec::new(),
+            faults: Vec::new(),
+        }
+    }
+
+    /// The device work of one round (steps 1–5 of the module docs): the
+    /// round's splitters and one scheduled share per `alive` device.
+    fn sort_round<K: SortKey, V: SortValue>(
+        &self,
+        run: &mut Run<K, V>,
+        lanes: &[HybridRadixSorter],
+        alive: &[usize],
+        exchange: bool,
+        out_of_core: bool,
+    ) -> (SplitterSet, Vec<Share<K, V>>) {
+        let span = self
+            .inspector
+            .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
+        let (splitters, units) = self.carve_units(run, alive, exchange, out_of_core);
+        run.measured_partition += span.finish();
+
+        let mut units = self.triage(run, units);
+        self.sort_units(lanes, &mut units);
+        for unit in &units {
+            run.combined.absorb(&unit.report);
+        }
+        let mut units = units.into_iter().peekable();
+        let shares = alive
+            .iter()
+            .zip(splitters.ranges())
+            .map(|(&g, range)| {
+                let mine = std::iter::from_fn(|| units.next_if(|u| u.device == g)).collect();
+                self.schedule_share(run, g, range, mine, out_of_core, !exchange)
+            })
+            .collect();
+        (splitters, shares)
     }
 
     /// Partitions the pending elements over the `alive` devices and carves
@@ -563,6 +574,27 @@ impl ShardedSorter {
             .extend(share.units.into_iter().map(|u| (u.keys, u.vals)));
     }
 
+    /// The final host step.  A round-0 exchange without orphans leaves
+    /// destination ranges that tile the key space in device order, so the
+    /// host concatenates; every other run set takes the p-way merge.
+    fn host_step<K: SortKey, V: SortValue>(
+        &self,
+        run: &mut Run<K, V>,
+        exchange: bool,
+    ) -> (Vec<K>, Vec<V>) {
+        let runs = std::mem::take(&mut run.runs);
+        if !exchange || run.round > 0 || run.orphans {
+            return self.merge_runs(runs);
+        }
+        let n = runs.iter().map(|(ks, _)| ks.len()).sum();
+        let mut out = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for (ks, vs) in runs {
+            out.0.extend(ks);
+            out.1.extend(vs);
+        }
+        out
+    }
+
     /// The host p-way merge of sorted runs over zipped `(key, value)`
     /// records.
     pub(crate) fn merge_runs<K: SortKey, V: SortValue>(
@@ -579,5 +611,108 @@ impl ShardedSorter {
         };
         let keys = merged.iter().map(|&(k, _)| k).collect();
         (keys, merged.into_iter().map(|(_, v)| v).collect())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device_pool::DevicePool;
+    use hrs_core::SortConfig;
+    use workloads::{uniform_keys, KeyCodec};
+
+    fn mesh_exchange_sorter() -> ShardedSorter {
+        let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(40_000, 250_000_000));
+        ShardedSorter::new(DevicePool::nvlink_mesh_cluster(4))
+            .with_sorter(gpu)
+            .with_recombine_strategy(RecombineStrategy::PeerExchange)
+    }
+
+    /// Round 0 of a peer-exchange sort of `keys`, with the device `victim`
+    /// picks marked dead between the local sorts and the exchange — as a
+    /// concurrent sort sharing the pool may do — and then every further
+    /// round the requeued elements need.  Returns the final output and
+    /// whether round 0 left orphan runs with nothing pending.
+    fn kill_before_exchange(
+        keys: Vec<u64>,
+        victim: impl Fn(&[Share<u64, ()>], &[(u64, u64)]) -> usize,
+    ) -> (Vec<u64>, bool) {
+        let sorter = mesh_exchange_sorter();
+        let lanes: Vec<_> = (0..4).map(|i| sorter.lane_sorter(i)).collect();
+        let n = keys.len();
+        let mut run = sorter.begin(keys, vec![(); n]);
+        let mut alive = sorter.pool().alive_indices();
+        loop {
+            let (splitters, shares) = sorter.sort_round(&mut run, &lanes, &alive, true, false);
+            if run.round == 0 {
+                sorter
+                    .pool()
+                    .mark_dead(victim(&shares, &splitters.ranges()));
+            }
+            sorter.exchange_round(&mut run, &splitters, shares);
+            let held = run.pending.0.len() + run.runs.iter().map(|r| r.0.len()).sum::<usize>();
+            assert_eq!(held, n, "round {} lost elements", run.round);
+            if run.pending.0.is_empty() {
+                break;
+            }
+            run.round += 1;
+            alive = sorter.pool().alive_indices();
+        }
+        let orphaned_in_round_zero = run.round == 0 && run.orphans;
+        (sorter.host_step(&mut run, true).0, orphaned_in_round_zero)
+    }
+
+    #[test]
+    fn device_dying_after_triage_requeues_its_slab() {
+        let keys = uniform_keys::<u64>(60_000, 3);
+        let expected = KeyCodec::std_sorted(&keys);
+        let (out, _) = kill_before_exchange(keys, |shares, _| {
+            assert!(shares[1].n > 0);
+            1
+        });
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn orphans_without_a_requeue_are_merged_not_concatenated() {
+        // Three keys over four devices: some device holds an empty slab
+        // yet owns a key range with a key in it, above another key.
+        // Killing it orphans that key's bucket while nothing is requeued,
+        // so the sort ends in round 0 and must still merge: concatenating
+        // would put the orphan ahead of the lower key.
+        let keys = vec![u64::MAX - 3, 5, 1 << 63];
+        let expected = KeyCodec::std_sorted(&keys);
+        let probe = keys.clone();
+        let (out, orphaned) = kill_before_exchange(keys, |shares, ranges| {
+            (0..shares.len())
+                .find(|&l| {
+                    let (lo, hi) = ranges[l];
+                    shares[l].n == 0
+                        && probe.iter().any(|&k| (lo..=hi).contains(&k))
+                        && probe.iter().any(|&k| k < lo)
+                })
+                .expect("an empty-slab device owning a key above another")
+        });
+        assert!(orphaned);
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn device_killed_by_a_concurrent_caller_loses_nothing() {
+        let sorter = mesh_exchange_sorter();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(Duration::from_millis(5));
+                sorter.pool().mark_dead(2);
+            });
+            for seed in 0..20 {
+                let keys = uniform_keys::<u64>(20_000, seed);
+                let expected = KeyCodec::std_sorted(&keys);
+                let mut k = keys;
+                sorter.try_sort(&mut k).expect("three survivors remain");
+                assert_eq!(k, expected, "seed {seed}");
+            }
+        });
+        assert!(!sorter.pool().alive(2));
     }
 }

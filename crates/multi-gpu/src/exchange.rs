@@ -31,15 +31,10 @@
 //!    the host step is a concatenation.
 //!
 //! Before the exchange every device holding a sorted slab consults the
-//! fault plan once more.  A device dying *mid-exchange* has its slab
-//! requeued onto the survivors, while buckets destined to it stay with
-//! their sources as orphan runs; the ranges of later rounds and orphans
-//! may overlap, so such sorts end with the host p-way merge instead.
-//!
-//! Strategy selection is cost-model-driven: [`RecombineStrategy::Auto`]
-//! compares [`estimate_exchange_time`] against the modeled host-merge tail
-//! and picks per sort; the host merge remains the default and the
-//! fallback.
+//! fault plan once more.  A device dying *mid-exchange*, or found dead
+//! there, has its slab requeued onto the survivors, while buckets destined
+//! to it stay with their sources as orphan runs; orphan ranges overlap the
+//! merged ones, so such sorts end with the host p-way merge instead.
 
 use crate::device_pool::DevicePool;
 use crate::driver::{Run, Share};
@@ -267,21 +262,30 @@ impl ShardedSorter {
         let ranges = splitters.ranges();
         let devices: Vec<usize> = shares.iter().map(|s| s.device).collect();
         let value_bytes = std::mem::size_of::<V>() as u32;
-        // A failure here takes the sorted slab down with the device (it is
-        // requeued from the host copy); a stall slows the device's
-        // exchange and download legs.
+        // A failure here takes the slab down with the device (requeued from
+        // the host copy); a stall slows its exchange and download legs.
+        // Liveness is read here only: a device already dead (killed by a
+        // concurrent sort on the pool) hands its slab back, and one dying
+        // later still finishes the round.
         let mut xstall = vec![1.0; shares.len()];
+        let mut dead: Vec<bool> = devices.iter().map(|&g| !self.pool.alive(g)).collect();
         for (l, share) in shares.iter_mut().enumerate() {
             let Some(slab) = share.units.first_mut().filter(|u| !u.keys.is_empty()) else {
                 continue;
             };
-            match self.consult(share.device, slab.keys.len(), run.round, &mut run.faults) {
-                Some(stall) => xstall[l] = stall,
-                None => run.requeue(
-                    std::mem::take(&mut slab.keys),
-                    std::mem::take(&mut slab.vals),
-                ),
+            if !dead[l] {
+                if let Some(stall) =
+                    self.consult(share.device, slab.keys.len(), run.round, &mut run.faults)
+                {
+                    xstall[l] = stall;
+                    continue;
+                }
+                dead[l] = !self.pool.alive(share.device);
             }
+            run.requeue(
+                std::mem::take(&mut slab.keys),
+                std::mem::take(&mut slab.vals),
+            );
         }
 
         // Bucket carve + transfers, each gated only on its source's sort.
@@ -309,10 +313,10 @@ impl ShardedSorter {
                 let bytes = elems * run.elem_bytes;
                 let out_time =
                     src_link.transfer_time(TransferDirection::DeviceToHost, bytes) * xstall[i];
-                if !self.pool.alive(dst) {
-                    // Orphan run: the destination died mid-exchange, so
-                    // this piece of its range stays on (and downloads
-                    // from) the source.
+                if dead[j] {
+                    // Orphan run: the destination is dead, so this piece
+                    // of its range stays on (and downloads from) the source.
+                    run.orphans = true;
                     let down = run.tl.schedule(
                         format!("DtH orphan s{g}->d{dst}"),
                         run.res[g].dtoh,
@@ -387,7 +391,7 @@ impl ShardedSorter {
         // in for the on-device one and feeds the exchange histogram.
         for (j, (share, runs)) in shares.into_iter().zip(incoming).enumerate() {
             let g = share.device;
-            if !self.pool.alive(g) {
+            if dead[j] && runs.is_empty() {
                 continue;
             }
             let device = &self.pool.devices()[g];

@@ -13,11 +13,11 @@
 //!    in-place replacement strategy three chunk slots fit, so a chunk may
 //!    take up to a third of the device memory (Figure 5).  Every chunk is
 //!    one unit of work.
-//! 3. **Stream**: each device's chunks run the full-duplex schedule of
-//!    [`hetero::PipelineSchedule`] (with the same in-place-replacement slot
-//!    dependency) on its own three resources of the shared
-//!    [`gpu_sim::Timeline`] — uploads, sorts and downloads overlap
-//!    within a device, and devices overlap with each other completely.
+//! 3. **Stream**: the driver schedules each device's chunks, with the
+//!    in-place-replacement slot dependency of [`hetero::PipelineSchedule`],
+//!    on the device's own three resources of the shared
+//!    [`gpu_sim::Timeline`] — uploads, sorts and downloads overlap within a
+//!    device, and devices overlap with each other completely.
 //!    Chunk sorts are real; CPU sockets contribute measured wall-clock,
 //!    GPUs their modelled time.
 //! 4. **Recombine** all chunk runs with the generalised parallel p-way
