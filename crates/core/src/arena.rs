@@ -46,7 +46,6 @@
 use crate::bucket::{Bucket, LocalBucket, PassBlock, SubBucket};
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU32;
 
 /// Role of a typed spare buffer within the sorter (several buffers may
 /// share an element type, e.g. `u64` keys with `u64` values).
@@ -104,27 +103,6 @@ pub struct PassScratch {
     /// Per-worker write-combining fill counts: `workers × radix` staged-key
     /// counters (all zero between blocks).
     pub stage_filled: Vec<u32>,
-    /// Block assignments precomputed for the *next* pass by the overlap
-    /// scheduler (bucket-major over `counting_out`).
-    pub next_blocks: Vec<PassBlock>,
-    /// Histogram strips of `next_blocks`: `next_blocks.len() × next_radix`.
-    pub next_block_counts: Vec<u32>,
-    /// Histogram statistics of `next_blocks`.
-    pub next_block_stats: Vec<BlockStat>,
-    /// Parent (current-pass bucket index) of every current-pass block.
-    pub block_parent: Vec<u32>,
-    /// Per-parent range of next-pass task indices the parent's last scatter
-    /// block unlocks (start, end) — first into `counting_out` bucket
-    /// indices, then rewritten to `next_blocks` indices.
-    pub unlock_ranges: Vec<(u32, u32)>,
-    /// Per-parent count of still-unfinished scatter blocks.
-    pub parent_remaining: Vec<AtomicU32>,
-    /// Per-parent count of current-pass scatter blocks (decides the inline
-    /// fused-histogram path for single-block parents).
-    pub parent_blocks: Vec<u32>,
-    /// Pass index whose histogram tables sit precomputed in the `next_*`
-    /// fields, if any.
-    pub overlap_ready_pass: Option<u32>,
 }
 
 impl PassScratch {
@@ -142,13 +120,6 @@ impl PassScratch {
             + self.counting_out.capacity() * std::mem::size_of::<Bucket>()
             + self.local.capacity() * std::mem::size_of::<LocalBucket>()
             + self.stage_filled.capacity() * std::mem::size_of::<u32>()
-            + self.next_blocks.capacity() * std::mem::size_of::<PassBlock>()
-            + self.next_block_counts.capacity() * std::mem::size_of::<u32>()
-            + self.next_block_stats.capacity() * std::mem::size_of::<BlockStat>()
-            + self.block_parent.capacity() * std::mem::size_of::<u32>()
-            + self.unlock_ranges.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.parent_remaining.capacity() * std::mem::size_of::<AtomicU32>()
-            + self.parent_blocks.capacity() * std::mem::size_of::<u32>()
     }
 }
 

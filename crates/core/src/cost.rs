@@ -302,8 +302,6 @@ mod tests {
                 lookahead_active_blocks: 0,
                 staged_lines: 0,
                 partial_flushes: 0,
-                overlap_tasks: 0,
-                overlap_overlapped: 0,
             });
         }
         r.local = LocalSortStats {

@@ -32,7 +32,6 @@ use crate::report::PassStats;
 use crate::scatter::{scatter_block, ScatterParams, ScatterStaging};
 use crate::trace::{SortTrace, TraceEvent};
 use gpu_sim::HistogramStrategy;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use workloads::pairs::SortValue;
 use workloads::SortKey;
 
@@ -47,13 +46,10 @@ use workloads::SortKey;
 /// `exec` backend's workers, one task per key block.
 ///
 /// `staging_keys`/`staging_vals` are the arena-owned per-worker
-/// write-combining segments (resized here, capacity-stable after warm-up);
-/// `next_pass_runs` tells the pass whether a pass `pass + 1` will follow,
-/// which gates the phase-overlap scheduler: when
-/// [`Optimizations::phase_overlap`] is on, forwarded buckets' next-pass
-/// histograms are computed *inside* this pass's scatter fan-out (as soon as
-/// each destination bucket is fully written) and parked in the scratch's
-/// `next_*` tables, which the next pass consumes instead of re-histogramming.
+/// write-combining segments (resized here, capacity-stable after warm-up).
+/// The phases run strictly in order — every histogram task finishes before
+/// the prefix sums, and those before the first scatter task — as in the
+/// paper's kernel sequence.
 #[allow(clippy::too_many_arguments)]
 pub fn run_counting_pass<K: SortKey, V: SortValue>(
     src_keys: &[K],
@@ -70,7 +66,6 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     scratch: &mut PassScratch,
     staging_keys: &mut Vec<K>,
     staging_vals: &mut Vec<V>,
-    next_pass_runs: bool,
     out_local: &mut Vec<LocalBucket>,
     out_counting: &mut Vec<Bucket>,
     mut trace: Option<&mut SortTrace>,
@@ -112,29 +107,12 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     let n_blocks = scratch.blocks.len();
 
     // (1) Per-block histograms into the strip table, one executor task per
-    // block.  Every block owns strip `b * radix ..` exclusively.  When the
-    // previous pass's overlap scheduler already histogrammed these exact
-    // blocks (inside its scatter fan-out), copy its tables instead of
-    // recomputing — the histogram phase of this pass has effectively been
-    // hoisted into the previous pass's scatter.
-    let precomputed = scratch.overlap_ready_pass.take() == Some(pass)
-        && scratch.next_blocks == scratch.blocks
-        && scratch.next_block_counts.len() == n_blocks * radix
-        && scratch.next_block_stats.len() == n_blocks;
-    if precomputed {
-        scratch.block_counts.clear();
-        scratch
-            .block_counts
-            .extend_from_slice(&scratch.next_block_counts);
-        scratch.block_stats.clear();
-        scratch
-            .block_stats
-            .extend_from_slice(&scratch.next_block_stats);
-    } else {
-        scratch.block_counts.clear();
-        scratch.block_counts.resize(n_blocks * radix, 0);
-        scratch.block_stats.clear();
-        scratch.block_stats.resize(n_blocks, BlockStat::default());
+    // block.  Every block owns strip `b * radix ..` exclusively.
+    scratch.block_counts.clear();
+    scratch.block_counts.resize(n_blocks * radix, 0);
+    scratch.block_stats.clear();
+    scratch.block_stats.resize(n_blocks, BlockStat::default());
+    {
         let blocks = &scratch.blocks;
         let counts = SharedMut::new(&mut scratch.block_counts);
         let block_stats = SharedMut::new(&mut scratch.block_stats);
@@ -167,32 +145,14 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
 
     // (2) Per bucket: aggregate the strips, prefix-sum into sub-bucket
     // offsets, derive every block's scatter bases, classify sub-buckets.
-    // With phase overlap on (and a pass to follow), also record which
-    // parent bucket every block belongs to and which slice of forwarded
-    // buckets each parent produces — the scatter fan-out uses this to know
-    // when a destination bucket is complete and which next-pass histogram
-    // tasks that completes unlock.
-    let want_overlap = opts.phase_overlap && next_pass_runs;
-    if want_overlap {
-        scratch.block_parent.clear();
-        scratch.block_parent.resize(n_blocks, 0);
-        scratch.unlock_ranges.clear();
-        scratch.parent_blocks.clear();
-    }
     scratch.block_bases.clear();
     scratch.block_bases.resize(n_blocks * radix, 0);
     let mut block_cursor = 0usize;
     let mut max_bin_keys = 0u64;
-    for (parent_idx, bucket) in buckets.iter().enumerate() {
+    for bucket in buckets {
         let nb = bucket.num_blocks(config.keys_per_block);
         let bucket_blocks = block_cursor..block_cursor + nb;
         block_cursor += nb;
-        if want_overlap {
-            for b in bucket_blocks.clone() {
-                scratch.block_parent[b] = parent_idx as u32;
-            }
-            scratch.parent_blocks.push(nb as u32);
-        }
 
         scratch.bucket_hist.clear();
         scratch.bucket_hist.resize(radix, 0);
@@ -238,13 +198,6 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
             out_local,
             out_counting,
         );
-        if want_overlap {
-            // Range of forwarded buckets this parent produced; rewritten to
-            // next-block indices once the next pass's tiling is known.
-            scratch
-                .unlock_ranges
-                .push((counting_before as u32, out_counting.len() as u32));
-        }
 
         stats.n_keys += bucket.len as u64;
         stats.n_buckets += 1;
@@ -266,47 +219,6 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                 prefix: std::mem::take(&mut scratch.prefix),
             });
         }
-    }
-
-    // Prepare the next pass's tables when the overlap scheduler is active:
-    // tile the forwarded buckets into blocks, size their histogram strips,
-    // rewrite per-parent unlock ranges from forwarded-bucket indices to
-    // next-block indices, and arm the per-parent completion countdowns.
-    let overlap_active = want_overlap && !out_counting.is_empty() && n_blocks > 0;
-    // Only meaningful when a next pass exists (`radix_of_pass` rejects a
-    // pass index beyond the last digit).
-    let radix_next = if overlap_active {
-        radix_of_pass(K::BITS, config.digit_bits, pass + 1)
-    } else {
-        0
-    };
-    if overlap_active {
-        pass_blocks_into(
-            out_counting,
-            config.keys_per_block,
-            &mut scratch.next_blocks,
-        );
-        let n_next = scratch.next_blocks.len();
-        scratch.next_block_counts.clear();
-        scratch.next_block_counts.resize(n_next * radix_next, 0);
-        scratch.next_block_stats.clear();
-        scratch
-            .next_block_stats
-            .resize(n_next, BlockStat::default());
-        let mut next_block_cursor = 0usize;
-        for r in scratch.unlock_ranges.iter_mut() {
-            let (cb, ca) = *r;
-            let start = next_block_cursor;
-            for b in &out_counting[cb as usize..ca as usize] {
-                next_block_cursor += b.num_blocks(config.keys_per_block);
-            }
-            *r = (start as u32, next_block_cursor as u32);
-        }
-        debug_assert_eq!(next_block_cursor, n_next);
-        scratch.parent_remaining.clear();
-        scratch
-            .parent_remaining
-            .extend(scratch.parent_blocks.iter().map(|&n| AtomicU32::new(n)));
     }
 
     // Per-worker write-combining staging: `radix × line_keys` keys (and
@@ -331,11 +243,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
 
     // (3) Cooperative scatter, one executor task per block.  Each worker
     // seeds its private cursor strip from the block's bases; destination
-    // chunks of distinct blocks are disjoint.  With overlap active, the
-    // fan-out also runs the next pass's histogram tasks: a worker that
-    // completes the last scatter block of a parent bucket unlocks (or, for
-    // single-block parents, runs inline on its still-warm output) the
-    // histograms of the sub-buckets that parent forwarded.
+    // chunks of distinct blocks are disjoint.
     scratch.worker_cursors.clear();
     scratch.worker_cursors.resize(workers * radix, 0);
     {
@@ -349,7 +257,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         let stage_filled_sm = SharedMut::new(&mut scratch.stage_filled);
         let dst_keys = SharedMut::new(dst_keys);
         let dst_vals = SharedMut::new(dst_vals);
-        let do_scatter = |b: usize, worker: usize| {
+        exec.for_each_task_probed(n_blocks, probe, |b, worker| {
             let blk = &blocks[b];
             let block_keys = &src_keys[blk.key_offset..blk.key_offset + blk.key_count];
             let block_vals = if values_present {
@@ -405,89 +313,8 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
             stat.lookahead_active = sc.lookahead_active;
             stat.staged_lines = sc.staged_lines;
             stat.partial_flushes = sc.partial_flushes;
-        };
-        if overlap_active {
-            let next_blocks = &scratch.next_blocks;
-            let next_counts = SharedMut::new(&mut scratch.next_block_counts);
-            let next_stats = SharedMut::new(&mut scratch.next_block_stats);
-            let block_parent = &scratch.block_parent;
-            let unlock_ranges = &scratch.unlock_ranges;
-            let parent_remaining = &scratch.parent_remaining;
-            let parent_blocks_cnt = &scratch.parent_blocks;
-            let fused_inline = AtomicU64::new(0);
-            let next_histogram = |nb: usize| {
-                let blk = &next_blocks[nb];
-                // SAFETY: a next-block is only reachable after its parent's
-                // last scatter block finished (release/acquire on the
-                // countdown), so its range is fully written and nothing
-                // writes it again this pass; strip and stat slot `nb`
-                // belong to this task only.
-                let keys = unsafe { dst_keys.slice_ref(blk.key_offset, blk.key_count) };
-                let strip = unsafe { next_counts.slice_mut(nb * radix_next, radix_next) };
-                let (atomic_updates, distinct) = block_histogram_into(
-                    strip,
-                    keys,
-                    config.digit_bits,
-                    pass + 1,
-                    strategy,
-                    config.keys_per_thread as usize,
-                );
-                // SAFETY: next-pass stat slot `nb` belongs to this task
-                // only.
-                unsafe {
-                    next_stats.write(
-                        nb,
-                        BlockStat {
-                            atomic_updates,
-                            distinct,
-                            ..BlockStat::default()
-                        },
-                    );
-                }
-            };
-            let outcome = exec.for_each_overlapped_probed(
-                n_blocks,
-                probe,
-                |b, worker| {
-                    do_scatter(b, worker);
-                    let parent = block_parent[b] as usize;
-                    // The last finisher of a parent observes every other
-                    // block's writes (AcqRel countdown) and publishes the
-                    // parent's next-pass histogram tasks.
-                    if parent_remaining[parent].fetch_sub(1, Ordering::AcqRel) == 1 {
-                        let (s, e) = unlock_ranges[parent];
-                        let (s, e) = (s as usize, e as usize);
-                        if s < e {
-                            if parent_blocks_cnt[parent] == 1 {
-                                // Fused flush path: a single-block parent
-                                // was scattered entirely by this worker, so
-                                // its output is still cache-warm — run its
-                                // next-pass histograms inline.
-                                for nb in s..e {
-                                    next_histogram(nb);
-                                }
-                                // RELAXED: statistic; the fan-out's scope
-                                // join orders it before the load below.
-                                fused_inline.fetch_add((e - s) as u64, Ordering::Relaxed);
-                                return None;
-                            }
-                            return Some(s..e);
-                        }
-                    }
-                    None
-                },
-                |nb, _worker| next_histogram(nb),
-            );
-            // RELAXED: the fan-out returned, so every worker increment
-            // already happened-before this load.
-            let fused = fused_inline.load(Ordering::Relaxed);
-            stats.overlap_tasks = outcome.secondary_run + fused;
-            stats.overlap_overlapped = outcome.overlapped + fused;
-        } else {
-            exec.for_each_task_probed(n_blocks, probe, do_scatter);
-        }
+        });
     }
-    scratch.overlap_ready_pass = if overlap_active { Some(pass + 1) } else { None };
 
     // (4) Fold the per-block records into the pass statistics.
     let mut distinct_sum = 0u64;
@@ -555,7 +382,6 @@ mod tests {
             &mut scratch,
             &mut staging_keys,
             &mut staging_vals,
-            false,
             &mut local,
             &mut counting,
             trace,
@@ -691,97 +517,6 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// Runs two chained passes with a shared scratch so the overlap
-    /// scheduler's precompute/consume cycle is exercised; returns the
-    /// second buffer and both pass stats.
-    fn run_two_passes(
-        keys: &[u32],
-        cfg: &SortConfig,
-        opts: &Optimizations,
-        exec: &Executor,
-    ) -> (Vec<u32>, PassStats, PassStats) {
-        let n = keys.len();
-        let src_vals: Vec<()> = Vec::new();
-        let mut dst_vals: Vec<()> = Vec::new();
-        let mut scratch = PassScratch::default();
-        let mut staging_keys = Vec::new();
-        let mut staging_vals = Vec::new();
-        let mut local = Vec::new();
-        let mut counting = Vec::new();
-        let mut next_id = 1;
-        let mut buf1 = vec![0u32; n];
-        let stats0 = run_counting_pass(
-            keys,
-            &mut buf1,
-            &src_vals,
-            &mut dst_vals,
-            &[Bucket::root(n)],
-            0,
-            cfg,
-            opts,
-            &mut next_id,
-            exec,
-            None,
-            &mut scratch,
-            &mut staging_keys,
-            &mut staging_vals,
-            true,
-            &mut local,
-            &mut counting,
-            None,
-        );
-        let buckets: Vec<Bucket> = counting.clone();
-        let mut buf2 = vec![0u32; n];
-        let stats1 = run_counting_pass(
-            &buf1,
-            &mut buf2,
-            &src_vals,
-            &mut dst_vals,
-            &buckets,
-            1,
-            cfg,
-            opts,
-            &mut next_id,
-            exec,
-            None,
-            &mut scratch,
-            &mut staging_keys,
-            &mut staging_vals,
-            false,
-            &mut local,
-            &mut counting,
-            None,
-        );
-        (buf2, stats0, stats1)
-    }
-
-    #[test]
-    fn overlap_precompute_matches_recomputed_histograms() {
-        // Skewed input forwards buckets to pass 1, so pass 0's scatter
-        // fan-out precomputes pass 1's histograms.  The consumed tables
-        // must give byte-identical output and identical histogram stats.
-        let keys = EntropyLevel::with_and_count(2).generate_u32(60_000, 21);
-        let cfg = small_config();
-        for exec in [
-            Executor::Sequential,
-            Executor::with_workers(2),
-            Executor::with_workers(7),
-        ] {
-            let (base_buf, base0, base1) =
-                run_two_passes(&keys, &cfg, &Optimizations::unstaged_baseline(), &exec);
-            let (ovl_buf, ovl0, ovl1) =
-                run_two_passes(&keys, &cfg, &Optimizations::all_on(), &exec);
-            assert_eq!(base_buf, ovl_buf, "{}", exec.label());
-            assert_eq!(base1.histogram_updates, ovl1.histogram_updates);
-            assert_eq!(base1.scatter_updates, ovl1.scatter_updates);
-            assert_eq!(base0.n_keys, ovl0.n_keys);
-            // The overlap actually ran: pass 0 executed pass 1's histogram
-            // tasks inside its scatter fan-out.
-            assert_eq!(ovl0.overlap_tasks, base1.n_blocks);
-            assert_eq!(base0.overlap_tasks, 0);
-        }
-    }
-
     #[test]
     fn staged_pass_reduces_write_transactions() {
         // The staged scatter's normalized write traffic (line flushes +
@@ -790,10 +525,9 @@ mod tests {
         let keys = uniform_keys::<u32>(300_000, 22);
         let cfg = small_config();
         let exec = Executor::Sequential;
-        let (staged_dst, staged) =
-            run_pass_u32(&keys, &cfg, &Optimizations::no_phase_overlap(), &exec);
+        let (staged_dst, staged) = run_pass_u32(&keys, &cfg, &Optimizations::all_on(), &exec);
         let (direct_dst, direct) =
-            run_pass_u32(&keys, &cfg, &Optimizations::unstaged_baseline(), &exec);
+            run_pass_u32(&keys, &cfg, &Optimizations::no_staged_scatter(), &exec);
         assert_eq!(staged_dst, direct_dst, "staged output must be identical");
         assert_eq!(direct.stats.staged_lines, 0);
         assert_eq!(direct.stats.partial_flushes, 0);

@@ -48,9 +48,7 @@
 //! ```
 
 use std::marker::PhantomData;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Per-worker execution counters for one [`Executor`].
@@ -260,160 +258,6 @@ impl Executor {
         });
     }
 
-    /// Runs `n_primary` primary tasks plus whatever secondary tasks they
-    /// unlock, overlapping the two kinds on the threaded backend.
-    ///
-    /// This is the phase-overlapping pass scheduler: the primary tasks are
-    /// the scatter blocks of pass *k*, and a primary that completes the
-    /// last block of a destination bucket returns the range of pass-*k+1*
-    /// histogram (secondary) task indices that bucket unlocked.  Idle
-    /// workers prefer ready secondary work over claiming a new primary, so
-    /// next-pass histograms run *while other workers are still
-    /// scattering* — the fan-out only returns once every primary has run
-    /// and every unlocked secondary has been drained.
-    ///
-    /// `primary(task, worker)` may return a (possibly empty) range of
-    /// secondary task indices that are now ready; `secondary(task, worker)`
-    /// runs one such task.  Ranges returned by distinct primaries must be
-    /// disjoint, and a secondary task must only be unlocked once.
-    ///
-    /// The sequential backend runs all primaries in ascending order and
-    /// then all unlocked secondaries in unlock order — the equivalence
-    /// baseline, with an [`OverlapOutcome::overlapped`] of zero.
-    pub fn for_each_overlapped_probed<FP, FS>(
-        &self,
-        n_primary: usize,
-        probe: Option<&ExecProbe>,
-        primary: FP,
-        secondary: FS,
-    ) -> OverlapOutcome
-    where
-        FP: Fn(usize, usize) -> Option<Range<usize>> + Sync,
-        FS: Fn(usize, usize) + Sync,
-    {
-        if n_primary == 0 {
-            // Secondaries are only reachable through a primary's unlock.
-            return OverlapOutcome::default();
-        }
-        if let Some(p) = probe {
-            // RELAXED: statistic; ordered before readers by the scope join.
-            p.fanouts.fetch_add(1, Ordering::Relaxed);
-        }
-        let workers = self.workers();
-        if workers <= 1 {
-            let start = probe.map(|_| Instant::now());
-            let mut ready: Vec<Range<usize>> = Vec::new();
-            for t in 0..n_primary {
-                if let Some(r) = primary(t, 0) {
-                    if !r.is_empty() {
-                        ready.push(r);
-                    }
-                }
-            }
-            let mut done = n_primary as u64;
-            let mut outcome = OverlapOutcome::default();
-            for r in ready {
-                for s in r {
-                    secondary(s, 0);
-                    done += 1;
-                    outcome.secondary_run += 1;
-                }
-            }
-            if let (Some(p), Some(s)) = (probe, start) {
-                p.note(0, done, s.elapsed());
-            }
-            return outcome;
-        }
-
-        let cursor = AtomicUsize::new(0);
-        let primary_done = AtomicUsize::new(0);
-        let queue: Mutex<Vec<Range<usize>>> = Mutex::new(Vec::new());
-        let secondary_run = AtomicU64::new(0);
-        let overlapped = AtomicU64::new(0);
-        let drain = |w: usize| {
-            let start = probe.map(|_| Instant::now());
-            let mut done = 0u64;
-            let mut primaries_left = true;
-            loop {
-                // Prefer ready secondary work: it touches data another
-                // worker just wrote (still warm) and it is the only work
-                // left once the primary cursor runs dry.
-                let stolen = {
-                    // A panicking worker poisons the queue; keep draining
-                    // so the scope join can propagate the original panic
-                    // instead of a secondary PoisonError one.
-                    let mut q = queue.lock().unwrap_or_else(|p| p.into_inner());
-                    match q.last_mut() {
-                        Some(r) => {
-                            let s = r.start;
-                            r.start += 1;
-                            if r.start >= r.end {
-                                q.pop();
-                            }
-                            Some(s)
-                        }
-                        None => None,
-                    }
-                };
-                if let Some(s) = stolen {
-                    let in_flight = primary_done.load(Ordering::SeqCst) < n_primary;
-                    secondary(s, w);
-                    // RELAXED: outcome statistics; the scope join below
-                    // orders them before the final loads.
-                    secondary_run.fetch_add(1, Ordering::Relaxed);
-                    if in_flight {
-                        // RELAXED: as above.
-                        overlapped.fetch_add(1, Ordering::Relaxed);
-                    }
-                    done += 1;
-                    continue;
-                }
-                if primaries_left {
-                    // RELAXED: claim uniqueness needs only RMW atomicity;
-                    // the ranges a primary unlocks travel through the
-                    // queue mutex, not through this cursor.
-                    let t = cursor.fetch_add(1, Ordering::Relaxed);
-                    if t < n_primary {
-                        if let Some(r) = primary(t, w) {
-                            if !r.is_empty() {
-                                queue.lock().unwrap_or_else(|p| p.into_inner()).push(r);
-                            }
-                        }
-                        // The unlock push above is sequenced before this
-                        // increment, so a worker that observes the final
-                        // count also observes every queued range.
-                        primary_done.fetch_add(1, Ordering::SeqCst);
-                        done += 1;
-                        continue;
-                    }
-                    primaries_left = false;
-                }
-                if primary_done.load(Ordering::SeqCst) == n_primary
-                    && queue.lock().unwrap_or_else(|p| p.into_inner()).is_empty()
-                {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            if let (Some(p), Some(s)) = (probe, start) {
-                p.note(w, done, s.elapsed());
-            }
-        };
-        std::thread::scope(|scope| {
-            for w in 1..workers {
-                let drain = &drain;
-                scope.spawn(move || drain(w));
-            }
-            drain(0);
-        });
-        OverlapOutcome {
-            // RELAXED: the scope join above is the happens-before edge;
-            // every worker increment is already visible.
-            secondary_run: secondary_run.load(Ordering::Relaxed),
-            overlapped: overlapped.load(Ordering::Relaxed),
-        }
-    }
-
     /// Splits `data` into chunks of `chunk` elements and runs
     /// `f(chunk_index, chunk_slice)` for each, in parallel on the threaded
     /// backend.  Chunks are disjoint, so no synchronisation is needed.
@@ -435,18 +279,6 @@ impl Executor {
             f(c, slice);
         });
     }
-}
-
-/// What a [`Executor::for_each_overlapped_probed`] fan-out ran.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OverlapOutcome {
-    /// Secondary tasks executed (all of them, by the time the call
-    /// returns).
-    pub secondary_run: u64,
-    /// Secondary tasks that started while at least one primary task had
-    /// not yet finished — the actually-overlapped share of the pipeline.
-    /// Always zero on the sequential backend.
-    pub overlapped: u64,
 }
 
 /// A `Send + Sync` view of a mutable slice that lets several workers write
@@ -552,24 +384,6 @@ impl<'a, T> SharedMut<'a, T> {
         // overlap a range this view may write.
         unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(start), src.len()) };
     }
-
-    /// Returns the sub-slice `start..start + len` as shared (read-only) —
-    /// used by overlapped next-pass histogram tasks to read ranges whose
-    /// scatter has completed.
-    ///
-    /// # Safety
-    ///
-    /// The range must be in bounds, fully initialised, and no thread may
-    /// *write* any element of it while the returned borrow lives.
-    #[track_caller]
-    pub unsafe fn slice_ref(&self, start: usize, len: usize) -> &[T] {
-        debug_assert!(start + len <= self.len);
-        #[cfg(feature = "race-check")]
-        self.ledger.claim(analysis::ClaimKind::Read, start, len);
-        // SAFETY: the caller guarantees the range is in bounds, initialised
-        // and write-free while the borrow lives.
-        unsafe { std::slice::from_raw_parts(self.ptr.add(start), len) }
-    }
 }
 
 #[cfg(test)]
@@ -673,95 +487,6 @@ mod tests {
         let probe = ExecProbe::new(2);
         exec.for_each_task_probed(64, Some(&probe), |_t, _w| {});
         assert_eq!(probe.total_tasks(), 64, "no samples are lost");
-    }
-
-    #[test]
-    fn sequential_overlap_runs_primaries_then_secondaries_in_order() {
-        let exec = Executor::Sequential;
-        let log = Mutex::new(Vec::new());
-        // Primary t unlocks secondaries [3t, 3t + 3).
-        let outcome = exec.for_each_overlapped_probed(
-            4,
-            None,
-            |t, w| {
-                assert_eq!(w, 0);
-                log.lock().unwrap().push(("p", t));
-                Some(3 * t..3 * t + 3)
-            },
-            |s, w| {
-                assert_eq!(w, 0);
-                log.lock().unwrap().push(("s", s));
-            },
-        );
-        let log = log.into_inner().unwrap();
-        let expected: Vec<(&str, usize)> = (0..4)
-            .map(|t| ("p", t))
-            .chain((0..12).map(|s| ("s", s)))
-            .collect();
-        assert_eq!(log, expected);
-        assert_eq!(
-            outcome,
-            OverlapOutcome {
-                secondary_run: 12,
-                overlapped: 0
-            }
-        );
-    }
-
-    #[test]
-    fn threaded_overlap_runs_everything_exactly_once_after_unlock() {
-        for workers in [2usize, 3, 7] {
-            let exec = Executor::with_workers(workers);
-            let n_primary = 41;
-            let per = 3usize;
-            let unlocked: Vec<AtomicU64> = (0..n_primary).map(|_| AtomicU64::new(0)).collect();
-            let sec_hits: Vec<AtomicU64> =
-                (0..n_primary * per).map(|_| AtomicU64::new(0)).collect();
-            let probe = ExecProbe::new(workers);
-            let outcome = exec.for_each_overlapped_probed(
-                n_primary,
-                Some(&probe),
-                |t, w| {
-                    assert!(w < workers);
-                    unlocked[t].fetch_add(1, Ordering::SeqCst);
-                    Some(per * t..per * t + per)
-                },
-                |s, _w| {
-                    // A secondary only runs after the primary that unlocked
-                    // it completed its own bookkeeping.
-                    assert_eq!(unlocked[s / per].load(Ordering::SeqCst), 1);
-                    sec_hits[s].fetch_add(1, Ordering::SeqCst);
-                },
-            );
-            assert!(unlocked.iter().all(|u| u.load(Ordering::SeqCst) == 1));
-            assert!(sec_hits.iter().all(|h| h.load(Ordering::SeqCst) == 1));
-            assert_eq!(outcome.secondary_run, (n_primary * per) as u64);
-            assert!(outcome.overlapped <= outcome.secondary_run);
-            assert_eq!(probe.total_tasks(), (n_primary + n_primary * per) as u64);
-        }
-    }
-
-    #[test]
-    fn overlap_handles_empty_unlocks_and_zero_primaries() {
-        let exec = Executor::with_workers(3);
-        let outcome = exec.for_each_overlapped_probed(
-            0,
-            None,
-            |_t, _w| -> Option<Range<usize>> { panic!("no primaries") },
-            |_s, _w| panic!("no secondaries"),
-        );
-        assert_eq!(outcome, OverlapOutcome::default());
-        // Primaries that unlock nothing (None or an empty range) leave the
-        // queue untouched and the fan-out still terminates.
-        for exec in [Executor::Sequential, Executor::with_workers(3)] {
-            let outcome = exec.for_each_overlapped_probed(
-                17,
-                None,
-                |t, _w| if t % 2 == 0 { None } else { Some(5..5) },
-                |_s, _w| panic!("nothing was unlocked"),
-            );
-            assert_eq!(outcome.secondary_run, 0);
-        }
     }
 
     #[test]

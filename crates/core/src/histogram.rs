@@ -84,13 +84,6 @@ pub fn block_histogram<K: SortKey>(
 /// 9-element buffer, so even the simulated sorting-network path touches no
 /// heap — this is what lets the executor run one histogram task per block
 /// with zero steady-state allocation.
-///
-/// The phase-overlap scheduler reuses this entry point for pass *k+1*
-/// histogram tasks scheduled while pass *k* is still scattering: the
-/// counting pass hands it a strip of the *next* pass's count table and a
-/// just-written destination block, either inline from the scatter worker
-/// (single-block parents, cache-hot) or as a secondary task of
-/// [`Executor::for_each_overlapped_probed`](crate::Executor::for_each_overlapped_probed).
 pub fn block_histogram_into<K: SortKey>(
     counts: &mut [u32],
     keys: &[K],

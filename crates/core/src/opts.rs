@@ -16,11 +16,11 @@
 //! The first two are *synergistic*: disabling both is far worse than the
 //! product of the individual slowdowns.
 //!
-//! Beyond the paper's ablation set, two CPU-side raw-speed toggles control
-//! the hot loop of the real-thread backend (Wassenberg & Sanders' software
-//! write-combining, and phase-overlapped pass scheduling): both default on,
-//! and turning them off restores the unfused direct-scatter path that
-//! serves as the equivalence baseline of the staged-scatter proptests.
+//! Beyond the paper's ablation set, one CPU-side toggle controls the hot
+//! loop of the real-thread backend: Wassenberg & Sanders' software
+//! write-combining.  It defaults on, and turning it off restores the direct
+//! per-key scatter that serves as the equivalence baseline of the
+//! staged-scatter proptests.
 
 use serde::{Deserialize, Serialize};
 
@@ -42,11 +42,6 @@ pub struct Optimizations {
     /// copy (see [`crate::SortConfig::scatter_line_bytes`]).  Off restores
     /// the per-key direct scatter.
     pub staged_scatter: bool,
-    /// Overlap each pass's scatter with the next pass's histograms: a
-    /// worker that finishes the last scatter block of a bucket immediately
-    /// histograms that bucket's freshly written sub-buckets for pass k+1.
-    /// Off restores the strictly phase-ordered pass loop.
-    pub phase_overlap: bool,
 }
 
 impl Optimizations {
@@ -58,7 +53,6 @@ impl Optimizations {
             lookahead: true,
             thread_reduction_histogram: true,
             staged_scatter: true,
-            phase_overlap: true,
         }
     }
 
@@ -70,7 +64,6 @@ impl Optimizations {
             lookahead: false,
             thread_reduction_histogram: false,
             staged_scatter: false,
-            phase_overlap: false,
         }
     }
 
@@ -116,30 +109,13 @@ impl Optimizations {
         }
     }
 
-    /// Direct per-key scatter: software write-combining disabled.
+    /// Direct per-key scatter: software write-combining disabled, with the
+    /// paper's algorithmic optimisations still on.  This is the "unstaged"
+    /// column of `bench_wallclock` and the reference side of the
+    /// staged-scatter equivalence proptests.
     pub fn no_staged_scatter() -> Self {
         Optimizations {
             staged_scatter: false,
-            ..Optimizations::all_on()
-        }
-    }
-
-    /// Strictly phase-ordered passes: scatter/histogram overlap disabled.
-    pub fn no_phase_overlap() -> Self {
-        Optimizations {
-            phase_overlap: false,
-            ..Optimizations::all_on()
-        }
-    }
-
-    /// The wall-clock A/B baseline: the direct-scatter, phase-ordered hot
-    /// loop with the paper's algorithmic optimisations still on.  This is
-    /// the "unstaged" column of `bench_wallclock` and the reference side of
-    /// the staged-scatter equivalence proptests.
-    pub fn unstaged_baseline() -> Self {
-        Optimizations {
-            staged_scatter: false,
-            phase_overlap: false,
             ..Optimizations::all_on()
         }
     }
@@ -182,7 +158,6 @@ mod tests {
         assert!(o.lookahead);
         assert!(o.thread_reduction_histogram);
         assert!(o.staged_scatter);
-        assert!(o.phase_overlap);
         assert_eq!(o, Optimizations::all_on());
     }
 
@@ -208,18 +183,13 @@ mod tests {
         assert!(!o.lookahead);
         assert!(!o.thread_reduction_histogram);
         assert!(!o.staged_scatter);
-        assert!(!o.phase_overlap);
     }
 
     #[test]
     fn hot_loop_toggles_leave_paper_ablations_intact() {
         let s = Optimizations::no_staged_scatter();
-        assert!(!s.staged_scatter && s.phase_overlap && s.bucket_merging);
-        let o = Optimizations::no_phase_overlap();
-        assert!(o.staged_scatter && !o.phase_overlap && o.lookahead);
-        let b = Optimizations::unstaged_baseline();
-        assert!(!b.staged_scatter && !b.phase_overlap);
-        assert!(b.bucket_merging && b.multiple_local_sort_configs);
+        assert!(!s.staged_scatter);
+        assert!(s.bucket_merging && s.multiple_local_sort_configs && s.lookahead);
         // The paper's legend stays exactly six entries long.
         assert_eq!(Optimizations::ablation_variants().len(), 6);
     }

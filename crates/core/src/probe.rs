@@ -19,7 +19,7 @@ use crate::arena::ArenaStats;
 use crate::exec::ExecProbe;
 use std::sync::Arc;
 use std::time::Duration;
-use telemetry::{Counter, FloatGauge, Gauge, Histogram, Inspector};
+use telemetry::{Counter, Gauge, Histogram, Inspector};
 
 /// Telemetry handles for one sorter (or one family of sorter clones).
 #[derive(Debug)]
@@ -40,13 +40,6 @@ pub struct SorterProbe {
     staged_lines: Counter,
     /// Partial staging lines drained at block end.
     partial_flushes: Counter,
-    /// Next-pass histogram tasks scheduled by the overlap scheduler.
-    overlap_tasks: Counter,
-    /// The subset of those tasks that ran while the parent pass's scatter
-    /// was still in flight (or fused inline into it).
-    overlap_overlapped: Counter,
-    /// Cumulative `overlap_overlapped / overlap_tasks` ratio in `[0, 1]`.
-    overlap_ratio: FloatGauge,
     /// Arena gauges, refreshed after every probed sort.
     arena_buffer_bytes: Gauge,
     arena_buffers: Gauge,
@@ -78,9 +71,6 @@ impl SorterProbe {
             pass_ns: inspector.histogram(&p("pass_ns")),
             staged_lines: inspector.counter(&p("scatter/staged_lines")),
             partial_flushes: inspector.counter(&p("scatter/partial_flushes")),
-            overlap_tasks: inspector.counter(&p("overlap/tasks")),
-            overlap_overlapped: inspector.counter(&p("overlap/overlapped")),
-            overlap_ratio: inspector.float_gauge(&p("overlap_ratio")),
             arena_buffer_bytes: inspector.gauge(&p("arena/buffer_bytes")),
             arena_buffers: inspector.gauge(&p("arena/buffers")),
             arena_scratch_bytes: inspector.gauge(&p("arena/scratch_bytes")),
@@ -133,21 +123,10 @@ impl SorterProbe {
         }
     }
 
-    /// Records one sort's write-combining and overlap-scheduler totals and
-    /// refreshes the cumulative overlap ratio (0.0 until any overlap task
-    /// has been scheduled).
-    pub(crate) fn record_scatter(&self, staged: u64, partial: u64, tasks: u64, overlapped: u64) {
+    /// Records one sort's write-combining totals.
+    pub(crate) fn record_scatter(&self, staged: u64, partial: u64) {
         self.staged_lines.add(staged);
         self.partial_flushes.add(partial);
-        self.overlap_tasks.add(tasks);
-        self.overlap_overlapped.add(overlapped);
-        let total = self.overlap_tasks.get();
-        let ratio = if total == 0 {
-            0.0
-        } else {
-            self.overlap_overlapped.get() as f64 / total as f64
-        };
-        self.overlap_ratio.set(ratio);
     }
 
     /// Mirrors the arena's retained-memory stats into the gauges.  Uses

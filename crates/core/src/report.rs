@@ -53,13 +53,6 @@ pub struct PassStats {
     pub staged_lines: u64,
     /// Partially filled write-combining lines drained at block ends.
     pub partial_flushes: u64,
-    /// Next-pass histogram tasks executed inside this pass's scatter
-    /// fan-out by the phase-overlap scheduler (0 when overlap is off).
-    pub overlap_tasks: u64,
-    /// The subset of `overlap_tasks` that ran while at least one scatter
-    /// block of this pass was still in flight (includes tasks fused inline
-    /// into a worker's flush path).
-    pub overlap_overlapped: u64,
 }
 
 /// Aggregated statistics of all local sorts performed during a run.
@@ -195,8 +188,6 @@ impl SortReport {
             mine.lookahead_active_blocks += theirs.lookahead_active_blocks;
             mine.staged_lines += theirs.staged_lines;
             mine.partial_flushes += theirs.partial_flushes;
-            mine.overlap_tasks += theirs.overlap_tasks;
-            mine.overlap_overlapped += theirs.overlap_overlapped;
         }
         self.local.invocations += other.local.invocations;
         self.local.n_keys += other.local.n_keys;
@@ -282,8 +273,6 @@ mod tests {
             lookahead_active_blocks: 0,
             staged_lines: 58_000,
             partial_flushes: 290 * 256,
-            overlap_tasks: 512,
-            overlap_overlapped: 400,
         });
         r.passes.push(PassStats {
             pass: 1,
@@ -302,8 +291,6 @@ mod tests {
             lookahead_active_blocks: 0,
             staged_lines: 55_000,
             partial_flushes: 512 * 200,
-            overlap_tasks: 0,
-            overlap_overlapped: 0,
         });
         r.local = LocalSortStats {
             invocations: 65_000,
@@ -367,8 +354,6 @@ mod tests {
         assert_eq!(a.total_sub_buckets, 2 * 65_256);
         assert_eq!(a.passes[0].staged_lines, 2 * 58_000);
         assert_eq!(a.passes[0].partial_flushes, 2 * 290 * 256);
-        assert_eq!(a.passes[0].overlap_tasks, 2 * 512);
-        assert_eq!(a.passes[0].overlap_overlapped, 2 * 400);
     }
 
     #[test]

@@ -273,10 +273,6 @@ impl HybridRadixSorter {
             None => fallback_arena.get_or_insert_with(ScratchArena::new),
         };
 
-        // A stale hand-off marker from an earlier sort must never leak into
-        // this one (the counting pass re-validates it anyway).
-        arena.pass.overlap_ready_pass = None;
-
         // Double buffers for keys and values; the spare halves come from
         // (and return to) the arena, so repeated sorts reuse them.
         let spare_keys = arena.take_buffer::<K>(ROLE_SPARE_KEYS, n);
@@ -344,7 +340,6 @@ impl HybridRadixSorter {
                 &mut arena.pass,
                 &mut staging_keys,
                 &mut staging_vals,
-                pass + 1 < num_passes,
                 &mut local,
                 &mut next_counting,
                 trace.as_deref_mut(),
@@ -446,15 +441,11 @@ impl HybridRadixSorter {
         if let Some(p) = &self.probe {
             let mut staged = 0u64;
             let mut partial = 0u64;
-            let mut tasks = 0u64;
-            let mut overlapped = 0u64;
             for ps in &report.passes {
                 staged += ps.staged_lines;
                 partial += ps.partial_flushes;
-                tasks += ps.overlap_tasks;
-                overlapped += ps.overlap_overlapped;
             }
-            p.record_scatter(staged, partial, tasks, overlapped);
+            p.record_scatter(staged, partial);
             p.record_arena(&arena.stats());
         }
         self.note_sort(n as u64, passes_run, false, sort_start);

@@ -6,18 +6,16 @@
 //! ```text
 //! cargo run --release --bin bench_wallclock [-- --smoke] [--out <path>]
 //!     [--sizes 20,22,24,26] [--workers 1,2,4,8] [--reps 3]
-//!     [--staging ab|on|off]
 //! ```
 //!
 //! `--smoke` runs the CI-sized sweep (2^20 keys, 1/2/4 workers, 1 rep).
-//! `--sizes` takes base-2 exponents.  `--staging` picks the scatter
-//! variant: `ab` (default) measures the staged write-combining path plus an
-//! unstaged reference per point, `on`/`off` measure only one variant.
+//! `--sizes` takes base-2 exponents.  Every point measures the staged
+//! write-combining scatter plus an unstaged (direct-scatter) reference.
 //! Every timed run follows a warm-up sort, so the scratch arena is hot and
 //! the numbers measure the algorithm, not the allocator.
 
 use experiments::wallclock::{
-    run_wallclock_sweep, wallclock_table, wallclock_to_json, StagingMode, WallclockConfig,
+    run_wallclock_sweep, wallclock_table, wallclock_to_json, WallclockConfig,
 };
 
 fn arg_value(args: &[String], flag: &str) -> Option<String> {
@@ -59,23 +57,15 @@ fn main() {
             .parse()
             .unwrap_or_else(|_| panic!("--reps expects an integer"));
     }
-    if let Some(staging) = arg_value(&args, "--staging") {
-        cfg.staging = match staging.as_str() {
-            "ab" => StagingMode::Ab,
-            "on" => StagingMode::On,
-            "off" => StagingMode::Off,
-            other => panic!("--staging expects ab|on|off, got {other:?}"),
-        };
-    }
     let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_wallclock.json".to_string());
 
     println!(
-        "# Execution-backend wall-clock sweep (sizes {:?}, workers {:?}, {} rep(s), staging {:?})",
-        cfg.sizes, cfg.worker_counts, cfg.reps, cfg.staging
+        "# Execution-backend wall-clock sweep (sizes {:?}, workers {:?}, {} rep(s))",
+        cfg.sizes, cfg.worker_counts, cfg.reps
     );
     println!(
         "# note: on single-core containers the threaded backends time-slice one CPU, so\n\
-         # speedup, overlap and staged-vs-unstaged columns underestimate multi-core gains\n"
+         # speedup and staged-vs-unstaged columns underestimate multi-core gains\n"
     );
     let points = run_wallclock_sweep(&cfg);
     println!("{}", wallclock_table(&points));
@@ -90,15 +80,13 @@ fn main() {
             .fold(0.0f64, f64::max);
         println!("uniform u32 keys, n = {n}: best threaded speedup {best:.2}x");
     }
-    if cfg.staging == StagingMode::Ab {
-        for &n in &cfg.sizes {
-            let best = points
-                .iter()
-                .filter(|p| p.workload == "uniform" && p.shape == "u32 keys" && p.n == n)
-                .map(|p| p.staged_vs_unstaged)
-                .fold(0.0f64, f64::max);
-            println!("uniform u32 keys, n = {n}: best staged-vs-unstaged {best:.2}x");
-        }
+    for &n in &cfg.sizes {
+        let best = points
+            .iter()
+            .filter(|p| p.workload == "uniform" && p.shape == "u32 keys" && p.n == n)
+            .map(|p| p.staged_vs_unstaged)
+            .fold(0.0f64, f64::max);
+        println!("uniform u32 keys, n = {n}: best staged-vs-unstaged {best:.2}x");
     }
 
     std::fs::write(&out_path, wallclock_to_json(&points))

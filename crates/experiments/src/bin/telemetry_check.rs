@@ -113,10 +113,9 @@ fn main() {
         snap.node("core/dev0").is_some(),
         "snapshot lacks the per-device `core/dev0` subtree"
     );
-    // The write-combining scatter and overlap-scheduler metrics register on
-    // every core probe; like the exchange subtree, a zero reading is legal
-    // (staging may be off or lines may not fill) but absence is a
-    // regression.
+    // The write-combining scatter metrics register on every core probe;
+    // like the exchange subtree, a zero reading is legal (staging may be
+    // off or lines may not fill) but absence is a regression.
     let scatter = snap
         .node("core/dev0/scatter")
         .expect("snapshot lacks the `core/dev0/scatter` subtree");
@@ -127,15 +126,6 @@ fn main() {
         );
         checked += 1;
     }
-    let dev0 = snap.node("core/dev0").unwrap();
-    let ratio = dev0
-        .double("overlap_ratio")
-        .expect("`core/dev0` lacks the `overlap_ratio` gauge");
-    assert!(
-        (0.0..=1.0).contains(&ratio),
-        "`core/dev0/overlap_ratio` out of range: {ratio}"
-    );
-    checked += 1;
     // The latency histograms must have absorbed the resolved requests.
     let lat = snap
         .node("service/class/u32/latency_ns")

@@ -6,7 +6,9 @@
 //! baseline and the real-thread [`Executor::Threaded`] backend across
 //! worker counts, workloads (uniform / Zipfian / pre-sorted) and shapes
 //! (key-only and key-value), and serialises the sweep as
-//! `BENCH_wallclock.json` so CI can archive the trajectory.
+//! `BENCH_wallclock.json` so CI can archive the trajectory.  Every point
+//! times the staged (write-combining) scatter and, as its A/B reference,
+//! the direct per-key scatter.
 //!
 //! Every timed run is preceded by a warm-up sort of the same input, so the
 //! scratch arena is hot and the numbers measure the algorithm, not the
@@ -15,18 +17,6 @@
 use hrs_core::{Executor, HybridRadixSorter, Optimizations};
 use std::time::Instant;
 use workloads::Distribution;
-
-/// Which scatter variants the sweep measures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StagingMode {
-    /// Measure the staged (write-combining) hot path and, per point, an
-    /// unstaged reference run for the A/B columns.
-    Ab,
-    /// Measure the staged hot path only.
-    On,
-    /// Measure the unstaged baseline only.
-    Off,
-}
 
 /// One measured configuration of the sweep.
 #[derive(Debug, Clone)]
@@ -41,9 +31,8 @@ pub struct WallclockPoint {
     pub workers: usize,
     /// Backend label (`"seq"`, `"threads(4)"`).
     pub backend: String,
-    /// Scatter variant `secs` measures (`"staged"` or `"unstaged"`).
-    pub staging: String,
-    /// Best wall-clock seconds over the measured repetitions.
+    /// Best wall-clock seconds of the staged scatter over the measured
+    /// repetitions.
     pub secs: f64,
     /// Sorted keys per second.
     pub keys_per_sec: f64,
@@ -52,11 +41,10 @@ pub struct WallclockPoint {
     pub bytes_per_sec: f64,
     /// Speedup over the sequential baseline of the same configuration.
     pub speedup_vs_seq: f64,
-    /// Best seconds of the unstaged reference run ([`StagingMode::Ab`]
-    /// only; 0.0 when not measured).
+    /// Best seconds of the unstaged (direct-scatter) reference run.
     pub unstaged_secs: f64,
     /// `unstaged_secs / secs` — the staged path's A/B gain (> 1 means the
-    /// write-combining scatter won; 0.0 when not measured).
+    /// write-combining scatter won).
     pub staged_vs_unstaged: f64,
 }
 
@@ -72,8 +60,6 @@ pub struct WallclockConfig {
     pub reps: usize,
     /// Whether to also measure the key-value shape.
     pub pairs: bool,
-    /// Which scatter variants to measure.
-    pub staging: StagingMode,
 }
 
 impl WallclockConfig {
@@ -85,7 +71,6 @@ impl WallclockConfig {
             worker_counts: vec![1, 2, 4, 8],
             reps: 3,
             pairs: true,
-            staging: StagingMode::Ab,
         }
     }
 
@@ -96,7 +81,6 @@ impl WallclockConfig {
             worker_counts: vec![1, 2, 4],
             reps: 1,
             pairs: true,
-            staging: StagingMode::Ab,
         }
     }
 }
@@ -141,12 +125,6 @@ fn run_shape(
 ) {
     let n = keys.len();
     let record_bytes = if pairs { 8 } else { 4 } as f64;
-    // The primary measurement is the staged hot path unless the sweep asks
-    // for the unstaged baseline only.
-    let (primary_opts, staging_label) = match cfg.staging {
-        StagingMode::Off => (Optimizations::unstaged_baseline(), "unstaged"),
-        StagingMode::Ab | StagingMode::On => (Optimizations::all_on(), "staged"),
-    };
     // The sequential baseline anchors every speedup, so it is always
     // measured and always measured first, whatever order (or subset) the
     // caller asked for.
@@ -181,15 +159,9 @@ fn run_shape(
             run();
             measure(cfg.reps, run)
         };
-        let secs = timed(primary_opts);
-        // The A/B reference shares everything but the staged-scatter and
-        // overlap toggles.
-        let (unstaged_secs, staged_vs_unstaged) = if cfg.staging == StagingMode::Ab {
-            let u = timed(Optimizations::unstaged_baseline());
-            (u, u / secs.max(1e-12))
-        } else {
-            (0.0, 0.0)
-        };
+        let secs = timed(Optimizations::all_on());
+        // The A/B reference shares everything but the staged-scatter toggle.
+        let unstaged_secs = timed(Optimizations::no_staged_scatter());
         if workers == 1 {
             seq_secs = secs;
         }
@@ -199,13 +171,12 @@ fn run_shape(
             n,
             workers,
             backend: exec.label(),
-            staging: staging_label.to_string(),
             secs,
             keys_per_sec: n as f64 / secs.max(1e-12),
             bytes_per_sec: n as f64 * record_bytes / secs.max(1e-12),
             speedup_vs_seq: seq_secs / secs.max(1e-12),
             unstaged_secs,
-            staged_vs_unstaged,
+            staged_vs_unstaged: unstaged_secs / secs.max(1e-12),
         });
     }
 }
@@ -234,7 +205,7 @@ pub fn wallclock_to_json(points: &[WallclockPoint]) -> String {
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"shape\": \"{}\", \"n\": {}, \"workers\": {}, \
-             \"backend\": \"{}\", \"staging\": \"{}\", \"secs\": {:.6}, \"keys_per_sec\": {:.1}, \
+             \"backend\": \"{}\", \"secs\": {:.6}, \"keys_per_sec\": {:.1}, \
              \"bytes_per_sec\": {:.1}, \"speedup_vs_seq\": {:.3}, \"unstaged_secs\": {:.6}, \
              \"staged_vs_unstaged\": {:.3}}}{}\n",
             p.workload,
@@ -242,7 +213,6 @@ pub fn wallclock_to_json(points: &[WallclockPoint]) -> String {
             p.n,
             p.workers,
             p.backend,
-            p.staging,
             p.secs,
             p.keys_per_sec,
             p.bytes_per_sec,
@@ -259,27 +229,21 @@ pub fn wallclock_to_json(points: &[WallclockPoint]) -> String {
 /// Renders the sweep as an aligned text table (one row per point).
 pub fn wallclock_table(points: &[WallclockPoint]) -> String {
     let mut out = String::from(
-        "workload | shape          |        n | workers | backend     | staging  |    secs |   Mkeys/s |    MB/s | speedup |    A/B\n",
+        "workload | shape          |        n | workers | backend     |    secs |   Mkeys/s |    MB/s | speedup |    A/B\n",
     );
     for p in points {
-        let ab = if p.staged_vs_unstaged > 0.0 {
-            format!("{:>5.2}x", p.staged_vs_unstaged)
-        } else {
-            "     -".to_string()
-        };
         out.push_str(&format!(
-            "{:<8} | {:<14} | {:>8} | {:>7} | {:<11} | {:<8} | {:>7.3} | {:>9.2} | {:>7.1} | {:>6.2}x | {}\n",
+            "{:<8} | {:<14} | {:>8} | {:>7} | {:<11} | {:>7.3} | {:>9.2} | {:>7.1} | {:>6.2}x | {:>5.2}x\n",
             p.workload,
             p.shape,
             p.n,
             p.workers,
             p.backend,
-            p.staging,
             p.secs,
             p.keys_per_sec / 1e6,
             p.bytes_per_sec / 1e6,
             p.speedup_vs_seq,
-            ab,
+            p.staged_vs_unstaged,
         ));
     }
     out
@@ -295,7 +259,6 @@ mod tests {
             worker_counts: vec![1, 2],
             reps: 1,
             pairs: true,
-            staging: StagingMode::Ab,
         }
     }
 
@@ -309,7 +272,6 @@ mod tests {
             assert!(p.secs > 0.0, "{p:?}");
             assert!(p.keys_per_sec > 0.0, "{p:?}");
             assert!(p.speedup_vs_seq > 0.0, "{p:?}");
-            assert_eq!(p.staging, "staged", "{p:?}");
             assert!(p.unstaged_secs > 0.0, "{p:?}");
             assert!(p.staged_vs_unstaged > 0.0, "{p:?}");
             // Effective bytes/sec is keys/sec scaled by the record width.
@@ -327,25 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn single_variant_modes_skip_the_ab_reference() {
-        for (mode, label) in [(StagingMode::On, "staged"), (StagingMode::Off, "unstaged")] {
-            let points = run_wallclock_sweep(&WallclockConfig {
-                sizes: vec![8_000],
-                worker_counts: vec![1],
-                reps: 1,
-                pairs: false,
-                staging: mode,
-            });
-            assert_eq!(points.len(), 3);
-            for p in &points {
-                assert_eq!(p.staging, label);
-                assert_eq!(p.unstaged_secs, 0.0);
-                assert_eq!(p.staged_vs_unstaged, 0.0);
-            }
-        }
-    }
-
-    #[test]
     fn descending_worker_order_still_anchors_speedups() {
         // Regression: the baseline used to be measured only when the loop
         // *reached* workers == 1, leaving earlier points with NaN speedups
@@ -355,7 +298,6 @@ mod tests {
             worker_counts: vec![2, 1],
             reps: 1,
             pairs: false,
-            staging: StagingMode::On,
         });
         assert_eq!(points[0].workers, 1, "baseline must be measured first");
         assert!(points.iter().all(|p| p.speedup_vs_seq.is_finite()));
@@ -369,7 +311,6 @@ mod tests {
             worker_counts: vec![1],
             reps: 1,
             pairs: false,
-            staging: StagingMode::Ab,
         });
         let json = wallclock_to_json(&points);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));

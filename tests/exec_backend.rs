@@ -143,7 +143,7 @@ fn staging_segments_are_a_warm_fixed_point() {
             HybridRadixSorter::new(cfg.clone()).with_executor(Executor::with_workers(workers));
         let unstaged = HybridRadixSorter::new(cfg.clone())
             .with_executor(Executor::with_workers(workers))
-            .with_optimizations(Optimizations::unstaged_baseline());
+            .with_optimizations(Optimizations::no_staged_scatter());
         for sorter in [&staged, &unstaged] {
             let mut k = keys.clone();
             let mut v: Vec<u32> = (0..90_000).collect();

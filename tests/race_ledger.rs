@@ -6,9 +6,9 @@
 //! memory.  Two properties are asserted here:
 //!
 //! * sorting arbitrary inputs through the full hybrid pipeline — threaded
-//!   executor, staged scatter, phase-overlap scheduling — never trips the
-//!   ledger: the disjointness contracts the `unsafe` accessors rely on
-//!   hold on real schedules, not just in the comments;
+//!   executor, staged scatter — never trips the ledger: the disjointness
+//!   contracts the `unsafe` accessors rely on hold on real schedules, not
+//!   just in the comments;
 //! * a deliberately overlapping pair of cross-thread claims panics with a
 //!   diagnostic naming both claim sites, proving the instrument actually
 //!   bites (a checker that cannot fail checks nothing).
@@ -71,29 +71,6 @@ fn disjoint_cross_thread_claims_are_allowed() {
     });
     drop(shared);
     assert!(buf.iter().enumerate().all(|(i, &v)| v == i as u32));
-}
-
-#[test]
-fn completed_writes_may_be_read_by_other_threads() {
-    // The phase-overlap scheduler's pattern: a scatter completes a range
-    // (DoneWrite), an external happens-before edge publishes it, and a
-    // next-pass histogram task on another thread reads it.  The ledger
-    // must not flag this.
-    let mut buf = vec![0u64; 256];
-    let shared = SharedMut::new(&mut buf);
-    let src: Vec<u64> = (0..256).collect();
-    // SAFETY: no other thread has access to the view yet.
-    unsafe { shared.copy_from_slice_at(0, &src) };
-    std::thread::scope(|s| {
-        let shared = &shared;
-        s.spawn(move || {
-            // SAFETY: the copy above happened-before `spawn`, and no
-            // thread writes the range while this borrow lives.
-            let view = unsafe { shared.slice_ref(0, 256) };
-            assert_eq!(view[255], 255);
-        });
-    });
-    drop(shared);
 }
 
 #[test]

@@ -1,7 +1,7 @@
-//! Equivalence suite for the write-combining scatter and the phase-overlap
-//! scheduler: every combination of the two hot-loop toggles must produce
-//! byte-identical output to the unstaged sequential baseline and to `std`
-//! sorting — across workloads (uniform / zipf / sorted / duplicate-heavy),
+//! Equivalence suite for the write-combining scatter: both settings of the
+//! staged-scatter toggle must produce byte-identical output to the unstaged
+//! sequential baseline and to `std` sorting — across workloads (uniform /
+//! zipf / sorted / duplicate-heavy),
 //! shapes (key-only and pairs), worker counts, and staging-line sizes,
 //! including lines that do not divide block or bucket populations.
 
@@ -11,13 +11,11 @@ use proptest::prelude::*;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 7];
 
-/// The four corners of the (staged scatter × phase overlap) toggle square.
-fn hot_loop_variants() -> Vec<(&'static str, Optimizations)> {
-    vec![
-        ("staged+overlap", Optimizations::all_on()),
-        ("staged", Optimizations::no_phase_overlap()),
-        ("overlap", Optimizations::no_staged_scatter()),
-        ("unstaged", Optimizations::unstaged_baseline()),
+/// Both settings of the staged-scatter toggle.
+fn scatter_variants() -> [(&'static str, Optimizations); 2] {
+    [
+        ("staged", Optimizations::all_on()),
+        ("unstaged", Optimizations::no_staged_scatter()),
     ]
 }
 
@@ -49,7 +47,7 @@ proptest! {
     ) {
         let expected = KeyCodec::std_sorted(&keys);
         let cfg = lined_config(LINE_BYTES[line_idx]);
-        for (name, opts) in hot_loop_variants() {
+        for (name, opts) in scatter_variants() {
             let mut k = keys.clone();
             HybridRadixSorter::new(cfg.clone())
                 .with_executor(Executor::with_workers(WORKER_COUNTS[workers_idx]))
@@ -75,11 +73,11 @@ proptest! {
         let mut base_vals = values.clone();
         HybridRadixSorter::new(cfg.clone())
             .with_executor(Executor::Sequential)
-            .with_optimizations(Optimizations::unstaged_baseline())
+            .with_optimizations(Optimizations::no_staged_scatter())
             .sort_pairs(&mut base_keys, &mut base_vals);
         prop_assert!(verify_indexed_pair_sort(&keys, &base_keys, &base_vals));
 
-        for (name, opts) in hot_loop_variants() {
+        for (name, opts) in scatter_variants() {
             let mut k = keys.clone();
             let mut v = values.clone();
             HybridRadixSorter::new(cfg.clone())
@@ -106,7 +104,7 @@ fn workload_matrix_is_equivalent_across_all_toggles() {
         let keys: Vec<u32> = dist.generate(n, 0x5EED);
         let expected = KeyCodec::std_sorted(&keys);
         for workers in WORKER_COUNTS {
-            for (vname, opts) in hot_loop_variants() {
+            for (vname, opts) in scatter_variants() {
                 let ctx = format!("{wname}/{vname}/workers={workers}");
                 let mut k = keys.clone();
                 HybridRadixSorter::new(SortConfig::keys_32().scaled_for(n, 500_000_000))
