@@ -135,7 +135,6 @@ impl LintConfig {
                 "bucket",
                 "arena",
                 "sorter",
-                "sorting_network",
             ]
             .into_iter()
             .map(String::from)

@@ -1,8 +1,8 @@
 //! Per-block digit histograms (Section 4.3).
 //!
 //! Each key block accumulates one histogram in shared memory.  Two
-//! strategies are modelled (and both are executed functionally so the
-//! resulting counts are identical):
+//! strategies are modelled; both produce identical counts and differ only
+//! in the number of shared-memory `atomicAdd`s a GPU block would issue:
 //!
 //! * **atomics only** — every key issues an `atomicAdd` on the counter of
 //!   its digit value; under heavy skew all threads of a block collide on a
@@ -12,14 +12,16 @@
 //!   registers, sorts runs of up to nine of them with a 25-comparator
 //!   network, and issues one `atomicAdd` per run of equal values.
 //!
-//! The number of atomic updates each strategy *would* issue is recorded so
-//! the cost model can translate it into simulated time, and the block
-//! histograms are written to device memory so the scatter step can reuse
-//! them (costing `r × 4` bytes per block, "< 4 %" of the key traffic for the
-//! default `KPB`).
+//! The CPU does not simulate either one.  It counts each key once, and for
+//! the thread reduction it *counts* the atomics: a sorted register run
+//! issues one update per distinct digit value, so the count is the number
+//! of distinct values among the run's (at most nine) digits, found with a
+//! fixed register compare rather than by sorting.  The cost model turns
+//! the count into simulated time.  The block histograms are written to
+//! device memory so the scatter step can reuse them (costing `r × 4` bytes
+//! per block, "< 4 %" of the key traffic for the default `KPB`).
 
 use crate::digit::digit_of;
-use crate::sorting_network::{count_runs, sort_up_to_9};
 use gpu_sim::HistogramStrategy;
 use workloads::SortKey;
 
@@ -80,10 +82,10 @@ pub fn block_histogram<K: SortKey>(
 /// slice of the scratch arena's per-block strip table) and returns
 /// `(atomic_updates, distinct_values)`.
 ///
-/// The thread-reduction strategy stages each register run in a fixed
-/// 9-element buffer, so even the simulated sorting-network path touches no
-/// heap — this is what lets the executor run one histogram task per block
-/// with zero steady-state allocation.
+/// The thread-reduction strategy holds each register run in a fixed
+/// nine-slot array and counts its distinct digits there, so neither
+/// strategy touches the heap — this is what lets the executor run one
+/// histogram task per block with zero steady-state allocation.
 pub fn block_histogram_into<K: SortKey>(
     counts: &mut [u32],
     keys: &[K],
@@ -102,28 +104,55 @@ pub fn block_histogram_into<K: SortKey>(
             atomic_updates = keys.len() as u64;
         }
         HistogramStrategy::ThreadReduction => {
-            let kpt = keys_per_thread.max(1);
-            for thread_keys in keys.chunks(kpt) {
-                // Each thread extracts its digit values into registers and
-                // sorts runs of up to nine values with the sorting network,
-                // combining equal neighbours into one atomicAdd.
-                for run_keys in thread_keys.chunks(9) {
-                    let mut run = [0u16; 9];
-                    let m = run_keys.len();
-                    for (slot, k) in run[..m].iter_mut().zip(run_keys) {
-                        *slot = digit_of(k.to_radix(), K::BITS, digit_bits, pass) as u16;
+            for thread_keys in keys.chunks(keys_per_thread.max(1)) {
+                for run_keys in thread_keys.chunks(RUN) {
+                    let mut run = EMPTY_RUN;
+                    for (slot, k) in run.iter_mut().zip(run_keys) {
+                        let d = digit_of(k.to_radix(), K::BITS, digit_bits, pass);
+                        counts[d] += 1;
+                        *slot = d as u32;
                     }
-                    sort_up_to_9(&mut run[..m]);
-                    atomic_updates += count_runs(&run[..m]) as u64;
-                    for &d in &run[..m] {
-                        counts[d as usize] += 1;
-                    }
+                    atomic_updates += distinct_in_run(&run, run_keys.len());
                 }
             }
         }
     }
     let distinct_values = counts.iter().filter(|&&c| c > 0).count() as u32;
     (atomic_updates, distinct_values)
+}
+
+/// Digit values a thread holds in registers at once (Section 4.3).
+const RUN: usize = 9;
+
+/// A register run with no digit in it: distinct sentinels above every digit
+/// value (a digit indexes a counter strip, so it stays far below them), so
+/// unused slots never compare equal to a digit or to each other.
+const EMPTY_RUN: [u32; RUN] = {
+    let mut run = [0; RUN];
+    let mut i = 0;
+    while i < RUN {
+        run[i] = u32::MAX - i as u32;
+        i += 1;
+    }
+    run
+};
+
+/// Distinct digit values among the first `len` slots of `run` (the rest
+/// hold [`EMPTY_RUN`]'s sentinels): the number of `atomicAdd`s the thread
+/// reduction issues once the network has made equal values adjacent.  A
+/// slot counts unless an earlier slot holds the same value; the fixed
+/// triangle of compares has no data-dependent branch.
+#[inline]
+fn distinct_in_run(run: &[u32; RUN], len: usize) -> u64 {
+    let mut repeats = 0;
+    for i in 1..RUN {
+        let mut seen = false;
+        for j in 0..i {
+            seen |= run[j] == run[i];
+        }
+        repeats += seen as usize;
+    }
+    (len - repeats) as u64
 }
 
 /// Sums block histograms into the bucket histogram.
@@ -209,6 +238,79 @@ mod tests {
         let whole = block_histogram(&keys, 8, 0, 256, HistogramStrategy::AtomicsOnly, 18);
         let whole_u64: Vec<u64> = whole.counts.iter().map(|&c| c as u64).collect();
         assert_eq!(total, whole_u64);
+    }
+
+    /// The thread reduction's update count as the GPU derives it: sort a
+    /// copy of each register run and count its runs of equal values.
+    fn naive_thread_reduction_updates<K: SortKey>(
+        keys: &[K],
+        digit_bits: u32,
+        pass: u32,
+        keys_per_thread: usize,
+    ) -> u64 {
+        let mut updates = 0;
+        for thread_keys in keys.chunks(keys_per_thread) {
+            for run_keys in thread_keys.chunks(9) {
+                let mut run: Vec<usize> = run_keys
+                    .iter()
+                    .map(|k| digit_of(k.to_radix(), K::BITS, digit_bits, pass))
+                    .collect();
+                run.sort_unstable();
+                run.dedup();
+                updates += run.len() as u64;
+            }
+        }
+        updates
+    }
+
+    /// Every pass of `keys` at every tested `keys_per_thread`: the thread
+    /// reduction's update count matches the reference and its counts match
+    /// the atomics-only histogram.
+    fn check_thread_reduction<K: SortKey>(keys: &[K], digit_bits: u32, label: &str) {
+        use crate::digit::{num_digits, radix_of_pass};
+        for kpt in [1usize, 7, 9, 18, 23] {
+            for pass in 0..num_digits(K::BITS, digit_bits) {
+                let radix = radix_of_pass(K::BITS, digit_bits, pass);
+                let histogram =
+                    |strategy| block_histogram(keys, digit_bits, pass, radix, strategy, kpt);
+                let tr = histogram(HistogramStrategy::ThreadReduction);
+                let at = histogram(HistogramStrategy::AtomicsOnly);
+                let case = format!("{label} digit_bits={digit_bits} kpt={kpt} pass={pass}");
+                let want = naive_thread_reduction_updates(keys, digit_bits, pass, kpt);
+                assert_eq!(tr.atomic_updates, want, "{case}");
+                assert_eq!(tr.counts, at.counts, "{case}");
+                assert_eq!(tr.distinct_values, at.distinct_values, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn thread_reduction_matches_naive_reference() {
+        for digit_bits in [5u32, 8, 11, 16] {
+            for and_count in [0u32, 2, 4, 6] {
+                let level = EntropyLevel::with_and_count(and_count);
+                let label = format!("and_count={and_count}");
+                check_thread_reduction(&level.generate_u32(4_000, 9), digit_bits, &label);
+                check_thread_reduction(&level.generate_u64(4_000, 10), digit_bits, &label);
+            }
+            check_thread_reduction(&vec![7u32; 1_000], digit_bits, "constant");
+        }
+    }
+
+    #[test]
+    fn distinct_in_run_counts_distinct_values() {
+        let run = |digits: &[u32]| {
+            let mut r = EMPTY_RUN;
+            r[..digits.len()].copy_from_slice(digits);
+            distinct_in_run(&r, digits.len())
+        };
+        assert_eq!(run(&[1, 1, 2, 2, 2, 3]), 3);
+        assert_eq!(run(&[5, 5, 5]), 1);
+        assert_eq!(run(&[]), 0);
+        assert_eq!(run(&[1, 2, 1]), 2);
+        assert_eq!(run(&[0; 9]), 1);
+        assert_eq!(run(&[0, 1, 2, 3, 4, 5, 6, 7, 8]), 9);
+        assert_eq!(run(&[65_535, 0, 65_535, 0]), 2);
     }
 
     #[test]

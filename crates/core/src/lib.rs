@@ -41,11 +41,13 @@
 //! * [`opts`] — the optimisation toggles exercised by the Appendix-B
 //!   ablation study.
 //! * [`digit`] — most-significant-first digit extraction.
-//! * [`prefix_sum`], [`sorting_network`] — small building blocks.
-//! * [`histogram`] — per-block histograms with the *atomics only* and
-//!   *thread reduction & atomics* strategies (Section 4.3).
-//! * [`scatter`] — key/value scattering with shared-memory staging, chunk
-//!   reservation and the look-ahead write combiner (Section 4.4).
+//! * [`prefix_sum`] — a small building block.
+//! * [`histogram`] — per-block histograms, counting the shared-memory
+//!   atomics of the *atomics only* and *thread reduction & atomics*
+//!   strategies (Section 4.3).
+//! * [`scatter`] — key/value scattering with chunk reservation, counting
+//!   the shared-memory writes of the look-ahead write combiner
+//!   (Section 4.4).
 //! * [`bucket`] — bucket and block bookkeeping, neighbour-bucket merging.
 //! * [`counting_sort`] — one full counting-sort pass over all active
 //!   buckets.
@@ -81,7 +83,6 @@ pub mod probe;
 pub mod report;
 pub mod scatter;
 pub mod sorter;
-pub mod sorting_network;
 pub mod trace;
 
 pub use arena::{ArenaStats, ScratchArena};

@@ -2,8 +2,8 @@
 //!
 //! A bucket of at most ∂̂ keys is sorted entirely in on-chip shared memory:
 //! it is read from device memory once, sorted (with CUB's `BlockRadixSort`
-//! on the GPU; here with a sorting network for tiny buckets and an LSD radix
-//! / comparison sort for larger ones), and written once to the buffer that
+//! on the GPU; here with an in-place comparison sort on the keys' radix
+//! representation), and written once to the buffer that
 //! will hold the final sorted output — no matter how many internal passes
 //! the local sort needs.  This is where the hybrid sort saves the bulk of
 //! its memory traffic for friendly distributions.
@@ -24,14 +24,8 @@ use crate::config::SortConfig;
 use crate::exec::{ExecProbe, Executor, SharedMut};
 use crate::opts::Optimizations;
 use crate::report::LocalSortStats;
-use crate::sorting_network::network_sort;
 use workloads::pairs::SortValue;
 use workloads::SortKey;
-
-/// Buckets at most this large are sorted with a comparison network instead
-/// of the radix-style sort (mirrors the paper's remark that the smallest
-/// configurations can use a sorting network).
-pub const NETWORK_SORT_LIMIT: usize = 32;
 
 /// Sorts all `buckets` whose keys currently live in buffer `src` (at their
 /// respective offsets) and places the sorted runs at the same offsets in
@@ -177,30 +171,14 @@ fn sort_pairs_with_staging<K: SortKey, V: SortValue>(
     }
 }
 
-/// Sorts a staged bucket of keys, choosing the algorithm by size exactly as
-/// the local-sort configurations would.
+/// Sorts a staged bucket of keys by their radix representation.  An
+/// unstable comparison sort is functionally equivalent to the GPU's
+/// in-shared-memory `BlockRadixSort`: keys round-trip through the radix
+/// representation, so equal radices are identical keys and every correct
+/// sort yields the same bytes.  It sorts in place, so buckets of every
+/// size class (tiny ones included) allocate nothing.
 pub fn sort_keys_in_shared_memory<K: SortKey>(staged: &mut [K]) {
-    if staged.len() <= 1 {
-        return;
-    }
-    if staged.len() <= NETWORK_SORT_LIMIT {
-        // Tiny buckets: comparison network on the radix representation,
-        // staged in a fixed register-sized buffer.
-        let mut encoded = [0u64; NETWORK_SORT_LIMIT];
-        let m = staged.len();
-        for (slot, k) in encoded[..m].iter_mut().zip(staged.iter()) {
-            *slot = k.to_radix();
-        }
-        network_sort(&mut encoded[..m]);
-        for (slot, &bits) in staged.iter_mut().zip(&encoded[..m]) {
-            *slot = K::from_radix(bits);
-        }
-    } else {
-        // Larger buckets: LSD-style sort on the radix representation (an
-        // unstable comparison sort is functionally equivalent to the
-        // in-shared-memory BlockRadixSort).
-        staged.sort_unstable_by_key(|k| k.to_radix());
-    }
+    staged.sort_unstable_by_key(|k| k.to_radix());
 }
 
 #[cfg(test)]
@@ -399,6 +377,30 @@ mod tests {
             &mut stats,
         );
         assert_eq!(stats.merged_buckets, 1);
+    }
+
+    #[test]
+    fn tiny_buckets_sort_random_inputs() {
+        let mut rng = workloads::SplitMix64::new(2);
+        for n in [0usize, 1, 2, 3, 7, 16, 31, 32] {
+            let mut v: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
+            let mut expected = v.clone();
+            expected.sort_unstable();
+            sort_keys_in_shared_memory(&mut v);
+            assert_eq!(v, expected, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn tiny_buckets_sort_zero_one_inputs() {
+        // Every 0/1 input of up to twelve keys.
+        for n in 1usize..=12 {
+            for mask in 0u32..(1 << n) {
+                let mut v: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
+                sort_keys_in_shared_memory(&mut v);
+                assert!(v.windows(2).all(|w| w[0] <= w[1]), "n={n} mask={mask:#b}");
+            }
+        }
     }
 
     #[test]

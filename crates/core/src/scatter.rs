@@ -18,6 +18,14 @@
 //! consecutive keys sharing a digit value.  The look-ahead is only enabled
 //! when the block's histogram reveals enough skew, because for well-spread
 //! distributions the extra comparisons are wasted work.
+//!
+//! The CPU writes every key straight to its destination (or through a
+//! software write-combining line) and *counts* the shared-memory atomics
+//! the GPU staging would issue: one per key, or, in a look-ahead block, one
+//! per run of up to `lookahead + 1` consecutive equal digits within a
+//! thread's keys.  The runs are counted inside the loop that moves the
+//! keys, from the digit it has already extracted, so a skewed block is
+//! read once and nothing is allocated.
 
 use crate::bucket::Bucket;
 use crate::digit::digit_of;
@@ -110,20 +118,16 @@ pub fn scatter_bucket<K: SortKey, V: Copy>(
         // Stage the keys (and values) into the sub-buckets.  Functionally we
         // write straight to the destination positions; the shared-memory
         // staging is reflected in the atomic-update statistics.
+        let mut writes = SharedWrites::new(params, lookahead_active, block.len());
         for (i, key) in block.iter().enumerate() {
             let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
+            writes.push(d);
             let pos = base[d] + local_offsets[d];
             local_offsets[d] += 1;
             dst_keys[pos] = *key;
             dst_vals[pos] = bucket_vals[block_start + i];
         }
-
-        // Count the shared-memory atomics the staging would issue.
-        outcome.shared_updates += if lookahead_active {
-            count_combined_writes::<K>(block, params)
-        } else {
-            block.len() as u64
-        };
+        outcome.shared_updates += writes.total();
         outcome.occupied_sub_buckets_sum += hist.distinct_values as u64;
         outcome.blocks += 1;
 
@@ -209,6 +213,7 @@ pub fn scatter_block<K: SortKey, V: Copy>(
         lookahead_active,
         ..BlockScatter::default()
     };
+    let mut writes = SharedWrites::new(params, lookahead_active, block_keys.len());
 
     match staging {
         Some(st) if st.line_keys > 1 => {
@@ -217,6 +222,7 @@ pub fn scatter_block<K: SortKey, V: Copy>(
             debug_assert!(st.filled[..params.radix].iter().all(|&f| f == 0));
             for (i, key) in block_keys.iter().enumerate() {
                 let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
+                writes.push(d);
                 let base = d * line;
                 let f = st.filled[d] as usize;
                 st.keys[base + f] = *key;
@@ -271,6 +277,7 @@ pub fn scatter_block<K: SortKey, V: Copy>(
             // Direct per-key scatter: the unstaged equivalence baseline.
             for (i, key) in block_keys.iter().enumerate() {
                 let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
+                writes.push(d);
                 let pos = cursor[d];
                 cursor[d] += 1;
                 // SAFETY: `pos` lies inside the chunk this block reserved
@@ -287,36 +294,74 @@ pub fn scatter_block<K: SortKey, V: Copy>(
         }
     }
 
-    out.shared_updates = if lookahead_active {
-        count_combined_writes::<K>(block_keys, params)
-    } else {
-        block_keys.len() as u64
-    };
+    out.shared_updates = writes.total();
     out
 }
 
-/// Number of shared-memory writes after combining runs of up to
-/// `lookahead + 1` consecutive keys (within one thread's keys) that share a
-/// digit value.
-fn count_combined_writes<K: SortKey>(block: &[K], params: &ScatterParams) -> u64 {
-    let window = params.lookahead as usize + 1;
-    let mut writes = 0u64;
-    for thread_keys in block.chunks(params.keys_per_thread.max(1)) {
-        let digits: Vec<usize> = thread_keys
-            .iter()
-            .map(|k| digit_of(k.to_radix(), K::BITS, params.digit_bits, params.pass))
-            .collect();
-        let mut i = 0;
-        while i < digits.len() {
-            let mut run = 1;
-            while run < window && i + run < digits.len() && digits[i + run] == digits[i] {
-                run += 1;
-            }
-            writes += 1;
-            i += run;
+/// Counts the shared-memory writes of one block's staging while its keys
+/// stream past in order.  Without the look-ahead every key is one write;
+/// with it, a key joins the current write when it belongs to the same
+/// thread (`keys_per_thread` consecutive keys), has the same digit and the
+/// write holds fewer than `lookahead + 1` keys.
+struct SharedWrites {
+    /// `None` when the look-ahead is off for the block: one write per key.
+    lookahead: Option<LookaheadRun>,
+    keys: u64,
+}
+
+/// State of the write being combined in a look-ahead block.
+struct LookaheadRun {
+    window: usize,
+    keys_per_thread: usize,
+    /// Keys of the current thread still to come.
+    left_in_thread: usize,
+    /// Digit and key count of the current write.
+    digit: usize,
+    len: usize,
+    writes: u64,
+}
+
+impl SharedWrites {
+    fn new(params: &ScatterParams, lookahead_active: bool, keys: usize) -> Self {
+        let window = params.lookahead as usize + 1;
+        SharedWrites {
+            lookahead: lookahead_active.then_some(LookaheadRun {
+                window,
+                keys_per_thread: params.keys_per_thread.max(1),
+                left_in_thread: 0,
+                digit: 0,
+                len: window,
+                writes: 0,
+            }),
+            keys: keys as u64,
         }
     }
-    writes
+
+    /// Records the next key's digit.
+    #[inline]
+    fn push(&mut self, digit: usize) {
+        let Some(run) = self.lookahead.as_mut() else {
+            return;
+        };
+        if run.left_in_thread == 0 {
+            // A new thread's keys: close the current write.
+            run.left_in_thread = run.keys_per_thread;
+            run.len = run.window;
+        }
+        run.left_in_thread -= 1;
+        if digit == run.digit && run.len < run.window {
+            run.len += 1;
+        } else {
+            run.digit = digit;
+            run.len = 1;
+            run.writes += 1;
+        }
+    }
+
+    /// Shared-memory writes of the block.
+    fn total(&self) -> u64 {
+        self.lookahead.as_ref().map_or(self.keys, |run| run.writes)
+    }
 }
 
 #[cfg(test)]
@@ -626,6 +671,118 @@ mod tests {
         // With 64-byte lines of u32 the ideal ratio is 16:1; allow the
         // per-digit drains but demand at least an 8× reduction.
         assert!(staged_traffic * 8 <= direct_traffic);
+    }
+
+    /// Shared-memory writes of a look-ahead block, streamed the way
+    /// [`scatter_block`] counts them.
+    fn count_combined_writes(block: &[u32], params: &ScatterParams) -> u64 {
+        let mut writes = SharedWrites::new(params, true, block.len());
+        for k in block {
+            writes.push(digit_of(k.to_radix(), 32, params.digit_bits, params.pass));
+        }
+        writes.total()
+    }
+
+    /// The look-ahead write count as the GPU staging derives it: each
+    /// thread walks its own digits and combines a run of up to
+    /// `lookahead + 1` equal neighbours into one write.
+    fn naive_combined_writes<K: SortKey>(block: &[K], params: &ScatterParams) -> u64 {
+        let window = params.lookahead as usize + 1;
+        let mut writes = 0u64;
+        for thread_keys in block.chunks(params.keys_per_thread) {
+            let digits: Vec<usize> = thread_keys
+                .iter()
+                .map(|k| digit_of(k.to_radix(), K::BITS, params.digit_bits, params.pass))
+                .collect();
+            let mut i = 0;
+            while i < digits.len() {
+                let mut run = 1;
+                while run < window && i + run < digits.len() && digits[i + run] == digits[i] {
+                    run += 1;
+                }
+                writes += 1;
+                i += run;
+            }
+        }
+        writes
+    }
+
+    /// Scatters `keys` as one block with the look-ahead forced on, staged
+    /// and direct, and checks both write counts against the naive count.
+    fn check_lookahead_count<K: SortKey>(keys: &[K], params: &ScatterParams, case: &str) {
+        let counts = block_histogram(
+            keys,
+            params.digit_bits,
+            params.pass,
+            params.radix,
+            HistogramStrategy::AtomicsOnly,
+            9,
+        )
+        .counts;
+        let counts: Vec<usize> = counts.iter().map(|&c| c as usize).collect();
+        let want = naive_combined_writes(keys, params);
+        let vals = vec![(); keys.len()];
+        for line_keys in [0usize, 4] {
+            let mut dst = vec![K::default(); keys.len()];
+            let mut dst_vals = vec![(); keys.len()];
+            let mut cursor = exclusive_prefix_sum_usize(&counts).0;
+            let mut stage_keys = vec![K::default(); params.radix * line_keys];
+            let mut stage_vals: Vec<()> = Vec::new();
+            let mut filled = vec![0u32; params.radix];
+            let mut staging = ScatterStaging {
+                keys: &mut stage_keys,
+                vals: &mut stage_vals,
+                filled: &mut filled,
+                line_keys,
+            };
+            let out = scatter_block(
+                keys,
+                &vals,
+                &mut cursor,
+                &SharedMut::new(&mut dst),
+                &SharedMut::new(&mut dst_vals),
+                params,
+                keys.len() as u32,
+                (line_keys > 0).then_some(&mut staging),
+            );
+            assert!(out.lookahead_active, "{case}");
+            assert_eq!(out.shared_updates, want, "{case} line_keys={line_keys}");
+        }
+    }
+
+    #[test]
+    fn lookahead_count_matches_naive_reference() {
+        use crate::digit::{num_digits, radix_of_pass};
+        for digit_bits in [5u32, 8, 11, 16] {
+            for and_count in [0u32, 3, 6] {
+                let level = EntropyLevel::with_and_count(and_count);
+                let keys32 = level.generate_u32(2_000, 21);
+                let keys64 = level.generate_u64(2_000, 22);
+                for keys_per_thread in [1usize, 7, 9, 18, 23] {
+                    for lookahead in [1u32, 2] {
+                        let params = |key_bits: u32, pass: u32| ScatterParams {
+                            digit_bits,
+                            pass,
+                            radix: radix_of_pass(key_bits, digit_bits, pass),
+                            keys_per_block: 2_000,
+                            keys_per_thread,
+                            lookahead_enabled: true,
+                            lookahead,
+                            skew_threshold: 0.0,
+                        };
+                        let case = format!(
+                            "digit_bits={digit_bits} and_count={and_count} kpt={keys_per_thread} lookahead={lookahead}"
+                        );
+                        for pass in 0..num_digits(32, digit_bits) {
+                            check_lookahead_count(&keys32, &params(32, pass), &case);
+                        }
+                        for pass in 0..num_digits(64, digit_bits) {
+                            check_lookahead_count(&keys64, &params(64, pass), &case);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

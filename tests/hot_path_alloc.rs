@@ -1,0 +1,118 @@
+//! The sorter's hot path allocates nothing per key, block or bucket: once
+//! its scratch arena is warm, a sequential sort makes the same number of
+//! heap allocations at 2^14 and at 2^17 keys (only the fixed per-sort
+//! report is allocated).
+//!
+//! A counting global allocator measures the whole test binary, so this
+//! file holds a single test and nothing else runs while it counts.
+
+use hybrid_radix_sort::prelude::*;
+use hybrid_radix_sort::workloads::uniform_keys;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Forwards to the system allocator and counts every allocation and
+/// reallocation.
+struct CountingAllocator;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter has no effect on memory.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        // SAFETY: the caller's `layout` contract is passed on unchanged.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        // SAFETY: `ptr` was allocated by `System` through this allocator
+        // with `layout`, as the caller guarantees.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+const SMALL: usize = 1 << 14;
+const LARGE: usize = 1 << 17;
+
+/// Heap allocations made by `sorter` sorting a copy of `keys` (the copy is
+/// made before counting starts).
+fn allocations_of_sort(sorter: &HybridRadixSorter, keys: &[u32]) -> (u64, SortReport) {
+    let mut keys = keys.to_vec();
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let report = sorter.sort(&mut keys);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys not sorted");
+    (after - before, report)
+}
+
+/// Warms one sorter at both sizes, then returns its allocation counts
+/// for a sort at each size.
+fn warmed_allocations(sorter: &HybridRadixSorter, small: &[u32], large: &[u32]) -> [u64; 2] {
+    for _ in 0..2 {
+        allocations_of_sort(sorter, small);
+        allocations_of_sort(sorter, large);
+    }
+    let (a, small_report) = allocations_of_sort(sorter, small);
+    let (b, large_report) = allocations_of_sort(sorter, large);
+    // Equal counts only mean something if the two sorts have the same
+    // shape: the per-sort report grows with the number of passes.
+    assert_eq!(
+        small_report.passes.len(),
+        large_report.passes.len(),
+        "pass counts differ"
+    );
+    [a, b]
+}
+
+#[test]
+fn warmed_sorts_allocate_independently_of_input_size() {
+    // 2^14 and 2^17 keys of each input.
+    let skewed = |n| EntropyLevel::with_and_count(5).generate_u32(n, 3);
+    let uniform = |n| uniform_keys::<u32>(n, 5);
+
+    // Skewed: the top digits are mostly zero, so the scatter look-ahead is
+    // active on every block of the early passes.
+    let sorter = HybridRadixSorter::with_defaults();
+    let counts = warmed_allocations(&sorter, &skewed(SMALL), &skewed(LARGE));
+    let report = sorter.sort(&mut skewed(LARGE));
+    assert!(report.passes[0].lookahead_active_blocks > 0);
+    assert_eq!(counts[0], counts[1], "skewed input: {counts:?}");
+
+    // Tiny buckets: with a 32-key local-sort threshold every pass-0 bucket
+    // goes on to pass 1, which leaves thousands of local buckets of at
+    // most 32 keys.
+    let tiny = SortConfig {
+        local_sort_threshold: 32,
+        merge_threshold: 8,
+        local_sort_classes: SortConfig::default_classes(32),
+        ..SortConfig::keys_32()
+    };
+    let sorter = HybridRadixSorter::new(tiny);
+    let counts = warmed_allocations(&sorter, &uniform(SMALL), &uniform(LARGE));
+    let report = sorter.sort(&mut uniform(LARGE));
+    assert!(report.local.invocations > 1_000);
+    assert!(report.local.largest_bucket <= 32);
+    assert_eq!(counts[0], counts[1], "tiny local buckets: {counts:?}");
+
+    // Uniform, defaults.
+    let sorter = HybridRadixSorter::with_defaults();
+    let counts = warmed_allocations(&sorter, &uniform(SMALL), &uniform(LARGE));
+    assert_eq!(counts[0], counts[1], "uniform input: {counts:?}");
+}
