@@ -118,16 +118,18 @@ pub fn scatter_bucket<K: SortKey, V: Copy>(
         // Stage the keys (and values) into the sub-buckets.  Functionally we
         // write straight to the destination positions; the shared-memory
         // staging is reflected in the atomic-update statistics.
-        let mut writes = SharedWrites::new(params, lookahead_active, block.len());
+        let mut lookahead = lookahead_active.then(|| LookaheadWrites::new(params));
         for (i, key) in block.iter().enumerate() {
             let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
-            writes.push(d);
+            if let Some(l) = lookahead.as_mut() {
+                l.push(d);
+            }
             let pos = base[d] + local_offsets[d];
             local_offsets[d] += 1;
             dst_keys[pos] = *key;
             dst_vals[pos] = bucket_vals[block_start + i];
         }
-        outcome.shared_updates += writes.total();
+        outcome.shared_updates += lookahead.map_or(block.len() as u64, |l| l.writes);
         outcome.occupied_sub_buckets_sum += hist.distinct_values as u64;
         outcome.blocks += 1;
 
@@ -213,7 +215,7 @@ pub fn scatter_block<K: SortKey, V: Copy>(
         lookahead_active,
         ..BlockScatter::default()
     };
-    let mut writes = SharedWrites::new(params, lookahead_active, block_keys.len());
+    let mut lookahead = lookahead_active.then(|| LookaheadWrites::new(params));
 
     match staging {
         Some(st) if st.line_keys > 1 => {
@@ -222,7 +224,9 @@ pub fn scatter_block<K: SortKey, V: Copy>(
             debug_assert!(st.filled[..params.radix].iter().all(|&f| f == 0));
             for (i, key) in block_keys.iter().enumerate() {
                 let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
-                writes.push(d);
+                if let Some(l) = lookahead.as_mut() {
+                    l.push(d);
+                }
                 let base = d * line;
                 let f = st.filled[d] as usize;
                 st.keys[base + f] = *key;
@@ -277,7 +281,9 @@ pub fn scatter_block<K: SortKey, V: Copy>(
             // Direct per-key scatter: the unstaged equivalence baseline.
             for (i, key) in block_keys.iter().enumerate() {
                 let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
-                writes.push(d);
+                if let Some(l) = lookahead.as_mut() {
+                    l.push(d);
+                }
                 let pos = cursor[d];
                 cursor[d] += 1;
                 // SAFETY: `pos` lies inside the chunk this block reserved
@@ -294,23 +300,16 @@ pub fn scatter_block<K: SortKey, V: Copy>(
         }
     }
 
-    out.shared_updates = writes.total();
+    out.shared_updates = lookahead.map_or(block_keys.len() as u64, |l| l.writes);
     out
 }
 
-/// Counts the shared-memory writes of one block's staging while its keys
-/// stream past in order.  Without the look-ahead every key is one write;
-/// with it, a key joins the current write when it belongs to the same
-/// thread (`keys_per_thread` consecutive keys), has the same digit and the
-/// write holds fewer than `lookahead + 1` keys.
-struct SharedWrites {
-    /// `None` when the look-ahead is off for the block: one write per key.
-    lookahead: Option<LookaheadRun>,
-    keys: u64,
-}
-
-/// State of the write being combined in a look-ahead block.
-struct LookaheadRun {
+/// Counts the shared-memory writes of a look-ahead block's staging while
+/// its keys stream past in order: a key joins the current write when it
+/// belongs to the same thread (`keys_per_thread` consecutive keys), has
+/// the same digit and the write holds fewer than `lookahead + 1` keys.
+/// Without the look-ahead every key is one write.
+struct LookaheadWrites {
     window: usize,
     keys_per_thread: usize,
     /// Keys of the current thread still to come.
@@ -318,49 +317,39 @@ struct LookaheadRun {
     /// Digit and key count of the current write.
     digit: usize,
     len: usize,
+    /// Writes so far.
     writes: u64,
 }
 
-impl SharedWrites {
-    fn new(params: &ScatterParams, lookahead_active: bool, keys: usize) -> Self {
+impl LookaheadWrites {
+    fn new(params: &ScatterParams) -> Self {
         let window = params.lookahead as usize + 1;
-        SharedWrites {
-            lookahead: lookahead_active.then_some(LookaheadRun {
-                window,
-                keys_per_thread: params.keys_per_thread.max(1),
-                left_in_thread: 0,
-                digit: 0,
-                len: window,
-                writes: 0,
-            }),
-            keys: keys as u64,
+        LookaheadWrites {
+            window,
+            keys_per_thread: params.keys_per_thread.max(1),
+            left_in_thread: 0,
+            digit: 0,
+            len: window,
+            writes: 0,
         }
     }
 
     /// Records the next key's digit.
     #[inline]
     fn push(&mut self, digit: usize) {
-        let Some(run) = self.lookahead.as_mut() else {
-            return;
-        };
-        if run.left_in_thread == 0 {
+        if self.left_in_thread == 0 {
             // A new thread's keys: close the current write.
-            run.left_in_thread = run.keys_per_thread;
-            run.len = run.window;
+            self.left_in_thread = self.keys_per_thread;
+            self.len = self.window;
         }
-        run.left_in_thread -= 1;
-        if digit == run.digit && run.len < run.window {
-            run.len += 1;
+        self.left_in_thread -= 1;
+        if digit == self.digit && self.len < self.window {
+            self.len += 1;
         } else {
-            run.digit = digit;
-            run.len = 1;
-            run.writes += 1;
+            self.digit = digit;
+            self.len = 1;
+            self.writes += 1;
         }
-    }
-
-    /// Shared-memory writes of the block.
-    fn total(&self) -> u64 {
-        self.lookahead.as_ref().map_or(self.keys, |run| run.writes)
     }
 }
 
@@ -676,11 +665,11 @@ mod tests {
     /// Shared-memory writes of a look-ahead block, streamed the way
     /// [`scatter_block`] counts them.
     fn count_combined_writes(block: &[u32], params: &ScatterParams) -> u64 {
-        let mut writes = SharedWrites::new(params, true, block.len());
+        let mut lookahead = LookaheadWrites::new(params);
         for k in block {
-            writes.push(digit_of(k.to_radix(), 32, params.digit_bits, params.pass));
+            lookahead.push(digit_of(k.to_radix(), 32, params.digit_bits, params.pass));
         }
-        writes.total()
+        lookahead.writes
     }
 
     /// The look-ahead write count as the GPU staging derives it: each
