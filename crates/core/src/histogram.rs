@@ -15,11 +15,12 @@
 //! The CPU does not simulate either one.  It counts each key once, and for
 //! the thread reduction it *counts* the atomics: a sorted register run
 //! issues one update per distinct digit value, so the count is the number
-//! of distinct values among the run's (at most nine) digits, found with a
-//! fixed register compare rather than by sorting.  The cost model turns
-//! the count into simulated time.  The block histograms are written to
-//! device memory so the scatter step can reuse them (costing `r × 4` bytes
-//! per block, "< 4 %" of the key traffic for the default `KPB`).
+//! of distinct values among the run's (at most nine) digits.  A digit's
+//! first key in the run is the one that finds its counter unchanged since
+//! the run began, so no sort is needed.  The cost model turns the count
+//! into simulated time.  The block histograms are written to device
+//! memory so the scatter step can reuse them (costing `r × 4` bytes per
+//! block, "< 4 %" of the key traffic for the default `KPB`).
 
 use crate::digit::digit_of;
 use gpu_sim::HistogramStrategy;
@@ -82,10 +83,11 @@ pub fn block_histogram<K: SortKey>(
 /// slice of the scratch arena's per-block strip table) and returns
 /// `(atomic_updates, distinct_values)`.
 ///
-/// The thread-reduction strategy holds each register run in a fixed
-/// nine-slot array and counts its distinct digits there, so neither
-/// strategy touches the heap — this is what lets the executor run one
-/// histogram task per block with zero steady-state allocation.
+/// The thread-reduction strategy holds each register run in fixed
+/// nine-slot arrays and counts its distinct digits against `counts`
+/// itself, so neither strategy touches the heap — this is what lets the
+/// executor run one histogram task per block with zero steady-state
+/// allocation.
 pub fn block_histogram_into<K: SortKey>(
     counts: &mut [u32],
     keys: &[K],
@@ -106,13 +108,19 @@ pub fn block_histogram_into<K: SortKey>(
         HistogramStrategy::ThreadReduction => {
             for thread_keys in keys.chunks(keys_per_thread.max(1)) {
                 for run_keys in thread_keys.chunks(RUN) {
-                    let mut run = EMPTY_RUN;
-                    for (slot, k) in run.iter_mut().zip(run_keys) {
-                        let d = digit_of(k.to_radix(), K::BITS, digit_bits, pass);
-                        counts[d] += 1;
-                        *slot = d as u32;
+                    // The run's first key of each digit issues its
+                    // atomicAdd: it is the one that finds the counter
+                    // still holding the value it had before the run.
+                    let mut digits = [0usize; RUN];
+                    let mut before = [0u32; RUN];
+                    for ((d, b), k) in digits.iter_mut().zip(before.iter_mut()).zip(run_keys) {
+                        *d = digit_of(k.to_radix(), K::BITS, digit_bits, pass);
+                        *b = counts[*d];
                     }
-                    atomic_updates += distinct_in_run(&run, run_keys.len());
+                    for (&d, &b) in digits.iter().zip(&before).take(run_keys.len()) {
+                        atomic_updates += u64::from(counts[d] == b);
+                        counts[d] += 1;
+                    }
                 }
             }
         }
@@ -123,37 +131,6 @@ pub fn block_histogram_into<K: SortKey>(
 
 /// Digit values a thread holds in registers at once (Section 4.3).
 const RUN: usize = 9;
-
-/// A register run with no digit in it: distinct sentinels above every digit
-/// value (a digit indexes a counter strip, so it stays far below them), so
-/// unused slots never compare equal to a digit or to each other.
-const EMPTY_RUN: [u32; RUN] = {
-    let mut run = [0; RUN];
-    let mut i = 0;
-    while i < RUN {
-        run[i] = u32::MAX - i as u32;
-        i += 1;
-    }
-    run
-};
-
-/// Distinct digit values among the first `len` slots of `run` (the rest
-/// hold [`EMPTY_RUN`]'s sentinels): the number of `atomicAdd`s the thread
-/// reduction issues once the network has made equal values adjacent.  A
-/// slot counts unless an earlier slot holds the same value; the fixed
-/// triangle of compares has no data-dependent branch.
-#[inline]
-fn distinct_in_run(run: &[u32; RUN], len: usize) -> u64 {
-    let mut repeats = 0;
-    for i in 1..RUN {
-        let mut seen = false;
-        for j in 0..i {
-            seen |= run[j] == run[i];
-        }
-        repeats += seen as usize;
-    }
-    (len - repeats) as u64
-}
 
 /// Sums block histograms into the bucket histogram.
 pub fn aggregate_histograms(blocks: &[BlockHistogram], radix: usize) -> Vec<u64> {
@@ -295,22 +272,6 @@ mod tests {
             }
             check_thread_reduction(&vec![7u32; 1_000], digit_bits, "constant");
         }
-    }
-
-    #[test]
-    fn distinct_in_run_counts_distinct_values() {
-        let run = |digits: &[u32]| {
-            let mut r = EMPTY_RUN;
-            r[..digits.len()].copy_from_slice(digits);
-            distinct_in_run(&r, digits.len())
-        };
-        assert_eq!(run(&[1, 1, 2, 2, 2, 3]), 3);
-        assert_eq!(run(&[5, 5, 5]), 1);
-        assert_eq!(run(&[]), 0);
-        assert_eq!(run(&[1, 2, 1]), 2);
-        assert_eq!(run(&[0; 9]), 1);
-        assert_eq!(run(&[0, 1, 2, 3, 4, 5, 6, 7, 8]), 9);
-        assert_eq!(run(&[65_535, 0, 65_535, 0]), 2);
     }
 
     #[test]
