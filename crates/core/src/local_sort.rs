@@ -3,10 +3,10 @@
 //! A bucket of at most ∂̂ keys is sorted entirely in on-chip shared memory:
 //! it is read from device memory once, sorted (with CUB's `BlockRadixSort`
 //! on the GPU; here with an in-place comparison sort on the keys' radix
-//! representation), and written once to the buffer that
-//! will hold the final sorted output — no matter how many internal passes
-//! the local sort needs.  This is where the hybrid sort saves the bulk of
-//! its memory traffic for friendly distributions.
+//! representation), and written once to the buffer that will hold the
+//! final sorted output — no matter how many internal passes the local sort
+//! needs.  This is where the hybrid sort saves the bulk of its memory
+//! traffic for friendly distributions.
 //!
 //! To avoid over-provisioning threads for tiny buckets, buckets are grouped
 //! into *size classes*; each class is a separate kernel launch with just
@@ -377,18 +377,6 @@ mod tests {
             &mut stats,
         );
         assert_eq!(stats.merged_buckets, 1);
-    }
-
-    #[test]
-    fn tiny_buckets_sort_random_inputs() {
-        let mut rng = workloads::SplitMix64::new(2);
-        for n in [0usize, 1, 2, 3, 7, 16, 31, 32] {
-            let mut v: Vec<u32> = (0..n).map(|_| rng.next_u32()).collect();
-            let mut expected = v.clone();
-            expected.sort_unstable();
-            sort_keys_in_shared_memory(&mut v);
-            assert_eq!(v, expected, "n = {n}");
-        }
     }
 
     #[test]
