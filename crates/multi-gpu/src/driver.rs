@@ -13,19 +13,23 @@
 //! 3. **Consult the fault plan** once per unit, in device/unit order
 //!    ([`crate::recovery`]): a failure or corruption hands the unit back to
 //!    the pending set, a stall slows the unit's transfers.
-//! 4. **Sort** the surviving units on the persistent device lanes:
-//!    simulated GPUs fanned out over the host executor, CPU sockets one at
-//!    a time afterwards so their measured wall-clock is not inflated by
-//!    host contention.
+//! 4. **Sort** the surviving units on the persistent device lanes, one
+//!    host-executor task per device: simulated GPUs fan out first, CPU
+//!    sockets side by side in a fan-out of their own afterwards, so a
+//!    socket's measured wall-clock shares the host only with its sibling
+//!    sockets, as on a real multi-socket machine.
 //! 5. **Schedule** every unit on one shared [`gpu_sim::Timeline`] from the
 //!    round's start: uploads, sorts and downloads overlap within a device
 //!    and across devices, since every link is independent.
-//! 6. **Recombine the round**: host-merge sorts keep the sorted units as
-//!    runs; the peer exchange swaps buckets and merges per destination.
+//! 6. **Recombine the round**: host-merge sorts keep each device's sorted
+//!    units as that shard's runs; the peer exchange swaps buckets and
+//!    merges per destination, leaving one run per shard.
 //!
 //! Requeued elements wait out an exponential simulated backoff before the
-//! next round.  A final host step — the p-way merge, or concatenating a
-//! round-0 exchange without orphan runs — yields the output and one report.
+//! next round.  A final host step yields the output and one report.  A
+//! sort that ends in round 0 without orphan runs has range-disjoint shards
+//! in device order, so each shard merges only its own runs and the shards
+//! concatenate; any other run set takes the full p-way merge.
 
 use crate::engine::ShardedSorter;
 use crate::exchange::{carve_slabs, slab_lengths, RecombineStrategy};
@@ -106,8 +110,8 @@ pub(crate) struct Run<K, V> {
     pub(crate) peer_res: HashMap<(usize, usize), ResourceId>,
     /// Elements awaiting a (re)try.
     pub(crate) pending: (Vec<K>, Vec<V>),
-    /// Sorted runs awaiting the final host step.
-    pub(crate) runs: Vec<(Vec<K>, Vec<V>)>,
+    /// Sorted runs awaiting the final host step, grouped by shard report.
+    pub(crate) runs: Vec<Vec<(Vec<K>, Vec<V>)>>,
     /// Whether an exchange left orphan runs (they overlap merged ranges).
     pub(crate) orphans: bool,
     pub(crate) combined: SortReport,
@@ -204,7 +208,7 @@ impl ShardedSorter {
         if let Some(err) = failure {
             // Restore every element — sorted runs and still-pending alike —
             // so the caller's data survives the failure unsorted but whole.
-            for (ks, vs) in run.runs {
+            for (ks, vs) in run.runs.into_iter().flatten() {
                 keys.extend(ks);
                 values.extend(vs);
             }
@@ -218,7 +222,7 @@ impl ShardedSorter {
         let merge_span = self
             .inspector
             .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        (*keys, *values) = self.host_step(&mut run, exchange);
+        (*keys, *values) = self.host_step(&mut run);
         let measured_merge = merge_span.finish();
 
         let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
@@ -366,12 +370,12 @@ impl ShardedSorter {
         (splitters, units)
     }
 
-    /// Sorts every unit through its device's lane.  Simulated devices fan
-    /// out over the host executor, one task per device sorting its units
-    /// in stream order (a real device sorts one chunk at a time, and
-    /// serial lane use keeps the warm arena uncontended).  CPU-socket
-    /// units sort afterwards, one at a time on an otherwise idle host,
-    /// because their measured wall-clock *is* the schedule input.
+    /// Sorts every unit through its device's lane, one host-executor task
+    /// per device sorting its units in stream order (a real device sorts
+    /// one chunk at a time, and serial lane use keeps the warm arena
+    /// uncontended).  Simulated devices fan out first; CPU sockets fan out
+    /// afterwards, side by side, because their measured wall-clock *is*
+    /// the schedule input and must not absorb simulated-GPU host work.
     fn sort_units<K: SortKey, V: SortValue>(
         &self,
         lanes: &[HybridRadixSorter],
@@ -396,19 +400,16 @@ impl ShardedSorter {
             unit.report = lanes[unit.device].sort_pairs(&mut unit.keys, &mut unit.vals);
             unit.measured = start.elapsed();
         };
-        {
+        for groups in [simulated, measured] {
             let view = SharedMut::new(&mut *units);
-            self.host_exec.for_each_task(simulated.len(), |t, _worker| {
-                let (start, end) = simulated[t];
+            self.host_exec.for_each_task(groups.len(), |t, _worker| {
+                let (start, end) = groups[t];
                 // SAFETY: device groups are disjoint index ranges, so task
                 // `t` exclusively owns units `start..end`.
                 for unit in unsafe { view.slice_mut(start, end - start) } {
                     sort(unit);
                 }
             });
-        }
-        for (start, end) in measured {
-            units[start..end].iter_mut().for_each(sort);
         }
     }
 
@@ -534,7 +535,7 @@ impl ShardedSorter {
     }
 
     /// Host-merge recombination of one device's round: the shard report,
-    /// and the sorted units as runs for the final merge.
+    /// and the sorted units as the shard's runs for the final host step.
     fn keep_share<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
@@ -571,36 +572,42 @@ impl ShardedSorter {
         });
         run.shard_devices.push((share.device, share.n));
         run.runs
-            .extend(share.units.into_iter().map(|u| (u.keys, u.vals)));
+            .push(share.units.into_iter().map(|u| (u.keys, u.vals)).collect());
     }
 
-    /// The final host step.  A round-0 exchange without orphans leaves
-    /// destination ranges that tile the key space in device order, so the
-    /// host concatenates; every other run set takes the p-way merge.
-    fn host_step<K: SortKey, V: SortValue>(
-        &self,
-        run: &mut Run<K, V>,
-        exchange: bool,
-    ) -> (Vec<K>, Vec<V>) {
-        let runs = std::mem::take(&mut run.runs);
-        if !exchange || run.round > 0 || run.orphans {
-            return self.merge_runs(runs);
+    /// The final host step.  A sort that ends in round 0 without orphan
+    /// runs holds range-disjoint shards in device order, and equal keys
+    /// never straddle shards: each shard merges only its own runs (its
+    /// out-of-core chunks; an in-core or exchanged shard is one run) and
+    /// the shards concatenate into the first one's buffers.  That is byte
+    /// for byte the p-way merge of every run, which requeue rounds and
+    /// orphan runs (their ranges overlap) still take.
+    fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> (Vec<K>, Vec<V>) {
+        let shards = std::mem::take(&mut run.runs);
+        if run.round > 0 || run.orphans {
+            return self.merge_runs(shards.into_iter().flatten().collect());
         }
-        let n = runs.iter().map(|(ks, _)| ks.len()).sum();
-        let mut out = (Vec::with_capacity(n), Vec::with_capacity(n));
-        for (ks, vs) in runs {
-            out.0.extend(ks);
-            out.1.extend(vs);
+        let n: usize = shards.iter().flatten().map(|(ks, _)| ks.len()).sum();
+        let mut merged = shards.into_iter().map(|runs| self.merge_runs(runs));
+        let mut out: (Vec<K>, Vec<V>) = merged.next().unwrap_or_default();
+        out.0.reserve(n - out.0.len());
+        out.1.reserve(n - out.1.len());
+        for (mut ks, mut vs) in merged {
+            out.0.append(&mut ks);
+            out.1.append(&mut vs);
         }
         out
     }
 
     /// The host p-way merge of sorted runs over zipped `(key, value)`
-    /// records.
+    /// records.  A single run is already merged and comes back as is.
     pub(crate) fn merge_runs<K: SortKey, V: SortValue>(
         &self,
-        runs: Vec<(Vec<K>, Vec<V>)>,
+        mut runs: Vec<(Vec<K>, Vec<V>)>,
     ) -> (Vec<K>, Vec<V>) {
+        if runs.len() <= 1 {
+            return runs.pop().unwrap_or_default();
+        }
         let merged = {
             let zipped: Vec<Vec<(K, V)>> = runs
                 .into_iter()
@@ -617,9 +624,11 @@ impl ShardedSorter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_pool::DevicePool;
+    use crate::device_pool::{DevicePool, SimDevice};
+    use crate::ooc::OocConfig;
+    use gpu_sim::FaultPlan;
     use hrs_core::SortConfig;
-    use workloads::{uniform_keys, KeyCodec};
+    use workloads::{uniform_keys, KeyCodec, ZipfGenerator};
 
     fn mesh_exchange_sorter() -> ShardedSorter {
         let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(40_000, 250_000_000));
@@ -650,7 +659,8 @@ mod tests {
                     .mark_dead(victim(&shares, &splitters.ranges()));
             }
             sorter.exchange_round(&mut run, &splitters, shares);
-            let held = run.pending.0.len() + run.runs.iter().map(|r| r.0.len()).sum::<usize>();
+            let held =
+                run.pending.0.len() + run.runs.iter().flatten().map(|r| r.0.len()).sum::<usize>();
             assert_eq!(held, n, "round {} lost elements", run.round);
             if run.pending.0.is_empty() {
                 break;
@@ -659,7 +669,122 @@ mod tests {
             alive = sorter.pool().alive_indices();
         }
         let orphaned_in_round_zero = run.round == 0 && run.orphans;
-        (sorter.host_step(&mut run, true).0, orphaned_in_round_zero)
+        (sorter.host_step(&mut run).0, orphaned_in_round_zero)
+    }
+
+    /// Two single-worker CPU sockets, the pairs benchmarks' pool; out of
+    /// core, each lane streams four chunks.
+    fn socket_sorter() -> ShardedSorter {
+        ShardedSorter::new(DevicePool::new(vec![SimDevice::cpu_socket(1); 2]))
+            .with_merge_threads(2)
+            .with_ooc_config(OocConfig::default().with_chunks_per_device(4))
+    }
+
+    /// Zipf keys over a 256-value universe, so every key repeats (the
+    /// ones either side of a shard boundary included), with row ids.
+    fn zipf_rows(n: usize, seed: u64) -> (Vec<u64>, Vec<u32>) {
+        let keys = ZipfGenerator::paper_default(256, seed).generate::<u64>(n);
+        (keys, (0..n as u32).collect())
+    }
+
+    /// Every round of a host-merge sort up to, not including, the final
+    /// host step.
+    fn host_merge_rounds(
+        sorter: &ShardedSorter,
+        (keys, vals): (Vec<u64>, Vec<u32>),
+        out_of_core: bool,
+    ) -> Run<u64, u32> {
+        let lanes: Vec<_> = (0..sorter.pool().len())
+            .map(|i| sorter.lane_sorter(i))
+            .collect();
+        let mut run = sorter.begin(keys, vals);
+        loop {
+            let alive = sorter.pool().alive_indices();
+            let (_, shares) = sorter.sort_round(&mut run, &lanes, &alive, false, out_of_core);
+            for share in shares {
+                sorter.keep_share(&mut run, share, out_of_core);
+            }
+            if run.pending.0.is_empty() {
+                return run;
+            }
+            run.round += 1;
+        }
+    }
+
+    #[test]
+    fn round_zero_shards_concatenate_to_the_p_way_merge() {
+        for out_of_core in [false, true] {
+            let sorter = socket_sorter();
+            let input = zipf_rows(40_000, 7);
+            let expected_keys = KeyCodec::std_sorted(&input.0);
+            let mut run = host_merge_rounds(&sorter, input, out_of_core);
+            assert_eq!(run.round, 0);
+            let per_shard = if out_of_core { 4 } else { 1 };
+            assert!(run.runs.iter().all(|runs| runs.len() == per_shard));
+            let boundary: usize = run.runs[0].iter().map(|(ks, _)| ks.len()).sum();
+            let merged = sorter.merge_runs(run.runs.iter().flatten().cloned().collect());
+
+            let (keys, vals) = sorter.host_step(&mut run);
+            assert_eq!(keys, expected_keys, "out_of_core = {out_of_core}");
+            assert_eq!(keys, merged.0, "out_of_core = {out_of_core}");
+            assert_eq!(vals, merged.1, "out_of_core = {out_of_core}");
+            // Ties on both sides of the shard boundary, none across it.
+            let (below, above) = (keys[boundary - 1], keys[boundary]);
+            assert!(below < above);
+            assert_eq!(keys[boundary - 2], below);
+            assert_eq!(keys[boundary + 1], above);
+        }
+    }
+
+    #[test]
+    fn round_zero_exchange_without_orphans_concatenates() {
+        let sorter = mesh_exchange_sorter();
+        let lanes: Vec<_> = (0..4).map(|i| sorter.lane_sorter(i)).collect();
+        let keys = uniform_keys::<u64>(60_000, 11);
+        let expected = KeyCodec::std_sorted(&keys);
+        let mut run = sorter.begin(keys, vec![(); 60_000]);
+        let alive = sorter.pool().alive_indices();
+        let (splitters, shares) = sorter.sort_round(&mut run, &lanes, &alive, true, false);
+        sorter.exchange_round(&mut run, &splitters, shares);
+        assert!(run.pending.0.is_empty() && !run.orphans);
+        assert!(run.runs.iter().all(|runs| runs.len() == 1));
+        let concatenated: Vec<u64> = run
+            .runs
+            .iter()
+            .flatten()
+            .flat_map(|(ks, _)| ks)
+            .copied()
+            .collect();
+        assert_eq!(concatenated, expected);
+        assert_eq!(sorter.host_step(&mut run).0, expected);
+    }
+
+    #[test]
+    fn a_socket_failing_in_round_zero_takes_the_full_merge() {
+        // Socket 0 holds the lower key range and fails its round-0 sort;
+        // socket 1 sorts the upper range in round 0 and the requeued lower
+        // range in round 1, so its runs are out of key order.
+        for out_of_core in [false, true] {
+            let sorter = socket_sorter().with_fault_plan(FaultPlan::fail_device(0, 0));
+            let input = zipf_rows(30_000, 5);
+            let expected_keys = KeyCodec::std_sorted(&input.0);
+            let mut run = host_merge_rounds(&sorter, input, out_of_core);
+            assert_eq!(run.round, 1);
+            assert!(!sorter.pool().alive(0));
+            let concatenated: Vec<u64> = run
+                .runs
+                .iter()
+                .flatten()
+                .flat_map(|(ks, _)| ks)
+                .copied()
+                .collect();
+            assert_ne!(concatenated, expected_keys, "out_of_core = {out_of_core}");
+            let merged = sorter.merge_runs(run.runs.iter().flatten().cloned().collect());
+
+            let (keys, vals) = sorter.host_step(&mut run);
+            assert_eq!(keys, expected_keys, "out_of_core = {out_of_core}");
+            assert_eq!((&keys, &vals), (&merged.0, &merged.1));
+        }
     }
 
     #[test]

@@ -15,12 +15,13 @@
 //!    other completely, since every link is independent.  The schedule is
 //!    built on a shared [`gpu_sim::Timeline`]; its makespan is the
 //!    critical-path simulated time.
-//! 3. **Recombination** (host): the `p` sorted runs are merged with the
-//!    generalised parallel p-way merge of
-//!    [`hetero::parallel_merge_sorted_runs_by`].  Range partitioning means
-//!    equal keys never straddle shards, so the merge simply concatenates
-//!    logically — but running the real merge keeps the engine honest for
-//!    any splitter policy.  Measured for real.
+//! 3. **Recombination** (host): range partitioning means equal keys never
+//!    straddle shards, so a sort that finishes in its first round
+//!    concatenates the `p` sorted shards in device order — out of core,
+//!    after each shard merges its own chunk runs with the generalised
+//!    parallel p-way merge of [`hetero::parallel_merge_sorted_runs_by`].
+//!    Requeue rounds after a fault break that order, so they merge every
+//!    run.  Measured for real.
 //!
 //! Every entry point — in core, out of core ([`crate::ooc`]), with the
 //! peer exchange ([`crate::exchange`]) or under injected faults

@@ -53,8 +53,9 @@ use workloads::pairs::SortValue;
 /// How the sorted shards are recombined into one globally sorted output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum RecombineStrategy {
-    /// Download every shard and run the host p-way merge (the original
-    /// engine path; the default and the fallback).
+    /// Download every shard and recombine on the host: range-disjoint
+    /// shards concatenate, each after merging its own out-of-core chunk
+    /// runs (the original engine path; the default and the fallback).
     #[default]
     HostMerge,
     /// All-to-all bucket exchange over the pool's peer topology followed
@@ -337,7 +338,7 @@ impl ShardedSorter {
                         measured_sort: None,
                     });
                     run.shard_devices.push((g, 0));
-                    run.runs.push((bk, bv));
+                    run.runs.push(vec![(bk, bv)]);
                     continue;
                 }
                 let (start, end, direct) = match topo.direct_transfer_time(g, dst, bytes) {
@@ -451,7 +452,7 @@ impl ShardedSorter {
                     .then(|| slab.map_or(Duration::ZERO, |u| u.measured)),
             });
             run.shard_devices.push((g, share.n));
-            run.runs.push(merged);
+            run.runs.push(vec![merged]);
         }
     }
 }

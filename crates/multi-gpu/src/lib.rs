@@ -14,11 +14,13 @@
 //!    [`hrs_core::HybridRadixSorter`], one simulated device per shard, each
 //!    with its own host link ([`gpu_sim::LinkSpec`]: PCIe 3.0/4.0 or
 //!    NVLink classes) so transfers overlap across devices;
-//! 3. **recombine** — by default with the generalised parallel p-way merge
-//!    of [`hetero::multiway_merge`] on the host, or (cost-model-selected
-//!    via [`RecombineStrategy`]) with a peer-to-peer all-to-all bucket
-//!    exchange over the pool's [`gpu_sim::PeerTopology`] in which each
-//!    device merges only its own output range ([`exchange`]).
+//! 3. **recombine** — by default on the host, concatenating the
+//!    range-disjoint shards (out of core, each first merges its chunk
+//!    runs with the parallel p-way merge of [`hetero::multiway_merge`]),
+//!    or (cost-model-selected via [`RecombineStrategy`]) with a
+//!    peer-to-peer all-to-all bucket exchange over the pool's
+//!    [`gpu_sim::PeerTopology`] in which each device merges only its own
+//!    output range ([`exchange`]).
 //!
 //! The engine is functional — the output really is sorted — while transfer
 //! and kernel times come from the `gpu_sim` analytical model, scheduled on

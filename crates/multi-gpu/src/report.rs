@@ -194,7 +194,9 @@ pub struct ShardedReport {
     /// Measured wall-clock duration of the host-side partitioning
     /// (splitter selection + scatter into shard buffers).
     pub measured_partition: std::time::Duration,
-    /// Measured wall-clock duration of the host-side p-way merge.
+    /// Measured wall-clock duration of the final host step: the per-shard
+    /// merges and the concatenation of a first-round sort, or the p-way
+    /// merge of every run after a requeue round or orphaned buckets.
     pub measured_merge: std::time::Duration,
     /// End-to-end time: host partition, device critical path, host merge.
     pub end_to_end: SimTime,

@@ -4,13 +4,15 @@
 //! library sort must all agree on every output — for plain keys, pairs,
 //! batches and the out-of-core lane, across uniform / zipf / sorted /
 //! duplicate-heavy inputs and 1/2/4/8-device pools, including skewed
-//! capacity weights and shards that receive zero keys.
+//! capacity weights and shards that receive zero keys.  The benchmarks'
+//! two-CPU-socket pool, whose round-0 shards concatenate on the host, is
+//! held to the same outputs.
 //!
 //! The exchange path may differ in *schedule* (that is the point), never
 //! in *bytes*.
 
 use hybrid_radix_sort::gpu_sim::{DeviceSpec, LinkSpec, PeerTopology};
-use hybrid_radix_sort::multi_gpu::{DevicePool, ShardedSorter};
+use hybrid_radix_sort::multi_gpu::{DevicePool, OocConfig, ShardedSorter};
 use hybrid_radix_sort::prelude::*;
 use hybrid_radix_sort::workloads::{uniform_keys, KeyCodec, ZipfGenerator};
 use proptest::prelude::*;
@@ -35,8 +37,23 @@ fn host_sorter(p: usize) -> ShardedSorter {
         .with_recombine_strategy(RecombineStrategy::HostMerge)
 }
 
-/// The four input shapes the suite sweeps: uniform, the paper's zipf,
-/// pre-sorted, and duplicate-heavy (keys folded into 16 distinct values).
+/// The benchmarks' pool: two single-worker CPU sockets, which sort for
+/// real and recombine on the host; out of core, four chunks per lane.
+fn socket_sorter() -> ShardedSorter {
+    ShardedSorter::new(DevicePool::new(vec![SimDevice::cpu_socket(1); 2]))
+        .with_merge_threads(4)
+        .with_ooc_config(OocConfig::default().with_chunks_per_device(4))
+}
+
+/// A value that is a function of its key, so pair outputs compare exactly
+/// whatever order a sorter leaves equal keys in.
+fn tag(k: u64) -> u32 {
+    (k ^ (k >> 32)) as u32
+}
+
+/// The input shapes the suite sweeps: uniform, the paper's zipf,
+/// pre-sorted, duplicate-heavy (keys folded into 16 distinct values) and
+/// constant (every shard but one receives zero keys).
 fn generate(shape: usize, n: usize, seed: u64) -> Vec<u64> {
     match shape {
         0 => uniform_keys::<u64>(n, seed),
@@ -46,10 +63,11 @@ fn generate(shape: usize, n: usize, seed: u64) -> Vec<u64> {
             k.sort_unstable();
             k
         }
-        _ => uniform_keys::<u64>(n, seed)
+        3 => uniform_keys::<u64>(n, seed)
             .into_iter()
             .map(|k| (k % 16) << 60)
             .collect(),
+        _ => vec![seed; n],
     }
 }
 
@@ -137,6 +155,44 @@ proptest! {
         }
     }
 
+    /// CPU sockets: pairs, batches and the out-of-core lane agree with std
+    /// and with the host-merge sorter on a GPU pool, on every input shape.
+    #[test]
+    fn socket_pair_sorts_agree_with_reference_and_host_merge(
+        n in 2_000usize..30_000,
+        shape in 0usize..5,
+        seed in any::<u64>(),
+    ) {
+        let keys = generate(shape, n, seed);
+        let vals: Vec<u32> = keys.iter().map(|&k| tag(k)).collect();
+        let reference = KeyCodec::std_sorted(&keys);
+        let reference_vals: Vec<u32> = reference.iter().map(|&k| tag(k)).collect();
+
+        let (mut hk, mut hv) = (keys.clone(), vals.clone());
+        host_sorter(2).sort_pairs(&mut hk, &mut hv);
+        prop_assert_eq!(&hk, &reference);
+        prop_assert_eq!(&hv, &reference_vals);
+
+        let sorter = socket_sorter();
+        let (mut sk, mut sv) = (keys.clone(), vals.clone());
+        sorter.sort_pairs(&mut sk, &mut sv);
+        prop_assert_eq!(&sk, &hk);
+        prop_assert_eq!(&sv, &hv);
+
+        let lens = [n / 3, n - n / 3];
+        let (mut bk, mut bv) = (keys.clone(), vals.clone());
+        let report = sorter.sort_batch_pairs(&mut bk, &mut bv, &lens);
+        prop_assert_eq!(report.requests.len(), 2);
+        prop_assert_eq!(&bk, &hk);
+        prop_assert_eq!(&bv, &hv);
+
+        let (mut ok, mut ov) = (keys, vals);
+        let report = sorter.sort_out_of_core_pairs(&mut ok, &mut ov);
+        prop_assert!(report.is_out_of_core());
+        prop_assert_eq!(&ok, &hk);
+        prop_assert_eq!(&ov, &hv);
+    }
+
     /// Out-of-core: the chunk-streamed lane always recombines on the host
     /// (its tail merge overlaps the chunk stream instead), and setting the
     /// peer-exchange strategy on the engine must not disturb it.
@@ -221,6 +277,28 @@ fn zero_key_shards_are_legal_in_the_exchange() {
     let mut one = vec![42u64];
     exchange_sorter(8).sort(&mut one);
     assert_eq!(one, vec![42]);
+}
+
+/// A constant input starves one of the two CPU sockets, in core and out
+/// of core, and the empty shard concatenates like any other.
+#[test]
+fn socket_pool_tolerates_a_zero_key_shard() {
+    let keys = vec![0xDEAD_BEEF_u64; 30_000];
+    let vals: Vec<u32> = keys.iter().map(|&k| tag(k)).collect();
+    let sorter = socket_sorter();
+    for out_of_core in [false, true] {
+        let (mut k, mut v) = (keys.clone(), vals.clone());
+        let report = if out_of_core {
+            sorter.sort_out_of_core_pairs(&mut k, &mut v)
+        } else {
+            sorter.sort_pairs(&mut k, &mut v)
+        };
+        assert_eq!((&k, &v), (&keys, &vals));
+        assert!(
+            report.shards.iter().any(|s| s.n == 0),
+            "a constant input must starve a socket (out_of_core = {out_of_core})"
+        );
+    }
 }
 
 /// `Auto` resolves through the cost model: on an 8-device NVLink mesh the
