@@ -17,7 +17,10 @@
 //!    host-executor task per device: simulated GPUs fan out first, CPU
 //!    sockets side by side in a fan-out of their own afterwards, so a
 //!    socket's measured wall-clock shares the host only with its sibling
-//!    sockets, as on a real multi-socket machine.
+//!    sockets.  That matches a real multi-socket machine only while the
+//!    sockets' workers together fit in the host executor's workers
+//!    (cores); beyond that, sibling sockets contend and each socket's
+//!    measured time grows.
 //! 5. **Schedule** every unit on one shared [`gpu_sim::Timeline`] from the
 //!    round's start: uploads, sorts and downloads overlap within a device
 //!    and across devices, since every link is independent.
@@ -376,6 +379,10 @@ impl ShardedSorter {
     /// uncontended).  Simulated devices fan out first; CPU sockets fan out
     /// afterwards, side by side, because their measured wall-clock *is*
     /// the schedule input and must not absorb simulated-GPU host work.
+    /// The schedule overlaps the sockets' times as if each had its own
+    /// cores, which holds while their workers together fit in
+    /// `host_exec.workers()`; past that, each time includes contention
+    /// with its siblings.
     fn sort_units<K: SortKey, V: SortValue>(
         &self,
         lanes: &[HybridRadixSorter],
@@ -575,17 +582,18 @@ impl ShardedSorter {
             .push(share.units.into_iter().map(|u| (u.keys, u.vals)).collect());
     }
 
-    /// The final host step.  A sort that ends in round 0 without orphan
-    /// runs holds range-disjoint shards in device order, and equal keys
-    /// never straddle shards: each shard merges only its own runs (its
-    /// out-of-core chunks; an in-core or exchanged shard is one run) and
-    /// the shards concatenate into the first one's buffers.  That is byte
-    /// for byte the p-way merge of every run, which requeue rounds and
-    /// orphan runs (their ranges overlap) still take.
+    /// The final host step: each group of runs merges on its own and the
+    /// groups concatenate in order into the first one's buffers.  A sort
+    /// that ends in round 0 without orphan runs holds range-disjoint
+    /// shards in device order, and equal keys never straddle shards, so
+    /// every shard is a group (its out-of-core chunks; an in-core or
+    /// exchanged shard is one run).  That is byte for byte the p-way merge
+    /// of every run.  After requeue rounds or with orphan runs the ranges
+    /// overlap, so all runs form one group: the full p-way merge.
     fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> (Vec<K>, Vec<V>) {
-        let shards = std::mem::take(&mut run.runs);
+        let mut shards = std::mem::take(&mut run.runs);
         if run.round > 0 || run.orphans {
-            return self.merge_runs(shards.into_iter().flatten().collect());
+            shards = vec![shards.into_iter().flatten().collect()];
         }
         let n: usize = shards.iter().flatten().map(|(ks, _)| ks.len()).sum();
         let mut merged = shards.into_iter().map(|runs| self.merge_runs(runs));
