@@ -1,10 +1,10 @@
 //! Criterion benchmark behind Figures 8 and 9: the CPU-side parallel
 //! multiway merge for a growing number of runs (the component that limits
-//! the end-to-end time on the six-core host) and the full heterogeneous
-//! sort at functional scale.
+//! the end-to-end time on the six-core host), the same merge over key-value
+//! runs, and the full heterogeneous sort at functional scale.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetero::{parallel_merge_sorted_runs, HeterogeneousSorter};
+use hetero::{merge_pairs_into, parallel_merge_sorted_runs, HeterogeneousSorter};
 use hrs_bench::{bench_config_64, BENCH_HETERO_KEYS, BENCH_SEED};
 use hrs_core::HybridRadixSorter;
 use std::hint::black_box;
@@ -37,6 +37,28 @@ fn bench_multiway_merge(c: &mut Criterion) {
             },
         );
     }
+    // The sharded engine's out-of-core shape: four runs of u64 keys with
+    // u32 values, merged structure-of-arrays into preallocated outputs.
+    let per = keys.len() / 4;
+    let pair_runs: Vec<(Vec<u64>, Vec<u32>)> = (0..4)
+        .map(|i| {
+            let mut r = keys[i * per..(i + 1) * per].to_vec();
+            r.sort_unstable();
+            let vals = r.iter().map(|&k| k as u32).collect();
+            (r, vals)
+        })
+        .collect();
+    let mut out = (vec![0u64; 4 * per], vec![0u32; 4 * per]);
+    group.bench_function("merge_pairs/s=4", |b| {
+        b.iter(|| {
+            let refs: Vec<(&[u64], &[u32])> = pair_runs
+                .iter()
+                .map(|(ks, vs)| (ks.as_slice(), vs.as_slice()))
+                .collect();
+            merge_pairs_into(&refs, 6, &mut out.0, &mut out.1);
+            black_box(&out);
+        });
+    });
     group.finish();
 }
 

@@ -13,7 +13,7 @@
 //! naive (non-pipelined) comparison points.
 
 use crate::chunking::split_into_chunks;
-use crate::multiway_merge::parallel_merge_sorted_runs;
+use crate::multiway_merge::merge_keys_into;
 use crate::pipeline::{PipelineBreakdown, PipelineConfig, PipelineSchedule};
 use gpu_sim::{PcieBus, SimTime, TransferDirection};
 use hrs_core::HybridRadixSorter;
@@ -148,14 +148,14 @@ impl HeterogeneousSorter {
 
         // Merge the sorted runs on the CPU (measured for real).
         let merge_span = self.inspector.span_with("hetero/merge", "hetero/merge_ns");
-        let merged = if runs.len() == 1 {
-            std::mem::take(&mut runs[0])
+        // The runs are copies, so they merge straight into `keys`.
+        if let [run] = runs.as_mut_slice() {
+            std::mem::swap(keys, run);
         } else {
             let run_refs: Vec<&[K]> = runs.iter().map(|r| r.as_slice()).collect();
-            parallel_merge_sorted_runs(&run_refs, self.merge_threads)
-        };
+            merge_keys_into(&run_refs, self.merge_threads, |k: &K| k.to_radix(), keys);
+        }
         let measured_merge = merge_span.finish();
-        *keys = merged;
         self.inspector.counter("hetero/sorts").inc();
         self.inspector.counter("hetero/keys").add(n as u64);
         self.inspector

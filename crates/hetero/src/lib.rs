@@ -20,8 +20,8 @@
 //!
 //! * [`chunking`] — splitting an input into balanced chunks and sizing them
 //!   against the device memory,
-//! * [`multiway_merge`] — a loser-tree based k-way merge with a parallel
-//!   range-splitting front end (the CPU-side merge of the paper),
+//! * [`multiway_merge`] — a structure-of-arrays k-way merge kernel with a
+//!   parallel range-splitting front end (the CPU-side merge of the paper),
 //! * [`pipeline`] — the simulated full-duplex PCIe / GPU schedule,
 //! * [`hetero_sort`] — the end-to-end driver combining real chunk sorting,
 //!   real CPU merging and the simulated transfer pipeline.
@@ -36,7 +36,7 @@ pub mod pipeline;
 pub use chunking::{split_into_chunks, ChunkPlan};
 pub use hetero_sort::{HeteroReport, HeterogeneousSorter, NaiveGpuReport};
 pub use multiway_merge::{
-    merge_sorted_runs, merge_sorted_runs_by, parallel_merge_sorted_runs,
-    parallel_merge_sorted_runs_by, LoserTree,
+    merge_pairs_into, merge_sorted_runs, merge_sorted_runs_by, parallel_merge_sorted_runs,
+    parallel_merge_sorted_runs_by,
 };
 pub use pipeline::{PipelineBreakdown, PipelineConfig, PipelineResources, PipelineSchedule};

@@ -42,7 +42,7 @@ use crate::recovery::{SortError, BACKOFF, MAX_RETRIES};
 use crate::report::{ExchangeSpan, FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
 use gpu_sim::{ResourceId, SimTime, Timeline, TransferDirection};
 use hetero::chunking::split_into_chunks;
-use hetero::multiway_merge::parallel_merge_sorted_runs_by;
+use hetero::multiway_merge::merge_pairs_into;
 use hetero::pipeline::PipelineResources;
 use hrs_core::{HybridRadixSorter, SharedMut, SortReport};
 use std::collections::HashMap;
@@ -583,32 +583,50 @@ impl ShardedSorter {
     }
 
     /// The final host step: each group of runs merges on its own and the
-    /// groups concatenate in order into the first one's buffers.  A sort
-    /// that ends in round 0 without orphan runs holds range-disjoint
-    /// shards in device order, and equal keys never straddle shards, so
-    /// every shard is a group (its out-of-core chunks; an in-core or
-    /// exchanged shard is one run).  That is byte for byte the p-way merge
-    /// of every run.  After requeue rounds or with orphan runs the ranges
-    /// overlap, so all runs form one group: the full p-way merge.
+    /// groups concatenate in order.  A sort that ends in round 0 without
+    /// orphan runs holds range-disjoint shards in device order, and equal
+    /// keys never straddle shards, so every shard is a group (its
+    /// out-of-core chunks; an in-core or exchanged shard is one run).  That
+    /// is byte for byte the p-way merge of every run.  After requeue rounds
+    /// or with orphan runs the ranges overlap, so all runs form one group:
+    /// the full p-way merge.
+    ///
+    /// When every group is a single run, the first run's buffers take the
+    /// others appended.  Otherwise the groups merge straight into their
+    /// slices of one output, allocated zeroed so its pages map only as the
+    /// merge writes them, and each group's runs are freed once merged.
     fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> (Vec<K>, Vec<V>) {
         let mut shards = std::mem::take(&mut run.runs);
         if run.round > 0 || run.orphans {
             shards = vec![shards.into_iter().flatten().collect()];
         }
         let n: usize = shards.iter().flatten().map(|(ks, _)| ks.len()).sum();
-        let mut merged = shards.into_iter().map(|runs| self.merge_runs(runs));
-        let mut out: (Vec<K>, Vec<V>) = merged.next().unwrap_or_default();
-        out.0.reserve(n - out.0.len());
-        out.1.reserve(n - out.1.len());
-        for (mut ks, mut vs) in merged {
-            out.0.append(&mut ks);
-            out.1.append(&mut vs);
+        if shards.iter().all(|runs| runs.len() <= 1) {
+            let mut runs = shards.into_iter().flatten();
+            let mut out: (Vec<K>, Vec<V>) = runs.next().unwrap_or_default();
+            out.0.reserve(n - out.0.len());
+            out.1.reserve(n - out.1.len());
+            for (mut ks, mut vs) in runs {
+                out.0.append(&mut ks);
+                out.1.append(&mut vs);
+            }
+            return out;
+        }
+        let mut out = (vec![K::default(); n], vec![V::default(); n]);
+        let (mut keys, mut vals) = (out.0.as_mut_slice(), out.1.as_mut_slice());
+        for runs in shards {
+            let len = runs.iter().map(|(ks, _)| ks.len()).sum();
+            let (group_keys, rest) = std::mem::take(&mut keys).split_at_mut(len);
+            keys = rest;
+            let (group_vals, rest) = std::mem::take(&mut vals).split_at_mut(len);
+            vals = rest;
+            self.merge_runs_into(&runs, group_keys, group_vals);
         }
         out
     }
 
-    /// The host p-way merge of sorted runs over zipped `(key, value)`
-    /// records.  A single run is already merged and comes back as is.
+    /// The host p-way merge of sorted runs into fresh buffers.  A single
+    /// run is already merged and comes back as is.
     pub(crate) fn merge_runs<K: SortKey, V: SortValue>(
         &self,
         mut runs: Vec<(Vec<K>, Vec<V>)>,
@@ -616,16 +634,25 @@ impl ShardedSorter {
         if runs.len() <= 1 {
             return runs.pop().unwrap_or_default();
         }
-        let merged = {
-            let zipped: Vec<Vec<(K, V)>> = runs
-                .into_iter()
-                .map(|(ks, vs)| ks.into_iter().zip(vs).collect())
-                .collect();
-            let refs: Vec<&[(K, V)]> = zipped.iter().map(Vec::as_slice).collect();
-            parallel_merge_sorted_runs_by(&refs, self.merge_threads, |r: &(K, V)| r.0.to_radix())
-        };
-        let keys = merged.iter().map(|&(k, _)| k).collect();
-        (keys, merged.into_iter().map(|(_, v)| v).collect())
+        let n = runs.iter().map(|(ks, _)| ks.len()).sum();
+        let mut out = (vec![K::default(); n], vec![V::default(); n]);
+        self.merge_runs_into(&runs, &mut out.0, &mut out.1);
+        out
+    }
+
+    /// Merges structure-of-arrays `runs` straight into `keys` / `vals`
+    /// with the host's merge threads.
+    fn merge_runs_into<K: SortKey, V: SortValue>(
+        &self,
+        runs: &[(Vec<K>, Vec<V>)],
+        keys: &mut [K],
+        vals: &mut [V],
+    ) {
+        let refs: Vec<(&[K], &[V])> = runs
+            .iter()
+            .map(|(ks, vs)| (ks.as_slice(), vs.as_slice()))
+            .collect();
+        merge_pairs_into(&refs, self.merge_threads, keys, vals);
     }
 }
 

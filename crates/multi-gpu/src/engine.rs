@@ -17,11 +17,12 @@
 //!    critical-path simulated time.
 //! 3. **Recombination** (host): range partitioning means equal keys never
 //!    straddle shards, so a sort that finishes in its first round
-//!    concatenates the `p` sorted shards in device order — out of core,
-//!    after each shard merges its own chunk runs with the generalised
-//!    parallel p-way merge of [`hetero::parallel_merge_sorted_runs_by`].
-//!    Requeue rounds after a fault break that order, so they merge every
-//!    run.  Measured for real.
+//!    concatenates the `p` sorted shards in device order.  Out of core,
+//!    each shard's chunk runs instead merge with the structure-of-arrays
+//!    p-way merge of [`hetero::merge_pairs_into`], keys and values
+//!    straight into that shard's slice of one output buffer.  Requeue
+//!    rounds after a fault break the shard order, so they merge every run
+//!    into the whole output.  Measured for real.
 //!
 //! Every entry point — in core, out of core ([`crate::ooc`]), with the
 //! peer exchange ([`crate::exchange`]) or under injected faults

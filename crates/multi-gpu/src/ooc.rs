@@ -20,10 +20,11 @@
 //!    device, and devices overlap with each other completely.
 //!    Chunk sorts are real; CPU sockets contribute measured wall-clock,
 //!    GPUs their modelled time.
-//! 4. **Recombine**: each device merges its own chunk runs with the
-//!    generalised parallel p-way merge and the range-disjoint shards
-//!    concatenate.  The merge consumes chunk runs as they land, so only its
-//!    tail past the chunk stream adds to the end-to-end time.
+//! 4. **Recombine**: each device's chunk runs merge with the parallel
+//!    p-way merge straight into that shard's slice of the output, and the
+//!    range-disjoint slices lie in device order.  The merge consumes chunk
+//!    runs as they land, so only its tail past the chunk stream adds to
+//!    the end-to-end time.
 //!
 //! The paper's example becomes pool-wide: four 12 GB GPUs and 4 GB chunks
 //! sort 256 GB with a single merging pass per device.

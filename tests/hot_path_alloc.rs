@@ -3,50 +3,14 @@
 //! heap allocations at 2^14 and at 2^17 keys (only the fixed per-sort
 //! report is allocated).
 //!
-//! A counting global allocator measures the whole test binary, so this
-//! file holds a single test and nothing else runs while it counts.
+//! The counting global allocator of `common` measures the whole test
+//! binary, so this file holds a single test and nothing else runs while it
+//! counts.
+
+mod common;
 
 use hybrid_radix_sort::prelude::*;
 use hybrid_radix_sort::workloads::uniform_keys;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Forwards to the system allocator and counts every allocation and
-/// reallocation.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter has no effect on memory.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: the caller's `layout` contract is passed on unchanged.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: as for `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: `ptr` was allocated by `System` through this allocator
-        // with `layout`, as the caller guarantees.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as for `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 const SMALL: usize = 1 << 14;
 const LARGE: usize = 1 << 17;
@@ -55,9 +19,9 @@ const LARGE: usize = 1 << 17;
 /// made before counting starts).
 fn allocations_of_sort(sorter: &HybridRadixSorter, keys: &[u32]) -> (u64, SortReport) {
     let mut keys = keys.to_vec();
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = common::allocations();
     let report = sorter.sort(&mut keys);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = common::allocations();
     assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys not sorted");
     (after - before, report)
 }

@@ -179,4 +179,30 @@ proptest! {
         expected.sort_unstable();
         prop_assert_eq!(merged, expected);
     }
+
+    #[test]
+    fn pairs_merge_equals_the_stable_reference(
+        runs in proptest::collection::vec(proptest::collection::vec(0u64..12, 0..1200), 1..9),
+        threads in 1usize..5,
+    ) {
+        use hybrid_radix_sort::hetero::merge_pairs_into;
+        // A 12-key universe forces ties; each value labels its element's
+        // run and position, so the values show the order of the ties.
+        let runs: Vec<(Vec<u64>, Vec<u32>)> = runs.into_iter().enumerate().map(|(r, mut ks)| {
+            ks.sort_unstable();
+            let vs = (0..ks.len() as u32).map(|i| (r as u32) << 16 | i).collect();
+            (ks, vs)
+        }).collect();
+        // The stable reference: concatenate in run order, stable-sort by key.
+        let mut expected: Vec<(u64, u32)> = runs
+            .iter()
+            .flat_map(|(ks, vs)| ks.iter().copied().zip(vs.iter().copied()))
+            .collect();
+        expected.sort_by_key(|&(k, _)| k);
+        let refs: Vec<(&[u64], &[u32])> =
+            runs.iter().map(|(ks, vs)| (ks.as_slice(), vs.as_slice())).collect();
+        let (mut keys, mut vals) = (vec![0u64; expected.len()], vec![0u32; expected.len()]);
+        merge_pairs_into(&refs, threads, &mut keys, &mut vals);
+        prop_assert_eq!(keys.into_iter().zip(vals).collect::<Vec<_>>(), expected);
+    }
 }
