@@ -22,10 +22,12 @@
 //! | [`Read`]                 | panic         | **allowed**   | allowed  |
 //!
 //! The one deliberate hole — reads over another thread's *completed* writes
-//! — is what makes the phase-overlap scheduler checkable: a pass-*k*+1
-//! histogram task reads ranges whose pass-*k* scatter finished, published
-//! to it by the `AtomicU32` countdown's Release/Acquire edge.  A
-//! [`DoneWrite`] claim records an instantaneous write that completed before
+//! — covers a reader ordered after the writer by a happens-before edge the
+//! ledger cannot see, such as a thread-scope join or a Release/Acquire
+//! pair.  The ledger trusts that edge rather than checking it.
+//! `SharedMut` has no read accessor, so today only callers that claim
+//! [`Read`] ranges themselves, as the ledger's own tests do, reach the
+//! rule.  A [`DoneWrite`] claim records an instantaneous write that completed before
 //! the accessor returned ([`SharedMut::write`]/`copy_from_slice_at`); an
 //! [`OpenWrite`] records a live `&mut` borrow ([`slice_mut`]) that stays
 //! exclusive for the rest of the view's life, because the ledger cannot see

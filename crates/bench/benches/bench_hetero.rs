@@ -1,12 +1,14 @@
 //! Criterion benchmark behind Figures 8 and 9: the CPU-side parallel
 //! multiway merge for a growing number of runs (the component that limits
 //! the end-to-end time on the six-core host), the same merge over key-value
-//! runs, and the full heterogeneous sort at functional scale.
+//! runs, and the full heterogeneous sort at functional scale (the sharded
+//! engine's out-of-core path on one device).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hetero::{merge_pairs_into, parallel_merge_sorted_runs, HeterogeneousSorter};
+use hetero::{merge_pairs_into, parallel_merge_sorted_runs};
 use hrs_bench::{bench_config_64, BENCH_HETERO_KEYS, BENCH_SEED};
 use hrs_core::HybridRadixSorter;
+use multi_gpu::{DevicePool, OocConfig, ShardedSorter};
 use std::hint::black_box;
 use std::time::Duration;
 use workloads::Distribution;
@@ -69,17 +71,18 @@ fn bench_hetero_sort(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     let keys: Vec<u64> =
         Distribution::paper_zipf(100_000).generate(BENCH_HETERO_KEYS * 2, BENCH_SEED);
-    let sorter = HeterogeneousSorter::with_defaults()
-        .with_gpu_sorter(HybridRadixSorter::new(bench_config_64()))
-        .with_merge_threads(6);
     for s in [2usize, 4] {
+        let sorter = ShardedSorter::new(DevicePool::titan_cluster(1))
+            .with_sorter(HybridRadixSorter::new(bench_config_64()))
+            .with_merge_threads(6)
+            .with_ooc_config(OocConfig::default().with_chunks_per_device(s));
         group.bench_with_input(
             BenchmarkId::new("end_to_end", format!("s={s}")),
             &keys,
             |b, keys| {
                 b.iter(|| {
                     let mut k = keys.clone();
-                    black_box(sorter.sort(&mut k, s));
+                    black_box(sorter.sort_out_of_core(&mut k));
                 });
             },
         );

@@ -49,40 +49,9 @@ impl Bucket {
     }
 }
 
-/// Assignment of one thread block to one key block of a bucket — the
-/// paper's `{k_offs:uint, k_count:uint, b_id:uint, b_offs:uint}` record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BlockAssignment {
-    /// Offset of the block's first key in the key buffer (`k_offs`).
-    pub key_offset: usize,
-    /// Number of keys in the block (`k_count`).
-    pub key_count: usize,
-    /// Identifier of the bucket the block belongs to (`b_id`).
-    pub bucket_id: u64,
-    /// Offset of the bucket's first key (`b_offs`).
-    pub bucket_offset: usize,
-}
-
-/// Builds the block assignments for a set of buckets.
-pub fn block_assignments(buckets: &[Bucket], keys_per_block: usize) -> Vec<BlockAssignment> {
-    let mut out = Vec::new();
-    for b in buckets {
-        let mut offset = b.offset;
-        while offset < b.end() {
-            let count = keys_per_block.min(b.end() - offset);
-            out.push(BlockAssignment {
-                key_offset: offset,
-                key_count: count,
-                bucket_id: b.id,
-                bucket_offset: b.offset,
-            });
-            offset += count;
-        }
-    }
-    out
-}
-
-/// A key block as scheduled by one counting pass: the unit of work of the
+/// A key block as scheduled by one counting pass — the paper's
+/// `{k_offs, k_count}` block-assignment record, whose bucket fields
+/// (`b_id`, `b_offs`) the pass keeps implicit: the unit of work of the
 /// executor's histogram and scatter tasks.  Blocks are emitted
 /// bucket-major, so a block's position in the pass's block list doubles as
 /// the index of its histogram strip and scatter-base strip.
@@ -95,7 +64,7 @@ pub struct PassBlock {
 }
 
 /// Tiles `buckets` into [`PassBlock`]s, bucket-major, reusing `out`'s
-/// allocation (the scratch-arena variant of [`block_assignments`]).
+/// allocation.  Blocks never cross a bucket boundary (rule R4).
 pub fn pass_blocks_into(buckets: &[Bucket], keys_per_block: usize, out: &mut Vec<PassBlock>) {
     out.clear();
     let keys_per_block = keys_per_block.max(1);
@@ -287,18 +256,24 @@ mod tests {
                 pass: 1,
             },
         ];
-        let blocks = block_assignments(&buckets, 256);
+        // Start from a stale list: the tiling replaces it.
+        let mut blocks = vec![PassBlock::default(); 9];
+        pass_blocks_into(&buckets, 256, &mut blocks);
         assert_eq!(blocks.len(), 3 + 2);
-        // Blocks never cross bucket boundaries (rule R4).
-        for blk in &blocks {
-            let b = &buckets[blk.bucket_id as usize];
+        // Blocks never cross bucket boundaries (rule R4), and they come
+        // bucket-major: the first three tile bucket 0, the last two bucket 1.
+        for (i, blk) in blocks.iter().enumerate() {
+            let b = &buckets[usize::from(i >= 3)];
             assert!(blk.key_offset >= b.offset);
             assert!(blk.key_offset + blk.key_count <= b.end());
-            assert_eq!(blk.bucket_offset, b.offset);
         }
-        // The blocks exactly cover both buckets.
-        let total: usize = blocks.iter().map(|b| b.key_count).sum();
-        assert_eq!(total, 1_000);
+        // The blocks exactly cover both buckets, in order.
+        let mut next = 0;
+        for blk in &blocks {
+            assert_eq!(blk.key_offset, next);
+            next += blk.key_count;
+        }
+        assert_eq!(next, 1_000);
     }
 
     #[test]

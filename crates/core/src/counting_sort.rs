@@ -501,6 +501,23 @@ mod tests {
     }
 
     #[test]
+    fn occupied_sub_buckets_tracks_block_diversity() {
+        // Two 1 000-key blocks: uniform keys occupy most of the 256
+        // sub-buckets in each block, constant keys exactly one.
+        let mut cfg = small_config();
+        cfg.keys_per_block = 1_000;
+        let opts = Optimizations::all_on();
+        let exec = Executor::Sequential;
+        let uniform = uniform_keys::<u32>(2_000, 5);
+        let (_, u) = run_pass_u32(&uniform, &cfg, &opts, &exec);
+        assert_eq!(u.stats.n_blocks, 2);
+        assert!(u.stats.avg_occupied_sub_buckets > 200.0);
+        let constant = EntropyLevel::constant().generate_u32(2_000, 5);
+        let (_, c) = run_pass_u32(&constant, &cfg, &opts, &exec);
+        assert_eq!(c.stats.avg_occupied_sub_buckets, 1.0);
+    }
+
+    #[test]
     fn merging_toggle_changes_local_bucket_count() {
         // A distribution with many tiny sub-buckets: uniform over few keys.
         let keys = uniform_keys::<u32>(5_000, 4);

@@ -132,17 +132,6 @@ pub fn block_histogram_into<K: SortKey>(
 /// Digit values a thread holds in registers at once (Section 4.3).
 const RUN: usize = 9;
 
-/// Sums block histograms into the bucket histogram.
-pub fn aggregate_histograms(blocks: &[BlockHistogram], radix: usize) -> Vec<u64> {
-    let mut total = vec![0u64; radix];
-    for b in blocks {
-        for (t, &c) in total.iter_mut().zip(b.counts.iter()) {
-            *t += c as u64;
-        }
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -210,11 +199,17 @@ mod tests {
             .chunks(1_000)
             .map(|c| block_histogram(c, 8, 0, 256, HistogramStrategy::AtomicsOnly, 18))
             .collect();
-        let total = aggregate_histograms(&blocks, 256);
-        assert_eq!(total.iter().sum::<u64>(), 4_000);
+        // The block strips sum to the bucket histogram, as a counting pass
+        // aggregates them.
+        let mut total = vec![0u32; 256];
+        for b in &blocks {
+            for (t, &c) in total.iter_mut().zip(&b.counts) {
+                *t += c;
+            }
+        }
+        assert_eq!(total.iter().sum::<u32>(), 4_000);
         let whole = block_histogram(&keys, 8, 0, 256, HistogramStrategy::AtomicsOnly, 18);
-        let whole_u64: Vec<u64> = whole.counts.iter().map(|&c| c as u64).collect();
-        assert_eq!(total, whole_u64);
+        assert_eq!(total, whole.counts);
     }
 
     /// The thread reduction's update count as the GPU derives it: sort a

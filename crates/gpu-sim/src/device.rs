@@ -2,8 +2,9 @@
 //!
 //! A [`DeviceSpec`] captures the handful of hardware parameters the paper's
 //! cost arguments depend on: the number of streaming multiprocessors (SMs),
-//! the shared-memory and register budget per SM, the achievable device
-//! memory bandwidth, and the PCIe bandwidth per direction.
+//! the shared-memory and register budget per SM, and the achievable device
+//! memory bandwidth.  The host link a device sits behind is a separate
+//! [`crate::LinkSpec`].
 //!
 //! The default used throughout the evaluation is [`DeviceSpec::titan_x_pascal`],
 //! matching the paper's test system (Section 6).
@@ -70,10 +71,6 @@ pub struct DeviceSpec {
     pub effective_bandwidth: Bandwidth,
     /// Base clock in Hz.
     pub base_clock_hz: f64,
-    /// PCIe host-to-device bandwidth.
-    pub pcie_htod: Bandwidth,
-    /// PCIe device-to-host bandwidth.
-    pub pcie_dtoh: Bandwidth,
     /// Granularity of a device-memory transaction in bytes (Section 4.4
     /// reasons about 32-byte transactions).
     pub memory_transaction_bytes: u32,
@@ -102,8 +99,6 @@ impl DeviceSpec {
             theoretical_bandwidth: Bandwidth::from_gb_per_s(480.0),
             effective_bandwidth: Bandwidth::from_gb_per_s(369.17),
             base_clock_hz: 1_417e6,
-            pcie_htod: Bandwidth::from_gb_per_s(12.0),
-            pcie_dtoh: Bandwidth::from_gb_per_s(12.0),
             memory_transaction_bytes: 32,
             kernel_launch_overhead_s: 5e-6,
         }
@@ -127,8 +122,6 @@ impl DeviceSpec {
             theoretical_bandwidth: Bandwidth::from_gb_per_s(224.0),
             effective_bandwidth: Bandwidth::from_gb_per_s(180.0),
             base_clock_hz: 1_126e6,
-            pcie_htod: Bandwidth::from_gb_per_s(12.0),
-            pcie_dtoh: Bandwidth::from_gb_per_s(12.0),
             memory_transaction_bytes: 32,
             kernel_launch_overhead_s: 5e-6,
         }
@@ -152,8 +145,6 @@ impl DeviceSpec {
             theoretical_bandwidth: Bandwidth::from_gb_per_s(750.0),
             effective_bandwidth: Bandwidth::from_gb_per_s(580.0),
             base_clock_hz: 1_328e6,
-            pcie_htod: Bandwidth::from_gb_per_s(12.0),
-            pcie_dtoh: Bandwidth::from_gb_per_s(12.0),
             memory_transaction_bytes: 32,
             kernel_launch_overhead_s: 5e-6,
         }
@@ -184,8 +175,6 @@ impl DeviceSpec {
             theoretical_bandwidth: Bandwidth::from_gb_per_s(38.4),
             effective_bandwidth: Bandwidth::from_gb_per_s(bandwidth),
             base_clock_hz: 3_000e6,
-            pcie_htod: Bandwidth::from_gb_per_s(25.0),
-            pcie_dtoh: Bandwidth::from_gb_per_s(25.0),
             memory_transaction_bytes: 64, // one cache line
             kernel_launch_overhead_s: 2e-6,
         }

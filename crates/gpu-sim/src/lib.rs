@@ -10,7 +10,7 @@
 //! The model follows the paper's own memory-bandwidth arguments:
 //!
 //! * [`DeviceSpec`] describes a GPU (streaming multiprocessors, shared
-//!   memory, registers, device-memory bandwidth, PCIe bandwidth).
+//!   memory, registers, device-memory bandwidth).
 //! * [`traffic::MemoryTraffic`] is a ledger of bytes read and written by a
 //!   kernel; [`kernel::KernelCost`] converts traffic plus a compute ceiling
 //!   into a simulated kernel duration (`max(memory time, compute time)`).
@@ -21,10 +21,10 @@
 //! * [`transaction`] implements the memory-transaction efficiency bound of
 //!   Section 4.4 (worst case `r` extra transactions per key block).
 //! * [`occupancy`] computes how many thread blocks fit on an SM.
-//! * [`pcie::PcieBus`] and [`timeline::Timeline`] model the full-duplex PCIe
-//!   bus and the pipelined schedule of Section 5.
-//! * [`interconnect::LinkSpec`] generalises the bus into per-device links
-//!   (PCIe 3.0/4.0, NVLink classes) for multi-GPU systems.
+//! * [`interconnect::LinkSpec`] models a full-duplex host↔device link —
+//!   the PCIe 3.0 ×16 bus of Section 5, and the PCIe 4.0 and NVLink classes
+//!   of multi-GPU systems — and [`timeline::Timeline`] resolves the
+//!   pipelined schedule of transfers and sorts over such links.
 //! * [`topology::PeerTopology`] describes the device↔device link matrix
 //!   (NVLink mesh vs. PCIe staged through the host) that peer-to-peer
 //!   recombination schedules its all-to-all bucket exchange over.
@@ -40,7 +40,6 @@ pub mod interconnect;
 pub mod kernel;
 pub mod memory;
 pub mod occupancy;
-pub mod pcie;
 pub mod simtime;
 pub mod timeline;
 pub mod topology;
@@ -50,11 +49,10 @@ pub mod transaction;
 pub use atomics::{AtomicModel, HistogramStrategy};
 pub use device::{DeviceSpec, GpuGeneration};
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
-pub use interconnect::{LinkKind, LinkSpec};
+pub use interconnect::{LinkKind, LinkSpec, TransferDirection};
 pub use kernel::{KernelCost, KernelKind, KernelTiming};
 pub use memory::{DeviceAllocation, DeviceMemoryPlanner};
 pub use occupancy::{BlockResources, Occupancy};
-pub use pcie::{PcieBus, TransferDirection};
 pub use simtime::{Bandwidth, SimTime};
 pub use timeline::{ResourceId, Timeline, TimelineEvent};
 pub use topology::PeerTopology;

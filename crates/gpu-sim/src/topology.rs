@@ -17,8 +17,7 @@
 //! The matrix is per *ordered* pair, so asymmetric fabrics (e.g. a partial
 //! NVLink ring) can be described with [`PeerTopology::with_link`].
 
-use crate::interconnect::LinkSpec;
-use crate::pcie::TransferDirection;
+use crate::interconnect::{LinkSpec, TransferDirection};
 use crate::simtime::SimTime;
 use serde::{Deserialize, Serialize};
 

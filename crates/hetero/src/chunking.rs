@@ -3,9 +3,10 @@
 //! The chunk size is limited by the device memory: with the in-place
 //! replacement strategy a chunk (plus its auxiliary double buffer and the
 //! bookkeeping overhead of the on-GPU sort) may take up to roughly a third
-//! of the device memory, without it only a quarter.  The paper's example:
-//! a 12 GB GPU and 16 chunks of 4 GB allow sorting 64 GB with a single
-//! merging pass.
+//! of the device memory, without it only a quarter
+//! ([`gpu_sim::DeviceMemoryPlanner::chunk_budget_bytes`]).  The paper's
+//! example: a 12 GB GPU and 16 chunks of 4 GB allow sorting 64 GB with a
+//! single merging pass.
 
 use serde::{Deserialize, Serialize};
 
@@ -58,25 +59,10 @@ pub fn split_into_chunks(n: usize, s: usize) -> ChunkPlan {
     ChunkPlan { ranges }
 }
 
-/// Number of chunks needed so that each chunk (times `record_bytes`) fits
-/// into the per-chunk device-memory budget computed from `device_memory`
-/// bytes, `slots` chunk slots and `overhead_fraction` bookkeeping.
-pub fn chunks_needed_for_memory(
-    total_bytes: u64,
-    device_memory: u64,
-    slots: u32,
-    overhead_fraction: f64,
-) -> u32 {
-    if total_bytes == 0 {
-        return 1;
-    }
-    let per_chunk = (device_memory as f64 / (slots as f64 + overhead_fraction)).max(1.0);
-    (total_bytes as f64 / per_chunk).ceil().max(1.0) as u32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::DeviceMemoryPlanner;
 
     #[test]
     fn chunks_cover_the_input_without_overlap() {
@@ -118,16 +104,17 @@ mod tests {
         // With the in-place replacement strategy (three slots) and ~5 %
         // bookkeeping, 64 GB needs 17 chunks of ≲ 3.9 GB; the paper rounds
         // this to "up to 64 GB using a single merging pass" with 16 chunks
-        // of 4 GB by counting the aux buffer inside the slot.
-        let chunks = chunks_needed_for_memory(64_000_000_000, 12_000_000_000, 3, 0.05);
-        assert!((16..=18).contains(&chunks), "chunks = {chunks}");
+        // of 4 GB by counting the aux buffer inside the slot.  The chunk
+        // count is the sharded engine's: input bytes over the planner's
+        // chunk budget, rounded up.
+        let planner = DeviceMemoryPlanner::new(12_000_000_000);
+        let chunks = |in_place| 64_000_000_000u64.div_ceil(planner.chunk_budget_bytes(in_place));
+        assert!(
+            (16..=18).contains(&chunks(true)),
+            "chunks = {}",
+            chunks(true)
+        );
         // Without the strategy (four slots) more chunks are needed.
-        let more = chunks_needed_for_memory(64_000_000_000, 12_000_000_000, 4, 0.05);
-        assert!(more > chunks);
-    }
-
-    #[test]
-    fn zero_bytes_needs_one_chunk() {
-        assert_eq!(chunks_needed_for_memory(0, 12_000_000_000, 3, 0.05), 1);
+        assert!(chunks(false) > chunks(true));
     }
 }

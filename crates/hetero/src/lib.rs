@@ -18,13 +18,19 @@
 //!
 //! The crate provides:
 //!
-//! * [`chunking`] — splitting an input into balanced chunks and sizing them
-//!   against the device memory,
+//! * [`chunking`] — splitting an input into balanced chunks,
 //! * [`multiway_merge`] — a structure-of-arrays k-way merge kernel with a
 //!   parallel range-splitting front end (the CPU-side merge of the paper),
 //! * [`pipeline`] — the simulated full-duplex PCIe / GPU schedule,
-//! * [`hetero_sort`] — the end-to-end driver combining real chunk sorting,
-//!   real CPU merging and the simulated transfer pipeline.
+//! * [`hetero_sort`] — the paper-scale end-to-end model behind Figures 8
+//!   and 9 (naive upload, sort, download vs the chunked pipeline).
+//!
+//! The functional out-of-core sort is the sharded engine's
+//! (`multi_gpu::ShardedSorter::sort_out_of_core`): it chunks each device's
+//! shard with [`split_into_chunks`], schedules the chunks under the same
+//! in-place replacement slot rule as [`PipelineSchedule`] and merges the
+//! runs with [`merge_pairs_into`].  On one device its simulated chunked-sort time is
+//! exactly [`PipelineSchedule::build`]'s.
 
 #![warn(missing_docs)]
 
@@ -34,9 +40,8 @@ pub mod multiway_merge;
 pub mod pipeline;
 
 pub use chunking::{split_into_chunks, ChunkPlan};
-pub use hetero_sort::{HeteroReport, HeterogeneousSorter, NaiveGpuReport};
+pub use hetero_sort::{HeterogeneousSorter, NaiveGpuReport};
 pub use multiway_merge::{
-    merge_pairs_into, merge_sorted_runs, merge_sorted_runs_by, parallel_merge_sorted_runs,
-    parallel_merge_sorted_runs_by,
+    merge_pairs_into, parallel_merge_sorted_runs, parallel_merge_sorted_runs_by,
 };
 pub use pipeline::{PipelineBreakdown, PipelineConfig, PipelineResources, PipelineSchedule};

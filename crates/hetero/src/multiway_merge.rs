@@ -49,21 +49,7 @@ pub fn merge_pairs_into<K: SortKey, V: Copy + Send + Sync>(
 }
 
 /// Merges `runs` (each sorted by the key's radix order) into a single sorted
-/// vector, sequentially.
-pub fn merge_sorted_runs<K: SortKey>(runs: &[&[K]]) -> Vec<K> {
-    parallel_merge_sorted_runs(runs, 1)
-}
-
-/// Generalised sequential p-way merge: merges runs of any copyable element
-/// type sorted by `key_of` (e.g. `(key, value)` records).
-pub fn merge_sorted_runs_by<T: Copy + Send + Sync + Default>(
-    runs: &[&[T]],
-    key_of: fn(&T) -> u64,
-) -> Vec<T> {
-    parallel_merge_sorted_runs_by(runs, 1, key_of)
-}
-
-/// Merges `runs` into a single sorted vector using `threads` worker threads.
+/// vector using `threads` worker threads; one thread merges sequentially.
 /// The output is partitioned into `threads` contiguous ranges; each worker
 /// determines its input ranges with a value-domain binary search (so no two
 /// workers touch the same elements) and merges them independently.
@@ -341,7 +327,7 @@ mod tests {
     fn sequential_merge_matches_sorted_concatenation() {
         let runs = make_runs(9_000, 3, 1);
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let merged = merge_sorted_runs(&refs);
+        let merged = parallel_merge_sorted_runs(&refs, 1);
         assert_eq!(merged.len(), 9_000);
         assert!(merged.windows(2).all(|w| w[0] <= w[1]));
         let mut expected: Vec<u64> = runs.concat();
@@ -432,10 +418,10 @@ mod tests {
         let a: Vec<u32> = vec![1, 5, 9];
         let b: Vec<u32> = vec![];
         let c: Vec<u32> = vec![2, 2, 2, 2, 2, 2, 10];
-        let merged = merge_sorted_runs(&[&a, &b, &c]);
+        let merged = parallel_merge_sorted_runs(&[&a, &b, &c], 1);
         assert_eq!(merged, vec![1, 2, 2, 2, 2, 2, 2, 5, 9, 10]);
         let empty: Vec<&[u32]> = vec![];
-        assert!(merge_sorted_runs(&empty).is_empty());
+        assert!(parallel_merge_sorted_runs(&empty, 1).is_empty());
     }
 
     #[test]
@@ -443,7 +429,7 @@ mod tests {
         for k in [2usize, 3, 4, 8, 16] {
             let runs = make_runs(40_000, k, k as u64);
             let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-            let seq = merge_sorted_runs(&refs);
+            let seq = parallel_merge_sorted_runs(&refs, 1);
             for threads in [2usize, 3, 6] {
                 let par = parallel_merge_sorted_runs(&refs, threads);
                 assert_eq!(par, seq, "k={k} threads={threads}");
@@ -481,7 +467,7 @@ mod tests {
         let mut b: Vec<i32> = vec![-10, -1, 7];
         a.sort_unstable();
         b.sort_unstable();
-        let merged = merge_sorted_runs(&[&a, &b]);
+        let merged = parallel_merge_sorted_runs(&[&a, &b], 1);
         assert_eq!(merged, vec![-10, -5, -1, 0, 3, 7]);
     }
 

@@ -11,14 +11,14 @@
 //! concurrently with the return, Figure 5); without the strategy (four
 //! slots) the dependency moves one chunk further back.
 
-use gpu_sim::{LinkSpec, PcieBus, ResourceId, SimTime, Timeline, TransferDirection};
+use gpu_sim::{LinkSpec, ResourceId, SimTime, Timeline, TransferDirection};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the pipeline simulation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
-    /// The PCIe link.
-    pub bus: PcieBus,
+    /// The host↔device link (PCIe 3.0 ×16 in the paper's system).
+    pub link: LinkSpec,
     /// Whether the in-place replacement strategy (three chunk slots) is
     /// used; otherwise four slots are assumed.
     pub in_place_replacement: bool,
@@ -27,7 +27,7 @@ pub struct PipelineConfig {
 impl Default for PipelineConfig {
     fn default() -> Self {
         PipelineConfig {
-            bus: PcieBus::gen3_x16(),
+            link: LinkSpec::pcie_gen3_x16(),
             in_place_replacement: true,
         }
     }
@@ -99,7 +99,7 @@ impl PipelineSchedule {
         let htod = timeline.add_resource("PCIe HtD");
         let gpu = timeline.add_resource("GPU");
         let dtoh = timeline.add_resource("PCIe DtH");
-        let link: LinkSpec = config.bus.into();
+        let link = &config.link;
         let slot_dependency_distance = if config.in_place_replacement { 2 } else { 3 };
         let mut dtoh_start: Vec<SimTime> = Vec::with_capacity(chunk_bytes.len());
         let mut total_htod = SimTime::ZERO;

@@ -1,7 +1,9 @@
 //! Out-of-core / heterogeneous sorting: an input that would not fit into GPU
 //! device memory is split into chunks, pipelined over the (simulated) PCIe
 //! bus, sorted chunk by chunk and merged on the CPU with the parallel
-//! multiway merge — Section 5 of the paper.
+//! multiway merge — Section 5 of the paper.  The functional sort is the
+//! sharded engine's out-of-core path on a one-device pool; the paper-scale
+//! what-if uses the analytic model.
 //!
 //! ```text
 //! cargo run --release --example out_of_core
@@ -13,18 +15,16 @@ fn main() {
     let n = 8_000_000usize;
     let mut keys = hybrid_radix_sort::workloads::uniform_keys::<u64>(n, 99);
 
-    let sorter = HeterogeneousSorter::with_defaults().with_merge_threads(6);
     for s in [2usize, 4, 8] {
+        let sorter = ShardedSorter::new(DevicePool::titan_cluster(1))
+            .with_merge_threads(6)
+            .with_ooc_config(OocConfig::default().with_chunks_per_device(s));
         let mut run = keys.clone();
-        let report = sorter.sort(&mut run, s);
+        let report = sorter.sort_out_of_core(&mut run);
         assert!(run.windows(2).all(|w| w[0] <= w[1]));
         println!(
-            "s = {:>2}: chunked sort {:>10}, CPU merge {:>10} (measured {:?}), end-to-end {:>10}",
-            s,
-            report.breakdown.chunked_sort,
-            report.breakdown.cpu_merge,
-            report.measured_merge,
-            report.breakdown.end_to_end
+            "s = {:>2}: chunked sort {:>10}, CPU merge measured {:?}, end-to-end {:>10}",
+            s, report.critical_path, report.measured_merge, report.end_to_end
         );
     }
 
@@ -32,7 +32,7 @@ fn main() {
     // end to end, given the measured merge throughput of this machine?
     let gpu_sort_64gb = SimTime::from_secs(0.42 * 16.0); // ~0.42 s per 4 GB chunk
     let merge_throughput = 2.0e9; // bytes/s, conservative six-core estimate
-    let breakdown = sorter.simulate_end_to_end(
+    let breakdown = HeterogeneousSorter::with_defaults().simulate_end_to_end(
         64_000_000_000,
         16,
         gpu_sort_64gb,

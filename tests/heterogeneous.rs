@@ -1,6 +1,8 @@
 //! Integration tests of the heterogeneous (out-of-core) sorting pipeline:
 //! functional correctness, pipeline overlap and the in-place replacement
-//! memory plan.
+//! memory plan.  The functional sort is the sharded engine's out-of-core
+//! path on a one-device pool; the paper-scale figures use the analytic
+//! model.
 
 use hybrid_radix_sort::gpu_sim::{DeviceMemoryPlanner, SimTime};
 use hybrid_radix_sort::hetero::{
@@ -10,34 +12,72 @@ use hybrid_radix_sort::hetero::{
 use hybrid_radix_sort::prelude::*;
 use hybrid_radix_sort::workloads::{uniform_keys, Distribution, KeyCodec};
 
-fn sorter() -> HeterogeneousSorter {
+/// One Titan X on PCIe 3.0 streaming its input in exactly `s` chunks, with
+/// the on-GPU configuration scaled to the small functional inputs so that
+/// multiple counting passes and local sorts occur.
+fn one_device_sorter(s: usize) -> ShardedSorter {
     let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(30_000, 250_000_000));
-    HeterogeneousSorter::with_defaults()
-        .with_gpu_sorter(gpu)
+    ShardedSorter::new(DevicePool::titan_cluster(1))
+        .with_sorter(gpu)
         .with_merge_threads(4)
+        .with_ooc_config(OocConfig::default().with_chunks_per_device(s))
+}
+
+fn skewed_keys() -> Vec<u64> {
+    Distribution::paper_zipf(50_000).generate(150_000, 1)
 }
 
 #[test]
 fn heterogeneous_sort_is_correct_for_skewed_inputs() {
-    let keys: Vec<u64> = Distribution::paper_zipf(50_000).generate(150_000, 1);
+    let keys = skewed_keys();
     let expected = KeyCodec::std_sorted(&keys);
     for s in [2usize, 4, 7] {
         let mut k = keys.clone();
-        let report = sorter().sort(&mut k, s);
+        let report = one_device_sorter(s).sort_out_of_core(&mut k);
         assert_eq!(k, expected, "s = {s}");
-        assert_eq!(report.chunks, s);
+        assert_eq!(report.ooc_chunks.len(), s);
         // The pipelined chunked sort is never slower than the sum of all
         // stages executed sequentially.
-        let sequential = report.breakdown.total_htod
-            + report.breakdown.total_gpu_sort
-            + report.breakdown.total_dtoh;
-        assert!(report.breakdown.chunked_sort.secs() <= sequential.secs() + 1e-9);
+        let shard = &report.shards[0];
+        let sequential = shard.upload + shard.gpu_sort + shard.download;
+        assert!(report.critical_path.secs() <= sequential.secs() + 1e-9);
+    }
+}
+
+#[test]
+fn one_device_out_of_core_sort_is_the_section_5_pipeline() {
+    // Fed the engine's own chunk lengths and sort times, the Section 5
+    // schedule reproduces the engine's critical path and stage totals.
+    let keys = skewed_keys();
+    for s in [1usize, 2, 4, 7] {
+        let mut k = keys.clone();
+        let report = one_device_sorter(s).sort_out_of_core(&mut k);
+        let chunk_bytes: Vec<u64> = report.ooc_chunks.iter().map(|c| c.len * 8).collect();
+        let sort_times: Vec<SimTime> = report.ooc_chunks.iter().map(|c| c.sort).collect();
+        let model = PipelineSchedule::build(
+            &PipelineConfig::default(),
+            &chunk_bytes,
+            &sort_times,
+            SimTime::ZERO,
+        )
+        .breakdown;
+        let close = |a: SimTime, b: SimTime| (a.secs() - b.secs()).abs() < 1e-9;
+        assert!(
+            close(report.critical_path, model.chunked_sort),
+            "s = {s}: engine {} vs model {}",
+            report.critical_path,
+            model.chunked_sort
+        );
+        let shard = &report.shards[0];
+        assert!(close(shard.upload, model.total_htod), "s = {s}");
+        assert!(close(shard.gpu_sort, model.total_gpu_sort), "s = {s}");
+        assert!(close(shard.download, model.total_dtoh), "s = {s}");
     }
 }
 
 #[test]
 fn pipeline_overlap_shrinks_with_more_chunks_and_stays_above_the_transfer_bound() {
-    let s = sorter();
+    let s = HeterogeneousSorter::with_defaults();
     let input_bytes = 6_000_000_000u64;
     let gpu_time = SimTime::from_millis(330.0);
     let mut last = f64::INFINITY;
@@ -52,7 +92,7 @@ fn pipeline_overlap_shrinks_with_more_chunks_and_stays_above_the_transfer_bound(
 
 #[test]
 fn figure_8_shape_chunked_sort_beats_naive_cub_upload_sort_download() {
-    let s = sorter();
+    let s = HeterogeneousSorter::with_defaults();
     let input_bytes = 6_000_000_000u64;
     let hrs_gpu = SimTime::from_millis(330.0);
     let cub_gpu = SimTime::from_millis(636.0);
