@@ -220,6 +220,16 @@ mod tests {
     }
 
     #[test]
+    fn pcie_chunking_only_adds_latency() {
+        // 8 GB over PCIe 3.0 moved as sixteen 500 MB transfers.
+        let link = LinkSpec::pcie_gen3_x16();
+        let whole = link.transfer_time(TransferDirection::HostToDevice, 8_000_000_000);
+        let chunked = link.transfer_time(TransferDirection::HostToDevice, 500_000_000) * 16.0;
+        assert!(chunked.secs() > whole.secs());
+        assert!(chunked.secs() - whole.secs() < 0.001);
+    }
+
+    #[test]
     fn labels_are_short_and_distinct() {
         let kinds = [
             LinkKind::PcieGen3x16,
