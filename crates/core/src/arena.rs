@@ -7,8 +7,10 @@
 //! handing it out for reuse:
 //!
 //! * **typed spare buffers** (the second halves of the key/value double
-//!   buffers, per key/value type) are parked in a type-keyed map between
-//!   sorts and resized — never reallocated — when the input size repeats;
+//!   buffers, the scatter's write-combining lines and the local sort's
+//!   ping-pong scratch, per key/value type) are parked in a type-keyed map
+//!   between sorts and resized — never reallocated — when the input size
+//!   repeats;
 //! * **[`PassScratch`]** holds the per-radix tables (bucket histogram,
 //!   prefix sum), the per-block histogram strips and scatter base tables,
 //!   the per-worker write cursors and the bucket bookkeeping lists, all of
@@ -56,6 +58,10 @@ pub(crate) const ROLE_SPARE_VALS: u8 = 1;
 pub(crate) const ROLE_STAGE_KEYS: u8 = 2;
 /// Role tag of the per-worker write-combining value staging segment.
 pub(crate) const ROLE_STAGE_VALS: u8 = 3;
+/// Role tag of the per-worker local-sort key scratch (`workers × ∂̂`).
+pub(crate) const ROLE_LOCAL_KEYS: u8 = 4;
+/// Role tag of the per-worker local-sort value scratch (`workers × ∂̂`).
+pub(crate) const ROLE_LOCAL_VALS: u8 = 5;
 
 /// Per-block bookkeeping record filled by the histogram and scatter phases
 /// of a counting pass (one per key block, reused across passes).

@@ -64,9 +64,10 @@ pub struct SortConfig {
     /// Number of keys each thread inspects beyond the current one when
     /// combining writes ("look-ahead of two" in the paper).
     pub lookahead: u32,
-    /// Inputs smaller than this fall back to a plain comparison sort —
-    /// Section 6.1 notes CUB has the edge below ~1.9 M keys and that a
-    /// simple case distinction would be used in practice.
+    /// Inputs of at most this many keys skip the partitioning passes and
+    /// go straight to the local-sort kernel — Section 6.1 notes CUB has the
+    /// edge below ~1.9 M keys and that a simple case distinction would be
+    /// used in practice.
     pub small_input_fallback: usize,
     /// Bytes per software write-combining line in the staged scatter
     /// (Wassenberg & Sanders): each worker stages keys of one digit value

@@ -7,11 +7,13 @@
 
 /// Number of digits needed to cover `key_bits` bits with `digit_bits`-bit
 /// digits.
+#[inline]
 pub fn num_digits(key_bits: u32, digit_bits: u32) -> u32 {
     key_bits.div_ceil(digit_bits)
 }
 
 /// Width in bits of the digit processed in `pass` (0 = most significant).
+#[inline]
 pub fn digit_width(key_bits: u32, digit_bits: u32, pass: u32) -> u32 {
     debug_assert!(pass < num_digits(key_bits, digit_bits));
     let consumed = digit_bits * pass;
@@ -19,21 +21,57 @@ pub fn digit_width(key_bits: u32, digit_bits: u32, pass: u32) -> u32 {
 }
 
 /// Radix (number of possible values) of the digit processed in `pass`.
+#[inline]
 pub fn radix_of_pass(key_bits: u32, digit_bits: u32, pass: u32) -> usize {
     1usize << digit_width(key_bits, digit_bits, pass)
 }
 
 /// Extracts the digit value for `pass` from a key's radix representation.
+///
+/// Kernels that extract the same digit from many keys build a [`Digit`]
+/// once instead.
 #[inline]
 pub fn digit_of(radix_bits: u64, key_bits: u32, digit_bits: u32, pass: u32) -> usize {
-    let width = digit_width(key_bits, digit_bits, pass);
-    let shift = key_bits - digit_bits * pass - width;
-    ((radix_bits >> shift) & ((1u64 << width) - 1)) as usize
+    Digit::of_pass(key_bits, digit_bits, pass).of(radix_bits)
+}
+
+/// One digit's position in a key's radix representation: the per-key work
+/// of every kernel is `(radix >> shift) & mask`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Digit {
+    shift: u32,
+    mask: u64,
+}
+
+impl Digit {
+    /// The digit processed in MSD `pass` of `key_bits`-bit keys.
+    #[inline]
+    pub fn of_pass(key_bits: u32, digit_bits: u32, pass: u32) -> Self {
+        let width = digit_width(key_bits, digit_bits, pass);
+        Digit::at(key_bits - digit_bits * pass - width, width)
+    }
+
+    /// The `width`-bit digit starting at bit `shift` (bit 0 = least
+    /// significant).
+    #[inline]
+    pub fn at(shift: u32, width: u32) -> Self {
+        Digit {
+            shift,
+            mask: (1u64 << width) - 1,
+        }
+    }
+
+    /// The digit's value in `radix_bits`.
+    #[inline(always)]
+    pub fn of(self, radix_bits: u64) -> usize {
+        ((radix_bits >> self.shift) & self.mask) as usize
+    }
 }
 
 /// The number of low-order bits that remain unsorted after `passes`
 /// counting-sort passes (used by the local sort to know which digits still
 /// need sorting).
+#[inline]
 pub fn remaining_bits(key_bits: u32, digit_bits: u32, passes: u32) -> u32 {
     key_bits.saturating_sub(digit_bits * passes)
 }

@@ -22,7 +22,7 @@
 //! memory so the scatter step can reuse them (costing `r × 4` bytes per
 //! block, "< 4 %" of the key traffic for the default `KPB`).
 
-use crate::digit::digit_of;
+use crate::digit::Digit;
 use gpu_sim::HistogramStrategy;
 use workloads::SortKey;
 
@@ -96,11 +96,12 @@ pub fn block_histogram_into<K: SortKey>(
     strategy: HistogramStrategy,
     keys_per_thread: usize,
 ) -> (u64, u32) {
+    let digit = Digit::of_pass(K::BITS, digit_bits, pass);
     let mut atomic_updates = 0u64;
     match strategy {
         HistogramStrategy::AtomicsOnly => {
             for key in keys {
-                let d = digit_of(key.to_radix(), K::BITS, digit_bits, pass);
+                let d = digit.of(key.to_radix());
                 counts[d] += 1;
             }
             atomic_updates = keys.len() as u64;
@@ -114,7 +115,7 @@ pub fn block_histogram_into<K: SortKey>(
                     let mut digits = [0usize; RUN];
                     let mut before = [0u32; RUN];
                     for ((d, b), k) in digits.iter_mut().zip(before.iter_mut()).zip(run_keys) {
-                        *d = digit_of(k.to_radix(), K::BITS, digit_bits, pass);
+                        *d = digit.of(k.to_radix());
                         *b = counts[*d];
                     }
                     for (&d, &b) in digits.iter().zip(&before).take(run_keys.len()) {
@@ -135,6 +136,7 @@ const RUN: usize = 9;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digit::digit_of;
     use workloads::{uniform_keys, EntropyLevel};
 
     #[test]

@@ -51,7 +51,8 @@
 //! * [`bucket`] — bucket and block bookkeeping, neighbour-bucket merging.
 //! * [`counting_sort`] — one full counting-sort pass over all active
 //!   buckets.
-//! * [`local_sort`] — size-classed local sorts (Section 4.2).
+//! * [`local_sort`] — stable LSD radix local sorts over each bucket's
+//!   remaining bits (Section 4.2).
 //! * [`sorter`] — the double-buffered driver ([`HybridRadixSorter`]).
 //! * [`probe`] — opt-in telemetry: per-sorter counters, pass timings,
 //!   arena gauges and per-worker utilisation reported to a shared

@@ -1,18 +1,29 @@
 //! Local sorts of small buckets (Section 4.2).
 //!
 //! A bucket of at most ∂̂ keys is sorted entirely in on-chip shared memory:
-//! it is read from device memory once, sorted (with CUB's `BlockRadixSort`
-//! on the GPU; here with an in-place comparison sort on the keys' radix
-//! representation), and written once to the buffer that will hold the
-//! final sorted output — no matter how many internal passes the local sort
-//! needs.  This is where the hybrid sort saves the bulk of its memory
-//! traffic for friendly distributions.
+//! it is read from device memory once, sorted with CUB's `BlockRadixSort`,
+//! and written once to the buffer that will hold the final sorted output —
+//! no matter how many internal passes the local sort needs.  This is where
+//! the hybrid sort saves the bulk of its memory traffic for friendly
+//! distributions.
 //!
-//! To avoid over-provisioning threads for tiny buckets, buckets are grouped
-//! into *size classes*; each class is a separate kernel launch with just
-//! enough threads (and an appropriately specialised sorting algorithm) for
-//! its maximum bucket size.  The ablation's "single local sort config"
-//! variant instead schedules every bucket on the ∂̂-sized configuration.
+//! The CPU runs the same algorithm: a least-significant-digit radix sort
+//! with 8-bit digits over the bucket's *remaining* bits only — the low
+//! bits on which its keys may still differ after the counting passes.  One read of the bucket builds every digit's
+//! histogram; a digit on which the whole bucket falls into one bin is
+//! skipped; keys and values scatter together between the destination range
+//! and a per-worker scratch range that stays in cache, the first scatter
+//! reading straight from the source range.  Every scatter keeps encounter
+//! order, so the local sort is stable, and so is the whole hybrid sort.
+//! Buckets of at most eight keys per remaining digit are insertion-sorted
+//! (stable as well).
+//!
+//! To avoid over-provisioning threads for tiny buckets, the GPU groups
+//! buckets into *size classes*; each class is a separate kernel launch with
+//! just enough threads for its maximum bucket size.  The ablation's "single
+//! local sort config" variant instead schedules every bucket on the
+//! ∂̂-sized configuration.  The classes only shape the simulated cost; the
+//! CPU sorts every bucket with the same kernel.
 //!
 //! Like the GPU, which launches the local sorts of a pass as independent
 //! thread blocks, the [`Executor`] distributes buckets over its workers:
@@ -21,11 +32,34 @@
 
 use crate::bucket::LocalBucket;
 use crate::config::SortConfig;
+use crate::digit::{remaining_bits, Digit};
 use crate::exec::{ExecProbe, Executor, SharedMut};
 use crate::opts::Optimizations;
 use crate::report::LocalSortStats;
 use workloads::pairs::SortValue;
 use workloads::SortKey;
+
+/// Bits per digit of the local LSD sort.
+const LSD_DIGIT_BITS: u32 = 8;
+/// Radix of the local LSD sort.
+const LSD_RADIX: usize = 1 << LSD_DIGIT_BITS;
+/// Digits of the widest (64-bit) key.
+const LSD_MAX_DIGITS: usize = (u64::BITS / LSD_DIGIT_BITS) as usize;
+
+/// Keys per digit below which an insertion sort beats the radix sort: a
+/// range of at most [`insertion_cutoff`] keys is insertion-sorted, because
+/// prefix-summing 256 counters per digit costs more than the few shifts an
+/// insertion sort makes.  Measured on one core of a 2-core x86-64 machine,
+/// sorting 2^20 keys (with u32 values) in ranges of 8 to 128: u32 keys with
+/// 24 unsorted bits (3 digits) cross over near 26 keys, u64 keys with 56
+/// (7 digits) between 48 and 64.
+const INSERTION_KEYS_PER_DIGIT: usize = 8;
+
+/// Largest range the local sort insertion-sorts when `bits` bits are
+/// unsorted.
+fn insertion_cutoff(bits: u32) -> usize {
+    INSERTION_KEYS_PER_DIGIT * bits.div_ceil(LSD_DIGIT_BITS) as usize
+}
 
 /// Sorts all `buckets` whose keys currently live in buffer `src` (at their
 /// respective offsets) and places the sorted runs at the same offsets in
@@ -33,6 +67,10 @@ use workloads::SortKey;
 /// sort happens in place.  Buckets are distributed over the executor's
 /// workers; the per-bucket statistics are accumulated on the calling
 /// thread.
+///
+/// `scratch_keys`/`scratch_vals` are the arena-owned ping-pong segments,
+/// grown here to `workers × ∂̂` and striped per worker (capacity-stable
+/// after warm-up, so a warmed fan-out allocates nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn run_local_sorts<K: SortKey, V: SortValue>(
     buffers_keys: &mut [Vec<K>; 2],
@@ -44,12 +82,15 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
     opts: &Optimizations,
     exec: &Executor,
     probe: Option<&ExecProbe>,
+    scratch_keys: &mut Vec<K>,
+    scratch_vals: &mut Vec<V>,
     stats: &mut LocalSortStats,
 ) {
     // Bookkeeping first (cheap, O(1) per bucket): size classes, merge and
     // provisioning statistics.
     let mut classes_seen = [0usize; 64];
     let mut n_classes = 0usize;
+    let mut largest = 0usize;
     for bucket in buckets {
         let class = config.class_for(bucket.len, !opts.multiple_local_sort_configs);
         if !classes_seen[..n_classes].contains(&class.max_keys) && n_classes < classes_seen.len() {
@@ -62,30 +103,40 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
         if bucket.is_merged() {
             stats.merged_buckets += 1;
         }
-        stats.largest_bucket = stats.largest_bucket.max(bucket.len as u64);
+        largest = largest.max(bucket.len);
     }
+    stats.largest_bucket = stats.largest_bucket.max(largest as u64);
     stats.classes_used = stats.classes_used.max(n_classes as u64);
 
     if buckets.is_empty() {
         return;
     }
 
-    // One dynamically scheduled task per bucket (so a handful of
-    // near-threshold buckets cannot strand a worker behind a chunk of
-    // them), with one record staging buffer per *worker* — a pass still
-    // issues at most `workers` staging allocations.
-    let mut stagings: Vec<Vec<(u64, K, V)>> = (0..exec.workers()).map(|_| Vec::new()).collect();
-    let staging_view = SharedMut::new(&mut stagings);
+    // One ∂̂-key scratch stripe per worker (local buckets never exceed ∂̂;
+    // `largest` only guards a hand-built bucket list), and one dynamically
+    // scheduled task per bucket, so a handful of near-threshold buckets
+    // cannot strand a worker behind a chunk of them.
+    let values_present = std::mem::size_of::<V>() != 0;
+    let stride = config.local_sort_threshold.max(largest);
+    grow_to(scratch_keys, exec.workers() * stride);
+    if values_present {
+        grow_to(scratch_vals, exec.workers() * stride);
+    }
+    let tmp_keys = SharedMut::new(scratch_keys.as_mut_slice());
+    let tmp_vals = SharedMut::new(scratch_vals.as_mut_slice());
+    let digit_bits = config.digit_bits;
 
     if src == dst {
         let keys = SharedMut::new(buffers_keys[dst].as_mut_slice());
         let vals = SharedMut::new(buffers_vals[dst].as_mut_slice());
         exec.for_each_task_probed(buckets.len(), probe, |b, worker| {
-            // SAFETY: bucket ranges are disjoint across tasks, and staging
-            // slot `worker` belongs to this thread only.
+            let bucket = &buckets[b];
+            // SAFETY: bucket ranges are disjoint across tasks, and scratch
+            // stripe `worker` belongs to this thread only.
             unsafe {
-                let records = &mut staging_view.slice_mut(worker, 1)[0];
-                sort_range_in_place(&keys, &vals, &buckets[b], records);
+                let (tk, tv) = stripe(&tmp_keys, &tmp_vals, worker * stride, bucket.len);
+                let (k, v) = stripe(&keys, &vals, bucket.offset, bucket.len);
+                lsd_sort_in_place(k, v, tk, tv, unsorted_bits::<K>(bucket, digit_bits));
             }
         });
     } else {
@@ -96,21 +147,72 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
         exec.for_each_task_probed(buckets.len(), probe, |b, worker| {
             let bucket = &buckets[b];
             let range = bucket.offset..bucket.offset + bucket.len;
-            // SAFETY: bucket ranges are disjoint across tasks, and staging
-            // slot `worker` belongs to this thread only.
+            let sv = if values_present {
+                &src_vals[range.clone()]
+            } else {
+                &src_vals[..0]
+            };
+            // SAFETY: bucket ranges are disjoint across tasks, and scratch
+            // stripe `worker` belongs to this thread only.
             unsafe {
-                let keys = dst_keys.slice_mut(bucket.offset, bucket.len);
-                keys.copy_from_slice(&src_keys[range.clone()]);
-                if std::mem::size_of::<V>() != 0 {
-                    let vals = dst_vals.slice_mut(bucket.offset, bucket.len);
-                    vals.copy_from_slice(&src_vals[range]);
-                    let records = &mut staging_view.slice_mut(worker, 1)[0];
-                    sort_pairs_with_staging(keys, vals, records);
-                } else {
-                    sort_keys_in_shared_memory(keys);
-                }
+                let (tk, tv) = stripe(&tmp_keys, &tmp_vals, worker * stride, bucket.len);
+                let (dk, dv) = stripe(&dst_keys, &dst_vals, bucket.offset, bucket.len);
+                let bits = unsorted_bits::<K>(bucket, digit_bits);
+                lsd_sort_into(&src_keys[range], sv, dk, dv, tk, tv, bits);
             }
         });
+    }
+}
+
+/// Low-order radix bits on which a local bucket's keys may still differ.
+/// The keys of a bucket share the digits of its `sorted_passes` counting
+/// passes, except that a merged bucket joins neighbouring sub-buckets of
+/// its last pass and so shares one digit fewer.
+fn unsorted_bits<K: SortKey>(bucket: &LocalBucket, digit_bits: u32) -> u32 {
+    let shared = if bucket.is_merged() {
+        bucket.sorted_passes.saturating_sub(1)
+    } else {
+        bucket.sorted_passes
+    };
+    remaining_bits(K::BITS, digit_bits, shared)
+}
+
+/// Grows `buf` to at least `len` elements; never shrinks, so a warmed
+/// buffer is a fixed point.
+fn grow_to<T: Copy + Default>(buf: &mut Vec<T>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, T::default());
+    }
+}
+
+/// The key range `start..start + len` of `keys` and the matching value
+/// range of `vals` (empty when `V` is zero-sized: key-only sorts carry no
+/// value buffer).
+///
+/// # Safety
+///
+/// The range must be in bounds of `keys` (and of `vals` when `V` is not
+/// zero-sized) and owned exclusively by the calling task.
+#[allow(clippy::mut_from_ref)] // disjointness is the caller's contract
+#[track_caller]
+unsafe fn stripe<'a, K, V>(
+    keys: &'a SharedMut<'_, K>,
+    vals: &'a SharedMut<'_, V>,
+    start: usize,
+    len: usize,
+) -> (&'a mut [K], &'a mut [V]) {
+    let val_len = if std::mem::size_of::<V>() != 0 {
+        len
+    } else {
+        0
+    };
+    // SAFETY: forwarded contract — the caller exclusively owns the range
+    // in both views.
+    unsafe {
+        (
+            keys.slice_mut(start, len),
+            vals.slice_mut(start.min(vals.len()), val_len),
+        )
     }
 }
 
@@ -126,59 +228,200 @@ fn split_src_dst<T>(bufs: &mut [Vec<T>; 2], src: usize, dst: usize) -> (&[T], &m
     }
 }
 
-/// Sorts one bucket in place inside the shared destination views.
-///
-/// # Safety
-///
-/// The bucket's range must be in bounds and owned exclusively by the
-/// calling task.
-unsafe fn sort_range_in_place<K: SortKey, V: SortValue>(
-    keys: &SharedMut<'_, K>,
-    vals: &SharedMut<'_, V>,
-    bucket: &LocalBucket,
-    records: &mut Vec<(u64, K, V)>,
-) {
-    // SAFETY: forwarded contract — the caller exclusively owns the
-    // bucket's range in both views.
-    let key_slice = unsafe { keys.slice_mut(bucket.offset, bucket.len) };
-    if std::mem::size_of::<V>() != 0 {
-        // SAFETY: as above, for the value view.
-        let val_slice = unsafe { vals.slice_mut(bucket.offset, bucket.len) };
-        sort_pairs_with_staging(key_slice, val_slice, records);
-    } else {
-        sort_keys_in_shared_memory(key_slice);
-    }
-}
-
-/// Co-sorts a key slice and its value slice by key, staging `(radix, key,
-/// value)` records in a reusable buffer exactly like the GPU stages a
-/// bucket's pairs through shared memory.
-fn sort_pairs_with_staging<K: SortKey, V: SortValue>(
+/// Stable in-place sort of `keys`, with `vals` permuted alongside (ignored
+/// when `V` is zero-sized), on the low `bits` bits of the keys' radix
+/// representation; the bits above must be equal across the slice.
+/// `tmp_keys`/`tmp_vals` are scratch of at least `keys.len()` elements
+/// (`tmp_vals` may be empty when `V` is zero-sized).
+pub fn lsd_sort_in_place<K: SortKey, V: Copy>(
     keys: &mut [K],
     vals: &mut [V],
-    records: &mut Vec<(u64, K, V)>,
+    tmp_keys: &mut [K],
+    tmp_vals: &mut [V],
+    bits: u32,
 ) {
-    records.clear();
-    records.extend(
-        keys.iter()
-            .zip(vals.iter())
-            .map(|(&k, &v)| (k.to_radix(), k, v)),
+    lsd_sort(None, keys, vals, tmp_keys, tmp_vals, bits);
+}
+
+/// Like [`lsd_sort_in_place`], but reads the keys and values from
+/// `src_keys`/`src_vals` and writes the sorted run to `dst_keys`/`dst_vals`
+/// (same lengths): the first scatter reads straight from the source, so
+/// the input is never copied first.
+pub fn lsd_sort_into<K: SortKey, V: Copy>(
+    src_keys: &[K],
+    src_vals: &[V],
+    dst_keys: &mut [K],
+    dst_vals: &mut [V],
+    tmp_keys: &mut [K],
+    tmp_vals: &mut [V],
+    bits: u32,
+) {
+    lsd_sort(
+        Some((src_keys, src_vals)),
+        dst_keys,
+        dst_vals,
+        tmp_keys,
+        tmp_vals,
+        bits,
     );
-    records.sort_unstable_by_key(|r| r.0);
-    for (i, (_, k, v)) in records.drain(..).enumerate() {
-        keys[i] = k;
-        vals[i] = v;
+}
+
+/// The LSD kernel: sorts `src` (or, when `None`, `keys`/`vals` themselves)
+/// into `keys`/`vals`, ping-ponging through `tmp_*`.  With a source, the
+/// first scatter targets `keys` when an odd number of digits is active, so
+/// the last one lands there; in place, it targets `tmp_*`, and an odd
+/// digit count ends with one copy back.
+fn lsd_sort<K: SortKey, V: Copy>(
+    src: Option<(&[K], &[V])>,
+    keys: &mut [K],
+    vals: &mut [V],
+    tmp_keys: &mut [K],
+    tmp_vals: &mut [V],
+    bits: u32,
+) {
+    let n = keys.len();
+    let values_present = std::mem::size_of::<V>() != 0;
+    if n <= insertion_cutoff(bits) {
+        if let Some((sk, sv)) = src {
+            copy_run(sk, sv, keys, vals);
+        }
+        insertion_sort(keys, vals);
+        return;
+    }
+
+    // One read builds every digit's histogram.
+    let n_digits = (bits.div_ceil(LSD_DIGIT_BITS) as usize).min(LSD_MAX_DIGITS);
+    let mut counts = [[0usize; LSD_RADIX]; LSD_MAX_DIGITS];
+    let input = src.map_or(&*keys, |(sk, _)| sk);
+    for key in input {
+        let mut r = key.to_radix();
+        for row in &mut counts[..n_digits] {
+            row[(r & (LSD_RADIX as u64 - 1)) as usize] += 1;
+            r >>= LSD_DIGIT_BITS;
+        }
+    }
+
+    // Skip every digit the whole range agrees on; turn the others'
+    // counts into exclusive scatter offsets.
+    let first = input[0].to_radix();
+    let mut active = [0usize; LSD_MAX_DIGITS];
+    let mut n_active = 0usize;
+    for (j, row) in counts[..n_digits].iter_mut().enumerate() {
+        if row[lsd_digit(j).of(first)] == n {
+            continue;
+        }
+        let mut sum = 0usize;
+        for c in row.iter_mut() {
+            let count = *c;
+            *c = sum;
+            sum += count;
+        }
+        active[n_active] = j;
+        n_active += 1;
+    }
+    if n_active == 0 {
+        if let Some((sk, sv)) = src {
+            copy_run(sk, sv, keys, vals);
+        }
+        return;
+    }
+
+    let tmp_keys = &mut tmp_keys[..n];
+    let tmp_vals = if values_present {
+        &mut tmp_vals[..n]
+    } else {
+        &mut tmp_vals[..0]
+    };
+    let j = active[0];
+    let mut in_keys = match src {
+        Some((sk, sv)) if n_active % 2 == 1 => {
+            scatter_digit(sk, sv, keys, vals, &mut counts[j], lsd_digit(j));
+            true
+        }
+        Some((sk, sv)) => {
+            scatter_digit(sk, sv, tmp_keys, tmp_vals, &mut counts[j], lsd_digit(j));
+            false
+        }
+        None => {
+            scatter_digit(keys, vals, tmp_keys, tmp_vals, &mut counts[j], lsd_digit(j));
+            false
+        }
+    };
+    for &j in &active[1..n_active] {
+        if in_keys {
+            scatter_digit(keys, vals, tmp_keys, tmp_vals, &mut counts[j], lsd_digit(j));
+        } else {
+            scatter_digit(tmp_keys, tmp_vals, keys, vals, &mut counts[j], lsd_digit(j));
+        }
+        in_keys = !in_keys;
+    }
+    if !in_keys {
+        copy_run(tmp_keys, tmp_vals, keys, vals);
     }
 }
 
-/// Sorts a staged bucket of keys by their radix representation.  An
-/// unstable comparison sort is functionally equivalent to the GPU's
-/// in-shared-memory `BlockRadixSort`: keys round-trip through the radix
-/// representation, so equal radices are identical keys and every correct
-/// sort yields the same bytes.  It sorts in place, so buckets of every
-/// size class (tiny ones included) allocate nothing.
-pub fn sort_keys_in_shared_memory<K: SortKey>(staged: &mut [K]) {
-    staged.sort_unstable_by_key(|k| k.to_radix());
+/// The `j`-th least-significant 8-bit digit.
+#[inline]
+fn lsd_digit(j: usize) -> Digit {
+    Digit::at(j as u32 * LSD_DIGIT_BITS, LSD_DIGIT_BITS)
+}
+
+/// One stable counting-sort scatter of `from_*` into `to_*` on `digit`,
+/// through the digit's exclusive `offsets` (advanced past every key).
+#[inline]
+fn scatter_digit<K: SortKey, V: Copy>(
+    from_keys: &[K],
+    from_vals: &[V],
+    to_keys: &mut [K],
+    to_vals: &mut [V],
+    offsets: &mut [usize; LSD_RADIX],
+    digit: Digit,
+) {
+    let values_present = std::mem::size_of::<V>() != 0;
+    for (i, key) in from_keys.iter().enumerate() {
+        let d = digit.of(key.to_radix());
+        let pos = offsets[d];
+        offsets[d] = pos + 1;
+        to_keys[pos] = *key;
+        if values_present {
+            to_vals[pos] = from_vals[i];
+        }
+    }
+}
+
+/// Copies a run of keys (and values, unless `V` is zero-sized).
+fn copy_run<K: Copy, V: Copy>(
+    from_keys: &[K],
+    from_vals: &[V],
+    to_keys: &mut [K],
+    to_vals: &mut [V],
+) {
+    to_keys.copy_from_slice(from_keys);
+    if std::mem::size_of::<V>() != 0 {
+        to_vals.copy_from_slice(from_vals);
+    }
+}
+
+/// Stable insertion sort of `keys` by radix, moving `vals` alongside.
+fn insertion_sort<K: SortKey, V: Copy>(keys: &mut [K], vals: &mut [V]) {
+    let values_present = std::mem::size_of::<V>() != 0;
+    for i in 1..keys.len() {
+        let key = keys[i];
+        let r = key.to_radix();
+        let mut j = i;
+        while j > 0 && keys[j - 1].to_radix() > r {
+            j -= 1;
+        }
+        if j < i {
+            keys.copy_within(j..i, j + 1);
+            keys[j] = key;
+            if values_present {
+                let val = vals[i];
+                vals.copy_within(j..i, j + 1);
+                vals[j] = val;
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -186,13 +429,230 @@ mod tests {
     use super::*;
     use workloads::{uniform_keys, KeyCodec};
 
+    /// A bucket no counting pass has partitioned yet, so all of its key
+    /// bits are unsorted.
     fn bucket(offset: usize, len: usize) -> LocalBucket {
         LocalBucket {
             id: 0,
             offset,
             len,
             merged_from: 1,
-            sorted_passes: 1,
+            sorted_passes: 0,
+        }
+    }
+
+    /// `run_local_sorts` with fresh scratch.
+    #[allow(clippy::too_many_arguments)]
+    fn run<K: SortKey, V: SortValue>(
+        keys: &mut [Vec<K>; 2],
+        vals: &mut [Vec<V>; 2],
+        src: usize,
+        dst: usize,
+        buckets: &[LocalBucket],
+        config: &SortConfig,
+        opts: &Optimizations,
+        exec: &Executor,
+    ) -> LocalSortStats {
+        let mut stats = LocalSortStats::default();
+        run_local_sorts(
+            keys,
+            vals,
+            src,
+            dst,
+            buckets,
+            config,
+            opts,
+            exec,
+            None,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut stats,
+        );
+        stats
+    }
+
+    /// The stable reference: `sort_by_key` on the radix, values alongside.
+    fn stable_reference<K: SortKey, V: Copy>(keys: &[K], vals: &[V]) -> (Vec<K>, Vec<V>) {
+        let mut pairs: Vec<(K, V)> = keys.iter().copied().zip(vals.iter().copied()).collect();
+        pairs.sort_by_key(|p| p.0.to_radix());
+        pairs.into_iter().unzip()
+    }
+
+    /// Sorts `keys` (values = input positions) on their low `bits` both in
+    /// place and across buffers, and checks each against the stable
+    /// reference.
+    fn check_kernel<K: SortKey + PartialEq>(keys: &[K], bits: u32) {
+        let n = keys.len();
+        let vals: Vec<u32> = (0..n as u32).collect();
+        let expect = stable_reference(keys, &vals);
+        let (mut tk, mut tv) = (vec![K::default(); n], vec![0u32; n]);
+
+        let (mut k, mut v) = (keys.to_vec(), vals.clone());
+        lsd_sort_in_place(&mut k, &mut v, &mut tk, &mut tv, bits);
+        assert!(
+            (k == expect.0) && (v == expect.1),
+            "in place, n={n} bits={bits}"
+        );
+
+        let (mut k, mut v) = (vec![K::default(); n], vec![0u32; n]);
+        lsd_sort_into(keys, &vals, &mut k, &mut v, &mut tk, &mut tv, bits);
+        assert!(
+            (k == expect.0) && (v == expect.1),
+            "into, n={n} bits={bits}"
+        );
+
+        // Key-only: zero-sized values, no value scratch.
+        let mut k = keys.to_vec();
+        lsd_sort_in_place(&mut k, &mut [(); 0], &mut tk, &mut [], bits);
+        assert!(k == expect.0, "key-only, n={n} bits={bits}");
+    }
+
+    /// Sizes around the insertion cutoff for `bits` unsorted bits, and one
+    /// well above it.
+    fn sizes(bits: u32) -> [usize; 7] {
+        let cut = insertion_cutoff(bits);
+        [0, 1, 2, cut - 1, cut, cut + 1, 700]
+    }
+
+    #[test]
+    fn every_remaining_width_sorts_stably() {
+        // Keys share their bits above `bits` (as a bucket's keys do) and
+        // take few distinct low values, so equal keys are plentiful.
+        for bits in 1u32..=64 {
+            let low = if bits == 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            };
+            let high = 0xA5A5_A5A5_A5A5_A5A5 & !low;
+            for n in sizes(bits) {
+                let keys: Vec<u64> = uniform_keys::<u64>(n, bits as u64)
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| high | (r & low & !(0x3 << (i % 61))))
+                    .collect();
+                check_kernel(&keys, bits);
+            }
+        }
+    }
+
+    #[test]
+    fn constant_digits_are_skipped_and_constant_ranges_are_copied() {
+        // Only bits 16..24 vary: three of the four digits are constant.
+        let keys: Vec<u32> = uniform_keys::<u32>(500, 9)
+            .iter()
+            .map(|r| 0x1200_0034 | (r & 0x00FF_0000))
+            .collect();
+        check_kernel(&keys, 32);
+        // Every digit constant: the range is copied untouched.
+        check_kernel(&vec![7u32; 500], 32);
+        check_kernel(&vec![7u32; 500], 0);
+    }
+
+    #[test]
+    fn signed_and_float_keys_sort_through_their_radix() {
+        for n in sizes(64) {
+            let ints: Vec<i64> = uniform_keys::<i64>(n, 3)
+                .iter()
+                .map(|k| k % 1_000)
+                .collect();
+            check_kernel(&ints, 64);
+            let floats: Vec<f64> = ints.iter().map(|&k| k as f64 * -0.25).collect();
+            check_kernel(&floats, 64);
+        }
+        let mut keys = vec![2.5f64, -1.0, 0.0, -7.5, f64::INFINITY, -0.5];
+        let mut tmp = vec![0.0; keys.len()];
+        lsd_sort_in_place(&mut keys, &mut [(); 0], &mut tmp, &mut [], 64);
+        assert_eq!(keys, vec![-7.5, -1.0, -0.5, 0.0, 2.5, f64::INFINITY]);
+    }
+
+    #[test]
+    fn tiny_buckets_sort_zero_one_inputs() {
+        // Every 0/1 input of up to twelve keys.
+        for n in 1usize..=12 {
+            for mask in 0u32..(1 << n) {
+                let keys: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
+                check_kernel(&keys, 8);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_memory_sort_handles_all_sizes() {
+        for n in [0usize, 1, 2, 17, 32, 33, 100, 5_000] {
+            let mut keys = uniform_keys::<u64>(n, 6);
+            let expected = KeyCodec::std_sorted(&keys);
+            let mut tmp = vec![0u64; n];
+            lsd_sort_in_place(&mut keys, &mut [(); 0], &mut tmp, &mut [], 64);
+            assert_eq!(keys, expected, "n = {n}");
+        }
+        // Signed and float keys go through the codec.
+        let mut keys: Vec<i32> = vec![5, -3, 0, -100, 77];
+        lsd_sort_in_place(&mut keys, &mut [(); 0], &mut [0; 5], &mut [], 32);
+        assert_eq!(keys, vec![-100, -3, 0, 5, 77]);
+        let mut keys: Vec<f32> = vec![2.5, -1.0, 0.0, -7.5];
+        lsd_sort_in_place(&mut keys, &mut [(); 0], &mut [0.0; 4], &mut [], 32);
+        assert_eq!(keys, vec![-7.5, -1.0, 0.0, 2.5]);
+    }
+
+    #[test]
+    fn unsorted_bits_of_merged_and_unmerged_buckets() {
+        let unmerged = LocalBucket {
+            sorted_passes: 3,
+            ..bucket(0, 10)
+        };
+        let merged = LocalBucket {
+            merged_from: 4,
+            ..unmerged
+        };
+        assert_eq!(unsorted_bits::<u32>(&unmerged, 8), 8);
+        assert_eq!(unsorted_bits::<u32>(&merged, 8), 16);
+        assert_eq!(unsorted_bits::<u64>(&unmerged, 5), 49);
+        assert_eq!(unsorted_bits::<u64>(&merged, 5), 54);
+        assert_eq!(unsorted_bits::<u32>(&unmerged, 11), 0);
+        assert_eq!(unsorted_bits::<u32>(&merged, 11), 10);
+        let pass0 = LocalBucket {
+            merged_from: 2,
+            sorted_passes: 0,
+            ..unmerged
+        };
+        assert_eq!(unsorted_bits::<u64>(&pass0, 8), 64);
+    }
+
+    #[test]
+    fn merged_bucket_sorts_across_its_last_partitioned_digit() {
+        // A merged bucket after two 8-bit passes: the top byte is shared,
+        // the second byte (the last pass's digit) is not.
+        let keys: Vec<u32> = uniform_keys::<u32>(900, 11)
+            .iter()
+            .map(|r| 0x7F00_0000 | (r & 0x0003_00FF))
+            .collect();
+        let vals: Vec<u32> = (0..900).collect();
+        let merged = LocalBucket {
+            merged_from: 3,
+            sorted_passes: 2,
+            ..bucket(0, 900)
+        };
+        assert_eq!(unsorted_bits::<u32>(&merged, 8), 24);
+        for (src, dst) in [(0, 1), (0, 0)] {
+            let mut kb = [keys.clone(), vec![0u32; 900]];
+            let mut vb = [vals.clone(), vec![0u32; 900]];
+            run(
+                &mut kb,
+                &mut vb,
+                src,
+                dst,
+                &[merged],
+                &SortConfig::pairs_32_32(),
+                &Optimizations::all_on(),
+                &Executor::with_workers(2),
+            );
+            let expect = stable_reference(&keys, &vals);
+            assert_eq!(
+                (kb[dst].clone(), vb[dst].clone()),
+                expect,
+                "src={src} dst={dst}"
+            );
         }
     }
 
@@ -202,8 +662,7 @@ mod tests {
         let mut bufs = [keys.clone(), vec![0u64; 1_000]];
         let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
         let buckets = vec![bucket(0, 400), bucket(400, 600)];
-        let mut stats = LocalSortStats::default();
-        run_local_sorts(
+        let stats = run(
             &mut bufs,
             &mut vals,
             0,
@@ -212,15 +671,9 @@ mod tests {
             &SortConfig::keys_64(),
             &Optimizations::all_on(),
             &Executor::Sequential,
-            None,
-            &mut stats,
         );
-        assert!(bufs[1][..400].windows(2).all(|w| w[0] <= w[1]));
-        assert!(bufs[1][400..].windows(2).all(|w| w[0] <= w[1]));
-        assert!(workloads::stats::is_permutation_of(
-            &keys[..400],
-            &bufs[1][..400]
-        ));
+        assert_eq!(bufs[1][..400], KeyCodec::std_sorted(&keys[..400]));
+        assert_eq!(bufs[1][400..], KeyCodec::std_sorted(&keys[400..]));
         assert_eq!(stats.invocations, 2);
         assert_eq!(stats.n_keys, 1_000);
         assert_eq!(stats.largest_bucket, 600);
@@ -232,35 +685,22 @@ mod tests {
         let buckets: Vec<LocalBucket> = (0..30).map(|i| bucket(i * 200, 200)).collect();
         let mut expect = [keys.clone(), vec![0u64; 6_000]];
         let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
-        let mut stats = LocalSortStats::default();
-        run_local_sorts(
+        let cfg = SortConfig::keys_64();
+        let opts = Optimizations::all_on();
+        run(
             &mut expect,
             &mut vals,
             0,
             1,
             &buckets,
-            &SortConfig::keys_64(),
-            &Optimizations::all_on(),
+            &cfg,
+            &opts,
             &Executor::Sequential,
-            None,
-            &mut stats,
         );
         for workers in [2usize, 7] {
             let mut got = [keys.clone(), vec![0u64; 6_000]];
-            let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
-            let mut stats = LocalSortStats::default();
-            run_local_sorts(
-                &mut got,
-                &mut vals,
-                0,
-                1,
-                &buckets,
-                &SortConfig::keys_64(),
-                &Optimizations::all_on(),
-                &Executor::with_workers(workers),
-                None,
-                &mut stats,
-            );
+            let exec = Executor::with_workers(workers);
+            run(&mut got, &mut vals, 0, 1, &buckets, &cfg, &opts, &exec);
             assert_eq!(got[1], expect[1], "workers = {workers}");
         }
     }
@@ -270,8 +710,7 @@ mod tests {
         let keys = uniform_keys::<u32>(500, 2);
         let mut bufs = [keys.clone(), vec![0u32; 500]];
         let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
-        let mut stats = LocalSortStats::default();
-        run_local_sorts(
+        run(
             &mut bufs,
             &mut vals,
             0,
@@ -280,8 +719,6 @@ mod tests {
             &SortConfig::keys_32(),
             &Optimizations::all_on(),
             &Executor::Sequential,
-            None,
-            &mut stats,
         );
         assert_eq!(bufs[0], KeyCodec::std_sorted(&keys));
     }
@@ -292,8 +729,7 @@ mod tests {
         let vals: Vec<u32> = (0..300).collect();
         let mut kbufs = [keys.clone(), vec![0u32; 300]];
         let mut vbufs = [vals, vec![0u32; 300]];
-        let mut stats = LocalSortStats::default();
-        run_local_sorts(
+        run(
             &mut kbufs,
             &mut vbufs,
             0,
@@ -302,8 +738,6 @@ mod tests {
             &SortConfig::pairs_32_32(),
             &Optimizations::all_on(),
             &Executor::with_workers(2),
-            None,
-            &mut stats,
         );
         assert!(workloads::pairs::verify_indexed_pair_sort(
             &keys, &kbufs[1], &vbufs[1]
@@ -311,44 +745,75 @@ mod tests {
     }
 
     #[test]
+    fn scratch_is_striped_per_worker_and_reused() {
+        let keys = uniform_keys::<u32>(4_000, 4);
+        let buckets: Vec<LocalBucket> = (0..20).map(|i| bucket(i * 200, 200)).collect();
+        let cfg = SortConfig::pairs_32_32();
+        let (mut sk, mut sv) = (Vec::<u32>::new(), Vec::<u32>::new());
+        for _ in 0..2 {
+            let mut kb = [keys.clone(), vec![0u32; 4_000]];
+            let mut vb = [(0..4_000).collect(), vec![0u32; 4_000]];
+            let mut stats = LocalSortStats::default();
+            run_local_sorts(
+                &mut kb,
+                &mut vb,
+                0,
+                1,
+                &buckets,
+                &cfg,
+                &Optimizations::all_on(),
+                &Executor::with_workers(3),
+                None,
+                &mut sk,
+                &mut sv,
+                &mut stats,
+            );
+            for (i, chunk) in keys.chunks(200).enumerate() {
+                let vals: Vec<u32> = (i as u32 * 200..).take(200).collect();
+                let range = i * 200..(i + 1) * 200;
+                let got = (kb[1][range.clone()].to_vec(), vb[1][range].to_vec());
+                assert_eq!(got, stable_reference(chunk, &vals));
+            }
+            assert_eq!(sk.len(), 3 * cfg.local_sort_threshold);
+            assert_eq!(sv.len(), 3 * cfg.local_sort_threshold);
+        }
+    }
+
+    #[test]
     fn provisioning_reflects_size_classes_and_the_single_config_ablation() {
         let keys = uniform_keys::<u32>(200, 4);
         let cfg = SortConfig::keys_32();
-        let mut stats_multi = LocalSortStats::default();
+        let buckets = [bucket(0, 100), bucket(100, 100)];
         let mut bufs = [keys.clone(), vec![0u32; 200]];
         let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
-        run_local_sorts(
+        let exec = Executor::Sequential;
+        let multi = run(
             &mut bufs,
             &mut vals,
             0,
             1,
-            &[bucket(0, 100), bucket(100, 100)],
+            &buckets,
             &cfg,
             &Optimizations::all_on(),
-            &Executor::Sequential,
-            None,
-            &mut stats_multi,
+            &exec,
         );
         // Two 100-key buckets fall into the [1,128] class.
-        assert_eq!(stats_multi.provisioned_keys, 256);
+        assert_eq!(multi.provisioned_keys, 256);
 
-        let mut stats_single = LocalSortStats::default();
+        let single_opts = Optimizations::single_local_sort_config();
         let mut bufs = [keys, vec![0u32; 200]];
-        let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
-        run_local_sorts(
+        let single = run(
             &mut bufs,
             &mut vals,
             0,
             1,
-            &[bucket(0, 100), bucket(100, 100)],
+            &buckets,
             &cfg,
-            &Optimizations::single_local_sort_config(),
-            &Executor::Sequential,
-            None,
-            &mut stats_single,
+            &single_opts,
+            &exec,
         );
         // The single configuration provisions ∂̂ keys per bucket.
-        assert_eq!(stats_single.provisioned_keys, 2 * 9_216);
+        assert_eq!(single.provisioned_keys, 2 * 9_216);
     }
 
     #[test]
@@ -356,7 +821,6 @@ mod tests {
         let keys = uniform_keys::<u32>(100, 5);
         let mut bufs = [keys, vec![0u32; 100]];
         let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
-        let mut stats = LocalSortStats::default();
         let merged = LocalBucket {
             id: 1,
             offset: 0,
@@ -364,7 +828,7 @@ mod tests {
             merged_from: 4,
             sorted_passes: 1,
         };
-        run_local_sorts(
+        let stats = run(
             &mut bufs,
             &mut vals,
             0,
@@ -373,38 +837,7 @@ mod tests {
             &SortConfig::keys_32(),
             &Optimizations::all_on(),
             &Executor::Sequential,
-            None,
-            &mut stats,
         );
         assert_eq!(stats.merged_buckets, 1);
-    }
-
-    #[test]
-    fn tiny_buckets_sort_zero_one_inputs() {
-        // Every 0/1 input of up to twelve keys.
-        for n in 1usize..=12 {
-            for mask in 0u32..(1 << n) {
-                let mut v: Vec<u8> = (0..n).map(|i| ((mask >> i) & 1) as u8).collect();
-                sort_keys_in_shared_memory(&mut v);
-                assert!(v.windows(2).all(|w| w[0] <= w[1]), "n={n} mask={mask:#b}");
-            }
-        }
-    }
-
-    #[test]
-    fn shared_memory_sort_handles_all_sizes() {
-        for n in [0usize, 1, 2, 17, 32, 33, 100, 5_000] {
-            let mut keys = uniform_keys::<u64>(n, 6);
-            let expected = KeyCodec::std_sorted(&keys);
-            sort_keys_in_shared_memory(&mut keys);
-            assert_eq!(keys, expected, "n = {n}");
-        }
-        // Signed and float keys go through the codec.
-        let mut keys: Vec<i32> = vec![5, -3, 0, -100, 77];
-        sort_keys_in_shared_memory(&mut keys);
-        assert_eq!(keys, vec![-100, -3, 0, 5, 77]);
-        let mut keys: Vec<f32> = vec![2.5, -1.0, 0.0, -7.5];
-        sort_keys_in_shared_memory(&mut keys);
-        assert_eq!(keys, vec![-7.5, -1.0, 0.0, 2.5]);
     }
 }

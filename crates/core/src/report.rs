@@ -92,8 +92,8 @@ pub struct SortReport {
     pub total_sub_buckets: u64,
     /// Maximum number of buckets alive at the end of any pass.
     pub max_live_buckets: u64,
-    /// Whether the run fell back to a comparison sort because the input was
-    /// below the small-input threshold.
+    /// Whether the run took the small-input fallback (one local sort of the
+    /// whole input) because the input was below the small-input threshold.
     pub fallback_comparison_sort: bool,
     /// Simulated execution breakdown on the configured GPU model.
     pub simulated: SimBreakdown,

@@ -28,7 +28,7 @@
 //! keys, from the digit it has already extracted, so a skewed block is
 //! read once and nothing is allocated.
 
-use crate::digit::digit_of;
+use crate::digit::Digit;
 use crate::exec::SharedMut;
 use workloads::SortKey;
 
@@ -122,6 +122,7 @@ pub fn scatter_block<K: SortKey, V: Copy>(
     staging: Option<&mut ScatterStaging<'_, K, V>>,
 ) -> BlockScatter {
     let values_present = std::mem::size_of::<V>() != 0;
+    let digit = Digit::of_pass(K::BITS, params.digit_bits, params.pass);
     let lookahead_active = params.lookahead_enabled
         && !block_keys.is_empty()
         && max_bin_count as f64 / block_keys.len() as f64 >= params.skew_threshold;
@@ -137,7 +138,7 @@ pub fn scatter_block<K: SortKey, V: Copy>(
             debug_assert!(st.keys.len() >= params.radix * line);
             debug_assert!(st.filled[..params.radix].iter().all(|&f| f == 0));
             for (i, key) in block_keys.iter().enumerate() {
-                let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
+                let d = digit.of(key.to_radix());
                 if let Some(l) = lookahead.as_mut() {
                     l.push(d);
                 }
@@ -194,7 +195,7 @@ pub fn scatter_block<K: SortKey, V: Copy>(
         _ => {
             // Direct per-key scatter: the unstaged equivalence baseline.
             for (i, key) in block_keys.iter().enumerate() {
-                let d = digit_of(key.to_radix(), K::BITS, params.digit_bits, params.pass);
+                let d = digit.of(key.to_radix());
                 if let Some(l) = lookahead.as_mut() {
                     l.push(d);
                 }
@@ -271,6 +272,7 @@ impl LookaheadWrites {
 mod tests {
     use super::*;
     use crate::bucket::Bucket;
+    use crate::digit::digit_of;
     use crate::histogram::block_histogram;
     use crate::prefix_sum::exclusive_prefix_sum_usize;
     use gpu_sim::HistogramStrategy;

@@ -24,14 +24,15 @@
 //! simulated GPU execution breakdown.
 
 use crate::arena::{
-    ArenaStats, ScratchArena, ROLE_SPARE_KEYS, ROLE_SPARE_VALS, ROLE_STAGE_KEYS, ROLE_STAGE_VALS,
+    ArenaStats, ScratchArena, ROLE_LOCAL_KEYS, ROLE_LOCAL_VALS, ROLE_SPARE_KEYS, ROLE_SPARE_VALS,
+    ROLE_STAGE_KEYS, ROLE_STAGE_VALS,
 };
 use crate::bucket::Bucket;
 use crate::config::SortConfig;
 use crate::cost::{self, CostModel};
 use crate::counting_sort::run_counting_pass;
 use crate::exec::Executor;
-use crate::local_sort::run_local_sorts;
+use crate::local_sort::{lsd_sort_in_place, run_local_sorts};
 use crate::opts::Optimizations;
 use crate::probe::SorterProbe;
 use crate::report::SortReport;
@@ -245,20 +246,6 @@ impl HybridRadixSorter {
             return report;
         }
 
-        // Small-input fallback (Section 6.1): below the threshold a plain
-        // comparison sort wins over the partitioning machinery.
-        if n <= config.small_input_fallback {
-            sort_small(keys, values);
-            report.fallback_comparison_sort = true;
-            report.simulated =
-                cost::evaluate(&self.device, &config, &self.opts, &self.cost, &report);
-            self.note_sort(n as u64, 0, true, sort_start);
-            return report;
-        }
-
-        let num_passes = config.num_passes(K::BITS);
-        let final_buf = (num_passes % 2) as usize;
-
         // Reuse the shared arena when it is free; concurrent sorts through
         // a sorter shared between threads never block, they just skip the
         // reuse for that call.
@@ -272,6 +259,34 @@ impl HybridRadixSorter {
             Some(shared) => shared,
             None => fallback_arena.get_or_insert_with(ScratchArena::new),
         };
+        // The local sort's ping-pong scratch; run_local_sorts grows it to
+        // `workers × ∂̂`.
+        let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, 0);
+        let mut local_vals: Vec<V> = if values_present {
+            arena.take_buffer::<V>(ROLE_LOCAL_VALS, 0)
+        } else {
+            Vec::new()
+        };
+
+        // Small-input fallback (Section 6.1): below the threshold the whole
+        // input goes straight to the local-sort kernel, skipping the
+        // partitioning machinery.
+        if n <= config.small_input_fallback {
+            local_keys.resize(n, K::default());
+            if values_present {
+                local_vals.resize(n, V::default());
+            }
+            lsd_sort_in_place(keys, values, &mut local_keys, &mut local_vals, K::BITS);
+            park_local_scratch(arena, local_keys, local_vals);
+            report.fallback_comparison_sort = true;
+            report.simulated =
+                cost::evaluate(&self.device, &config, &self.opts, &self.cost, &report);
+            self.note_sort(n as u64, 0, true, sort_start);
+            return report;
+        }
+
+        let num_passes = config.num_passes(K::BITS);
+        let final_buf = (num_passes % 2) as usize;
 
         // Double buffers for keys and values; the spare halves come from
         // (and return to) the arena, so repeated sorts reuse them.
@@ -374,6 +389,8 @@ impl HybridRadixSorter {
                     &self.opts,
                     &self.exec,
                     exec_probe,
+                    &mut local_keys,
+                    &mut local_vals,
                     &mut report.local,
                 );
             }
@@ -427,6 +444,7 @@ impl HybridRadixSorter {
         if values_present {
             arena.put_buffer(ROLE_STAGE_VALS, staging_vals);
         }
+        park_local_scratch(arena, local_keys, local_vals);
         // Undo an odd number of swaps before parking, so a repeated sort
         // runs each physical list through the same pass sequence and the
         // warmed-up capacities are a fixed point (the arena-reuse
@@ -498,18 +516,17 @@ fn split_two<T>(bufs: &mut [Vec<T>; 2], src: usize, dst: usize) -> (&[T], &mut [
     }
 }
 
-/// Comparison sort used by the small-input fallback.
-fn sort_small<K: SortKey, V: SortValue>(keys: &mut [K], values: &mut [V]) {
-    if std::mem::size_of::<V>() == 0 {
-        keys.sort_unstable_by_key(|k| k.to_radix());
-        return;
+/// Parks the local sort's scratch for the next sort (the value half only
+/// exists when values are present).
+fn park_local_scratch<K: SortKey, V: SortValue>(
+    arena: &mut ScratchArena,
+    keys: Vec<K>,
+    vals: Vec<V>,
+) {
+    arena.put_buffer(ROLE_LOCAL_KEYS, keys);
+    if std::mem::size_of::<V>() != 0 {
+        arena.put_buffer(ROLE_LOCAL_VALS, vals);
     }
-    let mut idx: Vec<usize> = (0..keys.len()).collect();
-    idx.sort_unstable_by_key(|&i| keys[i].to_radix());
-    let sorted_keys: Vec<K> = idx.iter().map(|&i| keys[i]).collect();
-    let sorted_vals: Vec<V> = idx.iter().map(|&i| values[i]).collect();
-    keys.copy_from_slice(&sorted_keys);
-    values.copy_from_slice(&sorted_vals);
 }
 
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! The sorter's hot path allocates nothing per key, block or bucket: once
 //! its scratch arena is warm, a sequential sort makes the same number of
 //! heap allocations at 2^14 and at 2^17 keys (only the fixed per-sort
-//! report is allocated).
+//! report is allocated) — for keys alone and for pairs, whose value halves,
+//! staging lines and local-sort scratch come from the arena too.
 //!
 //! The counting global allocator of `common` measures the whole test
 //! binary, so this file holds a single test and nothing else runs while it
@@ -26,15 +27,32 @@ fn allocations_of_sort(sorter: &HybridRadixSorter, keys: &[u32]) -> (u64, SortRe
     (after - before, report)
 }
 
+/// Heap allocations made by `sorter` sorting a copy of `keys` with their
+/// row ids as values (both made before counting starts).
+fn allocations_of_pair_sort(sorter: &HybridRadixSorter, keys: &[u64]) -> (u64, SortReport) {
+    let mut keys = keys.to_vec();
+    let mut rows: Vec<u32> = (0..keys.len() as u32).collect();
+    let before = common::allocations();
+    let report = sorter.sort_pairs(&mut keys, &mut rows);
+    let after = common::allocations();
+    assert!(keys.windows(2).all(|w| w[0] <= w[1]), "keys not sorted");
+    (after - before, report)
+}
+
 /// Warms one sorter at both sizes, then returns its allocation counts
 /// for a sort at each size.
-fn warmed_allocations(sorter: &HybridRadixSorter, small: &[u32], large: &[u32]) -> [u64; 2] {
+fn warmed_allocations<K>(
+    sorter: &HybridRadixSorter,
+    small: &[K],
+    large: &[K],
+    sort: fn(&HybridRadixSorter, &[K]) -> (u64, SortReport),
+) -> [u64; 2] {
     for _ in 0..2 {
-        allocations_of_sort(sorter, small);
-        allocations_of_sort(sorter, large);
+        sort(sorter, small);
+        sort(sorter, large);
     }
-    let (a, small_report) = allocations_of_sort(sorter, small);
-    let (b, large_report) = allocations_of_sort(sorter, large);
+    let (a, small_report) = sort(sorter, small);
+    let (b, large_report) = sort(sorter, large);
     // Equal counts only mean something if the two sorts have the same
     // shape: the per-sort report grows with the number of passes.
     assert_eq!(
@@ -54,7 +72,7 @@ fn warmed_sorts_allocate_independently_of_input_size() {
     // Skewed: the top digits are mostly zero, so the scatter look-ahead is
     // active on every block of the early passes.
     let sorter = HybridRadixSorter::with_defaults();
-    let counts = warmed_allocations(&sorter, &skewed(SMALL), &skewed(LARGE));
+    let counts = warmed_allocations(&sorter, &skewed(SMALL), &skewed(LARGE), allocations_of_sort);
     let report = sorter.sort(&mut skewed(LARGE));
     assert!(report.passes[0].lookahead_active_blocks > 0);
     assert_eq!(counts[0], counts[1], "skewed input: {counts:?}");
@@ -69,7 +87,12 @@ fn warmed_sorts_allocate_independently_of_input_size() {
         ..SortConfig::keys_32()
     };
     let sorter = HybridRadixSorter::new(tiny);
-    let counts = warmed_allocations(&sorter, &uniform(SMALL), &uniform(LARGE));
+    let counts = warmed_allocations(
+        &sorter,
+        &uniform(SMALL),
+        &uniform(LARGE),
+        allocations_of_sort,
+    );
     let report = sorter.sort(&mut uniform(LARGE));
     assert!(report.local.invocations > 1_000);
     assert!(report.local.largest_bucket <= 32);
@@ -77,6 +100,32 @@ fn warmed_sorts_allocate_independently_of_input_size() {
 
     // Uniform, defaults.
     let sorter = HybridRadixSorter::with_defaults();
-    let counts = warmed_allocations(&sorter, &uniform(SMALL), &uniform(LARGE));
+    let counts = warmed_allocations(
+        &sorter,
+        &uniform(SMALL),
+        &uniform(LARGE),
+        allocations_of_sort,
+    );
     assert_eq!(counts[0], counts[1], "uniform input: {counts:?}");
+
+    // Pairs: u64 keys with u32 row ids.  The local sort ping-pongs every
+    // bucket through per-worker arena scratch, so a warm sorter's arena is
+    // a fixed point and the count does not grow with the bucket count.
+    let sorter = HybridRadixSorter::with_defaults();
+    let uniform64 = |n| uniform_keys::<u64>(n, 7);
+    let pair_counts = warmed_allocations(
+        &sorter,
+        &uniform64(SMALL),
+        &uniform64(LARGE),
+        allocations_of_pair_sort,
+    );
+    assert_eq!(pair_counts[0], pair_counts[1], "pairs: {pair_counts:?}");
+    let warm = sorter.arena_stats();
+    let (_, report) = allocations_of_pair_sort(&sorter, &uniform64(LARGE));
+    assert!(report.local.invocations > 0);
+    assert_eq!(
+        sorter.arena_stats(),
+        warm,
+        "local-sort scratch grew when warm"
+    );
 }

@@ -205,4 +205,34 @@ proptest! {
         merge_pairs_into(&refs, threads, &mut keys, &mut vals);
         prop_assert_eq!(keys.into_iter().zip(vals).collect::<Vec<_>>(), expected);
     }
+
+    #[test]
+    fn lsd_local_sort_equals_the_stable_reference(
+        raw in proptest::collection::vec(any::<u64>(), 0..700),
+        bits in 1u32..65,
+        distinct in 1u64..40,
+        in_place in any::<bool>(),
+    ) {
+        use hybrid_radix_sort::hrs_core::local_sort::{lsd_sort_in_place, lsd_sort_into};
+        // Keys agree above their low `bits` bits (as a bucket's keys do)
+        // and take at most `distinct` low values, so ties are common; the
+        // values are input positions, so the order of ties shows.
+        let low = u64::MAX >> (64 - bits);
+        let keys: Vec<u64> = raw
+            .iter()
+            .map(|r| (0xC3C3_C3C3_C3C3_C3C3 & !low) | ((r % distinct).wrapping_mul(0x9E37_79B9_7F4A_7C15) & low))
+            .collect();
+        let n = keys.len();
+        let vals: Vec<u32> = (0..n as u32).collect();
+        let mut expected: Vec<(u64, u32)> = keys.iter().copied().zip(vals.iter().copied()).collect();
+        expected.sort_by_key(|&(k, _)| k);
+        let (mut tk, mut tv) = (vec![0u64; n], vec![0u32; n]);
+        let (mut k, mut v) = (keys.clone(), vals.clone());
+        if in_place {
+            lsd_sort_in_place(&mut k, &mut v, &mut tk, &mut tv, bits);
+        } else {
+            lsd_sort_into(&keys, &vals, &mut k, &mut v, &mut tk, &mut tv, bits);
+        }
+        prop_assert_eq!(k.into_iter().zip(v).collect::<Vec<_>>(), expected);
+    }
 }
