@@ -40,7 +40,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if let Err(e) = std::fs::write(&out, report.to_json()) {
+    if let Err(e) = std::fs::write(&out, report.tree().to_json()) {
         eprintln!("hrs-lint: writing `{out}` failed: {e}");
         return ExitCode::FAILURE;
     }

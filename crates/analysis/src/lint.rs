@@ -29,13 +29,15 @@
 //!
 //! [`scan_repo`] walks the tree and returns a [`LintReport`];
 //! `cargo run -p analysis --bin hrs-lint` wraps it for CI and emits
-//! `LINT_report.json`.
+//! `LINT_report.json`, the report's [`LintReport::tree`] written by
+//! `telemetry::json`.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use telemetry::InspectNode;
 
 /// One enforced repo invariant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -163,54 +165,33 @@ impl LintReport {
         self.violations.iter().filter(|v| v.rule == rule).count()
     }
 
-    /// Serialises the report as pretty-printed JSON (hand-rolled — the
-    /// container has no registry access for a real serde).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        out.push_str("  \"counts\": {");
-        let mut first = true;
+    /// The report as an artifact tree (`LINT_report.json` is its JSON): the
+    /// root carries `bench`, `unit`, `files_scanned` and `clean` (0 or 1); a
+    /// `rules` section holds one row per rule with its count, and a
+    /// `violations` section, present when there are any, one row each.
+    pub fn tree(&self) -> InspectNode {
+        let mut root = InspectNode::new("lint");
+        root.set("bench", "lint".into());
+        root.set("unit", "violations".into());
+        root.set("files_scanned", self.files_scanned.into());
+        root.set("clean", self.is_clean().into());
+        let rules = root.child_mut("rules");
         for rule in Rule::ALL {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!("\n    \"{}\": {}", rule.name(), self.count(rule)));
+            let mut row = InspectNode::new("row");
+            row.set("rule", rule.name().into());
+            row.set("violations", self.count(rule).into());
+            rules.children.push(row);
         }
-        out.push_str("\n  },\n  \"violations\": [");
-        let mut first = true;
         for v in &self.violations {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\n    {{ \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\" }}",
-                v.rule,
-                json_escape(&v.file),
-                v.line,
-                json_escape(&v.message)
-            ));
+            let mut row = InspectNode::new("row");
+            row.set("rule", v.rule.name().into());
+            row.set("file", v.file.as_str().into());
+            row.set("line", v.line.into());
+            row.set("message", v.message.as_str().into());
+            root.child_mut("violations").children.push(row);
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        root
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Scans the workspace under [`LintConfig::root`] and reports every
@@ -834,24 +815,35 @@ mod tests {
 
     #[test]
     fn report_json_round_trips_the_counts() {
+        let message = "quote \" and backslash \\";
         let report = LintReport {
             files_scanned: 3,
             violations: vec![Violation {
                 rule: Rule::SafetyComment,
                 file: "crates/x/src/a.rs".into(),
                 line: 7,
-                message: "quote \" and backslash \\".into(),
+                message: message.into(),
             }],
         };
-        let json = report.to_json();
-        assert!(json.contains("\"files_scanned\": 3"));
-        assert!(json.contains("\"clean\": false"));
-        assert!(json.contains("\"unsafe-needs-safety-comment\": 1"));
-        assert!(json.contains("\\\" and backslash \\\\"));
-        assert!(LintReport {
+        let tree = InspectNode::from_json(&report.tree().to_json()).unwrap();
+        assert_eq!(tree, report.tree());
+        assert_eq!(tree.uint("files_scanned"), Some(3));
+        assert_eq!(tree.uint("clean"), Some(0));
+        let rules = &tree.node("rules").unwrap().children;
+        assert_eq!(rules.len(), Rule::ALL.len());
+        assert_eq!(rules[0].text("rule"), Some("unsafe-needs-safety-comment"));
+        assert_eq!(rules[0].uint("violations"), Some(1));
+        let violation = &tree.node("violations").unwrap().children[0];
+        assert_eq!(violation.uint("line"), Some(7));
+        assert_eq!(violation.text("message"), Some(message));
+
+        let clean = LintReport {
             files_scanned: 0,
-            violations: vec![]
-        }
-        .is_clean());
+            violations: vec![],
+        };
+        assert!(clean.is_clean());
+        let tree = clean.tree();
+        assert_eq!(tree.uint("clean"), Some(1));
+        assert!(tree.node("violations").is_none());
     }
 }

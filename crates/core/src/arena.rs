@@ -129,8 +129,9 @@ impl PassScratch {
     }
 }
 
-/// A parked spare buffer plus its retained size (the `dyn Any` erases the
-/// element type, so the byte count is recorded at park time).
+/// A spare-buffer slot plus its retained size (the `dyn Any` erases the
+/// element type, so the byte count is recorded at park time).  The box
+/// lives as long as the arena; a taken buffer leaves an empty `Vec` in it.
 struct TypedBuffer {
     vec: Box<dyn Any + Send>,
     capacity_bytes: usize,
@@ -141,7 +142,7 @@ struct TypedBuffer {
 pub struct ArenaStats {
     /// Bytes retained by the typed spare buffers.
     pub buffer_bytes: usize,
-    /// Number of parked spare buffers.
+    /// Number of spare-buffer slots (one per element type and role).
     pub buffers: usize,
     /// Bytes retained by the pass scratch tables.
     pub scratch_bytes: usize,
@@ -178,11 +179,16 @@ impl ScratchArena {
         role: u8,
         len: usize,
     ) -> Vec<T> {
+        // The box stays parked; only the `Vec` moves out, so parking it
+        // again needs no allocation.
         let mut buf: Vec<T> = self
             .buffers
-            .remove(&(TypeId::of::<T>(), role))
-            .and_then(|b| b.vec.downcast::<Vec<T>>().ok())
-            .map(|b| *b)
+            .get_mut(&(TypeId::of::<T>(), role))
+            .and_then(|slot| {
+                slot.capacity_bytes = 0;
+                slot.vec.downcast_mut::<Vec<T>>()
+            })
+            .map(std::mem::take)
             .unwrap_or_default();
         buf.clear();
         buf.resize(len, T::default());
@@ -190,16 +196,21 @@ impl ScratchArena {
     }
 
     /// Parks a buffer for reuse by the next [`ScratchArena::take_buffer`]
-    /// with the same type and role.
+    /// with the same type and role.  Refills the slot's existing box; only
+    /// the first park of a `(T, role)` pair allocates one.
     pub(crate) fn put_buffer<T: Copy + Default + Send + 'static>(&mut self, role: u8, buf: Vec<T>) {
         let capacity_bytes = buf.capacity() * std::mem::size_of::<T>();
-        self.buffers.insert(
-            (TypeId::of::<T>(), role),
-            TypedBuffer {
-                vec: Box::new(buf),
-                capacity_bytes,
-            },
-        );
+        let slot = self
+            .buffers
+            .entry((TypeId::of::<T>(), role))
+            .or_insert_with(|| TypedBuffer {
+                vec: Box::new(Vec::<T>::new()),
+                capacity_bytes: 0,
+            });
+        if let Some(parked) = slot.vec.downcast_mut::<Vec<T>>() {
+            *parked = buf;
+            slot.capacity_bytes = capacity_bytes;
+        }
     }
 
     /// Snapshot of the retained memory.  Two consecutive sorts of the same

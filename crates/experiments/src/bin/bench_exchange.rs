@@ -10,17 +10,8 @@
 //! `--smoke` runs the CI-sized sweep (same device counts — the acceptance
 //! gate needs the 8-device NVLink point — with a smaller input).
 
-use experiments::exchange_bench::{
-    exchange_table, exchange_to_json, run_exchange_sweep, ExchangeBenchConfig,
-};
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"))
-            .clone()
-    })
-}
+use experiments::artifact::{self, flag};
+use experiments::exchange_bench::{exchange_artifact, run_exchange_sweep, ExchangeBenchConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -29,19 +20,18 @@ fn main() {
     } else {
         ExchangeBenchConfig::full()
     };
-    if let Some(keys) = arg_value(&args, "--keys") {
-        cfg.keys = keys
-            .parse()
-            .unwrap_or_else(|_| panic!("--keys expects an integer"));
+    if let Some(keys) = flag(&args, "--keys") {
+        cfg.keys = keys;
     }
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_exchange.json".to_string());
+    let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_exchange.json".to_string());
 
     println!(
         "# Recombination: host merge vs peer exchange ({} keys per run)\n",
         cfg.keys
     );
     let points = run_exchange_sweep(&cfg);
-    println!("{}", exchange_table(&points));
+    let tree = exchange_artifact(&points);
+    println!("{}", artifact::table(&tree.children));
     if let Some(best) = points.iter().max_by(|a, b| a.speedup.total_cmp(&b.speedup)) {
         println!(
             "best: {:.2}x on {} with {} devices",
@@ -49,7 +39,6 @@ fn main() {
         );
     }
 
-    std::fs::write(&out_path, exchange_to_json(&points))
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    println!();
+    artifact::write(&out_path, &tree);
 }

@@ -12,18 +12,10 @@
 //! budget at container-friendly sizes; the schedule arithmetic is the same
 //! one a 12 GB device would see at paper scale.
 
+use experiments::artifact::{self, flag};
 use experiments::outofcore_bench::{
-    chunk_table, crossover_boundary, crossover_table, outofcore_to_json, run_chunk_sweep,
-    run_crossover_sweep, OocBenchConfig,
+    crossover_boundary, outofcore_artifact, run_chunk_sweep, run_crossover_sweep, OocBenchConfig,
 };
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"))
-            .clone()
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -32,18 +24,13 @@ fn main() {
     } else {
         OocBenchConfig::full()
     };
-    if let Some(devices) = arg_value(&args, "--devices") {
-        cfg.devices = devices
-            .parse()
-            .unwrap_or_else(|_| panic!("--devices expects an integer"));
+    if let Some(devices) = flag(&args, "--devices") {
+        cfg.devices = devices;
     }
-    if let Some(mib) = arg_value(&args, "--memory-mib") {
-        let mib: u64 = mib
-            .parse()
-            .unwrap_or_else(|_| panic!("--memory-mib expects an integer"));
+    if let Some(mib) = flag::<u64>(&args, "--memory-mib") {
         cfg.device_memory = mib << 20;
     }
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_outofcore.json".to_string());
+    let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_outofcore.json".to_string());
 
     println!(
         "# Out-of-core lane sweep ({} devices × {} MiB device memory)\n",
@@ -51,9 +38,12 @@ fn main() {
         cfg.device_memory >> 20
     );
 
-    println!("## In-core / out-of-core crossover (service, OutOfCore policy)\n");
     let crossover = run_crossover_sweep(&cfg);
-    println!("{}", crossover_table(&crossover));
+    let chunks = run_chunk_sweep(&cfg);
+    let tree = outofcore_artifact(&crossover, &chunks);
+
+    println!("## In-core / out-of-core crossover (service, OutOfCore policy)\n");
+    println!("{}", artifact::table(&tree.children[0].children));
     match crossover_boundary(&crossover) {
         Some((last_in, first_out)) => println!(
             "crossover: batching lane up to {last_in} keys, out-of-core lane from {first_out} keys\n"
@@ -62,8 +52,7 @@ fn main() {
     }
 
     println!("## Chunk-count sweep (Figure 8 over the pool)\n");
-    let chunks = run_chunk_sweep(&cfg);
-    println!("{}", chunk_table(&chunks));
+    println!("{}", artifact::table(&tree.children[1].children));
     if let (Some(first), Some(best)) = (
         chunks.first(),
         chunks
@@ -76,7 +65,6 @@ fn main() {
         );
     }
 
-    std::fs::write(&out_path, outofcore_to_json(&crossover, &chunks))
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    println!();
+    artifact::write(&out_path, &tree);
 }

@@ -13,19 +13,12 @@
 //! snapshot of one instrumented session is written alongside the results
 //! (`TELEMETRY_snapshot.json` by default) for the CI artifact.
 
+use experiments::artifact::{self, flag};
 use experiments::service_bench::{
-    batching_speedups, run_service_sweep, service_table, service_to_json, telemetry_snapshot_json,
+    batching_speedups, run_service_sweep, service_artifact, telemetry_snapshot_json,
     ServiceBenchConfig,
 };
 use std::time::Duration;
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"))
-            .clone()
-    })
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -34,30 +27,24 @@ fn main() {
     } else {
         ServiceBenchConfig::full()
     };
-    if let Some(requests) = arg_value(&args, "--requests") {
-        cfg.requests = requests
-            .parse()
-            .unwrap_or_else(|_| panic!("--requests expects an integer"));
+    if let Some(requests) = flag(&args, "--requests") {
+        cfg.requests = requests;
     }
-    if let Some(devices) = arg_value(&args, "--devices") {
-        cfg.devices = devices
-            .parse()
-            .unwrap_or_else(|_| panic!("--devices expects an integer"));
+    if let Some(devices) = flag(&args, "--devices") {
+        cfg.devices = devices;
     }
-    if let Some(linger) = arg_value(&args, "--linger-ms") {
-        let ms: f64 = linger
-            .parse()
-            .unwrap_or_else(|_| panic!("--linger-ms expects a number"));
+    if let Some(ms) = flag::<f64>(&args, "--linger-ms") {
         cfg.linger = Duration::from_secs_f64(ms / 1e3);
     }
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_service.json".to_string());
+    let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_service.json".to_string());
 
     println!(
         "# Batch sort service sweep ({} requests/point, {} devices, linger {:?})\n",
         cfg.requests, cfg.devices, cfg.linger
     );
     let points = run_service_sweep(&cfg);
-    println!("{}", service_table(&points));
+    let tree = service_artifact(&points);
+    println!("{}", artifact::table(&tree.children));
 
     // Headline: what coalescing buys per mix.  Device throughput is the
     // scheduling-quality metric (the pool is simulated); wall-clock on a
@@ -68,12 +55,11 @@ fn main() {
         );
     }
 
-    std::fs::write(&out_path, service_to_json(&points))
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    println!();
+    artifact::write(&out_path, &tree);
 
-    let telemetry_path = arg_value(&args, "--telemetry-out")
-        .unwrap_or_else(|| "TELEMETRY_snapshot.json".to_string());
+    let telemetry_path =
+        flag(&args, "--telemetry-out").unwrap_or_else(|| "TELEMETRY_snapshot.json".to_string());
     std::fs::write(&telemetry_path, telemetry_snapshot_json(&cfg))
         .unwrap_or_else(|e| panic!("cannot write {telemetry_path}: {e}"));
     println!("wrote {telemetry_path}");

@@ -14,27 +14,8 @@
 //! Every timed run follows a warm-up sort, so the scratch arena is hot and
 //! the numbers measure the algorithm, not the allocator.
 
-use experiments::wallclock::{
-    run_wallclock_sweep, wallclock_table, wallclock_to_json, WallclockConfig,
-};
-
-fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter().position(|a| a == flag).map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("{flag} expects a value"))
-            .clone()
-    })
-}
-
-fn parse_list(raw: &str, flag: &str) -> Vec<usize> {
-    raw.split(',')
-        .map(|v| {
-            v.trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("{flag} expects comma-separated integers, got {v:?}"))
-        })
-        .collect()
-}
+use experiments::artifact::{self, flag, flag_list};
+use experiments::wallclock::{run_wallclock_sweep, wallclock_artifact, WallclockConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -43,21 +24,16 @@ fn main() {
     } else {
         WallclockConfig::full()
     };
-    if let Some(sizes) = arg_value(&args, "--sizes") {
-        cfg.sizes = parse_list(&sizes, "--sizes")
-            .into_iter()
-            .map(|e| 1usize << e)
-            .collect();
+    if let Some(sizes) = flag_list(&args, "--sizes") {
+        cfg.sizes = sizes.into_iter().map(|e| 1usize << e).collect();
     }
-    if let Some(workers) = arg_value(&args, "--workers") {
-        cfg.worker_counts = parse_list(&workers, "--workers");
+    if let Some(workers) = flag_list(&args, "--workers") {
+        cfg.worker_counts = workers;
     }
-    if let Some(reps) = arg_value(&args, "--reps") {
-        cfg.reps = reps
-            .parse()
-            .unwrap_or_else(|_| panic!("--reps expects an integer"));
+    if let Some(reps) = flag(&args, "--reps") {
+        cfg.reps = reps;
     }
-    let out_path = arg_value(&args, "--out").unwrap_or_else(|| "BENCH_wallclock.json".to_string());
+    let out_path = flag(&args, "--out").unwrap_or_else(|| "BENCH_wallclock.json".to_string());
 
     println!(
         "# Execution-backend wall-clock sweep (sizes {:?}, workers {:?}, {} rep(s))",
@@ -68,7 +44,8 @@ fn main() {
          # speedup and staged-vs-unstaged columns underestimate multi-core gains\n"
     );
     let points = run_wallclock_sweep(&cfg);
-    println!("{}", wallclock_table(&points));
+    let tree = wallclock_artifact(&points);
+    println!("{}", artifact::table(&tree.children));
 
     // Headline: best threaded speedup per size on the uniform key-only
     // workload — the number the perf trajectory tracks.
@@ -89,7 +66,6 @@ fn main() {
         println!("uniform u32 keys, n = {n}: best staged-vs-unstaged {best:.2}x");
     }
 
-    std::fs::write(&out_path, wallclock_to_json(&points))
-        .unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("\nwrote {out_path}");
+    println!();
+    artifact::write(&out_path, &tree);
 }

@@ -10,28 +10,14 @@
 //! The default input size is 2^26 keys; pass a smaller `--n` for a quick
 //! look.
 
-use experiments::exchange_bench::{exchange_table, run_exchange_sweep, ExchangeBenchConfig};
+use experiments::artifact::{self, flag};
+use experiments::exchange_bench::{exchange_artifact, run_exchange_sweep, ExchangeBenchConfig};
 use experiments::format_table;
 use experiments::multi_gpu_scaling::{
     scaling_keys_u64, scaling_pairs_u32, scaling_workloads, speedup_series, ScalingCurve,
     DEVICE_COUNTS,
 };
 use hrs_core::HybridRadixSorter;
-
-fn parse_n() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    match args.iter().position(|a| a == "--n") {
-        None => 1 << 26,
-        Some(i) => {
-            let value = args
-                .get(i + 1)
-                .unwrap_or_else(|| panic!("--n expects a key count"));
-            value
-                .parse()
-                .unwrap_or_else(|_| panic!("--n expects an integer, got {value:?}"))
-        }
-    }
-}
 
 fn print_curve(curve: &ScalingCurve) {
     println!("### {} / {}", curve.workload, curve.shape);
@@ -52,7 +38,8 @@ fn print_curve(curve: &ScalingCurve) {
 }
 
 fn main() {
-    let n = parse_n();
+    let args: Vec<String> = std::env::args().collect();
+    let n = flag(&args, "--n").unwrap_or(1 << 26);
     println!("# Multi-GPU sharded sort scaling ({n} keys per run)\n");
     let template = HybridRadixSorter::with_defaults();
 
@@ -85,5 +72,6 @@ fn main() {
         device_counts: vec![2, 4, 8],
         keys: n.min(200_000),
     };
-    println!("{}", exchange_table(&run_exchange_sweep(&cfg)));
+    let tree = exchange_artifact(&run_exchange_sweep(&cfg));
+    println!("{}", artifact::table(&tree.children));
 }

@@ -1,14 +1,17 @@
-//! CI gate over the telemetry artifact: `TELEMETRY_snapshot.json` must
-//! parse back into an inspection tree and contain the expected top-level
-//! layers with non-trivial counters.
+//! CI gate over the artifacts: every file named must parse back into an
+//! inspection tree.  A bench or lint artifact (a root with a `bench`
+//! property) must hold at least one row in every table, and every row of a
+//! table must have the first row's keys.  Any other file is a telemetry
+//! snapshot (`TELEMETRY_snapshot.json`) and must contain the expected
+//! top-level layers with non-trivial counters.
 //!
 //! ```text
-//! cargo run --release --bin telemetry_check [-- <path>]
+//! cargo run --release --bin telemetry_check [-- <path>...]
 //! ```
 //!
-//! Exits non-zero (panics) when the snapshot is missing, malformed, or
-//! missing a layer — catching regressions where an instrumentation point
-//! silently stops reporting.
+//! Exits non-zero (panics) when a file is missing, malformed, or breaks its
+//! checks — catching regressions where an instrumentation point silently
+//! stops reporting or a bench row loses a column.
 
 use telemetry::{InspectNode, Inspector, MetricKind};
 
@@ -34,15 +37,57 @@ fn check_kind_mismatch_is_typed() {
         .same_as(&counter));
 }
 
+/// Schema check of a bench artifact: every table (the root, or each of
+/// its sections) holds rows, each with the first row's keys.
+fn check_bench(path: &str, root: &InspectNode) -> usize {
+    let sectioned = root.children.iter().any(|c| !c.children.is_empty());
+    let tables = if sectioned {
+        root.children.iter().collect()
+    } else {
+        vec![root]
+    };
+    let keys = |row: &InspectNode| -> Vec<String> {
+        row.properties.iter().map(|(k, _)| k.clone()).collect()
+    };
+    let mut rows = 0;
+    for table in tables {
+        let first = table.children.first().map(keys).filter(|k| !k.is_empty());
+        let first = first.unwrap_or_else(|| panic!("{path}: `{}` has no rows", table.name));
+        for (i, row) in table.children.iter().enumerate() {
+            let name = &table.name;
+            assert_eq!(
+                keys(row),
+                first,
+                "{path}: row {i} of `{name}` has other keys than the first row"
+            );
+        }
+        rows += table.children.len();
+    }
+    rows
+}
+
 fn main() {
     check_kind_mismatch_is_typed();
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "TELEMETRY_snapshot.json".to_string());
-    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let snap = InspectNode::from_json(&json)
-        .unwrap_or_else(|e| panic!("{path} is not a valid snapshot: {e:?}"));
+    let mut paths: Vec<String> = std::env::args().skip(1).collect();
+    if paths.is_empty() {
+        paths.push("TELEMETRY_snapshot.json".to_string());
+    }
+    for path in &paths {
+        let json =
+            std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+        let root = InspectNode::from_json(&json)
+            .unwrap_or_else(|e| panic!("{path} is not a valid inspection tree: {e:?}"));
+        if root.property("bench").is_some() {
+            let rows = check_bench(path, &root);
+            println!("bench artifact ok: {path} ({rows} rows)");
+        } else {
+            check_snapshot(path, &root);
+        }
+    }
+}
 
+/// The snapshot checks: every instrumented layer reported.
+fn check_snapshot(path: &str, snap: &InspectNode) {
     let mut checked = 0usize;
     for (node, counter) in [
         ("service", "requests"),

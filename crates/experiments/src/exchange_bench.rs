@@ -26,8 +26,10 @@
 //! the trade the cost model behind [`RecombineStrategy::Auto`]
 //! arbitrates.
 
+use crate::artifact;
 use hrs_core::{HybridRadixSorter, SortConfig};
 use multi_gpu::{modeled_host_merge_time, DevicePool, RecombineStrategy, ShardedSorter};
+use telemetry::InspectNode;
 use workloads::uniform_keys;
 
 /// One (topology, device count) point: both recombination tails and their
@@ -148,51 +150,30 @@ pub fn run_exchange_sweep(cfg: &ExchangeBenchConfig) -> Vec<ExchangePoint> {
     points
 }
 
-/// Serialises the sweep as the `BENCH_exchange.json` document
-/// (hand-rolled JSON: the workspace's vendored `serde` is a no-op shim).
-pub fn exchange_to_json(points: &[ExchangePoint]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"exchange\",\n  \"unit\": \"recombine_secs\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"topology\": \"{}\", \"devices\": {}, \"n\": {}, \
-             \"host_recombine_secs\": {:.9}, \"peer_recombine_secs\": {:.9}, \
-             \"speedup\": {:.3}, \"exchange_bytes\": {}, \"all_direct\": {}, \
-             \"auto_picks\": \"{}\"}}{}\n",
-            p.topology,
-            p.devices,
-            p.n,
-            p.host_recombine_secs,
-            p.peer_recombine_secs,
-            p.speedup,
-            p.exchange_bytes,
-            p.all_direct,
-            p.auto_picks,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
+impl ExchangePoint {
+    /// The point as one artifact row (`all_direct` as 0 or 1).
+    pub fn row(&self) -> InspectNode {
+        artifact::row([
+            ("topology", self.topology.as_str().into()),
+            ("devices", self.devices.into()),
+            ("n", self.n.into()),
+            ("host_recombine_secs", self.host_recombine_secs.into()),
+            ("peer_recombine_secs", self.peer_recombine_secs.into()),
+            ("speedup", self.speedup.into()),
+            ("exchange_bytes", self.exchange_bytes.into()),
+            ("all_direct", self.all_direct.into()),
+            ("auto_picks", self.auto_picks.as_str().into()),
+        ])
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Renders the sweep as an aligned text table.
-pub fn exchange_table(points: &[ExchangePoint]) -> String {
-    let mut out = String::from(
-        "topology           | devices |  host recombine s |  peer recombine s | speedup | auto picks\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{:<18} | {:>7} | {:>17.9} | {:>17.9} | {:>6.2}x | {}\n",
-            p.topology,
-            p.devices,
-            p.host_recombine_secs,
-            p.peer_recombine_secs,
-            p.speedup,
-            p.auto_picks,
-        ));
-    }
-    out
+/// The `BENCH_exchange.json` tree: one row per point.
+pub fn exchange_artifact(points: &[ExchangePoint]) -> InspectNode {
+    artifact::root(
+        "exchange",
+        "recombine_secs",
+        points.iter().map(ExchangePoint::row).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -252,13 +233,32 @@ mod tests {
             device_counts: vec![2],
             keys: 40_000,
         });
-        let json = exchange_to_json(&points);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"bench\": \"exchange\""));
-        assert!(json.contains("\"topology\": \"nvlink2-mesh\""));
-        assert!(json.contains("\"auto_picks\""));
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains("NaN"));
-        assert!(exchange_table(&points).contains("speedup"));
+        let tree = exchange_artifact(&points);
+        assert_eq!(artifact::non_finite(&tree), None);
+        let parsed = InspectNode::from_json(&tree.to_json()).unwrap();
+        assert_eq!(parsed.text("bench"), Some("exchange"));
+        assert_eq!(parsed.children.len(), points.len());
+        for row in &parsed.children {
+            let keys: Vec<&str> = row.properties.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "topology",
+                    "devices",
+                    "n",
+                    "host_recombine_secs",
+                    "peer_recombine_secs",
+                    "speedup",
+                    "exchange_bytes",
+                    "all_direct",
+                    "auto_picks"
+                ]
+            );
+        }
+        let nvlink = &parsed.children[0];
+        assert_eq!(nvlink.text("topology"), Some("nvlink2-mesh"));
+        assert_eq!(nvlink.uint("all_direct"), Some(1));
+        assert_eq!(parsed.children[1].uint("all_direct"), Some(0));
+        assert!(artifact::table(&parsed.children).contains("speedup"));
     }
 }

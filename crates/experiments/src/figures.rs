@@ -14,9 +14,9 @@ use baselines::{
     ReportedDistribution,
 };
 use gpu_sim::{AtomicModel, DeviceSpec, HistogramStrategy, SimTime};
-use hetero::{parallel_merge_sorted_runs, HeterogeneousSorter};
+use hetero::HeterogeneousSorter;
 use hrs_core::{AnalyticalModel, HybridRadixSorter, Optimizations, SortConfig};
-use workloads::{Distribution, EntropyLevel, SplitMix64, ENTROPY_LEVELS_32, ENTROPY_LEVELS_64};
+use workloads::{Distribution, EntropyLevel, ENTROPY_LEVELS_32, ENTROPY_LEVELS_64};
 
 /// The four input shapes of Figures 6 and 10–14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -330,27 +330,6 @@ impl CpuMergeModel {
             bytes as f64 / self.bytes_per_sec(runs)
         }
     }
-}
-
-/// Measures the CPU multiway-merge throughput (bytes per second of merged
-/// output) for `runs` sorted runs on this machine, using a small in-memory
-/// workload; reported next to the modelled throughput by the experiment
-/// binaries.
-pub fn measure_merge_throughput(total_elements: usize, runs: usize, threads: usize) -> f64 {
-    let mut rng = SplitMix64::new(7);
-    let per_run = (total_elements / runs.max(1)).max(1);
-    let run_data: Vec<Vec<u64>> = (0..runs)
-        .map(|_| {
-            let mut v: Vec<u64> = (0..per_run).map(|_| rng.next_u64()).collect();
-            v.sort_unstable();
-            v
-        })
-        .collect();
-    let refs: Vec<&[u64]> = run_data.iter().map(|r| r.as_slice()).collect();
-    let start = std::time::Instant::now();
-    let merged = parallel_merge_sorted_runs(&refs, threads);
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    (merged.len() as f64 * 16.0) / elapsed // 16 bytes per 64+64 record
 }
 
 /// Figure 8: end-to-end time for sorting 375 million 64-bit/64-bit pairs

@@ -11,9 +11,14 @@
 //!
 //! [`checks`] contains the "shape checks" used by the integration tests:
 //! who wins, by roughly what factor, and where the crossovers fall.
+//!
+//! The `bench_*` bins write their sweeps as `BENCH_*.json` through
+//! [`artifact`]: one `telemetry::InspectNode` tree per artifact, printed
+//! as a console table from the same rows.
 
 #![warn(missing_docs)]
 
+pub mod artifact;
 pub mod checks;
 pub mod exchange_bench;
 pub mod figures;

@@ -23,9 +23,11 @@
 //! `device_memory_bytes`) so the crossover happens at container-friendly
 //! input sizes; the schedule arithmetic is identical at paper scale.
 
+use crate::artifact;
 use multi_gpu::{DevicePool, OocConfig, ShardedSorter, SimDevice};
 use sort_service::{OverBudgetPolicy, ServiceConfig, SortPayload, SortService};
 use std::time::Instant;
+use telemetry::InspectNode;
 use workloads::uniform_keys;
 
 /// One request of the crossover sweep.
@@ -186,85 +188,57 @@ pub fn run_chunk_sweep(cfg: &OocBenchConfig) -> Vec<OocChunkPoint> {
         .collect()
 }
 
-/// Serialises both sweeps as the `BENCH_outofcore.json` document
-/// (hand-rolled JSON: the workspace's vendored `serde` is a no-op shim).
-pub fn outofcore_to_json(crossover: &[OocCrossoverPoint], chunks: &[OocChunkPoint]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"outofcore\",\n  \"unit\": \"sim_keys_per_sec\",\n  \"crossover\": [\n",
-    );
-    for (i, p) in crossover.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"n\": {}, \"bytes\": {}, \"budget\": {}, \"lane\": \"{}\", \"chunks\": {}, \
-             \"wall_secs\": {:.6}, \"sim_device_secs\": {:.6}, \"sim_end_to_end_secs\": {:.6}, \
-             \"sim_keys_per_sec\": {:.1}}}{}\n",
-            p.n,
-            p.bytes,
-            p.budget,
-            p.lane,
-            p.chunks,
-            p.wall_secs,
-            p.sim_device_secs,
-            p.sim_end_to_end_secs,
-            p.sim_keys_per_sec,
-            if i + 1 == crossover.len() { "" } else { "," },
-        ));
+impl OocCrossoverPoint {
+    /// The point as one artifact row.
+    pub fn row(&self) -> InspectNode {
+        artifact::row([
+            ("n", self.n.into()),
+            ("bytes", self.bytes.into()),
+            ("budget", self.budget.into()),
+            ("lane", self.lane.as_str().into()),
+            ("chunks", self.chunks.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("sim_device_secs", self.sim_device_secs.into()),
+            ("sim_end_to_end_secs", self.sim_end_to_end_secs.into()),
+            ("sim_keys_per_sec", self.sim_keys_per_sec.into()),
+        ])
     }
-    out.push_str("  ],\n  \"chunk_sweep\": [\n");
-    for (i, p) in chunks.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"chunks_per_device\": {}, \"total_chunks\": {}, \"critical_path_secs\": {:.6}, \
-             \"end_to_end_secs\": {:.6}, \"serial_bound_secs\": {:.6}, \"overlap_ratio\": {:.4}}}{}\n",
-            p.chunks_per_device,
-            p.total_chunks,
-            p.critical_path_secs,
-            p.end_to_end_secs,
-            p.serial_bound_secs,
-            p.overlap_ratio,
-            if i + 1 == chunks.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Renders the crossover sweep as an aligned text table.
-pub fn crossover_table(points: &[OocCrossoverPoint]) -> String {
-    let mut out = String::from(
-        "       n |      bytes |     budget | lane        | chunks |    wall s | sim dev s | sim keys/s\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{:>8} | {:>10} | {:>10} | {:<11} | {:>6} | {:>9.4} | {:>9.4} | {:>10.1}\n",
-            p.n,
-            p.bytes,
-            p.budget,
-            p.lane,
-            p.chunks,
-            p.wall_secs,
-            p.sim_device_secs,
-            p.sim_keys_per_sec,
-        ));
+impl OocChunkPoint {
+    /// The point as one artifact row.
+    pub fn row(&self) -> InspectNode {
+        artifact::row([
+            ("chunks_per_device", self.chunks_per_device.into()),
+            ("total_chunks", self.total_chunks.into()),
+            ("critical_path_secs", self.critical_path_secs.into()),
+            ("end_to_end_secs", self.end_to_end_secs.into()),
+            ("serial_bound_secs", self.serial_bound_secs.into()),
+            ("overlap_ratio", self.overlap_ratio.into()),
+        ])
     }
-    out
 }
 
-/// Renders the chunk sweep as an aligned text table.
-pub fn chunk_table(points: &[OocChunkPoint]) -> String {
-    let mut out = String::from(
-        "chunks/dev | total |  critical s |  serial bound | overlap ratio | end-to-end s\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{:>10} | {:>5} | {:>11.6} | {:>13.6} | {:>13.4} | {:>12.6}\n",
-            p.chunks_per_device,
-            p.total_chunks,
-            p.critical_path_secs,
-            p.serial_bound_secs,
-            p.overlap_ratio,
-            p.end_to_end_secs,
-        ));
-    }
-    out
+/// The `BENCH_outofcore.json` tree: a `crossover` and a `chunk_sweep`
+/// section, one row per point.
+pub fn outofcore_artifact(
+    crossover: &[OocCrossoverPoint],
+    chunks: &[OocChunkPoint],
+) -> InspectNode {
+    artifact::root(
+        "outofcore",
+        "sim_keys_per_sec",
+        vec![
+            artifact::section(
+                "crossover",
+                crossover.iter().map(OocCrossoverPoint::row).collect(),
+            ),
+            artifact::section(
+                "chunk_sweep",
+                chunks.iter().map(OocChunkPoint::row).collect(),
+            ),
+        ],
+    )
 }
 
 /// The crossover boundary: `(last in-core n, first out-of-core n)`, if the
@@ -337,15 +311,49 @@ mod tests {
         let cfg = tiny();
         let crossover = run_crossover_sweep(&cfg);
         let chunks = run_chunk_sweep(&cfg);
-        let json = outofcore_to_json(&crossover, &chunks);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"bench\": \"outofcore\""));
-        assert!(json.contains("\"crossover\""));
-        assert!(json.contains("\"chunk_sweep\""));
-        assert!(json.contains("\"lane\": \"out-of-core\""));
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains("NaN"));
-        assert!(crossover_table(&crossover).contains("lane"));
-        assert!(chunk_table(&chunks).contains("overlap"));
+        let tree = outofcore_artifact(&crossover, &chunks);
+        assert_eq!(artifact::non_finite(&tree), None);
+        let parsed = InspectNode::from_json(&tree.to_json()).unwrap();
+        assert_eq!(parsed.text("bench"), Some("outofcore"));
+        let sections: Vec<&str> = parsed.children.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(sections, ["crossover", "chunk_sweep"]);
+        let crossover_rows = &parsed.node("crossover").unwrap().children;
+        let chunk_rows = &parsed.node("chunk_sweep").unwrap().children;
+        assert_eq!(crossover_rows.len(), crossover.len());
+        assert_eq!(chunk_rows.len(), chunks.len());
+        let keys = |row: &InspectNode| -> Vec<String> {
+            row.properties.iter().map(|(k, _)| k.clone()).collect()
+        };
+        for row in crossover_rows {
+            assert_eq!(
+                keys(row),
+                [
+                    "n",
+                    "bytes",
+                    "budget",
+                    "lane",
+                    "chunks",
+                    "wall_secs",
+                    "sim_device_secs",
+                    "sim_end_to_end_secs",
+                    "sim_keys_per_sec"
+                ]
+            );
+        }
+        for row in chunk_rows {
+            assert_eq!(
+                keys(row),
+                [
+                    "chunks_per_device",
+                    "total_chunks",
+                    "critical_path_secs",
+                    "end_to_end_secs",
+                    "serial_bound_secs",
+                    "overlap_ratio"
+                ]
+            );
+        }
+        assert_eq!(crossover_rows[1].text("lane"), Some("out-of-core"));
+        assert!(artifact::table(chunk_rows).contains("overlap_ratio"));
     }
 }

@@ -23,9 +23,11 @@
 //! container it tracks total CPU work (linear in keys), so batching is
 //! roughly neutral there — the same caveat `bench_wallclock` carries.
 
+use crate::artifact;
 use multi_gpu::{DevicePool, ShardedSorter};
 use sort_service::{ServiceConfig, SortPayload, SortService, SortTicket};
 use std::time::{Duration, Instant};
+use telemetry::InspectNode;
 use workloads::uniform_keys;
 
 /// How request sizes are drawn within a mix.
@@ -244,36 +246,34 @@ pub fn run_service_sweep(cfg: &ServiceBenchConfig) -> Vec<ServicePoint> {
     points
 }
 
-/// Serialises the sweep as the `BENCH_service.json` document (hand-rolled
-/// JSON: the workspace's vendored `serde` is a no-op shim).
-pub fn service_to_json(points: &[ServicePoint]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"service\",\n  \"unit\": \"sim_reqs_per_sec\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mix\": \"{}\", \"mode\": \"{}\", \"linger_ms\": {:.3}, \"requests\": {}, \
-             \"keys\": {}, \"batches\": {}, \"mean_batch_requests\": {:.2}, \"wall_secs\": {:.6}, \
-             \"reqs_per_sec\": {:.1}, \"keys_per_sec\": {:.1}, \"sim_device_secs\": {:.6}, \
-             \"sim_reqs_per_sec\": {:.1}, \"sim_keys_per_sec\": {:.1}}}{}\n",
-            p.mix,
-            p.mode,
-            p.linger_ms,
-            p.requests,
-            p.keys,
-            p.batches,
-            p.mean_batch_requests,
-            p.wall_secs,
-            p.reqs_per_sec,
-            p.keys_per_sec,
-            p.sim_device_secs,
-            p.sim_reqs_per_sec,
-            p.sim_keys_per_sec,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
+impl ServicePoint {
+    /// The point as one artifact row.
+    pub fn row(&self) -> InspectNode {
+        artifact::row([
+            ("mix", self.mix.as_str().into()),
+            ("mode", self.mode.as_str().into()),
+            ("linger_ms", self.linger_ms.into()),
+            ("requests", self.requests.into()),
+            ("keys", self.keys.into()),
+            ("batches", self.batches.into()),
+            ("mean_batch_requests", self.mean_batch_requests.into()),
+            ("wall_secs", self.wall_secs.into()),
+            ("reqs_per_sec", self.reqs_per_sec.into()),
+            ("keys_per_sec", self.keys_per_sec.into()),
+            ("sim_device_secs", self.sim_device_secs.into()),
+            ("sim_reqs_per_sec", self.sim_reqs_per_sec.into()),
+            ("sim_keys_per_sec", self.sim_keys_per_sec.into()),
+        ])
     }
-    out.push_str("  ]\n}\n");
-    out
+}
+
+/// The `BENCH_service.json` tree: one row per point.
+pub fn service_artifact(points: &[ServicePoint]) -> InspectNode {
+    artifact::root(
+        "service",
+        "sim_reqs_per_sec",
+        points.iter().map(ServicePoint::row).collect(),
+    )
 }
 
 /// Runs one short instrumented service session and returns the full
@@ -300,29 +300,6 @@ pub fn telemetry_snapshot_json(cfg: &ServiceBenchConfig) -> String {
     let snapshot = service.inspector().snapshot();
     service.shutdown();
     snapshot.to_json()
-}
-
-/// Renders the sweep as an aligned text table.
-pub fn service_table(points: &[ServicePoint]) -> String {
-    let mut out = String::from(
-        "mix    | mode      | linger | requests |  batches | req/batch |    secs |   reqs/s | sim dev s | sim reqs/s\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{:<6} | {:<9} | {:>4.1}ms | {:>8} | {:>8} | {:>9.2} | {:>7.3} | {:>8.1} | {:>9.4} | {:>10.1}\n",
-            p.mix,
-            p.mode,
-            p.linger_ms,
-            p.requests,
-            p.batches,
-            p.mean_batch_requests,
-            p.wall_secs,
-            p.reqs_per_sec,
-            p.sim_device_secs,
-            p.sim_reqs_per_sec,
-        ));
-    }
-    out
 }
 
 /// Batched-over-unbatched throughput ratios per mix:
@@ -403,14 +380,34 @@ mod tests {
     #[test]
     fn json_document_is_well_formed_enough() {
         let points = run_service_sweep(&tiny());
-        let json = service_to_json(&points);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"bench\": \"service\""));
-        assert_eq!(json.matches("\"mix\"").count(), points.len());
-        assert!(!json.contains(",\n  ]"));
-        assert!(!json.contains("NaN"));
-        let table = service_table(&points);
-        assert!(table.contains("req/batch"));
+        let tree = service_artifact(&points);
+        assert_eq!(artifact::non_finite(&tree), None);
+        let parsed = InspectNode::from_json(&tree.to_json()).unwrap();
+        assert_eq!(parsed.text("bench"), Some("service"));
+        assert_eq!(parsed.children.len(), points.len());
+        for row in &parsed.children {
+            let keys: Vec<&str> = row.properties.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "mix",
+                    "mode",
+                    "linger_ms",
+                    "requests",
+                    "keys",
+                    "batches",
+                    "mean_batch_requests",
+                    "wall_secs",
+                    "reqs_per_sec",
+                    "keys_per_sec",
+                    "sim_device_secs",
+                    "sim_reqs_per_sec",
+                    "sim_keys_per_sec"
+                ]
+            );
+        }
+        assert_eq!(parsed.children[1].text("mode"), Some("batched"));
+        assert!(artifact::table(&parsed.children).contains("mean_batch_requests"));
     }
 
     #[test]

@@ -14,8 +14,10 @@
 //! scratch arena is hot and the numbers measure the algorithm, not the
 //! allocator.
 
+use crate::artifact;
 use hrs_core::{Executor, HybridRadixSorter, Optimizations};
 use std::time::Instant;
+use telemetry::InspectNode;
 use workloads::Distribution;
 
 /// One measured configuration of the sweep.
@@ -196,57 +198,32 @@ pub fn run_wallclock_sweep(cfg: &WallclockConfig) -> Vec<WallclockPoint> {
     points
 }
 
-/// Serialises the sweep as the `BENCH_wallclock.json` document (hand-rolled
-/// JSON: the workspace's vendored `serde` is a no-op shim).
-pub fn wallclock_to_json(points: &[WallclockPoint]) -> String {
-    let mut out = String::from(
-        "{\n  \"bench\": \"wallclock\",\n  \"unit\": \"keys_per_sec\",\n  \"points\": [\n",
-    );
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"shape\": \"{}\", \"n\": {}, \"workers\": {}, \
-             \"backend\": \"{}\", \"secs\": {:.6}, \"keys_per_sec\": {:.1}, \
-             \"bytes_per_sec\": {:.1}, \"speedup_vs_seq\": {:.3}, \"unstaged_secs\": {:.6}, \
-             \"staged_vs_unstaged\": {:.3}}}{}\n",
-            p.workload,
-            p.shape,
-            p.n,
-            p.workers,
-            p.backend,
-            p.secs,
-            p.keys_per_sec,
-            p.bytes_per_sec,
-            p.speedup_vs_seq,
-            p.unstaged_secs,
-            p.staged_vs_unstaged,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
+impl WallclockPoint {
+    /// The point as one artifact row.
+    pub fn row(&self) -> InspectNode {
+        artifact::row([
+            ("workload", self.workload.as_str().into()),
+            ("shape", self.shape.as_str().into()),
+            ("n", self.n.into()),
+            ("workers", self.workers.into()),
+            ("backend", self.backend.as_str().into()),
+            ("secs", self.secs.into()),
+            ("keys_per_sec", self.keys_per_sec.into()),
+            ("bytes_per_sec", self.bytes_per_sec.into()),
+            ("speedup_vs_seq", self.speedup_vs_seq.into()),
+            ("unstaged_secs", self.unstaged_secs.into()),
+            ("staged_vs_unstaged", self.staged_vs_unstaged.into()),
+        ])
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
-/// Renders the sweep as an aligned text table (one row per point).
-pub fn wallclock_table(points: &[WallclockPoint]) -> String {
-    let mut out = String::from(
-        "workload | shape          |        n | workers | backend     |    secs |   Mkeys/s |    MB/s | speedup |    A/B\n",
-    );
-    for p in points {
-        out.push_str(&format!(
-            "{:<8} | {:<14} | {:>8} | {:>7} | {:<11} | {:>7.3} | {:>9.2} | {:>7.1} | {:>6.2}x | {:>5.2}x\n",
-            p.workload,
-            p.shape,
-            p.n,
-            p.workers,
-            p.backend,
-            p.secs,
-            p.keys_per_sec / 1e6,
-            p.bytes_per_sec / 1e6,
-            p.speedup_vs_seq,
-            p.staged_vs_unstaged,
-        ));
-    }
-    out
+/// The `BENCH_wallclock.json` tree: one row per point.
+pub fn wallclock_artifact(points: &[WallclockPoint]) -> InspectNode {
+    artifact::root(
+        "wallclock",
+        "keys_per_sec",
+        points.iter().map(WallclockPoint::row).collect(),
+    )
 }
 
 #[cfg(test)]
@@ -300,8 +277,7 @@ mod tests {
             pairs: false,
         });
         assert_eq!(points[0].workers, 1, "baseline must be measured first");
-        assert!(points.iter().all(|p| p.speedup_vs_seq.is_finite()));
-        assert!(!wallclock_to_json(&points).contains("NaN"));
+        assert_eq!(artifact::non_finite(&wallclock_artifact(&points)), None);
     }
 
     #[test]
@@ -312,15 +288,31 @@ mod tests {
             reps: 1,
             pairs: false,
         });
-        let json = wallclock_to_json(&points);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"workload\"").count(), points.len());
-        assert!(json.contains("\"bench\": \"wallclock\""));
-        assert_eq!(json.matches("\"bytes_per_sec\"").count(), points.len());
-        assert_eq!(json.matches("\"staged_vs_unstaged\"").count(), points.len());
-        // No trailing comma before the closing bracket.
-        assert!(!json.contains(",\n  ]"));
-        let table = wallclock_table(&points);
-        assert!(table.contains("Mkeys/s"));
+        let tree = wallclock_artifact(&points);
+        assert_eq!(artifact::non_finite(&tree), None);
+        let parsed = InspectNode::from_json(&tree.to_json()).unwrap();
+        assert_eq!(parsed.text("bench"), Some("wallclock"));
+        assert_eq!(parsed.children.len(), points.len());
+        for row in &parsed.children {
+            let keys: Vec<&str> = row.properties.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(
+                keys,
+                [
+                    "workload",
+                    "shape",
+                    "n",
+                    "workers",
+                    "backend",
+                    "secs",
+                    "keys_per_sec",
+                    "bytes_per_sec",
+                    "speedup_vs_seq",
+                    "unstaged_secs",
+                    "staged_vs_unstaged"
+                ]
+            );
+        }
+        assert_eq!(parsed.children[0].uint("n"), Some(10_000));
+        assert!(artifact::table(&parsed.children).contains("keys_per_sec"));
     }
 }

@@ -57,11 +57,6 @@ impl SimTime {
         SimTime(self.0.min(other.0))
     }
 
-    /// True if the duration is exactly zero.
-    pub fn is_zero(self) -> bool {
-        self.0 == 0.0
-    }
-
     /// Computes the rate (bytes per second) achieved when moving `bytes`
     /// bytes within this duration. Returns 0 for a zero duration.
     pub fn rate_for_bytes(self, bytes: f64) -> Bandwidth {

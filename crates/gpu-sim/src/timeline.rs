@@ -69,11 +69,6 @@ impl Timeline {
         &self.resources[id.0].name
     }
 
-    /// Time at which the resource becomes free.
-    pub fn resource_free_at(&self, id: ResourceId) -> SimTime {
-        self.resources[id.0].busy_until
-    }
-
     /// Schedules a task of `duration` on `resource`, starting no earlier
     /// than `earliest` and no earlier than the resource's availability.
     /// Returns the realised event.

@@ -160,11 +160,6 @@ impl ShardedSorter {
         self.recombine
     }
 
-    /// The installed fault script, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Reports into `inspector` instead of the sorter's private one, so
     /// several components (the sort service, bench harnesses) share one
     /// snapshot tree.  Device lanes are invalidated so they re-register

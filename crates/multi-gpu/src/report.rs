@@ -372,15 +372,6 @@ impl ShardedReport {
         Ok(())
     }
 
-    /// Simulated speedup of this run's device phase over `baseline`'s
-    /// (typically a single-device run of the same input).
-    pub fn speedup_over(&self, baseline: &ShardedReport) -> f64 {
-        if self.critical_path.secs() <= 0.0 {
-            return 1.0;
-        }
-        baseline.critical_path.secs() / self.critical_path.secs()
-    }
-
     /// One-line summary for experiment logs.
     pub fn summary(&self) -> String {
         format!(

@@ -13,7 +13,6 @@
 //! largest recorded sample (so a single-sample histogram never reports a
 //! percentile above the one value it saw).
 
-use crate::metrics::Counter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -222,15 +221,6 @@ impl HistogramSnapshot {
     pub fn p99(&self) -> u64 {
         self.percentile(99.0)
     }
-}
-
-/// Pairs a histogram with a counter of dropped-on-the-floor samples — not
-/// used yet, reserved for sinks that shed load.  (Kept private until a
-/// consumer exists.)
-#[allow(dead_code)]
-struct SheddingHistogram {
-    histogram: Histogram,
-    dropped: Counter,
 }
 
 #[cfg(test)]

@@ -57,6 +57,37 @@ impl InspectValue {
     }
 }
 
+impl From<u64> for InspectValue {
+    fn from(v: u64) -> Self {
+        InspectValue::UInt(v)
+    }
+}
+
+impl From<usize> for InspectValue {
+    fn from(v: usize) -> Self {
+        InspectValue::UInt(v as u64)
+    }
+}
+
+/// Booleans are stored as `UInt` 0 or 1.
+impl From<bool> for InspectValue {
+    fn from(v: bool) -> Self {
+        InspectValue::UInt(u64::from(v))
+    }
+}
+
+impl From<f64> for InspectValue {
+    fn from(v: f64) -> Self {
+        InspectValue::Double(v)
+    }
+}
+
+impl From<&str> for InspectValue {
+    fn from(v: &str) -> Self {
+        InspectValue::Text(v.to_string())
+    }
+}
+
 /// One node in a snapshot tree: a name, a list of `(key, value)`
 /// properties, and child nodes.  Ordering is deterministic (registry paths
 /// are sorted), so equal states produce equal trees.

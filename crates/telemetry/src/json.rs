@@ -1,7 +1,8 @@
 //! Hand-rolled JSON writer and parser for [`InspectNode`] trees.
 //!
 //! The workspace's vendored `serde` is a no-op shim (its derives expand to
-//! nothing), so snapshots serialise through this module instead.  The
+//! nothing), so snapshots, bench artifacts and the lint report all
+//! serialise through this module instead.  The
 //! format is fixed and small:
 //!
 //! ```json

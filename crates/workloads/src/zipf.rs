@@ -22,7 +22,6 @@ pub struct ZipfGenerator {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
     rng: SplitMix64,
     /// If true, ranks are scattered over the full key range with a
     /// multiplicative hash; if false, the rank itself is the key.
@@ -59,7 +58,6 @@ impl ZipfGenerator {
             alpha,
             zetan,
             eta,
-            zeta2theta,
             rng: SplitMix64::new(seed),
             scramble: true,
         }
@@ -121,12 +119,6 @@ impl ZipfGenerator {
     pub fn paper_keys<K: SortKey>(n: usize, seed: u64) -> Vec<K> {
         let mut g = ZipfGenerator::paper_default(n.max(2) as u64, seed);
         g.generate::<K>(n)
-    }
-
-    /// The internal ζ(2, θ) value (exposed for tests of the Gray et al.
-    /// constants).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

@@ -2,7 +2,8 @@
 //! its scratch arena is warm, a sequential sort makes the same number of
 //! heap allocations at 2^14 and at 2^17 keys (only the fixed per-sort
 //! report is allocated) — for keys alone and for pairs, whose value halves,
-//! staging lines and local-sort scratch come from the arena too.
+//! staging lines and local-sort scratch come from the arena too, at no more
+//! allocations than the keys alone.
 //!
 //! The counting global allocator of `common` measures the whole test
 //! binary, so this file holds a single test and nothing else runs while it
@@ -18,7 +19,7 @@ const LARGE: usize = 1 << 17;
 
 /// Heap allocations made by `sorter` sorting a copy of `keys` (the copy is
 /// made before counting starts).
-fn allocations_of_sort(sorter: &HybridRadixSorter, keys: &[u32]) -> (u64, SortReport) {
+fn allocations_of_sort<K: SortKey>(sorter: &HybridRadixSorter, keys: &[K]) -> (u64, SortReport) {
     let mut keys = keys.to_vec();
     let before = common::allocations();
     let report = sorter.sort(&mut keys);
@@ -127,5 +128,22 @@ fn warmed_sorts_allocate_independently_of_input_size() {
         sorter.arena_stats(),
         warm,
         "local-sort scratch grew when warm"
+    );
+
+    // Values cost no allocations of their own: parking a warm buffer
+    // refills its arena slot in place, so a warm pair sort allocates no
+    // more than a warm key-only sort with the same pass count.
+    let key_sorter = HybridRadixSorter::with_defaults();
+    let key_counts = warmed_allocations(
+        &key_sorter,
+        &uniform64(SMALL),
+        &uniform64(LARGE),
+        allocations_of_sort,
+    );
+    let (_, key_report) = allocations_of_sort(&key_sorter, &uniform64(LARGE));
+    assert_eq!(report.passes.len(), key_report.passes.len());
+    assert!(
+        pair_counts[1] <= key_counts[1],
+        "pairs allocate more than keys: {pair_counts:?} vs {key_counts:?}"
     );
 }
