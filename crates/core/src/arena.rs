@@ -62,6 +62,10 @@ pub(crate) const ROLE_STAGE_VALS: u8 = 3;
 pub(crate) const ROLE_LOCAL_KEYS: u8 = 4;
 /// Role tag of the per-worker local-sort value scratch (`workers × ∂̂`).
 pub(crate) const ROLE_LOCAL_VALS: u8 = 5;
+/// Role tag of the sharded engine's persistent round buffer, keys.
+pub const ROLE_ROUND_KEYS: u8 = 6;
+/// Role tag of the sharded engine's persistent round buffer, values.
+pub const ROLE_ROUND_VALS: u8 = 7;
 
 /// Per-block bookkeeping record filled by the histogram and scatter phases
 /// of a counting pass (one per key block, reused across passes).
@@ -170,11 +174,14 @@ impl ScratchArena {
         ScratchArena::default()
     }
 
-    /// Takes the spare buffer for `(T, role)` out of the arena, cleared and
-    /// resized to `len` default elements.  Returns a fresh vector the first
-    /// time; thereafter the parked allocation is reused (growing only when
-    /// `len` exceeds the retained capacity).
-    pub(crate) fn take_buffer<T: Copy + Default + Send + 'static>(
+    /// Takes the spare buffer for `(T, role)` out of the arena with `len`
+    /// elements.  Returns a fresh vector of defaults the first time;
+    /// thereafter the parked buffer is truncated, or grown with defaults,
+    /// so its first elements keep whatever the last sort left there and no
+    /// warm take writes memory.  Every caller overwrites an element before
+    /// it reads it.  The allocation is reused, growing only when `len`
+    /// exceeds the retained capacity.
+    pub fn take_buffer<T: Copy + Default + Send + 'static>(
         &mut self,
         role: u8,
         len: usize,
@@ -190,7 +197,6 @@ impl ScratchArena {
             })
             .map(std::mem::take)
             .unwrap_or_default();
-        buf.clear();
         buf.resize(len, T::default());
         buf
     }
@@ -198,7 +204,7 @@ impl ScratchArena {
     /// Parks a buffer for reuse by the next [`ScratchArena::take_buffer`]
     /// with the same type and role.  Refills the slot's existing box; only
     /// the first park of a `(T, role)` pair allocates one.
-    pub(crate) fn put_buffer<T: Copy + Default + Send + 'static>(&mut self, role: u8, buf: Vec<T>) {
+    pub fn put_buffer<T: Copy + Default + Send + 'static>(&mut self, role: u8, buf: Vec<T>) {
         let capacity_bytes = buf.capacity() * std::mem::size_of::<T>();
         let slot = self
             .buffers
@@ -249,6 +255,23 @@ mod tests {
         let again = arena.take_buffer::<u64>(0, 500);
         assert_eq!(again.len(), 500);
         assert_eq!(again.as_ptr(), ptr, "allocation was not reused");
+    }
+
+    #[test]
+    fn a_warm_take_truncates_or_grows_without_clearing() {
+        let mut arena = ScratchArena::new();
+        let mut buf = arena.take_buffer::<u32>(0, 4);
+        buf.copy_from_slice(&[7, 8, 9, 10]);
+        arena.put_buffer(0, buf);
+        let buf = arena.take_buffer::<u32>(0, 2);
+        assert_eq!(buf, vec![7, 8]);
+        arena.put_buffer(0, buf);
+        let mut buf = arena.take_buffer::<u32>(0, 3);
+        assert_eq!(buf, vec![7, 8, 0]);
+        buf[2] = 5;
+        arena.put_buffer(0, buf);
+        // Only the grown tail is written with defaults.
+        assert_eq!(arena.take_buffer::<u32>(0, 5), vec![7, 8, 5, 0, 0]);
     }
 
     #[test]

@@ -73,8 +73,8 @@ fn insertion_cutoff(bits: u32) -> usize {
 /// after warm-up, so a warmed fan-out allocates nothing).
 #[allow(clippy::too_many_arguments)]
 pub fn run_local_sorts<K: SortKey, V: SortValue>(
-    buffers_keys: &mut [Vec<K>; 2],
-    buffers_vals: &mut [Vec<V>; 2],
+    buffers_keys: &mut [&mut [K]; 2],
+    buffers_vals: &mut [&mut [V]; 2],
     src: usize,
     dst: usize,
     buckets: &[LocalBucket],
@@ -127,8 +127,8 @@ pub fn run_local_sorts<K: SortKey, V: SortValue>(
     let digit_bits = config.digit_bits;
 
     if src == dst {
-        let keys = SharedMut::new(buffers_keys[dst].as_mut_slice());
-        let vals = SharedMut::new(buffers_vals[dst].as_mut_slice());
+        let keys = SharedMut::new(&mut *buffers_keys[dst]);
+        let vals = SharedMut::new(&mut *buffers_vals[dst]);
         exec.for_each_task_probed(buckets.len(), probe, |b, worker| {
             let bucket = &buckets[b];
             // SAFETY: bucket ranges are disjoint across tasks, and scratch
@@ -218,13 +218,17 @@ unsafe fn stripe<'a, K, V>(
 
 /// Splits the double buffer into the source (shared) and destination
 /// (mutable) halves.  `src` and `dst` must differ.
-fn split_src_dst<T>(bufs: &mut [Vec<T>; 2], src: usize, dst: usize) -> (&[T], &mut [T]) {
+pub(crate) fn split_src_dst<'a, T>(
+    bufs: &'a mut [&mut [T]; 2],
+    src: usize,
+    dst: usize,
+) -> (&'a [T], &'a mut [T]) {
     assert_ne!(src, dst);
-    let (a, b) = bufs.split_at_mut(1);
+    let [a, b] = bufs;
     if src == 0 {
-        (a[0].as_slice(), b[0].as_mut_slice())
+        (&**a, &mut **b)
     } else {
-        (b[0].as_slice(), a[0].as_mut_slice())
+        (&**b, &mut **a)
     }
 }
 
@@ -444,8 +448,8 @@ mod tests {
     /// `run_local_sorts` with fresh scratch.
     #[allow(clippy::too_many_arguments)]
     fn run<K: SortKey, V: SortValue>(
-        keys: &mut [Vec<K>; 2],
-        vals: &mut [Vec<V>; 2],
+        [k0, k1]: &mut [Vec<K>; 2],
+        [v0, v1]: &mut [Vec<V>; 2],
         src: usize,
         dst: usize,
         buckets: &[LocalBucket],
@@ -455,8 +459,8 @@ mod tests {
     ) -> LocalSortStats {
         let mut stats = LocalSortStats::default();
         run_local_sorts(
-            keys,
-            vals,
+            &mut [k0.as_mut_slice(), k1.as_mut_slice()],
+            &mut [v0.as_mut_slice(), v1.as_mut_slice()],
             src,
             dst,
             buckets,
@@ -754,9 +758,11 @@ mod tests {
             let mut kb = [keys.clone(), vec![0u32; 4_000]];
             let mut vb = [(0..4_000).collect(), vec![0u32; 4_000]];
             let mut stats = LocalSortStats::default();
+            let [k0, k1] = &mut kb;
+            let [v0, v1] = &mut vb;
             run_local_sorts(
-                &mut kb,
-                &mut vb,
+                &mut [k0.as_mut_slice(), k1.as_mut_slice()],
+                &mut [v0.as_mut_slice(), v1.as_mut_slice()],
                 0,
                 1,
                 &buckets,

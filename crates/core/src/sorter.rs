@@ -3,7 +3,9 @@
 //! [`HybridRadixSorter`] owns the configuration, optimisation flags, device
 //! model, cost calibration, the [`Executor`] running the hot loops and the
 //! [`ScratchArena`] holding all reusable working memory, and exposes
-//! `sort` / `sort_pairs` entry points for any [`SortKey`] type.  The driver
+//! `sort` / `sort_pairs` entry points for any [`SortKey`] type, plus
+//! `sort_pairs_with_spare`, which sorts slices against a caller-supplied
+//! second buffer.  The driver
 //!
 //! 1. starts with a single bucket covering the whole input and the
 //!    most-significant digit,
@@ -15,10 +17,11 @@
 //! 4. stops when no bucket needs further partitioning or all digits are
 //!    consumed.
 //!
-//! The ping-pong buffers, per-pass tables and bucket lists all come from
-//! the arena, so repeated sorts through one sorter allocate nothing once
-//! warmed up; with [`Executor::Threaded`] the histogram, scatter and local
-//! sort phases run on real OS threads.
+//! The per-pass tables and bucket lists come from the arena, and so does
+//! the second half of the double buffer for the `Vec` entries, so repeated
+//! sorts through one sorter allocate nothing once warmed up; with
+//! [`Executor::Threaded`] the histogram, scatter and local sort phases run
+//! on real OS threads.
 //!
 //! The returned [`SortReport`] contains the recorded statistics and the
 //! simulated GPU execution breakdown.
@@ -32,7 +35,7 @@ use crate::config::SortConfig;
 use crate::cost::{self, CostModel};
 use crate::counting_sort::run_counting_pass;
 use crate::exec::Executor;
-use crate::local_sort::{lsd_sort_in_place, run_local_sorts};
+use crate::local_sort::{lsd_sort_in_place, run_local_sorts, split_src_dst};
 use crate::opts::Optimizations;
 use crate::probe::SorterProbe;
 use crate::report::SortReport;
@@ -181,7 +184,7 @@ impl HybridRadixSorter {
         // Key-only sorts ride the zero-size-value fast path: no value
         // buffer is ever materialised.
         let mut values: Vec<()> = Vec::new();
-        self.sort_impl(keys, &mut values, None)
+        self.sort_vecs(keys, &mut values, None)
     }
 
     /// Sorts `keys` and permutes `values` along with them.
@@ -195,7 +198,49 @@ impl HybridRadixSorter {
             values.len(),
             "keys and values must have the same length"
         );
-        self.sort_impl(keys, values, None)
+        self.sort_vecs(keys, values, None)
+    }
+
+    /// Sorts `keys` and permutes `values` along with them in place,
+    /// ping-ponging against the caller's `spare_keys` / `spare_values`
+    /// instead of the arena's spare halves, so a caller that owns free
+    /// memory of the input's size (the sharded engine's lanes) needs no
+    /// second buffer of its own.  The spares must have the inputs'
+    /// lengths; their contents are ignored and left unspecified.  The
+    /// sorted output always lands in `keys` / `values`: when the
+    /// configuration's pass count is odd the passes end in the spares, and
+    /// one copy brings the output back.  Zero-sized values may come as
+    /// empty slices.
+    pub fn sort_pairs_with_spare<K: SortKey, V: SortValue>(
+        &self,
+        keys: &mut [K],
+        values: &mut [V],
+        spare_keys: &mut [K],
+        spare_values: &mut [V],
+    ) -> SortReport {
+        let n = keys.len();
+        let values_present = std::mem::size_of::<V>() != 0;
+        assert_eq!(spare_keys.len(), n, "spare keys must match the keys");
+        if values_present {
+            assert_eq!(values.len(), n, "keys and values must have the same length");
+            assert_eq!(spare_values.len(), n, "spare values must match the values");
+        }
+        self.sort_guarded::<K, V>(n, |config, arena| {
+            let (report, out) = self.sort_in(
+                config,
+                arena,
+                [&mut *keys, &mut *spare_keys],
+                [&mut *values, &mut *spare_values],
+                None,
+            );
+            if out == 1 {
+                keys.copy_from_slice(spare_keys);
+                if values_present {
+                    values.copy_from_slice(spare_values);
+                }
+            }
+            report
+        })
     }
 
     /// Sorts `keys` while recording a step-by-step [`SortTrace`] (buffer
@@ -207,7 +252,7 @@ impl HybridRadixSorter {
     ) -> (SortReport, SortTrace) {
         let mut values: Vec<()> = Vec::new();
         let mut trace = SortTrace::new(snapshot_limit);
-        let report = self.sort_impl(keys, &mut values, Some(&mut trace));
+        let report = self.sort_vecs(keys, &mut values, Some(&mut trace));
         (report, trace)
     }
 
@@ -218,81 +263,138 @@ impl HybridRadixSorter {
         report.simulated = cost::evaluate(&self.device, &config, &self.opts, &self.cost, report);
     }
 
-    fn sort_impl<K: SortKey, V: SortValue>(
+    /// The `Vec` entries: the arena's spare halves complete the double
+    /// buffer, and an odd pass count swaps the buffers instead of copying.
+    fn sort_vecs<K: SortKey, V: SortValue>(
         &self,
         keys: &mut Vec<K>,
         values: &mut Vec<V>,
-        mut trace: Option<&mut SortTrace>,
+        trace: Option<&mut SortTrace>,
     ) -> SortReport {
         let n = keys.len();
-        let key_bytes = K::BYTES;
         let values_present = std::mem::size_of::<V>() != 0;
-        let value_bytes = if values_present {
-            std::mem::size_of::<V>() as u32
-        } else {
-            0
-        };
-        let config = self.effective_config(key_bytes, value_bytes);
-        debug_assert!(config.validate().is_ok());
-        let mut report = SortReport::new(n as u64, key_bytes, value_bytes);
+        self.sort_guarded::<K, V>(n, |config, arena| {
+            let mut spare_keys = arena.take_buffer::<K>(ROLE_SPARE_KEYS, n);
+            let mut spare_vals = if values_present {
+                arena.take_buffer::<V>(ROLE_SPARE_VALS, n)
+            } else {
+                Vec::new()
+            };
+            let (report, out) = self.sort_in(
+                config,
+                arena,
+                [keys.as_mut_slice(), spare_keys.as_mut_slice()],
+                [values.as_mut_slice(), spare_vals.as_mut_slice()],
+                trace,
+            );
+            if out == 1 {
+                std::mem::swap(keys, &mut spare_keys);
+                std::mem::swap(values, &mut spare_vals);
+            }
+            if !values_present && values.len() != n {
+                // Zero-size fast path: restore the caller-visible length
+                // (free for ZSTs — no heap memory is involved).
+                values.resize(n, V::default());
+            }
+            // Park the spare halves for the next sort.
+            arena.put_buffer(ROLE_SPARE_KEYS, spare_keys);
+            if values_present {
+                arena.put_buffer(ROLE_SPARE_VALS, spare_vals);
+            }
+            report
+        })
+    }
 
+    /// Runs `sort` on the scratch arena between the steps every entry
+    /// shares: the configuration for `K`/`V`, the early return below two
+    /// elements, the probe's clock and counters, and the simulated cost.
+    /// Concurrent sorts through a sorter shared between threads never
+    /// block on the arena; they sort on a private one for that call.
+    fn sort_guarded<K: SortKey, V: SortValue>(
+        &self,
+        n: usize,
+        sort: impl FnOnce(&SortConfig, &mut ScratchArena) -> SortReport,
+    ) -> SortReport {
+        let value_bytes = std::mem::size_of::<V>() as u32;
+        let config = self.effective_config(K::BYTES, value_bytes);
+        debug_assert!(config.validate().is_ok());
         // Telemetry is opt-in: without a probe no clock is read here.
         let sort_start = self.probe.as_ref().map(|_| Instant::now());
-
-        if n <= 1 {
-            report.simulated =
-                cost::evaluate(&self.device, &config, &self.opts, &self.cost, &report);
-            self.note_sort(n as u64, 0, false, sort_start);
-            return report;
-        }
-
-        // Reuse the shared arena when it is free; concurrent sorts through
-        // a sorter shared between threads never block, they just skip the
-        // reuse for that call.
-        let mut fallback_arena: Option<ScratchArena> = None;
-        let mut guard = match self.arena.try_lock() {
-            Ok(g) => Some(g),
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(TryLockError::WouldBlock) => None,
-        };
-        let arena: &mut ScratchArena = match guard.as_deref_mut() {
-            Some(shared) => shared,
-            None => fallback_arena.get_or_insert_with(ScratchArena::new),
-        };
-        // The local sort's ping-pong scratch; run_local_sorts grows it to
-        // `workers × ∂̂`.
-        let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, 0);
-        let mut local_vals: Vec<V> = if values_present {
-            arena.take_buffer::<V>(ROLE_LOCAL_VALS, 0)
+        let mut report = if n <= 1 {
+            SortReport::new(n as u64, K::BYTES, value_bytes)
         } else {
-            Vec::new()
+            let mut fallback_arena: Option<ScratchArena> = None;
+            let mut guard = match self.arena.try_lock() {
+                Ok(g) => Some(g),
+                Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+                Err(TryLockError::WouldBlock) => None,
+            };
+            let arena: &mut ScratchArena = match guard.as_deref_mut() {
+                Some(shared) => shared,
+                None => fallback_arena.get_or_insert_with(ScratchArena::new),
+            };
+            let report = sort(&config, arena);
+            if let Some(p) = self
+                .probe
+                .as_ref()
+                .filter(|_| !report.fallback_comparison_sort)
+            {
+                let mut staged = 0u64;
+                let mut partial = 0u64;
+                for ps in &report.passes {
+                    staged += ps.staged_lines;
+                    partial += ps.partial_flushes;
+                }
+                p.record_scatter(staged, partial);
+                p.record_arena(&arena.stats());
+            }
+            report
         };
+        self.note_sort(
+            n as u64,
+            report.passes.len() as u64,
+            report.fallback_comparison_sort,
+            sort_start,
+        );
+        report.simulated = cost::evaluate(&self.device, &config, &self.opts, &self.cost, &report);
+        report
+    }
+
+    /// The hybrid sort proper: sorts `key_bufs[0]` (with `val_bufs[0]`)
+    /// over the double buffer whose other half, of the same length, is
+    /// free scratch.  Returns the report, without its simulated cost, and
+    /// the half holding the sorted output.
+    fn sort_in<K: SortKey, V: SortValue>(
+        &self,
+        config: &SortConfig,
+        arena: &mut ScratchArena,
+        mut key_bufs: [&mut [K]; 2],
+        mut val_bufs: [&mut [V]; 2],
+        mut trace: Option<&mut SortTrace>,
+    ) -> (SortReport, usize) {
+        let n = key_bufs[0].len();
+        let values_present = std::mem::size_of::<V>() != 0;
+        let mut report = SortReport::new(n as u64, K::BYTES, std::mem::size_of::<V>() as u32);
 
         // Small-input fallback (Section 6.1): below the threshold the whole
         // input goes straight to the local-sort kernel, skipping the
-        // partitioning machinery.
+        // partitioning machinery; the free half is its scratch.
         if n <= config.small_input_fallback {
-            local_keys.resize(n, K::default());
-            if values_present {
-                local_vals.resize(n, V::default());
-            }
-            lsd_sort_in_place(keys, values, &mut local_keys, &mut local_vals, K::BITS);
-            park_local_scratch(arena, local_keys, local_vals);
+            let [keys, spare_keys] = key_bufs;
+            let [vals, spare_vals] = val_bufs;
+            lsd_sort_in_place(keys, vals, spare_keys, spare_vals, K::BITS);
             report.fallback_comparison_sort = true;
-            report.simulated =
-                cost::evaluate(&self.device, &config, &self.opts, &self.cost, &report);
-            self.note_sort(n as u64, 0, true, sort_start);
-            return report;
+            return (report, 0);
         }
 
         let num_passes = config.num_passes(K::BITS);
         let final_buf = (num_passes % 2) as usize;
 
-        // Double buffers for keys and values; the spare halves come from
-        // (and return to) the arena, so repeated sorts reuse them.
-        let spare_keys = arena.take_buffer::<K>(ROLE_SPARE_KEYS, n);
-        let spare_vals = if values_present {
-            arena.take_buffer::<V>(ROLE_SPARE_VALS, n)
+        // The local sort's ping-pong scratch; run_local_sorts grows it to
+        // `workers × ∂̂`.
+        let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, 0);
+        let mut local_vals: Vec<V> = if values_present {
+            arena.take_buffer::<V>(ROLE_LOCAL_VALS, 0)
         } else {
             Vec::new()
         };
@@ -305,8 +407,6 @@ impl HybridRadixSorter {
         } else {
             Vec::new()
         };
-        let mut key_bufs: [Vec<K>; 2] = [std::mem::take(keys), spare_keys];
-        let mut val_bufs: [Vec<V>; 2] = [std::mem::take(values), spare_vals];
 
         if let Some(t) = trace.as_deref_mut() {
             if n <= t.snapshot_limit {
@@ -326,7 +426,6 @@ impl HybridRadixSorter {
         let mut next_id: u64 = 1;
         let mut cur = 0usize;
         let mut swaps = 0usize;
-        let mut passes_run = 0u64;
         let exec_probe = self.probe.as_deref().map(SorterProbe::exec_probe);
 
         for pass in 0..num_passes {
@@ -337,8 +436,8 @@ impl HybridRadixSorter {
             let dst = 1 - cur;
 
             // Split the double buffer into the source and destination halves.
-            let (src_keys, dst_keys) = split_two(&mut key_bufs, cur, dst);
-            let (src_vals, dst_vals) = split_two(&mut val_bufs, cur, dst);
+            let (src_keys, dst_keys) = split_src_dst(&mut key_bufs, cur, dst);
+            let (src_vals, dst_vals) = split_src_dst(&mut val_bufs, cur, dst);
 
             let pass_stats = run_counting_pass(
                 src_keys,
@@ -347,7 +446,7 @@ impl HybridRadixSorter {
                 dst_vals,
                 &counting,
                 pass,
-                &config,
+                config,
                 &self.opts,
                 &mut next_id,
                 &self.exec,
@@ -385,7 +484,7 @@ impl HybridRadixSorter {
                     dst,
                     final_buf,
                     &local,
-                    &config,
+                    config,
                     &self.opts,
                     &self.exec,
                     exec_probe,
@@ -395,7 +494,6 @@ impl HybridRadixSorter {
                 );
             }
 
-            passes_run += 1;
             if let (Some(p), Some(s)) = (&self.probe, pass_start) {
                 p.record_pass(s.elapsed());
             }
@@ -419,32 +517,16 @@ impl HybridRadixSorter {
         // buffer (cur == final_buf at this point).
         debug_assert!(counting.is_empty() || cur == final_buf);
 
-        *keys = std::mem::take(&mut key_bufs[final_buf]);
-        *values = std::mem::take(&mut val_bufs[final_buf]);
-        if !values_present && values.len() != n {
-            // Zero-size fast path: restore the caller-visible length (free
-            // for ZSTs — no heap memory is involved).
-            values.resize(n, V::default());
-        }
-
-        // Park the spare halves and the bucket lists for the next sort.
-        arena.put_buffer(
-            ROLE_SPARE_KEYS,
-            std::mem::take(&mut key_bufs[1 - final_buf]),
-        );
-        if values_present {
-            arena.put_buffer(
-                ROLE_SPARE_VALS,
-                std::mem::take(&mut val_bufs[1 - final_buf]),
-            );
-        }
         // The staging segments are parked too: once warmed up they are a
         // fixed point just like the spare halves.
         arena.put_buffer(ROLE_STAGE_KEYS, staging_keys);
         if values_present {
             arena.put_buffer(ROLE_STAGE_VALS, staging_vals);
         }
-        park_local_scratch(arena, local_keys, local_vals);
+        arena.put_buffer(ROLE_LOCAL_KEYS, local_keys);
+        if values_present {
+            arena.put_buffer(ROLE_LOCAL_VALS, local_vals);
+        }
         // Undo an odd number of swaps before parking, so a repeated sort
         // runs each physical list through the same pass sequence and the
         // warmed-up capacities are a fixed point (the arena-reuse
@@ -455,21 +537,7 @@ impl HybridRadixSorter {
         arena.pass.counting_in = counting;
         arena.pass.counting_out = next_counting;
         arena.pass.local = local;
-
-        if let Some(p) = &self.probe {
-            let mut staged = 0u64;
-            let mut partial = 0u64;
-            for ps in &report.passes {
-                staged += ps.staged_lines;
-                partial += ps.partial_flushes;
-            }
-            p.record_scatter(staged, partial);
-            p.record_arena(&arena.stats());
-        }
-        self.note_sort(n as u64, passes_run, false, sort_start);
-
-        report.simulated = cost::evaluate(&self.device, &config, &self.opts, &self.cost, &report);
-        report
+        (report, final_buf)
     }
 
     /// Reports one completed sort to the probe, if both are present.
@@ -501,31 +569,6 @@ impl Clone for HybridRadixSorter {
             arena: Mutex::new(ScratchArena::new()),
             probe: self.probe.clone(),
         }
-    }
-}
-
-/// Splits a two-element buffer array into immutable `src` and mutable `dst`
-/// references.  `src` and `dst` must differ.
-fn split_two<T>(bufs: &mut [Vec<T>; 2], src: usize, dst: usize) -> (&[T], &mut [T]) {
-    assert_ne!(src, dst);
-    let (a, b) = bufs.split_at_mut(1);
-    if src == 0 {
-        (a[0].as_slice(), b[0].as_mut_slice())
-    } else {
-        (b[0].as_slice(), a[0].as_mut_slice())
-    }
-}
-
-/// Parks the local sort's scratch for the next sort (the value half only
-/// exists when values are present).
-fn park_local_scratch<K: SortKey, V: SortValue>(
-    arena: &mut ScratchArena,
-    keys: Vec<K>,
-    vals: Vec<V>,
-) {
-    arena.put_buffer(ROLE_LOCAL_KEYS, keys);
-    if std::mem::size_of::<V>() != 0 {
-        arena.put_buffer(ROLE_LOCAL_VALS, vals);
     }
 }
 

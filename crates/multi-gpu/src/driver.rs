@@ -5,15 +5,20 @@
 //!
 //! 1. **Partition** (host, measured) the pending elements over the devices
 //!    still alive: splitters from MSD digit histograms
-//!    ([`crate::partition`]), then a key-range scatter into one share per
-//!    device — or, for the peer exchange, a contiguous capacity-weighted
-//!    slab carve ([`crate::exchange`]).
-//! 2. **Carve units of work**: the whole share in core, memory-budget
-//!    chunks out of core ([`crate::ooc`]).
+//!    ([`crate::partition`]), then a key-range scatter into one *round
+//!    buffer*, the devices' shares back to back — or, for the peer
+//!    exchange, contiguous capacity-weighted slabs of the pending buffer
+//!    itself, which becomes the round buffer ([`crate::exchange`]).
+//!    Round 0 scatters into the engine's persistent scratch, so a warm
+//!    sort allocates no element memory.
+//! 2. **Carve units of work**, as ranges of the round buffer: the whole
+//!    share in core, memory-budget chunks out of core ([`crate::ooc`]).
 //! 3. **Consult the fault plan** once per unit, in device/unit order
-//!    ([`crate::recovery`]): a failure or corruption hands the unit back to
-//!    the pending set, a stall slows the unit's transfers.
-//! 4. **Sort** the surviving units on the persistent device lanes, one
+//!    ([`crate::recovery`]): a failure or corruption copies the unit back
+//!    to the pending set, a stall slows the unit's transfers.
+//! 4. **Sort** the surviving units in place on the persistent device
+//!    lanes, each ping-ponging against the same range of the round's free
+//!    buffer (the partitioned input, or the exchange's scratch), one
 //!    host-executor task per device: simulated GPUs fan out first, CPU
 //!    sockets side by side in a fan-out of their own afterwards, so a
 //!    socket's measured wall-clock shares the host only with its sibling
@@ -26,18 +31,23 @@
 //!    and across devices, since every link is independent.
 //! 6. **Recombine the round**: host-merge sorts keep each device's sorted
 //!    units as that shard's runs; the peer exchange swaps buckets and
-//!    merges per destination, leaving one run per shard.
+//!    merges per destination into the round's free buffer, leaving one run
+//!    per shard.
 //!
 //! Requeued elements wait out an exponential simulated backoff before the
-//! next round.  A final host step yields the output and one report.  A
-//! sort that ends in round 0 without orphan runs has range-disjoint shards
-//! in device order, so each shard merges only its own runs and the shards
-//! concatenate; any other run set takes the full p-way merge.
+//! next round, which partitions them into a round buffer of its own.  A
+//! final host step yields the output and one report.  A sort that ends in
+//! round 0 without orphan runs has range-disjoint shards in device order,
+//! so each shard merges only its own runs, and when every shard is one run
+//! the round buffer already is the output: it is swapped into the caller's
+//! `Vec`, and the caller's old buffer becomes the next sort's scratch.  Any
+//! other run set merges into the caller's buffer (the p-way merge of every
+//! run after requeue rounds or with orphan runs).
 
 use crate::engine::ShardedSorter;
-use crate::exchange::{carve_slabs, slab_lengths, RecombineStrategy};
+use crate::exchange::{slab_lengths, RecombineStrategy};
 use crate::ooc::{device_chunk_plan, overlap_tail_merge};
-use crate::partition::{compute_splitters_with, scatter_into_shards, PartitionConfig, SplitterSet};
+use crate::partition::{compute_splitters_with, scatter_into_round, PartitionConfig, SplitterSet};
 use crate::recovery::{SortError, BACKOFF, MAX_RETRIES};
 use crate::report::{ExchangeSpan, FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
 use gpu_sim::{ResourceId, SimTime, Timeline, TransferDirection};
@@ -54,30 +64,48 @@ use workloads::pairs::SortValue;
 /// device's upload, sort and download overlap.
 const CHUNKS_PER_SHARD: usize = 4;
 
+/// Keys and values of one buffer of a sort.
+pub(crate) type Buffers<K, V> = (Vec<K>, Vec<V>);
+
+/// `len` elements from `start` of round buffer `buf`: a unit of work, and
+/// once sorted a run of the final host step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Range {
+    pub(crate) buf: usize,
+    pub(crate) start: usize,
+    pub(crate) len: usize,
+}
+
+impl Range {
+    /// The element indices of the range within its buffer.
+    pub(crate) fn span(&self) -> std::ops::Range<usize> {
+        self.start..self.start + self.len
+    }
+}
+
 /// One unit of work: a device's whole share (in core) or one
 /// memory-budget chunk of it (out of core).
-pub(crate) struct Unit<K, V> {
+pub(crate) struct Unit {
     pub(crate) device: usize,
     /// Index of the chunk within the device's share of its round.
     chunk: usize,
     /// Offset of the chunk within the device's share.
     offset: u64,
-    pub(crate) keys: Vec<K>,
-    pub(crate) vals: Vec<V>,
+    /// Where the unit's elements lie.
+    pub(crate) range: Range,
     /// Transfer-time multiplier from an injected stall (1.0 = clean).
     pub(crate) stall: f64,
     pub(crate) report: SortReport,
     pub(crate) measured: Duration,
 }
 
-impl<K, V> Unit<K, V> {
-    fn new(device: usize, chunk: usize, offset: usize, keys: Vec<K>, vals: Vec<V>) -> Self {
+impl Unit {
+    fn new(device: usize, chunk: usize, offset: usize, range: Range) -> Self {
         Unit {
             device,
             chunk,
             offset: offset as u64,
-            keys,
-            vals,
+            range,
             stall: 1.0,
             report: SortReport::new(0, 0, 0),
             measured: Duration::ZERO,
@@ -86,10 +114,10 @@ impl<K, V> Unit<K, V> {
 }
 
 /// One device's part of a round: its sorted units and their schedule.
-pub(crate) struct Share<K, V> {
+pub(crate) struct Share {
     pub(crate) device: usize,
     pub(crate) range: (u64, u64),
-    pub(crate) units: Vec<Unit<K, V>>,
+    pub(crate) units: Vec<Unit>,
     /// Elements the device uploaded this round.
     pub(crate) n: u64,
     pub(crate) upload: SimTime,
@@ -111,10 +139,19 @@ pub(crate) struct Run<K, V> {
     pub(crate) res: Vec<PipelineResources>,
     /// Peer links, registered on first use.
     pub(crate) peer_res: HashMap<(usize, usize), ResourceId>,
-    /// Elements awaiting a (re)try.
-    pub(crate) pending: (Vec<K>, Vec<V>),
+    /// Elements awaiting a (re)try; round 0 starts with the caller's
+    /// buffers.
+    pub(crate) pending: Buffers<K, V>,
+    /// Every round's buffers; units and runs are ranges of them.
+    pub(crate) bufs: Vec<Buffers<K, V>>,
+    /// The current round's free buffer, as long as its round buffer: the
+    /// lane sorts' ping-pong partner, and the exchange's merge output.
+    pub(crate) spare: Buffers<K, V>,
+    /// The caller's buffer once round 0 of a host-merge sort has sorted
+    /// out of it: where the final host step merges to.
+    pub(crate) out: Option<Buffers<K, V>>,
     /// Sorted runs awaiting the final host step, grouped by shard report.
-    pub(crate) runs: Vec<Vec<(Vec<K>, Vec<V>)>>,
+    pub(crate) runs: Vec<Vec<Range>>,
     /// Whether an exchange left orphan runs (they overlap merged ranges).
     pub(crate) orphans: bool,
     pub(crate) combined: SortReport,
@@ -127,11 +164,19 @@ pub(crate) struct Run<K, V> {
     pub(crate) faults: Vec<FaultEvent>,
 }
 
-impl<K, V> Run<K, V> {
-    /// Hands elements back for the next round.
-    pub(crate) fn requeue(&mut self, mut keys: Vec<K>, mut vals: Vec<V>) {
-        self.pending.0.append(&mut keys);
-        self.pending.1.append(&mut vals);
+impl<K: Copy, V: Copy> Run<K, V> {
+    /// The keys and values of `r`.
+    pub(crate) fn slices(&self, r: Range) -> (&[K], &[V]) {
+        let (keys, vals) = &self.bufs[r.buf];
+        (&keys[r.span()], &vals[r.span()])
+    }
+
+    /// Copies the elements of `r` back to the pending set for the next
+    /// round.
+    pub(crate) fn requeue(&mut self, r: Range) {
+        let (keys, vals) = &self.bufs[r.buf];
+        self.pending.0.extend_from_slice(&keys[r.span()]);
+        self.pending.1.extend_from_slice(&vals[r.span()]);
     }
 }
 
@@ -170,7 +215,7 @@ impl ShardedSorter {
         let lanes: &[HybridRadixSorter] = lanes;
 
         // Key-only sorts carry an empty vec of zero-sized values;
-        // materialise it so every carve splits keys and values alike.
+        // materialise it so every buffer holds keys and values alike.
         values.resize(n, V::default());
         let mut run = self.begin(std::mem::take(keys), std::mem::take(values));
         let mut splitters: Option<SplitterSet> = None;
@@ -191,9 +236,7 @@ impl ShardedSorter {
             if exchange {
                 self.exchange_round(&mut run, &round_splitters, shares);
             } else {
-                for share in shares {
-                    self.keep_share(&mut run, share, out_of_core);
-                }
+                self.keep_shares(&mut run, shares, out_of_core);
             }
             splitters.get_or_insert(round_splitters);
 
@@ -211,12 +254,20 @@ impl ShardedSorter {
         if let Some(err) = failure {
             // Restore every element — sorted runs and still-pending alike —
             // so the caller's data survives the failure unsorted but whole.
-            for (ks, vs) in run.runs.into_iter().flatten() {
-                keys.extend(ks);
-                values.extend(vs);
+            let (mut ks, mut vs) = run.out.take().unwrap_or_default();
+            ks.clear();
+            vs.clear();
+            for &r in run.runs.iter().flatten() {
+                let (rk, rv) = run.slices(r);
+                ks.extend_from_slice(rk);
+                vs.extend_from_slice(rv);
             }
-            keys.append(&mut run.pending.0);
-            values.append(&mut run.pending.1);
+            ks.append(&mut run.pending.0);
+            vs.append(&mut run.pending.1);
+            (*keys, *values) = (ks, vs);
+            if let Some(free) = run.bufs.drain(..).next() {
+                self.park_scratch(free);
+            }
             self.note_fault_outcomes(&run.faults, run.round, clock.elapsed(), out_of_core);
             return Err(err);
         }
@@ -227,6 +278,11 @@ impl ShardedSorter {
             .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
         (*keys, *values) = self.host_step(&mut run);
         let measured_merge = merge_span.finish();
+        // Whichever n-sized buffer the output did not take is the next
+        // sort's scratch.
+        if let Some(free) = run.out.take().or_else(|| run.bufs.drain(..).next()) {
+            self.park_scratch(free);
+        }
 
         let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
         let merge_overlap = if out_of_core {
@@ -285,6 +341,9 @@ impl ShardedSorter {
             res,
             peer_res: HashMap::new(),
             pending: (keys, vals),
+            bufs: Vec::new(),
+            spare: Buffers::default(),
+            out: None,
             runs: Vec::new(),
             orphans: false,
             combined: SortReport::new(0, K::BYTES, std::mem::size_of::<V>() as u32),
@@ -306,7 +365,7 @@ impl ShardedSorter {
         alive: &[usize],
         exchange: bool,
         out_of_core: bool,
-    ) -> (SplitterSet, Vec<Share<K, V>>) {
+    ) -> (SplitterSet, Vec<Share>) {
         let span = self
             .inspector
             .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
@@ -314,7 +373,7 @@ impl ShardedSorter {
         run.measured_partition += span.finish();
 
         let mut units = self.triage(run, units);
-        self.sort_units(lanes, &mut units);
+        self.sort_units(lanes, run, &mut units);
         for unit in &units {
             run.combined.absorb(&unit.report);
         }
@@ -330,63 +389,107 @@ impl ShardedSorter {
         (splitters, shares)
     }
 
-    /// Partitions the pending elements over the `alive` devices and carves
-    /// each device's share into its units of work, moving (never copying)
-    /// chunks out of the share with `split_off`, back to front.
+    /// Partitions the pending elements over the `alive` devices into a new
+    /// round buffer and carves each device's share into its units of work,
+    /// as ranges of that buffer.  The host merge scatters into the round's
+    /// scratch, and the pending buffer becomes the round's spare; the
+    /// exchange keeps the pending buffer as the round buffer, cut into
+    /// contiguous slabs, and the scratch becomes the spare.
     fn carve_units<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
         alive: &[usize],
         exchange: bool,
         out_of_core: bool,
-    ) -> (SplitterSet, Vec<Unit<K, V>>) {
-        let (keys, vals) = &mut run.pending;
+    ) -> (SplitterSet, Vec<Unit>) {
+        let pending = std::mem::take(&mut run.pending);
+        let m = pending.0.len();
         let weights: Vec<f64> = alive
             .iter()
             .map(|&g| self.pool.devices()[g].capacity_weight())
             .collect();
-        let splitters =
-            compute_splitters_with(keys, &weights, &PartitionConfig::default(), &self.host_exec);
-        let (share_keys, share_vals) = if exchange {
-            carve_slabs(keys, vals, &slab_lengths(keys.len(), &weights))
+        let splitters = compute_splitters_with(
+            &pending.0,
+            &weights,
+            &PartitionConfig::default(),
+            &self.host_exec,
+        );
+        // Round 0 partitions into the engine's persistent round buffer
+        // (a warm take writes no element memory), requeue rounds into
+        // fresh memory.  It takes at least the pending buffer's capacity,
+        // so the two buffers that trade places between sorts are
+        // interchangeable for a caller that refills its buffer in place.
+        let mut free = if run.round == 0 {
+            self.take_scratch(m)
         } else {
-            scatter_into_shards(keys, vals, &splitters, &self.host_exec)
+            Buffers::default()
         };
-        // Every pending element now lives in a share; drop the old buffer.
-        run.pending = (Vec::new(), Vec::new());
+        free.0
+            .reserve_exact(pending.0.capacity().saturating_sub(free.0.len()));
+        free.1
+            .reserve_exact(pending.1.capacity().saturating_sub(free.1.len()));
+        free.0.resize(m, K::default());
+        free.1.resize(m, V::default());
+        let (round_buf, lens) = if exchange {
+            run.spare = free;
+            (pending, slab_lengths(m, &weights))
+        } else {
+            let lens = scatter_into_round(
+                &pending.0,
+                &pending.1,
+                &splitters,
+                &self.host_exec,
+                &mut free.0,
+                &mut free.1,
+            );
+            run.spare = pending;
+            (free, lens)
+        };
+        let buf = run.bufs.len();
+        run.bufs.push(round_buf);
 
         let mut units = Vec::new();
-        for ((&g, mut ks), mut vs) in alive.iter().zip(share_keys).zip(share_vals) {
-            if !out_of_core {
-                units.push(Unit::new(g, 0, 0, ks, vs));
-                continue;
+        let mut share_start = 0;
+        for (&g, len) in alive.iter().zip(lens) {
+            if out_of_core {
+                let device = &self.pool.devices()[g];
+                let plan = device_chunk_plan(device, len, run.elem_bytes, &self.ooc);
+                for (j, &(start, end)) in plan.ranges.iter().enumerate() {
+                    let range = Range {
+                        buf,
+                        start: share_start + start,
+                        len: end - start,
+                    };
+                    units.push(Unit::new(g, j, start, range));
+                }
+            } else {
+                let range = Range {
+                    buf,
+                    start: share_start,
+                    len,
+                };
+                units.push(Unit::new(g, 0, 0, range));
             }
-            let device = &self.pool.devices()[g];
-            let plan = device_chunk_plan(device, ks.len(), run.elem_bytes, &self.ooc);
-            let first = units.len();
-            for (j, &(start, _)) in plan.ranges.iter().enumerate().rev() {
-                let (ck, cv) = (ks.split_off(start), vs.split_off(start));
-                units.push(Unit::new(g, j, start, ck, cv));
-            }
-            units[first..].reverse();
+            share_start += len;
         }
         (splitters, units)
     }
 
-    /// Sorts every unit through its device's lane, one host-executor task
-    /// per device sorting its units in stream order (a real device sorts
-    /// one chunk at a time, and serial lane use keeps the warm arena
-    /// uncontended).  Simulated devices fan out first; CPU sockets fan out
-    /// afterwards, side by side, because their measured wall-clock *is*
-    /// the schedule input and must not absorb simulated-GPU host work.
-    /// The schedule overlaps the sockets' times as if each had its own
-    /// cores, which holds while their workers together fit in
-    /// `host_exec.workers()`; past that, each time includes contention
-    /// with its siblings.
+    /// Sorts every unit in place through its device's lane, against the
+    /// same range of the round's spare, one host-executor task per device
+    /// sorting its units in stream order (a real device sorts one chunk at
+    /// a time, and serial lane use keeps the warm arena uncontended).
+    /// Simulated devices fan out first; CPU sockets fan out afterwards,
+    /// side by side, because their measured wall-clock *is* the schedule
+    /// input and must not absorb simulated-GPU host work.  The schedule
+    /// overlaps the sockets' times as if each had its own cores, which
+    /// holds while their workers together fit in `host_exec.workers()`;
+    /// past that, each time includes contention with its siblings.
     fn sort_units<K: SortKey, V: SortValue>(
         &self,
         lanes: &[HybridRadixSorter],
-        units: &mut [Unit<K, V>],
+        run: &mut Run<K, V>,
+        units: &mut [Unit],
     ) {
         // Units arrive grouped by device: one index range per device.
         let mut groups: Vec<(usize, usize)> = Vec::new();
@@ -402,11 +505,12 @@ impl ShardedSorter {
                     .backend
                     .is_measured()
             });
-        let sort = |unit: &mut Unit<K, V>| {
-            let start = Instant::now();
-            unit.report = lanes[unit.device].sort_pairs(&mut unit.keys, &mut unit.vals);
-            unit.measured = start.elapsed();
-        };
+        let (keys, vals) = run.bufs.last_mut().expect("the round buffer is carved");
+        let (spare_keys, spare_vals) = &mut run.spare;
+        let keys = SharedMut::new(keys.as_mut_slice());
+        let vals = SharedMut::new(vals.as_mut_slice());
+        let spare_keys = SharedMut::new(spare_keys.as_mut_slice());
+        let spare_vals = SharedMut::new(spare_vals.as_mut_slice());
         for groups in [simulated, measured] {
             let view = SharedMut::new(&mut *units);
             self.host_exec.for_each_task(groups.len(), |t, _worker| {
@@ -414,7 +518,20 @@ impl ShardedSorter {
                 // SAFETY: device groups are disjoint index ranges, so task
                 // `t` exclusively owns units `start..end`.
                 for unit in unsafe { view.slice_mut(start, end - start) } {
-                    sort(unit);
+                    let (at, len) = (unit.range.start, unit.range.len);
+                    let clock = Instant::now();
+                    // SAFETY: units are disjoint ranges of the round
+                    // buffer, the spare is as long, and only the task
+                    // owning a unit touches its range in either.
+                    unit.report = unsafe {
+                        lanes[unit.device].sort_pairs_with_spare(
+                            keys.slice_mut(at, len),
+                            vals.slice_mut(at, len),
+                            spare_keys.slice_mut(at, len),
+                            spare_vals.slice_mut(at, len),
+                        )
+                    };
+                    unit.measured = clock.elapsed();
                 }
             });
         }
@@ -432,16 +549,16 @@ impl ShardedSorter {
         run: &mut Run<K, V>,
         g: usize,
         range: (u64, u64),
-        units: Vec<Unit<K, V>>,
+        units: Vec<Unit>,
         out_of_core: bool,
         download: bool,
-    ) -> Share<K, V> {
+    ) -> Share {
         let device = &self.pool.devices()[g];
         let res = run.res[g];
         let mut share = Share {
             device: g,
             range,
-            n: units.iter().map(|u| u.keys.len() as u64).sum(),
+            n: units.iter().map(|u| u.range.len as u64).sum(),
             units: Vec::new(),
             upload: SimTime::ZERO,
             gpu_sort: SimTime::ZERO,
@@ -459,7 +576,7 @@ impl ShardedSorter {
             } else {
                 u.report.simulated.total
             };
-            let len = u.keys.len();
+            let len = u.range.len;
             if out_of_core {
                 pieces.push((u.chunk, len, sort_total, u.stall, u.offset));
                 continue;
@@ -541,12 +658,28 @@ impl ShardedSorter {
         share
     }
 
+    /// Host-merge recombination of one round: every share kept, and the
+    /// round's spare kept as the host step's merge target when it is the
+    /// caller's buffer (round 0).
+    fn keep_shares<K: SortKey, V: SortValue>(
+        &self,
+        run: &mut Run<K, V>,
+        shares: Vec<Share>,
+        out_of_core: bool,
+    ) {
+        for share in shares {
+            self.keep_share(run, share, out_of_core);
+        }
+        let spare = std::mem::take(&mut run.spare);
+        run.out.get_or_insert(spare);
+    }
+
     /// Host-merge recombination of one device's round: the shard report,
     /// and the sorted units as the shard's runs for the final host step.
     fn keep_share<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
-        share: Share<K, V>,
+        share: Share,
         out_of_core: bool,
     ) {
         let device = &self.pool.devices()[share.device];
@@ -578,8 +711,7 @@ impl ShardedSorter {
                 .then(|| share.units.iter().map(|u| u.measured).sum()),
         });
         run.shard_devices.push((share.device, share.n));
-        run.runs
-            .push(share.units.into_iter().map(|u| (u.keys, u.vals)).collect());
+        run.runs.push(share.units.iter().map(|u| u.range).collect());
     }
 
     /// The final host step: each group of runs merges on its own and the
@@ -591,69 +723,64 @@ impl ShardedSorter {
     /// or with orphan runs the ranges overlap, so all runs form one group:
     /// the full p-way merge.
     ///
-    /// When every group is a single run, the first run's buffers take the
-    /// others appended.  Otherwise the groups merge straight into their
-    /// slices of one output, allocated zeroed so its pages map only as the
-    /// merge writes them, and each group's runs are freed once merged.
-    fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> (Vec<K>, Vec<V>) {
-        let mut shards = std::mem::take(&mut run.runs);
+    /// When every group is a single run and the runs tile one round buffer
+    /// in order, that buffer is the output as it stands.  Otherwise the
+    /// groups merge straight into their slices of the caller's buffer (a
+    /// fresh one when the exchange moved it into a round).
+    fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> Buffers<K, V> {
+        let mut groups = std::mem::take(&mut run.runs);
         if run.round > 0 || run.orphans {
-            shards = vec![shards.into_iter().flatten().collect()];
+            groups = vec![groups.into_iter().flatten().collect()];
         }
-        let n: usize = shards.iter().flatten().map(|(ks, _)| ks.len()).sum();
-        if shards.iter().all(|runs| runs.len() <= 1) {
-            let mut runs = shards.into_iter().flatten();
-            let mut out: (Vec<K>, Vec<V>) = runs.next().unwrap_or_default();
-            out.0.reserve(n - out.0.len());
-            out.1.reserve(n - out.1.len());
-            for (mut ks, mut vs) in runs {
-                out.0.append(&mut ks);
-                out.1.append(&mut vs);
-            }
-            return out;
+        if let Some(buf) = tiled_buffer(&groups, &run.bufs) {
+            return std::mem::take(&mut run.bufs[buf]);
         }
-        let mut out = (vec![K::default(); n], vec![V::default(); n]);
+        let n: usize = groups.iter().flatten().map(|r| r.len).sum();
+        let mut out = run.out.take().unwrap_or_default();
+        out.0.resize(n, K::default());
+        out.1.resize(n, V::default());
         let (mut keys, mut vals) = (out.0.as_mut_slice(), out.1.as_mut_slice());
-        for runs in shards {
-            let len = runs.iter().map(|(ks, _)| ks.len()).sum();
+        for runs in groups {
+            let len = runs.iter().map(|r| r.len).sum();
             let (group_keys, rest) = std::mem::take(&mut keys).split_at_mut(len);
             keys = rest;
             let (group_vals, rest) = std::mem::take(&mut vals).split_at_mut(len);
             vals = rest;
-            self.merge_runs_into(&runs, group_keys, group_vals);
+            self.merge_into(run, &runs, group_keys, group_vals);
         }
         out
     }
 
-    /// The host p-way merge of sorted runs into fresh buffers.  A single
-    /// run is already merged and comes back as is.
-    pub(crate) fn merge_runs<K: SortKey, V: SortValue>(
+    /// Merges `runs` of `run`'s buffers straight into `keys` / `vals` with
+    /// the host's merge threads.
+    pub(crate) fn merge_into<K: SortKey, V: SortValue>(
         &self,
-        mut runs: Vec<(Vec<K>, Vec<V>)>,
-    ) -> (Vec<K>, Vec<V>) {
-        if runs.len() <= 1 {
-            return runs.pop().unwrap_or_default();
-        }
-        let n = runs.iter().map(|(ks, _)| ks.len()).sum();
-        let mut out = (vec![K::default(); n], vec![V::default(); n]);
-        self.merge_runs_into(&runs, &mut out.0, &mut out.1);
-        out
-    }
-
-    /// Merges structure-of-arrays `runs` straight into `keys` / `vals`
-    /// with the host's merge threads.
-    fn merge_runs_into<K: SortKey, V: SortValue>(
-        &self,
-        runs: &[(Vec<K>, Vec<V>)],
+        run: &Run<K, V>,
+        runs: &[Range],
         keys: &mut [K],
         vals: &mut [V],
     ) {
-        let refs: Vec<(&[K], &[V])> = runs
-            .iter()
-            .map(|(ks, vs)| (ks.as_slice(), vs.as_slice()))
-            .collect();
+        let refs: Vec<(&[K], &[V])> = runs.iter().map(|&r| run.slices(r)).collect();
         merge_pairs_into(&refs, self.merge_threads, keys, vals);
     }
+}
+
+/// The round buffer that single-run `groups` tile in order, from its
+/// first element to its last, if any: those runs are the output as they
+/// stand.
+fn tiled_buffer<K, V>(groups: &[Vec<Range>], bufs: &[Buffers<K, V>]) -> Option<usize> {
+    let mut buf = None;
+    let mut end = 0;
+    for group in groups {
+        let [r] = group.as_slice() else {
+            return None;
+        };
+        if *buf.get_or_insert(r.buf) != r.buf || r.start != end {
+            return None;
+        }
+        end += r.len;
+    }
+    buf.filter(|&b| bufs[b].0.len() == end)
 }
 
 #[cfg(test)]
@@ -679,7 +806,7 @@ mod tests {
     /// whether round 0 left orphan runs with nothing pending.
     fn kill_before_exchange(
         keys: Vec<u64>,
-        victim: impl Fn(&[Share<u64, ()>], &[(u64, u64)]) -> usize,
+        victim: impl Fn(&[Share], &[(u64, u64)]) -> usize,
     ) -> (Vec<u64>, bool) {
         let sorter = mesh_exchange_sorter();
         let lanes: Vec<_> = (0..4).map(|i| sorter.lane_sorter(i)).collect();
@@ -695,7 +822,7 @@ mod tests {
             }
             sorter.exchange_round(&mut run, &splitters, shares);
             let held =
-                run.pending.0.len() + run.runs.iter().flatten().map(|r| r.0.len()).sum::<usize>();
+                run.pending.0.len() + run.runs.iter().flatten().map(|r| r.len).sum::<usize>();
             assert_eq!(held, n, "round {} lost elements", run.round);
             if run.pending.0.is_empty() {
                 break;
@@ -736,14 +863,31 @@ mod tests {
         loop {
             let alive = sorter.pool().alive_indices();
             let (_, shares) = sorter.sort_round(&mut run, &lanes, &alive, false, out_of_core);
-            for share in shares {
-                sorter.keep_share(&mut run, share, out_of_core);
-            }
+            sorter.keep_shares(&mut run, shares, out_of_core);
             if run.pending.0.is_empty() {
                 return run;
             }
             run.round += 1;
         }
+    }
+
+    /// The p-way merge of every run, whatever its grouping.
+    fn merge_all(sorter: &ShardedSorter, run: &Run<u64, u32>) -> (Vec<u64>, Vec<u32>) {
+        let runs: Vec<Range> = run.runs.iter().flatten().copied().collect();
+        let n = runs.iter().map(|r| r.len).sum();
+        let mut out = (vec![0; n], vec![0; n]);
+        sorter.merge_into(run, &runs, &mut out.0, &mut out.1);
+        out
+    }
+
+    /// Every run's keys, concatenated in run order.
+    fn concatenated<V: Copy>(run: &Run<u64, V>) -> Vec<u64> {
+        run.runs
+            .iter()
+            .flatten()
+            .flat_map(|&r| run.slices(r).0)
+            .copied()
+            .collect()
     }
 
     #[test]
@@ -756,8 +900,8 @@ mod tests {
             assert_eq!(run.round, 0);
             let per_shard = if out_of_core { 4 } else { 1 };
             assert!(run.runs.iter().all(|runs| runs.len() == per_shard));
-            let boundary: usize = run.runs[0].iter().map(|(ks, _)| ks.len()).sum();
-            let merged = sorter.merge_runs(run.runs.iter().flatten().cloned().collect());
+            let boundary: usize = run.runs[0].iter().map(|r| r.len).sum();
+            let merged = merge_all(&sorter, &run);
 
             let (keys, vals) = sorter.host_step(&mut run);
             assert_eq!(keys, expected_keys, "out_of_core = {out_of_core}");
@@ -783,14 +927,7 @@ mod tests {
         sorter.exchange_round(&mut run, &splitters, shares);
         assert!(run.pending.0.is_empty() && !run.orphans);
         assert!(run.runs.iter().all(|runs| runs.len() == 1));
-        let concatenated: Vec<u64> = run
-            .runs
-            .iter()
-            .flatten()
-            .flat_map(|(ks, _)| ks)
-            .copied()
-            .collect();
-        assert_eq!(concatenated, expected);
+        assert_eq!(concatenated(&run), expected);
         assert_eq!(sorter.host_step(&mut run).0, expected);
     }
 
@@ -806,15 +943,12 @@ mod tests {
             let mut run = host_merge_rounds(&sorter, input, out_of_core);
             assert_eq!(run.round, 1);
             assert!(!sorter.pool().alive(0));
-            let concatenated: Vec<u64> = run
-                .runs
-                .iter()
-                .flatten()
-                .flat_map(|(ks, _)| ks)
-                .copied()
-                .collect();
-            assert_ne!(concatenated, expected_keys, "out_of_core = {out_of_core}");
-            let merged = sorter.merge_runs(run.runs.iter().flatten().cloned().collect());
+            assert_ne!(
+                concatenated(&run),
+                expected_keys,
+                "out_of_core = {out_of_core}"
+            );
+            let merged = merge_all(&sorter, &run);
 
             let (keys, vals) = sorter.host_step(&mut run);
             assert_eq!(keys, expected_keys, "out_of_core = {out_of_core}");

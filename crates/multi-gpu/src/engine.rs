@@ -6,23 +6,29 @@
 //! 1. **Partition** (host): splitters are selected from MSD digit
 //!    histograms ([`crate::partition`]) so that the expected shard sizes
 //!    are proportional to the devices' capacity weights, and the input is
-//!    scattered into one buffer per device.  Measured for real.
+//!    scattered into one round buffer, the shards back to back.  The round
+//!    buffer is the sorter's persistent scratch, so a warm sort allocates
+//!    no element memory.  Measured for real.
 //! 2. **Device phase** (simulated, functionally real): every shard is
-//!    uploaded over its device's own link, sorted with the full
-//!    [`HybridRadixSorter`] configured for that device, and downloaded.
+//!    uploaded over its device's own link, sorted in place with the full
+//!    [`HybridRadixSorter`] configured for that device (ping-ponging
+//!    against the shard's range of the now free input buffer), and
+//!    downloaded.
 //!    Each shard's transfers are split into chunks so uploads, sorting and
 //!    downloads overlap within a device — and devices overlap with each
 //!    other completely, since every link is independent.  The schedule is
 //!    built on a shared [`gpu_sim::Timeline`]; its makespan is the
 //!    critical-path simulated time.
 //! 3. **Recombination** (host): range partitioning means equal keys never
-//!    straddle shards, so a sort that finishes in its first round
-//!    concatenates the `p` sorted shards in device order.  Out of core,
-//!    each shard's chunk runs instead merge with the structure-of-arrays
-//!    p-way merge of [`hetero::merge_pairs_into`], keys and values
-//!    straight into that shard's slice of one output buffer.  Requeue
-//!    rounds after a fault break the shard order, so they merge every run
-//!    into the whole output.  Measured for real.
+//!    straddle shards, so in a sort that finishes in its first round the
+//!    `p` sorted shards already lie in device order: the round buffer is
+//!    swapped into the caller's `Vec`, and the caller's old buffer becomes
+//!    the next sort's scratch.  Out of core, each shard's chunk runs
+//!    instead merge with the structure-of-arrays p-way merge of
+//!    [`hetero::merge_pairs_into`], keys and values straight into that
+//!    shard's slice of the caller's buffer.  Requeue rounds after a fault
+//!    break the shard order, so they merge every run into the whole
+//!    output.  Measured for real.
 //!
 //! Every entry point — in core, out of core ([`crate::ooc`]), with the
 //! peer exchange ([`crate::exchange`]) or under injected faults
@@ -30,12 +36,14 @@
 //! sort is its round 0.
 
 use crate::device_pool::DevicePool;
+use crate::driver::Buffers;
 use crate::exchange::{note_exchange, register_exchange_probes, RecombineStrategy};
 use crate::recovery::{register_fault_probes, SortError};
 use crate::report::{RequestSpan, ShardedReport};
 use crate::telemetry_paths as tp;
 use gpu_sim::FaultPlan;
-use hrs_core::{Executor, HybridRadixSorter};
+use hrs_core::arena::{ROLE_ROUND_KEYS, ROLE_ROUND_VALS};
+use hrs_core::{Executor, HybridRadixSorter, ScratchArena};
 use std::sync::Mutex;
 use telemetry::Inspector;
 use workloads::keys::SortKey;
@@ -65,6 +73,12 @@ pub struct ShardedSorter {
     /// shared one so the sort service (and anything else holding a clone)
     /// sees engine, lane and out-of-core metrics in one snapshot tree.
     pub(crate) inspector: Inspector,
+    /// The persistent round buffer round 0 partitions into, parked
+    /// between sorts, so repeated sorts of one size allocate no element
+    /// memory; the buffer a sort's output does not take is parked for the
+    /// next.  `try_lock` with a fresh allocation as the fallback keeps
+    /// concurrent sorts through one sorter safe.
+    pub(crate) scratch: Mutex<ScratchArena>,
     /// Injected fault script ([`gpu_sim::FaultPlan`]), consulted once per
     /// unit of work; `None` sorts clean.
     pub(crate) faults: Option<FaultPlan>,
@@ -85,6 +99,7 @@ impl ShardedSorter {
             ooc: crate::ooc::OocConfig::default(),
             host_exec: Executor::threaded(),
             lanes: Mutex::new(Vec::new()),
+            scratch: Mutex::default(),
             inspector: Inspector::new(),
             faults: None,
             recombine: RecombineStrategy::default(),
@@ -367,6 +382,30 @@ impl ShardedSorter {
     }
 }
 
+impl ShardedSorter {
+    /// Takes the parked round buffer for `K`/`V` out of the sorter, `len`
+    /// elements long (a warm take writes no element memory); empty while a
+    /// concurrent sort holds the arena.
+    pub(crate) fn take_scratch<K: SortKey, V: SortValue>(&self, len: usize) -> Buffers<K, V> {
+        match self.scratch.try_lock() {
+            Ok(mut arena) => (
+                arena.take_buffer(ROLE_ROUND_KEYS, len),
+                arena.take_buffer(ROLE_ROUND_VALS, len),
+            ),
+            Err(_) => Buffers::default(),
+        }
+    }
+
+    /// Parks `buf` as the next sort's round buffer (dropped instead while
+    /// a concurrent sort holds the arena).
+    pub(crate) fn park_scratch<K: SortKey, V: SortValue>(&self, (keys, vals): Buffers<K, V>) {
+        if let Ok(mut arena) = self.scratch.try_lock() {
+            arena.put_buffer(ROLE_ROUND_KEYS, keys);
+            arena.put_buffer(ROLE_ROUND_VALS, vals);
+        }
+    }
+}
+
 impl Default for ShardedSorter {
     fn default() -> Self {
         ShardedSorter::with_defaults()
@@ -384,6 +423,7 @@ impl Clone for ShardedSorter {
             ooc: self.ooc.clone(),
             host_exec: self.host_exec,
             lanes: Mutex::new(Vec::new()),
+            scratch: Mutex::default(),
             inspector: self.inspector.clone(),
             // The fault plan's fired/op state is shared (Arc), so a clone
             // doing the service's sorting consumes the same script.
@@ -594,6 +634,45 @@ mod tests {
         }
         // Clones start with cold lanes of their own.
         assert!(sorter.clone().lane_arena_stats().is_empty());
+    }
+
+    #[test]
+    fn round_zero_moves_no_buffer_on_two_cpu_sockets() {
+        let sorter = ShardedSorter::new(DevicePool::new(vec![SimDevice::cpu_socket(1); 2]))
+            .with_ooc_config(crate::ooc::OocConfig::default().with_chunks_per_device(4));
+        let keys: Vec<u64> = ZipfGenerator::paper_keys(60_000, 41);
+        let rows: Vec<u32> = (0..60_000).collect();
+        let expected = KeyCodec::std_sorted(&keys);
+
+        // Out of core, every shard's chunk runs merge back into the
+        // caller's buffers.
+        let (mut k, mut v) = (keys.clone(), rows.clone());
+        let caller = (k.as_ptr(), v.as_ptr());
+        sorter.sort_out_of_core_pairs(&mut k, &mut v);
+        assert_eq!(k, expected);
+        assert_eq!((k.as_ptr(), v.as_ptr()), caller);
+
+        // In core, the sorted round buffer and the caller's buffer trade
+        // places on every sort, and the lanes' arenas stay put.
+        sorter.sort_pairs(&mut k, &mut v);
+        let mut outputs = Vec::new();
+        let mut stats = Vec::new();
+        for _ in 0..3 {
+            k.copy_from_slice(&keys);
+            v.copy_from_slice(&rows);
+            sorter.sort_pairs(&mut k, &mut v);
+            assert_eq!(k, expected);
+            assert!(v
+                .iter()
+                .zip(&k)
+                .all(|(&row, &key)| keys[row as usize] == key));
+            outputs.push((k.as_ptr(), v.as_ptr()));
+            stats.push(sorter.lane_arena_stats());
+        }
+        assert_ne!(outputs[0], outputs[1]);
+        assert_eq!(outputs[0], outputs[2]);
+        assert_eq!(stats[0], stats[1]);
+        assert_eq!(stats[1], stats[2]);
     }
 
     #[test]

@@ -7,15 +7,16 @@
 //! multiway GPU mergesort: after the per-device local sorts, devices swap
 //! *bucket ranges* directly over the pool's [`gpu_sim::PeerTopology`],
 //! each device p-way-merges only its own output range on-device, and the
-//! host is left with a cheap concatenation.
+//! host has nothing left to merge.
 //!
 //! Within a round of the sharded driver (all on the shared
 //! [`gpu_sim::Timeline`]):
 //!
-//! 1. **Contiguous slab carve.**  Splitters are computed exactly as for the
-//!    host merge, but the input is carved into contiguous capacity-weighted
-//!    slabs instead of scattered by key — buckets are later cut out of each
-//!    *sorted* slab by binary search, so no scatter pass is needed.
+//! 1. **Contiguous slabs.**  Splitters are computed exactly as for the
+//!    host merge, but the input is not scattered by key: each device's slab
+//!    is a contiguous capacity-weighted range of the round's input buffer,
+//!    and buckets are later cut out of each *sorted* slab by binary
+//!    search, so no scatter pass is needed.
 //! 2. **Local sorts**, chunk-pipelined per device like the host-merge
 //!    schedule (upload overlaps sorting), but with *no* slab download.
 //! 3. **All-to-all exchange.**  Bucket `j` of device `i`'s sorted slab
@@ -26,9 +27,10 @@
 //!    to an HtD leg on the destination's.
 //! 4. **On-device merges + output downloads.**  Each device merges the
 //!    buckets of its output range (a bandwidth-bound pass: the range
-//!    streams once in and once out of device memory) and downloads it.
-//!    Ranges tile the key space in device order, so after a single round
-//!    the host step is a concatenation.
+//!    streams once in and once out of device memory) and downloads it into
+//!    its slice of the round's spare buffer.  Ranges tile the key space in
+//!    device order, so after a single round the spare already is the
+//!    output.
 //!
 //! Before the exchange every device holding a sorted slab consults the
 //! fault plan once more.  A device dying *mid-exchange*, or found dead
@@ -37,7 +39,7 @@
 //! merged ones, so such sorts end with the host p-way merge instead.
 
 use crate::device_pool::DevicePool;
-use crate::driver::{Run, Share};
+use crate::driver::{Range, Run, Share};
 use crate::engine::ShardedSorter;
 use crate::partition::SplitterSet;
 use crate::report::{ExchangeSpan, ShardReport, ShardedReport};
@@ -54,12 +56,13 @@ use workloads::pairs::SortValue;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum RecombineStrategy {
     /// Download every shard and recombine on the host: range-disjoint
-    /// shards concatenate, each after merging its own out-of-core chunk
-    /// runs (the original engine path; the default and the fallback).
+    /// shards lie back to back in one round buffer, each after merging
+    /// its own out-of-core chunk runs (the original engine path; the
+    /// default and the fallback).
     #[default]
     HostMerge,
     /// All-to-all bucket exchange over the pool's peer topology followed
-    /// by per-device output-range merges; the host only concatenates.
+    /// by per-device output-range merges; the host merges nothing.
     PeerExchange,
     /// Pick per sort by comparing the modeled exchange time against the
     /// modeled host-merge tail ([`estimate_exchange_time`] vs.
@@ -192,27 +195,6 @@ pub(crate) fn slab_lengths(n: usize, weights: &[f64]) -> Vec<usize> {
     lens
 }
 
-/// Carves `keys`/`vals` into owned contiguous slabs of the given lengths
-/// (back-to-front `split_off`, no copies beyond the reallocation-free
-/// splits), leaving the inputs empty.
-pub(crate) fn carve_slabs<K, V>(
-    keys: &mut Vec<K>,
-    vals: &mut Vec<V>,
-    lens: &[usize],
-) -> (Vec<Vec<K>>, Vec<Vec<V>>) {
-    let mut ks: Vec<Vec<K>> = Vec::with_capacity(lens.len());
-    let mut vs: Vec<Vec<V>> = Vec::with_capacity(lens.len());
-    let mut cut = keys.len();
-    for &len in lens.iter().rev() {
-        cut -= len;
-        vs.push(vals.split_off(cut));
-        ks.push(keys.split_off(cut));
-    }
-    ks.reverse();
-    vs.reverse();
-    (ks, vs)
-}
-
 /// Bucket boundaries of a *sorted* slab against the splitter cuts:
 /// `[0, …, len]` with one binary search per cut, so bucket `j` is
 /// `sorted[b[j]..b[j + 1]]`.
@@ -251,13 +233,16 @@ impl ShardedSorter {
 
     /// Recombines one round of a peer-exchange sort (see the module docs):
     /// the mid-exchange fault point, the bucket transfers, and every live
-    /// destination's merge and download.  Merged output ranges and orphan
-    /// buckets become runs of the final host step.
+    /// destination's merge and download.  Buckets are ranges of the sorted
+    /// slabs in the round buffer; each destination merges its buckets into
+    /// its output range of the round's spare, the ranges in device order.
+    /// Merged output ranges and orphan buckets become runs of the final
+    /// host step.
     pub(crate) fn exchange_round<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
         splitters: &SplitterSet,
-        mut shares: Vec<Share<K, V>>,
+        mut shares: Vec<Share>,
     ) {
         let topo = self.pool.peer_topology();
         let ranges = splitters.ranges();
@@ -271,46 +256,47 @@ impl ShardedSorter {
         let mut xstall = vec![1.0; shares.len()];
         let mut dead: Vec<bool> = devices.iter().map(|&g| !self.pool.alive(g)).collect();
         for (l, share) in shares.iter_mut().enumerate() {
-            let Some(slab) = share.units.first_mut().filter(|u| !u.keys.is_empty()) else {
+            let Some(slab) = share.units.first_mut().filter(|u| u.range.len > 0) else {
                 continue;
             };
             if !dead[l] {
                 if let Some(stall) =
-                    self.consult(share.device, slab.keys.len(), run.round, &mut run.faults)
+                    self.consult(share.device, slab.range.len, run.round, &mut run.faults)
                 {
                     xstall[l] = stall;
                     continue;
                 }
                 dead[l] = !self.pool.alive(share.device);
             }
-            run.requeue(
-                std::mem::take(&mut slab.keys),
-                std::mem::take(&mut slab.vals),
-            );
+            run.requeue(slab.range);
+            slab.range.len = 0;
         }
 
         // Bucket carve + transfers, each gated only on its source's sort.
-        let mut incoming: Vec<Vec<(Vec<K>, Vec<V>)>> = devices.iter().map(|_| Vec::new()).collect();
+        let mut incoming: Vec<Vec<Range>> = devices.iter().map(|_| Vec::new()).collect();
         let mut arrivals: Vec<Vec<SimTime>> = vec![Vec::new(); devices.len()];
-        for (i, share) in shares.iter_mut().enumerate() {
-            let Some(slab) = share.units.first_mut() else {
+        for (i, share) in shares.iter().enumerate() {
+            let Some(slab) = share.units.first().map(|u| u.range) else {
                 continue;
             };
             let (g, ready) = (share.device, share.sort_finish);
             let src_link = &self.pool.devices()[g].link;
-            let bounds = bucket_boundaries(&slab.keys, &splitters.cuts);
-            let lens: Vec<usize> = bounds.windows(2).map(|w| w[1] - w[0]).collect();
-            let (bucket_keys, bucket_vals) = carve_slabs(&mut slab.keys, &mut slab.vals, &lens);
-            for (j, (bk, bv)) in bucket_keys.into_iter().zip(bucket_vals).enumerate() {
-                if bk.is_empty() {
+            let bounds = bucket_boundaries(run.slices(slab).0, &splitters.cuts);
+            for (j, w) in bounds.windows(2).enumerate() {
+                let bucket = Range {
+                    buf: slab.buf,
+                    start: slab.start + w[0],
+                    len: w[1] - w[0],
+                };
+                if bucket.len == 0 {
                     continue;
                 }
                 if j == i {
-                    incoming[j].push((bk, bv));
+                    incoming[j].push(bucket);
                     continue;
                 }
                 let dst = devices[j];
-                let elems = bk.len() as u64;
+                let elems = bucket.len as u64;
                 let bytes = elems * run.elem_bytes;
                 let out_time =
                     src_link.transfer_time(TransferDirection::DeviceToHost, bytes) * xstall[i];
@@ -338,7 +324,7 @@ impl ShardedSorter {
                         measured_sort: None,
                     });
                     run.shard_devices.push((g, 0));
-                    run.runs.push(vec![(bk, bv)]);
+                    run.runs.push(vec![bucket]);
                     continue;
                 }
                 let (start, end, direct) = match topo.direct_transfer_time(g, dst, bytes) {
@@ -384,19 +370,23 @@ impl ShardedSorter {
                     end,
                 });
                 arrivals[j].push(end);
-                incoming[j].push((bk, bv));
+                incoming[j].push(bucket);
             }
         }
 
         // Per-destination merge + download.  The functional merge stands
         // in for the on-device one and feeds the exchange histogram.
+        let spare_buf = run.bufs.len();
+        let (mut spare_keys, mut spare_vals) = std::mem::take(&mut run.spare);
+        let mut out_start = 0;
         for (j, (share, runs)) in shares.into_iter().zip(incoming).enumerate() {
             let g = share.device;
             if dead[j] && runs.is_empty() {
                 continue;
             }
             let device = &self.pool.devices()[g];
-            let out_elems: u64 = runs.iter().map(|(ks, _)| ks.len() as u64).sum();
+            let out_len: usize = runs.iter().map(|r| r.len).sum();
+            let out_elems = out_len as u64;
             let (mut merge_time, mut download, mut finish) =
                 (SimTime::ZERO, SimTime::ZERO, share.sort_finish);
             if out_elems > 0 {
@@ -427,8 +417,18 @@ impl ShardedSorter {
                 download = down.duration();
                 finish = down.end;
             }
+            let out = Range {
+                buf: spare_buf,
+                start: out_start,
+                len: out_len,
+            };
             let clock = Instant::now();
-            let merged = self.merge_runs(runs);
+            self.merge_into(
+                run,
+                &runs,
+                &mut spare_keys[out.span()],
+                &mut spare_vals[out.span()],
+            );
             self.inspector
                 .histogram(tp::EXCHANGE_DEVICE_MERGE_NS)
                 .record_duration(clock.elapsed());
@@ -452,8 +452,10 @@ impl ShardedSorter {
                     .then(|| slab.map_or(Duration::ZERO, |u| u.measured)),
             });
             run.shard_devices.push((g, share.n));
-            run.runs.push(vec![merged]);
+            run.runs.push(vec![out]);
+            out_start += out_len;
         }
+        run.bufs.push((spare_keys, spare_vals));
     }
 }
 

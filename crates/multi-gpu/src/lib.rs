@@ -14,10 +14,11 @@
 //!    [`hrs_core::HybridRadixSorter`], one simulated device per shard, each
 //!    with its own host link ([`gpu_sim::LinkSpec`]: PCIe 3.0/4.0 or
 //!    NVLink classes) so transfers overlap across devices;
-//! 3. **recombine** — by default on the host, concatenating the
-//!    range-disjoint shards (out of core, each merges its chunk runs
-//!    into its slice of the output with the structure-of-arrays p-way
-//!    merge of [`hetero::multiway_merge`]),
+//! 3. **recombine** — by default on the host, where the range-disjoint
+//!    shards already lie back to back in one round buffer (out of core,
+//!    each merges its chunk runs into its slice of the caller's buffer
+//!    with the structure-of-arrays p-way merge of
+//!    [`hetero::multiway_merge`]),
 //!    or (cost-model-selected via [`RecombineStrategy`]) with a
 //!    peer-to-peer all-to-all bucket exchange over the pool's
 //!    [`gpu_sim::PeerTopology`] in which each device merges only its own

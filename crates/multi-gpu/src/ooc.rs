@@ -20,9 +20,10 @@
 //!    device, and devices overlap with each other completely.
 //!    Chunk sorts are real; CPU sockets contribute measured wall-clock,
 //!    GPUs their modelled time.
-//! 4. **Recombine**: each device's chunk runs merge with the parallel
-//!    p-way merge straight into that shard's slice of the output, and the
-//!    range-disjoint slices lie in device order.  The merge consumes chunk
+//! 4. **Recombine**: each device's chunk runs, ranges of the round
+//!    buffer, merge with the parallel p-way merge straight into that
+//!    shard's slice of the caller's buffer, and the range-disjoint slices
+//!    lie in device order.  The merge consumes chunk
 //!    runs as they land, so only its tail past the chunk stream adds to
 //!    the end-to-end time.
 //!

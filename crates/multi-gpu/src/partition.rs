@@ -258,96 +258,178 @@ pub fn compute_splitters_with<K: SortKey>(
     }
 }
 
-/// Granularity of the parallel partition scatter: chunks of this many keys
-/// are counted and scattered as independent executor tasks.
-const SCATTER_CHUNK: usize = 64 * 1024;
-
 /// Scatters the input into one key (and value) buffer per shard, consuming
-/// the input buffers.  The scatter mirrors the counting-sort shape — a
-/// parallel per-chunk count, a prefix sum over chunks, then a parallel
-/// scatter into exactly-sized shard buffers — so the measured partition
-/// phase scales with the executor's workers.
+/// the input buffers.  It runs the engine's partition kernel (a parallel
+/// per-chunk count, a prefix sum over chunks, then a parallel scatter)
+/// with one exactly-sized `Vec` per shard as its destination.
 pub fn scatter_into_shards<K: SortKey, V: SortValue>(
     keys: &mut Vec<K>,
     values: &mut Vec<V>,
     splitters: &SplitterSet,
     exec: &Executor,
 ) -> (Vec<Vec<K>>, Vec<Vec<V>>) {
+    let counts = count_shards(keys, splitters, exec);
+    let mut shard_keys: Vec<Vec<K>> = counts
+        .totals
+        .iter()
+        .map(|&t| vec![K::default(); t])
+        .collect();
+    let mut shard_vals: Vec<Vec<V>> = counts
+        .totals
+        .iter()
+        .map(|&t| vec![V::default(); t])
+        .collect();
+    scatter_counted(
+        keys,
+        values,
+        splitters,
+        exec,
+        counts,
+        shard_keys.iter_mut().map(Vec::as_mut_slice).collect(),
+        shard_vals.iter_mut().map(Vec::as_mut_slice).collect(),
+    );
+    keys.clear();
+    values.clear();
+    (shard_keys, shard_vals)
+}
+
+/// Scatters `keys` (and `values`) into `dst_keys` (and `dst_vals`), of the
+/// inputs' lengths, with the shards back to back in shard order; returns
+/// each shard's length.  This is the sharded engine's partition: one
+/// round buffer instead of one allocation per shard.
+pub(crate) fn scatter_into_round<K: SortKey, V: SortValue>(
+    keys: &[K],
+    values: &[V],
+    splitters: &SplitterSet,
+    exec: &Executor,
+    dst_keys: &mut [K],
+    dst_vals: &mut [V],
+) -> Vec<usize> {
+    let counts = count_shards(keys, splitters, exec);
+    let shard_keys = split_lengths(dst_keys, &counts.totals);
+    let shard_vals = split_lengths(dst_vals, &counts.totals);
+    scatter_counted(
+        keys, values, splitters, exec, counts, shard_keys, shard_vals,
+    )
+}
+
+/// Cuts `buf` into consecutive slices of the given lengths (which must sum
+/// to at most its length).
+fn split_lengths<'a, T>(mut buf: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
+    lens.iter()
+        .map(|&len| {
+            let (head, rest) = std::mem::take(&mut buf).split_at_mut(len);
+            buf = rest;
+            head
+        })
+        .collect()
+}
+
+/// Granularity of the parallel partition scatter: chunks of this many keys
+/// are counted and scattered as independent executor tasks.
+const SCATTER_CHUNK: usize = 64 * 1024;
+
+/// The counting half of a partition scatter.
+pub(crate) struct ShardCounts {
+    /// Input chunk `c`'s first write position in shard `s`, at `c · p + s`.
+    cursors: Vec<usize>,
+    /// Elements per shard.
+    pub(crate) totals: Vec<usize>,
+}
+
+/// Counts every input chunk's elements per shard in parallel, then turns
+/// the counts into each chunk's write positions with an exclusive prefix
+/// over chunks per shard: the counting-sort shape, so the measured
+/// partition phase scales with the executor's workers.
+pub(crate) fn count_shards<K: SortKey>(
+    keys: &[K],
+    splitters: &SplitterSet,
+    exec: &Executor,
+) -> ShardCounts {
+    let p = splitters.num_shards();
+    let n = keys.len();
+    let n_chunks = n.div_ceil(SCATTER_CHUNK);
+
+    // Strip `c` of the count table belongs to input chunk `c`, so the
+    // chunked-mutation helper fits exactly.
+    let mut cursors = vec![0usize; n_chunks * p];
+    exec.for_each_chunk_mut(&mut cursors, p, |c, strip| {
+        let start = c * SCATTER_CHUNK;
+        let end = n.min(start + SCATTER_CHUNK);
+        for k in &keys[start..end] {
+            strip[splitters.shard_of(k.to_radix())] += 1;
+        }
+    });
+    let mut totals = vec![0usize; p];
+    for (s, total) in totals.iter_mut().enumerate() {
+        let mut run = 0usize;
+        for c in 0..n_chunks {
+            let v = cursors[c * p + s];
+            cursors[c * p + s] = run;
+            run += v;
+        }
+        *total = run;
+    }
+    ShardCounts { cursors, totals }
+}
+
+/// The scatter kernel: writes every element into its shard's slice of
+/// `shard_keys` (and `shard_vals`), each exactly `counts.totals` long
+/// (value slices may be empty when `V` is zero-sized), and returns the
+/// shard lengths.  Every input chunk owns disjoint destination ranges in
+/// every shard (its cursor .. the next chunk's), so chunks scatter
+/// concurrently without synchronisation, and each shard keeps input
+/// order.
+pub(crate) fn scatter_counted<K: SortKey, V: SortValue>(
+    keys: &[K],
+    values: &[V],
+    splitters: &SplitterSet,
+    exec: &Executor,
+    counts: ShardCounts,
+    mut shard_keys: Vec<&mut [K]>,
+    mut shard_vals: Vec<&mut [V]>,
+) -> Vec<usize> {
     let p = splitters.num_shards();
     let n = keys.len();
     let values_present = std::mem::size_of::<V>() != 0;
     if values_present {
         assert_eq!(values.len(), n, "keys and values must match in length");
     }
-    let n_chunks = n.div_ceil(SCATTER_CHUNK);
-
-    // (1) Per-chunk shard histograms: strip `c` of the count table belongs
-    // to input chunk `c`, so the chunked-mutation helper fits exactly.
-    let mut chunk_counts = vec![0usize; n_chunks * p];
-    {
-        let keys_ref = &keys[..];
-        exec.for_each_chunk_mut(&mut chunk_counts, p, |c, strip| {
-            let start = c * SCATTER_CHUNK;
-            let end = n.min(start + SCATTER_CHUNK);
-            for k in &keys_ref[start..end] {
-                strip[splitters.shard_of(k.to_radix())] += 1;
-            }
-        });
-    }
-
-    // (2) Exclusive prefix over chunks per shard: the strips become each
-    // chunk's write bases, and the totals size the shard buffers exactly.
-    let mut totals = vec![0usize; p];
-    for (s, total) in totals.iter_mut().enumerate() {
-        let mut run = 0usize;
-        for c in 0..n_chunks {
-            let v = chunk_counts[c * p + s];
-            chunk_counts[c * p + s] = run;
-            run += v;
-        }
-        *total = run;
-    }
-    let mut shard_keys: Vec<Vec<K>> = totals.iter().map(|&t| vec![K::default(); t]).collect();
-    let mut shard_vals: Vec<Vec<V>> = totals.iter().map(|&t| vec![V::default(); t]).collect();
-
-    // (3) Parallel scatter: every chunk owns disjoint destination ranges in
-    // every shard (its base .. next chunk's base), so chunks write
-    // concurrently without synchronisation.
-    {
-        let key_views: Vec<SharedMut<'_, K>> = shard_keys
-            .iter_mut()
-            .map(|v| SharedMut::new(v.as_mut_slice()))
-            .collect();
-        let val_views: Vec<SharedMut<'_, V>> = shard_vals
-            .iter_mut()
-            .map(|v| SharedMut::new(v.as_mut_slice()))
-            .collect();
-        let keys_ref = &keys[..];
-        let vals_ref = &values[..];
-        exec.for_each_chunk_mut(&mut chunk_counts, p, |c, cursor| {
-            let start = c * SCATTER_CHUNK;
-            let end = n.min(start + SCATTER_CHUNK);
-            for i in start..end {
-                let k = keys_ref[i];
-                let s = splitters.shard_of(k.to_radix());
-                let pos = cursor[s];
-                cursor[s] += 1;
-                // SAFETY: `pos` lies in the destination range chunk `c`
-                // reserved for shard `s` (its base .. the next chunk's
-                // base), disjoint from every other chunk's positions.
-                unsafe {
-                    key_views[s].write(pos, k);
-                    if values_present {
-                        val_views[s].write(pos, vals_ref[i]);
-                    }
+    let ShardCounts {
+        mut cursors,
+        totals,
+    } = counts;
+    assert!(
+        shard_keys
+            .iter()
+            .map(|s| s.len())
+            .eq(totals.iter().copied()),
+        "one key slice of each shard's length"
+    );
+    let key_views: Vec<SharedMut<'_, K>> =
+        shard_keys.iter_mut().map(|s| SharedMut::new(s)).collect();
+    let val_views: Vec<SharedMut<'_, V>> =
+        shard_vals.iter_mut().map(|s| SharedMut::new(s)).collect();
+    exec.for_each_chunk_mut(&mut cursors, p, |c, cursor| {
+        let start = c * SCATTER_CHUNK;
+        let end = n.min(start + SCATTER_CHUNK);
+        for i in start..end {
+            let k = keys[i];
+            let s = splitters.shard_of(k.to_radix());
+            let pos = cursor[s];
+            cursor[s] += 1;
+            // SAFETY: `pos` lies in the destination range chunk `c`
+            // reserved for shard `s` (its cursor .. the next chunk's),
+            // disjoint from every other chunk's positions.
+            unsafe {
+                key_views[s].write(pos, k);
+                if values_present {
+                    val_views[s].write(pos, values[i]);
                 }
             }
-        });
-    }
-
-    keys.clear();
-    values.clear();
-    (shard_keys, shard_vals)
+        }
+    });
+    totals
 }
 
 /// Descends the digit histogram of `subset` (all sharing `prefix` above the

@@ -136,30 +136,30 @@ impl ShardedSorter {
     /// that is already dead — earlier in this round, or in a concurrent
     /// sort sharing the pool — are requeued untouched; the failure event of
     /// this round absorbs their volume.
-    pub(crate) fn triage<K, V>(
+    pub(crate) fn triage<K: Copy, V: Copy>(
         &self,
         run: &mut Run<K, V>,
-        units: Vec<Unit<K, V>>,
-    ) -> Vec<Unit<K, V>> {
+        units: Vec<Unit>,
+    ) -> Vec<Unit> {
         let mut survivors = Vec::with_capacity(units.len());
         for mut unit in units {
             let g = unit.device;
+            let len = unit.range.len;
             if !self.pool.alive(g) {
                 let round = run.round;
                 if let Some(ev) = run.faults.last_mut().filter(|e| {
                     e.device == g && e.round == round && e.kind == FaultEventKind::DeviceFailure
                 }) {
-                    ev.requeued += unit.keys.len() as u64;
+                    ev.requeued += len as u64;
                 }
-                run.requeue(unit.keys, unit.vals);
-            } else if unit.keys.is_empty() {
+                run.requeue(unit.range);
+            } else if len == 0 {
                 survivors.push(unit);
-            } else if let Some(stall) = self.consult(g, unit.keys.len(), run.round, &mut run.faults)
-            {
+            } else if let Some(stall) = self.consult(g, len, run.round, &mut run.faults) {
                 unit.stall = stall;
                 survivors.push(unit);
             } else {
-                run.requeue(unit.keys, unit.vals);
+                run.requeue(unit.range);
             }
         }
         survivors

@@ -8,7 +8,11 @@
 //! * sorting arbitrary inputs through the full hybrid pipeline — threaded
 //!   executor, staged scatter — never trips the ledger: the disjointness
 //!   contracts the `unsafe` accessors rely on hold on real schedules, not
-//!   just in the comments;
+//!   just in the comments.  The same holds for the sharded engine on two
+//!   CPU sockets, in core and out of core, whose partition scatters into
+//!   shard ranges of one round buffer and whose lanes sort those ranges
+//!   against the same ranges of the free input buffer, also with two
+//!   threads sorting through one engine at once;
 //! * a deliberately overlapping pair of cross-thread claims panics with a
 //!   diagnostic naming both claim sites, proving the instrument actually
 //!   bites (a checker that cannot fail checks nothing).
@@ -16,7 +20,9 @@
 #![cfg(feature = "race-check")]
 
 use hybrid_radix_sort::hrs_core::{Executor, HybridRadixSorter, SharedMut, SortConfig};
-use hybrid_radix_sort::workloads::KeyCodec;
+use hybrid_radix_sort::multi_gpu::{DevicePool, OocConfig, ShardedSorter, SimDevice};
+use hybrid_radix_sort::workloads::pairs::verify_indexed_pair_sort;
+use hybrid_radix_sort::workloads::{uniform_keys, KeyCodec, ZipfGenerator};
 use proptest::prelude::*;
 use std::sync::Barrier;
 
@@ -47,6 +53,62 @@ proptest! {
             .sort(&mut sorted);
         prop_assert_eq!(sorted, expected);
     }
+}
+
+/// The benchmarks' pool: two single-worker CPU sockets; out of core,
+/// four chunks per lane.
+fn socket_engine() -> ShardedSorter {
+    ShardedSorter::new(DevicePool::new(vec![SimDevice::cpu_socket(1); 2]))
+        .with_merge_threads(2)
+        .with_ooc_config(OocConfig::default().with_chunks_per_device(4))
+}
+
+/// Sorts `keys` with row ids through `sort` and checks the result.
+fn check_pair_sort(keys: &[u64], sort: impl FnOnce(&mut Vec<u64>, &mut Vec<u32>)) {
+    let mut k = keys.to_vec();
+    let mut v: Vec<u32> = (0..keys.len() as u32).collect();
+    sort(&mut k, &mut v);
+    assert!(verify_indexed_pair_sort(keys, &k, &v));
+}
+
+#[test]
+fn sharded_pair_sorts_on_two_sockets_never_trip_the_ledger() {
+    let engine = socket_engine();
+    let inputs = [
+        uniform_keys::<u64>(40_000, 1),
+        ZipfGenerator::paper_keys(40_000, 2),
+    ];
+    // Twice each, so the second sort partitions into the parked buffer.
+    for keys in inputs.iter().chain(&inputs) {
+        check_pair_sort(keys, |k, v| {
+            engine.sort_pairs(k, v);
+        });
+        check_pair_sort(keys, |k, v| {
+            engine.sort_out_of_core_pairs(k, v);
+        });
+    }
+}
+
+#[test]
+fn concurrent_sorts_through_one_engine_never_trip_the_ledger() {
+    // Both threads race for the engine's lanes and parked round buffer;
+    // the loser of either `try_lock` sorts on its own.
+    let engine = socket_engine();
+    let barrier = Barrier::new(2);
+    std::thread::scope(|s| {
+        for t in 0..2u64 {
+            let (engine, barrier) = (&engine, &barrier);
+            s.spawn(move || {
+                barrier.wait();
+                for rep in 0..4 {
+                    let keys = uniform_keys::<u64>(30_000, 10 * t + rep);
+                    check_pair_sort(&keys, |k, v| {
+                        engine.sort_pairs(k, v);
+                    });
+                }
+            });
+        }
+    });
 }
 
 #[test]

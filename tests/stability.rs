@@ -1,8 +1,9 @@
 //! Stability: every pair sort leaves the values of equal keys in input
 //! order, so its output equals a stable `sort_by_key` on the keys' radix
 //! representation — for the single-device sorter under every executor and
-//! digit width, and for the sharded engine's in-core and out-of-core paths
-//! on the benchmarks' two-CPU-socket pool.
+//! digit width, through its `Vec` entry and its slice entry with a
+//! caller-supplied spare, and for the sharded engine's in-core and
+//! out-of-core paths on the benchmarks' two-CPU-socket pool.
 //!
 //! Values are input positions, so any reordering of equal keys shows.
 
@@ -90,6 +91,39 @@ fn sort_pairs_is_stable_for_u32_keys() {
 #[test]
 fn sort_pairs_is_stable_for_u64_keys() {
     check_single_device::<u64>();
+}
+
+/// `sort_pairs_with_spare` with a spare the caller fills with junk: the
+/// output lands in `keys`, stably, whether the pass count is even (8-bit
+/// digits) or odd (5- and 11-bit digits on u32 keys, 5-bit on u64), which
+/// ends the passes in the spare and copies the output back.
+fn check_slice_entry<K: SortKey + PartialEq>() {
+    for (input, keys) in inputs::<K>() {
+        let expect = stable_reference(&keys);
+        for (config, sorter) in sorters::<K>(Executor::with_workers(2)) {
+            let mut k = keys.clone();
+            let mut v: Vec<u32> = (0..N as u32).collect();
+            let mut spare_keys = keys.clone();
+            spare_keys.reverse();
+            let mut spare_vals = vec![u32::MAX; N];
+            sorter.sort_pairs_with_spare(&mut k, &mut v, &mut spare_keys, &mut spare_vals);
+            assert!(
+                k == expect.0 && v == expect.1,
+                "{} keys, {input}, {config}: the slice entry is not a stable sort into `keys`",
+                K::BITS
+            );
+        }
+    }
+}
+
+#[test]
+fn slice_entry_with_a_caller_spare_is_stable_for_u32_keys() {
+    check_slice_entry::<u32>();
+}
+
+#[test]
+fn slice_entry_with_a_caller_spare_is_stable_for_u64_keys() {
+    check_slice_entry::<u64>();
 }
 
 /// The benchmarks' pool: two single-worker CPU sockets; out of core, four
