@@ -66,6 +66,8 @@ pub(crate) const ROLE_LOCAL_VALS: u8 = 5;
 pub const ROLE_ROUND_KEYS: u8 = 6;
 /// Role tag of the sharded engine's persistent round buffer, values.
 pub const ROLE_ROUND_VALS: u8 = 7;
+/// Role tag of the sharded engine's splitter-search key sample.
+pub const ROLE_SPLITTER_SAMPLE: u8 = 8;
 
 /// Per-block bookkeeping record filled by the histogram and scatter phases
 /// of a counting pass (one per key block, reused across passes).

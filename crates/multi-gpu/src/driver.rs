@@ -47,13 +47,14 @@
 use crate::engine::ShardedSorter;
 use crate::exchange::{slab_lengths, RecombineStrategy};
 use crate::ooc::{device_chunk_plan, overlap_tail_merge};
-use crate::partition::{compute_splitters_with, scatter_into_round, PartitionConfig, SplitterSet};
+use crate::partition::{compute_splitters_in, scatter_into_round, PartitionConfig, SplitterSet};
 use crate::recovery::{SortError, BACKOFF, MAX_RETRIES};
 use crate::report::{ExchangeSpan, FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
 use gpu_sim::{ResourceId, SimTime, Timeline, TransferDirection};
 use hetero::chunking::split_into_chunks;
 use hetero::multiway_merge::merge_pairs_into;
 use hetero::pipeline::PipelineResources;
+use hrs_core::arena::{ROLE_ROUND_KEYS, ROLE_ROUND_VALS, ROLE_SPLITTER_SAMPLE};
 use hrs_core::{HybridRadixSorter, SharedMut, SortReport};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -266,7 +267,7 @@ impl ShardedSorter {
             vs.append(&mut run.pending.1);
             (*keys, *values) = (ks, vs);
             if let Some(free) = run.bufs.drain(..).next() {
-                self.park_scratch(free);
+                self.park_round_buffer(free);
             }
             self.note_fault_outcomes(&run.faults, run.round, clock.elapsed(), out_of_core);
             return Err(err);
@@ -281,7 +282,7 @@ impl ShardedSorter {
         // Whichever n-sized buffer the output did not take is the next
         // sort's scratch.
         if let Some(free) = run.out.take().or_else(|| run.bufs.drain(..).next()) {
-            self.park_scratch(free);
+            self.park_round_buffer(free);
         }
 
         let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
@@ -324,6 +325,14 @@ impl ShardedSorter {
         }
         self.note_fault_outcomes(&report.faults, run.round, clock.elapsed(), out_of_core);
         Ok(report)
+    }
+
+    /// Parks `keys` / `vals` as the next sort's round buffer.
+    fn park_round_buffer<K: SortKey, V: SortValue>(&self, (keys, vals): Buffers<K, V>) {
+        self.with_scratch(|a| {
+            a.put_buffer(ROLE_ROUND_KEYS, keys);
+            a.put_buffer(ROLE_ROUND_VALS, vals);
+        });
     }
 
     /// A fresh sort with every element pending and every pool device's
@@ -408,19 +417,27 @@ impl ShardedSorter {
             .iter()
             .map(|&g| self.pool.devices()[g].capacity_weight())
             .collect();
-        let splitters = compute_splitters_with(
+        let mut sample = self.with_scratch(|a| a.take_buffer(ROLE_SPLITTER_SAMPLE, 0));
+        let splitters = compute_splitters_in(
             &pending.0,
             &weights,
             &PartitionConfig::default(),
             &self.host_exec,
+            &mut sample,
         );
+        self.with_scratch(|a| a.put_buffer(ROLE_SPLITTER_SAMPLE, sample));
         // Round 0 partitions into the engine's persistent round buffer
         // (a warm take writes no element memory), requeue rounds into
         // fresh memory.  It takes at least the pending buffer's capacity,
         // so the two buffers that trade places between sorts are
         // interchangeable for a caller that refills its buffer in place.
         let mut free = if run.round == 0 {
-            self.take_scratch(m)
+            self.with_scratch(|a| {
+                (
+                    a.take_buffer(ROLE_ROUND_KEYS, m),
+                    a.take_buffer(ROLE_ROUND_VALS, m),
+                )
+            })
         } else {
             Buffers::default()
         };

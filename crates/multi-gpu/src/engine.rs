@@ -36,13 +36,11 @@
 //! sort is its round 0.
 
 use crate::device_pool::DevicePool;
-use crate::driver::Buffers;
 use crate::exchange::{note_exchange, register_exchange_probes, RecombineStrategy};
 use crate::recovery::{register_fault_probes, SortError};
 use crate::report::{RequestSpan, ShardedReport};
 use crate::telemetry_paths as tp;
 use gpu_sim::FaultPlan;
-use hrs_core::arena::{ROLE_ROUND_KEYS, ROLE_ROUND_VALS};
 use hrs_core::{Executor, HybridRadixSorter, ScratchArena};
 use std::sync::Mutex;
 use telemetry::Inspector;
@@ -73,11 +71,12 @@ pub struct ShardedSorter {
     /// shared one so the sort service (and anything else holding a clone)
     /// sees engine, lane and out-of-core metrics in one snapshot tree.
     pub(crate) inspector: Inspector,
-    /// The persistent round buffer round 0 partitions into, parked
-    /// between sorts, so repeated sorts of one size allocate no element
-    /// memory; the buffer a sort's output does not take is parked for the
-    /// next.  `try_lock` with a fresh allocation as the fallback keeps
-    /// concurrent sorts through one sorter safe.
+    /// Memory parked between sorts, so repeated sorts of one size
+    /// allocate no element memory: the persistent round buffer round 0
+    /// partitions into (the buffer a sort's output does not take is
+    /// parked for the next), and the splitter search's key sample.
+    /// `try_lock` with a fresh allocation as the fallback keeps concurrent
+    /// sorts through one sorter safe.
     pub(crate) scratch: Mutex<ScratchArena>,
     /// Injected fault script ([`gpu_sim::FaultPlan`]), consulted once per
     /// unit of work; `None` sorts clean.
@@ -383,25 +382,12 @@ impl ShardedSorter {
 }
 
 impl ShardedSorter {
-    /// Takes the parked round buffer for `K`/`V` out of the sorter, `len`
-    /// elements long (a warm take writes no element memory); empty while a
-    /// concurrent sort holds the arena.
-    pub(crate) fn take_scratch<K: SortKey, V: SortValue>(&self, len: usize) -> Buffers<K, V> {
+    /// Runs `f` on the sorter's scratch arena, or on an empty one while a
+    /// concurrent sort holds it (what `f` parks there is then dropped).
+    pub(crate) fn with_scratch<R>(&self, f: impl FnOnce(&mut ScratchArena) -> R) -> R {
         match self.scratch.try_lock() {
-            Ok(mut arena) => (
-                arena.take_buffer(ROLE_ROUND_KEYS, len),
-                arena.take_buffer(ROLE_ROUND_VALS, len),
-            ),
-            Err(_) => Buffers::default(),
-        }
-    }
-
-    /// Parks `buf` as the next sort's round buffer (dropped instead while
-    /// a concurrent sort holds the arena).
-    pub(crate) fn park_scratch<K: SortKey, V: SortValue>(&self, (keys, vals): Buffers<K, V>) {
-        if let Ok(mut arena) = self.scratch.try_lock() {
-            arena.put_buffer(ROLE_ROUND_KEYS, keys);
-            arena.put_buffer(ROLE_ROUND_VALS, vals);
+            Ok(mut arena) => f(&mut arena),
+            Err(_) => f(&mut ScratchArena::new()),
         }
     }
 }

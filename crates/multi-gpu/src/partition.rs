@@ -144,6 +144,19 @@ pub fn compute_splitters_with<K: SortKey>(
     cfg: &PartitionConfig,
     exec: &Executor,
 ) -> SplitterSet {
+    compute_splitters_in(keys, weights, cfg, exec, &mut Vec::new())
+}
+
+/// [`compute_splitters_with`] drawing its key sample into `sample`, whose
+/// contents it replaces, so a caller that sorts repeatedly reuses one
+/// allocation for it.
+pub(crate) fn compute_splitters_in<K: SortKey>(
+    keys: &[K],
+    weights: &[f64],
+    cfg: &PartitionConfig,
+    exec: &Executor,
+    sample: &mut Vec<u64>,
+) -> SplitterSet {
     let shards = weights.len().max(1);
     assert!(
         weights.iter().all(|&w| w > 0.0),
@@ -171,11 +184,13 @@ pub fn compute_splitters_with<K: SortKey>(
     // independent of the key width.
     let norm_shift = 64 - K::BITS;
     let stride = keys.len().div_ceil(cfg.max_samples.max(1)).max(1);
-    let sample: Vec<u64> = keys
-        .iter()
-        .step_by(stride)
-        .map(|k| k.to_radix() << norm_shift)
-        .collect();
+    sample.clear();
+    sample.extend(
+        keys.iter()
+            .step_by(stride)
+            .map(|k| k.to_radix() << norm_shift),
+    );
+    let sample = &sample[..];
 
     let total_weight: f64 = weights.iter().sum();
     let levels = cfg
@@ -191,11 +206,10 @@ pub fn compute_splitters_with<K: SortKey>(
     let root_hist: Vec<u64> = {
         let n_chunks = sample.len().div_ceil(HIST_CHUNK).max(1);
         let mut chunk_counts = vec![0u64; n_chunks * radix];
-        let sample_ref = &sample[..];
         exec.for_each_chunk_mut(&mut chunk_counts, radix, |c, strip| {
             let start = c * HIST_CHUNK;
-            let end = sample_ref.len().min(start + HIST_CHUNK);
-            for &k in &sample_ref[start..end] {
+            let end = sample.len().min(start + HIST_CHUNK);
+            for &k in &sample[start..end] {
                 strip[(k >> shift0) as usize] += 1;
             }
         });
@@ -221,19 +235,18 @@ pub fn compute_splitters_with<K: SortKey>(
     let mut cut_norms = vec![0u64; shards - 1];
     {
         let cuts_sm = SharedMut::new(cut_norms.as_mut_slice());
-        let sample_ref = &sample[..];
         let fracs_ref = &fracs[..];
         let root_ref = &root_hist[..];
         exec.for_each_task_probed(fracs.len(), None, |i, _| {
             let frac = fracs_ref[i];
-            let cut_norm = if sample_ref.is_empty() {
+            let cut_norm = if sample.is_empty() {
                 // No data: fall back to an equal-width partition of the key
                 // space itself.
                 ((u128::from(u64::MAX) + 1) * (frac * 1024.0) as u128 / 1024)
                     .min(u128::from(u64::MAX)) as u64
             } else {
-                let target = sample_ref.len() as f64 * frac;
-                descend(sample_ref, 0, 0, target, levels, cfg.digit_bits, root_ref)
+                let target = sample.len() as f64 * frac;
+                descend(sample, 0, 0, target, levels, cfg.digit_bits, root_ref)
             };
             // SAFETY: task `i` is the only writer of slot `i`.
             unsafe { cuts_sm.write(i, cut_norm) };

@@ -7,28 +7,34 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Forwards to the system allocator and counts every allocation and
-/// reallocation.
+/// reallocation, and the bytes each one asks for.
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+    BYTES.fetch_add(bytes as u64, Ordering::SeqCst);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; the counter has no effect on memory.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count(layout.size());
         // SAFETY: the caller's `layout` contract is passed on unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count(new_size);
         // SAFETY: `ptr` was allocated by `System` through this allocator
         // with `layout`, as the caller guarantees.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -44,6 +50,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Heap allocations and reallocations made so far by the whole binary.
+#[allow(dead_code)] // not every allocation-pin test counts calls
 pub fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// Bytes requested by the allocations and reallocations made so far by
+/// the whole binary (a reallocation counts its new size).
+#[allow(dead_code)] // not every allocation-pin test counts bytes
+pub fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::SeqCst)
 }
