@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Scans the workspace (default: the current directory), prints every
-//! violation, writes `LINT_report.json` (so regressions are diffable as a
-//! CI artifact) and exits non-zero if the tree is not clean.
+//! violation and the non-test line count of `crates/`, writes
+//! `LINT_report.json` (so regressions are diffable as a CI artifact) and
+//! exits non-zero if the tree is not clean.
 
 use analysis::{scan_repo, LintConfig, Rule};
 use std::process::ExitCode;
@@ -53,10 +54,11 @@ fn main() -> ExitCode {
         .map(|&r| format!("{}={}", r.name(), report.count(r)))
         .collect();
     eprintln!(
-        "hrs-lint: {} files scanned, {} violation(s) [{}] -> {}",
+        "hrs-lint: {} files scanned, {} violation(s) [{}], {} non-test lines in crates/ -> {}",
         report.files_scanned,
         report.violations.len(),
         per_rule.join(", "),
+        report.non_test_lines,
         out,
     );
     if report.is_clean() {

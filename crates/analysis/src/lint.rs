@@ -27,6 +27,11 @@
 //!   registered at most once repo-wide (`.counter("…")` and friends);
 //!   shared paths must go through named constants.
 //!
+//! The report also counts [`LintReport::non_test_lines`]: the lines of
+//! every `.rs` file under `crates/` before the file's first
+//! `#[cfg(test)]`, the size measure the project's simplification work is
+//! tracked by.
+//!
 //! [`scan_repo`] walks the tree and returns a [`LintReport`];
 //! `cargo run -p analysis --bin hrs-lint` wraps it for CI and emits
 //! `LINT_report.json`, the report's [`LintReport::tree`] written by
@@ -150,6 +155,10 @@ impl LintConfig {
 pub struct LintReport {
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
+    /// Lines of every `.rs` file under `crates/` (vendored shims, bins,
+    /// benches and integration tests included) before the file's first
+    /// `#[cfg(test)]` marker.
+    pub non_test_lines: usize,
     /// Every violation found, in file/line order.
     pub violations: Vec<Violation>,
 }
@@ -166,14 +175,16 @@ impl LintReport {
     }
 
     /// The report as an artifact tree (`LINT_report.json` is its JSON): the
-    /// root carries `bench`, `unit`, `files_scanned` and `clean` (0 or 1); a
-    /// `rules` section holds one row per rule with its count, and a
-    /// `violations` section, present when there are any, one row each.
+    /// root carries `bench`, `unit`, `files_scanned`, `non_test_lines` and
+    /// `clean` (0 or 1); a `rules` section holds one row per rule with its
+    /// count, and a `violations` section, present when there are any, one
+    /// row each.
     pub fn tree(&self) -> InspectNode {
         let mut root = InspectNode::new("lint");
         root.set("bench", "lint".into());
         root.set("unit", "violations".into());
         root.set("files_scanned", self.files_scanned.into());
+        root.set("non_test_lines", self.non_test_lines.into());
         root.set("clean", self.is_clean().into());
         let rules = root.child_mut("rules");
         for rule in Rule::ALL {
@@ -203,7 +214,13 @@ pub fn scan_repo(cfg: &LintConfig) -> io::Result<LintReport> {
         collect_rs(&root_src, &mut files)?;
     }
     let crates = cfg.root.join("crates");
+    let mut non_test_lines = 0;
     if crates.is_dir() {
+        let mut every = Vec::new();
+        collect_rs(&crates, &mut every)?;
+        for file in &every {
+            non_test_lines += first_test_line(&strip_lines(&fs::read_to_string(file)?));
+        }
         let mut crate_dirs: Vec<PathBuf> = fs::read_dir(&crates)?
             .collect::<io::Result<Vec<_>>>()?
             .into_iter()
@@ -237,6 +254,7 @@ pub fn scan_repo(cfg: &LintConfig) -> io::Result<LintReport> {
     violations.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(LintReport {
         files_scanned: files.len(),
+        non_test_lines,
         violations,
     })
 }
@@ -453,16 +471,9 @@ fn scan_source(
 ) {
     let raw: Vec<&str> = content.lines().collect();
     let code = strip_lines(content);
-    // Everything from a `#[cfg(test)]` marker to end of file is test
-    // code (this repo keeps test modules at the bottom of each file).
-    let test_marker = "#[cfg(test)]";
-    let first_test_line = code
-        .iter()
-        .position(|l| l.trim_start().starts_with(test_marker))
-        .unwrap_or(code.len());
     let hot = is_hot_module(rel, cfg);
 
-    for (i, code_line) in code.iter().enumerate().take(first_test_line) {
+    for (i, code_line) in code.iter().enumerate().take(first_test_line(&code)) {
         check_safety(rel, i, &raw, code_line, cfg, out);
         check_relaxed(rel, i, &raw, code_line, cfg, out);
         if hot {
@@ -471,6 +482,15 @@ fn scan_source(
         collect_role_defs(rel, i, code_line, roles);
         collect_path_registrations(rel, i, &raw, code_line, paths);
     }
+}
+
+/// The index of the first line of test code in a stripped file: everything
+/// from a `#[cfg(test)]` marker to end of file is test code (this repo
+/// keeps test modules at the bottom of each file).
+fn first_test_line(code: &[String]) -> usize {
+    code.iter()
+        .position(|l| l.trim_start().starts_with("#[cfg(test)]"))
+        .unwrap_or(code.len())
 }
 
 fn is_hot_module(rel: &str, cfg: &LintConfig) -> bool {
@@ -818,6 +838,7 @@ mod tests {
         let message = "quote \" and backslash \\";
         let report = LintReport {
             files_scanned: 3,
+            non_test_lines: 40,
             violations: vec![Violation {
                 rule: Rule::SafetyComment,
                 file: "crates/x/src/a.rs".into(),
@@ -828,6 +849,7 @@ mod tests {
         let tree = InspectNode::from_json(&report.tree().to_json()).unwrap();
         assert_eq!(tree, report.tree());
         assert_eq!(tree.uint("files_scanned"), Some(3));
+        assert_eq!(tree.uint("non_test_lines"), Some(40));
         assert_eq!(tree.uint("clean"), Some(0));
         let rules = &tree.node("rules").unwrap().children;
         assert_eq!(rules.len(), Rule::ALL.len());
@@ -839,11 +861,48 @@ mod tests {
 
         let clean = LintReport {
             files_scanned: 0,
+            non_test_lines: 0,
             violations: vec![],
         };
         assert!(clean.is_clean());
         let tree = clean.tree();
         assert_eq!(tree.uint("clean"), Some(1));
         assert!(tree.node("violations").is_none());
+    }
+
+    #[test]
+    fn non_test_lines_count_every_crate_file_up_to_its_tests() {
+        let root = std::env::temp_dir().join(format!("hrs-lint-fixture-{}", std::process::id()));
+        let write = |rel: &str, content: &str| {
+            let path = root.join(rel);
+            fs::create_dir_all(path.parent().unwrap()).unwrap();
+            fs::write(path, content).unwrap();
+        };
+        // 3 lines, then tests; a marker in a comment or string is prose.
+        write(
+            "crates/a/src/lib.rs",
+            "// #[cfg(test)] in prose\nlet s = \"#[cfg(test)]\";\nfn f() {}\n#[cfg(test)]\nmod tests {}\n",
+        );
+        // 2 lines, no tests.
+        write("crates/a/src/bin/tool.rs", "fn main() {\n}\n");
+        // Integration tests and vendored shims count too: 1 + 2 lines.
+        write(
+            "crates/a/tests/t.rs",
+            "use a::f;\n    #[cfg(test)]\nfn t() {}\n",
+        );
+        write(
+            "crates/vendor/shim/src/lib.rs",
+            "pub fn shim() {}\npub fn other() {}\n",
+        );
+        // Outside `crates/`, and not Rust: not counted.
+        write("src/lib.rs", "fn root() {}\n");
+        write("crates/a/notes.md", "prose\n");
+        let report = scan_repo(&LintConfig::new(&root));
+        fs::remove_dir_all(&root).unwrap();
+        let report = report.unwrap();
+        assert_eq!(report.non_test_lines, 3 + 2 + 1 + 2);
+        assert_eq!(report.tree().uint("non_test_lines"), Some(8));
+        // The lint rules still scan only `src/` and each crate's `src/`.
+        assert_eq!(report.files_scanned, 3);
     }
 }

@@ -1,7 +1,7 @@
 //! The hybrid radix sort driver (Section 4.1).
 //!
 //! [`HybridRadixSorter`] owns the configuration, optimisation flags, device
-//! model, cost calibration, the [`Executor`] running the hot loops and the
+//! model, the [`Executor`] running the hot loops and the
 //! [`ScratchArena`] holding all reusable working memory, and exposes
 //! `sort` / `sort_pairs` entry points for any [`SortKey`] type, plus
 //! `sort_pairs_with_spare`, which sorts slices against a caller-supplied
@@ -56,8 +56,6 @@ pub struct HybridRadixSorter {
     opts: Optimizations,
     /// GPU model used for the simulated timings.
     device: DeviceSpec,
-    /// Cost-model calibration.
-    cost: CostModel,
     /// Execution backend for the histogram/scatter/local-sort loops.
     exec: Executor,
     /// Reusable working memory, interior-mutable so `sort` can stay
@@ -80,7 +78,6 @@ impl HybridRadixSorter {
             config: None,
             opts: Optimizations::all_on(),
             device: DeviceSpec::titan_x_pascal(),
-            cost: CostModel::default(),
             exec: Executor::Sequential,
             arena: Mutex::new(ScratchArena::new()),
             probe: None,
@@ -110,12 +107,6 @@ impl HybridRadixSorter {
     /// Replaces the device model.
     pub fn with_device(mut self, device: DeviceSpec) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Replaces the cost-model calibration.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
         self
     }
 
@@ -260,7 +251,13 @@ impl HybridRadixSorter {
     /// after scaling its statistics to a different input size).
     pub fn reevaluate(&self, report: &mut SortReport) {
         let config = self.effective_config(report.key_bytes, report.value_bytes);
-        report.simulated = cost::evaluate(&self.device, &config, &self.opts, &self.cost, report);
+        report.simulated = cost::evaluate(
+            &self.device,
+            &config,
+            &self.opts,
+            &CostModel::default(),
+            report,
+        );
     }
 
     /// The `Vec` entries: the arena's spare halves complete the double
@@ -356,7 +353,13 @@ impl HybridRadixSorter {
             report.fallback_comparison_sort,
             sort_start,
         );
-        report.simulated = cost::evaluate(&self.device, &config, &self.opts, &self.cost, &report);
+        report.simulated = cost::evaluate(
+            &self.device,
+            &config,
+            &self.opts,
+            &CostModel::default(),
+            &report,
+        );
         report
     }
 
@@ -564,7 +567,6 @@ impl Clone for HybridRadixSorter {
             config: self.config.clone(),
             opts: self.opts,
             device: self.device.clone(),
-            cost: self.cost.clone(),
             exec: self.exec,
             arena: Mutex::new(ScratchArena::new()),
             probe: self.probe.clone(),

@@ -313,7 +313,6 @@ impl ShardedSorter {
             end_to_end: SimTime::from_secs(run.measured_partition.as_secs_f64()) + device_and_merge,
             combined: run.combined,
             timeline: run.tl,
-            requests: Vec::new(),
             ooc_chunks: run.ooc_chunks,
             faults: run.faults,
             recombine,

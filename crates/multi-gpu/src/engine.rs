@@ -38,7 +38,7 @@
 use crate::device_pool::DevicePool;
 use crate::exchange::{note_exchange, register_exchange_probes, RecombineStrategy};
 use crate::recovery::{register_fault_probes, SortError};
-use crate::report::{RequestSpan, ShardedReport};
+use crate::report::ShardedReport;
 use crate::telemetry_paths as tp;
 use gpu_sim::FaultPlan;
 use hrs_core::{Executor, HybridRadixSorter, ScratchArena};
@@ -230,40 +230,6 @@ impl ShardedSorter {
             .expect("sharded pair sort failed; use try_sort_pairs to handle device loss")
     }
 
-    /// Batch-aware entry point: sorts the concatenation of several
-    /// requests' keys as one sharded sort and records each request's
-    /// [`RequestSpan`] in the report, so a batching front end can hand
-    /// every requester its slice of the shared schedule.
-    ///
-    /// `request_lens` lists each request's element count in submission
-    /// order; the lengths must sum to `keys.len()`.  Note the output is the
-    /// *globally* sorted batch — demultiplexing interleaved requests back
-    /// apart is the caller's job (the `sort_service` crate tags keys with
-    /// their request slot for exactly this).
-    pub fn sort_batch<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-        request_lens: &[usize],
-    ) -> ShardedReport {
-        self.try_sort_batch(keys, request_lens)
-            .expect("sharded batch sort failed; use try_sort_batch to handle device loss")
-    }
-
-    /// Batch-aware pair sort: like [`Self::sort_batch`], with a value
-    /// permuted along with every key (the service uses the value as the
-    /// demux tag).
-    pub fn sort_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        request_lens: &[usize],
-    ) -> ShardedReport {
-        self.try_sort_batch_pairs(keys, values, request_lens)
-            .expect(
-                "sharded batch pair sort failed; use try_sort_batch_pairs to handle device loss",
-            )
-    }
-
     /// Fallible counterpart of [`Self::sort`]: completes on the survivors
     /// under an armed fault plan (or an already-degraded pool), or returns
     /// a typed [`SortError`] with `keys` restored.
@@ -285,55 +251,6 @@ impl ShardedSorter {
         self.run(keys, values, false)
     }
 
-    /// Fallible counterpart of [`Self::sort_batch`].  `request_lens` is
-    /// validated before anything is sorted.
-    pub fn try_sort_batch<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-        request_lens: &[usize],
-    ) -> Result<ShardedReport, SortError> {
-        let requests = Self::request_spans(keys.len(), request_lens);
-        let mut report = self.try_sort(keys)?;
-        report.requests = requests;
-        Ok(report)
-    }
-
-    /// Fallible counterpart of [`Self::sort_batch_pairs`].  `request_lens`
-    /// is validated before anything is sorted.
-    pub fn try_sort_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-        request_lens: &[usize],
-    ) -> Result<ShardedReport, SortError> {
-        let requests = Self::request_spans(keys.len(), request_lens);
-        let mut report = self.try_sort_pairs(keys, values)?;
-        report.requests = requests;
-        Ok(report)
-    }
-
-    fn request_spans(total: usize, request_lens: &[usize]) -> Vec<RequestSpan> {
-        assert_eq!(
-            request_lens.iter().sum::<usize>(),
-            total,
-            "request lengths must cover the whole batch"
-        );
-        let mut offset = 0u64;
-        request_lens
-            .iter()
-            .enumerate()
-            .map(|(index, &len)| {
-                let span = RequestSpan {
-                    index,
-                    offset,
-                    len: len as u64,
-                };
-                offset += len as u64;
-                span
-            })
-            .collect()
-    }
-
     /// The per-device lane sorter: the template specialised to pool device
     /// `i`'s hardware model, executor and telemetry prefix.
     pub(crate) fn lane_sorter(&self, i: usize) -> HybridRadixSorter {
@@ -350,13 +267,20 @@ impl ShardedSorter {
     /// plus every element of the device's output), utilisation (fraction
     /// of the device's span spent sorting) and overlap ratio (stage-busy
     /// time over span — above 1.0 means transfers genuinely overlapped the
-    /// sort), plus the exchange subtree of peer-exchange sorts.
-    /// `shard_devices` names each shard's pool device and uploaded
-    /// elements.
+    /// sort), plus the exchange subtree of peer-exchange sorts, and the
+    /// memory the engine's own scratch arena retains (left as it was while
+    /// a concurrent sort holds the arena).  `shard_devices` names each
+    /// shard's pool device and uploaded elements.
     pub(crate) fn note_sort(&self, report: &ShardedReport, shard_devices: &[(usize, u64)]) {
         let t = &self.inspector;
         t.counter(tp::SORTS).inc();
         t.counter(tp::KEYS).add(report.n);
+        if let Ok(arena) = self.scratch.try_lock() {
+            let stats = arena.stats();
+            t.gauge(tp::ARENA_BUFFERS).set(stats.buffers as u64);
+            t.gauge(tp::ARENA_BUFFER_BYTES)
+                .set(stats.buffer_bytes as u64);
+        }
         // Register the fault and exchange subtrees eagerly (registration
         // is idempotent) so every snapshot exposes their health — zero or
         // not.
@@ -559,47 +483,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_entry_records_request_spans() {
-        let lens = [30_000usize, 10_000, 20_000];
-        let mut keys = uniform_keys::<u64>(60_000, 21);
-        let expected = KeyCodec::std_sorted(&keys);
-        let report = test_sorter(2).sort_batch(&mut keys, &lens);
-        assert_eq!(keys, expected);
-        assert_eq!(report.requests.len(), 3);
-        assert_eq!(report.requests[0].offset, 0);
-        assert_eq!(report.requests[1].offset, 30_000);
-        assert_eq!(report.requests[2].offset, 40_000);
-        assert!(report
-            .requests
-            .iter()
-            .zip(lens)
-            .all(|(s, l)| s.len == l as u64));
-        assert!((report.requests[2].fraction_of(report.n) - 1.0 / 3.0).abs() < 1e-12);
-        // Plain sorts carry no request bookkeeping.
-        let mut again = uniform_keys::<u64>(10_000, 22);
-        assert!(test_sorter(2).sort(&mut again).requests.is_empty());
-    }
-
-    #[test]
-    fn batch_entry_rejects_mismatched_lens() {
-        let sorter = test_sorter(2);
-        let keys = uniform_keys::<u64>(1_000, 23);
-        let mut k = keys.clone();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            sorter.sort_batch(&mut k, &[400, 400])
-        }));
-        let message = caught.expect_err("mismatched lengths must panic");
-        assert!(message
-            .downcast_ref::<String>()
-            .is_some_and(|m| m.contains("cover the whole batch")));
-        // Validation runs before the sort: nothing moved, nothing counted.
-        assert_eq!(k, keys);
-        let snap = sorter.inspector().snapshot();
-        let sorts = snap.node("multi_gpu").and_then(|n| n.uint("sorts"));
-        assert_eq!(sorts.unwrap_or(0), 0);
-    }
-
-    #[test]
     fn device_lanes_are_reused_across_sorts() {
         let sorter = test_sorter(4);
         assert!(sorter.lane_arena_stats().is_empty(), "lanes start cold");
@@ -739,6 +622,40 @@ mod tests {
             assert_eq!(
                 again, warm_bytes,
                 "lane arena gauge grew on a repeated same-size sort"
+            );
+        }
+    }
+
+    #[test]
+    fn engine_arena_gauges_hold_steady_across_repeated_sorts() {
+        let sorter = test_sorter(2);
+        let keys = uniform_keys::<u64>(80_000, 39);
+        let rows: Vec<u32> = (0..80_000).collect();
+        let arena = |sorter: &ShardedSorter| {
+            let snap = sorter.inspector().snapshot();
+            let node = snap.node("multi_gpu/arena").unwrap();
+            (
+                node.uint("buffers").unwrap(),
+                node.uint("buffer_bytes").unwrap(),
+            )
+        };
+        let (mut k, mut v) = (keys.clone(), rows.clone());
+        sorter.sort_pairs(&mut k, &mut v);
+        let warm = arena(&sorter);
+        // The round keys and values, and the splitter sample.
+        assert_eq!(warm.0, 3);
+        assert!(
+            warm.1 >= 80_000 * 12,
+            "the round buffer is parked: {warm:?}"
+        );
+        for _ in 0..2 {
+            k.copy_from_slice(&keys);
+            v.copy_from_slice(&rows);
+            sorter.sort_pairs(&mut k, &mut v);
+            assert_eq!(
+                arena(&sorter),
+                warm,
+                "engine arena gauges moved on a repeated same-size sort"
             );
         }
     }

@@ -72,5 +72,5 @@ pub use ooc::{OocConfig, OocPlan};
 pub use partition::{compute_splitters, scatter_into_shards, PartitionConfig, SplitterSet};
 pub use recovery::SortError;
 pub use report::{
-    ExchangeSpan, FaultEvent, FaultEventKind, OocChunkSpan, RequestSpan, ShardReport, ShardedReport,
+    ExchangeSpan, FaultEvent, FaultEventKind, OocChunkSpan, ShardReport, ShardedReport,
 };

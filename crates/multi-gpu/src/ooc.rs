@@ -33,7 +33,7 @@
 use crate::device_pool::{DevicePool, SimDevice};
 use crate::engine::ShardedSorter;
 use crate::recovery::SortError;
-use crate::report::{OocChunkSpan, RequestSpan, ShardedReport};
+use crate::report::{OocChunkSpan, ShardedReport};
 use crate::telemetry_paths as tp;
 use gpu_sim::{DeviceMemoryPlanner, SimTime, Timeline};
 use hetero::chunking::{split_into_chunks, ChunkPlan};
@@ -165,25 +165,6 @@ impl ShardedSorter {
         )
     }
 
-    /// Batch-aware out-of-core entry point used by the service's
-    /// over-budget lane: records the single request's [`RequestSpan`] in
-    /// the report (the lane never coalesces, so the span covers the whole
-    /// input).
-    pub fn sort_out_of_core_batch<K: SortKey>(&self, keys: &mut Vec<K>) -> ShardedReport {
-        self.try_sort_out_of_core_batch(keys)
-            .expect("out-of-core batch sort failed; use try_sort_out_of_core_batch")
-    }
-
-    /// Pair counterpart of [`Self::sort_out_of_core_batch`].
-    pub fn sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> ShardedReport {
-        self.try_sort_out_of_core_batch_pairs(keys, values)
-            .expect("out-of-core batch pair sort failed; use try_sort_out_of_core_batch_pairs")
-    }
-
     /// Fallible counterpart of [`Self::sort_out_of_core`].
     pub fn try_sort_out_of_core<K: SortKey>(
         &self,
@@ -204,30 +185,6 @@ impl ShardedSorter {
             "keys and values must have the same length"
         );
         self.run(keys, values, true)
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_batch`].
-    pub fn try_sort_out_of_core_batch<K: SortKey>(
-        &self,
-        keys: &mut Vec<K>,
-    ) -> Result<ShardedReport, SortError> {
-        self.try_sort_out_of_core_batch_pairs(keys, &mut Vec::<()>::new())
-    }
-
-    /// Fallible counterpart of [`Self::sort_out_of_core_batch_pairs`].
-    pub fn try_sort_out_of_core_batch_pairs<K: SortKey, V: SortValue>(
-        &self,
-        keys: &mut Vec<K>,
-        values: &mut Vec<V>,
-    ) -> Result<ShardedReport, SortError> {
-        let len = keys.len() as u64;
-        let mut report = self.run(keys, values, true)?;
-        report.requests = vec![RequestSpan {
-            index: 0,
-            offset: 0,
-            len,
-        }];
-        Ok(report)
     }
 
     /// Records the out-of-core metrics of one completed streamed sort:

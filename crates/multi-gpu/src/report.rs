@@ -33,42 +33,17 @@ pub struct ShardReport {
     pub measured_sort: Option<std::time::Duration>,
 }
 
-/// The span one batched request occupied in a concatenated batch input.
-///
-/// Produced by the batch-aware entry points
-/// ([`crate::ShardedSorter::sort_batch`] /
-/// [`crate::ShardedSorter::sort_batch_pairs`]) so that a batching front end
-/// (the `sort_service` crate) can hand every requester its own slice of the
-/// shared [`ShardedReport`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestSpan {
-    /// Index of the request within its batch, in submission order.
-    pub index: usize,
-    /// Offset of the request's first element in the concatenated input.
-    pub offset: u64,
-    /// Number of elements the request contributed.
-    pub len: u64,
-}
-
-impl RequestSpan {
-    /// The request's share of the batch, in `[0, 1]`.
-    pub fn fraction_of(&self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.len as f64 / total as f64
-        }
-    }
-}
-
 /// One chunk of an out-of-core sharded sort: which device streamed it,
 /// which slice of that device's shard it covered, and how it fared on the
 /// shared pipeline timeline.
 ///
 /// Produced by [`crate::ShardedSorter::sort_out_of_core`] /
-/// [`crate::ShardedSorter::sort_out_of_core_pairs`]; the service's
-/// over-budget lane surfaces these spans to requesters through the shared
-/// [`ShardedReport`].
+/// [`crate::ShardedSorter::sort_out_of_core_pairs`] and their `try_`
+/// forms.  A chunk span locates a slice of one device's shard; which
+/// slice of a coalesced batch belongs to which request is the sort
+/// service's bookkeeping (`sort_service::RequestSpan`), and its
+/// over-budget lane hands these chunk spans to the requester inside the
+/// shared [`ShardedReport`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OocChunkSpan {
     /// Index of the device (pool order) that sorted the chunk.
@@ -206,9 +181,6 @@ pub struct ShardedReport {
     pub combined: SortReport,
     /// The simulated schedule of every transfer and sort.
     pub timeline: Timeline,
-    /// Per-request offset bookkeeping when this sort ran a coalesced batch
-    /// (see [`RequestSpan`]); empty for plain single-request sorts.
-    pub requests: Vec<RequestSpan>,
     /// Per-chunk bookkeeping when this sort ran out of core (see
     /// [`OocChunkSpan`]); empty for in-core sorts.
     pub ooc_chunks: Vec<OocChunkSpan>,
@@ -277,15 +249,6 @@ impl ShardedReport {
             .filter(|e| e.label.contains("sort"))
             .map(|e| e.end)
             .fold(SimTime::ZERO, SimTime::max)
-    }
-
-    /// Simulated recombination time: everything after the last local sort
-    /// finished — downloads, peer exchange, device merges, the host merge
-    /// or concatenation.  Identical formula for both strategies, so
-    /// host-merge and peer-exchange runs compare apples to apples.
-    pub fn recombination_time(&self) -> SimTime {
-        let partition = SimTime::from_secs(self.measured_partition.as_secs_f64());
-        (self.end_to_end - partition - self.last_sort_finish()).max(SimTime::ZERO)
     }
 
     /// Checks the monotone span invariants every engine mode must uphold,
@@ -467,7 +430,6 @@ mod tests {
             end_to_end,
             combined: SortReport::new(100, 8, 0),
             timeline: tl,
-            requests: Vec::new(),
             ooc_chunks: Vec::new(),
             faults: Vec::new(),
             recombine: RecombineStrategy::HostMerge,
@@ -498,15 +460,6 @@ mod tests {
         assert_eq!(report.last_sort_finish(), last_sort);
         // Merge and transfer events sit beyond it, but are not counted.
         assert!(report.timeline.makespan() > last_sort);
-    }
-
-    #[test]
-    fn recombination_time_is_the_tail_past_the_last_sort() {
-        let report = synthetic_report();
-        let partition = SimTime::from_secs(report.measured_partition.as_secs_f64());
-        let expected = report.end_to_end - partition - report.last_sort_finish();
-        assert!((report.recombination_time() - expected).secs().abs() < 1e-12);
-        assert!(report.recombination_time() > SimTime::ZERO);
     }
 
     #[test]

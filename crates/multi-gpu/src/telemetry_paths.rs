@@ -12,6 +12,11 @@
 pub const SORTS: &str = "multi_gpu/sorts";
 /// Keys sorted across all multi-GPU sorts.
 pub const KEYS: &str = "multi_gpu/keys";
+/// Spare-buffer slots the engine's own scratch arena retains (the round
+/// buffers and the splitter sample).
+pub const ARENA_BUFFERS: &str = "multi_gpu/arena/buffers";
+/// Bytes the engine's own scratch arena retains.
+pub const ARENA_BUFFER_BYTES: &str = "multi_gpu/arena/buffer_bytes";
 
 /// Bytes moved by the peer all-to-all bucket exchange.
 pub const EXCHANGE_BYTES: &str = "multi_gpu/exchange/bytes";

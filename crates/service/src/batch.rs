@@ -15,13 +15,15 @@
 //! front-to-back reproduces exactly what sorting the request alone would
 //! have produced.
 //!
-//! All assembly buffers (`batch_keys`, `batch_tags`, lens, cursors) and the
+//! All assembly buffers (`batch_keys`, `batch_tags`, cursors) and the
 //! sorter's per-device lanes are reused across flushes: once the queue has
 //! seen its largest batch, steady-state flushing performs no heap
 //! allocation outside the outcome-channel sends.
 
 use crate::counters::{ClassProbe, ServiceCounters};
-use crate::request::{BatchInfo, FlushReason, KeyClass, SortOutcome, SortPayload, TicketError};
+use crate::request::{
+    BatchInfo, FlushReason, KeyClass, RequestSpan, SortOutcome, SortPayload, TicketError,
+};
 use crate::service::CancelSet;
 use multi_gpu::ShardedSorter;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,7 +131,6 @@ pub struct ClassQueue<K: ServiceKey> {
     pending_bytes: u64,
     batch_keys: Vec<K>,
     batch_tags: Vec<u64>,
-    lens: Vec<usize>,
     cursors: Vec<usize>,
 }
 
@@ -180,7 +181,6 @@ impl<K: ServiceKey> ClassQueue<K> {
             pending_bytes: 0,
             batch_keys: Vec::new(),
             batch_tags: Vec::new(),
-            lens: Vec::new(),
             cursors: Vec::new(),
         }
     }
@@ -330,9 +330,7 @@ impl<K: ServiceKey> ClassQueue<K> {
         // Assemble: concatenate keys, tag each with (slot << 32) | demux.
         self.batch_keys.clear();
         self.batch_tags.clear();
-        self.lens.clear();
         for (slot, p) in self.pending.iter().enumerate() {
-            self.lens.push(p.keys.len());
             let hi = (slot as u64) << 32;
             match &p.values {
                 Some(values) => {
@@ -358,10 +356,7 @@ impl<K: ServiceKey> ClassQueue<K> {
             let sorter = &self.sorter;
             let keys = &mut self.batch_keys;
             let tags = &mut self.batch_tags;
-            let lens = &self.lens;
-            catch_unwind(AssertUnwindSafe(|| {
-                sorter.try_sort_batch_pairs(keys, tags, lens)
-            }))
+            catch_unwind(AssertUnwindSafe(|| sorter.try_sort_pairs(keys, tags)))
         };
         let report = match sorted {
             Ok(Ok(report)) => Arc::new(report),
@@ -420,10 +415,16 @@ impl<K: ServiceKey> ClassQueue<K> {
                 }
             }
         }
-        for (slot, p) in self.pending.drain(..).enumerate() {
+        // A request's span is its slot and the running offset of the
+        // requests concatenated before it.
+        let mut offset = 0;
+        for (index, p) in self.pending.drain(..).enumerate() {
+            let len = p.keys.len() as u64;
+            let span = RequestSpan { index, offset, len };
+            offset += len;
             let outcome = SortOutcome {
                 payload: K::rebuild(p.keys, p.values),
-                span: report.requests[slot],
+                span,
                 report: Arc::clone(&report),
                 batch: info,
                 queued: dispatch.saturating_duration_since(p.submitted),
@@ -553,7 +554,52 @@ mod tests {
         assert_eq!(oc.span.len, 0);
         // All three requests share one report.
         assert_eq!(oa.report.n, 8_000);
-        assert_eq!(oa.report.requests.len(), 3);
+        assert!(Arc::ptr_eq(&oa.report, &ob.report) && Arc::ptr_eq(&ob.report, &oc.report));
+    }
+
+    /// Coalesces requests of unequal lengths into one flush and checks
+    /// that every outcome's span names its submission index, the prefix
+    /// sum of the lengths before it, and its own length.
+    fn spans_tile_the_batch<K: ServiceKey>(pairs: bool) {
+        let lens = [7_000usize, 1_000, 0, 4_500];
+        let mut q = queue::<K>();
+        let receivers: Vec<PendRx> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let keys = workloads::uniform_keys::<K>(len, i as u64 + 11);
+                let values = pairs.then(|| (0..len as u32).collect());
+                let (p, r) = pend(i as u64, keys, values);
+                q.push(p);
+                r
+            })
+            .collect();
+        q.flush(FlushReason::Bytes, 3).unwrap();
+        let mut offset = 0;
+        for (i, (r, &len)) in receivers.iter().zip(&lens).enumerate() {
+            let outcome = r.try_recv().unwrap().unwrap();
+            assert_eq!(
+                outcome.span,
+                RequestSpan {
+                    index: i,
+                    offset,
+                    len: len as u64
+                }
+            );
+            assert_eq!(outcome.payload.len(), len);
+            assert_eq!(outcome.report.n, 12_500);
+            offset += len as u64;
+        }
+    }
+
+    #[test]
+    fn spans_tile_a_u32_key_batch() {
+        spans_tile_the_batch::<u32>(false);
+    }
+
+    #[test]
+    fn spans_tile_a_u64_pair_batch() {
+        spans_tile_the_batch::<u64>(true);
     }
 
     #[test]

@@ -45,11 +45,6 @@ pub struct ServiceConfig {
     /// `1` to disable coalescing entirely (every request becomes its own
     /// batch) — the baseline mode of `bench_service`.
     pub max_batch_requests: usize,
-    /// Fraction of [`multi_gpu::DevicePool::batch_budget_bytes`]
-    /// the admission budget uses.  The slack absorbs splitter
-    /// imbalance (shards are only *expected* to be capacity-proportional)
-    /// and the one-request overshoot a flush-after-admit batch can carry.
-    pub budget_slack: f64,
     /// Executor that runs ready batches of different key classes
     /// concurrently.  Shard fan-out *within* a batch is governed by the
     /// sorter's own host executor instead.
@@ -67,7 +62,6 @@ impl Default for ServiceConfig {
             max_batch_bytes: 32 << 20,
             max_linger: Duration::from_millis(2),
             max_batch_requests: 1024,
-            budget_slack: 0.5,
             flush_executor: Executor::with_workers(2),
             over_budget: OverBudgetPolicy::default(),
         }
@@ -108,12 +102,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the admission-budget slack fraction (clamped to `(0, 1]`).
-    pub fn with_budget_slack(mut self, slack: f64) -> Self {
-        self.budget_slack = slack.clamp(f64::MIN_POSITIVE, 1.0);
-        self
-    }
-
     /// Replaces the executor that flushes ready classes concurrently.
     pub fn with_flush_executor(mut self, exec: Executor) -> Self {
         self.flush_executor = exec;
@@ -138,13 +126,10 @@ mod tests {
         let cfg = ServiceConfig::default()
             .with_queue_depth(0)
             .with_max_batch_bytes(0)
-            .with_max_batch_requests(0)
-            .with_budget_slack(7.0);
+            .with_max_batch_requests(0);
         assert_eq!(cfg.queue_depth, 1);
         assert_eq!(cfg.max_batch_bytes, 1);
         assert_eq!(cfg.max_batch_requests, 1);
-        assert_eq!(cfg.budget_slack, 1.0);
-        assert!(ServiceConfig::default().budget_slack < 1.0);
         assert_eq!(ServiceConfig::unbatched().max_batch_requests, 1);
         assert_eq!(ServiceConfig::unbatched().max_linger, Duration::ZERO);
     }

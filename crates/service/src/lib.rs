@@ -23,11 +23,13 @@
 //!   in flight, [`SortService::submit`] returns
 //!   [`SubmitError::Saturated`] instead of queueing unboundedly;
 //! * each batch runs as **one** sharded sort
-//!   ([`multi_gpu::ShardedSorter::sort_batch_pairs`]) with every key tagged
+//!   ([`multi_gpu::ShardedSorter::try_sort_pairs`]) with every key tagged
 //!   by its request slot, and the worker demultiplexes the globally sorted
 //!   output back into each request's own buffers — in place, with no
 //!   steady-state allocation (batch assembly buffers and the per-device
-//!   sorter lanes' scratch arenas are reused across batches);
+//!   sorter lanes' scratch arenas are reused across batches).  The engine
+//!   sorts one input and knows nothing of requests: each request's
+//!   [`RequestSpan`] is the service's own bookkeeping;
 //! * ready batches of different key classes are flushed concurrently
 //!   through an [`hrs_core::Executor`], and each flush fans its shards out
 //!   over the pool exactly like a direct [`multi_gpu::ShardedSorter`] call.
@@ -85,10 +87,10 @@ pub mod request;
 pub mod service;
 
 pub use config::{OverBudgetPolicy, ServiceConfig};
-pub use multi_gpu::{FaultEvent, FaultEventKind, OocChunkSpan, RequestSpan, SortError};
+pub use multi_gpu::{FaultEvent, FaultEventKind, OocChunkSpan, SortError};
 pub use request::{
-    BatchInfo, FlushReason, KeyClass, SortOutcome, SortPayload, SortRequest, SortTicket,
-    SubmitError, TicketError,
+    BatchInfo, FlushReason, KeyClass, RequestSpan, SortOutcome, SortPayload, SortRequest,
+    SortTicket, SubmitError, TicketError,
 };
 pub use service::{ServiceStats, SortService};
 pub use telemetry::{InspectNode, Inspector};

@@ -6,10 +6,11 @@
 //! such a request is instead admitted into this lane: its own worker
 //! thread, its own sorter clone (own warm device lanes), no coalescing.
 //! Each request runs as one
-//! [`multi_gpu::ShardedSorter::sort_out_of_core`] sort — every device
-//! streams its shard through the chunked full-duplex PCIe pipeline of
-//! Section 5 — and resolves with the per-chunk
-//! [`multi_gpu::OocChunkSpan`]s in its shared report.
+//! [`multi_gpu::ShardedSorter::try_sort_out_of_core`] (or `_pairs`) sort —
+//! every device streams its shard through the chunked full-duplex PCIe
+//! pipeline of Section 5 — and resolves with the per-chunk
+//! [`multi_gpu::OocChunkSpan`]s in its report.  The request rides alone,
+//! so its [`RequestSpan`] is index 0, offset 0 and its whole length.
 //!
 //! The lane reports into the same live `service/...` counters as the
 //! batching worker (`service/ooc/{requests,chunks,latency_ns}`), so
@@ -21,9 +22,9 @@
 //! sort never blocks the latency-sensitive batching worker next door.
 
 use crate::counters::ServiceCounters;
-use crate::request::{BatchInfo, FlushReason, SortOutcome, SortPayload, TicketError};
+use crate::request::{BatchInfo, FlushReason, RequestSpan, SortOutcome, SortPayload, TicketError};
 use crate::service::{CancelSet, Submission};
-use multi_gpu::{RequestSpan, ShardedReport, ShardedSorter, SortError};
+use multi_gpu::{ShardedReport, ShardedSorter, SortError};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -103,22 +104,22 @@ impl OocLaneWorker {
         let sorted: std::thread::Result<Sorted> =
             catch_unwind(AssertUnwindSafe(|| match payload {
                 SortPayload::U32Keys(mut keys) => sorter
-                    .try_sort_out_of_core_batch(&mut keys)
+                    .try_sort_out_of_core(&mut keys)
                     .map(|report| (SortPayload::U32Keys(keys), report)),
                 SortPayload::U64Keys(mut keys) => sorter
-                    .try_sort_out_of_core_batch(&mut keys)
+                    .try_sort_out_of_core(&mut keys)
                     .map(|report| (SortPayload::U64Keys(keys), report)),
                 SortPayload::U32Pairs {
                     mut keys,
                     mut values,
                 } => sorter
-                    .try_sort_out_of_core_batch_pairs(&mut keys, &mut values)
+                    .try_sort_out_of_core_pairs(&mut keys, &mut values)
                     .map(|report| (SortPayload::U32Pairs { keys, values }, report)),
                 SortPayload::U64Pairs {
                     mut keys,
                     mut values,
                 } => sorter
-                    .try_sort_out_of_core_batch_pairs(&mut keys, &mut values)
+                    .try_sort_out_of_core_pairs(&mut keys, &mut values)
                     .map(|report| (SortPayload::U64Pairs { keys, values }, report)),
             }));
         let (payload, report) = match sorted {
@@ -159,14 +160,13 @@ impl OocLaneWorker {
         queued: std::time::Duration,
     ) -> SortOutcome {
         let elements = payload.len() as u64;
-        let span = report.requests.first().copied().unwrap_or(RequestSpan {
-            index: 0,
-            offset: 0,
-            len: elements,
-        });
         SortOutcome {
             payload,
-            span,
+            span: RequestSpan {
+                index: 0,
+                offset: 0,
+                len: elements,
+            },
             report: Arc::new(report),
             batch: BatchInfo {
                 batch,

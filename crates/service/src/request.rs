@@ -1,7 +1,7 @@
 //! Request and response types of the batch sort service.
 
 use crate::service::{CancelSet, WorkerMsg};
-use multi_gpu::{RequestSpan, ShardedReport, SortError};
+use multi_gpu::{ShardedReport, SortError};
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
@@ -166,7 +166,7 @@ pub enum SubmitError {
     TooLarge {
         /// The request's size in batch bytes (keys + demux tags).
         bytes: u64,
-        /// The pool budget after the configured slack.
+        /// The pool budget after the admission slack.
         budget: u64,
     },
     /// The request holds more keys than the batch demux-tag scheme can
@@ -284,14 +284,29 @@ pub struct BatchInfo {
     pub reason: FlushReason,
 }
 
+/// The span one request occupied in its batch's concatenated input.
+///
+/// The batching worker concatenates the pending requests' keys in
+/// submission order, so a request's span is its submission index and the
+/// prefix sum of the lengths before it.  A request of the out-of-core lane
+/// rides alone and spans its whole sort.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RequestSpan {
+    /// Index of the request within its batch, in submission order.
+    pub index: usize,
+    /// Offset of the request's first element in the concatenated input.
+    pub offset: u64,
+    /// Number of elements the request contributed.
+    pub len: u64,
+}
+
 /// The resolved result of one sort request.
 #[derive(Debug)]
 pub struct SortOutcome {
     /// The sorted payload, in the buffers the request submitted.
     pub payload: SortPayload,
     /// This request's slice of the batch (offset/length in the
-    /// concatenated input, mirroring
-    /// [`ShardedReport::requests`]).
+    /// concatenated input).
     pub span: RequestSpan,
     /// The batch's shared sharded-sort report: schedule, critical path,
     /// per-shard breakdown.  One `Arc` per batch, shared by all its

@@ -18,6 +18,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use telemetry::Inspector;
 
+/// Fraction of [`DevicePool::batch_budget_bytes`] the admission budget
+/// uses.  The slack absorbs splitter imbalance (shards are only *expected*
+/// to be capacity-proportional) and the one-request overshoot a
+/// flush-after-admit batch can carry.
+const BUDGET_SLACK: f64 = 0.5;
+
+/// The admission budget of a pool whose raw batch budget is `pool_budget`.
+fn admission_budget_of(pool_budget: u64) -> u64 {
+    (pool_budget as f64 * BUDGET_SLACK).max(1.0) as u64
+}
+
 /// Request ids cancelled via [`SortTicket::cancel`], shared between the
 /// front end, the tickets, both class queues and the out-of-core lane.
 pub(crate) type CancelSet = Arc<Mutex<HashSet<u64>>>;
@@ -162,7 +173,6 @@ pub struct SortService {
     next_id: AtomicU64,
     queue_depth: usize,
     admission_budget: u64,
-    budget_slack: f64,
     /// Whether the pool can sort anything at all (a positive raw budget).
     /// A zero-budget pool — e.g. every device has a non-positive capacity
     /// weight — must reject over-budget requests even under the
@@ -175,8 +185,8 @@ pub struct SortService {
 impl SortService {
     /// Starts a service over `sorter`'s device pool.
     ///
-    /// The admission budget is resolved here:
-    /// `pool.batch_budget_bytes() × cfg.budget_slack` bounds both a single
+    /// The admission budget is resolved here: half of
+    /// `pool.batch_budget_bytes()` bounds both a single
     /// request and the size threshold a batch flushes at, so no formed
     /// batch can exceed what the devices' memory planners allow.  Under
     /// [`OverBudgetPolicy::OutOfCore`] a second worker thread (the
@@ -185,8 +195,7 @@ impl SortService {
     pub fn start(sorter: ShardedSorter, cfg: ServiceConfig) -> Self {
         let pool = sorter.pool().clone();
         let pool_budget = pool.batch_budget_bytes();
-        let budget_slack = cfg.budget_slack;
-        let admission_budget = (pool_budget as f64 * budget_slack).max(1.0) as u64;
+        let admission_budget = admission_budget_of(pool_budget);
         let pool_can_sort = pool_budget > 0;
         let queue_depth = cfg.queue_depth;
         let over_budget = cfg.over_budget;
@@ -248,7 +257,6 @@ impl SortService {
             next_id: AtomicU64::new(0),
             queue_depth,
             admission_budget,
-            budget_slack,
             pool_can_sort,
             over_budget,
         }
@@ -261,7 +269,7 @@ impl SortService {
     /// what the degraded pool can actually hold.
     pub fn admission_budget(&self) -> u64 {
         if self.pool.any_dead() {
-            (self.pool.batch_budget_bytes() as f64 * self.budget_slack).max(1.0) as u64
+            admission_budget_of(self.pool.batch_budget_bytes())
         } else {
             self.admission_budget
         }
@@ -481,8 +489,7 @@ impl Worker {
         // The size threshold is capped by the admission budget, and
         // `admit` flushes a class *before* an addition would cross the
         // threshold, so a formed batch never exceeds `max_batch_bytes` —
-        // and therefore never exceeds the pool's planner budget, at any
-        // slack setting.
+        // and therefore never exceeds the pool's planner budget.
         let max_batch_bytes = cfg.max_batch_bytes.min(admission_budget);
         Worker {
             q32: ClassQueue::new(sorter.clone(), Arc::clone(&in_flight), Arc::clone(&cancels)),
@@ -578,8 +585,8 @@ impl Worker {
 
     /// Admits a request into its class queue, flushing the class first
     /// when the addition would push its pending bytes past the size
-    /// threshold.  Flush-before-admit keeps the invariant exact for every
-    /// slack setting: a formed batch's bytes never exceed
+    /// threshold.  Flush-before-admit keeps the invariant exact: a formed
+    /// batch's bytes never exceed
     /// `max_batch_bytes` (a single request is capped at the admission
     /// budget, which also caps `max_batch_bytes`).
     fn admit(&mut self, sub: Submission) {
@@ -773,7 +780,7 @@ mod tests {
         let outcome = ticket.wait().unwrap();
         assert_eq!(outcome.payload, SortPayload::U64Keys(expect));
         assert_eq!(outcome.span.len, 20_000);
-        assert_eq!(outcome.report.requests.len(), outcome.batch.requests);
+        assert_eq!(outcome.report.n, 20_000);
         let stats = service.shutdown();
         assert_eq!(stats.requests, 1);
         assert!(stats.batches >= 1);
@@ -927,16 +934,18 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SubmitError::MismatchedPair { keys: 2, values: 1 });
         // A Titan X budget is gigabytes, so instead of allocating an
-        // actually-oversized input, shrink the budget via the slack knob.
+        // actually-oversized input, use devices of 1 MiB each.
         drop(service);
-        let tiny = SortService::start(
-            ShardedSorter::new(DevicePool::titan_cluster(2)),
-            ServiceConfig::default().with_budget_slack(f64::MIN_POSITIVE),
+        let tiny = tiny_memory_service(ServiceConfig::default());
+        let payload = SortPayload::U64Keys(uniform_keys::<u64>(100_000, 1));
+        let bytes = payload.batch_bytes();
+        let budget = tiny.admission_budget();
+        assert!(
+            bytes > budget,
+            "test input must exceed the {budget}-byte budget"
         );
-        let err = tiny
-            .submit(SortPayload::U64Keys(uniform_keys::<u64>(10_000, 1)))
-            .unwrap_err();
-        assert!(matches!(err, SubmitError::TooLarge { .. }));
+        let err = tiny.submit(payload).unwrap_err();
+        assert_eq!(err, SubmitError::TooLarge { bytes, budget });
     }
 
     #[test]
@@ -962,7 +971,14 @@ mod tests {
         assert_eq!(sorted, expect);
         assert_eq!(outcome.batch.reason, FlushReason::OutOfCore);
         assert_eq!(outcome.batch.requests, 1);
-        assert_eq!(outcome.span.len, n as u64);
+        assert_eq!(
+            outcome.span,
+            crate::RequestSpan {
+                index: 0,
+                offset: 0,
+                len: n as u64
+            }
+        );
         assert!(outcome.report.is_out_of_core());
         assert!(
             outcome.report.ooc_chunks.len() > 2,

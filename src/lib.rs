@@ -47,12 +47,11 @@ pub mod prelude {
     pub use hrs_core::{Executor, HybridRadixSorter, Optimizations, SortConfig, SortReport};
     pub use multi_gpu::{
         DeviceBackend, DevicePool, ExchangeSpan, FaultEvent, FaultEventKind, OocChunkSpan,
-        OocConfig, RecombineStrategy, RequestSpan, ShardedReport, ShardedSorter, SimDevice,
-        SortError,
+        OocConfig, RecombineStrategy, ShardedReport, ShardedSorter, SimDevice, SortError,
     };
     pub use sort_service::{
-        OverBudgetPolicy, ServiceConfig, SortOutcome, SortPayload, SortRequest, SortService,
-        SortTicket, SubmitError, TicketError,
+        OverBudgetPolicy, RequestSpan, ServiceConfig, SortOutcome, SortPayload, SortRequest,
+        SortService, SortTicket, SubmitError, TicketError,
     };
     pub use telemetry::{InspectNode, Inspector};
     pub use workloads::{Distribution, EntropyLevel, SortKey, ZipfGenerator};

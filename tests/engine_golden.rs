@@ -4,7 +4,7 @@
 //!
 //! A fingerprint is the `{:?}` of every simulated or structural field of a
 //! [`ShardedReport`]: sizes, the per-shard table, splitters, the critical
-//! path, the combined core report, every timeline event, and the request,
+//! path, the combined core report, every timeline event, and the
 //! out-of-core chunk, recombination and exchange bookkeeping.  Measured
 //! wall-clock fields (`measured_partition`, `measured_merge`,
 //! `end_to_end`, `measured_sort`) and the out-of-core `host merge` events
@@ -43,7 +43,6 @@ fn fingerprint(report: &ShardedReport) -> String {
             line(format!("event {e:?}"));
         }
     }
-    line(format!("requests={:?}", report.requests));
     line(format!("ooc_chunks={:?}", report.ooc_chunks));
     line(format!("recombine={:?}", report.recombine));
     line(format!("exchange={:?}", report.exchange));
@@ -117,8 +116,7 @@ fn host_merge_pairs() {
 #[test]
 fn host_merge_batch() {
     let mut keys = uniform_keys::<u64>(45_000, 3);
-    let report = titan(3).sort_batch(&mut keys, &[20_000, 5_000, 20_000]);
-    check("host_merge_batch", &report);
+    check("host_merge_batch", &titan(3).sort(&mut keys));
 }
 
 #[test]

@@ -127,35 +127,7 @@ proptest! {
         prop_assert!(hk.iter().zip(&hv).all(|(&k, &v)| v == !k));
     }
 
-    /// Batches: request spans are offset bookkeeping over the same sorted
-    /// output, so the concatenated batch must agree too.
-    #[test]
-    fn batch_sorts_agree_across_strategies(
-        lens in proptest::collection::vec(500usize..6_000, 1..5),
-        seed in any::<u64>(),
-    ) {
-        let mut keys = Vec::new();
-        for (i, &len) in lens.iter().enumerate() {
-            keys.extend(uniform_keys::<u64>(len, seed ^ i as u64));
-        }
-        let reference = KeyCodec::std_sorted(&keys);
-
-        let mut via_host = keys.clone();
-        let hr = host_sorter(4).sort_batch(&mut via_host, &lens);
-        let mut via_peers = keys;
-        let pr = exchange_sorter(4).sort_batch(&mut via_peers, &lens);
-
-        prop_assert_eq!(&via_peers, &reference);
-        prop_assert_eq!(&via_host, &reference);
-        prop_assert_eq!(pr.requests.len(), lens.len());
-        prop_assert_eq!(hr.requests.len(), lens.len());
-        for (a, b) in pr.requests.iter().zip(&hr.requests) {
-            prop_assert_eq!(a.offset, b.offset);
-            prop_assert_eq!(a.len, b.len);
-        }
-    }
-
-    /// CPU sockets: pairs, batches and the out-of-core lane agree with std
+    /// CPU sockets: pairs and the out-of-core lane agree with std
     /// and with the host-merge sorter on a GPU pool, on every input shape.
     #[test]
     fn socket_pair_sorts_agree_with_reference_and_host_merge(
@@ -178,13 +150,6 @@ proptest! {
         sorter.sort_pairs(&mut sk, &mut sv);
         prop_assert_eq!(&sk, &hk);
         prop_assert_eq!(&sv, &hv);
-
-        let lens = [n / 3, n - n / 3];
-        let (mut bk, mut bv) = (keys.clone(), vals.clone());
-        let report = sorter.sort_batch_pairs(&mut bk, &mut bv, &lens);
-        prop_assert_eq!(report.requests.len(), 2);
-        prop_assert_eq!(&bk, &hk);
-        prop_assert_eq!(&bv, &hv);
 
         let (mut ok, mut ov) = (keys, vals);
         let report = sorter.sort_out_of_core_pairs(&mut ok, &mut ov);
