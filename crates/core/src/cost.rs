@@ -10,7 +10,8 @@
 //!   the local sort is a fixed per-key throughput plus a per-thread-block
 //!   scheduling overhead.
 //!
-//! The calibration constants live in [`CostModel`]; their defaults are
+//! The calibration constants (private to this module, together with the
+//! Titan X shared-memory atomic model and 32-byte memory transactions) are
 //! chosen so that the simulated Titan-X numbers land in the same range as
 //! the paper's measurements (≈ 30 GB/s for uniformly distributed 64-bit
 //! keys, ≈ 15 GB/s for the CUB baseline on 32-bit keys, …) — the comparison
@@ -26,45 +27,24 @@ use gpu_sim::{
 };
 use serde::{Deserialize, Serialize};
 
-/// Calibration constants of the cost model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Efficiency of the scatter's mixed read/write streams relative to the
-    /// pure-read micro-benchmark bandwidth.
-    pub scatter_rw_efficiency: f64,
-    /// Efficiency of the local sort's read+write streams.
-    pub local_rw_efficiency: f64,
-    /// Device-wide local-sort throughput in keys per second (the in-shared
-    /// -memory BlockRadixSort is compute-cheap, so this rarely dominates).
-    pub local_sort_keys_per_sec: f64,
-    /// Scheduling overhead per local-sort thread block, in seconds of
-    /// single-SM time (divided by the SM count when accumulated).
-    pub local_block_overhead_s: f64,
-    /// Fixed overhead per counting-sort pass (prefix sums, assignment
-    /// generation, kernel management).
-    pub pass_fixed_overhead_s: f64,
-    /// Fixed overhead per local-sort kernel configuration launched.
-    pub local_fixed_overhead_s: f64,
-    /// Shared-memory atomic model.
-    pub atomics: AtomicModel,
-    /// Memory-transaction model for the scatter writes.
-    pub transactions: TransactionModel,
-}
+// Calibration constants of the cost model.
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            scatter_rw_efficiency: 0.78,
-            local_rw_efficiency: 0.88,
-            local_sort_keys_per_sec: 40e9,
-            local_block_overhead_s: 0.7e-6,
-            pass_fixed_overhead_s: 1.2e-3,
-            local_fixed_overhead_s: 0.3e-3,
-            atomics: AtomicModel::titan_x_pascal(),
-            transactions: TransactionModel::default_32b(),
-        }
-    }
-}
+/// Efficiency of the scatter's mixed read/write streams relative to the
+/// pure-read micro-benchmark bandwidth.
+const SCATTER_RW_EFFICIENCY: f64 = 0.78;
+/// Efficiency of the local sort's read+write streams.
+const LOCAL_RW_EFFICIENCY: f64 = 0.88;
+/// Device-wide local-sort throughput in keys per second (the in-shared
+/// -memory BlockRadixSort is compute-cheap, so this rarely dominates).
+const LOCAL_SORT_KEYS_PER_SEC: f64 = 40e9;
+/// Scheduling overhead per local-sort thread block, in seconds of
+/// single-SM time (divided by the SM count when accumulated).
+const LOCAL_BLOCK_OVERHEAD_S: f64 = 0.7e-6;
+/// Fixed overhead per counting-sort pass (prefix sums, assignment
+/// generation, kernel management).
+const PASS_FIXED_OVERHEAD_S: f64 = 1.2e-3;
+/// Fixed overhead per local-sort kernel configuration launched.
+const LOCAL_FIXED_OVERHEAD_S: f64 = 0.3e-3;
 
 /// Simulated execution breakdown of one sort.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,9 +91,10 @@ pub fn evaluate(
     device: &DeviceSpec,
     config: &SortConfig,
     opts: &Optimizations,
-    model: &CostModel,
     report: &SortReport,
 ) -> SimBreakdown {
+    let atomics = AtomicModel::titan_x_pascal();
+    let transactions = TransactionModel::default_32b();
     let mut kernels: Vec<(String, KernelTiming)> = Vec::new();
     let mut traffic = MemoryTraffic::default();
     let key_bytes = report.key_bytes as u64;
@@ -151,9 +132,7 @@ pub fn evaluate(
             (HistogramStrategy::AtomicsOnly, pass.n_keys)
         };
         let distinct = pass.avg_block_distinct.round().max(1.0) as u32;
-        let hist_rate = model
-            .atomics
-            .device_keys_per_sec(device, hist_strategy, distinct);
+        let hist_rate = atomics.device_keys_per_sec(device, hist_strategy, distinct);
         let hist_timing = KernelCost::memory_bound(KernelKind::Histogram, hist_traffic)
             .with_compute(hist_updates, hist_rate)
             .evaluate(device);
@@ -185,17 +164,15 @@ pub fn evaluate(
         scatter_traffic.shared_atomic(pass.scatter_updates);
         scatter_traffic.global_atomic(pass.n_blocks * pass.avg_occupied_sub_buckets.ceil() as u64);
         let kpb_bytes = (config.keys_per_block as u64) * key_bytes;
-        let tx_eff = model.transactions.expected_efficiency(
+        let tx_eff = transactions.expected_efficiency(
             kpb_bytes,
             pass.avg_occupied_sub_buckets.round().max(1.0) as u32,
         );
-        let scatter_eff = model.scatter_rw_efficiency * tx_eff;
+        let scatter_eff = SCATTER_RW_EFFICIENCY * tx_eff;
         // The scatter stages through shared memory with one atomic per key
         // (or per combined run when the look-ahead is active).
         let scatter_rate =
-            model
-                .atomics
-                .device_keys_per_sec(device, HistogramStrategy::AtomicsOnly, distinct);
+            atomics.device_keys_per_sec(device, HistogramStrategy::AtomicsOnly, distinct);
         let scatter_timing = KernelCost::memory_bound(KernelKind::Scatter, scatter_traffic)
             .with_efficiency(scatter_eff)
             .with_compute(pass.scatter_updates, scatter_rate)
@@ -206,7 +183,7 @@ pub fn evaluate(
         // Per-pass fixed overhead.
         kernels.push((
             format!("pass {} overhead", pass.pass),
-            fixed_overhead(KernelKind::Other, model.pass_fixed_overhead_s),
+            fixed_overhead(KernelKind::Other, PASS_FIXED_OVERHEAD_S),
         ));
     }
 
@@ -218,10 +195,10 @@ pub fn evaluate(
         local_traffic.launch();
         let compute_keys = report.local.provisioned_keys.max(report.local.n_keys);
         let scheduling_overhead =
-            report.local.invocations as f64 * model.local_block_overhead_s / device.num_sms as f64;
+            report.local.invocations as f64 * LOCAL_BLOCK_OVERHEAD_S / device.num_sms as f64;
         let local_timing = KernelCost::memory_bound(KernelKind::LocalSort, local_traffic)
-            .with_efficiency(model.local_rw_efficiency)
-            .with_compute(compute_keys, model.local_sort_keys_per_sec)
+            .with_efficiency(LOCAL_RW_EFFICIENCY)
+            .with_compute(compute_keys, LOCAL_SORT_KEYS_PER_SEC)
             .evaluate(device);
         // Scheduling overhead is additive on top of the kernel time.
         let mut local_total = local_timing;
@@ -236,7 +213,7 @@ pub fn evaluate(
             "local sort overhead".to_string(),
             fixed_overhead(
                 KernelKind::LocalSort,
-                model.local_fixed_overhead_s * classes as f64,
+                LOCAL_FIXED_OVERHEAD_S * classes as f64,
             ),
         ));
     }
@@ -323,7 +300,6 @@ mod tests {
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_64(),
             &Optimizations::all_on(),
-            &CostModel::default(),
             &report,
         );
         let ms = sim.total.millis();
@@ -340,14 +316,12 @@ mod tests {
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_64(),
             &Optimizations::all_on(),
-            &CostModel::default(),
             &uniform_report_64(250_000_000, 2, 250_000_000),
         );
         let eight = evaluate(
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_64(),
             &Optimizations::all_on(),
-            &CostModel::default(),
             &uniform_report_64(250_000_000, 8, 0),
         );
         assert!(eight.total > two.total * 2.5);
@@ -360,7 +334,6 @@ mod tests {
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_64(),
             &Optimizations::all_on(),
-            &CostModel::default(),
             &report,
         );
         let passes = sim.passes_over_input(report.input_bytes());
@@ -386,14 +359,12 @@ mod tests {
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_64(),
             &Optimizations::all_on(),
-            &CostModel::default(),
             &skewed,
         );
         let without = evaluate(
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_64(),
             &Optimizations::no_thread_reduction(),
-            &CostModel::default(),
             &skewed,
         );
         assert!(without.total > with.total);
@@ -407,7 +378,6 @@ mod tests {
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_32(),
             &Optimizations::all_on(),
-            &CostModel::default(),
             &r,
         );
         assert_eq!(sim.kernels.len(), 1);
@@ -422,7 +392,6 @@ mod tests {
             &DeviceSpec::titan_x_pascal(),
             &SortConfig::keys_64(),
             &Optimizations::all_on(),
-            &CostModel::default(),
             &report,
         );
         let total_check = sim.time_of("pass") + sim.time_of("local");

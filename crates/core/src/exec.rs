@@ -261,6 +261,13 @@ impl Executor {
     /// Splits `data` into chunks of `chunk` elements and runs
     /// `f(chunk_index, chunk_slice)` for each, in parallel on the threaded
     /// backend.  Chunks are disjoint, so no synchronisation is needed.
+    ///
+    /// Disjoint is not the same as unshared: chunks shorter than a cache
+    /// line (64 bytes) share lines, and tasks are handed out dynamically,
+    /// so two workers can write neighbouring chunks of one line at once
+    /// and the line bounces between their cores on every write (false
+    /// sharing).  A hot per-element loop over small chunks should pad each
+    /// chunk to whole lines, or work on a private copy.
     pub fn for_each_chunk_mut<T, F>(&self, data: &mut [T], chunk: usize, f: F)
     where
         T: Send,

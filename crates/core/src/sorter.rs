@@ -32,7 +32,7 @@ use crate::arena::{
 };
 use crate::bucket::Bucket;
 use crate::config::SortConfig;
-use crate::cost::{self, CostModel};
+use crate::cost;
 use crate::counting_sort::run_counting_pass;
 use crate::exec::Executor;
 use crate::local_sort::{lsd_sort_in_place, run_local_sorts, split_src_dst};
@@ -251,13 +251,7 @@ impl HybridRadixSorter {
     /// after scaling its statistics to a different input size).
     pub fn reevaluate(&self, report: &mut SortReport) {
         let config = self.effective_config(report.key_bytes, report.value_bytes);
-        report.simulated = cost::evaluate(
-            &self.device,
-            &config,
-            &self.opts,
-            &CostModel::default(),
-            report,
-        );
+        report.simulated = cost::evaluate(&self.device, &config, &self.opts, report);
     }
 
     /// The `Vec` entries: the arena's spare halves complete the double
@@ -353,13 +347,7 @@ impl HybridRadixSorter {
             report.fallback_comparison_sort,
             sort_start,
         );
-        report.simulated = cost::evaluate(
-            &self.device,
-            &config,
-            &self.opts,
-            &CostModel::default(),
-            &report,
-        );
+        report.simulated = cost::evaluate(&self.device, &config, &self.opts, &report);
         report
     }
 

@@ -157,6 +157,8 @@ pub(crate) struct Run<K, V> {
     pub(crate) orphans: bool,
     pub(crate) combined: SortReport,
     pub(crate) measured_partition: Duration,
+    /// The share of `measured_partition` spent choosing splitters.
+    pub(crate) measured_splitters: Duration,
     pub(crate) shards: Vec<ShardReport>,
     /// Per shard report: the pool device and the elements it uploaded.
     pub(crate) shard_devices: Vec<(usize, u64)>,
@@ -309,6 +311,7 @@ impl ShardedSorter {
             splitters: splitters.expect("round 0 always partitions"),
             critical_path,
             measured_partition: run.measured_partition,
+            measured_splitters: run.measured_splitters,
             measured_merge,
             end_to_end: SimTime::from_secs(run.measured_partition.as_secs_f64()) + device_and_merge,
             combined: run.combined,
@@ -356,6 +359,7 @@ impl ShardedSorter {
             orphans: false,
             combined: SortReport::new(0, K::BYTES, std::mem::size_of::<V>() as u32),
             measured_partition: Duration::ZERO,
+            measured_splitters: Duration::ZERO,
             shards: Vec::new(),
             shard_devices: Vec::new(),
             ooc_chunks: Vec::new(),
@@ -416,6 +420,7 @@ impl ShardedSorter {
             .iter()
             .map(|&g| self.pool.devices()[g].capacity_weight())
             .collect();
+        let clock = Instant::now();
         let mut sample = self.with_scratch(|a| a.take_buffer(ROLE_SPLITTER_SAMPLE, 0));
         let splitters = compute_splitters_in(
             &pending.0,
@@ -425,6 +430,7 @@ impl ShardedSorter {
             &mut sample,
         );
         self.with_scratch(|a| a.put_buffer(ROLE_SPLITTER_SAMPLE, sample));
+        run.measured_splitters += clock.elapsed();
         // Round 0 partitions into the engine's persistent round buffer
         // (a warm take writes no element memory), requeue rounds into
         // fresh memory.  It takes at least the pending buffer's capacity,
@@ -929,6 +935,15 @@ mod tests {
             assert_eq!(keys[boundary - 2], below);
             assert_eq!(keys[boundary + 1], above);
         }
+    }
+
+    #[test]
+    fn splitter_time_is_a_share_of_the_partition_time() {
+        let sorter = socket_sorter();
+        let (mut keys, mut vals) = zipf_rows(200_000, 9);
+        let report = sorter.sort_pairs(&mut keys, &mut vals);
+        assert!(report.measured_splitters > Duration::ZERO);
+        assert!(report.measured_splitters <= report.measured_partition);
     }
 
     #[test]

@@ -13,6 +13,23 @@
 //! shard outputs are non-overlapping ranges: the recombination merge never
 //! interleaves elements from different shards, and equal keys can never
 //! straddle a shard boundary.
+//!
+//! The scatter that follows is a counting sort over shards, one executor
+//! task per 64 Ki-key input chunk: count each chunk's keys per shard,
+//! prefix the counts over chunks, then scatter every chunk into its
+//! reserved destination ranges.  It runs at memory speed because its
+//! per-element loops share nothing and do not branch on keys:
+//!
+//! * **Private counters.** Chunk `c`'s counters are strip `c` of one
+//!   cursor table, and each strip is padded by 128 bytes, so no cache line
+//!   (nor the adjacent line x86 prefetches with it) holds the counters of
+//!   two chunks while workers count or scatter.  Unpadded, two shards'
+//!   counters take 16 bytes and four chunks share a line.
+//! * **Branchless shard lookup.** A key's shard is the number of cuts at
+//!   or below its radix ([`SplitterSet::shard_of`]), evaluated cut by cut
+//!   over a block of keys so the loop vectorises; the count sums
+//!   comparisons against each cut instead of incrementing a counter per
+//!   key.
 
 use gpu_sim::HistogramStrategy;
 use hrs_core::histogram::block_histogram;
@@ -72,9 +89,23 @@ impl SplitterSet {
         }
     }
 
-    /// The shard a radix value belongs to.
+    /// The shard a radix value belongs to: the number of cuts at or
+    /// below it.  Counting every cut costs no branch, where a binary
+    /// search mispredicts about every other random key.
     pub fn shard_of(&self, radix: u64) -> usize {
-        self.cuts.partition_point(|&c| c <= radix)
+        self.cuts.iter().map(|&c| usize::from(c <= radix)).sum()
+    }
+
+    /// Writes the shard of every key of `block` into `ids` (of the same
+    /// length): [`SplitterSet::shard_of`] taken cut by cut, so the inner
+    /// loop runs over keys and vectorises.
+    pub(crate) fn shard_ids<K: SortKey>(&self, block: &[K], ids: &mut [u32]) {
+        ids.fill(0);
+        for &cut in &self.cuts {
+            for (id, k) in ids.iter_mut().zip(block) {
+                *id += u32::from(cut <= k.to_radix());
+            }
+        }
     }
 
     /// Inclusive `[lo, hi]` radix ranges of every shard.  Together the
@@ -127,15 +158,16 @@ pub fn compute_splitters<K: SortKey>(
     compute_splitters_with(keys, weights, cfg, &Executor::Sequential)
 }
 
-/// Granularity of the parallel level-0 histogram of the splitter search.
+/// Samples per task of the parallel gather and level-0 histogram of the
+/// splitter search.
 const HIST_CHUNK: usize = 64 * 1024;
 
 /// [`compute_splitters`] with an explicit execution backend.
 ///
-/// The level-0 digit histogram of the sample is computed once in parallel
-/// chunks and shared by every cut's descent, and the per-cut refinement
-/// descents (independent, read-only walks over the sample) fan out over
-/// `exec`.  Every step is deterministic, so the chosen cuts are identical
+/// The strided key sample is gathered in parallel chunks, each counting
+/// its level-0 digits as it goes; the summed histogram is shared by every
+/// cut's descent, and the per-cut refinement descents (independent,
+/// read-only walks over the sample) fan out over `exec`.  Every step is deterministic, so the chosen cuts are identical
 /// for any worker count — the sequential backend is the equivalence
 /// baseline.
 pub fn compute_splitters_with<K: SortKey>(
@@ -179,38 +211,36 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
         };
     }
 
-    // Normalise every sampled key's radix into the top bits of a u64 so the
-    // histogram descent always works on 8-bit digits from bit 63 downward,
-    // independent of the key width.
-    let norm_shift = 64 - K::BITS;
-    let stride = keys.len().div_ceil(cfg.max_samples.max(1)).max(1);
-    sample.clear();
-    sample.extend(
-        keys.iter()
-            .step_by(stride)
-            .map(|k| k.to_radix() << norm_shift),
-    );
-    let sample = &sample[..];
-
     let total_weight: f64 = weights.iter().sum();
     let levels = cfg
         .refine_levels
         .clamp(1, K::BITS.div_ceil(cfg.digit_bits))
         .min(64 / cfg.digit_bits);
 
-    // Level-0 histogram of the whole sample, computed once in parallel
-    // chunks; every cut's descent starts from this shared table instead of
-    // re-scanning the sample per cut.
+    // The sample is every `stride`-th key, its radix normalised into the
+    // top bits of a u64 so the histogram descent always works on 8-bit
+    // digits from bit 63 downward, independent of the key width.  Chunks
+    // of it are gathered in parallel, each counting its keys' level-0
+    // digits as it goes; every cut's descent starts from the summed table
+    // instead of re-scanning the sample per cut.
+    let norm_shift = 64 - K::BITS;
+    let stride = keys.len().div_ceil(cfg.max_samples.max(1)).max(1);
+    sample.resize(keys.len().div_ceil(stride), 0);
     let radix = 1usize << cfg.digit_bits;
     let shift0 = 64 - cfg.digit_bits;
     let root_hist: Vec<u64> = {
         let n_chunks = sample.len().div_ceil(HIST_CHUNK).max(1);
         let mut chunk_counts = vec![0u64; n_chunks * radix];
-        exec.for_each_chunk_mut(&mut chunk_counts, radix, |c, strip| {
-            let start = c * HIST_CHUNK;
-            let end = sample.len().min(start + HIST_CHUNK);
-            for &k in &sample[start..end] {
-                strip[(k >> shift0) as usize] += 1;
+        let counts = SharedMut::new(chunk_counts.as_mut_slice());
+        exec.for_each_chunk_mut(sample, HIST_CHUNK, |c, part| {
+            // SAFETY: strip `c` of the count table belongs to chunk `c`
+            // alone.
+            let strip = unsafe { counts.slice_mut(c * radix, radix) };
+            let chunk_keys = keys[c * HIST_CHUNK * stride..].iter().step_by(stride);
+            for (slot, k) in part.iter_mut().zip(chunk_keys) {
+                let norm = k.to_radix() << norm_shift;
+                *slot = norm;
+                strip[(norm >> shift0) as usize] += 1;
             }
         });
         let mut root = vec![0u64; radix];
@@ -221,6 +251,7 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
         }
         root
     };
+    let sample = &sample[..];
 
     // Cumulative weight fraction each cut targets.
     let mut fracs = Vec::with_capacity(shards - 1);
@@ -342,10 +373,23 @@ fn split_lengths<'a, T>(mut buf: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]
 /// are counted and scattered as independent executor tasks.
 const SCATTER_CHUNK: usize = 64 * 1024;
 
+/// Keys per block of the count and the scatter: each cut re-reads the
+/// block, so it should stay in the L1 cache.
+const BLOCK: usize = 2048;
+
+/// Cursor-table words each chunk's strip is padded by: 128 bytes, two
+/// 64-byte cache lines, because x86's adjacent-line prefetcher moves lines
+/// in pairs.
+const STRIP_PAD: usize = 128 / std::mem::size_of::<usize>();
+
 /// The counting half of a partition scatter.
 pub(crate) struct ShardCounts {
-    /// Input chunk `c`'s first write position in shard `s`, at `c · p + s`.
+    /// Input chunk `c`'s first write position in shard `s`, at
+    /// `c · stride + s`.
     cursors: Vec<usize>,
+    /// Words per chunk strip: the shard count plus [`STRIP_PAD`], so no
+    /// 128-byte block holds the counters of two chunks.
+    stride: usize,
     /// Elements per shard.
     pub(crate) totals: Vec<usize>,
 }
@@ -362,28 +406,50 @@ pub(crate) fn count_shards<K: SortKey>(
     let p = splitters.num_shards();
     let n = keys.len();
     let n_chunks = n.div_ceil(SCATTER_CHUNK);
+    let stride = p + STRIP_PAD;
+    // The count finds a key's shard from the keys below each cut, the
+    // scatter from the cuts at or below the key; the two agree only on
+    // sorted cuts, and the scatter's writes stay in bounds only if they
+    // agree.
+    assert!(
+        splitters.cuts.is_sorted(),
+        "splitter cuts must be sorted: {:?}",
+        splitters.cuts
+    );
 
     // Strip `c` of the count table belongs to input chunk `c`, so the
     // chunked-mutation helper fits exactly.
-    let mut cursors = vec![0usize; n_chunks * p];
-    exec.for_each_chunk_mut(&mut cursors, p, |c, strip| {
+    let mut cursors = vec![0usize; n_chunks * stride];
+    exec.for_each_chunk_mut(&mut cursors, stride, |c, strip| {
         let start = c * SCATTER_CHUNK;
         let end = n.min(start + SCATTER_CHUNK);
-        for k in &keys[start..end] {
-            strip[splitters.shard_of(k.to_radix())] += 1;
+        for block in keys[start..end].chunks(BLOCK) {
+            // Shards `0..=s` hold the keys below cut `s`; the difference
+            // of neighbouring cuts' counts is a shard's population.
+            let mut below_prev = 0;
+            for (s, &cut) in splitters.cuts.iter().enumerate() {
+                let below = block.iter().filter(|k| k.to_radix() < cut).count();
+                strip[s] += below - below_prev;
+                below_prev = below;
+            }
+            strip[p - 1] += block.len() - below_prev;
         }
     });
     let mut totals = vec![0usize; p];
     for (s, total) in totals.iter_mut().enumerate() {
         let mut run = 0usize;
-        for c in 0..n_chunks {
-            let v = cursors[c * p + s];
-            cursors[c * p + s] = run;
+        for strip in cursors.chunks_exact_mut(stride) {
+            let v = strip[s];
+            strip[s] = run;
             run += v;
         }
         *total = run;
     }
-    ShardCounts { cursors, totals }
+    ShardCounts {
+        cursors,
+        stride,
+        totals,
+    }
 }
 
 /// The scatter kernel: writes every element into its shard's slice of
@@ -402,7 +468,6 @@ pub(crate) fn scatter_counted<K: SortKey, V: SortValue>(
     mut shard_keys: Vec<&mut [K]>,
     mut shard_vals: Vec<&mut [V]>,
 ) -> Vec<usize> {
-    let p = splitters.num_shards();
     let n = keys.len();
     let values_present = std::mem::size_of::<V>() != 0;
     if values_present {
@@ -410,6 +475,7 @@ pub(crate) fn scatter_counted<K: SortKey, V: SortValue>(
     }
     let ShardCounts {
         mut cursors,
+        stride,
         totals,
     } = counts;
     assert!(
@@ -423,21 +489,28 @@ pub(crate) fn scatter_counted<K: SortKey, V: SortValue>(
         shard_keys.iter_mut().map(|s| SharedMut::new(s)).collect();
     let val_views: Vec<SharedMut<'_, V>> =
         shard_vals.iter_mut().map(|s| SharedMut::new(s)).collect();
-    exec.for_each_chunk_mut(&mut cursors, p, |c, cursor| {
+    exec.for_each_chunk_mut(&mut cursors, stride, |c, cursor| {
         let start = c * SCATTER_CHUNK;
         let end = n.min(start + SCATTER_CHUNK);
-        for i in start..end {
-            let k = keys[i];
-            let s = splitters.shard_of(k.to_radix());
-            let pos = cursor[s];
-            cursor[s] += 1;
-            // SAFETY: `pos` lies in the destination range chunk `c`
-            // reserved for shard `s` (its cursor .. the next chunk's),
-            // disjoint from every other chunk's positions.
-            unsafe {
-                key_views[s].write(pos, k);
-                if values_present {
-                    val_views[s].write(pos, values[i]);
+        let mut ids = [0u32; BLOCK];
+        for (b, block) in keys[start..end].chunks(BLOCK).enumerate() {
+            let ids = &mut ids[..block.len()];
+            splitters.shard_ids(block, ids);
+            let base = start + b * BLOCK;
+            for (j, (&k, &s)) in block.iter().zip(ids.iter()).enumerate() {
+                let s = s as usize;
+                let pos = cursor[s];
+                cursor[s] += 1;
+                // SAFETY: `pos` lies in the destination range chunk `c`
+                // reserved for shard `s` (its cursor .. the next chunk's),
+                // disjoint from every other chunk's positions: `count_shards`
+                // checked that the cuts are sorted, so it counted every
+                // key in the shard `shard_ids` puts it in.
+                unsafe {
+                    key_views[s].write(pos, k);
+                    if values_present {
+                        val_views[s].write(pos, values[base + j]);
+                    }
                 }
             }
         }
@@ -658,6 +731,96 @@ mod tests {
                 scatter_into_shards(&mut k_par, &mut v_par, &s, &Executor::with_workers(workers));
             assert_eq!(seq, par, "workers = {workers}");
         }
+    }
+
+    /// The binary search `shard_of` replaced.
+    fn reference_shard(s: &SplitterSet, radix: u64) -> usize {
+        s.cuts.partition_point(|&c| c <= radix)
+    }
+
+    /// `shard_of` and `shard_ids` against the reference at either side of
+    /// every cut and at both ends of the key space.
+    fn check_lookup<K: SortKey>(keys: &[K], from_radix: impl Fn(u64) -> K) {
+        for p in 1..=9usize {
+            let s = compute_splitters(keys, &vec![1.0; p], &PartitionConfig::default());
+            assert_eq!(s.num_shards(), p);
+            let mut probes = vec![0, s.max_radix()];
+            for &cut in &s.cuts {
+                probes.extend([cut - 1, cut, cut.saturating_add(1).min(s.max_radix())]);
+            }
+            let probe_keys: Vec<K> = probes.iter().map(|&r| from_radix(r)).collect();
+            let mut ids = vec![0u32; probes.len()];
+            s.shard_ids(&probe_keys, &mut ids);
+            for ((&radix, key), &id) in probes.iter().zip(&probe_keys).zip(&ids) {
+                assert_eq!(key.to_radix(), radix);
+                let expected = reference_shard(&s, radix);
+                assert_eq!(s.shard_of(radix), expected, "p = {p}, radix {radix}");
+                assert_eq!(id as usize, expected, "p = {p}, radix {radix}");
+            }
+        }
+    }
+
+    #[test]
+    fn branchless_lookup_matches_binary_search() {
+        check_lookup(&uniform_keys::<u32>(20_000, 41), |r| r as u32);
+        check_lookup(&uniform_keys::<u64>(20_000, 42), |r| r);
+    }
+
+    #[test]
+    fn round_scatter_is_identical_for_any_worker_count() {
+        // Three full chunks and a ragged fourth.
+        let n = 3 * SCATTER_CHUNK + 17;
+        let uniform = uniform_keys::<u64>(n, 43);
+        let rows: Vec<u32> = (0..n as u32).collect();
+        for p in [2usize, 3, 5, 8] {
+            let s = compute_splitters(&uniform, &vec![1.0; p], &PartitionConfig::default());
+            // Plant keys on and just below every cut, where an off-by-one
+            // in the count or the lookup would show.
+            let mut keys = uniform.clone();
+            for (i, k) in keys.iter_mut().step_by(97).enumerate() {
+                *k = s.cuts[i % (p - 1)] - (i / (p - 1) % 2) as u64;
+            }
+            // Each shard in input order, shards back to back.
+            let mut expected: Vec<(u64, u32)> = keys.iter().copied().zip(rows.clone()).collect();
+            expected.sort_by_key(|&(k, _)| reference_shard(&s, k));
+            let expected_lens: Vec<usize> = (0..p)
+                .map(|i| {
+                    keys.iter()
+                        .filter(|&&k| reference_shard(&s, k) == i)
+                        .count()
+                })
+                .collect();
+            for exec in [
+                Executor::Sequential,
+                Executor::with_workers(2),
+                Executor::with_workers(3),
+            ] {
+                let (mut dst_keys, mut dst_rows) = (vec![0u64; n], vec![0u32; n]);
+                let lens =
+                    scatter_into_round(&keys, &rows, &s, &exec, &mut dst_keys, &mut dst_rows);
+                let label = format!("p = {p}, {}", exec.label());
+                assert_eq!(lens, expected_lens, "{label}");
+                assert!(
+                    dst_keys
+                        .iter()
+                        .copied()
+                        .zip(dst_rows)
+                        .eq(expected.iter().copied()),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "splitter cuts must be sorted")]
+    fn unsorted_cuts_are_refused_before_any_write() {
+        let s = SplitterSet {
+            cuts: vec![1 << 40, 1 << 20],
+            key_bits: 64,
+        };
+        let mut keys = uniform_keys::<u64>(1_000, 44);
+        scatter_into_shards(&mut keys, &mut Vec::<()>::new(), &s, &Executor::Sequential);
     }
 
     #[test]

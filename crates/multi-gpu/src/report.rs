@@ -169,6 +169,10 @@ pub struct ShardedReport {
     /// Measured wall-clock duration of the host-side partitioning
     /// (splitter selection + scatter into shard buffers).
     pub measured_partition: std::time::Duration,
+    /// The splitter selection's share of `measured_partition` (summed
+    /// over rounds like it): the sample, its histograms and the cut
+    /// descents.  The rest is the count-and-scatter.
+    pub measured_splitters: std::time::Duration,
     /// Measured wall-clock duration of the final host step: the per-shard
     /// merges and the concatenation of a first-round sort, or the p-way
     /// merge of every run after a requeue round or orphaned buckets.
@@ -426,6 +430,7 @@ mod tests {
             },
             critical_path,
             measured_partition: Duration::from_millis(1),
+            measured_splitters: Duration::ZERO,
             measured_merge: Duration::from_millis(1),
             end_to_end,
             combined: SortReport::new(100, 8, 0),
