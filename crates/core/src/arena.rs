@@ -68,6 +68,9 @@ pub const ROLE_ROUND_KEYS: u8 = 6;
 pub const ROLE_ROUND_VALS: u8 = 7;
 /// Role tag of the sharded engine's splitter-search key sample.
 pub const ROLE_SPLITTER_SAMPLE: u8 = 8;
+/// Role tag of the sharded engine's splitter-refinement buffer (the
+/// sample keys of each cut's level-0 bin).
+pub const ROLE_SPLITTER_REFINE: u8 = 9;
 
 /// Per-block bookkeeping record filled by the histogram and scatter phases
 /// of a counting pass (one per key block, reused across passes).

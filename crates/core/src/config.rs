@@ -14,8 +14,12 @@
 //! | 64-bit keys           | 3 456 | 384     | 9   | 4 224 |
 //! | 32-bit/32-bit pairs   | 3 456 | 384     | 18  | 5 760 |
 //! | 64-bit/64-bit pairs   | 2 304 | 256     | 9   | 3 840 |
+//!
+//! A host CPU has no 48 KB shared-memory limit: [`SortConfig::for_device`]
+//! sizes its ∂̂ to the cache a worker sorts a bucket in, so a CPU lane's
+//! buckets leave the counting passes as soon as they fit there.
 
-use gpu_sim::{BlockResources, DeviceSpec, Occupancy};
+use gpu_sim::{BlockResources, DeviceSpec, GpuGeneration, Occupancy};
 use serde::{Deserialize, Serialize};
 
 /// One local-sort configuration: a kernel specialised for buckets whose
@@ -128,20 +132,44 @@ impl SortConfig {
         }
     }
 
+    /// The configuration a sorter modelling `device` uses for keys and
+    /// values of the given widths (in bytes).  A GPU gets its Table 3 row.
+    /// A host CPU gets the same row with ∂̂ sized to its on-chip memory
+    /// (`max_shared_mem_per_block`, the cache one worker sorts in): half
+    /// of it holds the bucket, half the local sort's ping-pong scratch.
+    pub fn for_device(device: &DeviceSpec, key_bytes: u32, value_bytes: u32) -> Self {
+        let table3 = SortConfig::for_widths(key_bytes, value_bytes);
+        if device.generation != GpuGeneration::HostCpu {
+            return table3;
+        }
+        let record = (key_bytes + value_bytes).max(1) as usize;
+        table3.with_local_sort_threshold(device.max_shared_mem_per_block as usize / (2 * record))
+    }
+
     fn build(kpb: usize, threads: u32, kpt: u32, local_threshold: usize) -> Self {
         SortConfig {
             digit_bits: 8,
             keys_per_block: kpb,
             threads_per_block: threads,
             keys_per_thread: kpt,
-            local_sort_threshold: local_threshold,
-            merge_threshold: local_threshold / 3,
-            local_sort_classes: SortConfig::default_classes(local_threshold),
+            local_sort_threshold: 0,
+            merge_threshold: 0,
+            local_sort_classes: Vec::new(),
             lookahead_skew_threshold: 0.5,
             lookahead: 2,
             small_input_fallback: 0,
             scatter_line_bytes: 64,
         }
+        .with_local_sort_threshold(local_threshold)
+    }
+
+    /// Sets ∂̂ with what derives from it: ∂ = ∂̂ / 3 and the default size
+    /// classes.
+    fn with_local_sort_threshold(mut self, local_threshold: usize) -> Self {
+        self.local_sort_threshold = local_threshold;
+        self.merge_threshold = local_threshold / 3;
+        self.local_sort_classes = SortConfig::default_classes(local_threshold);
+        self
     }
 
     /// Keys per write-combining line for a key of `key_bytes` bytes: at
@@ -386,6 +414,43 @@ mod tests {
         // Unknown combination falls back to something sensible.
         let c = SortConfig::for_widths(8, 4);
         assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn cpu_devices_size_the_local_threshold_to_their_cache() {
+        let cpu = DeviceSpec::cpu_socket(1);
+        let half = cpu.max_shared_mem_per_block as usize / 2;
+        // u32 keys, u64 keys, u64 + u32 pairs, u64 + u64 pairs.
+        for (kb, vb) in [(4u32, 0u32), (8, 0), (8, 4), (8, 8)] {
+            let c = SortConfig::for_device(&cpu, kb, vb);
+            let threshold = half / (kb + vb) as usize;
+            assert_eq!(c.local_sort_threshold, threshold);
+            assert_eq!(c.merge_threshold, threshold / 3);
+            assert_eq!(c.local_sort_classes, SortConfig::default_classes(threshold));
+            // Everything but ∂̂ and what derives from it is Table 3's.
+            let table3 = SortConfig::for_widths(kb, vb);
+            assert_eq!(
+                (c.keys_per_block, c.threads_per_block, c.keys_per_thread),
+                (
+                    table3.keys_per_block,
+                    table3.threads_per_block,
+                    table3.keys_per_thread
+                )
+            );
+            assert!(c.validate().is_ok(), "{c:?}");
+        }
+        // GPUs keep Table 3.
+        for gpu in [
+            DeviceSpec::titan_x_pascal(),
+            DeviceSpec::gtx_980(),
+            DeviceSpec::tesla_p100(),
+        ] {
+            assert_eq!(
+                SortConfig::for_device(&gpu, 8, 4),
+                SortConfig::for_widths(8, 4)
+            );
+            assert_eq!(SortConfig::for_device(&gpu, 4, 0), SortConfig::keys_32());
+        }
     }
 
     #[test]

@@ -7,16 +7,32 @@
 //! the hybrid sort saves the bulk of its memory traffic for friendly
 //! distributions.
 //!
-//! The CPU runs the same algorithm: a least-significant-digit radix sort
-//! with 8-bit digits over the bucket's *remaining* bits only — the low
-//! bits on which its keys may still differ after the counting passes.  One read of the bucket builds every digit's
-//! histogram; a digit on which the whole bucket falls into one bin is
-//! skipped; keys and values scatter together between the destination range
-//! and a per-worker scratch range that stays in cache, the first scatter
-//! reading straight from the source range.  Every scatter keeps encounter
-//! order, so the local sort is stable, and so is the whole hybrid sort.
-//! Buckets of at most eight keys per remaining digit are insertion-sorted
-//! (stable as well).
+//! The CPU sorts a bucket in cache with one stable radix kernel over its
+//! *remaining* bits only — the low bits on which its keys may still differ
+//! after the counting passes — with an MSD prefix and an LSD suffix:
+//!
+//! * **MSD prefix.** While more than 32 bits are unsorted, one read ORs
+//!   every key's XOR with the first to find the highest bit on which the
+//!   range differs (constant high bits are skipped), and a stable scatter
+//!   on the 8 bits just below it splits the range.  The sub-ranges sort on
+//!   from the other buffer, so the keys alternate between the destination
+//!   range and a per-worker scratch range that stays in cache.  When the
+//!   sub-ranges average at most the insertion cutoff, the range moves to
+//!   the destination (one copy, if it sits in the scratch) and one
+//!   insertion sort over it finishes them all.
+//! * **LSD suffix.** A range with at most 32 unsorted bits is sorted
+//!   least-significant digit first: one read builds every digit's
+//!   histogram, a digit on which the whole range falls into one bin is
+//!   skipped, and the first scatter reads straight from the source range.
+//!
+//! LSD pays a scatter for every low digit whether or not it separates
+//! anything, which the MSD prefix stops after one or two levels on a
+//! bucket of wide keys; but MSD all the way down is slower on the ranges
+//! of at most 24 bits that u32 keys leave, hence the hand-off
+//! (`MSD_HANDOFF_BITS` has the measurement).  Every scatter keeps
+//! encounter order, so the local sort is stable, and so is the whole
+//! hybrid sort.  Ranges of at most eight keys per remaining digit are
+//! insertion-sorted (stable as well).
 //!
 //! To avoid over-provisioning threads for tiny buckets, the GPU groups
 //! buckets into *size classes*; each class is a separate kernel launch with
@@ -39,12 +55,23 @@ use crate::report::LocalSortStats;
 use workloads::pairs::SortValue;
 use workloads::SortKey;
 
-/// Bits per digit of the local LSD sort.
-const LSD_DIGIT_BITS: u32 = 8;
-/// Radix of the local LSD sort.
-const LSD_RADIX: usize = 1 << LSD_DIGIT_BITS;
-/// Digits of the widest (64-bit) key.
-const LSD_MAX_DIGITS: usize = (u64::BITS / LSD_DIGIT_BITS) as usize;
+/// Bits per digit of the local radix sort, MSD prefix and LSD suffix
+/// alike.
+const DIGIT_BITS: u32 = 8;
+/// Radix of the local radix sort.
+const RADIX: usize = 1 << DIGIT_BITS;
+
+/// Widest range the LSD suffix sorts: a range with more unsorted bits is
+/// split MSD-first until its sub-ranges have at most this many left.
+/// Measured on one core of a 2-core x86-64 machine with u64 keys and u32
+/// values: ranges of 2k–9k keys with 24 unsorted bits (as the buckets of
+/// u32 keys keep) took 13–14 ns per key through the LSD suffix and 18–23
+/// sorted MSD-first all the way down, while the 30k-key buckets of a
+/// 2^22-pair lane, with 56 unsorted bits, took 20 ns per key MSD-first
+/// against 29 for 1.8k-key buckets sorted LSD-first.
+const MSD_HANDOFF_BITS: u32 = 32;
+/// Digits of the widest range the LSD suffix sorts.
+const LSD_MAX_DIGITS: usize = (MSD_HANDOFF_BITS / DIGIT_BITS) as usize;
 
 /// Keys per digit below which an insertion sort beats the radix sort: a
 /// range of at most [`insertion_cutoff`] keys is insertion-sorted, because
@@ -58,7 +85,7 @@ const INSERTION_KEYS_PER_DIGIT: usize = 8;
 /// Largest range the local sort insertion-sorts when `bits` bits are
 /// unsorted.
 fn insertion_cutoff(bits: u32) -> usize {
-    INSERTION_KEYS_PER_DIGIT * bits.div_ceil(LSD_DIGIT_BITS) as usize
+    INSERTION_KEYS_PER_DIGIT * bits.div_ceil(DIGIT_BITS) as usize
 }
 
 /// Sorts all `buckets` whose keys currently live in buffer `src` (at their
@@ -234,7 +261,9 @@ pub(crate) fn split_src_dst<'a, T>(
 
 /// Stable in-place sort of `keys`, with `vals` permuted alongside (ignored
 /// when `V` is zero-sized), on the low `bits` bits of the keys' radix
-/// representation; the bits above must be equal across the slice.
+/// representation; the bits above must be equal across the slice.  Runs
+/// the local-sort kernel: MSD-first while more than 32 bits are unsorted,
+/// LSD-first below.
 /// `tmp_keys`/`tmp_vals` are scratch of at least `keys.len()` elements
 /// (`tmp_vals` may be empty when `V` is zero-sized).
 pub fn lsd_sort_in_place<K: SortKey, V: Copy>(
@@ -244,7 +273,7 @@ pub fn lsd_sort_in_place<K: SortKey, V: Copy>(
     tmp_vals: &mut [V],
     bits: u32,
 ) {
-    lsd_sort(None, keys, vals, tmp_keys, tmp_vals, bits);
+    sort_range(Input::Output, keys, vals, tmp_keys, tmp_vals, bits);
 }
 
 /// Like [`lsd_sort_in_place`], but reads the keys and values from
@@ -260,8 +289,8 @@ pub fn lsd_sort_into<K: SortKey, V: Copy>(
     tmp_vals: &mut [V],
     bits: u32,
 ) {
-    lsd_sort(
-        Some((src_keys, src_vals)),
+    sort_range(
+        Input::Source(src_keys, src_vals),
         dst_keys,
         dst_vals,
         tmp_keys,
@@ -270,13 +299,102 @@ pub fn lsd_sort_into<K: SortKey, V: Copy>(
     );
 }
 
-/// The LSD kernel: sorts `src` (or, when `None`, `keys`/`vals` themselves)
-/// into `keys`/`vals`, ping-ponging through `tmp_*`.  With a source, the
-/// first scatter targets `keys` when an odd number of digits is active, so
-/// the last one lands there; in place, it targets `tmp_*`, and an odd
-/// digit count ends with one copy back.
-fn lsd_sort<K: SortKey, V: Copy>(
-    src: Option<(&[K], &[V])>,
+/// Where the range a kernel call sorts currently lives.  The sorted run
+/// always lands in the call's output slices.
+#[derive(Clone, Copy)]
+enum Input<'s, K, V> {
+    /// In the output slices (an in-place sort).
+    Output,
+    /// In the scratch slices, which become free after the first scatter.
+    Scratch,
+    /// In a read-only source.
+    Source(&'s [K], &'s [V]),
+}
+
+/// The local-sort kernel: sorts the range `input` names into
+/// `keys`/`vals`, ping-ponging through `tmp_*`, on its low `bits` bits.
+/// A small range is insertion-sorted.  While more than
+/// [`MSD_HANDOFF_BITS`] bits are unsorted, the range is split MSD-first:
+/// one read finds the highest bit on which its keys differ (the bits
+/// above are skipped), a stable scatter on the 8 bits just below it moves
+/// the range into the other buffer, and every sub-range sorts back out of
+/// it.  The rest is sorted LSD-first.
+fn sort_range<K: SortKey, V: Copy>(
+    input: Input<'_, K, V>,
+    keys: &mut [K],
+    vals: &mut [V],
+    tmp_keys: &mut [K],
+    tmp_vals: &mut [V],
+    mut bits: u32,
+) {
+    let n = keys.len();
+    let tmp_keys = &mut tmp_keys[..n];
+    let tmp_vals = values_of(tmp_vals, 0..n);
+    if n <= insertion_cutoff(bits) {
+        let from = match input {
+            Input::Output => None,
+            Input::Scratch => Some((&*tmp_keys, &*tmp_vals)),
+            Input::Source(sk, sv) => Some((sk, sv)),
+        };
+        insertion_sort(from, keys, vals);
+        return;
+    }
+    if bits > MSD_HANDOFF_BITS {
+        bits = differing_bits(input_keys(input, keys, tmp_keys));
+        if bits > MSD_HANDOFF_BITS {
+            msd_split(input, keys, vals, tmp_keys, tmp_vals, bits);
+            return;
+        }
+    }
+    lsd_sort(input, keys, vals, tmp_keys, tmp_vals, bits);
+}
+
+/// The keys of the range `input` names.
+fn input_keys<'a, K, V>(input: Input<'a, K, V>, keys: &'a [K], tmp_keys: &'a [K]) -> &'a [K] {
+    match input {
+        Input::Output => keys,
+        Input::Scratch => tmp_keys,
+        Input::Source(sk, _) => sk,
+    }
+}
+
+/// Brings the range `input` names into the output slices unchanged.
+fn move_to_output<K: Copy, V: Copy>(
+    input: Input<'_, K, V>,
+    keys: &mut [K],
+    vals: &mut [V],
+    tmp_keys: &[K],
+    tmp_vals: &[V],
+) {
+    match input {
+        Input::Output => {}
+        Input::Scratch => copy_run(tmp_keys, tmp_vals, keys, vals),
+        Input::Source(sk, sv) => copy_run(sk, sv, keys, vals),
+    }
+}
+
+/// Number of low bits on which the (non-empty) `keys` differ: one read
+/// ORs every key's XOR with the first.
+fn differing_bits<K: SortKey>(keys: &[K]) -> u32 {
+    let first = keys[0].to_radix();
+    let diff = keys
+        .iter()
+        .fold(0u64, |acc, k| acc | (k.to_radix() ^ first));
+    u64::BITS - diff.leading_zeros()
+}
+
+/// One MSD step of [`sort_range`]: scatters the range on bits
+/// `bits - 8..bits` and sorts each sub-range on its remaining `bits - 8`
+/// bits.  Out of the output or a source the scatter fills the scratch,
+/// whose lines stay in cache; out of the scratch it fills the output, so
+/// the buffers alternate level by level.  When the sub-ranges average at
+/// most the insertion cutoff, the range instead moves to the output (in
+/// one copy, if it sits in the scratch), the few larger sub-ranges sort
+/// there, and one insertion sort over the whole range finishes it: every
+/// key is at most one small sub-range away from its place, and a branch
+/// per key costs less than a call per sub-range.
+fn msd_split<K: SortKey, V: Copy>(
+    input: Input<'_, K, V>,
     keys: &mut [K],
     vals: &mut [V],
     tmp_keys: &mut [K],
@@ -284,74 +402,114 @@ fn lsd_sort<K: SortKey, V: Copy>(
     bits: u32,
 ) {
     let n = keys.len();
-    let values_present = std::mem::size_of::<V>() != 0;
-    if n <= insertion_cutoff(bits) {
-        if let Some((sk, sv)) = src {
-            copy_run(sk, sv, keys, vals);
-        }
-        insertion_sort(keys, vals);
-        return;
+    let shift = bits - DIGIT_BITS;
+    let digit = Digit::at(shift, DIGIT_BITS);
+    let mut offsets = [0usize; RADIX];
+    for key in input_keys(input, keys, tmp_keys) {
+        offsets[digit.of(key.to_radix())] += 1;
     }
+    exclusive_prefix(&mut offsets);
+    let mut next = match input {
+        Input::Output => {
+            scatter_digit(keys, vals, tmp_keys, tmp_vals, &mut offsets, digit);
+            Input::Scratch
+        }
+        Input::Source(sk, sv) => {
+            scatter_digit(sk, sv, tmp_keys, tmp_vals, &mut offsets, digit);
+            Input::Scratch
+        }
+        Input::Scratch => {
+            scatter_digit(tmp_keys, tmp_vals, keys, vals, &mut offsets, digit);
+            Input::Output
+        }
+    };
+    let cutoff = insertion_cutoff(shift);
+    let leaves = n <= cutoff << DIGIT_BITS;
+    if leaves {
+        move_to_output(next, keys, vals, tmp_keys, tmp_vals);
+        next = Input::Output;
+    }
+    // The scatter advanced every offset to the end of its sub-range.
+    let mut start = 0;
+    for end in offsets {
+        let len = end - start;
+        if len > cutoff || (!leaves && len > 0) {
+            sort_range(
+                next,
+                &mut keys[start..end],
+                values_of(vals, start..end),
+                &mut tmp_keys[start..end],
+                values_of(tmp_vals, start..end),
+                shift,
+            );
+        }
+        start = end;
+    }
+    if leaves {
+        insertion_sort(None, keys, vals);
+    }
+}
 
-    // One read builds every digit's histogram.
-    let n_digits = (bits.div_ceil(LSD_DIGIT_BITS) as usize).min(LSD_MAX_DIGITS);
-    let mut counts = [[0usize; LSD_RADIX]; LSD_MAX_DIGITS];
-    let input = src.map_or(&*keys, |(sk, _)| sk);
-    for key in input {
+/// The LSD suffix of [`sort_range`], for at most [`MSD_HANDOFF_BITS`]
+/// bits.  One read builds every digit's histogram, and digits the whole
+/// range agrees on are skipped.  From a source, the first scatter targets
+/// the output when an odd number of digits is active, so the last one
+/// lands there; otherwise the scatters alternate from wherever the range
+/// lives, and a run left in the scratch is copied back.
+fn lsd_sort<K: SortKey, V: Copy>(
+    input: Input<'_, K, V>,
+    keys: &mut [K],
+    vals: &mut [V],
+    tmp_keys: &mut [K],
+    tmp_vals: &mut [V],
+    bits: u32,
+) {
+    let n = keys.len();
+    let n_digits = bits.div_ceil(DIGIT_BITS) as usize;
+    debug_assert!(n_digits <= LSD_MAX_DIGITS);
+    let mut counts = [[0usize; RADIX]; LSD_MAX_DIGITS];
+    let from = input_keys(input, keys, tmp_keys);
+    for key in from {
         let mut r = key.to_radix();
         for row in &mut counts[..n_digits] {
-            row[(r & (LSD_RADIX as u64 - 1)) as usize] += 1;
-            r >>= LSD_DIGIT_BITS;
+            row[(r & (RADIX as u64 - 1)) as usize] += 1;
+            r >>= DIGIT_BITS;
         }
     }
 
     // Skip every digit the whole range agrees on; turn the others'
     // counts into exclusive scatter offsets.
-    let first = input[0].to_radix();
+    let first = from[0].to_radix();
     let mut active = [0usize; LSD_MAX_DIGITS];
     let mut n_active = 0usize;
     for (j, row) in counts[..n_digits].iter_mut().enumerate() {
         if row[lsd_digit(j).of(first)] == n {
             continue;
         }
-        let mut sum = 0usize;
-        for c in row.iter_mut() {
-            let count = *c;
-            *c = sum;
-            sum += count;
-        }
+        exclusive_prefix(row);
         active[n_active] = j;
         n_active += 1;
     }
     if n_active == 0 {
-        if let Some((sk, sv)) = src {
-            copy_run(sk, sv, keys, vals);
-        }
+        move_to_output(input, keys, vals, tmp_keys, tmp_vals);
         return;
     }
 
-    let tmp_keys = &mut tmp_keys[..n];
-    let tmp_vals = if values_present {
-        &mut tmp_vals[..n]
-    } else {
-        &mut tmp_vals[..0]
+    let (mut in_keys, rest) = match input {
+        Input::Source(sk, sv) => {
+            let j = active[0];
+            let to_keys = n_active % 2 == 1;
+            if to_keys {
+                scatter_digit(sk, sv, keys, vals, &mut counts[j], lsd_digit(j));
+            } else {
+                scatter_digit(sk, sv, tmp_keys, tmp_vals, &mut counts[j], lsd_digit(j));
+            }
+            (to_keys, &active[1..n_active])
+        }
+        Input::Output => (true, &active[..n_active]),
+        Input::Scratch => (false, &active[..n_active]),
     };
-    let j = active[0];
-    let mut in_keys = match src {
-        Some((sk, sv)) if n_active % 2 == 1 => {
-            scatter_digit(sk, sv, keys, vals, &mut counts[j], lsd_digit(j));
-            true
-        }
-        Some((sk, sv)) => {
-            scatter_digit(sk, sv, tmp_keys, tmp_vals, &mut counts[j], lsd_digit(j));
-            false
-        }
-        None => {
-            scatter_digit(keys, vals, tmp_keys, tmp_vals, &mut counts[j], lsd_digit(j));
-            false
-        }
-    };
-    for &j in &active[1..n_active] {
+    for &j in rest {
         if in_keys {
             scatter_digit(keys, vals, tmp_keys, tmp_vals, &mut counts[j], lsd_digit(j));
         } else {
@@ -364,10 +522,30 @@ fn lsd_sort<K: SortKey, V: Copy>(
     }
 }
 
+/// Turns digit counts into exclusive offsets.
+fn exclusive_prefix(row: &mut [usize; RADIX]) {
+    let mut sum = 0usize;
+    for c in row.iter_mut() {
+        let count = *c;
+        *c = sum;
+        sum += count;
+    }
+}
+
+/// The values at `range` (an empty slice when `V` is zero-sized: key-only
+/// sorts may carry no value buffer).
+fn values_of<V>(vals: &mut [V], range: std::ops::Range<usize>) -> &mut [V] {
+    if std::mem::size_of::<V>() != 0 {
+        &mut vals[range]
+    } else {
+        &mut vals[..0]
+    }
+}
+
 /// The `j`-th least-significant 8-bit digit.
 #[inline]
 fn lsd_digit(j: usize) -> Digit {
-    Digit::at(j as u32 * LSD_DIGIT_BITS, LSD_DIGIT_BITS)
+    Digit::at(j as u32 * DIGIT_BITS, DIGIT_BITS)
 }
 
 /// One stable counting-sort scatter of `from_*` into `to_*` on `digit`,
@@ -378,7 +556,7 @@ fn scatter_digit<K: SortKey, V: Copy>(
     from_vals: &[V],
     to_keys: &mut [K],
     to_vals: &mut [V],
-    offsets: &mut [usize; LSD_RADIX],
+    offsets: &mut [usize; RADIX],
     digit: Digit,
 ) {
     let values_present = std::mem::size_of::<V>() != 0;
@@ -406,24 +584,29 @@ fn copy_run<K: Copy, V: Copy>(
     }
 }
 
-/// Stable insertion sort of `keys` by radix, moving `vals` alongside.
-fn insertion_sort<K: SortKey, V: Copy>(keys: &mut [K], vals: &mut [V]) {
+/// Stable insertion sort by radix of `from` (or, when `None`, of
+/// `keys`/`vals` themselves) into `keys`, moving `vals` alongside: each
+/// key shifts the larger keys before it up by one, element by element.
+fn insertion_sort<K: SortKey, V: Copy>(from: Option<(&[K], &[V])>, keys: &mut [K], vals: &mut [V]) {
     let values_present = std::mem::size_of::<V>() != 0;
-    for i in 1..keys.len() {
-        let key = keys[i];
+    let first = if from.is_some() { 0 } else { 1 };
+    for i in first..keys.len() {
+        let (key, val) = match from {
+            Some((fk, fv)) => (fk[i], values_present.then(|| fv[i])),
+            None => (keys[i], values_present.then(|| vals[i])),
+        };
         let r = key.to_radix();
         let mut j = i;
         while j > 0 && keys[j - 1].to_radix() > r {
+            keys[j] = keys[j - 1];
+            if values_present {
+                vals[j] = vals[j - 1];
+            }
             j -= 1;
         }
-        if j < i {
-            keys.copy_within(j..i, j + 1);
-            keys[j] = key;
-            if values_present {
-                let val = vals[i];
-                vals.copy_within(j..i, j + 1);
-                vals[j] = val;
-            }
+        keys[j] = key;
+        if let Some(val) = val {
+            vals[j] = val;
         }
     }
 }
@@ -508,7 +691,10 @@ mod tests {
         // Key-only: zero-sized values, no value scratch.
         let mut k = keys.to_vec();
         lsd_sort_in_place(&mut k, &mut [(); 0], &mut tk, &mut [], bits);
-        assert!(k == expect.0, "key-only, n={n} bits={bits}");
+        assert!(k == expect.0, "key-only in place, n={n} bits={bits}");
+        let mut k = vec![K::default(); n];
+        lsd_sort_into(keys, &[(); 0], &mut k, &mut [], &mut tk, &mut [], bits);
+        assert!(k == expect.0, "key-only into, n={n} bits={bits}");
     }
 
     /// Sizes around the insertion cutoff for `bits` unsorted bits, and one
@@ -536,6 +722,49 @@ mod tests {
                     .map(|(i, r)| high | (r & low & !(0x3 << (i % 61))))
                     .collect();
                 check_kernel(&keys, bits);
+            }
+        }
+    }
+
+    #[test]
+    fn msd_prefix_and_lsd_suffix_agree_with_a_stable_sort() {
+        // Widths around the 32-bit hand-off and the widest ones, sizes from
+        // empty to the CPU-socket ∂̂ for u64 + u32 pairs (across the
+        // insertion cutoff, the radix and the one-level MSD limit), and
+        // inputs that are random, sorted, reversed, constant or dominated
+        // by one key.
+        let cpu_threshold = 43_690;
+        for bits in [31u32, 32, 33, 34, 56, 64] {
+            let low = u64::MAX >> (64 - bits);
+            let cut = insertion_cutoff(bits);
+            let one_level = insertion_cutoff(bits - DIGIT_BITS) << DIGIT_BITS;
+            let sizes = [
+                0,
+                1,
+                cut,
+                cut + 1,
+                RADIX + 1,
+                one_level,
+                one_level + 1,
+                cpu_threshold,
+            ];
+            for n in sizes {
+                let random: Vec<u64> = uniform_keys::<u64>(n, u64::from(bits))
+                    .iter()
+                    .map(|r| (0x5A5A_5A5A_5A5A_5A5A & !low) | (r & low))
+                    .collect();
+                let mut sorted = random.clone();
+                sorted.sort_unstable();
+                let reversed: Vec<u64> = sorted.iter().rev().copied().collect();
+                let constant = vec![random.first().copied().unwrap_or(0); n];
+                let heavy: Vec<u64> = random
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| if i % 5 < 3 { constant[0] } else { k })
+                    .collect();
+                for keys in [&random, &sorted, &reversed, &constant, &heavy] {
+                    check_kernel(keys, bits);
+                }
             }
         }
     }

@@ -49,8 +49,9 @@ use workloads::pairs::SortValue;
 /// The hybrid MSD radix sorter.
 #[derive(Debug)]
 pub struct HybridRadixSorter {
-    /// Explicit configuration; when `None` the Table 3 configuration
-    /// matching the key/value widths is chosen per sort call.
+    /// Explicit configuration; when `None` the device's configuration for
+    /// the key/value widths ([`SortConfig::for_device`]) is chosen per
+    /// sort call.
     config: Option<SortConfig>,
     /// Optimisation toggles.
     opts: Optimizations,
@@ -137,11 +138,13 @@ impl HybridRadixSorter {
     }
 
     /// The configuration that will be used for keys/values of the given
-    /// widths.
+    /// widths: the explicit one if set, else the device's
+    /// ([`SortConfig::for_device`]: Table 3 on a GPU, a cache-sized ∂̂ on a
+    /// host CPU).
     pub fn effective_config(&self, key_bytes: u32, value_bytes: u32) -> SortConfig {
         self.config
             .clone()
-            .unwrap_or_else(|| SortConfig::for_widths(key_bytes, value_bytes))
+            .unwrap_or_else(|| SortConfig::for_device(&self.device, key_bytes, value_bytes))
     }
 
     /// The optimisation flags in effect.
@@ -381,11 +384,12 @@ impl HybridRadixSorter {
         let num_passes = config.num_passes(K::BITS);
         let final_buf = (num_passes % 2) as usize;
 
-        // The local sort's ping-pong scratch; run_local_sorts grows it to
-        // `workers × ∂̂`.
-        let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, 0);
+        // The local sort's ping-pong scratch, taken at the `workers × ∂̂`
+        // elements run_local_sorts stripes, so a warm take writes nothing.
+        let local_len = self.exec.workers() * config.local_sort_threshold;
+        let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, local_len);
         let mut local_vals: Vec<V> = if values_present {
-            arena.take_buffer::<V>(ROLE_LOCAL_VALS, 0)
+            arena.take_buffer::<V>(ROLE_LOCAL_VALS, local_len)
         } else {
             Vec::new()
         };
@@ -585,6 +589,44 @@ mod tests {
         assert!(report.counting_passes() >= 1);
         assert!(report.local.invocations > 0);
         assert!(report.simulated.total.secs() > 0.0);
+    }
+
+    #[test]
+    fn cpu_socket_sorters_size_the_local_threshold_to_the_cache() {
+        let cpu = HybridRadixSorter::with_defaults().with_device(DeviceSpec::cpu_socket(1));
+        let on_chip = DeviceSpec::cpu_socket(1).max_shared_mem_per_block as usize;
+        assert_eq!(on_chip, 1024 * 1024);
+        for (key_bytes, value_bytes) in [(4u32, 0u32), (8, 0), (8, 4), (8, 8)] {
+            let config = cpu.effective_config(key_bytes, value_bytes);
+            let record = (key_bytes + value_bytes) as usize;
+            assert_eq!(config.local_sort_threshold, on_chip / (2 * record));
+            assert!(config.validate().is_ok(), "{config:?}");
+        }
+        assert_eq!(cpu.effective_config(8, 4).local_sort_threshold, 43_690);
+        // A GPU sorter keeps Table 3, and an explicit configuration wins.
+        let titan = HybridRadixSorter::with_defaults();
+        assert_eq!(titan.effective_config(4, 0), SortConfig::keys_32());
+        assert_eq!(titan.effective_config(8, 0), SortConfig::keys_64());
+        assert_eq!(titan.effective_config(4, 4), SortConfig::pairs_32_32());
+        assert_eq!(titan.effective_config(8, 8), SortConfig::pairs_64_64());
+        assert_eq!(titan.effective_config(8, 4), SortConfig::for_widths(8, 4));
+        let explicit = cpu.with_config(SortConfig::keys_64());
+        assert_eq!(explicit.effective_config(8, 4), SortConfig::keys_64());
+    }
+
+    #[test]
+    fn cpu_socket_sorts_uniform_wide_pairs_in_one_counting_pass() {
+        let n = 1 << 20;
+        let keys = uniform_keys::<u64>(n, 37);
+        let mut sorted_keys = keys.clone();
+        let mut values: Vec<u32> = (0..n as u32).collect();
+        let sorter = HybridRadixSorter::with_defaults().with_device(DeviceSpec::cpu_socket(1));
+        let report = sorter.sort_pairs(&mut sorted_keys, &mut values);
+        assert!(verify_indexed_pair_sort(&keys, &sorted_keys, &values));
+        assert_eq!(report.counting_passes(), 1, "{}", report.summary());
+        let threshold = sorter.effective_config(8, 4).local_sort_threshold as u64;
+        assert!(report.local.largest_bucket <= threshold);
+        assert_eq!(report.local.n_keys, n as u64);
     }
 
     #[test]

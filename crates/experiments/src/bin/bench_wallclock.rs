@@ -1,7 +1,8 @@
 //! Wall-clock throughput of the execution backends (real time, not
 //! simulated): keys/sec for the sequential baseline and the threaded
-//! backend over worker counts × workloads × input sizes × shapes, written
-//! to `BENCH_wallclock.json`.
+//! backend over worker counts × workloads × input sizes × shapes (u32
+//! keys, u32 + u32 pairs, u64 + u32 pairs), written to
+//! `BENCH_wallclock.json`.
 //!
 //! ```text
 //! cargo run --release --bin bench_wallclock [-- --smoke] [--out <path>]

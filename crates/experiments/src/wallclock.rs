@@ -5,7 +5,9 @@
 //! of the functional hybrid radix sort under the [`Executor::Sequential`]
 //! baseline and the real-thread [`Executor::Threaded`] backend across
 //! worker counts, workloads (uniform / Zipfian / pre-sorted) and shapes
-//! (key-only and key-value), and serialises the sweep as
+//! (u32 keys, u32 + u32 pairs, and u64 + u32 pairs, whose local buckets
+//! keep more than 32 unsorted bits and so run the local sort's MSD
+//! prefix), and serialises the sweep as
 //! `BENCH_wallclock.json` so CI can archive the trajectory.  Every point
 //! times the staged (write-combining) scatter and, as its A/B reference,
 //! the direct per-key scatter.
@@ -18,14 +20,14 @@ use crate::artifact;
 use hrs_core::{Executor, HybridRadixSorter, Optimizations};
 use std::time::Instant;
 use telemetry::InspectNode;
-use workloads::Distribution;
+use workloads::{Distribution, SortKey};
 
 /// One measured configuration of the sweep.
 #[derive(Debug, Clone)]
 pub struct WallclockPoint {
     /// Workload name (`"uniform"`, `"zipf"`, `"sorted"`).
     pub workload: String,
-    /// Shape name (`"u32 keys"`, `"u32+u32 pairs"`).
+    /// Shape name (`"u32 keys"`, `"u32+u32 pairs"`, `"u64+u32 pairs"`).
     pub shape: String,
     /// Input size in keys.
     pub n: usize,
@@ -60,13 +62,13 @@ pub struct WallclockConfig {
     pub worker_counts: Vec<usize>,
     /// Timed repetitions per configuration (the best is reported).
     pub reps: usize,
-    /// Whether to also measure the key-value shape.
+    /// Whether to also measure the key-value shapes.
     pub pairs: bool,
 }
 
 impl WallclockConfig {
     /// The full sweep of the perf trajectory: 2^20–2^26 keys, 1/2/4/8
-    /// workers, both shapes, staged with unstaged A/B references.
+    /// workers, every shape, staged with unstaged A/B references.
     pub fn full() -> Self {
         WallclockConfig {
             sizes: vec![1 << 20, 1 << 22, 1 << 24, 1 << 26],
@@ -117,16 +119,17 @@ fn measure<F: FnMut() -> f64>(reps: usize, mut run: F) -> f64 {
     best
 }
 
-fn run_shape(
+/// Measures one shape: `keys`, alone or with `u32` row ids as values.
+fn run_shape<K: SortKey>(
     points: &mut Vec<WallclockPoint>,
     workload: &str,
     shape: &str,
-    keys: &[u32],
+    keys: &[K],
     pairs: bool,
     cfg: &WallclockConfig,
 ) {
     let n = keys.len();
-    let record_bytes = if pairs { 8 } else { 4 } as f64;
+    let record_bytes = f64::from(K::BYTES + if pairs { 4 } else { 0 });
     // The sequential baseline anchors every speedup, so it is always
     // measured and always measured first, whatever order (or subset) the
     // caller asked for.
@@ -192,6 +195,8 @@ pub fn run_wallclock_sweep(cfg: &WallclockConfig) -> Vec<WallclockPoint> {
             run_shape(&mut points, &workload, "u32 keys", &keys, false, cfg);
             if cfg.pairs {
                 run_shape(&mut points, &workload, "u32+u32 pairs", &keys, true, cfg);
+                let wide: Vec<u64> = dist.generate(n, 0xBE);
+                run_shape(&mut points, &workload, "u64+u32 pairs", &wide, true, cfg);
             }
         }
     }
@@ -242,9 +247,9 @@ mod tests {
     #[test]
     fn sweep_covers_every_configuration() {
         let points = run_wallclock_sweep(&tiny_config());
-        // 1 size × 3 workloads × 2 shapes × 2 worker counts (the unstaged
+        // 1 size × 3 workloads × 3 shapes × 2 worker counts (the unstaged
         // A/B reference rides inside each point, not as extra rows).
-        assert_eq!(points.len(), 12);
+        assert_eq!(points.len(), 18);
         for p in &points {
             assert!(p.secs > 0.0, "{p:?}");
             assert!(p.keys_per_sec > 0.0, "{p:?}");
@@ -252,7 +257,12 @@ mod tests {
             assert!(p.unstaged_secs > 0.0, "{p:?}");
             assert!(p.staged_vs_unstaged > 0.0, "{p:?}");
             // Effective bytes/sec is keys/sec scaled by the record width.
-            let record = if p.shape.contains("pairs") { 8.0 } else { 4.0 };
+            let record = match p.shape.as_str() {
+                "u32 keys" => 4.0,
+                "u32+u32 pairs" => 8.0,
+                "u64+u32 pairs" => 12.0,
+                other => panic!("unexpected shape {other}"),
+            };
             assert!(
                 (p.bytes_per_sec - p.keys_per_sec * record).abs() < 1.0,
                 "{p:?}"

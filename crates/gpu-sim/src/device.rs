@@ -165,7 +165,10 @@ impl DeviceSpec {
             generation: GpuGeneration::HostCpu,
             num_sms: workers,
             cores_per_sm: 1,
-            shared_mem_per_sm: 1024 * 1024, // L2 slice standing in for SMEM
+            // An L2 slice standing in for SMEM.  The sorter sizes a CPU
+            // lane's local-sort threshold ∂̂ from it: half holds a bucket,
+            // half its scratch (`hrs_core::SortConfig::for_device`).
+            shared_mem_per_sm: 1024 * 1024,
             max_shared_mem_per_block: 1024 * 1024,
             registers_per_sm: 65_536,
             max_threads_per_sm: 2,

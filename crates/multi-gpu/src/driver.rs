@@ -47,14 +47,18 @@
 use crate::engine::ShardedSorter;
 use crate::exchange::{slab_lengths, RecombineStrategy};
 use crate::ooc::{device_chunk_plan, overlap_tail_merge};
-use crate::partition::{compute_splitters_in, scatter_into_round, PartitionConfig, SplitterSet};
+use crate::partition::{
+    compute_splitters_in, sample_len, scatter_into_round, PartitionConfig, SplitterSet,
+};
 use crate::recovery::{SortError, BACKOFF, MAX_RETRIES};
 use crate::report::{ExchangeSpan, FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
 use gpu_sim::{ResourceId, SimTime, Timeline, TransferDirection};
 use hetero::chunking::split_into_chunks;
 use hetero::multiway_merge::merge_pairs_into;
 use hetero::pipeline::PipelineResources;
-use hrs_core::arena::{ROLE_ROUND_KEYS, ROLE_ROUND_VALS, ROLE_SPLITTER_SAMPLE};
+use hrs_core::arena::{
+    ROLE_ROUND_KEYS, ROLE_ROUND_VALS, ROLE_SPLITTER_REFINE, ROLE_SPLITTER_SAMPLE,
+};
 use hrs_core::{HybridRadixSorter, SharedMut, SortReport};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -421,15 +425,32 @@ impl ShardedSorter {
             .map(|&g| self.pool.devices()[g].capacity_weight())
             .collect();
         let clock = Instant::now();
-        let mut sample = self.with_scratch(|a| a.take_buffer(ROLE_SPLITTER_SAMPLE, 0));
+        // The sample is taken at the length the search writes, so a warm
+        // take is a no-op (one shard needs no sample).
+        let cfg = PartitionConfig::default();
+        let sample_len = if alive.len() > 1 {
+            sample_len(m, &cfg)
+        } else {
+            0
+        };
+        let (mut sample, mut refine) = self.with_scratch(|a| {
+            (
+                a.take_buffer(ROLE_SPLITTER_SAMPLE, sample_len),
+                a.take_buffer(ROLE_SPLITTER_REFINE, 0),
+            )
+        });
         let splitters = compute_splitters_in(
             &pending.0,
             &weights,
-            &PartitionConfig::default(),
+            &cfg,
             &self.host_exec,
             &mut sample,
+            &mut refine,
         );
-        self.with_scratch(|a| a.put_buffer(ROLE_SPLITTER_SAMPLE, sample));
+        self.with_scratch(|a| {
+            a.put_buffer(ROLE_SPLITTER_SAMPLE, sample);
+            a.put_buffer(ROLE_SPLITTER_REFINE, refine);
+        });
         run.measured_splitters += clock.elapsed();
         // Round 0 partitions into the engine's persistent round buffer
         // (a warm take writes no element memory), requeue rounds into

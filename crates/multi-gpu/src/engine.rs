@@ -642,8 +642,9 @@ mod tests {
         let (mut k, mut v) = (keys.clone(), rows.clone());
         sorter.sort_pairs(&mut k, &mut v);
         let warm = arena(&sorter);
-        // The round keys and values, and the splitter sample.
-        assert_eq!(warm.0, 3);
+        // The round keys and values, the splitter sample and the
+        // splitter refinement buffer.
+        assert_eq!(warm.0, 4);
         assert!(
             warm.1 >= 80_000 * 12,
             "the round buffer is parked: {warm:?}"

@@ -3,7 +3,7 @@
 //! A sharded sort needs splitters that divide the *key space* into `p`
 //! contiguous ranges whose populations match the devices' capacity weights.
 //! Splitters are found the way the hybrid radix sort itself looks at keys:
-//! with most-significant-digit histograms ([`hrs_core::histogram`]).  A
+//! with most-significant-digit histograms of a strided key sample.  A
 //! histogram of the top 8 bits locates the bin every weighted rank target
 //! falls into; heavily populated bins are refined by recursing into the next
 //! 8-bit digit (up to [`PartitionConfig::refine_levels`] levels), which
@@ -31,8 +31,6 @@
 //!   comparisons against each cut instead of incrementing a counter per
 //!   key.
 
-use gpu_sim::HistogramStrategy;
-use hrs_core::histogram::block_histogram;
 use hrs_core::{Executor, SharedMut};
 use serde::{Deserialize, Serialize};
 use workloads::pairs::SortValue;
@@ -166,28 +164,43 @@ const HIST_CHUNK: usize = 64 * 1024;
 ///
 /// The strided key sample is gathered in parallel chunks, each counting
 /// its level-0 digits as it goes; the summed histogram is shared by every
-/// cut's descent, and the per-cut refinement descents (independent,
-/// read-only walks over the sample) fan out over `exec`.  Every step is deterministic, so the chosen cuts are identical
-/// for any worker count — the sequential backend is the equivalence
-/// baseline.
+/// cut's descent, and the per-cut refinement descents (independent walks
+/// over the sample, each filtering into its own region of one buffer) fan
+/// out over `exec`.  Every step is deterministic, so the chosen cuts are
+/// identical for any worker count — the sequential backend is the
+/// equivalence baseline.
 pub fn compute_splitters_with<K: SortKey>(
     keys: &[K],
     weights: &[f64],
     cfg: &PartitionConfig,
     exec: &Executor,
 ) -> SplitterSet {
-    compute_splitters_in(keys, weights, cfg, exec, &mut Vec::new())
+    compute_splitters_in(keys, weights, cfg, exec, &mut Vec::new(), &mut Vec::new())
+}
+
+/// Keys between two samples of an `n`-key input.
+fn sample_stride(n: usize, cfg: &PartitionConfig) -> usize {
+    n.div_ceil(cfg.max_samples.max(1)).max(1)
+}
+
+/// Length of the key sample the splitter search draws from an `n`-key
+/// input: a caller that hands [`compute_splitters_in`] a buffer of this
+/// length has it written without being resized first.
+pub(crate) fn sample_len(n: usize, cfg: &PartitionConfig) -> usize {
+    n.div_ceil(sample_stride(n, cfg))
 }
 
 /// [`compute_splitters_with`] drawing its key sample into `sample`, whose
-/// contents it replaces, so a caller that sorts repeatedly reuses one
-/// allocation for it.
+/// contents it replaces, and filtering the keys its cuts refine on into
+/// `refine`, so a caller that sorts repeatedly reuses one allocation for
+/// each.
 pub(crate) fn compute_splitters_in<K: SortKey>(
     keys: &[K],
     weights: &[f64],
     cfg: &PartitionConfig,
     exec: &Executor,
     sample: &mut Vec<u64>,
+    refine: &mut Vec<u64>,
 ) -> SplitterSet {
     let shards = weights.len().max(1);
     assert!(
@@ -224,8 +237,8 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
     // digits as it goes; every cut's descent starts from the summed table
     // instead of re-scanning the sample per cut.
     let norm_shift = 64 - K::BITS;
-    let stride = keys.len().div_ceil(cfg.max_samples.max(1)).max(1);
-    sample.resize(keys.len().div_ceil(stride), 0);
+    let stride = sample_stride(keys.len(), cfg);
+    sample.resize(sample_len(keys.len(), cfg), 0);
     let radix = 1usize << cfg.digit_bits;
     let shift0 = 64 - cfg.digit_bits;
     let root_hist: Vec<u64> = {
@@ -261,23 +274,39 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
         fracs.push(cum_weight / total_weight);
     }
 
-    // The refinement descents are independent read-only walks over the
-    // sample — one executor task per cut.
+    // Each cut that refines past level 0 gets a region of `refine` the
+    // size of its level-0 bin: its descent filters that bin's keys there,
+    // then narrows them in place level by level.  The descents are
+    // independent — one executor task per cut.
+    let targets: Vec<f64> = fracs.iter().map(|f| sample.len() as f64 * f).collect();
+    let mut region_ends = Vec::with_capacity(targets.len());
+    let mut refine_len = 0;
+    for &target in &targets {
+        let (_, _, count) = pick_bin(&root_hist, target);
+        if count > 1 && levels > 1 {
+            refine_len += count;
+        }
+        region_ends.push(refine_len);
+    }
+    refine.resize(refine_len, 0);
     let mut cut_norms = vec![0u64; shards - 1];
     {
         let cuts_sm = SharedMut::new(cut_norms.as_mut_slice());
-        let fracs_ref = &fracs[..];
-        let root_ref = &root_hist[..];
-        exec.for_each_task_probed(fracs.len(), None, |i, _| {
-            let frac = fracs_ref[i];
+        let regions = SharedMut::new(refine.as_mut_slice());
+        let (targets, region_ends, root) = (&targets[..], &region_ends[..], &root_hist[..]);
+        exec.for_each_task_probed(targets.len(), None, |i, _| {
+            let target = targets[i];
             let cut_norm = if sample.is_empty() {
                 // No data: fall back to an equal-width partition of the key
                 // space itself.
-                ((u128::from(u64::MAX) + 1) * (frac * 1024.0) as u128 / 1024)
+                ((u128::from(u64::MAX) + 1) * (fracs[i] * 1024.0) as u128 / 1024)
                     .min(u128::from(u64::MAX)) as u64
             } else {
-                let target = sample.len() as f64 * frac;
-                descend(sample, 0, 0, target, levels, cfg.digit_bits, root_ref)
+                let start = if i == 0 { 0 } else { region_ends[i - 1] };
+                // SAFETY: cut `i`'s region lies between the previous cut's
+                // region end and its own, and task `i` alone touches it.
+                let region = unsafe { regions.slice_mut(start, region_ends[i] - start) };
+                descend(sample, region, target, levels, cfg.digit_bits, root)
             };
             // SAFETY: task `i` is the only writer of slot `i`.
             unsafe { cuts_sm.write(i, cut_norm) };
@@ -518,82 +547,81 @@ pub(crate) fn scatter_counted<K: SortKey, V: SortValue>(
     totals
 }
 
-/// Descends the digit histogram of `subset` (all sharing `prefix` above the
-/// current digit) to locate the radix value whose rank is closest to
-/// `target`.  Returns a cut aligned to the finest refined digit boundary.
-/// Computes the level's histogram itself; [`descend`] is the variant taking
-/// a precomputed one.
-fn find_cut(
-    subset: &[u64],
-    prefix: u64,
-    level: u32,
-    target: f64,
-    levels: u32,
-    digit_bits: u32,
-) -> u64 {
-    let radix = 1usize << digit_bits;
-    let hist = block_histogram(
-        subset,
-        digit_bits,
-        level,
-        radix,
-        HistogramStrategy::AtomicsOnly,
-        usize::MAX,
-    );
-    let counts: Vec<u64> = hist.counts.iter().map(|&c| u64::from(c)).collect();
-    descend(subset, prefix, level, target, levels, digit_bits, &counts)
+/// The bin of `hist` in which rank `target` falls (the last bin if none
+/// reaches it), with the number of keys in the bins before it and in the
+/// bin itself.
+fn pick_bin(hist: &[u64], target: f64) -> (usize, f64, usize) {
+    let mut cum_before = 0.0;
+    for (b, &count) in hist.iter().enumerate() {
+        if cum_before + count as f64 >= target || b == hist.len() - 1 {
+            return (b, cum_before, count as usize);
+        }
+        cum_before += count as f64;
+    }
+    unreachable!("a digit histogram has at least one bin")
 }
 
-/// The histogram walk of [`find_cut`] over a precomputed count table for
-/// the current digit level.  Refinement recursion (via [`find_cut`])
-/// recomputes the deeper, much smaller levels itself.
-#[allow(clippy::too_many_arguments)]
+/// Descends the sample's digit histograms from `root_hist` (level 0) to
+/// locate the radix value whose rank is closest to `target`, and returns a
+/// cut aligned to the finest refined digit boundary.  Where the target
+/// falls inside a populated bin, the walk refines on the next digit,
+/// restricted to that bin's keys: they are filtered into `region` (which
+/// holds exactly the level-0 bin's keys) and narrowed there in place.
 fn descend(
-    subset: &[u64],
-    prefix: u64,
-    level: u32,
-    target: f64,
+    sample: &[u64],
+    region: &mut [u64],
+    mut target: f64,
     levels: u32,
     digit_bits: u32,
-    hist_counts: &[u64],
+    root_hist: &[u64],
 ) -> u64 {
     let radix = 1usize << digit_bits;
-    let shift = 64 - digit_bits * (level + 1);
-
-    let mut cum_before = 0.0;
-    for (b, &count) in hist_counts.iter().enumerate() {
-        let count = count as f64;
-        if cum_before + count >= target || b == radix - 1 {
-            let bin_lo = prefix | ((b as u64) << shift);
-            if count > 1.0 && level + 1 < levels {
-                // The target falls inside a populated bin: refine on the
-                // next digit, restricted to this bin's keys.
-                let sub: Vec<u64> = subset
-                    .iter()
-                    .copied()
-                    .filter(|&k| (k >> shift) & ((radix - 1) as u64) == b as u64)
-                    .collect();
-                if !sub.is_empty() {
-                    return find_cut(
-                        &sub,
-                        bin_lo,
-                        level + 1,
-                        target - cum_before,
-                        levels,
-                        digit_bits,
-                    );
+    let mask = (radix - 1) as u64;
+    let mut hist = Vec::new();
+    let mut prefix = 0u64;
+    let mut len = 0usize;
+    for level in 0..levels {
+        let shift = 64 - digit_bits * (level + 1);
+        let counts = if level == 0 { root_hist } else { &hist[..] };
+        let (b, cum_before, count) = pick_bin(counts, target);
+        let bin_lo = prefix | ((b as u64) << shift);
+        if count > 1 && level + 1 < levels {
+            let in_bin = |k: u64| (k >> shift) & mask == b as u64;
+            if level == 0 {
+                for (slot, k) in region
+                    .iter_mut()
+                    .zip(sample.iter().copied().filter(|&k| in_bin(k)))
+                {
+                    *slot = k;
+                }
+            } else {
+                let mut kept = 0;
+                for i in 0..len {
+                    if in_bin(region[i]) {
+                        region[kept] = region[i];
+                        kept += 1;
+                    }
                 }
             }
-            // Out of refinement levels: snap to the nearer bin boundary.
-            if target - cum_before <= count / 2.0 {
-                return bin_lo;
+            len = count;
+            let next_shift = shift - digit_bits;
+            hist.clear();
+            hist.resize(radix, 0u64);
+            for &k in &region[..len] {
+                hist[((k >> next_shift) & mask) as usize] += 1;
             }
-            let bin_hi = u128::from(prefix) + ((b as u128 + 1) << shift);
-            return bin_hi.min(u128::from(u64::MAX)) as u64;
+            prefix = bin_lo;
+            target -= cum_before;
+            continue;
         }
-        cum_before += count;
+        // Out of refinement levels: snap to the nearer bin boundary.
+        if target - cum_before <= count as f64 / 2.0 {
+            return bin_lo;
+        }
+        let bin_hi = u128::from(prefix) + ((b as u128 + 1) << shift);
+        return bin_hi.min(u128::from(u64::MAX)) as u64;
     }
-    u64::MAX
+    unreachable!("the last level always snaps")
 }
 
 #[cfg(test)]
