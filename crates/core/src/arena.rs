@@ -84,9 +84,10 @@ pub struct BlockStat {
     pub shared_updates: u64,
     /// Whether the look-ahead write combiner was active for this block.
     pub lookahead_active: bool,
-    /// Full write-combining lines the block's scatter flushed.
+    /// Whole write-combining lines the scatter wrote (booked on the first
+    /// block of each stripe; see `scatter::BlockScatter`).
     pub staged_lines: u64,
-    /// Partial write-combining lines drained at block end.
+    /// Line fragments written with plain stores (booked likewise).
     pub partial_flushes: u64,
 }
 
@@ -116,8 +117,11 @@ pub struct PassScratch {
     /// Buckets routed to the local sort in the current pass.
     pub local: Vec<LocalBucket>,
     /// Per-worker write-combining fill counts: `workers × radix` staged-key
-    /// counters (all zero between blocks).
+    /// counters (all zero between stripes).
     pub stage_filled: Vec<u32>,
+    /// Scatter stripes of the current pass: `(first, end)` block index
+    /// ranges, consecutive blocks of one bucket.
+    pub stripes: Vec<(usize, usize)>,
 }
 
 impl PassScratch {
@@ -135,6 +139,7 @@ impl PassScratch {
             + self.counting_out.capacity() * std::mem::size_of::<Bucket>()
             + self.local.capacity() * std::mem::size_of::<LocalBucket>()
             + self.stage_filled.capacity() * std::mem::size_of::<u32>()
+            + self.stripes.capacity() * std::mem::size_of::<(usize, usize)>()
     }
 }
 

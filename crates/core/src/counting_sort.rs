@@ -14,7 +14,9 @@
 //! The pass is executed by an [`Executor`]: steps 1 and 3 are
 //! embarrassingly parallel over key blocks (each block owns its histogram
 //! strip and its reserved destination chunks), so the threaded backend runs
-//! one task per block on real OS threads; step 2 and the classification are
+//! one histogram task per block and one scatter task per stripe of
+//! consecutive blocks of a bucket ([`STRIPE_KEYS`]) on real OS threads;
+//! step 2 and the classification are
 //! cheap `O(buckets × radix)` combines that stay on the calling thread,
 //! mirroring how the GPU implementation runs them in a single small kernel.
 //! All working memory comes from a [`PassScratch`], so a warmed-up pass
@@ -29,7 +31,7 @@ use crate::histogram::block_histogram_into;
 use crate::opts::Optimizations;
 use crate::prefix_sum::exclusive_prefix_sum_into;
 use crate::report::PassStats;
-use crate::scatter::{scatter_block, ScatterParams, ScatterStaging};
+use crate::scatter::{block_lookahead, scatter_stripe, ScatterParams, ScatterStaging, STRIPE_KEYS};
 use crate::trace::{SortTrace, TraceEvent};
 use gpu_sim::HistogramStrategy;
 use workloads::pairs::SortValue;
@@ -43,7 +45,8 @@ use workloads::SortKey;
 /// buckets ready for a local sort to `out_local` (both are cleared first);
 /// the pass's working memory lives in `scratch` and is reused across passes
 /// and sorts.  The histogram and scatter phases are distributed over the
-/// `exec` backend's workers, one task per key block.
+/// `exec` backend's workers: one histogram task per key block, one scatter
+/// task per stripe.
 ///
 /// `staging_keys`/`staging_vals` are the arena-owned per-worker
 /// write-combining segments (resized here, capacity-stable after warm-up).
@@ -107,7 +110,9 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     let n_blocks = scratch.blocks.len();
 
     // (1) Per-block histograms into the strip table, one executor task per
-    // block.  Every block owns strip `b * radix ..` exclusively.
+    // block.  Every block owns strip `b * radix ..` exclusively.  The task
+    // also counts the block's look-ahead writes while its keys are in
+    // cache; the scatter works on whole stripes and never sees a block.
     scratch.block_counts.clear();
     scratch.block_counts.resize(n_blocks * radix, 0);
     scratch.block_stats.clear();
@@ -129,6 +134,9 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                 strategy,
                 config.keys_per_thread as usize,
             );
+            let max_bin = strip.iter().copied().max().unwrap_or(0);
+            let (lookahead_active, shared_updates) =
+                block_lookahead(keys, &scatter_params, max_bin);
             // SAFETY: stat slot `b` belongs to this task only.
             unsafe {
                 block_stats.write(
@@ -136,6 +144,8 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                     BlockStat {
                         atomic_updates,
                         distinct,
+                        shared_updates,
+                        lookahead_active,
                         ..BlockStat::default()
                     },
                 );
@@ -144,15 +154,24 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     }
 
     // (2) Per bucket: aggregate the strips, prefix-sum into sub-bucket
-    // offsets, derive every block's scatter bases, classify sub-buckets.
+    // offsets, derive every block's scatter bases, cut the bucket's blocks
+    // into stripes, classify sub-buckets.
     scratch.block_bases.clear();
     scratch.block_bases.resize(n_blocks * radix, 0);
+    scratch.stripes.clear();
+    let stripe_blocks = (STRIPE_KEYS / config.keys_per_block.max(1)).max(1);
     let mut block_cursor = 0usize;
     let mut max_bin_keys = 0u64;
     for bucket in buckets {
         let nb = bucket.num_blocks(config.keys_per_block);
         let bucket_blocks = block_cursor..block_cursor + nb;
         block_cursor += nb;
+        scratch.stripes.extend(
+            bucket_blocks
+                .clone()
+                .step_by(stripe_blocks)
+                .map(|b| (b, (b + stripe_blocks).min(bucket_blocks.end))),
+        );
 
         scratch.bucket_hist.clear();
         scratch.bucket_hist.resize(radix, 0);
@@ -221,35 +240,39 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         }
     }
 
-    // Per-worker write-combining staging: `radix × line_keys` keys (and
-    // values) per worker, sized by the *maximum* radix so the segments are
-    // capacity-stable across passes with a narrower final digit.
+    // Per-worker write-combining staging: `radix` key lines and `radix`
+    // value lines per worker, sized by the *maximum* radix so the segments
+    // are capacity-stable across passes with a narrower final digit.  A
+    // value line spans the bytes of a key line (16 u32 values beside 8 u64
+    // keys), so both arrays flush whole cache lines.
     let values_present = std::mem::size_of::<V>() != 0;
     let line_keys = config.scatter_line_keys(K::BYTES as usize);
+    let line_vals = (line_keys * std::mem::size_of::<K>() / std::mem::size_of::<V>().max(1)).max(1);
     let staging_on = opts.staged_scatter && line_keys > 1 && n_blocks > 0;
     let max_radix = config.radix();
     let stage_stride = max_radix * line_keys;
+    let val_stride = max_radix * line_vals;
     let workers = exec.workers();
     if staging_on {
         staging_keys.clear();
         staging_keys.resize(workers * stage_stride, K::default());
         if values_present {
             staging_vals.clear();
-            staging_vals.resize(workers * stage_stride, V::default());
+            staging_vals.resize(workers * val_stride, V::default());
         }
         scratch.stage_filled.clear();
         scratch.stage_filled.resize(workers * max_radix, 0);
     }
 
-    // (3) Cooperative scatter, one executor task per block.  Each worker
-    // seeds its private cursor strip from the block's bases; destination
-    // chunks of distinct blocks are disjoint.
+    // (3) Cooperative scatter, one executor task per stripe.  Each worker
+    // seeds its private cursor strip from the stripe's first block's
+    // bases; destination chunks of distinct stripes are disjoint.
     scratch.worker_cursors.clear();
     scratch.worker_cursors.resize(workers * radix, 0);
     {
         let blocks = &scratch.blocks;
         let bases = &scratch.block_bases;
-        let counts = &scratch.block_counts;
+        let stripes = &scratch.stripes;
         let cursors = SharedMut::new(&mut scratch.worker_cursors);
         let block_stats = SharedMut::new(&mut scratch.block_stats);
         let stage_keys_sm = SharedMut::new(staging_keys.as_mut_slice());
@@ -257,32 +280,28 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         let stage_filled_sm = SharedMut::new(&mut scratch.stage_filled);
         let dst_keys = SharedMut::new(dst_keys);
         let dst_vals = SharedMut::new(dst_vals);
-        exec.for_each_task_probed(n_blocks, probe, |b, worker| {
-            let blk = &blocks[b];
-            let block_keys = &src_keys[blk.key_offset..blk.key_offset + blk.key_count];
-            let block_vals = if values_present {
-                &src_vals[blk.key_offset..blk.key_offset + blk.key_count]
+        exec.for_each_task_probed(stripes.len(), probe, |s, worker| {
+            let (first, end) = stripes[s];
+            let last = &blocks[end - 1];
+            let span = blocks[first].key_offset..last.key_offset + last.key_count;
+            let stripe_vals = if values_present {
+                &src_vals[span.clone()]
             } else {
                 &src_vals[0..0]
             };
             // SAFETY: cursor strip `worker` belongs to this thread only.
             let cursor = unsafe { cursors.slice_mut(worker * radix, radix) };
-            cursor.copy_from_slice(&bases[b * radix..(b + 1) * radix]);
-            let max_bin = counts[b * radix..(b + 1) * radix]
-                .iter()
-                .copied()
-                .max()
-                .unwrap_or(0);
+            cursor.copy_from_slice(&bases[first * radix..(first + 1) * radix]);
             let mut staging_storage = None;
             if staging_on {
                 // SAFETY: the staging segments are striped per worker, and
-                // a worker runs one block at a time, so the key range is
+                // a worker runs one stripe at a time, so the key range is
                 // exclusive to this thread.
                 let stage_keys =
                     unsafe { stage_keys_sm.slice_mut(worker * stage_stride, radix * line_keys) };
                 let stage_vals = if values_present {
                     // SAFETY: same striping as the keys.
-                    unsafe { stage_vals_sm.slice_mut(worker * stage_stride, radix * line_keys) }
+                    unsafe { stage_vals_sm.slice_mut(worker * val_stride, radix * line_vals) }
                 } else {
                     // SAFETY: zero-length view; no bytes are reachable.
                     unsafe { stage_vals_sm.slice_mut(0, 0) }
@@ -297,22 +316,20 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                     line_keys,
                 });
             }
-            let sc = scatter_block(
-                block_keys,
-                block_vals,
+            let (staged_lines, partial_flushes) = scatter_stripe(
+                &src_keys[span],
+                stripe_vals,
                 cursor,
                 &dst_keys,
                 &dst_vals,
                 &scatter_params,
-                max_bin,
                 staging_storage.as_mut(),
             );
-            // SAFETY: stat slot `b` belongs to this task only.
-            let stat = unsafe { &mut block_stats.slice_mut(b, 1)[0] };
-            stat.shared_updates = sc.shared_updates;
-            stat.lookahead_active = sc.lookahead_active;
-            stat.staged_lines = sc.staged_lines;
-            stat.partial_flushes = sc.partial_flushes;
+            // SAFETY: stat slot `first` belongs to this stripe's task only;
+            // the stripe's line counts are booked on its first block.
+            let stat = unsafe { &mut block_stats.slice_mut(first, 1)[0] };
+            stat.staged_lines = staged_lines;
+            stat.partial_flushes = partial_flushes;
         });
     }
 

@@ -391,6 +391,88 @@ impl<'a, T> SharedMut<'a, T> {
         // overlap a range this view may write.
         unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(start), src.len()) };
     }
+
+    /// Copies `src` into `start..start + src.len()` with non-temporal
+    /// stores that bypass the cache — the flush of a completed, aligned
+    /// write-combining line.  The destination line is written whole, so
+    /// the core never reads it for ownership first.
+    ///
+    /// Streams with `_mm_stream_si128` (SSE2, always present on x86_64)
+    /// when the range is 16-byte aligned and a whole number of 16-byte
+    /// vectors; anything else, and every other target, gets the plain copy
+    /// of [`SharedMut::copy_from_slice_at`].  The stores are weakly
+    /// ordered: the writing thread must call [`stream_fence`] before
+    /// another thread may rely on seeing them.
+    ///
+    /// # Safety
+    ///
+    /// The destination range must be in bounds and no other thread may
+    /// access any element of it concurrently.
+    #[track_caller]
+    pub unsafe fn stream_from_slice_at(&self, start: usize, src: &[T])
+    where
+        T: Copy,
+    {
+        debug_assert!(start + src.len() <= self.len);
+        #[cfg(feature = "race-check")]
+        self.ledger
+            .claim(analysis::ClaimKind::DoneWrite, start, src.len());
+        // SAFETY: the caller guarantees `start..start + src.len()` is in
+        // bounds, so the offset stays inside the allocation.
+        let dst = unsafe { self.ptr.add(start) }.cast::<u8>();
+        let bytes = std::mem::size_of_val(src);
+        #[cfg(target_arch = "x86_64")]
+        if bytes.is_multiple_of(16) && (dst as usize).is_multiple_of(16) {
+            use std::arch::x86_64::{__m128i, _mm_loadu_si128, _mm_stream_si128};
+            let src = src.as_ptr().cast::<u8>();
+            for off in (0..bytes).step_by(16) {
+                // SAFETY: `off + 16 <= bytes`, so both 16-byte accesses stay
+                // inside `src` and the caller-owned destination range; the
+                // destination is 16-byte aligned as `_mm_stream_si128`
+                // requires (the source load is unaligned); SSE2 is part of
+                // the x86_64 baseline.
+                unsafe {
+                    _mm_stream_si128(
+                        dst.add(off).cast::<__m128i>(),
+                        _mm_loadu_si128(src.add(off).cast::<__m128i>()),
+                    );
+                }
+            }
+            return;
+        }
+        // SAFETY: as in `copy_from_slice_at` — the range is in bounds and
+        // unaliased, and `src` is a live shared borrow.
+        unsafe { std::ptr::copy_nonoverlapping(src.as_ptr(), dst.cast::<T>(), src.len()) };
+    }
+
+    /// The element offset of the view's start within its group of `group`
+    /// elements, where groups are the runs of `group × size_of::<T>()`
+    /// bytes that start at multiples of that size (64-byte groups are the
+    /// cache lines): element `i` of the view is slot `(phase + i) % group`
+    /// of its group.  Assumes elements aligned to their size, as the
+    /// integer keys and values are.
+    pub fn phase(&self, group: usize) -> usize {
+        let size = std::mem::size_of::<T>();
+        if size == 0 || group == 0 {
+            return 0;
+        }
+        (self.ptr as usize / size) % group
+    }
+}
+
+/// Orders this thread's earlier [`SharedMut::stream_from_slice_at`] stores
+/// before its later stores (`_mm_sfence` on x86_64, a no-op elsewhere, where
+/// no store is non-temporal).  A task that streams calls it before it
+/// returns, so whatever publishes the task's completion publishes the
+/// streamed lines too.
+#[inline]
+pub fn stream_fence() {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_sfence` only orders stores; SSE is part of the x86_64
+    // baseline.
+    unsafe {
+        std::arch::x86_64::_mm_sfence();
+    }
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ pub struct SorterProbe {
     pass_ns: Histogram,
     /// Cache lines flushed whole by the write-combining scatter.
     staged_lines: Counter,
-    /// Partial staging lines drained at block end.
+    /// Line fragments the write-combining scatter wrote with plain stores.
     partial_flushes: Counter,
     /// Arena gauges, refreshed after every probed sort.
     arena_buffer_bytes: Gauge,

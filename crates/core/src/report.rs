@@ -48,10 +48,11 @@ pub struct PassStats {
     pub counting_buckets_forwarded: u64,
     /// Blocks for which the look-ahead write combining was active.
     pub lookahead_active_blocks: u64,
-    /// Full write-combining lines the staged scatter flushed with one
-    /// contiguous copy (0 when the staged scatter is disabled).
+    /// Whole write-combining lines the staged scatter wrote, counted for a
+    /// line-aligned destination (0 when the staged scatter is disabled).
     pub staged_lines: u64,
-    /// Partially filled write-combining lines drained at block ends.
+    /// Line fragments the staged scatter wrote with plain stores: chunk
+    /// heads and tails that share a line with a neighbouring chunk.
     pub partial_flushes: u64,
 }
 

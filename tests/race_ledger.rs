@@ -13,12 +13,16 @@
 //!   shard ranges of one round buffer and whose lanes sort those ranges
 //!   against the same ranges of the free input buffer, also with two
 //!   threads sorting through one engine at once;
+//! * the counting pass's striped scatter, whose neighbouring stripes share
+//!   destination cache lines across workers, claims whole lines it
+//!   streams and the fragments it writes plainly without overlap;
 //! * a deliberately overlapping pair of cross-thread claims panics with a
 //!   diagnostic naming both claim sites, proving the instrument actually
 //!   bites (a checker that cannot fail checks nothing).
 
 #![cfg(feature = "race-check")]
 
+use hybrid_radix_sort::hrs_core::scatter::STRIPE_KEYS;
 use hybrid_radix_sort::hrs_core::{Executor, HybridRadixSorter, SharedMut, SortConfig};
 use hybrid_radix_sort::multi_gpu::{DevicePool, OocConfig, ShardedSorter, SimDevice};
 use hybrid_radix_sort::workloads::pairs::verify_indexed_pair_sort;
@@ -53,6 +57,29 @@ proptest! {
             .sort(&mut sorted);
         prop_assert_eq!(sorted, expected);
     }
+}
+
+#[test]
+fn striped_scatter_on_two_workers_never_trips_the_ledger() {
+    // Pass 0 cuts the root bucket into stripes of `STRIPE_KEYS` keys.  A
+    // stripe's chunk of each sub-bucket ends mid-line next to the next
+    // stripe's chunk, and two workers claim the stripes in turn, so lines
+    // are split between workers: the streamed whole lines and the plainly
+    // written fragments must still be disjoint claims.
+    let n = 10 * STRIPE_KEYS + 777;
+    let sorter = HybridRadixSorter::new(SortConfig::for_widths(8, 4))
+        .with_executor(Executor::with_workers(2));
+    for keys in [uniform_keys::<u64>(n, 3), ZipfGenerator::paper_keys(n, 4)] {
+        check_pair_sort(&keys, |k, v| {
+            sorter.sort_pairs(k, v);
+        });
+    }
+    let keys = uniform_keys::<u32>(n, 5);
+    let mut sorted = keys.clone();
+    HybridRadixSorter::new(SortConfig::keys_32())
+        .with_executor(Executor::with_workers(2))
+        .sort(&mut sorted);
+    assert_eq!(sorted, KeyCodec::std_sorted(&keys));
 }
 
 /// The benchmarks' pool: two single-worker CPU sockets; out of core,
