@@ -12,9 +12,12 @@
 //!   between sorts and resized — never reallocated — when the input size
 //!   repeats;
 //! * **[`PassScratch`]** holds the per-radix tables (bucket histogram,
-//!   prefix sum), the per-block histogram strips and scatter base tables,
-//!   the per-worker write cursors and the bucket bookkeeping lists, all of
-//!   which retain their capacity across passes *and* across sorts.
+//!   prefix sum), the per-block histogram strips, the per-stripe scatter
+//!   bases, the per-worker write cursors, the bucket bookkeeping lists and
+//!   the per-pass tallies, all of which retain their capacity across passes
+//!   *and* across sorts.  Besides the sort's own, the arena parks one per
+//!   worker ([`ScratchArena::workers`]) for the depth-first tasks that
+//!   finish cache-sized buckets.
 //!
 //! After the first sort of a given size (the warm-up), the steady-state
 //! pass loop performs no heap allocation; [`ScratchArena::stats`] exposes
@@ -46,6 +49,8 @@
 //! ```
 
 use crate::bucket::{Bucket, LocalBucket, PassBlock, SubBucket};
+use crate::counting_sort::PassTally;
+use crate::report::LocalSortStats;
 use std::any::{Any, TypeId};
 use std::collections::HashMap;
 
@@ -98,14 +103,18 @@ pub struct PassScratch {
     pub blocks: Vec<PassBlock>,
     /// Per-block histogram strips: `blocks.len() × radix` counters.
     pub block_counts: Vec<u32>,
-    /// Per-block scatter bases: `blocks.len() × radix` destination offsets.
-    pub block_bases: Vec<usize>,
+    /// Per-stripe scatter bases: `stripes.len() × radix` destination
+    /// offsets, each stripe's cursor seed.
+    pub stripe_bases: Vec<usize>,
     /// Per-block histogram/scatter statistics.
     pub block_stats: Vec<BlockStat>,
     /// Digit histogram of the bucket currently being combined.
     pub bucket_hist: Vec<u64>,
     /// Exclusive prefix sum of `bucket_hist`.
     pub prefix: Vec<usize>,
+    /// Per-digit running scatter offset while the bases of a bucket's
+    /// blocks are laid out, block by block.
+    pub digit_run: Vec<usize>,
     /// Per-worker digit write cursors: `workers × radix` offsets.
     pub worker_cursors: Vec<usize>,
     /// Sub-buckets of the bucket currently being classified.
@@ -122,6 +131,14 @@ pub struct PassScratch {
     /// Scatter stripes of the current pass: `(first, end)` block index
     /// ranges, consecutive blocks of one bucket.
     pub stripes: Vec<(usize, usize)>,
+    /// Cache-sized buckets split off a pass's output, to be finished
+    /// depth-first.
+    pub depth_first: Vec<Bucket>,
+    /// One tally per counting pass of the current sort, summing the
+    /// buckets this scratch's pass loops partitioned.
+    pub tallies: Vec<PassTally>,
+    /// The local sorts this scratch's pass loops booked.
+    pub local_stats: LocalSortStats,
 }
 
 impl PassScratch {
@@ -129,10 +146,11 @@ impl PassScratch {
     pub fn capacity_bytes(&self) -> usize {
         self.blocks.capacity() * std::mem::size_of::<PassBlock>()
             + self.block_counts.capacity() * std::mem::size_of::<u32>()
-            + self.block_bases.capacity() * std::mem::size_of::<usize>()
+            + self.stripe_bases.capacity() * std::mem::size_of::<usize>()
             + self.block_stats.capacity() * std::mem::size_of::<BlockStat>()
             + self.bucket_hist.capacity() * std::mem::size_of::<u64>()
             + self.prefix.capacity() * std::mem::size_of::<usize>()
+            + self.digit_run.capacity() * std::mem::size_of::<usize>()
             + self.worker_cursors.capacity() * std::mem::size_of::<usize>()
             + self.sub_buckets.capacity() * std::mem::size_of::<SubBucket>()
             + self.counting_in.capacity() * std::mem::size_of::<Bucket>()
@@ -140,6 +158,36 @@ impl PassScratch {
             + self.local.capacity() * std::mem::size_of::<LocalBucket>()
             + self.stage_filled.capacity() * std::mem::size_of::<u32>()
             + self.stripes.capacity() * std::mem::size_of::<(usize, usize)>()
+            + self.depth_first.capacity() * std::mem::size_of::<Bucket>()
+            + self.tallies.capacity() * std::mem::size_of::<PassTally>()
+    }
+
+    /// Grows every table to at least `other`'s capacity.  Workers that ran
+    /// different tasks of one fan-out match each other's capacities
+    /// afterwards, so which worker ran which task leaves no trace in the
+    /// warm arena.
+    pub fn reserve_like(&mut self, other: &PassScratch) {
+        fn grow<T>(v: &mut Vec<T>, other: &Vec<T>) {
+            if v.capacity() < other.capacity() {
+                v.reserve_exact(other.capacity() - v.len());
+            }
+        }
+        grow(&mut self.blocks, &other.blocks);
+        grow(&mut self.block_counts, &other.block_counts);
+        grow(&mut self.stripe_bases, &other.stripe_bases);
+        grow(&mut self.block_stats, &other.block_stats);
+        grow(&mut self.bucket_hist, &other.bucket_hist);
+        grow(&mut self.prefix, &other.prefix);
+        grow(&mut self.digit_run, &other.digit_run);
+        grow(&mut self.worker_cursors, &other.worker_cursors);
+        grow(&mut self.sub_buckets, &other.sub_buckets);
+        grow(&mut self.counting_in, &other.counting_in);
+        grow(&mut self.counting_out, &other.counting_out);
+        grow(&mut self.local, &other.local);
+        grow(&mut self.stage_filled, &other.stage_filled);
+        grow(&mut self.stripes, &other.stripes);
+        grow(&mut self.depth_first, &other.depth_first);
+        grow(&mut self.tallies, &other.tallies);
     }
 }
 
@@ -175,6 +223,9 @@ impl ArenaStats {
 pub struct ScratchArena {
     /// The counting-pass working set.
     pub pass: PassScratch,
+    /// One counting-pass working set per executor worker, for the
+    /// depth-first tasks.
+    pub workers: Vec<PassScratch>,
     buffers: HashMap<(TypeId, u8), TypedBuffer>,
 }
 
@@ -236,7 +287,13 @@ impl ScratchArena {
         ArenaStats {
             buffer_bytes: self.buffers.values().map(|b| b.capacity_bytes).sum(),
             buffers: self.buffers.len(),
-            scratch_bytes: self.pass.capacity_bytes(),
+            scratch_bytes: self.pass.capacity_bytes()
+                + self
+                    .workers
+                    .iter()
+                    .map(PassScratch::capacity_bytes)
+                    .sum::<usize>()
+                + self.workers.capacity() * std::mem::size_of::<PassScratch>(),
         }
     }
 }

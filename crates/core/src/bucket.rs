@@ -15,7 +15,8 @@ use serde::{Deserialize, Serialize};
 /// A bucket that still needs to be partitioned by a counting sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Bucket {
-    /// Unique identifier (assigned in creation order).
+    /// Identifier, assigned in creation order by the pass loop that
+    /// created the bucket (a depth-first task numbers its own afresh).
     pub id: u64,
     /// Offset of the bucket's first key within the key buffer.
     pub offset: usize,

@@ -209,11 +209,19 @@ impl SortConfig {
                 threads: self.threads_per_block,
             };
         }
+        self.local_sort_classes[self.class_index(len, false)]
+    }
+
+    /// Position in [`SortConfig::local_sort_classes`] of the class
+    /// [`SortConfig::class_for`] picks (0 for the single ∂̂-sized class).
+    pub fn class_index(&self, len: usize, single_class: bool) -> usize {
+        if single_class {
+            return 0;
+        }
         self.local_sort_classes
             .iter()
-            .copied()
-            .find(|c| c.covers(len))
-            .unwrap_or_else(|| *self.local_sort_classes.last().unwrap())
+            .position(|c| c.covers(len))
+            .unwrap_or(self.local_sort_classes.len().saturating_sub(1))
     }
 
     /// Number of counting-sort passes needed to consume `key_bits` bits.

@@ -19,8 +19,20 @@
 //! step 2 and the classification are
 //! cheap `O(buckets × radix)` combines that stay on the calling thread,
 //! mirroring how the GPU implementation runs them in a single small kernel.
+//! Step 2 walks each bucket's histogram strips block by block, in memory
+//! order, and keeps the scatter bases of each stripe's first block only:
+//! a stripe's blocks own adjacent destination chunks, so those bases seed
+//! the whole stripe.
 //! All working memory comes from a [`PassScratch`], so a warmed-up pass
 //! performs no heap allocation.
+//!
+//! A pass may cover only some of a digit's buckets: the sorter runs one
+//! over the large buckets and lets a depth-first task run one over each
+//! cache-sized bucket's range alone, sequentially and with direct scatter
+//! stores (see [`run_counting_pass`]).  So a pass returns its statistics
+//! as a [`PassTally`] of integer sums, which add up across the buckets of
+//! a digit in any order; the report's ratios are derived once, from the
+//! sums.
 
 use crate::arena::{BlockStat, PassScratch};
 use crate::bucket::{classify_sub_buckets_into, pass_blocks_into, Bucket, LocalBucket, SubBucket};
@@ -31,48 +43,191 @@ use crate::histogram::block_histogram_into;
 use crate::opts::Optimizations;
 use crate::prefix_sum::exclusive_prefix_sum_into;
 use crate::report::PassStats;
-use crate::scatter::{block_lookahead, scatter_stripe, ScatterParams, ScatterStaging, STRIPE_KEYS};
+use crate::scatter::{
+    block_lookahead, chunk_line_counts, scatter_stripe, ScatterParams, ScatterStaging, STRIPE_KEYS,
+};
 use crate::trace::{SortTrace, TraceEvent};
 use gpu_sim::HistogramStrategy;
 use workloads::pairs::SortValue;
 use workloads::SortKey;
 
+/// What every pass of one pass loop shares: the sort's configuration and
+/// flags, and the backend its fan-outs run on.
+#[derive(Debug, Clone, Copy)]
+pub struct PassContext<'a> {
+    /// The sort's configuration.
+    pub config: &'a SortConfig,
+    /// The sort's optimisation flags.
+    pub opts: &'a Optimizations,
+    /// The backend running the histogram, scatter and local-sort tasks.
+    pub exec: &'a Executor,
+    /// Per-worker telemetry for those fan-outs, if any.
+    pub probe: Option<&'a ExecProbe>,
+}
+
+/// The statistics of one counting pass over some of its buckets, as
+/// integer sums.  Tallies of disjoint bucket sets of one pass add up to
+/// the tally of the whole pass, whatever order or worker they ran in;
+/// [`PassTally::stats`] derives the float ratios once, from the sums.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassTally {
+    /// Keys processed.
+    pub n_keys: u64,
+    /// Buckets partitioned.
+    pub n_buckets: u64,
+    /// Key blocks processed.
+    pub n_blocks: u64,
+    /// Histogram atomic updates.
+    pub histogram_updates: u64,
+    /// Scatter staging atomic updates.
+    pub scatter_updates: u64,
+    /// Distinct digit values summed over the blocks.
+    pub distinct_digits: u64,
+    /// Keys of each bucket's most populated digit value, summed over the
+    /// buckets.
+    pub max_bin_keys: u64,
+    /// Non-empty sub-buckets produced.
+    pub sub_buckets_created: u64,
+    /// Buckets handed to the local sort.
+    pub local_buckets_created: u64,
+    /// Buckets forwarded to the next pass.
+    pub counting_buckets_forwarded: u64,
+    /// Blocks with the look-ahead write combiner active.
+    pub lookahead_active_blocks: u64,
+    /// Whole write-combining lines written.
+    pub staged_lines: u64,
+    /// Line fragments written with plain stores.
+    pub partial_flushes: u64,
+    /// The local-sort size classes of the buckets the pass handed to the
+    /// local sort, one bit per class (see
+    /// [`local_sort::book_local_sorts`](crate::local_sort::book_local_sorts)).
+    pub local_classes: u64,
+}
+
+impl PassTally {
+    /// Adds the tally of a disjoint set of buckets of the same pass.
+    pub fn add(&mut self, other: &PassTally) {
+        self.n_keys += other.n_keys;
+        self.n_buckets += other.n_buckets;
+        self.n_blocks += other.n_blocks;
+        self.histogram_updates += other.histogram_updates;
+        self.scatter_updates += other.scatter_updates;
+        self.distinct_digits += other.distinct_digits;
+        self.max_bin_keys += other.max_bin_keys;
+        self.sub_buckets_created += other.sub_buckets_created;
+        self.local_buckets_created += other.local_buckets_created;
+        self.counting_buckets_forwarded += other.counting_buckets_forwarded;
+        self.lookahead_active_blocks += other.lookahead_active_blocks;
+        self.staged_lines += other.staged_lines;
+        self.partial_flushes += other.partial_flushes;
+        self.local_classes |= other.local_classes;
+    }
+
+    /// The report's statistics of pass `pass`, whose digit has `radix`
+    /// values.
+    pub fn stats(&self, pass: u32, radix: usize) -> PassStats {
+        let per_block = |sum: u64| {
+            if self.n_blocks > 0 {
+                sum as f64 / self.n_blocks as f64
+            } else {
+                0.0
+            }
+        };
+        PassStats {
+            pass,
+            n_keys: self.n_keys,
+            n_buckets: self.n_buckets,
+            n_blocks: self.n_blocks,
+            radix,
+            histogram_updates: self.histogram_updates,
+            scatter_updates: self.scatter_updates,
+            avg_block_distinct: per_block(self.distinct_digits),
+            avg_occupied_sub_buckets: per_block(self.distinct_digits),
+            max_bin_fraction: if self.n_keys > 0 {
+                self.max_bin_keys as f64 / self.n_keys as f64
+            } else {
+                0.0
+            },
+            sub_buckets_created: self.sub_buckets_created,
+            local_buckets_created: self.local_buckets_created,
+            counting_buckets_forwarded: self.counting_buckets_forwarded,
+            lookahead_active_blocks: self.lookahead_active_blocks,
+            staged_lines: self.staged_lines,
+            partial_flushes: self.partial_flushes,
+        }
+    }
+}
+
+/// Keys and values of one worker's write-combining staging segment:
+/// `radix` key lines and `radix` value lines, sized by the *maximum* radix
+/// so a segment serves every pass.  A value line spans the bytes of a key
+/// line (16 u32 values beside 8 u64 keys), so both arrays flush whole
+/// cache lines.  Both are 0 when the staged scatter is off or a line
+/// holds a single key; [`run_counting_pass`] takes `workers ×` these.
+pub fn staging_lens<K: SortKey, V: SortValue>(
+    config: &SortConfig,
+    opts: &Optimizations,
+) -> (usize, usize) {
+    let line_keys = config.scatter_line_keys(K::BYTES as usize);
+    if !opts.staged_scatter || line_keys < 2 {
+        return (0, 0);
+    }
+    let line_vals = (line_keys * std::mem::size_of::<K>() / std::mem::size_of::<V>().max(1)).max(1);
+    let vals = if std::mem::size_of::<V>() != 0 {
+        config.radix() * line_vals
+    } else {
+        0
+    };
+    (config.radix() * line_keys, vals)
+}
+
 /// Runs one counting-sort pass over `buckets`, reading keys/values from the
 /// `src` buffers and writing the partitioned sub-buckets into the `dst`
-/// buffers.  `next_id` supplies bucket identifiers.
+/// buffers.  `next_id` supplies bucket identifiers.  `origin` is the
+/// position of the buffers' element 0 within the sort's whole buffers (0
+/// unless the pass runs on one bucket's range of them); it only shifts the
+/// line statistics, so they describe the whole buffers' lines.
+///
+/// The scatter stages its writes through `staging_keys`/`staging_vals`,
+/// the arena-owned write-combining segments, one [`staging_lens`] stripe
+/// per worker, and streams whole lines past the cache.  Given shorter
+/// segments — empty ones, as a depth-first task passes, whose destination
+/// range stays in cache for the local sorts that read it next — it writes
+/// every key straight to its place instead and books the lines the staged
+/// scatter would have written, so the statistics do not change.
 ///
 /// Buckets forwarded to the next pass are appended to `out_counting` and
 /// buckets ready for a local sort to `out_local` (both are cleared first);
 /// the pass's working memory lives in `scratch` and is reused across passes
 /// and sorts.  The histogram and scatter phases are distributed over the
-/// `exec` backend's workers: one histogram task per key block, one scatter
-/// task per stripe.
-///
-/// `staging_keys`/`staging_vals` are the arena-owned per-worker
-/// write-combining segments (resized here, capacity-stable after warm-up).
-/// The phases run strictly in order — every histogram task finishes before
-/// the prefix sums, and those before the first scatter task — as in the
-/// paper's kernel sequence.
+/// context's executor: one histogram task per key block, one scatter task
+/// per stripe.  The phases run strictly in order — every histogram task
+/// finishes before the prefix sums, and those before the first scatter
+/// task — as in the paper's kernel sequence.
 #[allow(clippy::too_many_arguments)]
 pub fn run_counting_pass<K: SortKey, V: SortValue>(
+    cx: &PassContext<'_>,
     src_keys: &[K],
     dst_keys: &mut [K],
     src_vals: &[V],
     dst_vals: &mut [V],
+    origin: usize,
     buckets: &[Bucket],
     pass: u32,
-    config: &SortConfig,
-    opts: &Optimizations,
     next_id: &mut u64,
-    exec: &Executor,
-    probe: Option<&ExecProbe>,
     scratch: &mut PassScratch,
-    staging_keys: &mut Vec<K>,
-    staging_vals: &mut Vec<V>,
+    staging_keys: &mut [K],
+    staging_vals: &mut [V],
     out_local: &mut Vec<LocalBucket>,
     out_counting: &mut Vec<Bucket>,
     mut trace: Option<&mut SortTrace>,
-) -> PassStats {
+) -> PassTally {
+    let PassContext {
+        config,
+        opts,
+        exec,
+        probe,
+    } = *cx;
     let radix = radix_of_pass(K::BITS, config.digit_bits, pass);
     let strategy = if opts.thread_reduction_histogram {
         HistogramStrategy::ThreadReduction
@@ -90,11 +245,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         skew_threshold: config.lookahead_skew_threshold,
     };
 
-    let mut stats = PassStats {
-        pass,
-        radix,
-        ..PassStats::default()
-    };
+    let mut tally = PassTally::default();
     out_local.clear();
     out_counting.clear();
     if let Some(t) = trace.as_deref_mut() {
@@ -154,14 +305,12 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     }
 
     // (2) Per bucket: aggregate the strips, prefix-sum into sub-bucket
-    // offsets, derive every block's scatter bases, cut the bucket's blocks
-    // into stripes, classify sub-buckets.
-    scratch.block_bases.clear();
-    scratch.block_bases.resize(n_blocks * radix, 0);
+    // offsets, cut the bucket's blocks into stripes and derive each
+    // stripe's scatter bases, classify sub-buckets.
+    scratch.stripe_bases.clear();
     scratch.stripes.clear();
     let stripe_blocks = (STRIPE_KEYS / config.keys_per_block.max(1)).max(1);
     let mut block_cursor = 0usize;
-    let mut max_bin_keys = 0u64;
     for bucket in buckets {
         let nb = bucket.num_blocks(config.keys_per_block);
         let bucket_blocks = block_cursor..block_cursor + nb;
@@ -186,12 +335,22 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
 
         // Scatter bases: for digit d, block b writes its keys with digit d
         // at `bucket.offset + prefix[d] + Σ counts of earlier blocks` — the
-        // chunk the GPU block reserves with one atomicAdd.
-        for (d, &p) in scratch.prefix.iter().enumerate() {
-            let mut run = bucket.offset + p;
-            for b in bucket_blocks.clone() {
-                scratch.block_bases[b * radix + d] = run;
-                run += scratch.block_counts[b * radix + d] as usize;
+        // chunk the GPU block reserves with one atomicAdd.  A stripe's
+        // blocks own adjacent chunks, so only each stripe's first block's
+        // bases are kept, as the stripe's cursor seed.  Walked block by
+        // block, so the strips are read in memory order, with one running
+        // offset per digit.
+        scratch.digit_run.clear();
+        scratch
+            .digit_run
+            .extend(scratch.prefix.iter().map(|&p| bucket.offset + p));
+        for b in bucket_blocks.clone() {
+            if (b - bucket_blocks.start) % stripe_blocks == 0 {
+                scratch.stripe_bases.extend_from_slice(&scratch.digit_run);
+            }
+            let counts = &scratch.block_counts[b * radix..(b + 1) * radix];
+            for (run, &c) in scratch.digit_run.iter_mut().zip(counts) {
+                *run += c as usize;
             }
         }
 
@@ -218,13 +377,13 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
             out_counting,
         );
 
-        stats.n_keys += bucket.len as u64;
-        stats.n_buckets += 1;
-        stats.n_blocks += nb as u64;
-        stats.sub_buckets_created += scratch.sub_buckets.len() as u64;
-        stats.local_buckets_created += (out_local.len() - local_before) as u64;
-        stats.counting_buckets_forwarded += (out_counting.len() - counting_before) as u64;
-        max_bin_keys += scratch.bucket_hist.iter().copied().max().unwrap_or(0);
+        tally.n_keys += bucket.len as u64;
+        tally.n_buckets += 1;
+        tally.n_blocks += nb as u64;
+        tally.sub_buckets_created += scratch.sub_buckets.len() as u64;
+        tally.local_buckets_created += (out_local.len() - local_before) as u64;
+        tally.counting_buckets_forwarded += (out_counting.len() - counting_before) as u64;
+        tally.max_bin_keys += scratch.bucket_hist.iter().copied().max().unwrap_or(0);
 
         if let Some(t) = trace.as_deref_mut() {
             // Move the tables into the trace instead of cloning them; the
@@ -240,43 +399,37 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         }
     }
 
-    // Per-worker write-combining staging: `radix` key lines and `radix`
-    // value lines per worker, sized by the *maximum* radix so the segments
-    // are capacity-stable across passes with a narrower final digit.  A
-    // value line spans the bytes of a key line (16 u32 values beside 8 u64
-    // keys), so both arrays flush whole cache lines.
+    // Per-worker write-combining staging: one `staging_lens` stripe per
+    // worker out of the caller's segments.
     let values_present = std::mem::size_of::<V>() != 0;
-    let line_keys = config.scatter_line_keys(K::BYTES as usize);
-    let line_vals = (line_keys * std::mem::size_of::<K>() / std::mem::size_of::<V>().max(1)).max(1);
-    let staging_on = opts.staged_scatter && line_keys > 1 && n_blocks > 0;
-    let max_radix = config.radix();
-    let stage_stride = max_radix * line_keys;
-    let val_stride = max_radix * line_vals;
     let workers = exec.workers();
+    let line_keys = config.scatter_line_keys(K::BYTES as usize);
+    let (stage_stride, val_stride) = staging_lens::<K, V>(config, opts);
+    let line_vals = val_stride / config.radix();
+    let staging_on = stage_stride > 0
+        && n_blocks > 0
+        && staging_keys.len() >= workers * stage_stride
+        && staging_vals.len() >= workers * val_stride;
+    let book_lines = stage_stride > 0 && !staging_on;
+    let max_radix = config.radix();
     if staging_on {
-        staging_keys.clear();
-        staging_keys.resize(workers * stage_stride, K::default());
-        if values_present {
-            staging_vals.clear();
-            staging_vals.resize(workers * val_stride, V::default());
-        }
         scratch.stage_filled.clear();
         scratch.stage_filled.resize(workers * max_radix, 0);
     }
 
     // (3) Cooperative scatter, one executor task per stripe.  Each worker
-    // seeds its private cursor strip from the stripe's first block's
-    // bases; destination chunks of distinct stripes are disjoint.
+    // seeds its private cursor strip from the stripe's bases; destination
+    // chunks of distinct stripes are disjoint.
     scratch.worker_cursors.clear();
     scratch.worker_cursors.resize(workers * radix, 0);
     {
         let blocks = &scratch.blocks;
-        let bases = &scratch.block_bases;
+        let bases = &scratch.stripe_bases;
         let stripes = &scratch.stripes;
         let cursors = SharedMut::new(&mut scratch.worker_cursors);
         let block_stats = SharedMut::new(&mut scratch.block_stats);
-        let stage_keys_sm = SharedMut::new(staging_keys.as_mut_slice());
-        let stage_vals_sm = SharedMut::new(staging_vals.as_mut_slice());
+        let stage_keys_sm = SharedMut::new(staging_keys);
+        let stage_vals_sm = SharedMut::new(staging_vals);
         let stage_filled_sm = SharedMut::new(&mut scratch.stage_filled);
         let dst_keys = SharedMut::new(dst_keys);
         let dst_vals = SharedMut::new(dst_vals);
@@ -291,7 +444,8 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
             };
             // SAFETY: cursor strip `worker` belongs to this thread only.
             let cursor = unsafe { cursors.slice_mut(worker * radix, radix) };
-            cursor.copy_from_slice(&bases[first * radix..(first + 1) * radix]);
+            let seeds = &bases[s * radix..(s + 1) * radix];
+            cursor.copy_from_slice(seeds);
             let mut staging_storage = None;
             if staging_on {
                 // SAFETY: the staging segments are striped per worker, and
@@ -316,7 +470,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                     line_keys,
                 });
             }
-            let (staged_lines, partial_flushes) = scatter_stripe(
+            let (mut staged_lines, mut partial_flushes) = scatter_stripe(
                 &src_keys[span],
                 stripe_vals,
                 cursor,
@@ -325,6 +479,10 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                 &scatter_params,
                 staging_storage.as_mut(),
             );
+            if book_lines {
+                (staged_lines, partial_flushes) =
+                    chunk_line_counts(seeds, cursor, origin, line_keys);
+            }
             // SAFETY: stat slot `first` belongs to this stripe's task only;
             // the stripe's line counts are booked on its first block.
             let stat = unsafe { &mut block_stats.slice_mut(first, 1)[0] };
@@ -333,24 +491,16 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         });
     }
 
-    // (4) Fold the per-block records into the pass statistics.
-    let mut distinct_sum = 0u64;
+    // (4) Fold the per-block records into the pass tally.
     for s in &scratch.block_stats {
-        stats.histogram_updates += s.atomic_updates;
-        stats.scatter_updates += s.shared_updates;
-        stats.lookahead_active_blocks += s.lookahead_active as u64;
-        stats.staged_lines += s.staged_lines;
-        stats.partial_flushes += s.partial_flushes;
-        distinct_sum += s.distinct as u64;
+        tally.histogram_updates += s.atomic_updates;
+        tally.scatter_updates += s.shared_updates;
+        tally.lookahead_active_blocks += s.lookahead_active as u64;
+        tally.staged_lines += s.staged_lines;
+        tally.partial_flushes += s.partial_flushes;
+        tally.distinct_digits += s.distinct as u64;
     }
-    if stats.n_blocks > 0 {
-        stats.avg_block_distinct = distinct_sum as f64 / stats.n_blocks as f64;
-        stats.avg_occupied_sub_buckets = distinct_sum as f64 / stats.n_blocks as f64;
-    }
-    if stats.n_keys > 0 {
-        stats.max_bin_fraction = max_bin_keys as f64 / stats.n_keys as f64;
-    }
-    stats
+    tally
 }
 
 #[cfg(test)]
@@ -380,25 +530,29 @@ mod tests {
         let src_vals: Vec<()> = Vec::new();
         let mut dst_vals: Vec<()> = Vec::new();
         let mut scratch = PassScratch::default();
-        let mut staging_keys = Vec::new();
-        let mut staging_vals = Vec::new();
+        let (stage_len, _) = staging_lens::<K, ()>(config, opts);
+        let mut staging_keys = vec![K::default(); exec.workers() * stage_len];
         let mut local = Vec::new();
         let mut counting = Vec::new();
-        let stats = run_counting_pass(
+        let cx = PassContext {
+            config,
+            opts,
+            exec,
+            probe: None,
+        };
+        let tally = run_counting_pass(
+            &cx,
             keys,
             dst,
             &src_vals,
             &mut dst_vals,
+            0,
             buckets,
             pass,
-            config,
-            opts,
             next_id,
-            exec,
-            None,
             &mut scratch,
             &mut staging_keys,
-            &mut staging_vals,
+            &mut [],
             &mut local,
             &mut counting,
             trace,
@@ -406,7 +560,7 @@ mod tests {
         PassRun {
             next_counting: counting,
             local,
-            stats,
+            stats: tally.stats(pass, radix_of_pass(K::BITS, config.digit_bits, pass)),
         }
     }
 

@@ -76,6 +76,19 @@ pub struct LocalSortStats {
     pub classes_used: u64,
 }
 
+impl LocalSortStats {
+    /// Accumulates the local sorts of another set of buckets: counts add
+    /// up, the largest bucket and the class count take the maximum.
+    pub fn absorb(&mut self, other: &LocalSortStats) {
+        self.invocations += other.invocations;
+        self.n_keys += other.n_keys;
+        self.provisioned_keys += other.provisioned_keys;
+        self.merged_buckets += other.merged_buckets;
+        self.largest_bucket = self.largest_bucket.max(other.largest_bucket);
+        self.classes_used = self.classes_used.max(other.classes_used);
+    }
+}
+
 /// Full report of one hybrid-radix-sort run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SortReport {
@@ -190,12 +203,7 @@ impl SortReport {
             mine.staged_lines += theirs.staged_lines;
             mine.partial_flushes += theirs.partial_flushes;
         }
-        self.local.invocations += other.local.invocations;
-        self.local.n_keys += other.local.n_keys;
-        self.local.provisioned_keys += other.local.provisioned_keys;
-        self.local.merged_buckets += other.local.merged_buckets;
-        self.local.largest_bucket = self.local.largest_bucket.max(other.local.largest_bucket);
-        self.local.classes_used = self.local.classes_used.max(other.local.classes_used);
+        self.local.absorb(&other.local);
         self.total_sub_buckets += other.total_sub_buckets;
         // Shards are live on different devices at the same time, so the
         // fleet-wide maximum is the sum of the per-device maxima.

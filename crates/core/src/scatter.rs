@@ -37,7 +37,9 @@
 //! The unfinished lines are drained with plain stores at stripe end.  Keys
 //! and values have lines of their own, each aligned to its own array.
 //! Without staging every key is written straight to its destination: the
-//! equivalence reference.
+//! equivalence reference, and the scatter of a depth-first task, whose
+//! destination range stays in cache ([`chunk_line_counts`] books the lines
+//! the staged scatter would have written).
 //!
 //! The shared-memory atomics the GPU staging would issue are *counted* per
 //! GPU block by [`block_lookahead`] (the counting pass calls it from its
@@ -444,6 +446,27 @@ fn drain_line<T: Copy>(dst: &SharedMut<'_, T>, end: usize, line: &[T], filled: u
         // touches.
         unsafe { dst.copy_from_slice_at(end - n, &line[filled - n..filled]) };
     }
+}
+
+/// The `(staged_lines, partial_flushes)` the staged scatter reports for a
+/// stripe whose chunk of digit `d` runs from `starts[d]` to `ends[d]` (a
+/// scatter's cursor seeds and final cursors), with `origin` added to every
+/// position: what a direct scatter into a range of a larger buffer that
+/// starts at `origin` books for the lines of that buffer.
+pub fn chunk_line_counts(
+    starts: &[usize],
+    ends: &[usize],
+    origin: usize,
+    line: usize,
+) -> (u64, u64) {
+    starts
+        .iter()
+        .zip(ends)
+        .filter(|(start, end)| end > start)
+        .fold((0, 0), |(full, fragments), (&start, &end)| {
+            let (f, p) = line_counts(origin + start, origin + end, line);
+            (full + f, fragments + p)
+        })
 }
 
 /// Whole lines and line fragments of the chunk `start..end` (non-empty)
@@ -911,6 +934,7 @@ mod tests {
                 partial += b;
                 assert!(filled.iter().all(|&f| f == 0), "lines drained");
                 if line_keys > 1 {
+                    assert_eq!(chunk_line_counts(seed, &cursor, 0, line_keys), (a, b));
                     for (&s, &e) in seed.iter().zip(&cursor) {
                         if e > s {
                             let (f, q) = naive_line_counts(s, e, line_keys);
@@ -1001,6 +1025,24 @@ mod tests {
             (dk, dv)
         };
         assert_eq!(scatter(p.keys_per_block), scatter(n));
+    }
+
+    #[test]
+    fn chunk_line_counts_shift_by_the_origin() {
+        let starts = [0, 5, 40, 40];
+        let ends = [5, 40, 40, 77];
+        for origin in [0, 3, 16, 1_000] {
+            let mut want = (0, 0);
+            for (&s, &e) in starts.iter().zip(&ends).filter(|(s, e)| e > s) {
+                let (f, p) = naive_line_counts(origin + s, origin + e, 16);
+                want = (want.0 + f, want.1 + p);
+            }
+            assert_eq!(
+                chunk_line_counts(&starts, &ends, origin, 16),
+                want,
+                "{origin}"
+            );
+        }
     }
 
     #[test]

@@ -13,9 +13,23 @@
 //!    double buffer,
 //! 3. hands every bucket that has shrunk below ∂̂ to the local sort, which
 //!    writes its result directly into the buffer that will hold the final
-//!    output (so the algorithm may finish early), and
-//! 4. stops when no bucket needs further partitioning or all digits are
+//!    output (so the algorithm may finish early),
+//! 4. finishes every forwarded bucket whose source and destination fit a
+//!    core's cache share ([`HOST_CACHE_BYTES`]) depth-first: one executor
+//!    fan-out runs a task per such bucket, and each task runs the same pass
+//!    loop over that bucket's range alone — its remaining passes, then its
+//!    local sorts — on one worker, while the bucket is in cache, and
+//! 5. stops when no bucket needs further partitioning or all digits are
 //!    consumed.
+//!
+//! Larger buckets stay breadth-first: one pass over all of them at a time,
+//! as the paper's kernels run.  Each pass's
+//! [`PassStats`](crate::PassStats) is summed from the integer tallies of
+//! the loops that ran its buckets, so the report, and the simulated cost
+//! derived from it, do not depend on the schedule.
+//! The traced sorts ([`HybridRadixSorter::sort_traced`]) are the only ones
+//! that keep every bucket breadth-first, since they snapshot the buffers
+//! after each pass.
 //!
 //! The per-pass tables and bucket lists come from the arena, and so does
 //! the second half of the double buffer for the `Vec` entries, so repeated
@@ -27,22 +41,25 @@
 //! simulated GPU execution breakdown.
 
 use crate::arena::{
-    ArenaStats, ScratchArena, ROLE_LOCAL_KEYS, ROLE_LOCAL_VALS, ROLE_SPARE_KEYS, ROLE_SPARE_VALS,
-    ROLE_STAGE_KEYS, ROLE_STAGE_VALS,
+    ArenaStats, PassScratch, ScratchArena, ROLE_LOCAL_KEYS, ROLE_LOCAL_VALS, ROLE_SPARE_KEYS,
+    ROLE_SPARE_VALS, ROLE_STAGE_KEYS, ROLE_STAGE_VALS,
 };
 use crate::bucket::Bucket;
 use crate::config::SortConfig;
 use crate::cost;
-use crate::counting_sort::run_counting_pass;
-use crate::exec::Executor;
-use crate::local_sort::{lsd_sort_in_place, run_local_sorts, split_src_dst};
+use crate::counting_sort::{run_counting_pass, staging_lens, PassContext, PassTally};
+use crate::digit::radix_of_pass;
+use crate::exec::{Executor, SharedMut};
+use crate::local_sort::{
+    book_local_sorts, lsd_sort_in_place, run_local_sorts, split_src_dst, stripe,
+};
 use crate::opts::Optimizations;
 use crate::probe::SorterProbe;
-use crate::report::SortReport;
+use crate::report::{LocalSortStats, SortReport};
 use crate::trace::{SortTrace, TraceEvent};
-use gpu_sim::DeviceSpec;
+use gpu_sim::{DeviceSpec, HOST_CACHE_BYTES};
 use std::sync::{Arc, Mutex, TryLockError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use workloads::keys::SortKey;
 use workloads::pairs::SortValue;
 
@@ -239,14 +256,36 @@ impl HybridRadixSorter {
 
     /// Sorts `keys` while recording a step-by-step [`SortTrace`] (buffer
     /// snapshots are taken for inputs of at most `snapshot_limit` keys).
+    ///
+    /// The traced sorts are the only ones that run every pass breadth-first
+    /// over all buckets, as the paper's kernels do: a snapshot after each
+    /// pass needs every bucket to have reached it.  The others finish a
+    /// cache-sized bucket depth-first on one worker; both orders produce
+    /// the same output and the same report.
     pub fn sort_traced<K: SortKey>(
         &self,
         keys: &mut Vec<K>,
         snapshot_limit: usize,
     ) -> (SortReport, SortTrace) {
-        let mut values: Vec<()> = Vec::new();
+        self.sort_pairs_traced(keys, &mut Vec::<()>::new(), snapshot_limit)
+    }
+
+    /// [`HybridRadixSorter::sort_traced`] for keys with values.
+    pub fn sort_pairs_traced<K: SortKey, V: SortValue>(
+        &self,
+        keys: &mut Vec<K>,
+        values: &mut Vec<V>,
+        snapshot_limit: usize,
+    ) -> (SortReport, SortTrace) {
+        if std::mem::size_of::<V>() != 0 {
+            assert_eq!(
+                keys.len(),
+                values.len(),
+                "keys and values must have the same length"
+            );
+        }
         let mut trace = SortTrace::new(snapshot_limit);
-        let report = self.sort_vecs(keys, &mut values, Some(&mut trace));
+        let report = self.sort_vecs(keys, values, Some(&mut trace));
         (report, trace)
     }
 
@@ -383,24 +422,23 @@ impl HybridRadixSorter {
 
         let num_passes = config.num_passes(K::BITS);
         let final_buf = (num_passes % 2) as usize;
+        let workers = self.exec.workers();
 
         // The local sort's ping-pong scratch, taken at the `workers × ∂̂`
-        // elements run_local_sorts stripes, so a warm take writes nothing.
-        let local_len = self.exec.workers() * config.local_sort_threshold;
+        // elements run_local_sorts stripes, so a warm take writes nothing;
+        // likewise the per-worker write-combining staging lines (empty
+        // when the staged scatter is disabled or a line holds one key).
+        let local_len = workers * config.local_sort_threshold;
+        let (stage_len, stage_val_len) = staging_lens::<K, V>(config, &self.opts);
         let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, local_len);
-        let mut local_vals: Vec<V> = if values_present {
-            arena.take_buffer::<V>(ROLE_LOCAL_VALS, local_len)
+        let mut staging_keys = arena.take_buffer::<K>(ROLE_STAGE_KEYS, workers * stage_len);
+        let (mut local_vals, mut staging_vals): (Vec<V>, Vec<V>) = if values_present {
+            (
+                arena.take_buffer::<V>(ROLE_LOCAL_VALS, local_len),
+                arena.take_buffer::<V>(ROLE_STAGE_VALS, workers * stage_val_len),
+            )
         } else {
-            Vec::new()
-        };
-        // Per-worker write-combining staging lines live in their own arena
-        // segment; the counting pass sizes them (they stay empty when the
-        // staged scatter is disabled or the line holds a single key).
-        let mut staging_keys = arena.take_buffer::<K>(ROLE_STAGE_KEYS, 0);
-        let mut staging_vals: Vec<V> = if values_present {
-            arena.take_buffer::<V>(ROLE_STAGE_VALS, 0)
-        } else {
-            Vec::new()
+            (Vec::new(), Vec::new())
         };
 
         if let Some(t) = trace.as_deref_mut() {
@@ -412,126 +450,87 @@ impl HybridRadixSorter {
             }
         }
 
-        // Bucket bookkeeping lists, reused across sorts via the arena.
-        let mut counting = std::mem::take(&mut arena.pass.counting_in);
-        let mut next_counting = std::mem::take(&mut arena.pass.counting_out);
-        let mut local = std::mem::take(&mut arena.pass.local);
-        counting.clear();
-        counting.push(Bucket::root(n));
-        let mut next_id: u64 = 1;
-        let mut cur = 0usize;
-        let mut swaps = 0usize;
-        let exec_probe = self.probe.as_deref().map(SorterProbe::exec_probe);
+        // Every pass loop of the sort tallies into its own scratch: the
+        // sort's, and one per worker for the depth-first tasks.
+        arena.workers.resize_with(workers, PassScratch::default);
+        for scratch in std::iter::once(&mut arena.pass).chain(&mut arena.workers) {
+            scratch.tallies.clear();
+            scratch
+                .tallies
+                .resize(num_passes as usize, PassTally::default());
+            scratch.local_stats = LocalSortStats::default();
+        }
+        arena.pass.counting_in.clear();
+        arena.pass.counting_in.push(Bucket::root(n));
 
-        for pass in 0..num_passes {
-            if counting.is_empty() {
-                break;
+        // A bucket whose source and destination fit a core's cache share
+        // is finished depth-first, unless the trace needs every pass's
+        // buffer snapshot (the breadth-first order is its only caller).
+        let record = (K::BYTES as usize + std::mem::size_of::<V>()).max(1);
+        let depth_first = trace.is_none().then_some(DepthFirst {
+            max_keys: HOST_CACHE_BYTES as usize / (2 * record),
+            workers: &mut arena.workers,
+        });
+        let cx = PassContext {
+            config,
+            opts: &self.opts,
+            exec: &self.exec,
+            probe: self.probe.as_deref().map(SorterProbe::exec_probe),
+        };
+        let mut clock = self.probe.as_ref().map(|_| PassClock::new());
+        pass_loop(
+            &cx,
+            &mut key_bufs,
+            &mut val_bufs,
+            0,
+            0,
+            final_buf,
+            &mut arena.pass,
+            [&mut staging_keys, &mut local_keys],
+            [&mut staging_vals, &mut local_vals],
+            depth_first,
+            trace,
+            clock.as_mut(),
+        );
+
+        // Sum the tallies of every pass loop, pass by pass.
+        let mut tallies = std::mem::take(&mut arena.pass.tallies);
+        let mut local = arena.pass.local_stats.clone();
+        for worker in &arena.workers {
+            for (mine, theirs) in tallies.iter_mut().zip(&worker.tallies) {
+                mine.add(theirs);
             }
-            let pass_start = self.probe.as_ref().map(|_| Instant::now());
-            let dst = 1 - cur;
-
-            // Split the double buffer into the source and destination halves.
-            let (src_keys, dst_keys) = split_src_dst(&mut key_bufs, cur, dst);
-            let (src_vals, dst_vals) = split_src_dst(&mut val_bufs, cur, dst);
-
-            let pass_stats = run_counting_pass(
-                src_keys,
-                dst_keys,
-                src_vals,
-                dst_vals,
-                &counting,
-                pass,
-                config,
-                &self.opts,
-                &mut next_id,
-                &self.exec,
-                exec_probe,
-                &mut arena.pass,
-                &mut staging_keys,
-                &mut staging_vals,
-                &mut local,
-                &mut next_counting,
-                trace.as_deref_mut(),
-            );
-
-            report.total_sub_buckets += pass_stats.sub_buckets_created;
+            local.absorb(&worker.local_stats);
+        }
+        report.passes = tallies
+            .iter()
+            .take_while(|t| t.n_buckets > 0)
+            .zip(0u32..)
+            .map(|(t, pass)| t.stats(pass, radix_of_pass(K::BITS, config.digit_bits, pass)))
+            .collect();
+        for (t, stats) in tallies.iter().zip(&report.passes) {
+            report.total_sub_buckets += stats.sub_buckets_created;
             report.max_live_buckets = report
                 .max_live_buckets
-                .max((next_counting.len() + local.len()) as u64);
-            report.passes.push(pass_stats);
-
-            // Local sorts read from the freshly written destination buffer
-            // and place their result in the buffer holding the final output.
-            if !local.is_empty() {
-                if let Some(t) = trace.as_deref_mut() {
-                    for l in &local {
-                        t.push(TraceEvent::LocalSort {
-                            pass: l.sorted_passes,
-                            offset: l.offset,
-                            len: l.len,
-                            merged_from: l.merged_from,
-                        });
-                    }
-                }
-                run_local_sorts(
-                    &mut key_bufs,
-                    &mut val_bufs,
-                    dst,
-                    final_buf,
-                    &local,
-                    config,
-                    &self.opts,
-                    &self.exec,
-                    exec_probe,
-                    &mut local_keys,
-                    &mut local_vals,
-                    &mut report.local,
-                );
-            }
-
-            if let (Some(p), Some(s)) = (&self.probe, pass_start) {
-                p.record_pass(s.elapsed());
-            }
-
-            std::mem::swap(&mut counting, &mut next_counting);
-            swaps += 1;
-            cur = dst;
-
-            if let Some(t) = trace.as_deref_mut() {
-                if n <= t.snapshot_limit {
-                    t.push(TraceEvent::BufferState {
-                        label: format!("after pass {pass}"),
-                        keys: key_bufs[final_buf].iter().map(|k| k.to_radix()).collect(),
-                    });
-                }
+                .max(stats.local_buckets_created + stats.counting_buckets_forwarded);
+            local.classes_used = local.classes_used.max(t.local_classes.count_ones().into());
+        }
+        report.local = local;
+        arena.pass.tallies = tallies;
+        if let (Some(p), Some(c)) = (&self.probe, &clock) {
+            for elapsed in c.per_pass(report.passes.len()) {
+                p.record_pass(elapsed);
             }
         }
 
-        // Whatever buckets remain after the last pass consist of keys that
-        // are identical on every digit; their data already sits in the final
-        // buffer (cur == final_buf at this point).
-        debug_assert!(counting.is_empty() || cur == final_buf);
-
-        // The staging segments are parked too: once warmed up they are a
+        // The scratch segments are parked too: once warmed up they are a
         // fixed point just like the spare halves.
         arena.put_buffer(ROLE_STAGE_KEYS, staging_keys);
-        if values_present {
-            arena.put_buffer(ROLE_STAGE_VALS, staging_vals);
-        }
         arena.put_buffer(ROLE_LOCAL_KEYS, local_keys);
         if values_present {
+            arena.put_buffer(ROLE_STAGE_VALS, staging_vals);
             arena.put_buffer(ROLE_LOCAL_VALS, local_vals);
         }
-        // Undo an odd number of swaps before parking, so a repeated sort
-        // runs each physical list through the same pass sequence and the
-        // warmed-up capacities are a fixed point (the arena-reuse
-        // regression tests assert exactly this).
-        if swaps % 2 == 1 {
-            std::mem::swap(&mut counting, &mut next_counting);
-        }
-        arena.pass.counting_in = counting;
-        arena.pass.counting_out = next_counting;
-        arena.pass.local = local;
         (report, final_buf)
     }
 
@@ -539,6 +538,270 @@ impl HybridRadixSorter {
     fn note_sort(&self, keys: u64, passes: u64, fallback: bool, start: Option<Instant>) {
         if let (Some(p), Some(s)) = (&self.probe, start) {
             p.record_sort(keys, passes, fallback, s.elapsed());
+        }
+    }
+}
+
+/// Where the pass loop sends the cache-sized buckets a pass produces:
+/// one depth-first task each, on the worker scratch given here.
+struct DepthFirst<'a> {
+    /// Largest bucket, in keys, whose source and destination fit
+    /// [`HOST_CACHE_BYTES`].
+    max_keys: usize,
+    /// One pass scratch per executor worker.
+    workers: &'a mut [PassScratch],
+}
+
+/// Measured time of the pass loop, per pass (only kept for a probe; a
+/// sort has at most 64 passes, one per key bit).
+struct PassClock {
+    /// A pass's counting and local sorts.
+    own: [Duration; 64],
+    /// The depth-first fan-out that followed a pass.
+    depth_first: [Duration; 64],
+}
+
+impl PassClock {
+    fn new() -> Self {
+        PassClock {
+            own: [Duration::ZERO; 64],
+            depth_first: [Duration::ZERO; 64],
+        }
+    }
+
+    /// One time per counting pass of a sort that ran `passes` passes: its
+    /// own time plus an even share of each depth-first fan-out that
+    /// finished its buckets, which covers every pass after the one that
+    /// launched it.
+    fn per_pass(&self, passes: usize) -> impl Iterator<Item = Duration> + '_ {
+        (0..passes.min(64)).map(move |q| {
+            (0..q).fold(self.own[q], |t, p| {
+                t + self.depth_first[p] / (passes - 1 - p) as u32
+            })
+        })
+    }
+}
+
+/// The pass loop over one double buffer: counting passes from
+/// `first_pass` on over the buckets in `scratch.counting_in`, each pass's
+/// local sorts into buffer `final_buf`, until no bucket is left or the
+/// digits run out.  Pass `p` reads the half `p % 2` and writes the other.
+/// `origin` is the buffers' position within the sort's whole buffers.
+///
+/// `[staging_keys, local_keys]` and `[staging_vals, local_vals]` are the
+/// staging segments and the local-sort scratch, striped per worker.  With
+/// `depth_first`, the cache-sized buckets each pass forwards leave the
+/// loop: one executor fan-out runs a task per bucket, which calls this
+/// loop again on the bucket's range alone (see [`finish_depth_first`]).
+/// Every loop tallies into the scratch it ran on.
+#[allow(clippy::too_many_arguments)]
+fn pass_loop<K: SortKey, V: SortValue>(
+    cx: &PassContext<'_>,
+    key_bufs: &mut [&mut [K]; 2],
+    val_bufs: &mut [&mut [V]; 2],
+    origin: usize,
+    first_pass: u32,
+    final_buf: usize,
+    scratch: &mut PassScratch,
+    [staging_keys, local_keys]: [&mut [K]; 2],
+    [staging_vals, local_vals]: [&mut [V]; 2],
+    mut depth_first: Option<DepthFirst<'_>>,
+    mut trace: Option<&mut SortTrace>,
+    mut clock: Option<&mut PassClock>,
+) {
+    let n = key_bufs[0].len();
+    let num_passes = scratch.tallies.len() as u32;
+    // The bookkeeping lists leave the scratch while the passes borrow it.
+    let mut counting = std::mem::take(&mut scratch.counting_in);
+    let mut next_counting = std::mem::take(&mut scratch.counting_out);
+    let mut local = std::mem::take(&mut scratch.local);
+    let mut deep = std::mem::take(&mut scratch.depth_first);
+    // Each pass loop numbers the buckets it creates afresh.
+    let mut next_id: u64 = counting.len() as u64;
+    let mut swaps = 0usize;
+
+    for pass in first_pass..num_passes {
+        if counting.is_empty() {
+            break;
+        }
+        let pass_start = clock.is_some().then(Instant::now);
+        let (src, dst) = ((pass % 2) as usize, (1 - pass % 2) as usize);
+        let (src_keys, dst_keys) = split_src_dst(key_bufs, src, dst);
+        let (src_vals, dst_vals) = split_src_dst(val_bufs, src, dst);
+        let mut tally = run_counting_pass(
+            cx,
+            src_keys,
+            dst_keys,
+            src_vals,
+            dst_vals,
+            origin,
+            &counting,
+            pass,
+            &mut next_id,
+            scratch,
+            staging_keys,
+            staging_vals,
+            &mut local,
+            &mut next_counting,
+            trace.as_deref_mut(),
+        );
+        tally.local_classes =
+            book_local_sorts(&local, cx.config, cx.opts, &mut scratch.local_stats);
+        scratch.tallies[pass as usize].add(&tally);
+
+        // Local sorts read from the freshly written destination buffer
+        // and place their result in the buffer holding the final output.
+        if !local.is_empty() {
+            if let Some(t) = trace.as_deref_mut() {
+                for l in &local {
+                    t.push(TraceEvent::LocalSort {
+                        pass: l.sorted_passes,
+                        offset: l.offset,
+                        len: l.len,
+                        merged_from: l.merged_from,
+                    });
+                }
+            }
+            run_local_sorts(
+                key_bufs, val_bufs, dst, final_buf, &local, cx, local_keys, local_vals,
+            );
+        }
+        if let (Some(c), Some(s)) = (clock.as_deref_mut(), pass_start) {
+            c.own[pass as usize] += s.elapsed();
+        }
+
+        // Cache-sized buckets with digits left finish depth-first.
+        if let Some(df) = depth_first.as_mut().filter(|_| pass + 1 < num_passes) {
+            deep.clear();
+            next_counting.retain(|b| {
+                let fits = b.len <= df.max_keys;
+                if fits {
+                    deep.push(*b);
+                }
+                !fits
+            });
+            if !deep.is_empty() {
+                let start = clock.is_some().then(Instant::now);
+                finish_depth_first(
+                    cx,
+                    key_bufs,
+                    val_bufs,
+                    &deep,
+                    final_buf,
+                    df.workers,
+                    (&mut *local_keys, &mut *local_vals),
+                );
+                if let (Some(c), Some(s)) = (clock.as_deref_mut(), start) {
+                    c.depth_first[pass as usize] += s.elapsed();
+                }
+            }
+        }
+
+        std::mem::swap(&mut counting, &mut next_counting);
+        swaps += 1;
+
+        if let Some(t) = trace.as_deref_mut() {
+            if n <= t.snapshot_limit {
+                t.push(TraceEvent::BufferState {
+                    label: format!("after pass {pass}"),
+                    keys: key_bufs[final_buf].iter().map(|k| k.to_radix()).collect(),
+                });
+            }
+        }
+    }
+
+    // Whatever buckets remain after the last pass consist of keys that are
+    // identical on every digit; their data already sits in the final
+    // buffer.
+    debug_assert!(counting.is_empty() || (num_passes % 2) as usize == final_buf);
+
+    // Undo an odd number of swaps before parking, so a repeated sort runs
+    // each physical list through the same pass sequence and the warmed-up
+    // capacities are a fixed point (the arena-reuse regression tests
+    // assert exactly this).
+    if swaps % 2 == 1 {
+        std::mem::swap(&mut counting, &mut next_counting);
+    }
+    scratch.counting_in = counting;
+    scratch.counting_out = next_counting;
+    scratch.local = local;
+    scratch.depth_first = deep;
+}
+
+/// Finishes every bucket of `buckets` (cache-sized, all forwarded by one
+/// pass) depth-first: one executor fan-out with a task per bucket, each
+/// running [`pass_loop`] over the bucket's range of both halves,
+/// sequentially, on its worker's scratch and its worker's stripe of the
+/// local-sort segments.  A task's passes get no staging segments, so they
+/// scatter every key straight to its place: the range stays in cache, and
+/// the local sorts read it straight back.  Afterwards every worker's
+/// scratch grows to the others' capacities.
+fn finish_depth_first<K: SortKey, V: SortValue>(
+    cx: &PassContext<'_>,
+    key_bufs: &mut [&mut [K]; 2],
+    val_bufs: &mut [&mut [V]; 2],
+    buckets: &[Bucket],
+    final_buf: usize,
+    workers: &mut [PassScratch],
+    (local_keys, local_vals): (&mut [K], &mut [V]),
+) {
+    let task_cx = PassContext {
+        exec: &Executor::Sequential,
+        probe: None,
+        ..*cx
+    };
+    let n_workers = workers.len().max(1);
+    let local_len = local_keys.len() / n_workers;
+    let local_val_len = local_vals.len() / n_workers;
+    let [k0, k1] = key_bufs;
+    let [v0, v1] = val_bufs;
+    let keys = [SharedMut::new(k0), SharedMut::new(k1)];
+    let vals = [SharedMut::new(v0), SharedMut::new(v1)];
+    let scratch = SharedMut::new(&mut *workers);
+    let local = (SharedMut::new(local_keys), SharedMut::new(local_vals));
+    cx.exec
+        .for_each_task_probed(buckets.len(), cx.probe, |t, w| {
+            let bucket = buckets[t];
+            // SAFETY: bucket ranges are disjoint across tasks, so each task
+            // owns its range of both halves; scratch slot `w` and stripe `w`
+            // of the local-sort segments belong to worker `w`'s thread, which
+            // runs one task at a time.
+            let (mut halves, ws, sort_keys, sort_vals) = unsafe {
+                let (k0, v0) = stripe(&keys[0], &vals[0], bucket.offset, bucket.len);
+                let (k1, v1) = stripe(&keys[1], &vals[1], bucket.offset, bucket.len);
+                (
+                    ([k0, k1], [v0, v1]),
+                    &mut scratch.slice_mut(w, 1)[0],
+                    local.0.slice_mut(w * local_len, local_len),
+                    local.1.slice_mut(w * local_val_len, local_val_len),
+                )
+            };
+            ws.counting_in.clear();
+            ws.counting_in.push(Bucket {
+                offset: 0,
+                ..bucket
+            });
+            pass_loop(
+                &task_cx,
+                &mut halves.0,
+                &mut halves.1,
+                bucket.offset,
+                bucket.pass,
+                final_buf,
+                ws,
+                [&mut [], sort_keys],
+                [&mut [], sort_vals],
+                None,
+                None,
+                None,
+            );
+        });
+    if let Some((first, rest)) = workers.split_first_mut() {
+        for w in rest.iter() {
+            first.reserve_like(w);
+        }
+        for w in rest {
+            w.reserve_like(first);
         }
     }
 }
@@ -667,6 +930,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn depth_first_tasks_park_matching_worker_scratch() {
+        // Every pass-0 bucket of about 1k keys finishes depth-first; both
+        // workers' pass scratch stays parked, at equal capacities.
+        let n = 1 << 18;
+        let sorter = HybridRadixSorter::new(SortConfig::keys_32().scaled_for(n, 1 << 24))
+            .with_executor(Executor::with_workers(2));
+        let mut keys = uniform_keys::<u32>(n, 5);
+        let expected = KeyCodec::std_sorted(&keys);
+        let report = sorter.sort(&mut keys);
+        assert_eq!(keys, expected);
+        assert_eq!(report.counting_passes(), 2);
+        let arena = sorter.arena.lock().unwrap();
+        assert_eq!(arena.workers.len(), 2);
+        let bytes: Vec<usize> = arena
+            .workers
+            .iter()
+            .map(PassScratch::capacity_bytes)
+            .collect();
+        assert!(bytes[0] > 0 && bytes[0] == bytes[1], "{bytes:?}");
+        assert!(arena.workers.iter().all(|w| w.blocks.capacity() > 0));
     }
 
     #[test]

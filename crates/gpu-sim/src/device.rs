@@ -12,6 +12,12 @@
 use crate::simtime::Bandwidth;
 use serde::{Deserialize, Serialize};
 
+/// One core's share of a host CPU's cache, in bytes: the on-chip memory a
+/// [`DeviceSpec::cpu_socket`] lane sizes its local sorts to, and the size
+/// up to which the sorter finishes a bucket (source and destination
+/// together) on one worker while it stays in cache.
+pub const HOST_CACHE_BYTES: u32 = 1024 * 1024;
+
 /// The GPU micro-architecture generation.  Native shared-memory atomics —
 /// the feature the hybrid radix sort relies on (Section 1) — are available
 /// from Maxwell onwards.
@@ -168,8 +174,8 @@ impl DeviceSpec {
             // An L2 slice standing in for SMEM.  The sorter sizes a CPU
             // lane's local-sort threshold ∂̂ from it: half holds a bucket,
             // half its scratch (`hrs_core::SortConfig::for_device`).
-            shared_mem_per_sm: 1024 * 1024,
-            max_shared_mem_per_block: 1024 * 1024,
+            shared_mem_per_sm: HOST_CACHE_BYTES,
+            max_shared_mem_per_block: HOST_CACHE_BYTES,
             registers_per_sm: 65_536,
             max_threads_per_sm: 2,
             max_blocks_per_sm: 2,

@@ -47,7 +47,7 @@ pub mod traffic;
 pub mod transaction;
 
 pub use atomics::{AtomicModel, HistogramStrategy};
-pub use device::{DeviceSpec, GpuGeneration};
+pub use device::{DeviceSpec, GpuGeneration, HOST_CACHE_BYTES};
 pub use fault::{FaultKind, FaultPlan, FaultSpec};
 pub use interconnect::{LinkKind, LinkSpec, TransferDirection};
 pub use kernel::{KernelCost, KernelKind, KernelTiming};

@@ -128,6 +128,39 @@ fn arena_capacity_is_stable_across_repeated_sorts() {
             );
         }
     }
+
+    // Two workers finishing Zipf-skewed buckets of unequal sizes
+    // depth-first: which worker runs which bucket changes from sort to
+    // sort, yet the per-worker pass scratch parked after the warm-up sort
+    // is a fixed point, keys alone and with values.
+    let n = 1 << 18;
+    let zipf: Vec<u64> = hybrid_radix_sort::workloads::ZipfGenerator::paper_keys(n, 9);
+    let keys_only = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(n, 1 << 22))
+        .with_executor(Executor::with_workers(2));
+    let pairs = HybridRadixSorter::new(SortConfig::for_widths(8, 4).scaled_for(n, 1 << 22))
+        .with_executor(Executor::with_workers(2));
+    let sort = |sorter: &HybridRadixSorter| {
+        let mut k = zipf.clone();
+        if std::ptr::eq(sorter, &pairs) {
+            let mut rows: Vec<u32> = (0..n as u32).collect();
+            sorter.sort_pairs(&mut k, &mut rows);
+        } else {
+            sorter.sort(&mut k);
+        }
+        assert_eq!(k, KeyCodec::std_sorted(&zipf));
+    };
+    for sorter in [&keys_only, &pairs] {
+        sort(sorter);
+        let baseline = sorter.arena_stats();
+        for _ in 0..5 {
+            sort(sorter);
+            assert_eq!(
+                sorter.arena_stats(),
+                baseline,
+                "arena grew on a repeated depth-first sort"
+            );
+        }
+    }
 }
 
 #[test]

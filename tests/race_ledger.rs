@@ -13,6 +13,9 @@
 //!   shard ranges of one round buffer and whose lanes sort those ranges
 //!   against the same ranges of the free input buffer, also with two
 //!   threads sorting through one engine at once;
+//! * two workers finishing cache-sized buckets depth-first, each task on
+//!   its bucket's range of both halves and its own worker's scratch, keys
+//!   alone and with values, uniform and Zipf, never trip it either;
 //! * the counting pass's striped scatter, whose neighbouring stripes share
 //!   destination cache lines across workers, claims whole lines it
 //!   streams and the fragments it writes plainly without overlap;
@@ -80,6 +83,37 @@ fn striped_scatter_on_two_workers_never_trips_the_ledger() {
         .with_executor(Executor::with_workers(2))
         .sort(&mut sorted);
     assert_eq!(sorted, KeyCodec::std_sorted(&keys));
+}
+
+#[test]
+fn depth_first_tasks_on_two_workers_never_trip_the_ledger() {
+    // Table 3's rows scaled so that the pass-0 buckets of about 1k keys
+    // are above ∂̂ and inside the cache budget: two workers finish them
+    // depth-first, each task claiming its bucket's range of both halves,
+    // its worker's pass scratch and its worker's local-sort stripe.
+    let n = 1 << 18;
+    let pairs = HybridRadixSorter::new(SortConfig::for_widths(8, 4).scaled_for(n, 1 << 22))
+        .with_executor(Executor::with_workers(2));
+    let keys_only = HybridRadixSorter::new(SortConfig::keys_32().scaled_for(n, 1 << 24))
+        .with_executor(Executor::with_workers(2));
+    for seed in 0..2 {
+        for keys in [
+            uniform_keys::<u64>(n, seed),
+            ZipfGenerator::paper_keys(n, seed),
+        ] {
+            check_pair_sort(&keys, |k, v| {
+                pairs.sort_pairs(k, v);
+            });
+        }
+        for keys in [
+            uniform_keys::<u32>(n, seed),
+            ZipfGenerator::paper_keys(n, seed),
+        ] {
+            let mut sorted = keys.clone();
+            keys_only.sort(&mut sorted);
+            assert_eq!(sorted, KeyCodec::std_sorted(&keys));
+        }
+    }
 }
 
 /// The benchmarks' pool: two single-worker CPU sockets; out of core,
