@@ -101,7 +101,8 @@ pub struct BlockStat {
 pub struct PassScratch {
     /// Block assignments of the current pass (bucket-major order).
     pub blocks: Vec<PassBlock>,
-    /// Per-block histogram strips: `blocks.len() × radix` counters.
+    /// Per-block histogram strips: `radix` counters per block, the
+    /// blocks' strips padded apart.
     pub block_counts: Vec<u32>,
     /// Per-stripe scatter bases: `stripes.len() × radix` destination
     /// offsets, each stripe's cursor seed.
@@ -115,7 +116,8 @@ pub struct PassScratch {
     /// Per-digit running scatter offset while the bases of a bucket's
     /// blocks are laid out, block by block.
     pub digit_run: Vec<usize>,
-    /// Per-worker digit write cursors: `workers × radix` offsets.
+    /// Per-worker bin write cursors: `radix` offsets per worker, the
+    /// workers' strips padded apart.
     pub worker_cursors: Vec<usize>,
     /// Sub-buckets of the bucket currently being classified.
     pub sub_buckets: Vec<SubBucket>,
@@ -125,8 +127,8 @@ pub struct PassScratch {
     pub counting_out: Vec<Bucket>,
     /// Buckets routed to the local sort in the current pass.
     pub local: Vec<LocalBucket>,
-    /// Per-worker write-combining fill counts: `workers × radix` staged-key
-    /// counters (all zero between stripes).
+    /// Per-worker write-combining fill counts: `radix` staged-key counters
+    /// per worker, padded apart (all zero between stripes).
     pub stage_filled: Vec<u32>,
     /// Scatter stripes of the current pass: `(first, end)` block index
     /// ranges, consecutive blocks of one bucket.

@@ -15,9 +15,6 @@ use serde::{Deserialize, Serialize};
 /// A bucket that still needs to be partitioned by a counting sort.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Bucket {
-    /// Identifier, assigned in creation order by the pass loop that
-    /// created the bucket (a depth-first task numbers its own afresh).
-    pub id: u64,
     /// Offset of the bucket's first key within the key buffer.
     pub offset: usize,
     /// Number of keys in the bucket.
@@ -31,7 +28,6 @@ impl Bucket {
     /// the most-significant digit.
     pub fn root(n: usize) -> Bucket {
         Bucket {
-            id: 0,
             offset: 0,
             len: n,
             pass: 0,
@@ -83,13 +79,12 @@ pub fn pass_blocks_into(buckets: &[Bucket], keys_per_block: usize, out: &mut Vec
 }
 
 /// A bucket that is ready for a local sort — the paper's
-/// `{b_id:uint, b_offs:uint, is_merged:bool}` record, extended with the
-/// length and the number of counting-sort passes already applied (the local
-/// sort only needs to sort the remaining digits).
+/// `{b_id:uint, b_offs:uint, is_merged:bool}` record, with the bucket
+/// identified by its offset, and extended with the length and the number
+/// of counting-sort passes already applied (the local sort only needs to
+/// sort the remaining digits).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LocalBucket {
-    /// Identifier of the bucket.
-    pub id: u64,
     /// Offset of the bucket's first key.
     pub offset: usize,
     /// Number of keys.
@@ -136,16 +131,12 @@ pub struct Classified {
 ///   below the merge threshold ∂ (if `merging` is enabled),
 /// * buckets of at most ∂̂ keys go to the local sort,
 /// * larger buckets are forwarded to the next counting-sort pass.
-///
-/// `next_id` supplies identifiers for newly created buckets and is advanced.
-#[allow(clippy::too_many_arguments)]
 pub fn classify_sub_buckets(
     sub_buckets: &[SubBucket],
     next_pass: u32,
     local_threshold: usize,
     merge_threshold: usize,
     merging: bool,
-    next_id: &mut u64,
 ) -> Classified {
     let mut out = Classified::default();
     classify_sub_buckets_into(
@@ -154,7 +145,6 @@ pub fn classify_sub_buckets(
         local_threshold,
         merge_threshold,
         merging,
-        next_id,
         &mut out.local,
         &mut out.counting,
     );
@@ -171,24 +161,19 @@ pub fn classify_sub_buckets_into(
     local_threshold: usize,
     merge_threshold: usize,
     merging: bool,
-    next_id: &mut u64,
     out_local: &mut Vec<LocalBucket>,
     out_counting: &mut Vec<Bucket>,
 ) {
     let mut pending: Option<(usize, usize, u32)> = None; // (offset, len, merged_from)
 
-    let flush = |pending: &mut Option<(usize, usize, u32)>,
-                 out_local: &mut Vec<LocalBucket>,
-                 next_id: &mut u64| {
+    let flush = |pending: &mut Option<(usize, usize, u32)>, out_local: &mut Vec<LocalBucket>| {
         if let Some((offset, len, merged_from)) = pending.take() {
             out_local.push(LocalBucket {
-                id: *next_id,
                 offset,
                 len,
                 merged_from,
                 sorted_passes: next_pass,
             });
-            *next_id += 1;
         }
     };
 
@@ -200,31 +185,27 @@ pub fn classify_sub_buckets_into(
                     pending = Some((offset, len + sb.len, merged_from + 1));
                     continue;
                 }
-                flush(&mut pending, out_local, next_id);
+                flush(&mut pending, out_local);
             }
         }
         if merging && sb.len < merge_threshold {
             pending = Some((sb.offset, sb.len, 1));
         } else if sb.len <= local_threshold {
             out_local.push(LocalBucket {
-                id: *next_id,
                 offset: sb.offset,
                 len: sb.len,
                 merged_from: 1,
                 sorted_passes: next_pass,
             });
-            *next_id += 1;
         } else {
             out_counting.push(Bucket {
-                id: *next_id,
                 offset: sb.offset,
                 len: sb.len,
                 pass: next_pass,
             });
-            *next_id += 1;
         }
     }
-    flush(&mut pending, out_local, next_id);
+    flush(&mut pending, out_local);
 }
 
 #[cfg(test)]
@@ -245,13 +226,11 @@ mod tests {
     fn block_assignments_tile_each_bucket() {
         let buckets = vec![
             Bucket {
-                id: 0,
                 offset: 0,
                 len: 700,
                 pass: 1,
             },
             Bucket {
-                id: 1,
                 offset: 700,
                 len: 300,
                 pass: 1,
@@ -297,8 +276,7 @@ mod tests {
                 len: 5_000,
             },
         ];
-        let mut id = 10;
-        let c = classify_sub_buckets(&subs, 1, 4_224, 1_400, true, &mut id);
+        let c = classify_sub_buckets(&subs, 1, 4_224, 1_400, true);
         // 10 000 and 5 000 exceed ∂̂ = 4 224 → counting; 500 is below the
         // merge threshold but has no mergeable neighbour → local.
         assert_eq!(c.counting.len(), 2);
@@ -306,7 +284,6 @@ mod tests {
         assert_eq!(c.local[0].len, 500);
         assert!(!c.local[0].is_merged());
         assert_eq!(c.counting[0].pass, 1);
-        assert!(id > 10);
     }
 
     #[test]
@@ -317,8 +294,7 @@ mod tests {
                 len: 100,
             })
             .collect();
-        let mut id = 0;
-        let c = classify_sub_buckets(&subs, 2, 4_224, 450, true, &mut id);
+        let c = classify_sub_buckets(&subs, 2, 4_224, 450, true);
         // Sequences of neighbours are merged while the total stays < 450,
         // i.e. groups of four 100-key sub-buckets.
         assert!(c.counting.is_empty());
@@ -344,8 +320,7 @@ mod tests {
                 len: 100,
             })
             .collect();
-        let mut id = 0;
-        let c = classify_sub_buckets(&subs, 2, 4_224, 450, false, &mut id);
+        let c = classify_sub_buckets(&subs, 2, 4_224, 450, false);
         assert_eq!(c.local.len(), 10);
         assert!(c.local.iter().all(|l| !l.is_merged()));
     }
@@ -363,8 +338,7 @@ mod tests {
                 len: 60,
             },
         ];
-        let mut id = 0;
-        let c = classify_sub_buckets(&subs, 1, 4_224, 1_000, true, &mut id);
+        let c = classify_sub_buckets(&subs, 1, 4_224, 1_000, true);
         assert_eq!(c.counting.len(), 1);
         assert_eq!(c.counting[0].len, 9_000);
         assert_eq!(c.local.len(), 2);
@@ -382,8 +356,7 @@ mod tests {
                 len: 30,
             })
             .collect();
-        let mut id = 0;
-        let c = classify_sub_buckets(&subs, 1, 4_224, 100, true, &mut id);
+        let c = classify_sub_buckets(&subs, 1, 4_224, 100, true);
         for w in c.local.windows(2) {
             assert!(w[0].len + w[1].len >= 100, "{:?}", w);
         }

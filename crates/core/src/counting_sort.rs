@@ -1,4 +1,5 @@
-//! One counting-sort pass over all active buckets (Sections 4.1–4.4).
+//! One counting-sort pass over all active buckets (Sections 4.1–4.4) — the
+//! one partition kernel of the workspace.
 //!
 //! A pass processes every bucket that still needs partitioning, using a
 //! constant number of kernels regardless of the number of buckets: the
@@ -7,9 +8,19 @@
 //!
 //! 1. computes per-block histograms (stored for reuse by the scatter),
 //! 2. computes each bucket's exclusive prefix sum (sub-bucket offsets),
-//! 3. scatters keys (and values) into the sub-buckets,
+//! 3. scatters keys (and values) into the sub-buckets, stably,
 //! 4. merges tiny neighbouring sub-buckets and classifies each sub-bucket as
 //!    *local sort* or *next counting pass*.
+//!
+//! What a key's sub-bucket is comes from a [`KeyBins`] bin function the
+//! pass is monomorphised over.  A sort's pass bins by its digit
+//! ([`Digit`](crate::digit::Digit)), so it compiles to the digit loop.  A
+//! sharded engine's partition runs the same pass over its whole input as
+//! one bucket ([`partition_pass`]), binned by shard, or by shard and first
+//! digit: one stable pass then leaves every shard contiguous, grouped by
+//! first digit as the shard's own pass 0 would group it, and the shard's
+//! lane books that pass 0 from the digit counts ([`classify_partitioned`])
+//! and starts its pass loop at pass 1.
 //!
 //! The pass is executed by an [`Executor`]: steps 1 and 3 are
 //! embarrassingly parallel over key blocks (each block owns its histogram
@@ -17,7 +28,7 @@
 //! one histogram task per block and one scatter task per stripe of
 //! consecutive blocks of a bucket ([`STRIPE_KEYS`]) on real OS threads;
 //! step 2 and the classification are
-//! cheap `O(buckets × radix)` combines that stay on the calling thread,
+//! cheap `O(buckets × bins)` combines that stay on the calling thread,
 //! mirroring how the GPU implementation runs them in a single small kernel.
 //! Step 2 walks each bucket's histogram strips block by block, in memory
 //! order, and keeps the scatter bases of each stripe's first block only:
@@ -34,12 +45,12 @@
 //! a digit in any order; the report's ratios are derived once, from the
 //! sums.
 
-use crate::arena::{BlockStat, PassScratch};
+use crate::arena::{BlockStat, PassScratch, ScratchArena, ROLE_STAGE_KEYS, ROLE_STAGE_VALS};
 use crate::bucket::{classify_sub_buckets_into, pass_blocks_into, Bucket, LocalBucket, SubBucket};
 use crate::config::SortConfig;
-use crate::digit::radix_of_pass;
+use crate::digit::KeyBins;
 use crate::exec::{ExecProbe, Executor, SharedMut};
-use crate::histogram::block_histogram_into;
+use crate::histogram::block_histogram_by;
 use crate::opts::Optimizations;
 use crate::prefix_sum::exclusive_prefix_sum_into;
 use crate::report::PassStats;
@@ -123,6 +134,20 @@ impl PassTally {
         self.local_classes |= other.local_classes;
     }
 
+    /// Adds the block-level records of a pass's blocks (their block
+    /// count is the caller's): atomics, look-ahead, staged lines and
+    /// distinct bins.
+    pub fn add_blocks<'a>(&mut self, stats: impl IntoIterator<Item = &'a BlockStat>) {
+        for s in stats {
+            self.histogram_updates += s.atomic_updates;
+            self.scatter_updates += s.shared_updates;
+            self.lookahead_active_blocks += s.lookahead_active as u64;
+            self.staged_lines += s.staged_lines;
+            self.partial_flushes += s.partial_flushes;
+            self.distinct_digits += s.distinct as u64;
+        }
+    }
+
     /// The report's statistics of pass `pass`, whose digit has `radix`
     /// values.
     pub fn stats(&self, pass: u32, radix: usize) -> PassStats {
@@ -158,54 +183,81 @@ impl PassTally {
     }
 }
 
+/// Bytes between two tasks' strips of a per-worker or per-block table
+/// that tasks write per key: two cache lines, because x86 prefetches lines
+/// in pairs.  Unpadded, the strips of two workers (or of two blocks that
+/// two workers count) share a line at their border, and the line moves
+/// between the workers' cores on every write to the bins it holds.
+const STRIP_PAD_BYTES: usize = 128;
+
+/// `len` elements of `T` plus [`STRIP_PAD_BYTES`].
+fn padded<T>(len: usize) -> usize {
+    len + STRIP_PAD_BYTES / std::mem::size_of::<T>().max(1)
+}
+
+/// Values per write-combining value line beside a line of `line_keys`
+/// keys: the same bytes (16 u32 values beside 8 u64 keys).
+fn line_vals<K, V>(line_keys: usize) -> usize {
+    (line_keys * std::mem::size_of::<K>() / std::mem::size_of::<V>().max(1)).max(1)
+}
+
 /// Keys and values of one worker's write-combining staging segment:
-/// `radix` key lines and `radix` value lines, sized by the *maximum* radix
-/// so a segment serves every pass.  A value line spans the bytes of a key
-/// line (16 u32 values beside 8 u64 keys), so both arrays flush whole
-/// cache lines.  Both are 0 when the staged scatter is off or a line
-/// holds a single key; [`run_counting_pass`] takes `workers ×` these.
+/// `radix` key lines and `radix` value lines, sized by the largest bin
+/// count a pass will use (the configuration's radix for a sort's passes),
+/// so a segment serves every pass, and 128 bytes to keep it apart from the
+/// next worker's.  A value line spans the bytes of a key line (16 u32
+/// values beside 8 u64 keys), so both arrays flush whole cache lines.
+/// Both are 0 when the staged scatter is off or a line holds a single key;
+/// [`run_counting_pass`] takes `workers ×` these.
 pub fn staging_lens<K: SortKey, V: SortValue>(
     config: &SortConfig,
     opts: &Optimizations,
+    radix: usize,
 ) -> (usize, usize) {
     let line_keys = config.scatter_line_keys(K::BYTES as usize);
     if !opts.staged_scatter || line_keys < 2 {
         return (0, 0);
     }
-    let line_vals = (line_keys * std::mem::size_of::<K>() / std::mem::size_of::<V>().max(1)).max(1);
     let vals = if std::mem::size_of::<V>() != 0 {
-        config.radix() * line_vals
+        padded::<V>(radix * line_vals::<K, V>(line_keys))
     } else {
         0
     };
-    (config.radix() * line_keys, vals)
+    (padded::<K>(radix * line_keys), vals)
 }
 
 /// Runs one counting-sort pass over `buckets`, reading keys/values from the
-/// `src` buffers and writing the partitioned sub-buckets into the `dst`
-/// buffers.  `next_id` supplies bucket identifiers.  `origin` is the
-/// position of the buffers' element 0 within the sort's whole buffers (0
-/// unless the pass runs on one bucket's range of them); it only shifts the
-/// line statistics, so they describe the whole buffers' lines.
+/// `src` buffers and writing each bucket's keys, grouped by their bin of
+/// `bins`, into the same range of the `dst` buffers, stably.  A sort's pass
+/// `pass` bins by the pass's digit ([`Digit`](crate::digit::Digit)); a
+/// sharded engine's partition bins by shard, or by shard and first digit.
+/// `origin` is the position of the buffers' element 0 within the sort's
+/// whole buffers (0 unless the pass runs on one bucket's range of them); it
+/// only shifts the line statistics, so they describe the whole buffers'
+/// lines.
 ///
 /// The scatter stages its writes through `staging_keys`/`staging_vals`,
 /// the arena-owned write-combining segments, one [`staging_lens`] stripe
-/// per worker, and streams whole lines past the cache.  Given shorter
-/// segments — empty ones, as a depth-first task passes, whose destination
-/// range stays in cache for the local sorts that read it next — it writes
-/// every key straight to its place instead and books the lines the staged
-/// scatter would have written, so the statistics do not change.
+/// per worker for the larger of the configuration's radix and the bin
+/// count, and streams whole lines past the cache.  Given shorter segments —
+/// empty ones, as a depth-first task passes, whose destination range stays
+/// in cache for the local sorts that read it next — it writes every key
+/// straight to its place instead and books the lines the staged scatter
+/// would have written, so the statistics do not change.
 ///
 /// Buckets forwarded to the next pass are appended to `out_counting` and
 /// buckets ready for a local sort to `out_local` (both are cleared first);
 /// the pass's working memory lives in `scratch` and is reused across passes
-/// and sorts.  The histogram and scatter phases are distributed over the
-/// context's executor: one histogram task per key block, one scatter task
-/// per stripe.  The phases run strictly in order — every histogram task
-/// finishes before the prefix sums, and those before the first scatter
-/// task — as in the paper's kernel sequence.
+/// and sorts.  After the pass, `scratch.bucket_hist` holds the last
+/// bucket's bin counts (unless traced), and `scratch.blocks` /
+/// `scratch.block_stats` the pass's per-block records.  The histogram and
+/// scatter phases are distributed over the context's executor: one
+/// histogram task per key block, one scatter task per stripe.  The phases
+/// run strictly in order — every histogram task finishes before the prefix
+/// sums, and those before the first scatter task — as in the paper's kernel
+/// sequence.
 #[allow(clippy::too_many_arguments)]
-pub fn run_counting_pass<K: SortKey, V: SortValue>(
+pub fn run_counting_pass<K: SortKey, V: SortValue, B: KeyBins<K>>(
     cx: &PassContext<'_>,
     src_keys: &[K],
     dst_keys: &mut [K],
@@ -214,7 +266,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     origin: usize,
     buckets: &[Bucket],
     pass: u32,
-    next_id: &mut u64,
+    bins: B,
     scratch: &mut PassScratch,
     staging_keys: &mut [K],
     staging_vals: &mut [V],
@@ -228,7 +280,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         exec,
         probe,
     } = *cx;
-    let radix = radix_of_pass(K::BITS, config.digit_bits, pass);
+    let radix = bins.bins();
     let strategy = if opts.thread_reduction_histogram {
         HistogramStrategy::ThreadReduction
     } else {
@@ -261,11 +313,14 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     let n_blocks = scratch.blocks.len();
 
     // (1) Per-block histograms into the strip table, one executor task per
-    // block.  Every block owns strip `b * radix ..` exclusively.  The task
+    // block.  Every block owns strip `b * strip ..` exclusively, `radix`
+    // counters and a pad, since neighbouring blocks run on different
+    // workers.  The task
     // also counts the block's look-ahead writes while its keys are in
     // cache; the scatter works on whole stripes and never sees a block.
+    let strip_len = padded::<u32>(radix);
     scratch.block_counts.clear();
-    scratch.block_counts.resize(n_blocks * radix, 0);
+    scratch.block_counts.resize(n_blocks * strip_len, 0);
     scratch.block_stats.clear();
     scratch.block_stats.resize(n_blocks, BlockStat::default());
     {
@@ -276,18 +331,12 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
             let blk = &blocks[b];
             let keys = &src_keys[blk.key_offset..blk.key_offset + blk.key_count];
             // SAFETY: strip `b` and stat slot `b` belong to this task only.
-            let strip = unsafe { counts.slice_mut(b * radix, radix) };
-            let (atomic_updates, distinct) = block_histogram_into(
-                strip,
-                keys,
-                config.digit_bits,
-                pass,
-                strategy,
-                config.keys_per_thread as usize,
-            );
+            let strip = unsafe { counts.slice_mut(b * strip_len, radix) };
+            let (atomic_updates, distinct) =
+                block_histogram_by(strip, keys, bins, strategy, config.keys_per_thread as usize);
             let max_bin = strip.iter().copied().max().unwrap_or(0);
             let (lookahead_active, shared_updates) =
-                block_lookahead(keys, &scatter_params, max_bin);
+                block_lookahead(keys, bins, &scatter_params, max_bin);
             // SAFETY: stat slot `b` belongs to this task only.
             unsafe {
                 block_stats.write(
@@ -325,7 +374,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         scratch.bucket_hist.clear();
         scratch.bucket_hist.resize(radix, 0);
         for b in bucket_blocks.clone() {
-            let strip = &scratch.block_counts[b * radix..(b + 1) * radix];
+            let strip = &scratch.block_counts[b * strip_len..b * strip_len + radix];
             for (t, &c) in scratch.bucket_hist.iter_mut().zip(strip) {
                 *t += c as u64;
             }
@@ -333,13 +382,13 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
         let total = exclusive_prefix_sum_into(&scratch.bucket_hist, &mut scratch.prefix);
         debug_assert_eq!(total, bucket.len);
 
-        // Scatter bases: for digit d, block b writes its keys with digit d
-        // at `bucket.offset + prefix[d] + Σ counts of earlier blocks` — the
+        // Scatter bases: for bin d, block b writes its keys of bin d at
+        // `bucket.offset + prefix[d] + Σ counts of earlier blocks` — the
         // chunk the GPU block reserves with one atomicAdd.  A stripe's
         // blocks own adjacent chunks, so only each stripe's first block's
         // bases are kept, as the stripe's cursor seed.  Walked block by
         // block, so the strips are read in memory order, with one running
-        // offset per digit.
+        // offset per bin.
         scratch.digit_run.clear();
         scratch
             .digit_run
@@ -348,42 +397,24 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
             if (b - bucket_blocks.start) % stripe_blocks == 0 {
                 scratch.stripe_bases.extend_from_slice(&scratch.digit_run);
             }
-            let counts = &scratch.block_counts[b * radix..(b + 1) * radix];
+            let counts = &scratch.block_counts[b * strip_len..b * strip_len + radix];
             for (run, &c) in scratch.digit_run.iter_mut().zip(counts) {
                 *run += c as usize;
             }
         }
 
-        // Build, merge and classify the sub-buckets.
-        scratch.sub_buckets.clear();
-        for (d, &count) in scratch.bucket_hist.iter().enumerate() {
-            if count > 0 {
-                scratch.sub_buckets.push(SubBucket {
-                    offset: bucket.offset + scratch.prefix[d],
-                    len: count as usize,
-                });
-            }
-        }
-        let local_before = out_local.len();
-        let counting_before = out_counting.len();
-        classify_sub_buckets_into(
-            &scratch.sub_buckets,
-            pass + 1,
-            config.local_sort_threshold,
-            config.merge_threshold,
-            opts.bucket_merging,
-            next_id,
+        classify_bucket(
+            cx,
+            bucket,
+            pass,
+            &scratch.bucket_hist,
+            &scratch.prefix,
+            &mut scratch.sub_buckets,
             out_local,
             out_counting,
+            &mut tally,
         );
-
-        tally.n_keys += bucket.len as u64;
-        tally.n_buckets += 1;
         tally.n_blocks += nb as u64;
-        tally.sub_buckets_created += scratch.sub_buckets.len() as u64;
-        tally.local_buckets_created += (out_local.len() - local_before) as u64;
-        tally.counting_buckets_forwarded += (out_counting.len() - counting_before) as u64;
-        tally.max_bin_keys += scratch.bucket_hist.iter().copied().max().unwrap_or(0);
 
         if let Some(t) = trace.as_deref_mut() {
             // Move the tables into the trace instead of cloning them; the
@@ -404,24 +435,26 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     let values_present = std::mem::size_of::<V>() != 0;
     let workers = exec.workers();
     let line_keys = config.scatter_line_keys(K::BYTES as usize);
-    let (stage_stride, val_stride) = staging_lens::<K, V>(config, opts);
-    let line_vals = val_stride / config.radix();
+    let stage_radix = config.radix().max(radix);
+    let (stage_stride, val_stride) = staging_lens::<K, V>(config, opts, stage_radix);
+    let line_vals = line_vals::<K, V>(line_keys);
+    let filled_stride = padded::<u32>(stage_radix);
     let staging_on = stage_stride > 0
         && n_blocks > 0
         && staging_keys.len() >= workers * stage_stride
         && staging_vals.len() >= workers * val_stride;
     let book_lines = stage_stride > 0 && !staging_on;
-    let max_radix = config.radix();
     if staging_on {
         scratch.stage_filled.clear();
-        scratch.stage_filled.resize(workers * max_radix, 0);
+        scratch.stage_filled.resize(workers * filled_stride, 0);
     }
 
     // (3) Cooperative scatter, one executor task per stripe.  Each worker
     // seeds its private cursor strip from the stripe's bases; destination
     // chunks of distinct stripes are disjoint.
+    let cursor_stride = padded::<usize>(radix);
     scratch.worker_cursors.clear();
-    scratch.worker_cursors.resize(workers * radix, 0);
+    scratch.worker_cursors.resize(workers * cursor_stride, 0);
     {
         let blocks = &scratch.blocks;
         let bases = &scratch.stripe_bases;
@@ -443,7 +476,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                 &src_vals[0..0]
             };
             // SAFETY: cursor strip `worker` belongs to this thread only.
-            let cursor = unsafe { cursors.slice_mut(worker * radix, radix) };
+            let cursor = unsafe { cursors.slice_mut(worker * cursor_stride, radix) };
             let seeds = &bases[s * radix..(s + 1) * radix];
             cursor.copy_from_slice(seeds);
             let mut staging_storage = None;
@@ -462,7 +495,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                 };
                 // SAFETY: the fill table is striped per worker like the
                 // staging lines.
-                let filled = unsafe { stage_filled_sm.slice_mut(worker * max_radix, radix) };
+                let filled = unsafe { stage_filled_sm.slice_mut(worker * filled_stride, radix) };
                 staging_storage = Some(ScatterStaging {
                     keys: stage_keys,
                     vals: stage_vals,
@@ -476,6 +509,7 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
                 cursor,
                 &dst_keys,
                 &dst_vals,
+                bins,
                 &scatter_params,
                 staging_storage.as_mut(),
             );
@@ -492,20 +526,142 @@ pub fn run_counting_pass<K: SortKey, V: SortValue>(
     }
 
     // (4) Fold the per-block records into the pass tally.
-    for s in &scratch.block_stats {
-        tally.histogram_updates += s.atomic_updates;
-        tally.scatter_updates += s.shared_updates;
-        tally.lookahead_active_blocks += s.lookahead_active as u64;
-        tally.staged_lines += s.staged_lines;
-        tally.partial_flushes += s.partial_flushes;
-        tally.distinct_digits += s.distinct as u64;
+    tally.add_blocks(&scratch.block_stats);
+    tally
+}
+
+/// Builds the sub-buckets of `bucket` from its bin counts `hist` and their
+/// offsets within it `prefix`, merges and classifies them into
+/// `out_local` / `out_counting` for the pass after `pass`, and books the
+/// bucket's keys and sub-buckets in `tally` (its blocks are the caller's).
+#[allow(clippy::too_many_arguments)]
+fn classify_bucket(
+    cx: &PassContext<'_>,
+    bucket: &Bucket,
+    pass: u32,
+    hist: &[u64],
+    prefix: &[usize],
+    sub_buckets: &mut Vec<SubBucket>,
+    out_local: &mut Vec<LocalBucket>,
+    out_counting: &mut Vec<Bucket>,
+    tally: &mut PassTally,
+) {
+    sub_buckets.clear();
+    for (&count, &start) in hist.iter().zip(prefix) {
+        if count > 0 {
+            sub_buckets.push(SubBucket {
+                offset: bucket.offset + start,
+                len: count as usize,
+            });
+        }
     }
+    let local_before = out_local.len();
+    let counting_before = out_counting.len();
+    classify_sub_buckets_into(
+        sub_buckets,
+        pass + 1,
+        cx.config.local_sort_threshold,
+        cx.config.merge_threshold,
+        cx.opts.bucket_merging,
+        out_local,
+        out_counting,
+    );
+    tally.n_keys += bucket.len as u64;
+    tally.n_buckets += 1;
+    tally.sub_buckets_created += sub_buckets.len() as u64;
+    tally.local_buckets_created += (out_local.len() - local_before) as u64;
+    tally.counting_buckets_forwarded += (out_counting.len() - counting_before) as u64;
+    tally.max_bin_keys += hist.iter().copied().max().unwrap_or(0);
+}
+
+/// Pass 0 of an `n`-key input that a partition pass already split on its
+/// first digit (a sharded engine's fused partition): classifies the
+/// sub-buckets of the digit counts `counts` exactly as
+/// [`run_counting_pass`] would after scattering them, into `out_local` /
+/// `out_counting` (both cleared first), and returns the pass's tally —
+/// `blocks`, the block-level fields of the partition's pass, plus the
+/// bucket's own.
+pub fn classify_partitioned(
+    cx: &PassContext<'_>,
+    n: usize,
+    counts: &[u64],
+    blocks: &PassTally,
+    scratch: &mut PassScratch,
+    out_local: &mut Vec<LocalBucket>,
+    out_counting: &mut Vec<Bucket>,
+) -> PassTally {
+    out_local.clear();
+    out_counting.clear();
+    let total = exclusive_prefix_sum_into(counts, &mut scratch.prefix);
+    assert_eq!(total, n, "the digit counts cover the partitioned input");
+    let mut tally = *blocks;
+    classify_bucket(
+        cx,
+        &Bucket::root(n),
+        0,
+        counts,
+        &scratch.prefix,
+        &mut scratch.sub_buckets,
+        out_local,
+        out_counting,
+        &mut tally,
+    );
+    tally
+}
+
+/// One counting pass over the whole of `src_keys` / `src_vals` as a single
+/// bucket, into `bins`, on `arena`'s pass scratch and staging segments: a
+/// sharded engine's partition.  Afterwards `arena.pass.bucket_hist` holds
+/// the bin counts and `arena.pass.blocks` / `arena.pass.block_stats` the
+/// per-block records; the pass's own classification into local and
+/// counting buckets is left in the scratch lists, unused.
+#[allow(clippy::too_many_arguments)]
+pub fn partition_pass<K: SortKey, V: SortValue, B: KeyBins<K>>(
+    cx: &PassContext<'_>,
+    src_keys: &[K],
+    dst_keys: &mut [K],
+    src_vals: &[V],
+    dst_vals: &mut [V],
+    bins: B,
+    arena: &mut ScratchArena,
+) -> PassTally {
+    let n = src_keys.len();
+    let workers = cx.exec.workers();
+    let (stage_len, stage_val_len) =
+        staging_lens::<K, V>(cx.config, cx.opts, cx.config.radix().max(bins.bins()));
+    let mut staging_keys = arena.take_buffer::<K>(ROLE_STAGE_KEYS, workers * stage_len);
+    let mut staging_vals = arena.take_buffer::<V>(ROLE_STAGE_VALS, workers * stage_val_len);
+    let scratch = &mut arena.pass;
+    let mut local = std::mem::take(&mut scratch.local);
+    let mut counting = std::mem::take(&mut scratch.counting_out);
+    let tally = run_counting_pass(
+        cx,
+        src_keys,
+        dst_keys,
+        src_vals,
+        dst_vals,
+        0,
+        &[Bucket::root(n)],
+        0,
+        bins,
+        scratch,
+        &mut staging_keys,
+        &mut staging_vals,
+        &mut local,
+        &mut counting,
+        None,
+    );
+    scratch.local = local;
+    scratch.counting_out = counting;
+    arena.put_buffer(ROLE_STAGE_KEYS, staging_keys);
+    arena.put_buffer(ROLE_STAGE_VALS, staging_vals);
     tally
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::digit::{radix_of_pass, Digit};
     use workloads::{uniform_keys, EntropyLevel, KeyCodec};
 
     /// Output of one pass as the tests inspect it.
@@ -524,13 +680,12 @@ mod tests {
         config: &SortConfig,
         opts: &Optimizations,
         exec: &Executor,
-        next_id: &mut u64,
         trace: Option<&mut SortTrace>,
     ) -> PassRun {
         let src_vals: Vec<()> = Vec::new();
         let mut dst_vals: Vec<()> = Vec::new();
         let mut scratch = PassScratch::default();
-        let (stage_len, _) = staging_lens::<K, ()>(config, opts);
+        let (stage_len, _) = staging_lens::<K, ()>(config, opts, config.radix());
         let mut staging_keys = vec![K::default(); exec.workers() * stage_len];
         let mut local = Vec::new();
         let mut counting = Vec::new();
@@ -549,7 +704,7 @@ mod tests {
             0,
             buckets,
             pass,
-            next_id,
+            Digit::of_pass(K::BITS, config.digit_bits, pass),
             &mut scratch,
             &mut staging_keys,
             &mut [],
@@ -572,7 +727,6 @@ mod tests {
     ) -> (Vec<u32>, PassRun) {
         let n = keys.len();
         let mut dst = vec![0u32; n];
-        let mut next_id = 1;
         let out = run_pass(
             keys,
             &mut dst,
@@ -581,7 +735,6 @@ mod tests {
             config,
             opts,
             exec,
-            &mut next_id,
             None,
         );
         (dst, out)
@@ -734,7 +887,6 @@ mod tests {
         let keys = uniform_keys::<u32>(1_000, 5);
         let n = keys.len();
         let mut dst = vec![0u32; n];
-        let mut next_id = 1;
         let mut trace = SortTrace::new(0);
         run_pass(
             &keys,
@@ -744,7 +896,6 @@ mod tests {
             &small_config(),
             &Optimizations::all_on(),
             &Executor::Sequential,
-            &mut next_id,
             Some(&mut trace),
         );
         assert_eq!(trace.histograms_of_pass(0).len(), 1);
@@ -760,7 +911,6 @@ mod tests {
         let exec = Executor::with_workers(3);
         let n = keys.len();
         let mut buf1 = vec![0u32; n];
-        let mut next_id = 1;
         let out0 = run_pass(
             &keys,
             &mut buf1,
@@ -769,7 +919,6 @@ mod tests {
             &cfg,
             &opts,
             &exec,
-            &mut next_id,
             None,
         );
         let mut buf2 = vec![0u32; n];
@@ -781,7 +930,6 @@ mod tests {
             &cfg,
             &opts,
             &exec,
-            &mut next_id,
             None,
         );
         // Keys covered by second-pass buckets are now sorted on their top

@@ -68,6 +68,47 @@ impl Digit {
     }
 }
 
+/// The bins a counting pass partitions keys into: a digit of the key
+/// ([`Digit`]), or any other function of the key that never decreases as
+/// the key grows, so that bins in order hold the keys in order.  The pass
+/// is monomorphised per implementation, so a digit pass compiles to the
+/// same loop as a hand-written digit extraction.
+///
+/// # Safety
+///
+/// [`KeyBins::bin`] must return a value below [`KeyBins::bins`] for every
+/// key: the staged scatter indexes its tables by bin without bounds
+/// checks.
+pub unsafe trait KeyBins<K>: Copy + Send + Sync {
+    /// Number of bins; every key's bin is below it.
+    fn bins(&self) -> usize;
+
+    /// The bin of `key`.
+    fn bin(&self, key: &K) -> usize;
+
+    /// Adds one to `counts[bin(k)]` for every key `k` of `keys`.
+    #[inline]
+    fn count_into(&self, keys: &[K], counts: &mut [u32]) {
+        for key in keys {
+            counts[self.bin(key)] += 1;
+        }
+    }
+}
+
+// SAFETY: `of` masks the shifted radix to `mask`, so every bin is at most
+// `mask`, below `bins() = mask + 1`.
+unsafe impl<K: workloads::SortKey> KeyBins<K> for Digit {
+    #[inline]
+    fn bins(&self) -> usize {
+        self.mask as usize + 1
+    }
+
+    #[inline(always)]
+    fn bin(&self, key: &K) -> usize {
+        self.of(key.to_radix())
+    }
+}
+
 /// The number of low-order bits that remain unsorted after `passes`
 /// counting-sort passes (used by the local sort to know which digits still
 /// need sorting).

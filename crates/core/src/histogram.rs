@@ -22,7 +22,7 @@
 //! memory so the scatter step can reuse them (costing `r × 4` bytes per
 //! block, "< 4 %" of the key traffic for the default `KPB`).
 
-use crate::digit::Digit;
+use crate::digit::{Digit, KeyBins};
 use gpu_sim::HistogramStrategy;
 use workloads::SortKey;
 
@@ -97,13 +97,25 @@ pub fn block_histogram_into<K: SortKey>(
     keys_per_thread: usize,
 ) -> (u64, u32) {
     let digit = Digit::of_pass(K::BITS, digit_bits, pass);
+    block_histogram_by(counts, keys, digit, strategy, keys_per_thread)
+}
+
+/// [`block_histogram_into`] over any [`KeyBins`]: `counts` is a zeroed
+/// strip of `bins.bins()` counters.  The atomics-only strategy counts
+/// through [`KeyBins::count_into`], so a bin function with a faster
+/// counting loop than one increment per key brings it along.
+#[inline]
+pub fn block_histogram_by<K, B: KeyBins<K>>(
+    counts: &mut [u32],
+    keys: &[K],
+    bins: B,
+    strategy: HistogramStrategy,
+    keys_per_thread: usize,
+) -> (u64, u32) {
     let mut atomic_updates = 0u64;
     match strategy {
         HistogramStrategy::AtomicsOnly => {
-            for key in keys {
-                let d = digit.of(key.to_radix());
-                counts[d] += 1;
-            }
+            bins.count_into(keys, counts);
             atomic_updates = keys.len() as u64;
         }
         HistogramStrategy::ThreadReduction => {
@@ -115,7 +127,7 @@ pub fn block_histogram_into<K: SortKey>(
                     let mut digits = [0usize; RUN];
                     let mut before = [0u32; RUN];
                     for ((d, b), k) in digits.iter_mut().zip(before.iter_mut()).zip(run_keys) {
-                        *d = digit.of(k.to_radix());
+                        *d = bins.bin(k);
                         *b = counts[*d];
                     }
                     for (&d, &b) in digits.iter().zip(&before).take(run_keys.len()) {

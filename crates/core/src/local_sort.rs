@@ -642,7 +642,6 @@ mod tests {
     /// bits are unsorted.
     fn bucket(offset: usize, len: usize) -> LocalBucket {
         LocalBucket {
-            id: 0,
             offset,
             len,
             merged_from: 1,
@@ -1088,7 +1087,6 @@ mod tests {
         let mut bufs = [keys, vec![0u32; 100]];
         let mut vals: [Vec<()>; 2] = [Vec::new(), Vec::new()];
         let merged = LocalBucket {
-            id: 1,
             offset: 0,
             len: 100,
             merged_from: 4,

@@ -47,7 +47,7 @@
 //! look-ahead block, one per run of up to `lookahead + 1` consecutive equal
 //! digits within a thread's keys.
 
-use crate::digit::{radix_of_pass, Digit};
+use crate::digit::{Digit, KeyBins};
 use crate::exec::{stream_fence, SharedMut};
 use workloads::SortKey;
 
@@ -151,9 +151,11 @@ pub fn scatter_block<K: SortKey, V: Copy>(
     max_bin_count: u32,
     staging: Option<&mut ScatterStaging<'_, K, V>>,
 ) -> BlockScatter {
-    let (lookahead_active, shared_updates) = block_lookahead(block_keys, params, max_bin_count);
+    let digit = Digit::of_pass(K::BITS, params.digit_bits, params.pass);
+    let (lookahead_active, shared_updates) =
+        block_lookahead(block_keys, digit, params, max_bin_count);
     let (staged_lines, partial_flushes) = scatter_stripe(
-        block_keys, block_vals, cursor, dst_keys, dst_vals, params, staging,
+        block_keys, block_vals, cursor, dst_keys, dst_vals, digit, params, staging,
     );
     BlockScatter {
         shared_updates,
@@ -164,11 +166,13 @@ pub fn scatter_block<K: SortKey, V: Copy>(
 }
 
 /// Whether the look-ahead write combiner is active for a block whose
-/// largest digit count is `max_bin_count`, and the shared-memory writes its
+/// largest bin count is `max_bin_count`, and the shared-memory writes its
 /// staging issues: one per key, or, with the look-ahead active, one per
-/// combined run (a second read of the block, only for skewed blocks).
-pub fn block_lookahead<K: SortKey>(
+/// combined run of equal bins (a second read of the block, only for skewed
+/// blocks).
+pub fn block_lookahead<K, B: KeyBins<K>>(
     block_keys: &[K],
+    bins: B,
     params: &ScatterParams,
     max_bin_count: u32,
 ) -> (bool, u64) {
@@ -178,50 +182,64 @@ pub fn block_lookahead<K: SortKey>(
     if !active {
         return (false, block_keys.len() as u64);
     }
-    let digit = Digit::of_pass(K::BITS, params.digit_bits, params.pass);
     let mut writes = LookaheadWrites::new(params);
     for key in block_keys {
-        writes.push(digit.of(key.to_radix()));
+        writes.push(bins.bin(key));
     }
     (true, writes.writes)
 }
 
-/// Scatters a stripe — any run of keys whose per-digit destination chunks
-/// start at `cursor` — and returns its `(staged_lines, partial_flushes)`
-/// (see [`BlockScatter`]).  On return `cursor` holds the chunk ends.
+/// Scatters a stripe — any run of keys whose per-bin destination chunks
+/// start at `cursor` — into the bins of `bins` and returns its
+/// `(staged_lines, partial_flushes)` (see [`BlockScatter`]).  On return
+/// `cursor` holds the chunk ends; `params.radix` (at least `bins.bins()`)
+/// sizes the cursor and staging tables.
 ///
 /// With `staging` (lines of at least two keys) writes are combined per
-/// digit value in the staging lines; completed lines wholly inside a chunk
-/// are streamed with non-temporal stores, and the call ends with a
+/// bin in the staging lines; completed lines wholly inside a chunk are
+/// streamed with non-temporal stores, and the call ends with a
 /// [`stream_fence`].  The destination contents equal the direct scatter's.
 #[allow(clippy::too_many_arguments)]
-pub fn scatter_stripe<K: SortKey, V: Copy>(
+#[inline]
+pub fn scatter_stripe<K: Copy, V: Copy, B: KeyBins<K>>(
     keys: &[K],
     vals: &[V],
     cursor: &mut [usize],
     dst_keys: &SharedMut<'_, K>,
     dst_vals: &SharedMut<'_, V>,
+    bins: B,
     params: &ScatterParams,
     staging: Option<&mut ScatterStaging<'_, K, V>>,
 ) -> (u64, u64) {
-    scatter_stripe_with::<K, V, true>(keys, vals, cursor, dst_keys, dst_vals, params, staging)
+    scatter_stripe_with::<K, V, B, true>(
+        keys, vals, cursor, dst_keys, dst_vals, bins, params, staging,
+    )
 }
 
 /// [`scatter_stripe`] with the flush of whole lines chosen at compile
 /// time: streamed (`STREAM`) or the plain copy other targets get.
 #[allow(clippy::too_many_arguments)]
-fn scatter_stripe_with<K: SortKey, V: Copy, const STREAM: bool>(
+fn scatter_stripe_with<K: Copy, V: Copy, B: KeyBins<K>, const STREAM: bool>(
     keys: &[K],
     vals: &[V],
     cursor: &mut [usize],
     dst_keys: &SharedMut<'_, K>,
     dst_vals: &SharedMut<'_, V>,
+    bins: B,
     params: &ScatterParams,
     staging: Option<&mut ScatterStaging<'_, K, V>>,
 ) -> (u64, u64) {
-    let digit = Digit::of_pass(K::BITS, params.digit_bits, params.pass);
     let lines = staging.and_then(|st| {
-        let lines = StripeLines::new(st, keys, vals, cursor, params, dst_keys, dst_vals)?;
+        let lines = StripeLines::new(
+            st,
+            keys,
+            vals,
+            cursor,
+            bins.bins(),
+            params,
+            dst_keys,
+            dst_vals,
+        )?;
         Some((st, lines))
     });
     match lines {
@@ -229,25 +247,25 @@ fn scatter_stripe_with<K: SortKey, V: Copy, const STREAM: bool>(
             // Power-of-two lines (every real configuration) wrap with a
             // mask; the others need the division.
             let out = if lines.pow2 {
-                stage::<K, V, STREAM>(
+                stage::<K, V, B, STREAM>(
                     keys,
                     vals,
                     cursor,
                     dst_keys,
                     dst_vals,
-                    digit,
+                    bins,
                     st,
                     lines,
                     |x, n| x & (n - 1),
                 )
             } else {
-                stage::<K, V, STREAM>(
+                stage::<K, V, B, STREAM>(
                     keys,
                     vals,
                     cursor,
                     dst_keys,
                     dst_vals,
-                    digit,
+                    bins,
                     st,
                     lines,
                     |x, n| x % n,
@@ -262,7 +280,7 @@ fn scatter_stripe_with<K: SortKey, V: Copy, const STREAM: bool>(
             // Direct per-key scatter: the unstaged equivalence reference.
             let values_present = std::mem::size_of::<V>() != 0;
             for (i, key) in keys.iter().enumerate() {
-                let d = digit.of(key.to_radix());
+                let d = bins.bin(key);
                 let pos = cursor[d];
                 cursor[d] = pos + 1;
                 // SAFETY: `pos` lies inside the chunk this stripe reserved
@@ -283,8 +301,7 @@ fn scatter_stripe_with<K: SortKey, V: Copy, const STREAM: bool>(
 
 /// Line geometry of one staged call: line lengths and the destinations'
 /// phases within their aligned lines.  Only built for a call whose tables
-/// cover every digit value, which the staged loop's unchecked indexing
-/// relies on.
+/// cover every bin, which the staged loop's unchecked indexing relies on.
 #[derive(Clone, Copy)]
 struct StripeLines {
     radix: usize,
@@ -298,13 +315,15 @@ struct StripeLines {
 impl StripeLines {
     /// The geometry of staging `keys`/`vals` through `st`, or `None` when
     /// staging does not pay (lines of one key), a table is too short for
-    /// the pass's digit values or the fill table is not drained (the
+    /// the pass's `bins` or the fill table is not drained (the
     /// flushes trust its counts) — the caller then scatters directly.
-    fn new<K: SortKey, V>(
+    #[allow(clippy::too_many_arguments)]
+    fn new<K, V>(
         st: &ScatterStaging<'_, K, V>,
         keys: &[K],
         vals: &[V],
         cursor: &[usize],
+        bins: usize,
         params: &ScatterParams,
         dst_keys: &SharedMut<'_, K>,
         dst_vals: &SharedMut<'_, V>,
@@ -313,7 +332,7 @@ impl StripeLines {
         let key_line = st.line_keys;
         let val_line = (st.vals.len() / radix.max(1)).max(1);
         let values_present = std::mem::size_of::<V>() != 0;
-        let covered = radix_of_pass(K::BITS, params.digit_bits, params.pass) <= radix
+        let covered = bins <= radix
             && cursor.len() >= radix
             && st.filled.len() >= radix
             && st.filled[..radix].iter().all(|&f| f == 0)
@@ -337,13 +356,13 @@ impl StripeLines {
 /// `x % n` for the line lengths `n` in use.
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn stage<K: SortKey, V: Copy, const STREAM: bool>(
+fn stage<K: Copy, V: Copy, B: KeyBins<K>, const STREAM: bool>(
     keys: &[K],
     vals: &[V],
     cursor: &mut [usize],
     dst_keys: &SharedMut<'_, K>,
     dst_vals: &SharedMut<'_, V>,
-    digit: Digit,
+    bins: B,
     st: &mut ScatterStaging<'_, K, V>,
     lines: StripeLines,
     wrap: impl Fn(usize, usize) -> usize,
@@ -351,8 +370,8 @@ fn stage<K: SortKey, V: Copy, const STREAM: bool>(
     let values_present = std::mem::size_of::<V>() != 0;
     let (kl, vl) = (lines.key_line, lines.val_line);
     for (i, key) in keys.iter().enumerate() {
-        let d = digit.of(key.to_radix());
-        // SAFETY: `d` is a digit value of the pass, below `radix`, and
+        let d = bins.bin(key);
+        // SAFETY: `d` is a bin of the pass, below `bins <= radix`, and
         // `StripeLines::new` checked that `cursor` and `filled` hold `radix`
         // entries, the key and value tables `radix` lines of `kl` and `vl`
         // slots, and `vals` a value per key; `wrap(_, n) < n` picks a slot
@@ -694,7 +713,6 @@ mod tests {
         let all = uniform_keys::<u32>(n, 6);
         // Make the middle 2 000 keys the bucket of interest.
         let bucket = Bucket {
-            id: 7,
             offset: 1_000,
             len: 2_000,
             pass: 1,
@@ -844,6 +862,7 @@ mod tests {
         let n = keys.len();
         let values_present = std::mem::size_of::<V>() != 0;
         let digit = |k: &K| digit_of(k.to_radix(), K::BITS, p.digit_bits, p.pass);
+        let bins = Digit::of_pass(K::BITS, p.digit_bits, p.pass);
         // Per-stripe cursor seeds: the bucket prefix plus earlier stripes.
         let mut counts = vec![0usize; p.radix];
         for k in keys {
@@ -873,12 +892,13 @@ mod tests {
                     &vals[0..0]
                 };
                 let mut cursor = seed.clone();
-                let out = scatter_stripe_with::<K, V, STREAM>(
+                let out = scatter_stripe_with::<K, V, _, STREAM>(
                     &keys[r],
                     v,
                     &mut cursor,
                     &dk,
                     &dv,
+                    bins,
                     &p,
                     None,
                 );
@@ -921,12 +941,13 @@ mod tests {
                     filled: &mut filled,
                     line_keys,
                 };
-                let (a, b) = scatter_stripe_with::<K, V, STREAM>(
+                let (a, b) = scatter_stripe_with::<K, V, _, STREAM>(
                     &keys[r],
                     v,
                     &mut cursor,
                     &dk,
                     &dv,
+                    bins,
                     &p,
                     Some(&mut st),
                 );

@@ -14,24 +14,37 @@
 //! interleaves elements from different shards, and equal keys can never
 //! straddle a shard boundary.
 //!
-//! The scatter that follows is a counting sort over shards, one executor
-//! task per 64 Ki-key input chunk: count each chunk's keys per shard,
-//! prefix the counts over chunks, then scatter every chunk into its
-//! reserved destination ranges.  It runs at memory speed because its
-//! per-element loops share nothing and do not branch on keys:
+//! The scatter that follows is the sorter's own counting pass
+//! ([`hrs_core::counting_sort::run_counting_pass`]) over the whole input as
+//! one bucket, with a bin function in place of the pass's digit, so the
+//! partition and the sort share one kernel: per-block histograms, one
+//! prefix sum, and a stable striped scatter.  Two bin functions exist:
 //!
-//! * **Private counters.** Chunk `c`'s counters are strip `c` of one
-//!   cursor table, and each strip is padded by 128 bytes, so no cache line
-//!   (nor the adjacent line x86 prefetches with it) holds the counters of
-//!   two chunks while workers count or scatter.  Unpadded, two shards'
-//!   counters take 16 bytes and four chunks share a line.
-//! * **Branchless shard lookup.** A key's shard is the number of cuts at
-//!   or below its radix ([`SplitterSet::shard_of`]), evaluated cut by cut
-//!   over a block of keys so the loop vectorises; the count sums
-//!   comparisons against each cut instead of incrementing a counter per
-//!   key.
+//! * **Shards** (`ShardBins`, `p` bins): a key's shard is the number of
+//!   cuts at or below its radix ([`SplitterSet::shard_of`]), a sum of
+//!   comparisons without branches.  Its histogram counts a block of keys
+//!   cut by cut (the keys below each cut), so the loop vectorises, and its
+//!   scatter writes directly: a write-combining line of so few bins fills
+//!   every few keys.  Every partition uses it except the one below.
+//! * **Shards and first digit** (`ShardDigitBins`): the pair
+//!   `(shard, digit₀)` in key order.  The cuts are radix values, so shard
+//!   and first digit both never decrease as the key grows, and one stable
+//!   pass leaves every shard contiguous with its elements grouped by first
+//!   digit in order — exactly what the shard's own pass 0 would write.
+//!   Written `shard × radix + digit₀`, the pairs would take `p · radix`
+//!   bins, but only the digits the cuts fall in are split between shards,
+//!   so `digit₀ + shard` numbers the pairs that occur without a gap and
+//!   without a collision: `radix + p − 1` bins, about a pass 0's.  While no
+//!   two cuts share a first digit, a key's bin is two table lookups by its
+//!   digit.  The driver uses it for round 0 when every lane is a measured
+//!   CPU socket, whose sorter then starts at pass 1
+//!   ([`hrs_core::HybridRadixSorter::sort_pairs_partitioned`]), up to
+//!   [`FUSED_MAX_BINS`] bins.
 
-use hrs_core::{Executor, SharedMut};
+use hrs_core::arena::{ROLE_SPLITTER_REFINE, ROLE_SPLITTER_SAMPLE};
+use hrs_core::counting_sort::{partition_pass, PassContext, PassTally};
+use hrs_core::digit::{digit_width, Digit, KeyBins};
+use hrs_core::{Executor, Optimizations, ScratchArena, SharedMut, SortConfig};
 use serde::{Deserialize, Serialize};
 use workloads::pairs::SortValue;
 use workloads::SortKey;
@@ -90,20 +103,9 @@ impl SplitterSet {
     /// The shard a radix value belongs to: the number of cuts at or
     /// below it.  Counting every cut costs no branch, where a binary
     /// search mispredicts about every other random key.
+    #[inline(always)]
     pub fn shard_of(&self, radix: u64) -> usize {
         self.cuts.iter().map(|&c| usize::from(c <= radix)).sum()
-    }
-
-    /// Writes the shard of every key of `block` into `ids` (of the same
-    /// length): [`SplitterSet::shard_of`] taken cut by cut, so the inner
-    /// loop runs over keys and vectorises.
-    pub(crate) fn shard_ids<K: SortKey>(&self, block: &[K], ids: &mut [u32]) {
-        ids.fill(0);
-        for &cut in &self.cuts {
-            for (id, k) in ids.iter_mut().zip(block) {
-                *id += u32::from(cut <= k.to_radix());
-            }
-        }
     }
 
     /// Inclusive `[lo, hi]` radix ranges of every shard.  Together the
@@ -175,7 +177,7 @@ pub fn compute_splitters_with<K: SortKey>(
     cfg: &PartitionConfig,
     exec: &Executor,
 ) -> SplitterSet {
-    compute_splitters_in(keys, weights, cfg, exec, &mut Vec::new(), &mut Vec::new())
+    compute_splitters_in(keys, weights, cfg, exec, &mut ScratchArena::new())
 }
 
 /// Keys between two samples of an `n`-key input.
@@ -183,24 +185,16 @@ fn sample_stride(n: usize, cfg: &PartitionConfig) -> usize {
     n.div_ceil(cfg.max_samples.max(1)).max(1)
 }
 
-/// Length of the key sample the splitter search draws from an `n`-key
-/// input: a caller that hands [`compute_splitters_in`] a buffer of this
-/// length has it written without being resized first.
-pub(crate) fn sample_len(n: usize, cfg: &PartitionConfig) -> usize {
-    n.div_ceil(sample_stride(n, cfg))
-}
-
-/// [`compute_splitters_with`] drawing its key sample into `sample`, whose
-/// contents it replaces, and filtering the keys its cuts refine on into
-/// `refine`, so a caller that sorts repeatedly reuses one allocation for
-/// each.
+/// [`compute_splitters_with`] drawing its key sample and the keys its cuts
+/// refine on into `arena`'s buffers, so a caller that sorts repeatedly
+/// reuses one allocation for each.  Both are taken at the length the
+/// search writes in full, so a warm take writes no memory.
 pub(crate) fn compute_splitters_in<K: SortKey>(
     keys: &[K],
     weights: &[f64],
     cfg: &PartitionConfig,
     exec: &Executor,
-    sample: &mut Vec<u64>,
-    refine: &mut Vec<u64>,
+    arena: &mut ScratchArena,
 ) -> SplitterSet {
     let shards = weights.len().max(1);
     assert!(
@@ -238,14 +232,14 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
     // instead of re-scanning the sample per cut.
     let norm_shift = 64 - K::BITS;
     let stride = sample_stride(keys.len(), cfg);
-    sample.resize(sample_len(keys.len(), cfg), 0);
+    let mut sample: Vec<u64> = arena.take_buffer(ROLE_SPLITTER_SAMPLE, keys.len().div_ceil(stride));
     let radix = 1usize << cfg.digit_bits;
     let shift0 = 64 - cfg.digit_bits;
     let root_hist: Vec<u64> = {
         let n_chunks = sample.len().div_ceil(HIST_CHUNK).max(1);
         let mut chunk_counts = vec![0u64; n_chunks * radix];
         let counts = SharedMut::new(chunk_counts.as_mut_slice());
-        exec.for_each_chunk_mut(sample, HIST_CHUNK, |c, part| {
+        exec.for_each_chunk_mut(&mut sample, HIST_CHUNK, |c, part| {
             // SAFETY: strip `c` of the count table belongs to chunk `c`
             // alone.
             let strip = unsafe { counts.slice_mut(c * radix, radix) };
@@ -264,7 +258,6 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
         }
         root
     };
-    let sample = &sample[..];
 
     // Cumulative weight fraction each cut targets.
     let mut fracs = Vec::with_capacity(shards - 1);
@@ -288,9 +281,10 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
         }
         region_ends.push(refine_len);
     }
-    refine.resize(refine_len, 0);
+    let mut refine: Vec<u64> = arena.take_buffer(ROLE_SPLITTER_REFINE, refine_len);
     let mut cut_norms = vec![0u64; shards - 1];
     {
+        let sample = &sample[..];
         let cuts_sm = SharedMut::new(cut_norms.as_mut_slice());
         let regions = SharedMut::new(refine.as_mut_slice());
         let (targets, region_ends, root) = (&targets[..], &region_ends[..], &root_hist[..]);
@@ -312,6 +306,8 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
             unsafe { cuts_sm.write(i, cut_norm) };
         });
     }
+    arena.put_buffer(ROLE_SPLITTER_SAMPLE, sample);
+    arena.put_buffer(ROLE_SPLITTER_REFINE, refine);
     let mut cuts: Vec<u64> = cut_norms.iter().map(|&c| c >> norm_shift).collect();
 
     // Enforce strict monotonicity (heavy skew can collapse neighbouring
@@ -332,44 +328,208 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
 }
 
 /// Scatters the input into one key (and value) buffer per shard, consuming
-/// the input buffers.  It runs the engine's partition kernel (a parallel
-/// per-chunk count, a prefix sum over chunks, then a parallel scatter)
-/// with one exactly-sized `Vec` per shard as its destination.
+/// the input buffers.  It runs the engine's `p`-bin partition pass into
+/// one buffer, then moves each shard into an exactly-sized `Vec` of its
+/// own.
 pub fn scatter_into_shards<K: SortKey, V: SortValue>(
     keys: &mut Vec<K>,
     values: &mut Vec<V>,
     splitters: &SplitterSet,
     exec: &Executor,
 ) -> (Vec<Vec<K>>, Vec<Vec<V>>) {
-    let counts = count_shards(keys, splitters, exec);
-    let mut shard_keys: Vec<Vec<K>> = counts
-        .totals
-        .iter()
-        .map(|&t| vec![K::default(); t])
-        .collect();
-    let mut shard_vals: Vec<Vec<V>> = counts
-        .totals
-        .iter()
-        .map(|&t| vec![V::default(); t])
-        .collect();
-    scatter_counted(
+    let n = keys.len();
+    let mut dst_keys = vec![K::default(); n];
+    let mut dst_vals = vec![V::default(); if values.is_empty() { 0 } else { n }];
+    let lens = scatter_into_round(
         keys,
         values,
         splitters,
         exec,
-        counts,
-        shard_keys.iter_mut().map(Vec::as_mut_slice).collect(),
-        shard_vals.iter_mut().map(Vec::as_mut_slice).collect(),
+        &mut dst_keys,
+        &mut dst_vals,
+        &mut ScratchArena::new(),
     );
     keys.clear();
     values.clear();
-    (shard_keys, shard_vals)
+    (
+        split_lengths(dst_keys, &lens),
+        split_lengths(dst_vals, &lens),
+    )
+}
+
+/// Cuts `buf` into consecutive vectors of the given lengths (summing to
+/// its length, or it is empty), moving every element at most once.
+fn split_lengths<T>(mut buf: Vec<T>, lens: &[usize]) -> Vec<Vec<T>> {
+    if buf.is_empty() {
+        return lens.iter().map(|_| Vec::new()).collect();
+    }
+    let mut end = buf.len();
+    let mut out: Vec<Vec<T>> = lens
+        .iter()
+        .skip(1)
+        .rev()
+        .map(|&len| {
+            end -= len;
+            buf.split_off(end)
+        })
+        .collect();
+    out.push(buf);
+    out.reverse();
+    out
+}
+
+/// Keys per block of the `p`-bin partition pass: each block is one
+/// histogram task and one scatter stripe.
+const PARTITION_BLOCK: usize = 64 * 1024;
+
+/// Keys per block of a shard count: each cut re-reads the block, so it
+/// should stay in the L1 cache.
+const COUNT_BLOCK: usize = 2048;
+
+/// The most bins a fused round-0 partition (`ShardDigitBins`, `radix +
+/// p − 1` bins) may have; above it the driver partitions into `p` bins and
+/// each lane makes its own pass 0.  It is the largest count measured to
+/// pay: sorting 2²³ uniform u64 keys with u32 values on CPU-socket lanes
+/// and two host workers, fused against `p`-bin partitions in alternating
+/// sorts, 257 bins (p = 2) took 0.96× the wall time (8 of 12 pairs won)
+/// and 263 bins (p = 8) 0.89× (12 of 12; CHANGES.md).  Wider pools are not
+/// measured; their shard lookup costs a comparison per cut per key in
+/// both partitions.
+pub const FUSED_MAX_BINS: usize = 263;
+
+/// The bins of a `p`-way partition: a key's shard.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardBins<'a> {
+    splitters: &'a SplitterSet,
+}
+
+impl<'a> ShardBins<'a> {
+    /// The shards of `splitters`, whose cuts must be sorted: the histogram
+    /// counts a shard from the keys below each cut, the scatter from the
+    /// cuts at or below the key, and the scatter's writes stay in the
+    /// chunks the counts reserved only if the two agree.
+    pub(crate) fn new(splitters: &'a SplitterSet) -> Self {
+        assert!(
+            splitters.cuts.is_sorted(),
+            "splitter cuts must be sorted: {:?}",
+            splitters.cuts
+        );
+        ShardBins { splitters }
+    }
+}
+
+// SAFETY: a shard counts cuts, so it is at most `cuts.len()`, below
+// `bins() = cuts.len() + 1`.
+unsafe impl<K: SortKey> KeyBins<K> for ShardBins<'_> {
+    #[inline]
+    fn bins(&self) -> usize {
+        self.splitters.num_shards()
+    }
+
+    #[inline(always)]
+    fn bin(&self, key: &K) -> usize {
+        self.splitters.shard_of(key.to_radix())
+    }
+
+    /// Counts cut by cut: shards `0..=s` hold the keys below cut `s`, so
+    /// the difference of neighbouring cuts' counts is a shard's population
+    /// (the cuts are sorted, see [`ShardBins::new`]).
+    fn count_into(&self, keys: &[K], counts: &mut [u32]) {
+        let cuts = &self.splitters.cuts;
+        for block in keys.chunks(COUNT_BLOCK) {
+            let mut below_prev = 0;
+            for (s, &cut) in cuts.iter().enumerate() {
+                let below = block.iter().filter(|k| k.to_radix() < cut).count();
+                counts[s] += (below - below_prev) as u32;
+                below_prev = below;
+            }
+            counts[cuts.len()] += (block.len() - below_prev) as u32;
+        }
+    }
+}
+
+/// The bins of a fused round-0 partition: `digit + shard`, where `digit`
+/// is the lanes' first digit.  Both terms never decrease as the key grows,
+/// so two keys share a bin only if they share shard and digit: shard `s`
+/// owns bins `digit(lo) + s ..= digit(hi) + s` of its radix range
+/// `[lo, hi]`.  While no two cuts fall inside one digit value, a digit's
+/// keys span at most two shards, split at the one cut inside it, so a
+/// key's bin is two lookups in tables of the digit's values instead of a
+/// comparison per cut.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ShardDigitBins<'a> {
+    digit: Digit,
+    /// Per digit value `d`: `d` plus the shard of its smallest radix.
+    first: &'a [u32],
+    /// Per digit value: the largest radix in that shard, one below the
+    /// cut inside the digit, or the maximum radix when none is.
+    last: &'a [u64],
+    /// `radix + p − 1`.
+    bins: usize,
+}
+
+/// The tables of [`ShardDigitBins`]: `first` and `last` per digit value.
+type DigitTables = (Vec<u32>, Vec<u64>);
+
+impl<'a> ShardDigitBins<'a> {
+    /// The tables of `splitters`' shards by `digit`, the first digit of
+    /// `K`, or `None` when two cuts fall inside one of its values.
+    fn tables<K: SortKey>(splitters: &SplitterSet, digit_bits: u32) -> Option<DigitTables> {
+        let width = digit_width(K::BITS, digit_bits, 0);
+        let shift = K::BITS - width;
+        let radix = 1usize << width;
+        let mut first = Vec::with_capacity(radix);
+        let mut last = Vec::with_capacity(radix);
+        for d in 0..radix as u64 {
+            let lo = d << shift;
+            let hi = lo | ((1u64 << shift) - 1);
+            let mut inside = splitters.cuts.iter().filter(|&&c| lo < c && c <= hi);
+            let cut = inside.next();
+            if inside.next().is_some() {
+                return None;
+            }
+            first.push((d as usize + splitters.shard_of(lo)) as u32);
+            last.push(cut.map_or(u64::MAX, |&c| c - 1));
+        }
+        Some((first, last))
+    }
+
+    /// The bins of `splitters`' shards by `digit` over `tables` (built by
+    /// [`ShardDigitBins::tables`] from the same splitters and digit).
+    fn new(splitters: &SplitterSet, digit: Digit, (first, last): &'a DigitTables) -> Self {
+        ShardDigitBins {
+            digit,
+            first,
+            last,
+            bins: first.len() + splitters.cuts.len(),
+        }
+    }
+}
+
+// SAFETY: by construction of the tables, `first[d] + 1` is a bin only when
+// a cut lies inside digit `d`, so that `d`'s smallest radix is below at
+// least one cut and its shard at most `p − 2`; either way the bin is at
+// most `(radix − 1) + (p − 1)`, below `bins() = radix + p − 1`.
+unsafe impl<K: SortKey> KeyBins<K> for ShardDigitBins<'_> {
+    #[inline]
+    fn bins(&self) -> usize {
+        self.bins
+    }
+
+    #[inline(always)]
+    fn bin(&self, key: &K) -> usize {
+        let radix = key.to_radix();
+        let d = self.digit.of(radix);
+        self.first[d] as usize + usize::from(radix > self.last[d])
+    }
 }
 
 /// Scatters `keys` (and `values`) into `dst_keys` (and `dst_vals`), of the
-/// inputs' lengths, with the shards back to back in shard order; returns
-/// each shard's length.  This is the sharded engine's partition: one
-/// round buffer instead of one allocation per shard.
+/// inputs' lengths, with the shards back to back in shard order and each
+/// in input order; returns each shard's length.  This is the sharded
+/// engine's `p`-bin partition: one counting pass on `exec` over the input
+/// as one bucket, binned by [`ShardBins`], its tables and write-combining
+/// lines in `arena`.  Value slices may be empty when `V` is zero-sized.
 pub(crate) fn scatter_into_round<K: SortKey, V: SortValue>(
     keys: &[K],
     values: &[V],
@@ -377,174 +537,89 @@ pub(crate) fn scatter_into_round<K: SortKey, V: SortValue>(
     exec: &Executor,
     dst_keys: &mut [K],
     dst_vals: &mut [V],
+    arena: &mut ScratchArena,
 ) -> Vec<usize> {
-    let counts = count_shards(keys, splitters, exec);
-    let shard_keys = split_lengths(dst_keys, &counts.totals);
-    let shard_vals = split_lengths(dst_vals, &counts.totals);
-    scatter_counted(
-        keys, values, splitters, exec, counts, shard_keys, shard_vals,
-    )
+    // The counting pass of the sort, with the model's bookkeeping off (an
+    // atomics-only histogram, which is the shard count, no look-ahead, no
+    // merging of the unused classification) and the scatter direct: with
+    // `p` bins a staged line fills every few keys and is flushed right
+    // after its stores, and a 2²³-pair pass into two bins took about
+    // 50 ms staged against 30 ms direct (CHANGES.md).
+    let mut config = SortConfig::keys_64();
+    config.keys_per_block = PARTITION_BLOCK;
+    let opts = Optimizations {
+        bucket_merging: false,
+        lookahead: false,
+        thread_reduction_histogram: false,
+        staged_scatter: false,
+        ..Optimizations::all_on()
+    };
+    let cx = PassContext {
+        config: &config,
+        opts: &opts,
+        exec,
+        probe: None,
+    };
+    let bins = ShardBins::new(splitters);
+    partition_pass(&cx, keys, dst_keys, values, dst_vals, bins, arena);
+    arena.pass.bucket_hist.iter().map(|&c| c as usize).collect()
 }
 
-/// Cuts `buf` into consecutive slices of the given lengths (which must sum
-/// to at most its length).
-fn split_lengths<'a, T>(mut buf: &'a mut [T], lens: &[usize]) -> Vec<&'a mut [T]> {
-    lens.iter()
-        .map(|&len| {
-            let (head, rest) = std::mem::take(&mut buf).split_at_mut(len);
-            buf = rest;
-            head
-        })
-        .collect()
-}
-
-/// Granularity of the parallel partition scatter: chunks of this many keys
-/// are counted and scattered as independent executor tasks.
-const SCATTER_CHUNK: usize = 64 * 1024;
-
-/// Keys per block of the count and the scatter: each cut re-reads the
-/// block, so it should stay in the L1 cache.
-const BLOCK: usize = 2048;
-
-/// Cursor-table words each chunk's strip is padded by: 128 bytes, two
-/// 64-byte cache lines, because x86's adjacent-line prefetcher moves lines
-/// in pairs.
-const STRIP_PAD: usize = 128 / std::mem::size_of::<usize>();
-
-/// The counting half of a partition scatter.
-pub(crate) struct ShardCounts {
-    /// Input chunk `c`'s first write position in shard `s`, at
-    /// `c · stride + s`.
-    cursors: Vec<usize>,
-    /// Words per chunk strip: the shard count plus [`STRIP_PAD`], so no
-    /// 128-byte block holds the counters of two chunks.
-    stride: usize,
+/// What a fused round-0 partition hands the lanes.
+#[derive(Debug, Default)]
+pub(crate) struct FusedShards {
     /// Elements per shard.
-    pub(crate) totals: Vec<usize>,
+    pub(crate) lens: Vec<usize>,
+    /// The values of the lanes' first digit.
+    pub(crate) radix: usize,
+    /// `radix` first-digit counts per shard, shard-major.
+    pub(crate) counts: Vec<u64>,
+    /// Per shard: the block-level tally of the input blocks whose first
+    /// key lies in it, with their count.
+    pub(crate) tallies: Vec<PassTally>,
 }
 
-/// Counts every input chunk's elements per shard in parallel, then turns
-/// the counts into each chunk's write positions with an exclusive prefix
-/// over chunks per shard: the counting-sort shape, so the measured
-/// partition phase scales with the executor's workers.
-pub(crate) fn count_shards<K: SortKey>(
-    keys: &[K],
-    splitters: &SplitterSet,
-    exec: &Executor,
-) -> ShardCounts {
-    let p = splitters.num_shards();
-    let n = keys.len();
-    let n_chunks = n.div_ceil(SCATTER_CHUNK);
-    let stride = p + STRIP_PAD;
-    // The count finds a key's shard from the keys below each cut, the
-    // scatter from the cuts at or below the key; the two agree only on
-    // sorted cuts, and the scatter's writes stay in bounds only if they
-    // agree.
-    assert!(
-        splitters.cuts.is_sorted(),
-        "splitter cuts must be sorted: {:?}",
-        splitters.cuts
-    );
-
-    // Strip `c` of the count table belongs to input chunk `c`, so the
-    // chunked-mutation helper fits exactly.
-    let mut cursors = vec![0usize; n_chunks * stride];
-    exec.for_each_chunk_mut(&mut cursors, stride, |c, strip| {
-        let start = c * SCATTER_CHUNK;
-        let end = n.min(start + SCATTER_CHUNK);
-        for block in keys[start..end].chunks(BLOCK) {
-            // Shards `0..=s` hold the keys below cut `s`; the difference
-            // of neighbouring cuts' counts is a shard's population.
-            let mut below_prev = 0;
-            for (s, &cut) in splitters.cuts.iter().enumerate() {
-                let below = block.iter().filter(|k| k.to_radix() < cut).count();
-                strip[s] += below - below_prev;
-                below_prev = below;
-            }
-            strip[p - 1] += block.len() - below_prev;
-        }
-    });
-    let mut totals = vec![0usize; p];
-    for (s, total) in totals.iter_mut().enumerate() {
-        let mut run = 0usize;
-        for strip in cursors.chunks_exact_mut(stride) {
-            let v = strip[s];
-            strip[s] = run;
-            run += v;
-        }
-        *total = run;
-    }
-    ShardCounts {
-        cursors,
-        stride,
-        totals,
-    }
-}
-
-/// The scatter kernel: writes every element into its shard's slice of
-/// `shard_keys` (and `shard_vals`), each exactly `counts.totals` long
-/// (value slices may be empty when `V` is zero-sized), and returns the
-/// shard lengths.  Every input chunk owns disjoint destination ranges in
-/// every shard (its cursor .. the next chunk's), so chunks scatter
-/// concurrently without synchronisation, and each shard keeps input
-/// order.
-pub(crate) fn scatter_counted<K: SortKey, V: SortValue>(
+/// The fused round-0 partition: like [`scatter_into_round`], but binned by
+/// [`ShardDigitBins`] with the lanes' configuration and flags in `cx`, so
+/// each shard also comes out grouped by the lanes' first digit, as the
+/// lanes' own pass 0 would group it.  `None`, with nothing written, when
+/// two cuts fall inside one value of the first digit.
+pub(crate) fn partition_fused<K: SortKey, V: SortValue>(
+    cx: &PassContext<'_>,
     keys: &[K],
     values: &[V],
     splitters: &SplitterSet,
-    exec: &Executor,
-    counts: ShardCounts,
-    mut shard_keys: Vec<&mut [K]>,
-    mut shard_vals: Vec<&mut [V]>,
-) -> Vec<usize> {
-    let n = keys.len();
-    let values_present = std::mem::size_of::<V>() != 0;
-    if values_present {
-        assert_eq!(values.len(), n, "keys and values must match in length");
+    dst_keys: &mut [K],
+    dst_vals: &mut [V],
+    arena: &mut ScratchArena,
+) -> Option<FusedShards> {
+    let tables = ShardDigitBins::tables::<K>(splitters, cx.config.digit_bits)?;
+    let digit = Digit::of_pass(K::BITS, cx.config.digit_bits, 0);
+    let bins = ShardDigitBins::new(splitters, digit, &tables);
+    partition_pass(cx, keys, dst_keys, values, dst_vals, bins, arena);
+    let (p, radix) = (splitters.num_shards(), tables.0.len());
+    let hist = &arena.pass.bucket_hist;
+    let mut counts = vec![0u64; p * radix];
+    for (s, (shard, (lo, hi))) in counts.chunks_mut(radix).zip(splitters.ranges()).enumerate() {
+        let digits = digit.of(lo)..=digit.of(hi);
+        shard[digits.clone()].copy_from_slice(&hist[digits.start() + s..=digits.end() + s]);
     }
-    let ShardCounts {
-        mut cursors,
-        stride,
-        totals,
-    } = counts;
-    assert!(
-        shard_keys
-            .iter()
-            .map(|s| s.len())
-            .eq(totals.iter().copied()),
-        "one key slice of each shard's length"
-    );
-    let key_views: Vec<SharedMut<'_, K>> =
-        shard_keys.iter_mut().map(|s| SharedMut::new(s)).collect();
-    let val_views: Vec<SharedMut<'_, V>> =
-        shard_vals.iter_mut().map(|s| SharedMut::new(s)).collect();
-    exec.for_each_chunk_mut(&mut cursors, stride, |c, cursor| {
-        let start = c * SCATTER_CHUNK;
-        let end = n.min(start + SCATTER_CHUNK);
-        let mut ids = [0u32; BLOCK];
-        for (b, block) in keys[start..end].chunks(BLOCK).enumerate() {
-            let ids = &mut ids[..block.len()];
-            splitters.shard_ids(block, ids);
-            let base = start + b * BLOCK;
-            for (j, (&k, &s)) in block.iter().zip(ids.iter()).enumerate() {
-                let s = s as usize;
-                let pos = cursor[s];
-                cursor[s] += 1;
-                // SAFETY: `pos` lies in the destination range chunk `c`
-                // reserved for shard `s` (its cursor .. the next chunk's),
-                // disjoint from every other chunk's positions: `count_shards`
-                // checked that the cuts are sorted, so it counted every
-                // key in the shard `shard_ids` puts it in.
-                unsafe {
-                    key_views[s].write(pos, k);
-                    if values_present {
-                        val_views[s].write(pos, values[base + j]);
-                    }
-                }
-            }
-        }
-    });
-    totals
+    let mut tallies = vec![PassTally::default(); p];
+    let pass = &arena.pass;
+    for (block, stat) in pass.blocks.iter().zip(&pass.block_stats) {
+        let tally = &mut tallies[splitters.shard_of(keys[block.key_offset].to_radix())];
+        tally.n_blocks += 1;
+        tally.add_blocks([stat]);
+    }
+    Some(FusedShards {
+        lens: counts
+            .chunks(radix)
+            .map(|shard| shard.iter().sum::<u64>() as usize)
+            .collect(),
+        radix,
+        counts,
+        tallies,
+    })
 }
 
 /// The bin of `hist` in which rank `target` falls (the last bin if none
@@ -766,8 +841,8 @@ mod tests {
         s.cuts.partition_point(|&c| c <= radix)
     }
 
-    /// `shard_of` and `shard_ids` against the reference at either side of
-    /// every cut and at both ends of the key space.
+    /// `shard_of` and the partition's bin functions against the reference at
+    /// either side of every cut and at both ends of the key space.
     fn check_lookup<K: SortKey>(keys: &[K], from_radix: impl Fn(u64) -> K) {
         for p in 1..=9usize {
             let s = compute_splitters(keys, &vec![1.0; p], &PartitionConfig::default());
@@ -777,14 +852,27 @@ mod tests {
                 probes.extend([cut - 1, cut, cut.saturating_add(1).min(s.max_radix())]);
             }
             let probe_keys: Vec<K> = probes.iter().map(|&r| from_radix(r)).collect();
-            let mut ids = vec![0u32; probes.len()];
-            s.shard_ids(&probe_keys, &mut ids);
-            for ((&radix, key), &id) in probes.iter().zip(&probe_keys).zip(&ids) {
+            // The partition's bins: shards, counted cut by cut, and the
+            // fused pass's digit plus shard from its tables.
+            let bins = ShardBins::new(&s);
+            let mut counts = vec![0u32; p];
+            bins.count_into(&probe_keys, &mut counts);
+            let mut expected_counts = vec![0u32; p];
+            let digit = Digit::of_pass(K::BITS, 8, 0);
+            let tables = ShardDigitBins::tables::<K>(&s, 8);
+            for (&radix, key) in probes.iter().zip(&probe_keys) {
                 assert_eq!(key.to_radix(), radix);
                 let expected = reference_shard(&s, radix);
+                expected_counts[expected] += 1;
                 assert_eq!(s.shard_of(radix), expected, "p = {p}, radix {radix}");
-                assert_eq!(id as usize, expected, "p = {p}, radix {radix}");
+                assert_eq!(bins.bin(key), expected, "p = {p}, radix {radix}");
+                if let Some(tables) = &tables {
+                    let fused = ShardDigitBins::new(&s, digit, tables);
+                    let want = digit.of(radix) + expected;
+                    assert_eq!(fused.bin(key), want, "p = {p}, radix {radix}");
+                }
             }
+            assert_eq!(counts, expected_counts, "p = {p}");
         }
     }
 
@@ -796,8 +884,8 @@ mod tests {
 
     #[test]
     fn round_scatter_is_identical_for_any_worker_count() {
-        // Three full chunks and a ragged fourth.
-        let n = 3 * SCATTER_CHUNK + 17;
+        // Three full blocks and a ragged fourth.
+        let n = 3 * PARTITION_BLOCK + 17;
         let uniform = uniform_keys::<u64>(n, 43);
         let rows: Vec<u32> = (0..n as u32).collect();
         for p in [2usize, 3, 5, 8] {
@@ -824,8 +912,15 @@ mod tests {
                 Executor::with_workers(3),
             ] {
                 let (mut dst_keys, mut dst_rows) = (vec![0u64; n], vec![0u32; n]);
-                let lens =
-                    scatter_into_round(&keys, &rows, &s, &exec, &mut dst_keys, &mut dst_rows);
+                let lens = scatter_into_round(
+                    &keys,
+                    &rows,
+                    &s,
+                    &exec,
+                    &mut dst_keys,
+                    &mut dst_rows,
+                    &mut ScratchArena::new(),
+                );
                 let label = format!("p = {p}, {}", exec.label());
                 assert_eq!(lens, expected_lens, "{label}");
                 assert!(

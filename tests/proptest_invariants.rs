@@ -94,8 +94,7 @@ proptest! {
             offset += len;
             sb
         }).collect();
-        let mut next_id = 0;
-        let c = classify_sub_buckets(&subs, 1, local, merge, true, &mut next_id);
+        let c = classify_sub_buckets(&subs, 1, local, merge, true);
         let total_in: usize = lens.iter().sum();
         let total_out: usize = c.local.iter().map(|l| l.len).sum::<usize>()
             + c.counting.iter().map(|b| b.len).sum::<usize>();
