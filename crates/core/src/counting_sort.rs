@@ -16,11 +16,8 @@
 //! pass is monomorphised over.  A sort's pass bins by its digit
 //! ([`Digit`](crate::digit::Digit)), so it compiles to the digit loop.  A
 //! sharded engine's partition runs the same pass over its whole input as
-//! one bucket ([`partition_pass`]), binned by shard, or by shard and first
-//! digit: one stable pass then leaves every shard contiguous, grouped by
-//! first digit as the shard's own pass 0 would group it, and the shard's
-//! lane books that pass 0 from the digit counts ([`classify_partitioned`])
-//! and starts its pass loop at pass 1.
+//! one bucket, binned by shard, so one stable pass leaves every shard
+//! contiguous, in shard order.
 //!
 //! The pass is executed by an [`Executor`]: steps 1 and 3 are
 //! embarrassingly parallel over key blocks (each block owns its histogram
@@ -45,7 +42,7 @@
 //! a digit in any order; the report's ratios are derived once, from the
 //! sums.
 
-use crate::arena::{BlockStat, PassScratch, ScratchArena, ROLE_STAGE_KEYS, ROLE_STAGE_VALS};
+use crate::arena::{BlockStat, PassScratch};
 use crate::bucket::{classify_sub_buckets_into, pass_blocks_into, Bucket, LocalBucket, SubBucket};
 use crate::config::SortConfig;
 use crate::digit::KeyBins;
@@ -134,20 +131,6 @@ impl PassTally {
         self.local_classes |= other.local_classes;
     }
 
-    /// Adds the block-level records of a pass's blocks (their block
-    /// count is the caller's): atomics, look-ahead, staged lines and
-    /// distinct bins.
-    pub fn add_blocks<'a>(&mut self, stats: impl IntoIterator<Item = &'a BlockStat>) {
-        for s in stats {
-            self.histogram_updates += s.atomic_updates;
-            self.scatter_updates += s.shared_updates;
-            self.lookahead_active_blocks += s.lookahead_active as u64;
-            self.staged_lines += s.staged_lines;
-            self.partial_flushes += s.partial_flushes;
-            self.distinct_digits += s.distinct as u64;
-        }
-    }
-
     /// The report's statistics of pass `pass`, whose digit has `radix`
     /// values.
     pub fn stats(&self, pass: u32, radix: usize) -> PassStats {
@@ -202,8 +185,7 @@ fn line_vals<K, V>(line_keys: usize) -> usize {
 }
 
 /// Keys and values of one worker's write-combining staging segment:
-/// `radix` key lines and `radix` value lines, sized by the largest bin
-/// count a pass will use (the configuration's radix for a sort's passes),
+/// `radix` key lines and `radix` value lines, sized by the *maximum* radix
 /// so a segment serves every pass, and 128 bytes to keep it apart from the
 /// next worker's.  A value line spans the bytes of a key line (16 u32
 /// values beside 8 u64 keys), so both arrays flush whole cache lines.
@@ -212,25 +194,24 @@ fn line_vals<K, V>(line_keys: usize) -> usize {
 pub fn staging_lens<K: SortKey, V: SortValue>(
     config: &SortConfig,
     opts: &Optimizations,
-    radix: usize,
 ) -> (usize, usize) {
     let line_keys = config.scatter_line_keys(K::BYTES as usize);
     if !opts.staged_scatter || line_keys < 2 {
         return (0, 0);
     }
     let vals = if std::mem::size_of::<V>() != 0 {
-        padded::<V>(radix * line_vals::<K, V>(line_keys))
+        padded::<V>(config.radix() * line_vals::<K, V>(line_keys))
     } else {
         0
     };
-    (padded::<K>(radix * line_keys), vals)
+    (padded::<K>(config.radix() * line_keys), vals)
 }
 
 /// Runs one counting-sort pass over `buckets`, reading keys/values from the
 /// `src` buffers and writing each bucket's keys, grouped by their bin of
 /// `bins`, into the same range of the `dst` buffers, stably.  A sort's pass
 /// `pass` bins by the pass's digit ([`Digit`](crate::digit::Digit)); a
-/// sharded engine's partition bins by shard, or by shard and first digit.
+/// sharded engine's partition bins by shard.
 /// `origin` is the position of the buffers' element 0 within the sort's
 /// whole buffers (0 unless the pass runs on one bucket's range of them); it
 /// only shifts the line statistics, so they describe the whole buffers'
@@ -238,8 +219,8 @@ pub fn staging_lens<K: SortKey, V: SortValue>(
 ///
 /// The scatter stages its writes through `staging_keys`/`staging_vals`,
 /// the arena-owned write-combining segments, one [`staging_lens`] stripe
-/// per worker for the larger of the configuration's radix and the bin
-/// count, and streams whole lines past the cache.  Given shorter segments —
+/// per worker, and streams whole lines past the cache (when the bins are
+/// no more than the configuration's radix).  Given shorter segments —
 /// empty ones, as a depth-first task passes, whose destination range stays
 /// in cache for the local sorts that read it next — it writes every key
 /// straight to its place instead and books the lines the staged scatter
@@ -249,8 +230,7 @@ pub fn staging_lens<K: SortKey, V: SortValue>(
 /// buckets ready for a local sort to `out_local` (both are cleared first);
 /// the pass's working memory lives in `scratch` and is reused across passes
 /// and sorts.  After the pass, `scratch.bucket_hist` holds the last
-/// bucket's bin counts (unless traced), and `scratch.blocks` /
-/// `scratch.block_stats` the pass's per-block records.  The histogram and
+/// bucket's bin counts (unless traced).  The histogram and
 /// scatter phases are distributed over the context's executor: one
 /// histogram task per key block, one scatter task per stripe.  The phases
 /// run strictly in order — every histogram task finishes before the prefix
@@ -403,18 +383,35 @@ pub fn run_counting_pass<K: SortKey, V: SortValue, B: KeyBins<K>>(
             }
         }
 
-        classify_bucket(
-            cx,
-            bucket,
-            pass,
-            &scratch.bucket_hist,
-            &scratch.prefix,
-            &mut scratch.sub_buckets,
+        // Build, merge and classify the sub-buckets.
+        scratch.sub_buckets.clear();
+        for (d, &count) in scratch.bucket_hist.iter().enumerate() {
+            if count > 0 {
+                scratch.sub_buckets.push(SubBucket {
+                    offset: bucket.offset + scratch.prefix[d],
+                    len: count as usize,
+                });
+            }
+        }
+        let local_before = out_local.len();
+        let counting_before = out_counting.len();
+        classify_sub_buckets_into(
+            &scratch.sub_buckets,
+            pass + 1,
+            config.local_sort_threshold,
+            config.merge_threshold,
+            opts.bucket_merging,
             out_local,
             out_counting,
-            &mut tally,
         );
+
+        tally.n_keys += bucket.len as u64;
+        tally.n_buckets += 1;
         tally.n_blocks += nb as u64;
+        tally.sub_buckets_created += scratch.sub_buckets.len() as u64;
+        tally.local_buckets_created += (out_local.len() - local_before) as u64;
+        tally.counting_buckets_forwarded += (out_counting.len() - counting_before) as u64;
+        tally.max_bin_keys += scratch.bucket_hist.iter().copied().max().unwrap_or(0);
 
         if let Some(t) = trace.as_deref_mut() {
             // Move the tables into the trace instead of cloning them; the
@@ -435,12 +432,12 @@ pub fn run_counting_pass<K: SortKey, V: SortValue, B: KeyBins<K>>(
     let values_present = std::mem::size_of::<V>() != 0;
     let workers = exec.workers();
     let line_keys = config.scatter_line_keys(K::BYTES as usize);
-    let stage_radix = config.radix().max(radix);
-    let (stage_stride, val_stride) = staging_lens::<K, V>(config, opts, stage_radix);
+    let (stage_stride, val_stride) = staging_lens::<K, V>(config, opts);
     let line_vals = line_vals::<K, V>(line_keys);
-    let filled_stride = padded::<u32>(stage_radix);
+    let filled_stride = padded::<u32>(config.radix());
     let staging_on = stage_stride > 0
         && n_blocks > 0
+        && radix <= config.radix()
         && staging_keys.len() >= workers * stage_stride
         && staging_vals.len() >= workers * val_stride;
     let book_lines = stage_stride > 0 && !staging_on;
@@ -526,135 +523,14 @@ pub fn run_counting_pass<K: SortKey, V: SortValue, B: KeyBins<K>>(
     }
 
     // (4) Fold the per-block records into the pass tally.
-    tally.add_blocks(&scratch.block_stats);
-    tally
-}
-
-/// Builds the sub-buckets of `bucket` from its bin counts `hist` and their
-/// offsets within it `prefix`, merges and classifies them into
-/// `out_local` / `out_counting` for the pass after `pass`, and books the
-/// bucket's keys and sub-buckets in `tally` (its blocks are the caller's).
-#[allow(clippy::too_many_arguments)]
-fn classify_bucket(
-    cx: &PassContext<'_>,
-    bucket: &Bucket,
-    pass: u32,
-    hist: &[u64],
-    prefix: &[usize],
-    sub_buckets: &mut Vec<SubBucket>,
-    out_local: &mut Vec<LocalBucket>,
-    out_counting: &mut Vec<Bucket>,
-    tally: &mut PassTally,
-) {
-    sub_buckets.clear();
-    for (&count, &start) in hist.iter().zip(prefix) {
-        if count > 0 {
-            sub_buckets.push(SubBucket {
-                offset: bucket.offset + start,
-                len: count as usize,
-            });
-        }
+    for s in &scratch.block_stats {
+        tally.histogram_updates += s.atomic_updates;
+        tally.scatter_updates += s.shared_updates;
+        tally.lookahead_active_blocks += s.lookahead_active as u64;
+        tally.staged_lines += s.staged_lines;
+        tally.partial_flushes += s.partial_flushes;
+        tally.distinct_digits += s.distinct as u64;
     }
-    let local_before = out_local.len();
-    let counting_before = out_counting.len();
-    classify_sub_buckets_into(
-        sub_buckets,
-        pass + 1,
-        cx.config.local_sort_threshold,
-        cx.config.merge_threshold,
-        cx.opts.bucket_merging,
-        out_local,
-        out_counting,
-    );
-    tally.n_keys += bucket.len as u64;
-    tally.n_buckets += 1;
-    tally.sub_buckets_created += sub_buckets.len() as u64;
-    tally.local_buckets_created += (out_local.len() - local_before) as u64;
-    tally.counting_buckets_forwarded += (out_counting.len() - counting_before) as u64;
-    tally.max_bin_keys += hist.iter().copied().max().unwrap_or(0);
-}
-
-/// Pass 0 of an `n`-key input that a partition pass already split on its
-/// first digit (a sharded engine's fused partition): classifies the
-/// sub-buckets of the digit counts `counts` exactly as
-/// [`run_counting_pass`] would after scattering them, into `out_local` /
-/// `out_counting` (both cleared first), and returns the pass's tally —
-/// `blocks`, the block-level fields of the partition's pass, plus the
-/// bucket's own.
-pub fn classify_partitioned(
-    cx: &PassContext<'_>,
-    n: usize,
-    counts: &[u64],
-    blocks: &PassTally,
-    scratch: &mut PassScratch,
-    out_local: &mut Vec<LocalBucket>,
-    out_counting: &mut Vec<Bucket>,
-) -> PassTally {
-    out_local.clear();
-    out_counting.clear();
-    let total = exclusive_prefix_sum_into(counts, &mut scratch.prefix);
-    assert_eq!(total, n, "the digit counts cover the partitioned input");
-    let mut tally = *blocks;
-    classify_bucket(
-        cx,
-        &Bucket::root(n),
-        0,
-        counts,
-        &scratch.prefix,
-        &mut scratch.sub_buckets,
-        out_local,
-        out_counting,
-        &mut tally,
-    );
-    tally
-}
-
-/// One counting pass over the whole of `src_keys` / `src_vals` as a single
-/// bucket, into `bins`, on `arena`'s pass scratch and staging segments: a
-/// sharded engine's partition.  Afterwards `arena.pass.bucket_hist` holds
-/// the bin counts and `arena.pass.blocks` / `arena.pass.block_stats` the
-/// per-block records; the pass's own classification into local and
-/// counting buckets is left in the scratch lists, unused.
-#[allow(clippy::too_many_arguments)]
-pub fn partition_pass<K: SortKey, V: SortValue, B: KeyBins<K>>(
-    cx: &PassContext<'_>,
-    src_keys: &[K],
-    dst_keys: &mut [K],
-    src_vals: &[V],
-    dst_vals: &mut [V],
-    bins: B,
-    arena: &mut ScratchArena,
-) -> PassTally {
-    let n = src_keys.len();
-    let workers = cx.exec.workers();
-    let (stage_len, stage_val_len) =
-        staging_lens::<K, V>(cx.config, cx.opts, cx.config.radix().max(bins.bins()));
-    let mut staging_keys = arena.take_buffer::<K>(ROLE_STAGE_KEYS, workers * stage_len);
-    let mut staging_vals = arena.take_buffer::<V>(ROLE_STAGE_VALS, workers * stage_val_len);
-    let scratch = &mut arena.pass;
-    let mut local = std::mem::take(&mut scratch.local);
-    let mut counting = std::mem::take(&mut scratch.counting_out);
-    let tally = run_counting_pass(
-        cx,
-        src_keys,
-        dst_keys,
-        src_vals,
-        dst_vals,
-        0,
-        &[Bucket::root(n)],
-        0,
-        bins,
-        scratch,
-        &mut staging_keys,
-        &mut staging_vals,
-        &mut local,
-        &mut counting,
-        None,
-    );
-    scratch.local = local;
-    scratch.counting_out = counting;
-    arena.put_buffer(ROLE_STAGE_KEYS, staging_keys);
-    arena.put_buffer(ROLE_STAGE_VALS, staging_vals);
     tally
 }
 
@@ -685,7 +561,7 @@ mod tests {
         let src_vals: Vec<()> = Vec::new();
         let mut dst_vals: Vec<()> = Vec::new();
         let mut scratch = PassScratch::default();
-        let (stage_len, _) = staging_lens::<K, ()>(config, opts, config.radix());
+        let (stage_len, _) = staging_lens::<K, ()>(config, opts);
         let mut staging_keys = vec![K::default(); exec.workers() * stage_len];
         let mut local = Vec::new();
         let mut counting = Vec::new();

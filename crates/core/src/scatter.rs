@@ -229,19 +229,14 @@ fn scatter_stripe_with<K: Copy, V: Copy, B: KeyBins<K>, const STREAM: bool>(
     params: &ScatterParams,
     staging: Option<&mut ScatterStaging<'_, K, V>>,
 ) -> (u64, u64) {
-    let lines = staging.and_then(|st| {
-        let lines = StripeLines::new(
-            st,
-            keys,
-            vals,
-            cursor,
-            bins.bins(),
-            params,
-            dst_keys,
-            dst_vals,
-        )?;
-        Some((st, lines))
-    });
+    // The staged loop indexes its tables by bin unchecked, so only bins
+    // the tables' `params.radix` entries cover may stage.
+    let lines = staging
+        .filter(|_| bins.bins() <= params.radix)
+        .and_then(|st| {
+            let lines = StripeLines::new(st, keys, vals, cursor, params, dst_keys, dst_vals)?;
+            Some((st, lines))
+        });
     match lines {
         Some((st, lines)) => {
             // Power-of-two lines (every real configuration) wrap with a
@@ -315,15 +310,13 @@ struct StripeLines {
 impl StripeLines {
     /// The geometry of staging `keys`/`vals` through `st`, or `None` when
     /// staging does not pay (lines of one key), a table is too short for
-    /// the pass's `bins` or the fill table is not drained (the
-    /// flushes trust its counts) — the caller then scatters directly.
-    #[allow(clippy::too_many_arguments)]
+    /// `params.radix` bins or the fill table is not drained (the flushes
+    /// trust its counts) — the caller then scatters directly.
     fn new<K, V>(
         st: &ScatterStaging<'_, K, V>,
         keys: &[K],
         vals: &[V],
         cursor: &[usize],
-        bins: usize,
         params: &ScatterParams,
         dst_keys: &SharedMut<'_, K>,
         dst_vals: &SharedMut<'_, V>,
@@ -332,8 +325,7 @@ impl StripeLines {
         let key_line = st.line_keys;
         let val_line = (st.vals.len() / radix.max(1)).max(1);
         let values_present = std::mem::size_of::<V>() != 0;
-        let covered = bins <= radix
-            && cursor.len() >= radix
+        let covered = cursor.len() >= radix
             && st.filled.len() >= radix
             && st.filled[..radix].iter().all(|&f| f == 0)
             && st.keys.len() >= radix * key_line
@@ -371,8 +363,8 @@ fn stage<K: Copy, V: Copy, B: KeyBins<K>, const STREAM: bool>(
     let (kl, vl) = (lines.key_line, lines.val_line);
     for (i, key) in keys.iter().enumerate() {
         let d = bins.bin(key);
-        // SAFETY: `d` is a bin of the pass, below `bins <= radix`, and
-        // `StripeLines::new` checked that `cursor` and `filled` hold `radix`
+        // SAFETY: `d` is a bin, below `radix` (`scatter_stripe_with`
+        // stages only such bins), and `StripeLines::new` checked that `cursor` and `filled` hold `radix`
         // entries, the key and value tables `radix` lines of `kl` and `vl`
         // slots, and `vals` a value per key; `wrap(_, n) < n` picks a slot
         // inside the line.  The flushes' own ranges are argued there.

@@ -29,9 +29,7 @@
 //! derived from it, do not depend on the schedule.
 //! The traced sorts ([`HybridRadixSorter::sort_traced`]) are the only ones
 //! that keep every bucket breadth-first, since they snapshot the buffers
-//! after each pass.  A sharded engine's CPU lane whose pass 0 the engine's
-//! partition already made enters the same pass loop at pass 1
-//! ([`HybridRadixSorter::sort_pairs_partitioned`]).
+//! after each pass.
 //!
 //! The per-pass tables and bucket lists come from the arena, and so does
 //! the second half of the double buffer for the `Vec` entries, so repeated
@@ -49,9 +47,7 @@ use crate::arena::{
 use crate::bucket::Bucket;
 use crate::config::SortConfig;
 use crate::cost;
-use crate::counting_sort::{
-    classify_partitioned, run_counting_pass, staging_lens, PassContext, PassTally,
-};
+use crate::counting_sort::{run_counting_pass, staging_lens, PassContext, PassTally};
 use crate::digit::{radix_of_pass, Digit};
 use crate::exec::{Executor, SharedMut};
 use crate::local_sort::{
@@ -247,7 +243,6 @@ impl HybridRadixSorter {
                 [&mut *keys, &mut *spare_keys],
                 [&mut *values, &mut *spare_values],
                 None,
-                None,
             );
             if out == 1 {
                 keys.copy_from_slice(spare_keys);
@@ -257,70 +252,6 @@ impl HybridRadixSorter {
             }
             report
         })
-    }
-
-    /// Sorts a shard whose first-digit pass a partition pass outside the
-    /// sorter has already made: a sharded engine's CPU lane, whose engine
-    /// scattered the whole input by shard and first digit in one pass.
-    /// `keys` / `values` hold the shard as that pass left it, grouped by
-    /// first digit in digit order, `counts[d]` elements of digit `d` (one
-    /// count per value of the configuration's first digit).  The sorter
-    /// classifies those groups with its own ∂̂ and ∂, as its own pass 0
-    /// would have, and runs its pass loop from pass 1 on, depth-first where
-    /// a bucket fits the cache, ping-ponging against the spares (of the
-    /// inputs' lengths; their contents are ignored).  Zero-sized values may
-    /// come as empty slices.
-    ///
-    /// Returns the report and whether the sorted output lies in the spares
-    /// rather than in `keys` / `values`: the passes end in the spares when
-    /// the configuration's pass count is even, and nothing is copied back.
-    ///
-    /// The report's pass 0 books the shard's keys and sub-buckets, and
-    /// `pass0`'s block-level fields (`n_blocks`, `histogram_updates`,
-    /// `scatter_updates`, `avg_block_distinct`, the look-ahead blocks and
-    /// the staged lines): pass 0's blocks are the partition pass's blocks
-    /// of the whole input that the caller booked to this shard, not blocks
-    /// of the shard.  Every other field equals that of
-    /// [`HybridRadixSorter::sort_pairs`] on the shard's elements in input
-    /// order.
-    pub fn sort_pairs_partitioned<K: SortKey, V: SortValue>(
-        &self,
-        counts: &[u64],
-        pass0: &PassTally,
-        keys: &mut [K],
-        values: &mut [V],
-        spare_keys: &mut [K],
-        spare_values: &mut [V],
-    ) -> (SortReport, bool) {
-        let n = keys.len();
-        assert_eq!(spare_keys.len(), n, "spare keys must match the keys");
-        if std::mem::size_of::<V>() != 0 {
-            assert_eq!(values.len(), n, "keys and values must have the same length");
-            assert_eq!(spare_values.len(), n, "spare values must match the values");
-        }
-        let mut in_spare = false;
-        let report = self.sort_guarded::<K, V>(n, |config, arena| {
-            assert_eq!(
-                counts.len(),
-                radix_of_pass(K::BITS, config.digit_bits, 0),
-                "one count per value of the first digit"
-            );
-            let presplit = Presplit {
-                counts,
-                blocks: pass0,
-            };
-            let (report, out) = self.sort_in(
-                config,
-                arena,
-                [&mut *spare_keys, &mut *keys],
-                [&mut *spare_values, &mut *values],
-                Some(presplit),
-                None,
-            );
-            in_spare = out == 0;
-            report
-        });
-        (report, in_spare)
     }
 
     /// Sorts `keys` while recording a step-by-step [`SortTrace`] (buffer
@@ -387,7 +318,6 @@ impl HybridRadixSorter {
                 arena,
                 [keys.as_mut_slice(), spare_keys.as_mut_slice()],
                 [values.as_mut_slice(), spare_vals.as_mut_slice()],
-                None,
                 trace,
             );
             if out == 1 {
@@ -465,17 +395,14 @@ impl HybridRadixSorter {
 
     /// The hybrid sort proper: sorts `key_bufs[0]` (with `val_bufs[0]`)
     /// over the double buffer whose other half, of the same length, is
-    /// free scratch — or, with `presplit`, sorts `key_bufs[1]`, which a
-    /// partition pass already wrote as pass 0 would have.  Returns the
-    /// report, without its simulated cost, and the half holding the sorted
-    /// output.
+    /// free scratch.  Returns the report, without its simulated cost, and
+    /// the half holding the sorted output.
     fn sort_in<K: SortKey, V: SortValue>(
         &self,
         config: &SortConfig,
         arena: &mut ScratchArena,
         mut key_bufs: [&mut [K]; 2],
         mut val_bufs: [&mut [V]; 2],
-        presplit: Option<Presplit<'_>>,
         mut trace: Option<&mut SortTrace>,
     ) -> (SortReport, usize) {
         let n = key_bufs[0].len();
@@ -486,14 +413,11 @@ impl HybridRadixSorter {
         // input goes straight to the local-sort kernel, skipping the
         // partitioning machinery; the free half is its scratch.
         if n <= config.small_input_fallback {
-            let input = usize::from(presplit.is_some());
-            key_bufs.swap(0, input);
-            val_bufs.swap(0, input);
             let [keys, spare_keys] = key_bufs;
             let [vals, spare_vals] = val_bufs;
             lsd_sort_in_place(keys, vals, spare_keys, spare_vals, K::BITS);
             report.fallback_comparison_sort = true;
-            return (report, input);
+            return (report, 0);
         }
 
         let num_passes = config.num_passes(K::BITS);
@@ -505,7 +429,7 @@ impl HybridRadixSorter {
         // likewise the per-worker write-combining staging lines (empty
         // when the staged scatter is disabled or a line holds one key).
         let local_len = workers * config.local_sort_threshold;
-        let (stage_len, stage_val_len) = staging_lens::<K, V>(config, &self.opts, config.radix());
+        let (stage_len, stage_val_len) = staging_lens::<K, V>(config, &self.opts);
         let mut local_keys = arena.take_buffer::<K>(ROLE_LOCAL_KEYS, local_len);
         let mut staging_keys = arena.take_buffer::<K>(ROLE_STAGE_KEYS, workers * stage_len);
         let (mut local_vals, mut staging_vals): (Vec<V>, Vec<V>) = if values_present {
@@ -565,7 +489,6 @@ impl HybridRadixSorter {
             [&mut staging_keys, &mut local_keys],
             [&mut staging_vals, &mut local_vals],
             depth_first,
-            presplit,
             trace,
             clock.as_mut(),
         );
@@ -619,16 +542,6 @@ impl HybridRadixSorter {
     }
 }
 
-/// Pass 0 of a sort that a partition pass outside the sorter made (see
-/// [`HybridRadixSorter::sort_pairs_partitioned`]).
-#[derive(Clone, Copy)]
-struct Presplit<'a> {
-    /// The input's first-digit counts, in digit order.
-    counts: &'a [u64],
-    /// The block-level tally of the partition pass booked to this input.
-    blocks: &'a PassTally,
-}
-
 /// Where the pass loop sends the cache-sized buckets a pass produces:
 /// one depth-first task each, on the worker scratch given here.
 struct DepthFirst<'a> {
@@ -680,9 +593,7 @@ impl PassClock {
 /// `depth_first`, the cache-sized buckets each pass forwards leave the
 /// loop: one executor fan-out runs a task per bucket, which calls this
 /// loop again on the bucket's range alone (see [`finish_depth_first`]).
-/// With `presplit`, pass `first_pass` (0) is already made: its buckets
-/// come from the counts given there instead of a counting pass.  Every
-/// loop tallies into the scratch it ran on.
+/// Every loop tallies into the scratch it ran on.
 #[allow(clippy::too_many_arguments)]
 fn pass_loop<K: SortKey, V: SortValue>(
     cx: &PassContext<'_>,
@@ -695,7 +606,6 @@ fn pass_loop<K: SortKey, V: SortValue>(
     [staging_keys, local_keys]: [&mut [K]; 2],
     [staging_vals, local_vals]: [&mut [V]; 2],
     mut depth_first: Option<DepthFirst<'_>>,
-    mut presplit: Option<Presplit<'_>>,
     mut trace: Option<&mut SortTrace>,
     mut clock: Option<&mut PassClock>,
 ) {
@@ -714,38 +624,25 @@ fn pass_loop<K: SortKey, V: SortValue>(
         }
         let pass_start = clock.is_some().then(Instant::now);
         let (src, dst) = ((pass % 2) as usize, (1 - pass % 2) as usize);
-        let mut tally = match presplit.take() {
-            Some(p) => classify_partitioned(
-                cx,
-                n,
-                p.counts,
-                p.blocks,
-                scratch,
-                &mut local,
-                &mut next_counting,
-            ),
-            None => {
-                let (src_keys, dst_keys) = split_src_dst(key_bufs, src, dst);
-                let (src_vals, dst_vals) = split_src_dst(val_bufs, src, dst);
-                run_counting_pass(
-                    cx,
-                    src_keys,
-                    dst_keys,
-                    src_vals,
-                    dst_vals,
-                    origin,
-                    &counting,
-                    pass,
-                    Digit::of_pass(K::BITS, cx.config.digit_bits, pass),
-                    scratch,
-                    staging_keys,
-                    staging_vals,
-                    &mut local,
-                    &mut next_counting,
-                    trace.as_deref_mut(),
-                )
-            }
-        };
+        let (src_keys, dst_keys) = split_src_dst(key_bufs, src, dst);
+        let (src_vals, dst_vals) = split_src_dst(val_bufs, src, dst);
+        let mut tally = run_counting_pass(
+            cx,
+            src_keys,
+            dst_keys,
+            src_vals,
+            dst_vals,
+            origin,
+            &counting,
+            pass,
+            Digit::of_pass(K::BITS, cx.config.digit_bits, pass),
+            scratch,
+            staging_keys,
+            staging_vals,
+            &mut local,
+            &mut next_counting,
+            trace.as_deref_mut(),
+        );
         tally.local_classes =
             book_local_sorts(&local, cx.config, cx.opts, &mut scratch.local_stats);
         scratch.tallies[pass as usize].add(&tally);
@@ -892,7 +789,6 @@ fn finish_depth_first<K: SortKey, V: SortValue>(
                 ws,
                 [&mut [], sort_keys],
                 [&mut [], sort_vals],
-                None,
                 None,
                 None,
                 None,

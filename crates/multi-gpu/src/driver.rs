@@ -10,13 +10,7 @@
 //!    exchange, contiguous capacity-weighted slabs of the pending buffer
 //!    itself, which becomes the round buffer ([`crate::exchange`]).
 //!    Round 0 scatters into the engine's persistent scratch, so a warm
-//!    sort allocates no element memory.  When every alive device is a
-//!    measured CPU socket, the sort is in core with a host merge, and the
-//!    bins fit [`FUSED_MAX_BINS`], round 0's scatter is *fused*: it bins by
-//!    shard and the lanes' first digit, so it also makes every lane's
-//!    pass 0, and each lane starts at pass 1
-//!    ([`HybridRadixSorter::sort_pairs_partitioned`]) on the shard's digit
-//!    counts.
+//!    sort allocates no element memory.
 //! 2. **Carve units of work**, as ranges of the round buffer: the whole
 //!    share in core, memory-budget chunks out of core ([`crate::ooc`]).
 //! 3. **Consult the fault plan** once per unit, in device/unit order
@@ -53,10 +47,7 @@
 use crate::engine::ShardedSorter;
 use crate::exchange::{slab_lengths, RecombineStrategy};
 use crate::ooc::{device_chunk_plan, overlap_tail_merge};
-use crate::partition::{
-    compute_splitters_in, partition_fused, scatter_into_round, FusedShards, PartitionConfig,
-    SplitterSet, FUSED_MAX_BINS,
-};
+use crate::partition::{compute_splitters_in, scatter_into_round, PartitionConfig, SplitterSet};
 use crate::recovery::{SortError, BACKOFF, MAX_RETRIES};
 use crate::report::{ExchangeSpan, FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
 use gpu_sim::{ResourceId, SimTime, Timeline, TransferDirection};
@@ -64,9 +55,7 @@ use hetero::chunking::split_into_chunks;
 use hetero::multiway_merge::merge_pairs_into;
 use hetero::pipeline::PipelineResources;
 use hrs_core::arena::{ROLE_ROUND_KEYS, ROLE_ROUND_VALS};
-use hrs_core::counting_sort::PassContext;
-use hrs_core::digit::radix_of_pass;
-use hrs_core::{HybridRadixSorter, Optimizations, SharedMut, SortConfig, SortReport};
+use hrs_core::{HybridRadixSorter, SharedMut, SortReport};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use workloads::keys::SortKey;
@@ -107,12 +96,6 @@ pub(crate) struct Unit {
     pub(crate) range: Range,
     /// Transfer-time multiplier from an injected stall (1.0 = clean).
     pub(crate) stall: f64,
-    /// The unit's shard in a fused partition's bins, whose pass 0 that
-    /// partition made.
-    fused: Option<usize>,
-    /// Whether the sorted unit lies in the round's spare rather than the
-    /// round buffer (a fused lane whose passes ended there).
-    in_spare: bool,
     pub(crate) report: SortReport,
     pub(crate) measured: Duration,
 }
@@ -125,8 +108,6 @@ impl Unit {
             offset: offset as u64,
             range,
             stall: 1.0,
-            fused: None,
-            in_spare: false,
             report: SortReport::new(0, 0, 0),
             measured: Duration::ZERO,
         }
@@ -167,8 +148,6 @@ pub(crate) struct Run<K, V> {
     /// The current round's free buffer, as long as its round buffer: the
     /// lane sorts' ping-pong partner, and the exchange's merge output.
     pub(crate) spare: Buffers<K, V>,
-    /// The current round's fused partition, if it made the lanes' pass 0.
-    pub(crate) fused: Option<FusedShards>,
     /// The caller's buffer once round 0 of a host-merge sort has sorted
     /// out of it: where the final host step merges to.
     pub(crate) out: Option<Buffers<K, V>>,
@@ -375,7 +354,6 @@ impl ShardedSorter {
             pending: (keys, vals),
             bufs: Vec::new(),
             spare: Buffers::default(),
-            fused: None,
             out: None,
             runs: Vec::new(),
             orphans: false,
@@ -403,12 +381,11 @@ impl ShardedSorter {
         let span = self
             .inspector
             .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-        let (splitters, units) = self.carve_units(run, lanes, alive, exchange, out_of_core);
+        let (splitters, units) = self.carve_units(run, alive, exchange, out_of_core);
         run.measured_partition += span.finish();
 
         let mut units = self.triage(run, units);
         self.sort_units(lanes, run, &mut units);
-        Self::gather_outputs(run, &units);
         for unit in &units {
             run.combined.absorb(&unit.report);
         }
@@ -427,14 +404,12 @@ impl ShardedSorter {
     /// Partitions the pending elements over the `alive` devices into a new
     /// round buffer and carves each device's share into its units of work,
     /// as ranges of that buffer.  The host merge scatters into the round's
-    /// scratch — fused with the lanes' pass 0 when [`Self::fused_config`]
-    /// allows — and the pending buffer becomes the round's spare; the
+    /// scratch, and the pending buffer becomes the round's spare; the
     /// exchange keeps the pending buffer as the round buffer, cut into
     /// contiguous slabs, and the scratch becomes the spare.
     fn carve_units<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
-        lanes: &[HybridRadixSorter],
         alive: &[usize],
         exchange: bool,
         out_of_core: bool,
@@ -477,43 +452,20 @@ impl ShardedSorter {
             .reserve_exact(pending.1.capacity().saturating_sub(free.1.len()));
         free.0.resize(m, K::default());
         free.1.resize(m, V::default());
-        let fused_cfg = (run.round == 0 && !exchange && !out_of_core)
-            .then(|| self.fused_config::<K, V>(lanes, alive))
-            .flatten();
         let (round_buf, lens) = if exchange {
             run.spare = free;
             (pending, slab_lengths(m, &weights))
         } else {
             let lens = self.with_scratch(|a| {
-                run.fused = fused_cfg.and_then(|(config, opts)| {
-                    let cx = PassContext {
-                        config: &config,
-                        opts: &opts,
-                        exec: &self.host_exec,
-                        probe: None,
-                    };
-                    partition_fused(
-                        &cx,
-                        &pending.0,
-                        &pending.1,
-                        &splitters,
-                        &mut free.0,
-                        &mut free.1,
-                        a,
-                    )
-                });
-                match &run.fused {
-                    Some(fused) => fused.lens.clone(),
-                    None => scatter_into_round(
-                        &pending.0,
-                        &pending.1,
-                        &splitters,
-                        &self.host_exec,
-                        &mut free.0,
-                        &mut free.1,
-                        a,
-                    ),
-                }
+                scatter_into_round(
+                    &pending.0,
+                    &pending.1,
+                    &splitters,
+                    &self.host_exec,
+                    &mut free.0,
+                    &mut free.1,
+                    a,
+                )
             });
             run.spare = pending;
             (free, lens)
@@ -523,7 +475,7 @@ impl ShardedSorter {
 
         let mut units = Vec::new();
         let mut share_start = 0;
-        for (shard, (&g, len)) in alive.iter().zip(lens).enumerate() {
+        for (&g, len) in alive.iter().zip(lens) {
             if out_of_core {
                 let device = &self.pool.devices()[g];
                 let plan = device_chunk_plan(device, len, run.elem_bytes, &self.ooc);
@@ -541,36 +493,11 @@ impl ShardedSorter {
                     start: share_start,
                     len,
                 };
-                let mut unit = Unit::new(g, 0, 0, range);
-                unit.fused = run.fused.is_some().then_some(shard);
-                units.push(unit);
+                units.push(Unit::new(g, 0, 0, range));
             }
             share_start += len;
         }
         (splitters, units)
-    }
-
-    /// The configuration and flags of a fused round-0 partition of the
-    /// `alive` lanes, if it may run: every alive device is a measured CPU
-    /// socket, their sorters share a digit width, and the shard-and-digit
-    /// bins (`radix + p − 1`) fit [`FUSED_MAX_BINS`].  The pass takes the
-    /// first lane's configuration, so its blocks are that lane's blocks.
-    fn fused_config<K: SortKey, V: SortValue>(
-        &self,
-        lanes: &[HybridRadixSorter],
-        alive: &[usize],
-    ) -> Option<(SortConfig, Optimizations)> {
-        let value_bytes = std::mem::size_of::<V>() as u32;
-        let first = lanes.get(*alive.first()?)?;
-        let config = first.effective_config(K::BYTES, value_bytes);
-        let bins = radix_of_pass(K::BITS, config.digit_bits, 0) + alive.len() - 1;
-        let fits = bins <= FUSED_MAX_BINS
-            && alive.iter().all(|&g| {
-                self.pool.devices()[g].backend.is_measured()
-                    && lanes[g].effective_config(K::BYTES, value_bytes).digit_bits
-                        == config.digit_bits
-            });
-        fits.then(|| (config, first.optimizations()))
     }
 
     /// Sorts every unit in place through its device's lane, against the
@@ -603,7 +530,6 @@ impl ShardedSorter {
                     .backend
                     .is_measured()
             });
-        let fused = run.fused.as_ref();
         let (keys, vals) = run.bufs.last_mut().expect("the round buffer is carved");
         let (spare_keys, spare_vals) = &mut run.spare;
         let keys = SharedMut::new(keys.as_mut_slice());
@@ -618,68 +544,21 @@ impl ShardedSorter {
                 // `t` exclusively owns units `start..end`.
                 for unit in unsafe { view.slice_mut(start, end - start) } {
                     let (at, len) = (unit.range.start, unit.range.len);
-                    let lane = &lanes[unit.device];
                     let clock = Instant::now();
                     // SAFETY: units are disjoint ranges of the round
                     // buffer, the spare is as long, and only the task
                     // owning a unit touches its range in either.
-                    let (keys, vals, spare_keys, spare_vals) = unsafe {
-                        (
+                    unit.report = unsafe {
+                        lanes[unit.device].sort_pairs_with_spare(
                             keys.slice_mut(at, len),
                             vals.slice_mut(at, len),
                             spare_keys.slice_mut(at, len),
                             spare_vals.slice_mut(at, len),
                         )
                     };
-                    match (unit.fused, fused) {
-                        (Some(shard), Some(f)) => {
-                            let counts = &f.counts[shard * f.radix..(shard + 1) * f.radix];
-                            (unit.report, unit.in_spare) = lane.sort_pairs_partitioned(
-                                counts,
-                                &f.tallies[shard],
-                                keys,
-                                vals,
-                                spare_keys,
-                                spare_vals,
-                            );
-                        }
-                        _ => {
-                            unit.report =
-                                lane.sort_pairs_with_spare(keys, vals, spare_keys, spare_vals);
-                        }
-                    }
                     unit.measured = clock.elapsed();
                 }
             });
-        }
-    }
-
-    /// Ends the round's fused partition, if any, and leaves every sorted
-    /// unit in the round buffer.  A fused lane's passes may end in the
-    /// spare: when most sorted elements lie there, the round buffer and the
-    /// spare trade places (no element moves) and the units left behind are
-    /// copied over, otherwise the units in the spare are.
-    fn gather_outputs<K: SortKey, V: SortValue>(run: &mut Run<K, V>, units: &[Unit]) {
-        run.fused = None;
-        let in_spare: usize = units
-            .iter()
-            .filter(|u| u.in_spare)
-            .map(|u| u.range.len)
-            .sum();
-        if in_spare == 0 {
-            return;
-        }
-        let round = run.bufs.last_mut().expect("the round buffer is carved");
-        let swap = 2 * in_spare > units.iter().map(|u| u.range.len).sum::<usize>();
-        if swap {
-            std::mem::swap(round, &mut run.spare);
-        }
-        let (keys, vals) = round;
-        let (spare_keys, spare_vals) = &run.spare;
-        for unit in units.iter().filter(|u| u.in_spare != swap) {
-            let span = unit.range.span();
-            keys[span.clone()].copy_from_slice(&spare_keys[span.clone()]);
-            vals[span.clone()].copy_from_slice(&spare_vals[span]);
         }
     }
 

@@ -521,11 +521,10 @@ mod tests {
         assert_eq!(k, expected);
         assert_eq!((k.as_ptr(), v.as_ptr()), caller);
 
-        // In core, the fused partition scatters into the round buffer and
-        // the lanes' even pass counts end back in the caller's buffer,
-        // which therefore holds the output on every sort; the lanes'
-        // arenas stay put.
+        // In core, the sorted round buffer and the caller's buffer trade
+        // places on every sort, and the lanes' arenas stay put.
         sorter.sort_pairs(&mut k, &mut v);
+        let mut outputs = Vec::new();
         let mut stats = Vec::new();
         for _ in 0..3 {
             k.copy_from_slice(&keys);
@@ -536,9 +535,11 @@ mod tests {
                 .iter()
                 .zip(&k)
                 .all(|(&row, &key)| keys[row as usize] == key));
-            assert_eq!((k.as_ptr(), v.as_ptr()), caller);
+            outputs.push((k.as_ptr(), v.as_ptr()));
             stats.push(sorter.lane_arena_stats());
         }
+        assert_ne!(outputs[0], outputs[1]);
+        assert_eq!(outputs[0], outputs[2]);
         assert_eq!(stats[0], stats[1]);
         assert_eq!(stats[1], stats[2]);
     }
@@ -641,10 +642,9 @@ mod tests {
         let (mut k, mut v) = (keys.clone(), rows.clone());
         sorter.sort_pairs(&mut k, &mut v);
         let warm = arena(&sorter);
-        // The round keys and values, the splitter sample, the splitter
-        // refinement buffer, and the partition pass's key and value
-        // write-combining lines.
-        assert_eq!(warm.0, 6);
+        // The round keys and values, the splitter sample and the
+        // splitter refinement buffer.
+        assert_eq!(warm.0, 4);
         assert!(
             warm.1 >= 80_000 * 12,
             "the round buffer is parked: {warm:?}"

@@ -16,34 +16,20 @@
 //!
 //! The scatter that follows is the sorter's own counting pass
 //! ([`hrs_core::counting_sort::run_counting_pass`]) over the whole input as
-//! one bucket, with a bin function in place of the pass's digit, so the
-//! partition and the sort share one kernel: per-block histograms, one
-//! prefix sum, and a stable striped scatter.  Two bin functions exist:
-//!
-//! * **Shards** (`ShardBins`, `p` bins): a key's shard is the number of
-//!   cuts at or below its radix ([`SplitterSet::shard_of`]), a sum of
-//!   comparisons without branches.  Its histogram counts a block of keys
-//!   cut by cut (the keys below each cut), so the loop vectorises, and its
-//!   scatter writes directly: a write-combining line of so few bins fills
-//!   every few keys.  Every partition uses it except the one below.
-//! * **Shards and first digit** (`ShardDigitBins`): the pair
-//!   `(shard, digit₀)` in key order.  The cuts are radix values, so shard
-//!   and first digit both never decrease as the key grows, and one stable
-//!   pass leaves every shard contiguous with its elements grouped by first
-//!   digit in order — exactly what the shard's own pass 0 would write.
-//!   Written `shard × radix + digit₀`, the pairs would take `p · radix`
-//!   bins, but only the digits the cuts fall in are split between shards,
-//!   so `digit₀ + shard` numbers the pairs that occur without a gap and
-//!   without a collision: `radix + p − 1` bins, about a pass 0's.  While no
-//!   two cuts share a first digit, a key's bin is two table lookups by its
-//!   digit.  The driver uses it for round 0 when every lane is a measured
-//!   CPU socket, whose sorter then starts at pass 1
-//!   ([`hrs_core::HybridRadixSorter::sort_pairs_partitioned`]), up to
-//!   [`FUSED_MAX_BINS`] bins.
+//! one bucket, binned by shard (`ShardBins`, `p` bins) in place of the
+//! pass's digit, so the partition and the sort share one kernel: per-block
+//! histograms, one prefix sum, and a stable striped scatter that leaves
+//! every shard contiguous, in shard order, and in input order within.  A
+//! key's shard is the number of cuts at or below its radix
+//! ([`SplitterSet::shard_of`]), a sum of comparisons without branches.  The
+//! histogram counts a block of keys cut by cut (the keys below each cut),
+//! so the loop vectorises, and the scatter writes directly: a
+//! write-combining line of so few bins fills every few keys.
 
 use hrs_core::arena::{ROLE_SPLITTER_REFINE, ROLE_SPLITTER_SAMPLE};
-use hrs_core::counting_sort::{partition_pass, PassContext, PassTally};
-use hrs_core::digit::{digit_width, Digit, KeyBins};
+use hrs_core::bucket::Bucket;
+use hrs_core::counting_sort::{run_counting_pass, PassContext};
+use hrs_core::digit::KeyBins;
 use hrs_core::{Executor, Optimizations, ScratchArena, SharedMut, SortConfig};
 use serde::{Deserialize, Serialize};
 use workloads::pairs::SortValue;
@@ -328,9 +314,9 @@ pub(crate) fn compute_splitters_in<K: SortKey>(
 }
 
 /// Scatters the input into one key (and value) buffer per shard, consuming
-/// the input buffers.  It runs the engine's `p`-bin partition pass into
-/// one buffer, then moves each shard into an exactly-sized `Vec` of its
-/// own.
+/// the input buffers.  It runs the engine's partition pass into one
+/// buffer, then moves each shard but the first into a `Vec` of its own,
+/// shrinking the buffer to the first shard.
 pub fn scatter_into_shards<K: SortKey, V: SortValue>(
     keys: &mut Vec<K>,
     values: &mut Vec<V>,
@@ -358,19 +344,22 @@ pub fn scatter_into_shards<K: SortKey, V: SortValue>(
 }
 
 /// Cuts `buf` into consecutive vectors of the given lengths (summing to
-/// its length, or it is empty), moving every element at most once.
+/// its length, or it is empty), each with the capacity of its length.  The
+/// shards split off its end one by one and `buf` shrinks to what is left
+/// after each, so at most `buf` and one split-off shard are held beyond
+/// the shards already split off.
 fn split_lengths<T>(mut buf: Vec<T>, lens: &[usize]) -> Vec<Vec<T>> {
     if buf.is_empty() {
         return lens.iter().map(|_| Vec::new()).collect();
     }
-    let mut end = buf.len();
     let mut out: Vec<Vec<T>> = lens
         .iter()
         .skip(1)
         .rev()
         .map(|&len| {
-            end -= len;
-            buf.split_off(end)
+            let shard = buf.split_off(buf.len() - len);
+            buf.shrink_to_fit();
+            shard
         })
         .collect();
     out.push(buf);
@@ -378,24 +367,13 @@ fn split_lengths<T>(mut buf: Vec<T>, lens: &[usize]) -> Vec<Vec<T>> {
     out
 }
 
-/// Keys per block of the `p`-bin partition pass: each block is one
-/// histogram task and one scatter stripe.
+/// Keys per block of the partition pass: each block is one histogram
+/// task and one scatter stripe.
 const PARTITION_BLOCK: usize = 64 * 1024;
 
 /// Keys per block of a shard count: each cut re-reads the block, so it
 /// should stay in the L1 cache.
 const COUNT_BLOCK: usize = 2048;
-
-/// The most bins a fused round-0 partition (`ShardDigitBins`, `radix +
-/// p − 1` bins) may have; above it the driver partitions into `p` bins and
-/// each lane makes its own pass 0.  It is the largest count measured to
-/// pay: sorting 2²³ uniform u64 keys with u32 values on CPU-socket lanes
-/// and two host workers, fused against `p`-bin partitions in alternating
-/// sorts, 257 bins (p = 2) took 0.96× the wall time (8 of 12 pairs won)
-/// and 263 bins (p = 8) 0.89× (12 of 12; CHANGES.md).  Wider pools are not
-/// measured; their shard lookup costs a comparison per cut per key in
-/// both partitions.
-pub const FUSED_MAX_BINS: usize = 263;
 
 /// The bins of a `p`-way partition: a key's shard.
 #[derive(Debug, Clone, Copy)]
@@ -448,88 +426,12 @@ unsafe impl<K: SortKey> KeyBins<K> for ShardBins<'_> {
     }
 }
 
-/// The bins of a fused round-0 partition: `digit + shard`, where `digit`
-/// is the lanes' first digit.  Both terms never decrease as the key grows,
-/// so two keys share a bin only if they share shard and digit: shard `s`
-/// owns bins `digit(lo) + s ..= digit(hi) + s` of its radix range
-/// `[lo, hi]`.  While no two cuts fall inside one digit value, a digit's
-/// keys span at most two shards, split at the one cut inside it, so a
-/// key's bin is two lookups in tables of the digit's values instead of a
-/// comparison per cut.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ShardDigitBins<'a> {
-    digit: Digit,
-    /// Per digit value `d`: `d` plus the shard of its smallest radix.
-    first: &'a [u32],
-    /// Per digit value: the largest radix in that shard, one below the
-    /// cut inside the digit, or the maximum radix when none is.
-    last: &'a [u64],
-    /// `radix + p − 1`.
-    bins: usize,
-}
-
-/// The tables of [`ShardDigitBins`]: `first` and `last` per digit value.
-type DigitTables = (Vec<u32>, Vec<u64>);
-
-impl<'a> ShardDigitBins<'a> {
-    /// The tables of `splitters`' shards by `digit`, the first digit of
-    /// `K`, or `None` when two cuts fall inside one of its values.
-    fn tables<K: SortKey>(splitters: &SplitterSet, digit_bits: u32) -> Option<DigitTables> {
-        let width = digit_width(K::BITS, digit_bits, 0);
-        let shift = K::BITS - width;
-        let radix = 1usize << width;
-        let mut first = Vec::with_capacity(radix);
-        let mut last = Vec::with_capacity(radix);
-        for d in 0..radix as u64 {
-            let lo = d << shift;
-            let hi = lo | ((1u64 << shift) - 1);
-            let mut inside = splitters.cuts.iter().filter(|&&c| lo < c && c <= hi);
-            let cut = inside.next();
-            if inside.next().is_some() {
-                return None;
-            }
-            first.push((d as usize + splitters.shard_of(lo)) as u32);
-            last.push(cut.map_or(u64::MAX, |&c| c - 1));
-        }
-        Some((first, last))
-    }
-
-    /// The bins of `splitters`' shards by `digit` over `tables` (built by
-    /// [`ShardDigitBins::tables`] from the same splitters and digit).
-    fn new(splitters: &SplitterSet, digit: Digit, (first, last): &'a DigitTables) -> Self {
-        ShardDigitBins {
-            digit,
-            first,
-            last,
-            bins: first.len() + splitters.cuts.len(),
-        }
-    }
-}
-
-// SAFETY: by construction of the tables, `first[d] + 1` is a bin only when
-// a cut lies inside digit `d`, so that `d`'s smallest radix is below at
-// least one cut and its shard at most `p − 2`; either way the bin is at
-// most `(radix − 1) + (p − 1)`, below `bins() = radix + p − 1`.
-unsafe impl<K: SortKey> KeyBins<K> for ShardDigitBins<'_> {
-    #[inline]
-    fn bins(&self) -> usize {
-        self.bins
-    }
-
-    #[inline(always)]
-    fn bin(&self, key: &K) -> usize {
-        let radix = key.to_radix();
-        let d = self.digit.of(radix);
-        self.first[d] as usize + usize::from(radix > self.last[d])
-    }
-}
-
 /// Scatters `keys` (and `values`) into `dst_keys` (and `dst_vals`), of the
 /// inputs' lengths, with the shards back to back in shard order and each
 /// in input order; returns each shard's length.  This is the sharded
-/// engine's `p`-bin partition: one counting pass on `exec` over the input
-/// as one bucket, binned by [`ShardBins`], its tables and write-combining
-/// lines in `arena`.  Value slices may be empty when `V` is zero-sized.
+/// engine's partition: one counting pass on `exec` over the input as one
+/// bucket, binned by [`ShardBins`], on `arena`'s pass scratch.  Value
+/// slices may be empty when `V` is zero-sized.
 pub(crate) fn scatter_into_round<K: SortKey, V: SortValue>(
     keys: &[K],
     values: &[V],
@@ -560,66 +462,29 @@ pub(crate) fn scatter_into_round<K: SortKey, V: SortValue>(
         exec,
         probe: None,
     };
-    let bins = ShardBins::new(splitters);
-    partition_pass(&cx, keys, dst_keys, values, dst_vals, bins, arena);
-    arena.pass.bucket_hist.iter().map(|&c| c as usize).collect()
-}
-
-/// What a fused round-0 partition hands the lanes.
-#[derive(Debug, Default)]
-pub(crate) struct FusedShards {
-    /// Elements per shard.
-    pub(crate) lens: Vec<usize>,
-    /// The values of the lanes' first digit.
-    pub(crate) radix: usize,
-    /// `radix` first-digit counts per shard, shard-major.
-    pub(crate) counts: Vec<u64>,
-    /// Per shard: the block-level tally of the input blocks whose first
-    /// key lies in it, with their count.
-    pub(crate) tallies: Vec<PassTally>,
-}
-
-/// The fused round-0 partition: like [`scatter_into_round`], but binned by
-/// [`ShardDigitBins`] with the lanes' configuration and flags in `cx`, so
-/// each shard also comes out grouped by the lanes' first digit, as the
-/// lanes' own pass 0 would group it.  `None`, with nothing written, when
-/// two cuts fall inside one value of the first digit.
-pub(crate) fn partition_fused<K: SortKey, V: SortValue>(
-    cx: &PassContext<'_>,
-    keys: &[K],
-    values: &[V],
-    splitters: &SplitterSet,
-    dst_keys: &mut [K],
-    dst_vals: &mut [V],
-    arena: &mut ScratchArena,
-) -> Option<FusedShards> {
-    let tables = ShardDigitBins::tables::<K>(splitters, cx.config.digit_bits)?;
-    let digit = Digit::of_pass(K::BITS, cx.config.digit_bits, 0);
-    let bins = ShardDigitBins::new(splitters, digit, &tables);
-    partition_pass(cx, keys, dst_keys, values, dst_vals, bins, arena);
-    let (p, radix) = (splitters.num_shards(), tables.0.len());
-    let hist = &arena.pass.bucket_hist;
-    let mut counts = vec![0u64; p * radix];
-    for (s, (shard, (lo, hi))) in counts.chunks_mut(radix).zip(splitters.ranges()).enumerate() {
-        let digits = digit.of(lo)..=digit.of(hi);
-        shard[digits.clone()].copy_from_slice(&hist[digits.start() + s..=digits.end() + s]);
-    }
-    let mut tallies = vec![PassTally::default(); p];
-    let pass = &arena.pass;
-    for (block, stat) in pass.blocks.iter().zip(&pass.block_stats) {
-        let tally = &mut tallies[splitters.shard_of(keys[block.key_offset].to_radix())];
-        tally.n_blocks += 1;
-        tally.add_blocks([stat]);
-    }
-    Some(FusedShards {
-        lens: counts
-            .chunks(radix)
-            .map(|shard| shard.iter().sum::<u64>() as usize)
-            .collect(),
-        radix,
-        counts,
-        tallies,
-    })
+    let scratch = &mut arena.pass;
+    let mut local = std::mem::take(&mut scratch.local);
+    let mut counting = std::mem::take(&mut scratch.counting_out);
+    run_counting_pass(
+        &cx,
+        keys,
+        dst_keys,
+        values,
+        dst_vals,
+        0,
+        &[Bucket::root(keys.len())],
+        0,
+        ShardBins::new(splitters),
+        scratch,
+        &mut [],
+        &mut [],
+        &mut local,
+        &mut counting,
+        None,
+    );
+    (scratch.local, scratch.counting_out) = (local, counting);
+    // Untraced, the pass leaves its one bucket's bin counts here.
+    scratch.bucket_hist.iter().map(|&c| c as usize).collect()
 }
 
 /// The bin of `hist` in which rank `target` falls (the last bin if none
@@ -812,6 +677,8 @@ mod tests {
         assert_eq!(shard_keys.iter().map(Vec::len).sum::<usize>(), 150_000);
         for (si, (ks, vs)) in shard_keys.iter().zip(shard_vals.iter()).enumerate() {
             assert_eq!(ks.len(), vs.len());
+            // Every shard is sized to itself, the first one included.
+            assert_eq!((ks.capacity(), vs.capacity()), (ks.len(), vs.len()));
             for (key, &val) in ks.iter().zip(vs.iter()) {
                 assert_eq!(s.shard_of(key.to_radix()), si);
                 // Values still ride with their original keys.
@@ -841,7 +708,7 @@ mod tests {
         s.cuts.partition_point(|&c| c <= radix)
     }
 
-    /// `shard_of` and the partition's bin functions against the reference at
+    /// `shard_of` and the partition's bin function against the reference at
     /// either side of every cut and at both ends of the key space.
     fn check_lookup<K: SortKey>(keys: &[K], from_radix: impl Fn(u64) -> K) {
         for p in 1..=9usize {
@@ -852,25 +719,17 @@ mod tests {
                 probes.extend([cut - 1, cut, cut.saturating_add(1).min(s.max_radix())]);
             }
             let probe_keys: Vec<K> = probes.iter().map(|&r| from_radix(r)).collect();
-            // The partition's bins: shards, counted cut by cut, and the
-            // fused pass's digit plus shard from its tables.
+            // The partition's bins: shards, also counted cut by cut.
             let bins = ShardBins::new(&s);
             let mut counts = vec![0u32; p];
             bins.count_into(&probe_keys, &mut counts);
             let mut expected_counts = vec![0u32; p];
-            let digit = Digit::of_pass(K::BITS, 8, 0);
-            let tables = ShardDigitBins::tables::<K>(&s, 8);
             for (&radix, key) in probes.iter().zip(&probe_keys) {
                 assert_eq!(key.to_radix(), radix);
                 let expected = reference_shard(&s, radix);
                 expected_counts[expected] += 1;
                 assert_eq!(s.shard_of(radix), expected, "p = {p}, radix {radix}");
                 assert_eq!(bins.bin(key), expected, "p = {p}, radix {radix}");
-                if let Some(tables) = &tables {
-                    let fused = ShardDigitBins::new(&s, digit, tables);
-                    let want = digit.of(radix) + expected;
-                    assert_eq!(fused.bin(key), want, "p = {p}, radix {radix}");
-                }
             }
             assert_eq!(counts, expected_counts, "p = {p}");
         }

@@ -17,11 +17,7 @@ pub struct ShardReport {
     pub n: u64,
     /// Inclusive radix range the shard owns.
     pub range: (u64, u64),
-    /// The shard's own hybrid-radix-sort report.  After a fused round-0
-    /// partition ([`crate::partition`]) its pass 0 books the shard's keys
-    /// and sub-buckets, but its block-level fields are those of the input
-    /// blocks booked to this shard, not blocks of the shard
-    /// ([`hrs_core::HybridRadixSorter::sort_pairs_partitioned`]).
+    /// The shard's own hybrid-radix-sort report.
     pub report: SortReport,
     /// Simulated upload duration (sum over the shard's chunks).
     pub upload: SimTime,
@@ -33,9 +29,7 @@ pub struct ShardReport {
     pub finish: SimTime,
     /// Measured wall-clock of the shard sort when the device is a real CPU
     /// socket ([`crate::DeviceBackend::CpuSocket`]); `None` for simulated
-    /// GPUs, whose `gpu_sort` time comes from the analytical model.  After
-    /// a fused round-0 partition it covers pass 1 on: the shard's pass 0
-    /// is part of [`ShardedReport::measured_partition`].
+    /// GPUs, whose `gpu_sort` time comes from the analytical model.
     pub measured_sort: Option<std::time::Duration>,
 }
 
@@ -174,9 +168,6 @@ pub struct ShardedReport {
     pub critical_path: SimTime,
     /// Measured wall-clock duration of the host-side partitioning
     /// (splitter selection + the partition pass into the round buffer).
-    /// When round 0's partition is fused with the CPU-socket lanes' pass 0
-    /// ([`crate::partition`]), it includes that pass 0 of every lane, and
-    /// the lanes' [`ShardReport::measured_sort`] no longer does.
     pub measured_partition: std::time::Duration,
     /// The splitter selection's share of `measured_partition` (summed
     /// over rounds like it): the sample, its histograms and the cut
