@@ -6,13 +6,15 @@
 //! 1. **Partition** (host, measured) the pending elements over the devices
 //!    still alive: splitters from MSD digit histograms
 //!    ([`crate::partition`]), then a key-range scatter into one *round
-//!    buffer*, the devices' shares back to back — or, for the peer
-//!    exchange, contiguous capacity-weighted slabs of the pending buffer
-//!    itself, which becomes the round buffer ([`crate::exchange`]).
-//!    Round 0 scatters into the engine's persistent scratch, so a warm
-//!    sort allocates no element memory.
+//!    buffer*, the devices' shares back to back — out of core, each share
+//!    as its chunks' key ranges in key order — or, for the peer exchange,
+//!    contiguous capacity-weighted slabs of the pending buffer itself,
+//!    which becomes the round buffer ([`crate::exchange`]).  Round 0
+//!    scatters into the engine's persistent scratch, so a warm sort
+//!    allocates no element memory.
 //! 2. **Carve units of work**, as ranges of the round buffer: the whole
-//!    share in core, memory-budget chunks out of core ([`crate::ooc`]).
+//!    share in core, every key-range chunk out of core, split by position
+//!    where a range is over its device's chunk budget ([`crate::ooc`]).
 //! 3. **Consult the fault plan** once per unit, in device/unit order
 //!    ([`crate::recovery`]): a failure or corruption copies the unit back
 //!    to the pending set, a stall slows the unit's transfers.
@@ -29,24 +31,26 @@
 //! 5. **Schedule** every unit on one shared [`gpu_sim::Timeline`] from the
 //!    round's start: uploads, sorts and downloads overlap within a device
 //!    and across devices, since every link is independent.
-//! 6. **Recombine the round**: host-merge sorts keep each device's sorted
-//!    units as that shard's runs; the peer exchange swaps buckets and
+//! 6. **Recombine the round**: host-merge sorts keep each sorted unit as a
+//!    run, in merge groups — one per in-core share or out-of-core key
+//!    range, whose pieces merge; the peer exchange swaps buckets and
 //!    merges per destination into the round's free buffer, leaving one run
 //!    per shard.
 //!
 //! Requeued elements wait out an exponential simulated backoff before the
 //! next round, which partitions them into a round buffer of its own.  A
 //! final host step yields the output and one report.  A sort that ends in
-//! round 0 without orphan runs has range-disjoint shards in device order,
-//! so each shard merges only its own runs, and when every shard is one run
-//! the round buffer already is the output: it is swapped into the caller's
-//! `Vec`, and the caller's old buffer becomes the next sort's scratch.  Any
-//! other run set merges into the caller's buffer (the p-way merge of every
-//! run after requeue rounds or with orphan runs).
+//! round 0 without orphan runs has range-disjoint groups in key order, so
+//! each group merges only its own runs, and when every group is one run
+//! the round buffer already is the output: it is swapped into the
+//! caller's `Vec`, and the caller's old buffer becomes the next sort's
+//! scratch.  Any other run set merges into the caller's buffer (the p-way
+//! merge of every run after requeue rounds or with orphan runs).
 
+use crate::device_pool::SimDevice;
 use crate::engine::ShardedSorter;
 use crate::exchange::{slab_lengths, RecombineStrategy};
-use crate::ooc::{device_chunk_plan, overlap_tail_merge};
+use crate::ooc::{chunk_budget_bytes, device_chunk_count, overlap_tail_merge};
 use crate::partition::{compute_splitters_in, scatter_into_round, PartitionConfig, SplitterSet};
 use crate::recovery::{SortError, BACKOFF, MAX_RETRIES};
 use crate::report::{ExchangeSpan, FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
@@ -90,6 +94,9 @@ pub(crate) struct Unit {
     pub(crate) device: usize,
     /// Index of the chunk within the device's share of its round.
     chunk: usize,
+    /// Index of the chunk's key range within the device's share: the
+    /// pieces of an over-budget range share it and merge with each other.
+    group: usize,
     /// Offset of the chunk within the device's share.
     offset: u64,
     /// Where the unit's elements lie.
@@ -101,10 +108,11 @@ pub(crate) struct Unit {
 }
 
 impl Unit {
-    fn new(device: usize, chunk: usize, offset: usize, range: Range) -> Self {
+    fn new(device: usize, chunk: usize, group: usize, offset: usize, range: Range) -> Self {
         Unit {
             device,
             chunk,
+            group,
             offset: offset as u64,
             range,
             stall: 1.0,
@@ -151,7 +159,8 @@ pub(crate) struct Run<K, V> {
     /// The caller's buffer once round 0 of a host-merge sort has sorted
     /// out of it: where the final host step merges to.
     pub(crate) out: Option<Buffers<K, V>>,
-    /// Sorted runs awaiting the final host step, grouped by shard report.
+    /// Sorted runs awaiting the final host step, in merge groups: the runs
+    /// of a group overlap in key range, groups do not.
     pub(crate) runs: Vec<Vec<Range>>,
     /// Whether an exchange left orphan runs (they overlap merged ranges).
     pub(crate) orphans: bool,
@@ -279,7 +288,8 @@ impl ShardedSorter {
         let merge_span = self
             .inspector
             .span_with("multi_gpu/merge", "multi_gpu/merge_ns");
-        (*keys, *values) = self.host_step(&mut run);
+        let merged;
+        ((*keys, *values), merged) = self.host_step(&mut run);
         let measured_merge = merge_span.finish();
         // Whichever n-sized buffer the output did not take is the next
         // sort's scratch.
@@ -288,12 +298,12 @@ impl ShardedSorter {
         }
 
         let merge_total = SimTime::from_secs(measured_merge.as_secs_f64());
-        let merge_overlap = if out_of_core {
+        let merge_overlap = if out_of_core && merged {
             overlap_tail_merge(&mut run.tl, &run.ooc_chunks, n, merge_total)
         } else {
             None
         };
-        // Out of core, the host merge consumes chunk runs as they land, so
+        // Out of core, a host merge consumes chunk runs as they land, so
         // only its tail past the chunk stream adds to the end-to-end time.
         let device_and_merge = if merge_overlap.is_some() {
             run.tl.makespan()
@@ -403,10 +413,12 @@ impl ShardedSorter {
 
     /// Partitions the pending elements over the `alive` devices into a new
     /// round buffer and carves each device's share into its units of work,
-    /// as ranges of that buffer.  The host merge scatters into the round's
-    /// scratch, and the pending buffer becomes the round's spare; the
-    /// exchange keeps the pending buffer as the round buffer, cut into
-    /// contiguous slabs, and the scratch becomes the spare.
+    /// as ranges of that buffer; returns the devices' splitters and the
+    /// units.  Out of core, a share is `s_g` key ranges of weight
+    /// `w_g / s_g`, its chunks ([`crate::ooc`]).  The host merge scatters
+    /// into the round's scratch, and the pending buffer becomes the round's
+    /// spare; the exchange keeps the pending buffer as the round buffer,
+    /// cut into contiguous slabs, and the scratch becomes the spare.
     fn carve_units<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
@@ -416,21 +428,48 @@ impl ShardedSorter {
     ) -> (SplitterSet, Vec<Unit>) {
         let pending = std::mem::take(&mut run.pending);
         let m = pending.0.len();
-        let weights: Vec<f64> = alive
+        let devices: Vec<&SimDevice> = alive.iter().map(|&g| &self.pool.devices()[g]).collect();
+        let weights: Vec<f64> = devices.iter().map(|d| d.capacity_weight()).collect();
+        let total_weight: f64 = weights.iter().sum();
+        let chunks: Vec<usize> = devices
             .iter()
-            .map(|&g| self.pool.devices()[g].capacity_weight())
+            .zip(&weights)
+            .map(|(device, w)| {
+                let bytes = (m as f64 * w / total_weight).ceil() as u64 * run.elem_bytes;
+                if out_of_core {
+                    device_chunk_count(device, bytes, &self.ooc)
+                } else {
+                    1
+                }
+            })
+            .collect();
+        let range_weights: Vec<f64> = weights
+            .iter()
+            .zip(&chunks)
+            .flat_map(|(&w, &s)| std::iter::repeat_n(w / s as f64, s))
             .collect();
         let clock = Instant::now();
-        let splitters = self.with_scratch(|a| {
+        let ranges = self.with_scratch(|a| {
             compute_splitters_in(
                 &pending.0,
-                &weights,
+                &range_weights,
                 &PartitionConfig::default(),
                 &self.host_exec,
                 a,
             )
         });
         run.measured_splitters += clock.elapsed();
+        // The devices' cuts: every device's last range ends at one.
+        let mut end = 0;
+        let splitters = SplitterSet {
+            cuts: (chunks[..alive.len() - 1].iter())
+                .map(|&s| {
+                    end += s;
+                    ranges.cuts[end - 1]
+                })
+                .collect(),
+            key_bits: ranges.key_bits,
+        };
         // Round 0 partitions into the engine's persistent round buffer
         // (a warm take writes no element memory), requeue rounds into
         // fresh memory.  It takes at least the pending buffer's capacity,
@@ -460,7 +499,7 @@ impl ShardedSorter {
                 scatter_into_round(
                     &pending.0,
                     &pending.1,
-                    &splitters,
+                    &ranges,
                     &self.host_exec,
                     &mut free.0,
                     &mut free.1,
@@ -474,28 +513,30 @@ impl ShardedSorter {
         run.bufs.push(round_buf);
 
         let mut units = Vec::new();
+        let mut lens = lens.into_iter();
         let mut share_start = 0;
-        for (&g, len) in alive.iter().zip(lens) {
-            if out_of_core {
-                let device = &self.pool.devices()[g];
-                let plan = device_chunk_plan(device, len, run.elem_bytes, &self.ooc);
-                for (j, &(start, end)) in plan.ranges.iter().enumerate() {
+        for ((&g, device), &s) in alive.iter().zip(&devices).zip(&chunks) {
+            // Under default chunking, a key range over the chunk budget
+            // (sampling error, or a key heavier than a chunk) streams as
+            // budget-sized pieces; a configured chunk count never splits.
+            let budget = match (out_of_core, self.ooc.chunks_per_device) {
+                (true, None) => (chunk_budget_bytes(device) / run.elem_bytes).max(1) as usize,
+                _ => usize::MAX,
+            };
+            let (mut offset, mut chunk) = (0, 0);
+            for (group, len) in lens.by_ref().take(s).enumerate() {
+                for (start, end) in split_into_chunks(len, len.div_ceil(budget)).ranges {
                     let range = Range {
                         buf,
-                        start: share_start + start,
+                        start: share_start + offset + start,
                         len: end - start,
                     };
-                    units.push(Unit::new(g, j, start, range));
+                    units.push(Unit::new(g, chunk, group, offset + start, range));
+                    chunk += 1;
                 }
-            } else {
-                let range = Range {
-                    buf,
-                    start: share_start,
-                    len,
-                };
-                units.push(Unit::new(g, 0, 0, range));
+                offset += len;
             }
-            share_start += len;
+            share_start += offset;
         }
         (splitters, units)
     }
@@ -736,29 +777,36 @@ impl ShardedSorter {
                 .then(|| share.units.iter().map(|u| u.measured).sum()),
         });
         run.shard_devices.push((share.device, share.n));
-        run.runs.push(share.units.iter().map(|u| u.range).collect());
+        run.runs.extend(
+            share
+                .units
+                .chunk_by(|a, b| a.group == b.group)
+                .map(|group| group.iter().map(|u| u.range).collect()),
+        );
     }
 
     /// The final host step: each group of runs merges on its own and the
-    /// groups concatenate in order.  A sort that ends in round 0 without
-    /// orphan runs holds range-disjoint shards in device order, and equal
-    /// keys never straddle shards, so every shard is a group (its
-    /// out-of-core chunks; an in-core or exchanged shard is one run).  That
-    /// is byte for byte the p-way merge of every run.  After requeue rounds
-    /// or with orphan runs the ranges overlap, so all runs form one group:
-    /// the full p-way merge.
+    /// groups concatenate in order; returns the output and whether any run
+    /// merged.  A sort that ends in round 0 without orphan runs holds
+    /// range-disjoint shards in device order, and equal keys never straddle
+    /// shards, so each shard's groups are range-disjoint too: one run per
+    /// in-core or exchanged shard, one per out-of-core chunk except the
+    /// pieces of an over-budget key range, which form one group.  That is
+    /// byte for byte the p-way merge of every run.  After requeue rounds or
+    /// with orphan runs the ranges overlap, so all runs form one group: the
+    /// full p-way merge.
     ///
     /// When every group is a single run and the runs tile one round buffer
     /// in order, that buffer is the output as it stands.  Otherwise the
     /// groups merge straight into their slices of the caller's buffer (a
     /// fresh one when the exchange moved it into a round).
-    fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> Buffers<K, V> {
+    fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> (Buffers<K, V>, bool) {
         let mut groups = std::mem::take(&mut run.runs);
         if run.round > 0 || run.orphans {
             groups = vec![groups.into_iter().flatten().collect()];
         }
         if let Some(buf) = tiled_buffer(&groups, &run.bufs) {
-            return std::mem::take(&mut run.bufs[buf]);
+            return (std::mem::take(&mut run.bufs[buf]), false);
         }
         let n: usize = groups.iter().flatten().map(|r| r.len).sum();
         let mut out = run.out.take().unwrap_or_default();
@@ -773,7 +821,7 @@ impl ShardedSorter {
             vals = rest;
             self.merge_into(run, &runs, group_keys, group_vals);
         }
-        out
+        (out, true)
     }
 
     /// Merges `runs` of `run`'s buffers straight into `keys` / `vals` with
@@ -856,7 +904,7 @@ mod tests {
             alive = sorter.pool().alive_indices();
         }
         let orphaned_in_round_zero = run.round == 0 && run.orphans;
-        (sorter.host_step(&mut run).0, orphaned_in_round_zero)
+        (sorter.host_step(&mut run).0 .0, orphaned_in_round_zero)
     }
 
     /// Two single-worker CPU sockets, the pairs benchmarks' pool; out of
@@ -923,16 +971,20 @@ mod tests {
             let expected_keys = KeyCodec::std_sorted(&input.0);
             let mut run = host_merge_rounds(&sorter, input, out_of_core);
             assert_eq!(run.round, 0);
-            let per_shard = if out_of_core { 4 } else { 1 };
-            assert!(run.runs.iter().all(|runs| runs.len() == per_shard));
+            // One group per shard in core, per chunk out of core, each a
+            // single run: a configured chunk count never splits a range.
+            let groups = if out_of_core { 8 } else { 2 };
+            assert_eq!(run.runs.len(), groups, "out_of_core = {out_of_core}");
+            assert!(run.runs.iter().all(|runs| runs.len() == 1));
             let boundary: usize = run.runs[0].iter().map(|r| r.len).sum();
             let merged = merge_all(&sorter, &run);
 
-            let (keys, vals) = sorter.host_step(&mut run);
+            let ((keys, vals), _) = sorter.host_step(&mut run);
             assert_eq!(keys, expected_keys, "out_of_core = {out_of_core}");
             assert_eq!(keys, merged.0, "out_of_core = {out_of_core}");
             assert_eq!(vals, merged.1, "out_of_core = {out_of_core}");
-            // Ties on both sides of the shard boundary, none across it.
+            // Ties on both sides of the first group boundary, none across
+            // it.
             let (below, above) = (keys[boundary - 1], keys[boundary]);
             assert!(below < above);
             assert_eq!(keys[boundary - 2], below);
@@ -962,7 +1014,7 @@ mod tests {
         assert!(run.pending.0.is_empty() && !run.orphans);
         assert!(run.runs.iter().all(|runs| runs.len() == 1));
         assert_eq!(concatenated(&run), expected);
-        assert_eq!(sorter.host_step(&mut run).0, expected);
+        assert_eq!(sorter.host_step(&mut run).0 .0, expected);
     }
 
     #[test]
@@ -984,7 +1036,7 @@ mod tests {
             );
             let merged = merge_all(&sorter, &run);
 
-            let (keys, vals) = sorter.host_step(&mut run);
+            let ((keys, vals), _) = sorter.host_step(&mut run);
             assert_eq!(keys, expected_keys, "out_of_core = {out_of_core}");
             assert_eq!((&keys, &vals), (&merged.0, &merged.1));
         }

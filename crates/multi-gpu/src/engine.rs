@@ -23,12 +23,11 @@
 //!    straddle shards, so in a sort that finishes in its first round the
 //!    `p` sorted shards already lie in device order: the round buffer is
 //!    swapped into the caller's `Vec`, and the caller's old buffer becomes
-//!    the next sort's scratch.  Out of core, each shard's chunk runs
-//!    instead merge with the structure-of-arrays p-way merge of
-//!    [`hetero::merge_pairs_into`], keys and values straight into that
-//!    shard's slice of the caller's buffer.  Requeue rounds after a fault
-//!    break the shard order, so they merge every run into the whole
-//!    output.  Measured for real.
+//!    the next sort's scratch.  Out of core, the partition cuts every
+//!    shard into its chunks' key ranges, so the sorted chunks lie in order
+//!    too.  Requeue rounds after a fault break the order, so they merge
+//!    every run into the whole output with the structure-of-arrays p-way
+//!    merge of [`hetero::merge_pairs_into`].  Measured for real.
 //!
 //! Every entry point — in core, out of core ([`crate::ooc`]), with the
 //! peer exchange ([`crate::exchange`]) or under injected faults
@@ -513,13 +512,13 @@ mod tests {
         let rows: Vec<u32> = (0..60_000).collect();
         let expected = KeyCodec::std_sorted(&keys);
 
-        // Out of core, every shard's chunk runs merge back into the
-        // caller's buffers.
+        // Out of core, too, the chunks sort in place in the round buffer,
+        // which becomes the output.
         let (mut k, mut v) = (keys.clone(), rows.clone());
         let caller = (k.as_ptr(), v.as_ptr());
         sorter.sort_out_of_core_pairs(&mut k, &mut v);
         assert_eq!(k, expected);
-        assert_eq!((k.as_ptr(), v.as_ptr()), caller);
+        assert_ne!((k.as_ptr(), v.as_ptr()), caller);
 
         // In core, the sorted round buffer and the caller's buffer trade
         // places on every sort, and the lanes' arenas stay put.

@@ -15,10 +15,10 @@
 //!    with its own host link ([`gpu_sim::LinkSpec`]: PCIe 3.0/4.0 or
 //!    NVLink classes) so transfers overlap across devices;
 //! 3. **recombine** — by default on the host, where the range-disjoint
-//!    shards already lie back to back in one round buffer (out of core,
-//!    each merges its chunk runs into its slice of the caller's buffer
-//!    with the structure-of-arrays p-way merge of
-//!    [`hetero::multiway_merge`]),
+//!    shards (out of core, their key-range chunks) already lie back to
+//!    back in one round buffer, and only runs that overlap after a fault
+//!    merge with the structure-of-arrays p-way merge of
+//!    [`hetero::multiway_merge`],
 //!    or (cost-model-selected via [`RecombineStrategy`]) with a
 //!    peer-to-peer all-to-all bucket exchange over the pool's
 //!    [`gpu_sim::PeerTopology`] in which each device merges only its own
@@ -31,7 +31,7 @@
 //!
 //! Every entry point runs one round-based driver: each round partitions
 //! the pending elements over the alive devices, cuts each device's share
-//! into units of work (the whole shard, or memory-budget chunks for the
+//! into units of work (the whole shard, or its key-range chunks for the
 //! out-of-core pipeline of [`ooc`]), consults an injected
 //! [`gpu_sim::FaultPlan`] once per unit ([`recovery`]), sorts and
 //! schedules the surviving units, and recombines them.  A fault-free sort

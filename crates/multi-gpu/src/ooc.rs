@@ -8,11 +8,15 @@
 //!
 //! 1. **Partition** exactly as in core: splitters from MSD digit
 //!    histograms, shards proportional to device capacity.
-//! 2. **Chunk** each shard against its *own* device's memory
-//!    ([`gpu_sim::DeviceMemoryPlanner::chunk_budget_bytes`]): with the
-//!    in-place replacement strategy three chunk slots fit, so a chunk may
-//!    take up to a third of the device memory (Figure 5).  Every chunk is
-//!    one unit of work.
+//! 2. **Chunk** each shard by key range, in the same partition pass.  A
+//!    device streams `s_g` chunks: [`OocConfig::chunks_per_device`], or as
+//!    many as its expected share needs against its *own* memory
+//!    ([`gpu_sim::DeviceMemoryPlanner::chunk_budget_bytes`]: three in-place
+//!    replacement slots, Figure 5).  The partition cuts `Σ s_g` key ranges,
+//!    `s_g` per device with a weight of `w_g / s_g` each.  Under default
+//!    chunking a range over the chunk budget (sampling error, or one key
+//!    heavier than a chunk) streams as budget-sized pieces by position.
+//!    Every chunk or piece is one unit of work.
 //! 3. **Stream**: the driver schedules each device's chunks, with the
 //!    in-place-replacement slot dependency of [`hetero::PipelineSchedule`],
 //!    on the device's own three resources of the shared
@@ -20,15 +24,16 @@
 //!    device, and devices overlap with each other completely.
 //!    Chunk sorts are real; CPU sockets contribute measured wall-clock,
 //!    GPUs their modelled time.
-//! 4. **Recombine**: each device's chunk runs, ranges of the round
-//!    buffer, merge with the parallel p-way merge straight into that
-//!    shard's slice of the caller's buffer, and the range-disjoint slices
-//!    lie in device order.  The merge consumes chunk
-//!    runs as they land, so only its tail past the chunk stream adds to
-//!    the end-to-end time.
+//! 4. **Recombine**: key-range chunks do not overlap, so the sorted chunks
+//!    lie in order in the round buffer, which becomes the output as in
+//!    core: round 0 runs no host merge and has no merge tail.  Only the
+//!    pieces of an over-budget range merge with each other, and after a
+//!    requeue round every run takes the p-way merge, whose tail past the
+//!    chunk stream adds to the end-to-end time.
 //!
 //! The paper's example becomes pool-wide: four 12 GB GPUs and 4 GB chunks
-//! sort 256 GB with a single merging pass per device.
+//! sort 256 GB without a merging pass.  [`hetero::HeterogeneousSorter`]
+//! keeps the paper's positional chunks and final merge for Figures 8–9.
 
 use crate::device_pool::{DevicePool, SimDevice};
 use crate::engine::ShardedSorter;
@@ -57,7 +62,8 @@ impl OocConfig {
     }
 }
 
-/// How each device's shard is split into pipeline chunks.
+/// How each device's shard is split into positional pipeline chunks, as
+/// Section 5 streams them (the engine cuts key ranges instead).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OocPlan {
     /// One element-range chunk plan per device, in pool order.  Ranges are
@@ -82,7 +88,12 @@ impl OocPlan {
             .devices()
             .iter()
             .zip(shard_lens)
-            .map(|(device, &len)| device_chunk_plan(device, len, elem_bytes, cfg))
+            .map(|(device, &len)| {
+                split_into_chunks(
+                    len,
+                    device_chunk_count(device, len as u64 * elem_bytes, cfg),
+                )
+            })
             .collect();
         OocPlan { device_chunks }
     }
@@ -93,20 +104,20 @@ impl OocPlan {
     }
 }
 
-/// The chunk plan of one device's shard of `len` elements.
-pub(crate) fn device_chunk_plan(
-    device: &SimDevice,
-    len: usize,
-    elem_bytes: u64,
-    cfg: &OocConfig,
-) -> ChunkPlan {
-    let chunks = cfg.chunks_per_device.unwrap_or_else(|| {
-        let budget = DeviceMemoryPlanner::for_device(&device.spec)
-            .chunk_budget_bytes(true)
-            .max(1);
-        (len as u64 * elem_bytes).div_ceil(budget).max(1) as usize
-    });
-    split_into_chunks(len, chunks.max(1))
+/// The bytes one chunk of `device` may take: one of the three in-place
+/// replacement slots of its memory.
+pub(crate) fn chunk_budget_bytes(device: &SimDevice) -> u64 {
+    DeviceMemoryPlanner::for_device(&device.spec)
+        .chunk_budget_bytes(true)
+        .max(1)
+}
+
+/// How many chunks `device` streams a share of `bytes` in: the configured
+/// count, or else as many as its chunk budget needs.
+pub(crate) fn device_chunk_count(device: &SimDevice, bytes: u64, cfg: &OocConfig) -> usize {
+    cfg.chunks_per_device
+        .unwrap_or_else(|| bytes.div_ceil(chunk_budget_bytes(device)) as usize)
+        .max(1)
 }
 
 /// Overlaps the measured host tail merge (`merge_total` over `n`
@@ -190,16 +201,15 @@ impl ShardedSorter {
     /// Records the out-of-core metrics of one completed streamed sort:
     /// sort/chunk counters, the chunk-pipeline occupancy — the fraction
     /// of the devices' three pipeline stages (HtD, GPU, DtH) kept busy over
-    /// the schedule's makespan — and how much of the host tail merge hid
-    /// under the chunk stream.
+    /// the schedule's makespan — and, when a host merge ran, how much of it
+    /// hid under the chunk stream.
     pub(crate) fn note_ooc(&self, report: &ShardedReport, merge_overlap: Option<f64>) {
         let t = &self.inspector;
         t.counter(tp::OOC_SORTS).inc();
         t.counter(tp::OOC_CHUNKS)
             .add(report.ooc_chunks.len() as u64);
-        let overlap_gauge = t.float_gauge(tp::OOC_MERGE_OVERLAP_RATIO);
         if let Some(hidden) = merge_overlap {
-            overlap_gauge.set(hidden);
+            t.float_gauge(tp::OOC_MERGE_OVERLAP_RATIO).set(hidden);
         }
         let makespan = report.critical_path.secs();
         if makespan > 0.0 && !report.shards.is_empty() {
@@ -389,6 +399,31 @@ mod tests {
         // An in-budget shard needs exactly one chunk.
         let roomy = OocPlan::for_shards(&DevicePool::titan_cluster(2), &[1_000, 1_000], 8, &cfg);
         assert_eq!(roomy.total_chunks(), 2);
+    }
+
+    #[test]
+    fn shards_keep_device_ranges_when_chunk_counts_differ() {
+        // 1 MiB and 4 MiB devices of equal weight: under default chunking
+        // the first streams its share in more, smaller chunks.
+        let mut big = DeviceSpec::titan_x_pascal();
+        big.device_memory_bytes = 4 << 20;
+        let pool = tiny_memory_pool(1, 1 << 20).with_device(SimDevice::on_pcie3(big));
+        let keys = uniform_keys::<u64>(200_000, 19);
+        let mut k = keys.clone();
+        let report = test_sorter(pool).sort_out_of_core(&mut k);
+        assert_eq!(k, KeyCodec::std_sorted(&keys));
+        assert!(report.chunks_on_device(0) > report.chunks_on_device(1));
+        let mut start = 0;
+        for shard in &report.shards {
+            let end = start + shard.n as usize;
+            let (lo, hi) = shard.range;
+            assert!(k[start..end].iter().all(|&key| (lo..=hi).contains(&key)));
+            start = end;
+        }
+        assert_eq!(
+            report.splitters.ranges(),
+            vec![report.shards[0].range, report.shards[1].range]
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! capacity-proportional sharding on heterogeneous pools, and scaling of
 //! the simulated critical path.
 
-use hybrid_radix_sort::gpu_sim::DeviceSpec;
-use hybrid_radix_sort::multi_gpu::{DevicePool, ShardedSorter, SimDevice};
+use hybrid_radix_sort::gpu_sim::{DeviceMemoryPlanner, DeviceSpec};
+use hybrid_radix_sort::multi_gpu::{DevicePool, OocConfig, ShardedSorter, SimDevice};
 use hybrid_radix_sort::prelude::*;
 use hybrid_radix_sort::workloads::{uniform_keys, Distribution, KeyCodec, ZipfGenerator};
 
@@ -149,4 +149,83 @@ fn nvlink_beats_pcie_for_the_same_device() {
         nvlink,
         pcie
     );
+}
+
+/// `keys` with their row ids, stably sorted by key: the output every
+/// row-id pair sort must reproduce.
+fn stable_rows(keys: &[u64]) -> Vec<(u64, u32)> {
+    let mut rows: Vec<(u64, u32)> = keys.iter().copied().zip(0..).collect();
+    rows.sort_by_key(|&(key, _)| key);
+    rows
+}
+
+#[test]
+fn out_of_core_row_id_sorts_match_a_stable_std_sort() {
+    for p in [1usize, 2, 3] {
+        for s in [1usize, 2, 4, 7] {
+            let sorter = sorter(p).with_ooc_config(OocConfig::default().with_chunks_per_device(s));
+            for dist in [
+                Distribution::Uniform,
+                Distribution::paper_zipf(2_000),
+                Distribution::Sorted,
+                Distribution::Constant,
+            ] {
+                let keys: Vec<u64> = dist.generate(24_000, 17);
+                let (mut k, mut v): (Vec<u64>, Vec<u32>) = (keys.clone(), (0..24_000).collect());
+                let report = sorter.sort_out_of_core_pairs(&mut k, &mut v);
+                let label = format!("p = {p}, s = {s}, {}", dist.name());
+                assert!(k.iter().copied().zip(v).eq(stable_rows(&keys)), "{label}");
+                // One chunk per non-empty key range: none is over budget.
+                assert!(report.ooc_chunks.len() <= p * s, "{label}");
+                assert_eq!(report.shards.len(), p, "{label}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_key_heavier_than_a_chunk_budget_sorts_in_fitting_chunks() {
+    // Two 1 MiB devices: a chunk slot holds about 27k u64+u32 pairs, and
+    // one key takes 90k of the 200k pairs.
+    let mut spec = DeviceSpec::titan_x_pascal();
+    spec.device_memory_bytes = 1 << 20;
+    let budget = DeviceMemoryPlanner::for_device(&spec).chunk_budget_bytes(true);
+    let sorter = ShardedSorter::new(DevicePool::homogeneous(2, SimDevice::on_pcie3(spec)));
+    let mut keys = uniform_keys::<u64>(200_000, 23);
+    for (i, key) in keys.iter_mut().enumerate() {
+        if i % 9 < 4 {
+            *key = 0xC0DE << 40;
+        }
+    }
+    let heavy = keys.iter().filter(|&&k| k == 0xC0DE << 40).count() as u64;
+    assert!(heavy * 12 > budget, "{heavy} pairs fit one chunk");
+    let (mut k, mut v): (Vec<u64>, Vec<u32>) = (keys.clone(), (0..200_000).collect());
+    let report = sorter.sort_out_of_core_pairs(&mut k, &mut v);
+    assert!(k.iter().copied().zip(v).eq(stable_rows(&keys)));
+    for chunk in &report.ooc_chunks {
+        assert!(chunk.len * 12 <= budget, "{chunk:?} over {budget} bytes");
+    }
+    // The heavy key's pieces merged, and the merge hid under the stream.
+    let snap = sorter.inspector().snapshot();
+    let ooc = snap.node("multi_gpu/ooc").unwrap();
+    assert!(ooc.double("merge_overlap_ratio").is_some());
+}
+
+#[test]
+fn a_fault_free_out_of_core_sort_runs_no_merge() {
+    let sorter = sorter(2).with_ooc_config(OocConfig::default().with_chunks_per_device(4));
+    let keys: Vec<u64> = Distribution::paper_zipf(5_000).generate(60_000, 29);
+    let mut k = keys.clone();
+    let report = sorter.sort_out_of_core(&mut k);
+    assert_eq!(k, KeyCodec::std_sorted(&keys));
+    assert_eq!(report.ooc_chunks.len(), 8);
+    let snap = sorter.inspector().snapshot();
+    let ooc = snap.node("multi_gpu/ooc").unwrap();
+    assert_eq!(ooc.uint("sorts"), Some(1));
+    assert_eq!(ooc.double("merge_overlap_ratio"), None);
+    assert!(report
+        .timeline
+        .events()
+        .iter()
+        .all(|e| !e.label.starts_with("host merge")));
 }
