@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hrs_bench::{bench_config_64, BENCH_HETERO_KEYS, BENCH_SEED};
 use hrs_core::HybridRadixSorter;
-use multi_gpu::{compute_splitters, DevicePool, PartitionConfig, RecombineStrategy, ShardedSorter};
+use multi_gpu::{compute_splitters, DevicePool, PartitionConfig, ShardedSorter};
 use std::hint::black_box;
 use std::time::Duration;
 use workloads::uniform_keys;
@@ -29,38 +29,6 @@ fn bench_sharded_sort(c: &mut Criterion) {
                 });
             },
         );
-    }
-    group.finish();
-}
-
-/// The two recombination strategies head to head on an NVLink mesh: the
-/// host p-way merge vs the peer all-to-all bucket exchange (where each
-/// device merges only its own output range and the host concatenates).
-fn bench_recombination_strategies(c: &mut Criterion) {
-    let mut group = c.benchmark_group("multi_gpu_recombination");
-    group.sample_size(10);
-    group.warm_up_time(Duration::from_millis(500));
-    group.measurement_time(Duration::from_secs(2));
-    let keys = uniform_keys::<u64>(BENCH_HETERO_KEYS, BENCH_SEED);
-    for devices in [2usize, 4, 8] {
-        for strategy in [
-            RecombineStrategy::HostMerge,
-            RecombineStrategy::PeerExchange,
-        ] {
-            let sorter = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(devices))
-                .with_sorter(HybridRadixSorter::new(bench_config_64()))
-                .with_recombine_strategy(strategy);
-            group.bench_with_input(
-                BenchmarkId::new(strategy.label(), format!("p={devices}")),
-                &keys,
-                |b, keys| {
-                    b.iter(|| {
-                        let mut k = keys.clone();
-                        black_box(sorter.sort(&mut k));
-                    });
-                },
-            );
-        }
     }
     group.finish();
 }
@@ -90,10 +58,5 @@ fn bench_splitter_selection(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_sharded_sort,
-    bench_recombination_strategies,
-    bench_splitter_selection
-);
+criterion_group!(benches, bench_sharded_sort, bench_splitter_selection);
 criterion_main!(benches);

@@ -10,8 +10,7 @@
 //! The default input size is 2^26 keys; pass a smaller `--n` for a quick
 //! look.
 
-use experiments::artifact::{self, flag};
-use experiments::exchange_bench::{exchange_artifact, run_exchange_sweep, ExchangeBenchConfig};
+use experiments::artifact::flag;
 use experiments::format_table;
 use experiments::multi_gpu_scaling::{
     scaling_keys_u64, scaling_pairs_u32, scaling_workloads, speedup_series, ScalingCurve,
@@ -62,16 +61,4 @@ fn main() {
             &speedup_series(&curves)
         )
     );
-
-    // The recombination tail is what stops the curves above from scaling
-    // forever: the host merge is a fixed-bandwidth serial pass, the peer
-    // exchange shrinks with the device count (see `bench_exchange` for
-    // the full sweep behind `BENCH_exchange.json`).
-    println!("## Recombination: host merge vs peer exchange\n");
-    let cfg = ExchangeBenchConfig {
-        device_counts: vec![2, 4, 8],
-        keys: n.min(200_000),
-    };
-    let tree = exchange_artifact(&run_exchange_sweep(&cfg));
-    println!("{}", artifact::table(&tree.children));
 }

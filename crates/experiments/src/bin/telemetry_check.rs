@@ -126,41 +126,14 @@ fn check_snapshot(path: &str, snap: &InspectNode) {
         faults.node("recovery_ns").is_some(),
         "`multi_gpu/faults` lacks the `recovery_ns` histogram"
     );
-    // Likewise the recombination-exchange subtree: registered eagerly on
-    // every sort so a scraper can alarm on it even while the pool still
-    // recombines on the host (all-zero is a legal, meaningful reading).
-    let exchange = snap
-        .node("multi_gpu/exchange")
-        .expect("snapshot lacks the `multi_gpu/exchange` subtree");
-    assert!(
-        exchange.uint("bytes").is_some(),
-        "`multi_gpu/exchange` lacks the `bytes` counter"
-    );
-    assert!(
-        exchange.double("overlap_ratio").is_some(),
-        "`multi_gpu/exchange` lacks the `overlap_ratio` gauge"
-    );
-    let ratio = exchange.double("overlap_ratio").unwrap();
-    assert!(
-        (0.0..=1.0).contains(&ratio),
-        "`multi_gpu/exchange/overlap_ratio` out of range: {ratio}"
-    );
-    let merge_hist = exchange
-        .node("device_merge_ns")
-        .expect("`multi_gpu/exchange` lacks the `device_merge_ns` histogram");
-    assert!(
-        merge_hist.uint("count").is_some(),
-        "`device_merge_ns` histogram lacks a sample count"
-    );
-    checked += 3;
     // At least one per-device core sorter must have reported underneath.
     assert!(
         snap.node("core/dev0").is_some(),
         "snapshot lacks the per-device `core/dev0` subtree"
     );
     // The write-combining scatter metrics register on every core probe;
-    // like the exchange subtree, a zero reading is legal (staging may be
-    // off or lines may not fill) but absence is a regression.
+    // like the fault subtree, a zero reading is legal (staging may be off
+    // or lines may not fill) but absence is a regression.
     let scatter = snap
         .node("core/dev0/scatter")
         .expect("snapshot lacks the `core/dev0/scatter` subtree");

@@ -20,7 +20,6 @@
 
 pub mod artifact;
 pub mod checks;
-pub mod exchange_bench;
 pub mod figures;
 pub mod multi_gpu_scaling;
 pub mod outofcore_bench;
@@ -29,7 +28,6 @@ pub mod series;
 pub mod service_bench;
 pub mod wallclock;
 
-pub use exchange_bench::{run_exchange_sweep, ExchangeBenchConfig, ExchangePoint};
 pub use multi_gpu_scaling::{ScalingCurve, ScalingPoint};
 pub use outofcore_bench::{
     run_chunk_sweep, run_crossover_sweep, OocBenchConfig, OocChunkPoint, OocCrossoverPoint,

@@ -25,9 +25,6 @@
 //!   the PCIe 3.0 ×16 bus of Section 5, and the PCIe 4.0 and NVLink classes
 //!   of multi-GPU systems — and [`timeline::Timeline`] resolves the
 //!   pipelined schedule of transfers and sorts over such links.
-//! * [`topology::PeerTopology`] describes the device↔device link matrix
-//!   (NVLink mesh vs. PCIe staged through the host) that peer-to-peer
-//!   recombination schedules its all-to-all bucket exchange over.
 //! * [`memory::DeviceMemoryPlanner`] tracks device-memory budgets for the
 //!   in-place replacement strategy (three chunk slots instead of four).
 //!
@@ -42,7 +39,6 @@ pub mod memory;
 pub mod occupancy;
 pub mod simtime;
 pub mod timeline;
-pub mod topology;
 pub mod traffic;
 pub mod transaction;
 
@@ -55,7 +51,6 @@ pub use memory::{DeviceAllocation, DeviceMemoryPlanner};
 pub use occupancy::{BlockResources, Occupancy};
 pub use simtime::{Bandwidth, SimTime};
 pub use timeline::{ResourceId, Timeline, TimelineEvent};
-pub use topology::PeerTopology;
 pub use traffic::MemoryTraffic;
 pub use transaction::TransactionModel;
 

@@ -6,7 +6,7 @@
 //! range-partitioned multi-GPU sorting scale in the first place (Arkhipov et
 //! al., *Sorting with GPUs: A Survey*).
 
-use gpu_sim::{DeviceMemoryPlanner, DeviceSpec, LinkSpec, PeerTopology};
+use gpu_sim::{DeviceMemoryPlanner, DeviceSpec, LinkSpec};
 use hrs_core::Executor;
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -144,9 +144,6 @@ impl PoolHealth {
 pub struct DevicePool {
     devices: Vec<SimDevice>,
     health: PoolHealth,
-    /// Explicit device↔device link matrix; `None` derives the
-    /// through-host fallback on demand (see [`DevicePool::peer_topology`]).
-    peers: Option<PeerTopology>,
 }
 
 /// Pools compare by configuration *and* current liveness: a pool with a
@@ -154,7 +151,6 @@ pub struct DevicePool {
 impl PartialEq for DevicePool {
     fn eq(&self, other: &Self) -> bool {
         self.devices == other.devices
-            && self.peers == other.peers
             && (0..self.devices.len()).all(|i| self.alive(i) == other.alive(i))
     }
 }
@@ -164,11 +160,7 @@ impl DevicePool {
     pub fn new(devices: Vec<SimDevice>) -> Self {
         assert!(!devices.is_empty(), "device pool must not be empty");
         let health = PoolHealth::new(devices.len());
-        DevicePool {
-            devices,
-            health,
-            peers: None,
-        }
+        DevicePool { devices, health }
     }
 
     /// `n` identical devices.
@@ -177,7 +169,6 @@ impl DevicePool {
         DevicePool {
             devices: vec![device; n],
             health: PoolHealth::new(n),
-            peers: None,
         }
     }
 
@@ -185,14 +176,6 @@ impl DevicePool {
     /// paper's device, scaled out.
     pub fn titan_cluster(n: usize) -> Self {
         DevicePool::homogeneous(n, SimDevice::on_pcie3(DeviceSpec::titan_x_pascal()))
-    }
-
-    /// `n` Titan X (Pascal) cards on NVLink 2.0 host links *and* a fully
-    /// connected NVLink 2.0 peer mesh — the DGX-style archetype where
-    /// peer-to-peer recombination pays off.
-    pub fn nvlink_mesh_cluster(n: usize) -> Self {
-        DevicePool::homogeneous(n, SimDevice::on_nvlink2(DeviceSpec::titan_x_pascal()))
-            .with_peer_topology(PeerTopology::nvlink_mesh(n, LinkSpec::nvlink2()))
     }
 
     /// A deliberately heterogeneous demo pool: a Tesla P100 on NVLink, two
@@ -208,45 +191,11 @@ impl DevicePool {
         ])
     }
 
-    /// Adds a device to the pool (builder style).  Any explicit peer
-    /// topology is dropped — it was sized for the old device count — and
-    /// the pool reverts to the through-host fallback until
-    /// [`Self::with_peer_topology`] installs a matrix spanning the grown
-    /// pool.
+    /// Adds a device to the pool (builder style).
     pub fn with_device(mut self, device: SimDevice) -> Self {
         self.devices.push(device);
         self.health = self.health.grown(self.devices.len());
-        self.peers = None;
         self
-    }
-
-    /// Installs the device↔device link matrix peer-to-peer recombination
-    /// schedules its bucket exchange over.  Panics unless the topology
-    /// spans exactly this pool's devices.
-    pub fn with_peer_topology(mut self, peers: PeerTopology) -> Self {
-        assert_eq!(
-            peers.len(),
-            self.devices.len(),
-            "peer topology must span exactly the pool's devices"
-        );
-        self.peers = Some(peers);
-        self
-    }
-
-    /// The pool's peer topology: the explicitly installed matrix, or the
-    /// through-host fallback (no direct links; every device→device copy is
-    /// staged as a DtH leg on the source's host link and an HtD leg on the
-    /// destination's) when none was installed.
-    pub fn peer_topology(&self) -> PeerTopology {
-        self.peers
-            .clone()
-            .unwrap_or_else(|| PeerTopology::through_host(self.devices.len()))
-    }
-
-    /// Whether an explicit peer topology was installed (as opposed to the
-    /// derived through-host fallback).
-    pub fn has_explicit_peer_topology(&self) -> bool {
-        self.peers.is_some()
     }
 
     /// Registers a CPU socket with `workers` hardware threads as an
@@ -563,43 +512,6 @@ mod tests {
         assert!(!grown.alive(1), "with_device must carry liveness over");
         assert!(grown.alive(2));
         assert_eq!(grown.capacity_weights()[1], 0.0);
-    }
-
-    #[test]
-    fn peer_topology_defaults_to_through_host() {
-        let pool = DevicePool::titan_cluster(3);
-        assert!(!pool.has_explicit_peer_topology());
-        let topo = pool.peer_topology();
-        assert_eq!(topo.len(), 3);
-        assert_eq!(topo.direct_pair_count(), 0);
-    }
-
-    #[test]
-    fn nvlink_mesh_cluster_is_fully_meshed() {
-        let pool = DevicePool::nvlink_mesh_cluster(4);
-        assert!(pool.has_explicit_peer_topology());
-        let topo = pool.peer_topology();
-        assert!(topo.is_full_mesh());
-        assert_eq!(topo.direct_pair_count(), 12);
-        // Host links are NVLink too.
-        assert_eq!(pool.devices()[0].link, LinkSpec::nvlink2());
-        // Topology participates in pool equality.
-        assert_ne!(pool, DevicePool::titan_cluster(4));
-        let plain = DevicePool::homogeneous(4, SimDevice::on_nvlink2(DeviceSpec::titan_x_pascal()));
-        assert_ne!(pool, plain, "mesh vs through-host must differ");
-    }
-
-    #[test]
-    fn growing_a_pool_drops_the_stale_peer_topology() {
-        let pool = DevicePool::nvlink_mesh_cluster(2).add_cpu_socket(4);
-        assert!(!pool.has_explicit_peer_topology());
-        assert_eq!(pool.peer_topology().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "span exactly")]
-    fn mismatched_peer_topology_is_rejected() {
-        let _ = DevicePool::titan_cluster(2).with_peer_topology(PeerTopology::through_host(3));
     }
 
     #[test]

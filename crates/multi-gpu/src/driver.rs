@@ -7,11 +7,9 @@
 //!    still alive: splitters from MSD digit histograms
 //!    ([`crate::partition`]), then a key-range scatter into one *round
 //!    buffer*, the devices' shares back to back — out of core, each share
-//!    as its chunks' key ranges in key order — or, for the peer exchange,
-//!    contiguous capacity-weighted slabs of the pending buffer itself,
-//!    which becomes the round buffer ([`crate::exchange`]).  Round 0
-//!    scatters into the engine's persistent scratch, so a warm sort
-//!    allocates no element memory.
+//!    as its chunks' key ranges in key order.  Round 0 scatters into the
+//!    engine's persistent scratch, so a warm sort allocates no element
+//!    memory.
 //! 2. **Carve units of work**, as ranges of the round buffer: the whole
 //!    share in core, every key-range chunk out of core, split by position
 //!    where a range is over its device's chunk budget ([`crate::ooc`]).
@@ -20,47 +18,42 @@
 //!    to the pending set, a stall slows the unit's transfers.
 //! 4. **Sort** the surviving units in place on the persistent device
 //!    lanes, each ping-ponging against the same range of the round's free
-//!    buffer (the partitioned input, or the exchange's scratch), one
-//!    host-executor task per device: simulated GPUs fan out first, CPU
-//!    sockets side by side in a fan-out of their own afterwards, so a
-//!    socket's measured wall-clock shares the host only with its sibling
-//!    sockets.  That matches a real multi-socket machine only while the
+//!    buffer (the partitioned input), one host-executor task per device:
+//!    simulated GPUs fan out first, CPU sockets side by side in a fan-out
+//!    of their own afterwards, so a socket's measured wall-clock shares the
+//!    host only with its sibling sockets.  That matches a real multi-socket machine only while the
 //!    sockets' workers together fit in the host executor's workers
 //!    (cores); beyond that, sibling sockets contend and each socket's
 //!    measured time grows.
 //! 5. **Schedule** every unit on one shared [`gpu_sim::Timeline`] from the
 //!    round's start: uploads, sorts and downloads overlap within a device
 //!    and across devices, since every link is independent.
-//! 6. **Recombine the round**: host-merge sorts keep each sorted unit as a
-//!    run, in merge groups — one per in-core share or out-of-core key
-//!    range, whose pieces merge; the peer exchange swaps buckets and
-//!    merges per destination into the round's free buffer, leaving one run
-//!    per shard.
+//! 6. **Keep the round**: each sorted unit becomes a run, in merge groups
+//!    — one per in-core share or out-of-core key range, whose pieces
+//!    merge.
 //!
 //! Requeued elements wait out an exponential simulated backoff before the
 //! next round, which partitions them into a round buffer of its own.  A
 //! final host step yields the output and one report.  A sort that ends in
-//! round 0 without orphan runs has range-disjoint groups in key order, so
-//! each group merges only its own runs, and when every group is one run
-//! the round buffer already is the output: it is swapped into the
-//! caller's `Vec`, and the caller's old buffer becomes the next sort's
-//! scratch.  Any other run set merges into the caller's buffer (the p-way
-//! merge of every run after requeue rounds or with orphan runs).
+//! round 0 has range-disjoint groups in key order, so each group merges
+//! only its own runs, and when every group is one run the round buffer
+//! already is the output: it is swapped into the caller's `Vec`, and the
+//! caller's old buffer becomes the next sort's scratch.  Any other run set
+//! merges into the caller's buffer (the p-way merge of every run after
+//! requeue rounds).
 
 use crate::device_pool::SimDevice;
 use crate::engine::ShardedSorter;
-use crate::exchange::{slab_lengths, RecombineStrategy};
 use crate::ooc::{chunk_budget_bytes, device_chunk_count, overlap_tail_merge};
 use crate::partition::{compute_splitters_in, scatter_into_round, PartitionConfig, SplitterSet};
 use crate::recovery::{SortError, BACKOFF, MAX_RETRIES};
-use crate::report::{ExchangeSpan, FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
-use gpu_sim::{ResourceId, SimTime, Timeline, TransferDirection};
+use crate::report::{FaultEvent, OocChunkSpan, ShardReport, ShardedReport};
+use gpu_sim::{SimTime, Timeline, TransferDirection};
 use hetero::chunking::split_into_chunks;
 use hetero::multiway_merge::merge_pairs_into;
 use hetero::pipeline::PipelineResources;
 use hrs_core::arena::{ROLE_ROUND_KEYS, ROLE_ROUND_VALS};
 use hrs_core::{HybridRadixSorter, SharedMut, SortReport};
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use workloads::keys::SortKey;
 use workloads::pairs::SortValue;
@@ -70,20 +63,20 @@ use workloads::pairs::SortValue;
 const CHUNKS_PER_SHARD: usize = 4;
 
 /// Keys and values of one buffer of a sort.
-pub(crate) type Buffers<K, V> = (Vec<K>, Vec<V>);
+type Buffers<K, V> = (Vec<K>, Vec<V>);
 
 /// `len` elements from `start` of round buffer `buf`: a unit of work, and
 /// once sorted a run of the final host step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Range {
-    pub(crate) buf: usize,
-    pub(crate) start: usize,
+    buf: usize,
+    start: usize,
     pub(crate) len: usize,
 }
 
 impl Range {
     /// The element indices of the range within its buffer.
-    pub(crate) fn span(&self) -> std::ops::Range<usize> {
+    fn span(&self) -> std::ops::Range<usize> {
         self.start..self.start + self.len
     }
 }
@@ -103,8 +96,8 @@ pub(crate) struct Unit {
     pub(crate) range: Range,
     /// Transfer-time multiplier from an injected stall (1.0 = clean).
     pub(crate) stall: f64,
-    pub(crate) report: SortReport,
-    pub(crate) measured: Duration,
+    report: SortReport,
+    measured: Duration,
 }
 
 impl Unit {
@@ -123,62 +116,55 @@ impl Unit {
 }
 
 /// One device's part of a round: its sorted units and their schedule.
-pub(crate) struct Share {
-    pub(crate) device: usize,
-    pub(crate) range: (u64, u64),
-    pub(crate) units: Vec<Unit>,
+struct Share {
+    device: usize,
+    range: (u64, u64),
+    units: Vec<Unit>,
     /// Elements the device uploaded this round.
-    pub(crate) n: u64,
-    pub(crate) upload: SimTime,
-    pub(crate) gpu_sort: SimTime,
-    pub(crate) download: SimTime,
+    n: u64,
+    upload: SimTime,
+    gpu_sort: SimTime,
+    download: SimTime,
     /// When the device's last download finished.
-    pub(crate) finish: SimTime,
-    /// When the device's last sort finished.
-    pub(crate) sort_finish: SimTime,
+    finish: SimTime,
 }
 
 /// Everything one sort accumulates across its rounds.
 pub(crate) struct Run<K, V> {
-    pub(crate) elem_bytes: u64,
+    elem_bytes: u64,
     pub(crate) round: u32,
-    pub(crate) round_start: SimTime,
-    pub(crate) tl: Timeline,
+    round_start: SimTime,
+    tl: Timeline,
     /// The HtD / GPU / DtH resources of every pool device.
-    pub(crate) res: Vec<PipelineResources>,
-    /// Peer links, registered on first use.
-    pub(crate) peer_res: HashMap<(usize, usize), ResourceId>,
+    res: Vec<PipelineResources>,
     /// Elements awaiting a (re)try; round 0 starts with the caller's
     /// buffers.
-    pub(crate) pending: Buffers<K, V>,
+    pending: Buffers<K, V>,
     /// Every round's buffers; units and runs are ranges of them.
-    pub(crate) bufs: Vec<Buffers<K, V>>,
+    bufs: Vec<Buffers<K, V>>,
     /// The current round's free buffer, as long as its round buffer: the
-    /// lane sorts' ping-pong partner, and the exchange's merge output.
-    pub(crate) spare: Buffers<K, V>,
-    /// The caller's buffer once round 0 of a host-merge sort has sorted
-    /// out of it: where the final host step merges to.
-    pub(crate) out: Option<Buffers<K, V>>,
+    /// lane sorts' ping-pong partner.
+    spare: Buffers<K, V>,
+    /// The caller's buffer once round 0 has sorted out of it: where the
+    /// final host step merges to.
+    out: Option<Buffers<K, V>>,
     /// Sorted runs awaiting the final host step, in merge groups: the runs
     /// of a group overlap in key range, groups do not.
-    pub(crate) runs: Vec<Vec<Range>>,
-    /// Whether an exchange left orphan runs (they overlap merged ranges).
-    pub(crate) orphans: bool,
-    pub(crate) combined: SortReport,
-    pub(crate) measured_partition: Duration,
+    runs: Vec<Vec<Range>>,
+    combined: SortReport,
+    measured_partition: Duration,
     /// The share of `measured_partition` spent choosing splitters.
-    pub(crate) measured_splitters: Duration,
-    pub(crate) shards: Vec<ShardReport>,
+    measured_splitters: Duration,
+    shards: Vec<ShardReport>,
     /// Per shard report: the pool device and the elements it uploaded.
-    pub(crate) shard_devices: Vec<(usize, u64)>,
-    pub(crate) ooc_chunks: Vec<OocChunkSpan>,
-    pub(crate) exchange: Vec<ExchangeSpan>,
+    shard_devices: Vec<(usize, u64)>,
+    ooc_chunks: Vec<OocChunkSpan>,
     pub(crate) faults: Vec<FaultEvent>,
 }
 
 impl<K: Copy, V: Copy> Run<K, V> {
     /// The keys and values of `r`.
-    pub(crate) fn slices(&self, r: Range) -> (&[K], &[V]) {
+    fn slices(&self, r: Range) -> (&[K], &[V]) {
         let (keys, vals) = &self.bufs[r.buf];
         (&keys[r.span()], &vals[r.span()])
     }
@@ -204,12 +190,6 @@ impl ShardedSorter {
         let clock = Instant::now();
         let n = keys.len();
         let value_bytes = std::mem::size_of::<V>() as u32;
-        let recombine = if out_of_core {
-            RecombineStrategy::HostMerge
-        } else {
-            self.resolve_recombine(n as u64 * (K::BYTES as u64 + value_bytes as u64))
-        };
-        let exchange = recombine == RecombineStrategy::PeerExchange;
         let p = self.pool.len();
 
         // Reuse the persistent device lanes (and their warm scratch
@@ -243,13 +223,8 @@ impl ShardedSorter {
                     unsorted: run.pending.0.len() as u64,
                 });
             }
-            let (round_splitters, shares) =
-                self.sort_round(&mut run, lanes, &alive, exchange, out_of_core);
-            if exchange {
-                self.exchange_round(&mut run, &round_splitters, shares);
-            } else {
-                self.keep_shares(&mut run, shares, out_of_core);
-            }
+            let (round_splitters, shares) = self.sort_round(&mut run, lanes, &alive, out_of_core);
+            self.keep_shares(&mut run, shares, out_of_core);
             splitters.get_or_insert(round_splitters);
 
             if run.pending.0.is_empty() {
@@ -328,8 +303,6 @@ impl ShardedSorter {
             timeline: run.tl,
             ooc_chunks: run.ooc_chunks,
             faults: run.faults,
-            recombine,
-            exchange: run.exchange,
         };
         self.note_sort(&report, &run.shard_devices);
         if out_of_core {
@@ -360,20 +333,17 @@ impl ShardedSorter {
             round_start: SimTime::ZERO,
             tl,
             res,
-            peer_res: HashMap::new(),
             pending: (keys, vals),
             bufs: Vec::new(),
             spare: Buffers::default(),
             out: None,
             runs: Vec::new(),
-            orphans: false,
             combined: SortReport::new(0, K::BYTES, std::mem::size_of::<V>() as u32),
             measured_partition: Duration::ZERO,
             measured_splitters: Duration::ZERO,
             shards: Vec::new(),
             shard_devices: Vec::new(),
             ooc_chunks: Vec::new(),
-            exchange: Vec::new(),
             faults: Vec::new(),
         }
     }
@@ -385,13 +355,12 @@ impl ShardedSorter {
         run: &mut Run<K, V>,
         lanes: &[HybridRadixSorter],
         alive: &[usize],
-        exchange: bool,
         out_of_core: bool,
     ) -> (SplitterSet, Vec<Share>) {
         let span = self
             .inspector
             .span_with("multi_gpu/partition", "multi_gpu/partition_ns");
-        let (splitters, units) = self.carve_units(run, alive, exchange, out_of_core);
+        let (splitters, units) = self.carve_units(run, alive, out_of_core);
         run.measured_partition += span.finish();
 
         let mut units = self.triage(run, units);
@@ -405,7 +374,7 @@ impl ShardedSorter {
             .zip(splitters.ranges())
             .map(|(&g, range)| {
                 let mine = std::iter::from_fn(|| units.next_if(|u| u.device == g)).collect();
-                self.schedule_share(run, g, range, mine, out_of_core, !exchange)
+                self.schedule_share(run, g, range, mine, out_of_core)
             })
             .collect();
         (splitters, shares)
@@ -415,15 +384,13 @@ impl ShardedSorter {
     /// round buffer and carves each device's share into its units of work,
     /// as ranges of that buffer; returns the devices' splitters and the
     /// units.  Out of core, a share is `s_g` key ranges of weight
-    /// `w_g / s_g`, its chunks ([`crate::ooc`]).  The host merge scatters
+    /// `w_g / s_g`, its chunks ([`crate::ooc`]).  The partition scatters
     /// into the round's scratch, and the pending buffer becomes the round's
-    /// spare; the exchange keeps the pending buffer as the round buffer,
-    /// cut into contiguous slabs, and the scratch becomes the spare.
+    /// spare.
     fn carve_units<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
         alive: &[usize],
-        exchange: bool,
         out_of_core: bool,
     ) -> (SplitterSet, Vec<Unit>) {
         let pending = std::mem::take(&mut run.pending);
@@ -491,26 +458,20 @@ impl ShardedSorter {
             .reserve_exact(pending.1.capacity().saturating_sub(free.1.len()));
         free.0.resize(m, K::default());
         free.1.resize(m, V::default());
-        let (round_buf, lens) = if exchange {
-            run.spare = free;
-            (pending, slab_lengths(m, &weights))
-        } else {
-            let lens = self.with_scratch(|a| {
-                scatter_into_round(
-                    &pending.0,
-                    &pending.1,
-                    &ranges,
-                    &self.host_exec,
-                    &mut free.0,
-                    &mut free.1,
-                    a,
-                )
-            });
-            run.spare = pending;
-            (free, lens)
-        };
+        let lens = self.with_scratch(|a| {
+            scatter_into_round(
+                &pending.0,
+                &pending.1,
+                &ranges,
+                &self.host_exec,
+                &mut free.0,
+                &mut free.1,
+                a,
+            )
+        });
+        run.spare = pending;
         let buf = run.bufs.len();
-        run.bufs.push(round_buf);
+        run.bufs.push(free);
 
         let mut units = Vec::new();
         let mut lens = lens.into_iter();
@@ -608,8 +569,7 @@ impl ShardedSorter {
     /// the single unit's transfers split into [`CHUNKS_PER_SHARD`] pieces;
     /// out of core, every chunk is a piece and its upload waits for a free
     /// slot (in-place replacement: the slot of the chunk two back frees as
-    /// its download starts).  `download = false` leaves the sorted data on
-    /// the device for the peer exchange.
+    /// its download starts).
     fn schedule_share<K, V>(
         &self,
         run: &mut Run<K, V>,
@@ -617,7 +577,6 @@ impl ShardedSorter {
         range: (u64, u64),
         units: Vec<Unit>,
         out_of_core: bool,
-        download: bool,
     ) -> Share {
         let device = &self.pool.devices()[g];
         let res = run.res[g];
@@ -630,7 +589,6 @@ impl ShardedSorter {
             gpu_sort: SimTime::ZERO,
             download: SimTime::ZERO,
             finish: SimTime::ZERO,
-            sort_finish: SimTime::ZERO,
         };
         // (label index, elements, sort time, stall, unit offset) per piece.
         let mut pieces = Vec::new();
@@ -684,7 +642,6 @@ impl ShardedSorter {
             let sort = run
                 .tl
                 .schedule(label("sort", j), res.gpu, up.end, sort_time);
-            share.sort_finish = share.sort_finish.max(sort.end);
             // Out-of-core totals are the stage sums of the Section 5
             // pipeline; in-core totals sum the realised event spans.
             if out_of_core {
@@ -693,9 +650,6 @@ impl ShardedSorter {
             } else {
                 share.upload += up.duration();
                 share.gpu_sort += sort.duration();
-            }
-            if !download {
-                continue;
             }
             let down_time = device
                 .link
@@ -724,9 +678,8 @@ impl ShardedSorter {
         share
     }
 
-    /// Host-merge recombination of one round: every share kept, and the
-    /// round's spare kept as the host step's merge target when it is the
-    /// caller's buffer (round 0).
+    /// Keeps one round: every share, and the round's spare as the host
+    /// step's merge target when it is the caller's buffer (round 0).
     fn keep_shares<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
@@ -740,8 +693,8 @@ impl ShardedSorter {
         run.out.get_or_insert(spare);
     }
 
-    /// Host-merge recombination of one device's round: the shard report,
-    /// and the sorted units as the shard's runs for the final host step.
+    /// Keeps one device's round: the shard report, and the sorted units as
+    /// the shard's runs for the final host step.
     fn keep_share<K: SortKey, V: SortValue>(
         &self,
         run: &mut Run<K, V>,
@@ -787,29 +740,27 @@ impl ShardedSorter {
 
     /// The final host step: each group of runs merges on its own and the
     /// groups concatenate in order; returns the output and whether any run
-    /// merged.  A sort that ends in round 0 without orphan runs holds
-    /// range-disjoint shards in device order, and equal keys never straddle
-    /// shards, so each shard's groups are range-disjoint too: one run per
-    /// in-core or exchanged shard, one per out-of-core chunk except the
-    /// pieces of an over-budget key range, which form one group.  That is
-    /// byte for byte the p-way merge of every run.  After requeue rounds or
-    /// with orphan runs the ranges overlap, so all runs form one group: the
-    /// full p-way merge.
+    /// merged.  A sort that ends in round 0 holds range-disjoint shards in
+    /// device order, and equal keys never straddle shards, so each shard's
+    /// groups are range-disjoint too: one run per in-core shard, one per
+    /// out-of-core chunk except the pieces of an over-budget key range,
+    /// which form one group.  That is byte for byte the p-way merge of
+    /// every run.  After requeue rounds the ranges overlap, so all runs
+    /// form one group: the full p-way merge.
     ///
     /// When every group is a single run and the runs tile one round buffer
     /// in order, that buffer is the output as it stands.  Otherwise the
-    /// groups merge straight into their slices of the caller's buffer (a
-    /// fresh one when the exchange moved it into a round).
+    /// groups merge straight into their slices of the caller's buffer.
     fn host_step<K: SortKey, V: SortValue>(&self, run: &mut Run<K, V>) -> (Buffers<K, V>, bool) {
         let mut groups = std::mem::take(&mut run.runs);
-        if run.round > 0 || run.orphans {
+        if run.round > 0 {
             groups = vec![groups.into_iter().flatten().collect()];
         }
         if let Some(buf) = tiled_buffer(&groups, &run.bufs) {
             return (std::mem::take(&mut run.bufs[buf]), false);
         }
         let n: usize = groups.iter().flatten().map(|r| r.len).sum();
-        let mut out = run.out.take().unwrap_or_default();
+        let mut out = run.out.take().expect("round 0 keeps the caller's buffer");
         out.0.resize(n, K::default());
         out.1.resize(n, V::default());
         let (mut keys, mut vals) = (out.0.as_mut_slice(), out.1.as_mut_slice());
@@ -826,7 +777,7 @@ impl ShardedSorter {
 
     /// Merges `runs` of `run`'s buffers straight into `keys` / `vals` with
     /// the host's merge threads.
-    pub(crate) fn merge_into<K: SortKey, V: SortValue>(
+    fn merge_into<K: SortKey, V: SortValue>(
         &self,
         run: &Run<K, V>,
         runs: &[Range],
@@ -865,48 +816,6 @@ mod tests {
     use hrs_core::SortConfig;
     use workloads::{uniform_keys, KeyCodec, ZipfGenerator};
 
-    fn mesh_exchange_sorter() -> ShardedSorter {
-        let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(40_000, 250_000_000));
-        ShardedSorter::new(DevicePool::nvlink_mesh_cluster(4))
-            .with_sorter(gpu)
-            .with_recombine_strategy(RecombineStrategy::PeerExchange)
-    }
-
-    /// Round 0 of a peer-exchange sort of `keys`, with the device `victim`
-    /// picks marked dead between the local sorts and the exchange — as a
-    /// concurrent sort sharing the pool may do — and then every further
-    /// round the requeued elements need.  Returns the final output and
-    /// whether round 0 left orphan runs with nothing pending.
-    fn kill_before_exchange(
-        keys: Vec<u64>,
-        victim: impl Fn(&[Share], &[(u64, u64)]) -> usize,
-    ) -> (Vec<u64>, bool) {
-        let sorter = mesh_exchange_sorter();
-        let lanes: Vec<_> = (0..4).map(|i| sorter.lane_sorter(i)).collect();
-        let n = keys.len();
-        let mut run = sorter.begin(keys, vec![(); n]);
-        let mut alive = sorter.pool().alive_indices();
-        loop {
-            let (splitters, shares) = sorter.sort_round(&mut run, &lanes, &alive, true, false);
-            if run.round == 0 {
-                sorter
-                    .pool()
-                    .mark_dead(victim(&shares, &splitters.ranges()));
-            }
-            sorter.exchange_round(&mut run, &splitters, shares);
-            let held =
-                run.pending.0.len() + run.runs.iter().flatten().map(|r| r.len).sum::<usize>();
-            assert_eq!(held, n, "round {} lost elements", run.round);
-            if run.pending.0.is_empty() {
-                break;
-            }
-            run.round += 1;
-            alive = sorter.pool().alive_indices();
-        }
-        let orphaned_in_round_zero = run.round == 0 && run.orphans;
-        (sorter.host_step(&mut run).0 .0, orphaned_in_round_zero)
-    }
-
     /// Two single-worker CPU sockets, the pairs benchmarks' pool; out of
     /// core, each lane streams four chunks.
     fn socket_sorter() -> ShardedSorter {
@@ -935,7 +844,7 @@ mod tests {
         let mut run = sorter.begin(keys, vals);
         loop {
             let alive = sorter.pool().alive_indices();
-            let (_, shares) = sorter.sort_round(&mut run, &lanes, &alive, false, out_of_core);
+            let (_, shares) = sorter.sort_round(&mut run, &lanes, &alive, out_of_core);
             sorter.keep_shares(&mut run, shares, out_of_core);
             if run.pending.0.is_empty() {
                 return run;
@@ -1002,22 +911,6 @@ mod tests {
     }
 
     #[test]
-    fn round_zero_exchange_without_orphans_concatenates() {
-        let sorter = mesh_exchange_sorter();
-        let lanes: Vec<_> = (0..4).map(|i| sorter.lane_sorter(i)).collect();
-        let keys = uniform_keys::<u64>(60_000, 11);
-        let expected = KeyCodec::std_sorted(&keys);
-        let mut run = sorter.begin(keys, vec![(); 60_000]);
-        let alive = sorter.pool().alive_indices();
-        let (splitters, shares) = sorter.sort_round(&mut run, &lanes, &alive, true, false);
-        sorter.exchange_round(&mut run, &splitters, shares);
-        assert!(run.pending.0.is_empty() && !run.orphans);
-        assert!(run.runs.iter().all(|runs| runs.len() == 1));
-        assert_eq!(concatenated(&run), expected);
-        assert_eq!(sorter.host_step(&mut run).0 .0, expected);
-    }
-
-    #[test]
     fn a_socket_failing_in_round_zero_takes_the_full_merge() {
         // Socket 0 holds the lower key range and fails its round-0 sort;
         // socket 1 sorts the upper range in round 0 and the requeued lower
@@ -1043,43 +936,9 @@ mod tests {
     }
 
     #[test]
-    fn device_dying_after_triage_requeues_its_slab() {
-        let keys = uniform_keys::<u64>(60_000, 3);
-        let expected = KeyCodec::std_sorted(&keys);
-        let (out, _) = kill_before_exchange(keys, |shares, _| {
-            assert!(shares[1].n > 0);
-            1
-        });
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn orphans_without_a_requeue_are_merged_not_concatenated() {
-        // Three keys over four devices: some device holds an empty slab
-        // yet owns a key range with a key in it, above another key.
-        // Killing it orphans that key's bucket while nothing is requeued,
-        // so the sort ends in round 0 and must still merge: concatenating
-        // would put the orphan ahead of the lower key.
-        let keys = vec![u64::MAX - 3, 5, 1 << 63];
-        let expected = KeyCodec::std_sorted(&keys);
-        let probe = keys.clone();
-        let (out, orphaned) = kill_before_exchange(keys, |shares, ranges| {
-            (0..shares.len())
-                .find(|&l| {
-                    let (lo, hi) = ranges[l];
-                    shares[l].n == 0
-                        && probe.iter().any(|&k| (lo..=hi).contains(&k))
-                        && probe.iter().any(|&k| k < lo)
-                })
-                .expect("an empty-slab device owning a key above another")
-        });
-        assert!(orphaned);
-        assert_eq!(out, expected);
-    }
-
-    #[test]
     fn device_killed_by_a_concurrent_caller_loses_nothing() {
-        let sorter = mesh_exchange_sorter();
+        let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(40_000, 250_000_000));
+        let sorter = ShardedSorter::new(DevicePool::titan_cluster(4)).with_sorter(gpu);
         std::thread::scope(|s| {
             s.spawn(|| {
                 std::thread::sleep(Duration::from_millis(5));

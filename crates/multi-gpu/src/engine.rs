@@ -29,13 +29,11 @@
 //!    every run into the whole output with the structure-of-arrays p-way
 //!    merge of [`hetero::merge_pairs_into`].  Measured for real.
 //!
-//! Every entry point — in core, out of core ([`crate::ooc`]), with the
-//! peer exchange ([`crate::exchange`]) or under injected faults
-//! ([`crate::recovery`]) — runs the same round-based driver; a fault-free
-//! sort is its round 0.
+//! Every entry point — in core, out of core ([`crate::ooc`]) or under
+//! injected faults ([`crate::recovery`]) — runs the same round-based
+//! driver; a fault-free sort is its round 0.
 
 use crate::device_pool::DevicePool;
-use crate::exchange::{note_exchange, register_exchange_probes, RecombineStrategy};
 use crate::recovery::{register_fault_probes, SortError};
 use crate::report::ShardedReport;
 use crate::telemetry_paths as tp;
@@ -80,8 +78,6 @@ pub struct ShardedSorter {
     /// Injected fault script ([`gpu_sim::FaultPlan`]), consulted once per
     /// unit of work; `None` sorts clean.
     pub(crate) faults: Option<FaultPlan>,
-    /// How sorted shards are recombined ([`RecombineStrategy`]).
-    pub(crate) recombine: RecombineStrategy,
 }
 
 impl ShardedSorter {
@@ -100,7 +96,6 @@ impl ShardedSorter {
             scratch: Mutex::default(),
             inspector: Inspector::new(),
             faults: None,
-            recombine: RecombineStrategy::default(),
         }
     }
 
@@ -154,23 +149,6 @@ impl ShardedSorter {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(plan);
         self
-    }
-
-    /// Selects how sorted shards are recombined: the host p-way merge
-    /// (the default), the peer-to-peer all-to-all bucket exchange over the
-    /// pool's [`gpu_sim::PeerTopology`], or a cost-model-driven pick per
-    /// sort ([`RecombineStrategy::Auto`]).  Out-of-core sorts always keep
-    /// the chunk-streamed host merge — their tail merge overlaps the chunk
-    /// stream instead.
-    pub fn with_recombine_strategy(mut self, strategy: RecombineStrategy) -> Self {
-        self.recombine = strategy;
-        self
-    }
-
-    /// The configured recombination strategy (possibly `Auto`; see
-    /// [`Self::resolve_recombine`] for the per-sort resolution).
-    pub fn recombine_strategy(&self) -> RecombineStrategy {
-        self.recombine
     }
 
     /// Reports into `inspector` instead of the sorter's private one, so
@@ -266,10 +244,9 @@ impl ShardedSorter {
     /// plus every element of the device's output), utilisation (fraction
     /// of the device's span spent sorting) and overlap ratio (stage-busy
     /// time over span — above 1.0 means transfers genuinely overlapped the
-    /// sort), plus the exchange subtree of peer-exchange sorts, and the
-    /// memory the engine's own scratch arena retains (left as it was while
-    /// a concurrent sort holds the arena).  `shard_devices` names each
-    /// shard's pool device and uploaded elements.
+    /// sort), and the memory the engine's own scratch arena retains (left
+    /// as it was while a concurrent sort holds the arena).  `shard_devices`
+    /// names each shard's pool device and uploaded elements.
     pub(crate) fn note_sort(&self, report: &ShardedReport, shard_devices: &[(usize, u64)]) {
         let t = &self.inspector;
         t.counter(tp::SORTS).inc();
@@ -280,14 +257,9 @@ impl ShardedSorter {
             t.gauge(tp::ARENA_BUFFER_BYTES)
                 .set(stats.buffer_bytes as u64);
         }
-        // Register the fault and exchange subtrees eagerly (registration
-        // is idempotent) so every snapshot exposes their health — zero or
-        // not.
+        // Register the fault subtree eagerly (registration is idempotent)
+        // so every snapshot exposes its health — zero or not.
         register_fault_probes(t);
-        register_exchange_probes(t);
-        if report.recombine == RecombineStrategy::PeerExchange {
-            note_exchange(t, report);
-        }
         let elem_bytes = report.key_bytes as u64 + report.value_bytes as u64;
         for (shard, &(i, uploaded)) in report.shards.iter().zip(shard_devices) {
             let dev = |leaf: &str| format!("multi_gpu/dev{i}/{leaf}");
@@ -337,7 +309,6 @@ impl Clone for ShardedSorter {
             // The fault plan's fired/op state is shared (Arc), so a clone
             // doing the service's sorting consumes the same script.
             faults: self.faults.clone(),
-            recombine: self.recombine,
         }
     }
 }

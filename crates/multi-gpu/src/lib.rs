@@ -14,15 +14,11 @@
 //!    [`hrs_core::HybridRadixSorter`], one simulated device per shard, each
 //!    with its own host link ([`gpu_sim::LinkSpec`]: PCIe 3.0/4.0 or
 //!    NVLink classes) so transfers overlap across devices;
-//! 3. **recombine** — by default on the host, where the range-disjoint
-//!    shards (out of core, their key-range chunks) already lie back to
-//!    back in one round buffer, and only runs that overlap after a fault
-//!    merge with the structure-of-arrays p-way merge of
-//!    [`hetero::multiway_merge`],
-//!    or (cost-model-selected via [`RecombineStrategy`]) with a
-//!    peer-to-peer all-to-all bucket exchange over the pool's
-//!    [`gpu_sim::PeerTopology`] in which each device merges only its own
-//!    output range ([`exchange`]).
+//! 3. **recombine** on the host, where the range-disjoint shards (out of
+//!    core, their key-range chunks) already lie back to back in one round
+//!    buffer; only the pieces of an over-budget out-of-core range, and
+//!    every run after a fault's requeue rounds, merge with the
+//!    structure-of-arrays p-way merge of [`hetero::multiway_merge`].
 //!
 //! The engine is functional — the output really is sorted — while transfer
 //! and kernel times come from the `gpu_sim` analytical model, scheduled on
@@ -56,7 +52,6 @@
 pub mod device_pool;
 mod driver;
 pub mod engine;
-pub mod exchange;
 pub mod ooc;
 pub mod partition;
 pub mod recovery;
@@ -65,12 +60,7 @@ pub mod telemetry_paths;
 
 pub use device_pool::{DeviceBackend, DevicePool, SimDevice};
 pub use engine::ShardedSorter;
-pub use exchange::{
-    estimate_exchange_time, estimate_host_merge_tail, modeled_host_merge_time, RecombineStrategy,
-};
 pub use ooc::{OocConfig, OocPlan};
 pub use partition::{compute_splitters, scatter_into_shards, PartitionConfig, SplitterSet};
 pub use recovery::SortError;
-pub use report::{
-    ExchangeSpan, FaultEvent, FaultEventKind, OocChunkSpan, ShardReport, ShardedReport,
-};
+pub use report::{FaultEvent, FaultEventKind, OocChunkSpan, ShardReport, ShardedReport};

@@ -11,12 +11,11 @@
 //!    pending elements over the *alive* devices' capacity weights (elastic
 //!    pool resize), so dead devices take no work.
 //! 2. **Consult the plan once per unit of work**, in device/unit order — a
-//!    unit is a whole shard in core or one memory-budget chunk out of core
-//!    — plus once more per device holding a sorted slab before a peer
-//!    exchange.  A `DeviceFail` marks the device dead and requeues
-//!    everything it still owed; a `CorruptShard` requeues just that unit;
-//!    a `TransferStall` completes with degraded link time; an
-//!    `EnginePanic` escapes (the service isolates it with `catch_unwind`).
+//!    unit is a whole shard in core or one memory-budget chunk out of
+//!    core.  A `DeviceFail` marks the device dead and requeues everything
+//!    it still owed; a `CorruptShard` requeues just that unit; a
+//!    `TransferStall` completes with degraded link time; an `EnginePanic`
+//!    escapes (the service isolates it with `catch_unwind`).
 //! 3. **Retry with exponential backoff in simulated time.**  Requeued
 //!    elements form the next round, which starts on the shared timeline
 //!    only after the previous round's makespan plus `1 ms · 2^r`.  Three
@@ -99,7 +98,7 @@ impl ShardedSorter {
     /// elements, recording any fault in `events`.  Returns the unit's
     /// transfer stall factor when it proceeds, `None` when its elements
     /// must be requeued (the device died or corrupted its output).
-    pub(crate) fn consult(
+    fn consult(
         &self,
         g: usize,
         len: usize,
@@ -200,7 +199,6 @@ impl ShardedSorter {
 mod tests {
     use super::*;
     use crate::device_pool::{DevicePool, SimDevice};
-    use crate::RecombineStrategy;
     use gpu_sim::{DeviceSpec, FaultPlan, FaultSpec};
     use hrs_core::{HybridRadixSorter, SortConfig};
     use workloads::{uniform_keys, KeyCodec};
@@ -460,25 +458,5 @@ mod tests {
         let occupancy = ooc.double("pipeline_occupancy").unwrap();
         assert!(occupancy > 0.0 && occupancy <= 1.0, "{occupancy}");
         assert!(ooc.double("merge_overlap_ratio").is_some());
-
-        // Peer exchange: the survivors count their transfer bytes.
-        let sorter = test_sorter(DevicePool::nvlink_mesh_cluster(3))
-            .with_recombine_strategy(RecombineStrategy::PeerExchange)
-            .with_fault_plan(FaultPlan::fail_device(1, 1));
-        let mut k = uniform_keys::<u64>(60_000, 43);
-        assert!(sorter.try_sort(&mut k).unwrap().had_faults());
-        let snap = sorter.inspector().snapshot();
-        for i in [0, 2] {
-            let dev = snap.node(&format!("multi_gpu/dev{i}")).unwrap();
-            assert!(dev.uint("transfer_bytes").unwrap() > 0, "dev{i}");
-            assert!(dev.double("utilisation").unwrap() > 0.0, "dev{i}");
-        }
-        assert!(
-            snap.node("multi_gpu/exchange")
-                .unwrap()
-                .uint("bytes")
-                .unwrap()
-                > 0
-        );
     }
 }

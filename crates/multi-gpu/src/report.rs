@@ -1,6 +1,5 @@
 //! Aggregated reporting for sharded multi-device sorts.
 
-use crate::exchange::RecombineStrategy;
 use crate::partition::SplitterSet;
 use gpu_sim::{SimTime, Timeline};
 use hrs_core::SortReport;
@@ -60,40 +59,6 @@ pub struct OocChunkSpan {
     /// When the chunk's sorted run finished returning to the host on the
     /// shared timeline.
     pub finish: SimTime,
-}
-
-/// One device→device bucket transfer of a peer-exchange recombination.
-///
-/// Produced by peer-exchange sorts (see
-/// [`crate::exchange::RecombineStrategy::PeerExchange`]): after its local
-/// sort, device `src` ships the bucket destined for device `dst`'s output
-/// range either over a direct peer link (`direct = true`) or staged
-/// through host memory as a DtH + HtD pair on the two host links
-/// (`direct = false`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ExchangeSpan {
-    /// Pool index of the sending device.
-    pub src: usize,
-    /// Pool index of the receiving device.
-    pub dst: usize,
-    /// Elements the bucket carried.
-    pub elems: u64,
-    /// Payload bytes (keys + values).
-    pub bytes: u64,
-    /// Whether the transfer rode a direct peer link (as opposed to staging
-    /// through host memory).
-    pub direct: bool,
-    /// When the transfer started on the shared timeline.
-    pub start: SimTime,
-    /// When the last byte arrived at `dst`.
-    pub end: SimTime,
-}
-
-impl ExchangeSpan {
-    /// Wall time of the transfer (both legs for staged transfers).
-    pub fn duration(&self) -> SimTime {
-        self.end - self.start
-    }
 }
 
 /// What kind of injected or detected fault an engine run survived.
@@ -157,8 +122,8 @@ pub struct ShardedReport {
     /// Value width in bytes (0 for key-only sorts).
     pub value_bytes: u32,
     /// Per-device shard reports, in shard (key-range) order within each
-    /// round.  A fault-free sort has one per device; requeue rounds and
-    /// the orphan buckets of a faulted peer exchange add more.
+    /// round.  A fault-free sort has one per device; requeue rounds add
+    /// more.
     pub shards: Vec<ShardReport>,
     /// The splitters that defined the shards.
     pub splitters: SplitterSet,
@@ -175,7 +140,7 @@ pub struct ShardedReport {
     pub measured_splitters: std::time::Duration,
     /// Measured wall-clock duration of the final host step: the per-shard
     /// merges and the concatenation of a first-round sort, or the p-way
-    /// merge of every run after a requeue round or orphaned buckets.
+    /// merge of every run after a requeue round.
     pub measured_merge: std::time::Duration,
     /// End-to-end time: host partition, device critical path, host merge.
     pub end_to_end: SimTime,
@@ -191,13 +156,6 @@ pub struct ShardedReport {
     /// Faults the engine hit and recovered from during this sort (see
     /// [`FaultEvent`]); empty for clean runs.
     pub faults: Vec<FaultEvent>,
-    /// The recombination strategy that actually ran (never
-    /// [`RecombineStrategy::Auto`] — the cost model resolves `Auto` before
-    /// dispatch).
-    pub recombine: RecombineStrategy,
-    /// Per-pair bucket transfers when recombination ran as a peer
-    /// exchange (see [`ExchangeSpan`]); empty for host-merge sorts.
-    pub exchange: Vec<ExchangeSpan>,
 }
 
 impl ShardedReport {
@@ -245,7 +203,7 @@ impl ShardedReport {
     /// Every engine mode labels its device sort events with the substring
     /// `"sort"` (and nothing else with it), so this is the moment all
     /// device compute on input data was done and only recombination work
-    /// (transfers, peer merges, host merge) remained.
+    /// (downloads, host merge) remained.
     pub fn last_sort_finish(&self) -> SimTime {
         self.timeline
             .events()
@@ -265,8 +223,7 @@ impl ShardedReport {
     /// * the critical path never exceeds the timeline makespan (it may be
     ///   *shorter* when host-merge consumption is overlapped onto the
     ///   tail of the schedule);
-    /// * the end-to-end time covers at least the critical path;
-    /// * exchange spans are well-formed and lie within the makespan.
+    /// * the end-to-end time covers at least the critical path.
     ///
     /// The historical accounting assumed the host merge strictly followed
     /// all DtH transfers; once recombination overlaps phases that
@@ -321,20 +278,6 @@ impl ShardedReport {
                 "end-to-end {} shorter than the critical path {}",
                 self.end_to_end, self.critical_path
             ));
-        }
-        for x in &self.exchange {
-            if x.end.secs() + EPS < x.start.secs() {
-                return Err(format!(
-                    "exchange span {}→{} ends ({}) before it starts ({})",
-                    x.src, x.dst, x.end, x.start
-                ));
-            }
-            if x.end.secs() > makespan.secs() + EPS {
-                return Err(format!(
-                    "exchange span {}→{} ends ({}) beyond the makespan {makespan}",
-                    x.src, x.dst, x.end
-                ));
-            }
         }
         Ok(())
     }
@@ -437,8 +380,6 @@ mod tests {
             timeline: tl,
             ooc_chunks: Vec::new(),
             faults: Vec::new(),
-            recombine: RecombineStrategy::HostMerge,
-            exchange: Vec::new(),
         }
     }
 
@@ -491,34 +432,5 @@ mod tests {
         report.end_to_end = report.critical_path * 2.0;
         let err = report.span_invariants().unwrap_err();
         assert!(err.contains("exceeds the timeline makespan"), "{err}");
-    }
-
-    #[test]
-    fn invariants_check_exchange_spans() {
-        let mut report = synthetic_report();
-        report.exchange.push(ExchangeSpan {
-            src: 0,
-            dst: 1,
-            elems: 10,
-            bytes: 80,
-            direct: true,
-            start: SimTime::from_millis(8.0),
-            end: SimTime::from_millis(9.0),
-        });
-        report.span_invariants().expect("in-makespan span is fine");
-        report.exchange[0].end = report.timeline.makespan() + SimTime::from_millis(5.0);
-        let err = report.span_invariants().unwrap_err();
-        assert!(err.contains("beyond the makespan"), "{err}");
-        report.exchange[0] = ExchangeSpan {
-            src: 0,
-            dst: 1,
-            elems: 10,
-            bytes: 80,
-            direct: false,
-            start: SimTime::from_millis(9.0),
-            end: SimTime::from_millis(8.0),
-        };
-        let err = report.span_invariants().unwrap_err();
-        assert!(err.contains("before it starts"), "{err}");
     }
 }

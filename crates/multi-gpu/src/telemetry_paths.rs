@@ -1,9 +1,8 @@
 //! The canonical telemetry path constants of the multi-GPU layer.
 //!
 //! Every `multi_gpu/...` metric path is declared exactly once here and
-//! imported by its registration sites (the engine, the exchange
-//! recombiner, the out-of-core planner, the recovery wrapper, and the
-//! sort service's counter mirror).  The `telemetry-path-registered-once`
+//! imported by its registration sites (the engine, the out-of-core
+//! planner, the recovery wrapper, and the sort service's counter mirror).  The `telemetry-path-registered-once`
 //! lint of `hrs-lint` enforces the "exactly once" part: a path literal
 //! that appears at two registration sites is a typo waiting to fork the
 //! metric tree, so new paths must be added here and referenced by name.
@@ -17,13 +16,6 @@ pub const KEYS: &str = "multi_gpu/keys";
 pub const ARENA_BUFFERS: &str = "multi_gpu/arena/buffers";
 /// Bytes the engine's own scratch arena retains.
 pub const ARENA_BUFFER_BYTES: &str = "multi_gpu/arena/buffer_bytes";
-
-/// Bytes moved by the peer all-to-all bucket exchange.
-pub const EXCHANGE_BYTES: &str = "multi_gpu/exchange/bytes";
-/// Fraction of exchange traffic overlapped with device merges.
-pub const EXCHANGE_OVERLAP_RATIO: &str = "multi_gpu/exchange/overlap_ratio";
-/// Per-device merge latency during recombination.
-pub const EXCHANGE_DEVICE_MERGE_NS: &str = "multi_gpu/exchange/device_merge_ns";
 
 /// Completed out-of-core sorts.
 pub const OOC_SORTS: &str = "multi_gpu/ooc/sorts";

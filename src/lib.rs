@@ -40,14 +40,12 @@ pub use workloads;
 /// Commonly used types, re-exported for convenience.
 pub mod prelude {
     pub use baselines::{GpuLsdRadixSort, GpuMergeSort, MultisplitRadixSort, ParadisSort};
-    pub use gpu_sim::{
-        DeviceSpec, FaultKind, FaultPlan, FaultSpec, LinkSpec, PeerTopology, SimTime,
-    };
+    pub use gpu_sim::{DeviceSpec, FaultKind, FaultPlan, FaultSpec, LinkSpec, SimTime};
     pub use hetero::HeterogeneousSorter;
     pub use hrs_core::{Executor, HybridRadixSorter, Optimizations, SortConfig, SortReport};
     pub use multi_gpu::{
-        DeviceBackend, DevicePool, ExchangeSpan, FaultEvent, FaultEventKind, OocChunkSpan,
-        OocConfig, RecombineStrategy, ShardedReport, ShardedSorter, SimDevice, SortError,
+        DeviceBackend, DevicePool, FaultEvent, FaultEventKind, OocChunkSpan, OocConfig,
+        ShardedReport, ShardedSorter, SimDevice, SortError,
     };
     pub use sort_service::{
         OverBudgetPolicy, RequestSpan, ServiceConfig, SortOutcome, SortPayload, SortRequest,

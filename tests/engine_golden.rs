@@ -5,7 +5,7 @@
 //! A fingerprint is the `{:?}` of every simulated or structural field of a
 //! [`ShardedReport`]: sizes, the per-shard table, splitters, the critical
 //! path, the combined core report, every timeline event, and the
-//! out-of-core chunk, recombination and exchange bookkeeping.  Measured
+//! out-of-core chunk bookkeeping.  Measured
 //! wall-clock fields (`measured_partition`, `measured_merge`,
 //! `end_to_end`, `measured_sort`) and the out-of-core `host merge` events
 //! (sized from the measured merge) vary run to run and are left out.
@@ -44,8 +44,6 @@ fn fingerprint(report: &ShardedReport) -> String {
         }
     }
     line(format!("ooc_chunks={:?}", report.ooc_chunks));
-    line(format!("recombine={:?}", report.recombine));
-    line(format!("exchange={:?}", report.exchange));
     out
 }
 
@@ -85,10 +83,6 @@ fn titan(p: usize) -> ShardedSorter {
     ShardedSorter::new(DevicePool::titan_cluster(p))
 }
 
-fn mesh(strategy: RecombineStrategy) -> ShardedSorter {
-    ShardedSorter::new(DevicePool::nvlink_mesh_cluster(4)).with_recombine_strategy(strategy)
-}
-
 /// Two devices with 1 MiB of memory each, so test-sized inputs stream out
 /// of core in several chunks.
 fn tiny_memory() -> ShardedSorter {
@@ -117,32 +111,6 @@ fn host_merge_pairs() {
 fn host_merge_batch() {
     let mut keys = uniform_keys::<u64>(45_000, 3);
     check("host_merge_batch", &titan(3).sort(&mut keys));
-}
-
-#[test]
-fn peer_exchange_keys() {
-    let mut keys = uniform_keys::<u64>(60_000, 4);
-    check(
-        "peer_exchange_keys",
-        &mesh(RecombineStrategy::PeerExchange).sort(&mut keys),
-    );
-}
-
-#[test]
-fn peer_exchange_pairs() {
-    let mut keys = uniform_keys::<u64>(40_000, 5);
-    let mut vals: Vec<u32> = (0..40_000).collect();
-    let report = mesh(RecombineStrategy::PeerExchange).sort_pairs(&mut keys, &mut vals);
-    check("peer_exchange_pairs", &report);
-}
-
-#[test]
-fn auto_on_mesh() {
-    let mut keys = uniform_keys::<u64>(60_000, 6);
-    check(
-        "auto_on_mesh",
-        &mesh(RecombineStrategy::Auto).sort(&mut keys),
-    );
 }
 
 #[test]

@@ -10,10 +10,7 @@
 //! resolved it.
 //!
 //! The CI chaos matrix reruns this file under several `CHAOS_SEED` values;
-//! see `chaos_seed_scenario_is_deterministic` and its peer-exchange twin
-//! `exchange_chaos_seed_scenario_is_deterministic`, which drives the same
-//! seeded plans through the all-to-all bucket exchange (where faults can
-//! land *mid-exchange*, after a device has already sorted its slab).
+//! see `chaos_seed_scenario_is_deterministic`.
 
 use hybrid_radix_sort::prelude::*;
 use hybrid_radix_sort::sort_service::FlushReason;
@@ -123,100 +120,6 @@ proptest! {
         }
         service.shutdown();
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
-
-    /// Exchange-phase chaos: the peer-exchange recombination consumes up
-    /// to two fault-plan ops per device per round (op 0 at the local
-    /// sort, op 1 mid-exchange), so a `max_op` of 4 reaches every phase —
-    /// devices die *holding sorted slabs*, transfers stall mid-flight,
-    /// shards corrupt after the exchange started.  Same contract as the
-    /// host-merge path: reference output or typed error, never a hang.
-    #[test]
-    fn exchange_engine_survives_random_fault_plans(
-        n in 1_000usize..15_000,
-        p in 2usize..5,
-        seed in any::<u64>(),
-        key_seed in any::<u64>(),
-    ) {
-        let plan = FaultPlan::seeded(seed, p, 4, 2);
-        let sorter = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(p))
-            .with_recombine_strategy(RecombineStrategy::PeerExchange)
-            .with_fault_plan(plan);
-        let keys = uniform_keys::<u64>(n, key_seed);
-        let mut sorted = keys.clone();
-        match sorter.try_sort(&mut sorted) {
-            Ok(report) => {
-                prop_assert_eq!(&sorted, &KeyCodec::std_sorted(&keys));
-                prop_assert_eq!(report.n, n as u64);
-                prop_assert_eq!(report.recombine, RecombineStrategy::PeerExchange);
-                for ev in &report.faults {
-                    prop_assert!(ev.recovered);
-                    prop_assert!(ev.device < p);
-                }
-            }
-            Err(err) => {
-                prop_assert!(matches!(
-                    err,
-                    SortError::AllDevicesDead { .. } | SortError::RetriesExhausted { .. }
-                ));
-                prop_assert_eq!(sorted_multiset(sorted), sorted_multiset(keys));
-            }
-        }
-    }
-}
-
-/// A device dies *mid-exchange* — after sorting its slab, while peers are
-/// pulling buckets from it.  The slab requeues onto the survivors, buckets
-/// already destined to the dead device become orphan runs on their
-/// sources, and the output still matches the reference exactly.
-#[test]
-fn device_dies_mid_exchange_and_the_pool_recovers() {
-    let sorter = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(3))
-        .with_recombine_strategy(RecombineStrategy::PeerExchange)
-        .with_fault_plan(FaultPlan::fail_device(1, 1));
-    let pool = sorter.pool().clone();
-    let keys = uniform_keys::<u64>(24_000, 37);
-    let mut sorted = keys.clone();
-    let report = sorter
-        .try_sort(&mut sorted)
-        .expect("two survivors must recover");
-    assert_eq!(sorted, KeyCodec::std_sorted(&keys));
-    assert!(!pool.alive(1), "the engine must mark the device dead");
-    assert!(report.had_faults());
-    assert!(report.requeued_elements() > 0);
-    assert!(report.faults.iter().all(|ev| ev.recovered));
-}
-
-/// A transfer stall mid-exchange slows the schedule but loses nothing:
-/// output identical, the stall recorded, and the simulated end-to-end
-/// strictly worse than the same plan with the stall spec never firing.
-#[test]
-fn transfer_stall_mid_exchange_only_costs_time() {
-    let keys = uniform_keys::<u64>(20_000, 41);
-    let reference = KeyCodec::std_sorted(&keys);
-    let run = |op: u64| {
-        let sorter = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(2))
-            .with_recombine_strategy(RecombineStrategy::PeerExchange)
-            .with_fault_plan(FaultPlan::stall_transfer(0, op, 8.0));
-        let mut sorted = keys.clone();
-        let report = sorter.try_sort(&mut sorted).expect("stalls never kill");
-        assert_eq!(sorted, reference);
-        report
-    };
-    let stalled = run(1); // fires mid-exchange
-    let clean = run(999); // never fires
-    assert!(stalled.had_faults());
-    assert!(!clean.had_faults());
-    // Compare the purely-simulated critical path, not `end_to_end` — the
-    // latter includes the measured (wall-clock) host concatenation, whose
-    // jitter under parallel test load can swamp a microsecond-scale stall.
-    assert!(
-        stalled.critical_path.secs() > clean.critical_path.secs(),
-        "an 8x stall must show up in the simulated schedule"
-    );
 }
 
 /// One explicit device failure through the whole service stack: the batch
@@ -461,43 +364,6 @@ fn chaos_seed_scenario_is_deterministic() {
     match sorter.try_sort(&mut sorted) {
         Ok(report) => {
             assert_eq!(sorted, KeyCodec::std_sorted(&keys));
-            for ev in &report.faults {
-                assert!(ev.recovered);
-            }
-        }
-        Err(err) => {
-            assert!(matches!(
-                err,
-                SortError::AllDevicesDead { .. } | SortError::RetriesExhausted { .. }
-            ));
-            assert_eq!(sorted_multiset(sorted), sorted_multiset(keys));
-        }
-    }
-}
-
-/// The exchange leg of the chaos matrix: the same `CHAOS_SEED` drives the
-/// same deterministic fault plan through the *peer-exchange* recombination
-/// (`max_op` 4 so specs can land mid-exchange, not just at the local
-/// sorts), with the same converge-or-fail-typed contract as above.
-#[test]
-fn exchange_chaos_seed_scenario_is_deterministic() {
-    let seed: u64 = std::env::var("CHAOS_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42);
-    let plan_a = FaultPlan::seeded(seed, 3, 4, 3);
-    let plan_b = FaultPlan::seeded(seed, 3, 4, 3);
-    assert_eq!(plan_a, plan_b, "seeded plans must be reproducible");
-
-    let sorter = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(3))
-        .with_recombine_strategy(RecombineStrategy::PeerExchange)
-        .with_fault_plan(plan_a);
-    let keys = uniform_keys::<u64>(25_000, seed);
-    let mut sorted = keys.clone();
-    match sorter.try_sort(&mut sorted) {
-        Ok(report) => {
-            assert_eq!(sorted, KeyCodec::std_sorted(&keys));
-            assert_eq!(report.recombine, RecombineStrategy::PeerExchange);
             for ev in &report.faults {
                 assert!(ev.recovered);
             }

@@ -1,40 +1,25 @@
-//! Cross-strategy equivalence suite for the recombination phase: the
-//! peer-exchange path (`RecombineStrategy::PeerExchange`), the default
-//! host p-way merge (`RecombineStrategy::HostMerge`) and the standard
-//! library sort must all agree on every output — for plain keys, pairs,
-//! batches and the out-of-core lane, across uniform / zipf / sorted /
-//! duplicate-heavy inputs and 1/2/4/8-device pools, including skewed
-//! capacity weights and shards that receive zero keys.  The benchmarks'
-//! two-CPU-socket pool, whose round-0 shards concatenate on the host, is
-//! held to the same outputs.
-//!
-//! The exchange path may differ in *schedule* (that is the point), never
-//! in *bytes*.
+//! Equivalence suite for the recombination phase: the sharded engine's
+//! host step — concatenating range-disjoint runs, merging only where runs
+//! overlap — must agree with the standard library sort on every output,
+//! for plain keys, pairs and the out-of-core lane, across uniform / zipf /
+//! sorted / duplicate-heavy inputs and 1/2/4/8-device pools, including
+//! skewed capacity weights and shards that receive zero keys.  The
+//! benchmarks' two-CPU-socket pool, whose round-0 shards concatenate on
+//! the host, is held to the same outputs.
 
-use hybrid_radix_sort::gpu_sim::{DeviceSpec, LinkSpec, PeerTopology};
+use hybrid_radix_sort::gpu_sim::DeviceSpec;
 use hybrid_radix_sort::multi_gpu::{DevicePool, OocConfig, ShardedSorter};
 use hybrid_radix_sort::prelude::*;
 use hybrid_radix_sort::workloads::{uniform_keys, KeyCodec, ZipfGenerator};
 use proptest::prelude::*;
 
-/// A sharded sorter over an NVLink mesh, forced onto the peer-exchange
-/// recombination, with the on-GPU config scaled down to test-sized inputs.
-fn exchange_sorter(p: usize) -> ShardedSorter {
-    let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(50_000, 250_000_000));
-    ShardedSorter::new(DevicePool::nvlink_mesh_cluster(p))
-        .with_sorter(gpu)
-        .with_merge_threads(4)
-        .with_recombine_strategy(RecombineStrategy::PeerExchange)
-}
-
-/// The host-merge baseline on the same device class (PCIe titan cluster,
-/// no peer links — the pre-exchange engine, byte for byte).
+/// A sharded sorter over `p` PCIe Titan X cards, with the on-GPU config
+/// scaled down to test-sized inputs.
 fn host_sorter(p: usize) -> ShardedSorter {
     let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(50_000, 250_000_000));
     ShardedSorter::new(DevicePool::titan_cluster(p))
         .with_sorter(gpu)
         .with_merge_threads(4)
-        .with_recombine_strategy(RecombineStrategy::HostMerge)
 }
 
 /// The benchmarks' pool: two single-worker CPU sockets, which sort for
@@ -74,10 +59,10 @@ fn generate(shape: usize, n: usize, seed: u64) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Keys: peer-exchange ≡ host-merge ≡ std, over every pool size the
-    /// issue names and every input shape.
+    /// Keys: the host step ≡ std, over 1/2/4/8-device pools and every
+    /// input shape.
     #[test]
-    fn key_sorts_agree_across_strategies(
+    fn key_sorts_agree_with_std(
         n in 2_000usize..40_000,
         p_idx in 0usize..4,
         shape in 0usize..4,
@@ -87,25 +72,17 @@ proptest! {
         let keys = generate(shape, n, seed);
         let reference = KeyCodec::std_sorted(&keys);
 
-        let mut via_host = keys.clone();
-        let host_report = host_sorter(p).sort(&mut via_host);
-        prop_assert_eq!(&via_host, &reference);
-        prop_assert_eq!(host_report.recombine, RecombineStrategy::HostMerge);
-        prop_assert!(host_report.exchange.is_empty());
-
-        let mut via_peers = keys;
-        let peer_report = exchange_sorter(p).sort(&mut via_peers);
-        prop_assert_eq!(&via_peers, &reference);
-        prop_assert_eq!(peer_report.n, n as u64);
-        prop_assert_eq!(peer_report.recombine, RecombineStrategy::PeerExchange);
-        let invariants = peer_report.span_invariants();
-        prop_assert!(invariants.is_ok(), "exchange span invariants: {:?}", invariants);
+        let mut sorted = keys;
+        let report = host_sorter(p).sort(&mut sorted);
+        prop_assert_eq!(&sorted, &reference);
+        prop_assert_eq!(report.n, n as u64);
+        let invariants = report.span_invariants();
+        prop_assert!(invariants.is_ok(), "span invariants: {:?}", invariants);
     }
 
-    /// Pairs: the permutation applied to the values is the same sort in
-    /// both strategies — every value still rides its key.
+    /// Pairs: every value still rides its key through the host step.
     #[test]
-    fn pair_sorts_agree_across_strategies(
+    fn pair_sorts_keep_values_with_their_keys(
         n in 1_000usize..25_000,
         p_idx in 0usize..3,
         seed in any::<u64>(),
@@ -115,16 +92,11 @@ proptest! {
         let tags: Vec<u64> = keys.iter().map(|&k| !k).collect();
         let reference = KeyCodec::std_sorted(&keys);
 
-        let (mut hk, mut hv) = (keys.clone(), tags.clone());
-        host_sorter(p).sort_pairs(&mut hk, &mut hv);
-        let (mut pk, mut pv) = (keys, tags);
-        exchange_sorter(p).sort_pairs(&mut pk, &mut pv);
-
-        prop_assert_eq!(&pk, &reference);
-        prop_assert_eq!(&pk, &hk);
-        prop_assert!(pk.iter().zip(&pv).all(|(&k, &v)| v == !k),
-            "a value came unglued from its key in the exchange");
-        prop_assert!(hk.iter().zip(&hv).all(|(&k, &v)| v == !k));
+        let (mut k, mut v) = (keys, tags);
+        host_sorter(p).sort_pairs(&mut k, &mut v);
+        prop_assert_eq!(&k, &reference);
+        prop_assert!(k.iter().zip(&v).all(|(&k, &v)| v == !k),
+            "a value came unglued from its key");
     }
 
     /// CPU sockets: pairs and the out-of-core lane agree with std
@@ -158,74 +130,63 @@ proptest! {
         prop_assert_eq!(&ov, &hv);
     }
 
-    /// Out-of-core: the chunk-streamed lane always recombines on the host
-    /// (its tail merge overlaps the chunk stream instead), and setting the
-    /// peer-exchange strategy on the engine must not disturb it.
+    /// Out of core on devices with 1 MiB of memory: the key-range chunks
+    /// recombine on the host into exactly the std sort.
     #[test]
-    fn out_of_core_is_unaffected_by_the_strategy(
+    fn out_of_core_agrees_with_std(
         n in 60_000usize..120_000,
         seed in any::<u64>(),
     ) {
         let mut spec = DeviceSpec::titan_x_pascal();
         spec.device_memory_bytes = 1 << 20;
-        let pool = DevicePool::homogeneous(2, SimDevice::on_pcie3(spec))
-            .with_peer_topology(PeerTopology::nvlink_mesh(2, LinkSpec::nvlink2()));
+        let pool = DevicePool::homogeneous(2, SimDevice::on_pcie3(spec));
         let keys = uniform_keys::<u64>(n, seed);
         let reference = KeyCodec::std_sorted(&keys);
         let mut sorted = keys;
         let report = ShardedSorter::new(pool)
-            .with_recombine_strategy(RecombineStrategy::PeerExchange)
             .try_sort_out_of_core(&mut sorted)
             .expect("ooc lane must not fail without faults");
         prop_assert_eq!(&sorted, &reference);
         prop_assert!(report.is_out_of_core());
-        // The ooc lane reports the strategy it actually used.
-        prop_assert_eq!(report.recombine, RecombineStrategy::HostMerge);
-        prop_assert!(report.exchange.is_empty());
     }
 }
 
-/// Skewed capacity weights: a P100 next to a GTX 980 over a duplex NVLink
-/// pair carves very unequal slabs, and the exchange must still tile the
-/// key space exactly.
+/// Skewed capacity weights: a P100 next to a GTX 980 cuts very unequal
+/// key ranges, and the host step must still tile the key space exactly.
 #[test]
 fn skewed_pool_agrees_with_host_merge_and_reference() {
-    let topo = PeerTopology::through_host(2).with_duplex_link(0, 1, LinkSpec::nvlink2());
     let pool = DevicePool::new(vec![
         SimDevice::on_nvlink2(DeviceSpec::tesla_p100()),
         SimDevice::on_pcie3(DeviceSpec::gtx_980()),
-    ])
-    .with_peer_topology(topo);
+    ]);
     let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(75_000, 250_000_000));
     let keys = ZipfGenerator::paper_keys::<u64>(140_000, 27);
     let reference = KeyCodec::std_sorted(&keys);
 
-    let mut via_host = keys.clone();
-    host_sorter(2).sort(&mut via_host);
-    assert_eq!(via_host, reference);
+    let mut via_titans = keys.clone();
+    host_sorter(2).sort(&mut via_titans);
+    assert_eq!(via_titans, reference);
 
-    let mut via_peers = keys;
+    let mut via_skewed = keys;
     let report = ShardedSorter::new(pool)
         .with_sorter(gpu)
         .with_merge_threads(4)
-        .with_recombine_strategy(RecombineStrategy::PeerExchange)
-        .sort(&mut via_peers);
-    assert_eq!(via_peers, reference);
+        .sort(&mut via_skewed);
+    assert_eq!(via_skewed, reference);
     assert!(
-        report.exchange.iter().all(|x| x.direct),
-        "the duplex NVLink pair must carry every transfer directly"
+        report.shards[0].n > report.shards[1].n,
+        "the P100 must take the larger key range"
     );
     report.span_invariants().expect("monotone spans");
 }
 
-/// A constant-key input collapses every splitter onto one value: all but
-/// one bucket is empty, so most devices contribute zero keys to most
-/// destinations — and at least one shard ends up with zero output keys.
+/// A constant-key input collapses every splitter onto one value, so at
+/// least one shard ends up with zero keys and concatenates like any other.
 #[test]
-fn zero_key_shards_are_legal_in_the_exchange() {
+fn zero_key_shards_are_legal() {
     let keys = vec![0xDEAD_BEEF_u64; 30_000];
     let mut sorted = keys.clone();
-    let report = exchange_sorter(4).sort(&mut sorted);
+    let report = host_sorter(4).sort(&mut sorted);
     assert_eq!(sorted, keys, "constant input is already sorted");
     assert_eq!(report.shards.iter().map(|s| s.n).sum::<u64>(), 30_000);
     assert!(
@@ -236,11 +197,11 @@ fn zero_key_shards_are_legal_in_the_exchange() {
 
     // The empty edge cases hold too.
     let mut empty: Vec<u64> = Vec::new();
-    let r = exchange_sorter(4).sort(&mut empty);
+    let r = host_sorter(4).sort(&mut empty);
     assert!(empty.is_empty());
     assert_eq!(r.n, 0);
     let mut one = vec![42u64];
-    exchange_sorter(8).sort(&mut one);
+    host_sorter(8).sort(&mut one);
     assert_eq!(one, vec![42]);
 }
 
@@ -264,34 +225,4 @@ fn socket_pool_tolerates_a_zero_key_shard() {
             "a constant input must starve a socket (out_of_core = {out_of_core})"
         );
     }
-}
-
-/// `Auto` resolves through the cost model: on an 8-device NVLink mesh the
-/// exchange wins; on a single device there is nothing to exchange.
-#[test]
-fn auto_strategy_is_equivalent_and_resolves_sensibly() {
-    let keys = uniform_keys::<u64>(200_000, 31);
-    let reference = KeyCodec::std_sorted(&keys);
-    let gpu = HybridRadixSorter::new(SortConfig::keys_64().scaled_for(50_000, 250_000_000));
-
-    let mut on_mesh = keys.clone();
-    let report = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(8))
-        .with_sorter(gpu.clone())
-        .with_merge_threads(4)
-        .with_recombine_strategy(RecombineStrategy::Auto)
-        .sort(&mut on_mesh);
-    assert_eq!(on_mesh, reference);
-    assert_eq!(
-        report.recombine,
-        RecombineStrategy::PeerExchange,
-        "an 8-device NVLink mesh must beat the host merge in the cost model"
-    );
-
-    let mut solo = keys;
-    let report = ShardedSorter::new(DevicePool::nvlink_mesh_cluster(1))
-        .with_sorter(gpu)
-        .with_recombine_strategy(RecombineStrategy::Auto)
-        .sort(&mut solo);
-    assert_eq!(solo, reference);
-    assert_eq!(report.recombine, RecombineStrategy::HostMerge);
 }
